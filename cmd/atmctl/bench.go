@@ -11,8 +11,9 @@ import (
 )
 
 // cmdBench runs the pinned microbenchmark plan over the //atm:hotpath
-// kernels, the end-to-end characterize/tune stages, and the fleet
-// engine, optionally profiling exactly the benched region, and emits
+// kernels, the end-to-end characterize/tune stages, the fleet engine,
+// and the datacenter hot paths, optionally profiling exactly the
+// benched region (read the profile with `go tool pprof`), and emits
 // the canonical BENCH_core.json artifact.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
@@ -20,17 +21,11 @@ func cmdBench(args []string) error {
 	quick := fs.Bool("quick", false, "CI-sized iteration plan (baselines are checked in quick)")
 	out := fs.String("out", "", "write the BENCH json artifact to this file")
 	baseline := fs.String("baseline", "", "compare against this BENCH json and exit 3 on regression")
-	bench := fs.String("bench", "core", "artifact family name recorded in the json")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the benched region")
 	memprofile := fs.String("memprofile", "", "write a post-GC heap profile taken after the benched region")
 	traceOut := fs.String("trace", "", "write a runtime/trace of the benched region")
-	top := fs.Int("top", 0, "after the run, print the top-N hotspot table from -cpuprofile")
 	if err := parseFlags(fs, args); err != nil {
 		return err
-	}
-	if *top > 0 && *cpuprofile == "" {
-		fmt.Fprintln(os.Stderr, "bench: -top needs -cpuprofile")
-		return usageError{fmt.Errorf("-top without -cpuprofile")}
 	}
 
 	var groups []string
@@ -40,6 +35,10 @@ func cmdBench(args []string) error {
 	stages, err := perf.Stages(*quick, groups...)
 	if err != nil {
 		return usageError{err}
+	}
+	base, err := readBaseline(*baseline)
+	if err != nil {
+		return err
 	}
 
 	// Capture brackets exactly the measured stages: no flag parsing, no
@@ -61,28 +60,14 @@ func cmdBench(args []string) error {
 		return err
 	}
 
-	doc := perf.NewDoc(*bench, *quick, results)
+	doc := perf.NewDoc(*quick, results)
 	if err := renderBenchTable(doc, results); err != nil {
 		return err
 	}
-	if *out != "" {
-		raw, err := doc.Marshal()
-		if err != nil {
-			return err
-		}
-		if err := writeFile(*out, func(f *os.File) error { _, werr := f.Write(raw); return werr }); err != nil {
-			return err
-		}
+	if err := writeDoc(*out, doc); err != nil {
+		return err
 	}
-	if *top > 0 {
-		if err := printTop(*cpuprofile, *top); err != nil {
-			return err
-		}
-	}
-	if *baseline != "" {
-		return gateBaseline(*baseline, doc)
-	}
-	return nil
+	return gateBaseline(*baseline, base, doc)
 }
 
 // renderBenchTable prints the per-stage results for humans; the json
@@ -108,31 +93,36 @@ func renderBenchTable(doc *perf.Doc, results []perf.StageResult) error {
 	return t.Render(os.Stdout)
 }
 
-// printTop parses the captured CPU profile and prints the hotspot
-// table — deterministic for a given profile file.
-func printTop(path string, n int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
+// readBaseline loads and schema-checks the -baseline file (nil when
+// the flag is unset). It runs before anything is measured, so a run
+// whose -out names the same file is still gated against the file's
+// old rows, not against itself.
+func readBaseline(path string) (*perf.Doc, error) {
+	if path == "" {
+		return nil, nil
 	}
-	//lint:ignore errdrop read-only profile handle
-	defer f.Close()
-	p, err := perf.ParseProfile(f)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("top %d of %s:\n", n, path)
-	_, err = os.Stdout.WriteString(perf.FormatTop(p, p.Top(n)))
-	return err
+	return perf.ReadDoc(path)
 }
 
-// gateBaseline compares the run against a checked-in baseline and
-// reports regressions as a partial failure (exit 3): the run itself
-// rendered fine, but the operator must not miss the drift.
-func gateBaseline(path string, doc *perf.Doc) error {
-	base, err := perf.ReadDoc(path)
+// writeDoc writes the artifact to path, if one was given.
+func writeDoc(path string, doc *perf.Doc) error {
+	if path == "" {
+		return nil
+	}
+	raw, err := doc.Marshal()
 	if err != nil {
 		return err
+	}
+	return writeFile(path, func(f *os.File) error { _, werr := f.Write(raw); return werr })
+}
+
+// gateBaseline compares the run against the baseline read from path
+// (a no-op without one) and reports regressions as a partial failure
+// (exit 3): the run itself rendered fine, but the operator must not
+// miss the drift.
+func gateBaseline(path string, base, doc *perf.Doc) error {
+	if base == nil {
+		return nil
 	}
 	regs, err := perf.Compare(base, doc)
 	if err != nil {
@@ -167,6 +157,10 @@ func cmdFlood(args []string) error {
 	out := fs.String("out", "", "write the BENCH json artifact to this file")
 	baseline := fs.String("baseline", "", "compare against this BENCH json and exit 3 on regression")
 	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	base, err := readBaseline(*baseline)
+	if err != nil {
 		return err
 	}
 
@@ -208,17 +202,8 @@ func cmdFlood(args []string) error {
 	fmt.Printf("flood: latency ticks p50=%.1f p95=%.1f p99=%.1f; wall %.3fms (%.0f req/s)\n",
 		r.P50Ticks, r.P95Ticks, r.P99Ticks,
 		float64(r.WallNS)/1e6, doc.Timing.ReqPerSec)
-	if *out != "" {
-		raw, err := doc.Marshal()
-		if err != nil {
-			return err
-		}
-		if err := writeFile(*out, func(f *os.File) error { _, werr := f.Write(raw); return werr }); err != nil {
-			return err
-		}
+	if err := writeDoc(*out, doc); err != nil {
+		return err
 	}
-	if *baseline != "" {
-		return gateBaseline(*baseline, doc)
-	}
-	return nil
+	return gateBaseline(*baseline, base, doc)
 }

@@ -32,9 +32,11 @@ func TestBenchEmitsArtifactAndProfiles(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "BENCH_core.json")
 	cpu := filepath.Join(dir, "cpu.pb.gz")
+	mem := filepath.Join(dir, "mem.pb.gz")
+	trace := filepath.Join(dir, "trace.out")
 
-	if got := run([]string{"bench", "-set", "kernel", "-quick",
-		"-out", out, "-cpuprofile", cpu, "-top", "5"}); got != 0 {
+	if got := run([]string{"bench", "-set", "kernel", "-quick", "-out", out,
+		"-cpuprofile", cpu, "-memprofile", mem, "-trace", trace}); got != 0 {
 		t.Fatalf("bench exit = %d, want 0", got)
 	}
 
@@ -50,14 +52,10 @@ func TestBenchEmitsArtifactAndProfiles(t *testing.T) {
 			t.Errorf("-set kernel leaked stage %s/%s", row.Group, row.Name)
 		}
 	}
-	f, err := os.Open(cpu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore errdrop read-only profile handle in a test
-	defer f.Close()
-	if _, err := perf.ParseProfile(f); err != nil {
-		t.Fatalf("captured profile unparseable: %v", err)
+	for _, path := range []string{cpu, mem, trace} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: missing or empty capture (%v)", path, err)
+		}
 	}
 }
 
@@ -91,6 +89,11 @@ func TestBenchBaselineGate(t *testing.T) {
 	if got := run([]string{"bench", "-set", "kernel", "-quick", "-baseline", out}); got != 3 {
 		t.Fatalf("regression exit = %d, want 3", got)
 	}
+	// The baseline is read before -out rewrites the same file, so the
+	// run is gated against the poisoned rows, not against itself.
+	if got := run([]string{"bench", "-set", "kernel", "-quick", "-out", out, "-baseline", out}); got != 3 {
+		t.Fatalf("-out naming the baseline: exit = %d, want 3", got)
+	}
 
 	// Quick run against a full baseline refuses hard (exit 1).
 	doc.Quick = false
@@ -111,9 +114,6 @@ func TestBenchUsageErrors(t *testing.T) {
 	silenceStdout(t)
 	if got := run([]string{"bench", "-set", "bogus"}); got != 2 {
 		t.Fatalf("unknown -set exit = %d, want 2", got)
-	}
-	if got := run([]string{"bench", "-top", "5"}); got != 2 {
-		t.Fatalf("-top without -cpuprofile exit = %d, want 2", got)
 	}
 }
 
@@ -196,6 +196,10 @@ func TestFloodBaselineGate(t *testing.T) {
 	}
 	if got := run([]string{"flood", "-quick", "-baseline", out}); got != 3 {
 		t.Fatalf("diverged baseline exit = %d, want 3", got)
+	}
+	// -out naming the baseline still gates against the old rows.
+	if got := run([]string{"flood", "-quick", "-out", out, "-baseline", out}); got != 3 {
+		t.Fatalf("-out naming the baseline: exit = %d, want 3", got)
 	}
 }
 

@@ -14,7 +14,7 @@
 //	atmctl lifetime [-years 3] [-seed 1] [-sentinel-off] [-cache-dir .fleet] [-resume]
 //	atmctl transient [-chip P0] [-steps 2000] [-stress]
 //	atmctl bench [-set kernel,e2e,fleet,dc] [-quick] [-out BENCH_core.json] [-baseline BENCH_core.json]
-//	             [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz] [-trace trace.out] [-top 15]
+//	             [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz] [-trace trace.out]
 //	atmctl flood [-sessions 16] [-commands 200] [-seed 1] [-quick] [-out BENCH_fsp.json] [-baseline BENCH_fsp.json]
 //	atmctl status
 //

@@ -7,14 +7,15 @@ import (
 )
 
 // Stage is one benchmarkable unit: a hotpath kernel, an end-to-end
-// tuning stage, or a fleet campaign. Iteration counts are fixed per
-// stage — never time-calibrated — so the canonical stage rows of the
-// emitted artifact are pure functions of the code and the plan, and
-// two runs on different machines differ only in the timing section.
+// tuning stage, a fleet campaign, or a datacenter hot path. Iteration
+// counts are fixed per stage — never time-calibrated — so the
+// canonical stage rows of the emitted artifact are pure functions of
+// the code and the plan, and two runs on different machines differ
+// only in the timing section.
 type Stage struct {
 	// Name keys the stage in artifacts and baselines (snake_case).
 	Name string
-	// Group is the selection bucket: "kernel", "e2e", or "fleet".
+	// Group is the selection bucket, one of StageGroups.
 	Group string
 	// Note is a one-line human description carried into the artifact.
 	Note string

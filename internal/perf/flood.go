@@ -131,9 +131,10 @@ func Flood(o FloodOptions) (*FloodResult, error) {
 
 	// One logical clock rules everything: guard-plane refill/open
 	// windows, per-verb latency histograms, and the client-side
-	// issue→execute distances all read the same tick counter.
-	sw := NewStopwatchClock(nowNS)
-	tick := func() int64 { return sw.Ticks() }
+	// issue→execute distances all read the same tick counter. Wall
+	// time is read only around the loop, into WallNS.
+	var ticks int64
+	tick := func() int64 { return ticks }
 	srv.SetClock(tick)
 	srv.Guard(fsp.GuardOptions{
 		MaxSessions:      o.MaxSessions,
@@ -162,7 +163,7 @@ func Flood(o FloodOptions) (*FloodResult, error) {
 		})
 	}
 
-	sw.Start()
+	began := nowNS()
 	for len(live) > 0 {
 		// Seeded interleaver: pick one live session, let it issue a
 		// burst into its pipeline window, then execute its oldest
@@ -174,7 +175,7 @@ func Flood(o FloodOptions) (*FloodResult, error) {
 		for b := 0; b < burst && s.issued < o.Commands && len(s.queue) < o.Pipeline; b++ {
 			s.queue = append(s.queue, pendingCmd{
 				line:      nextCommand(src, o, s.issued),
-				issueTick: sw.Ticks(),
+				issueTick: ticks,
 			})
 			s.issued++
 			res.Issued++
@@ -183,9 +184,9 @@ func Flood(o FloodOptions) (*FloodResult, error) {
 		if len(s.queue) > 0 {
 			cmd := s.queue[0]
 			s.queue = s.queue[1:]
-			t := sw.Tick() // one executed command per tick
+			ticks++ // one executed command per tick
 			resp := s.sess.Exec(cmd.line)
-			latency.Observe(float64(t - cmd.issueTick))
+			latency.Observe(float64(ticks - cmd.issueTick))
 			res.Executed++
 			if strings.HasPrefix(resp, "err") {
 				res.Errors++
@@ -200,8 +201,7 @@ func Flood(o FloodOptions) (*FloodResult, error) {
 			live = append(live[:si], live[si+1:]...)
 		}
 	}
-	sw.Stop()
-	res.WallNS = sw.ElapsedNS()
+	res.WallNS = nowNS() - began
 	res.P50Ticks = latency.Quantile(0.5)
 	res.P95Ticks = latency.Quantile(0.95)
 	res.P99Ticks = latency.Quantile(0.99)

@@ -24,72 +24,3 @@ import "time"
 // nowNS is the package's only wall-clock read path (profiled regions
 // aside). Benchmark and flood timing flow through it.
 func nowNS() int64 { return time.Now().UnixNano() }
-
-// Stopwatch is a dual-clock timer: wall nanoseconds for throughput
-// reporting, and a logical tick counter for everything that must stay
-// deterministic (flood latencies, guard-plane clocks). The two axes
-// never mix — wall time is read out only into timing sections, ticks
-// only into canonical ones.
-type Stopwatch struct {
-	now     func() int64
-	started int64
-	elapsed int64
-	running bool
-	ticks   int64
-}
-
-// NewStopwatch returns a stopped stopwatch on the wall clock.
-func NewStopwatch() *Stopwatch { return &Stopwatch{now: nowNS} }
-
-// NewStopwatchClock returns a stopped stopwatch on a caller-supplied
-// nanosecond clock (tests use a fake).
-func NewStopwatchClock(now func() int64) *Stopwatch { return &Stopwatch{now: now} }
-
-// Start begins (or resumes) wall accumulation. Starting a running
-// stopwatch is a no-op.
-func (s *Stopwatch) Start() {
-	if s == nil || s.running {
-		return
-	}
-	s.running = true
-	s.started = s.now()
-}
-
-// Stop pauses wall accumulation. Stopping a stopped stopwatch is a
-// no-op.
-func (s *Stopwatch) Stop() {
-	if s == nil || !s.running {
-		return
-	}
-	s.elapsed += s.now() - s.started
-	s.running = false
-}
-
-// ElapsedNS returns accumulated wall nanoseconds, including the open
-// interval of a running stopwatch.
-func (s *Stopwatch) ElapsedNS() int64 {
-	if s == nil {
-		return 0
-	}
-	if s.running {
-		return s.elapsed + s.now() - s.started
-	}
-	return s.elapsed
-}
-
-// Tick advances the logical axis by one and returns the new value.
-func (s *Stopwatch) Tick() int64 {
-	if s == nil {
-		return 0
-	}
-	s.ticks++
-	return s.ticks
-}
-
-// Ticks returns the logical axis without advancing it.
-func (s *Stopwatch) Ticks() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.ticks
-}

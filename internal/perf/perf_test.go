@@ -8,32 +8,6 @@ import (
 	"testing"
 )
 
-func TestStopwatchDualClock(t *testing.T) {
-	var fake int64
-	sw := NewStopwatchClock(func() int64 { return fake })
-	sw.Start()
-	fake = 100
-	sw.Stop()
-	if got := sw.ElapsedNS(); got != 100 {
-		t.Fatalf("elapsed = %d, want 100", got)
-	}
-	sw.Start()
-	fake = 150
-	if got := sw.ElapsedNS(); got != 150 {
-		t.Fatalf("running elapsed = %d, want 150", got)
-	}
-	sw.Stop()
-	if sw.Tick() != 1 || sw.Tick() != 2 || sw.Ticks() != 2 {
-		t.Fatalf("tick axis broken: %d", sw.Ticks())
-	}
-	var nilSW *Stopwatch
-	nilSW.Start()
-	nilSW.Stop()
-	if nilSW.ElapsedNS() != 0 || nilSW.Tick() != 0 {
-		t.Fatal("nil stopwatch not inert")
-	}
-}
-
 func TestRunStageCountsAndValidates(t *testing.T) {
 	ran := 0
 	st := Stage{
@@ -83,10 +57,24 @@ func TestStagesPlanAndGroups(t *testing.T) {
 			t.Errorf("no stages in group %s", g)
 		}
 	}
-	for _, must := range []string{"cpm_site_delay", "cpm_measure", "dpll_step",
-		"pdn_steady_voltage", "chip_run_trial", "characterize", "tune", "fleet_sequential"} {
-		if !names[must] {
-			t.Errorf("stage %s missing from plan", must)
+
+	// Every quick-plan stage has a row in the checked-in baseline, in
+	// plan order, so no stage can land without a CI gate.
+	base, err := ReadDoc("../../BENCH_core.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Bench != "core" || !base.Quick {
+		t.Errorf("BENCH_core.json: bench %q quick=%v, want core quick=true", base.Bench, base.Quick)
+	}
+	if len(base.Stages) != len(all) {
+		t.Errorf("BENCH_core.json has %d stage row(s), the quick plan %d", len(base.Stages), len(all))
+	}
+	for i := 0; i < len(all) && i < len(base.Stages); i++ {
+		st, row := all[i], base.Stages[i]
+		if row.Name != st.Name || row.Group != st.Group || row.Iters != int64(st.Iters) {
+			t.Errorf("stage %d: plan has %s/%s×%d, BENCH_core.json row is %s/%s×%d",
+				i, st.Group, st.Name, st.Iters, row.Group, row.Name, row.Iters)
 		}
 	}
 
@@ -145,7 +133,7 @@ func TestDocMarshalAndCanonical(t *testing.T) {
 			TrialsPerOp: 4, AllocsPerOp: 123, NSPerOp: 5000, TrialsPerSec: 8e5,
 		},
 	}
-	doc := NewDoc("core", true, results)
+	doc := NewDoc(true, results)
 	if doc.Stages[1].AllocsPerOp != -1 {
 		t.Errorf("alloc-unstable stage row allocs = %d, want -1", doc.Stages[1].AllocsPerOp)
 	}
@@ -166,7 +154,7 @@ func TestDocMarshalAndCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc2 := NewDoc("core", true, results)
+	doc2 := NewDoc(true, results)
 	doc2.Timing.TotalNS = 999999 // a different machine
 	doc2.Timing.Stages["a"] = StageTiming{NSPerOp: 1}
 	canon2, err := doc2.CanonicalBytes()

@@ -19,7 +19,8 @@ const SchemaVersion = "atm-bench/v1"
 // compare documents with Timing stripped, and the CI gate reads the
 // canonical rows for allocs and the timing rows for ns/op.
 type Doc struct {
-	// Bench names the artifact family: "core", "fsp", or "fleet".
+	// Bench names the artifact family: "core" for stage docs (NewDoc),
+	// "fsp" for flood docs (FloodDoc).
 	Bench string `json:"bench"`
 	// Schema is SchemaVersion.
 	Schema string `json:"schema"`
@@ -86,10 +87,10 @@ type StageTiming struct {
 	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
 }
 
-// NewDoc assembles an artifact from measured stages.
-func NewDoc(bench string, quick bool, results []StageResult) *Doc {
+// NewDoc assembles the "core" artifact from measured stages.
+func NewDoc(quick bool, results []StageResult) *Doc {
 	doc := &Doc{
-		Bench:  bench,
+		Bench:  "core",
 		Schema: SchemaVersion,
 		Quick:  quick,
 		Timing: Timing{CPUs: runtime.NumCPU(), Stages: map[string]StageTiming{}},
