@@ -299,15 +299,15 @@ func characterizeCore(m *chip.Machine, label string, o Options, in instr, src *r
 	return res, nil
 }
 
-// configSafe runs the workload runs times at the machine's current
+// configSafe runs the workload runs times at the core's current
 // configuration; the configuration is safe only when every run passes.
 // A run that fails with a transient harness error is retried up to
-// retries extra attempts (chip.RunTrialRetry); attempt 0 always draws
-// from the same stream as retry-free code, so a fault-free machine
+// retries extra attempts (chip.RunCoreTrialRetry); attempt 0 always
+// draws from the same stream as retry-free code, so a fault-free machine
 // yields byte-identical results regardless of the budget.
-func configSafe(m *chip.Machine, label string, w workload.Profile, runs, retries int, src *rng.Source) (bool, error) {
+func configSafe(m *chip.Machine, core *chip.Core, w workload.Profile, runs, retries int, src *rng.Source) (bool, error) {
 	for i := 0; i < runs; i++ {
-		tr, err := m.RunTrialRetry(label, w, src.SplitIndex("run", i), retries)
+		tr, err := m.RunCoreTrialRetry(core, w, src.SplitIndex("run", i), retries)
 		if err != nil {
 			return false, err
 		}
@@ -344,10 +344,10 @@ func findLimit(m *chip.Machine, label string, w workload.Profile, trials, runsPe
 		tsrc := src.SplitIndex("trial", t)
 		lim := 0
 		for r := 1; r <= maxR; r++ {
-			if err := m.ProgramCPM(label, r); err != nil {
+			if err := core.Monitor.Program(r); err != nil {
 				return Distribution{}, err
 			}
-			ok, err := configSafe(m, label, w, runsPerConfig, retries, tsrc.SplitIndex("r", r))
+			ok, err := configSafe(m, core, w, runsPerConfig, retries, tsrc.SplitIndex("r", r))
 			if err != nil {
 				return Distribution{}, err
 			}
@@ -362,7 +362,7 @@ func findLimit(m *chip.Machine, label string, w workload.Profile, trials, runsPe
 		tsp.End()
 		d.Hist.Add(lim)
 	}
-	if err := m.ProgramCPM(label, 0); err != nil {
+	if err := core.Monitor.Program(0); err != nil {
 		return Distribution{}, err
 	}
 	lo, _ := d.Hist.MinValue()
@@ -380,6 +380,10 @@ func FindRollback(m *chip.Machine, label string, w workload.Profile, start, tria
 }
 
 func findRollback(m *chip.Machine, label string, w workload.Profile, start, trials, runsPerConfig, retries int, src *rng.Source, tc *obs.Counter, tr *obs.Tracer) (Distribution, error) {
+	core, err := m.Core(label)
+	if err != nil {
+		return Distribution{}, err
+	}
 	d := Distribution{Core: label, Workload: w.Name, Hist: stats.NewHistogram()}
 	for t := 0; t < trials; t++ {
 		tc.Inc()
@@ -390,10 +394,10 @@ func findRollback(m *chip.Machine, label string, w workload.Profile, start, tria
 		tsrc := src.SplitIndex("trial", t)
 		r := start
 		for r > 0 {
-			if err := m.ProgramCPM(label, r); err != nil {
+			if err := core.Monitor.Program(r); err != nil {
 				return Distribution{}, err
 			}
-			ok, err := configSafe(m, label, w, runsPerConfig, retries, tsrc.SplitIndex("r", r))
+			ok, err := configSafe(m, core, w, runsPerConfig, retries, tsrc.SplitIndex("r", r))
 			if err != nil {
 				return Distribution{}, err
 			}
@@ -408,7 +412,7 @@ func findRollback(m *chip.Machine, label string, w workload.Profile, start, tria
 		tsp.End()
 		d.Hist.Add(r)
 	}
-	if err := m.ProgramCPM(label, 0); err != nil {
+	if err := core.Monitor.Program(0); err != nil {
 		return Distribution{}, err
 	}
 	lo, _ := d.Hist.MinValue()

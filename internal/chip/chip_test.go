@@ -353,6 +353,92 @@ func TestSDCDetectionNeedsChecker(t *testing.T) {
 	}
 }
 
+// TestCoreTrialLoopAllocFree pins the characterization's inner loop —
+// the loop charact's configSafe runs — at zero allocations: per run a
+// fresh child stream, one application trial on a vulnerable core
+// through the handle-taking entry with a retry budget of 2. The core
+// sits one step past the application's limit so the failure draw runs.
+func TestCoreTrialLoopAllocFree(t *testing.T) {
+	m := NewReference()
+	var core *Core
+	for _, c := range m.AllCores() {
+		if c.Profile.Vulnerability > 0 {
+			core = c
+			break
+		}
+	}
+	if core == nil {
+		t.Fatal("reference has no vulnerable core")
+	}
+	w := workload.Realistic()[0]
+	for _, p := range workload.Realistic() {
+		if p.StressScore > w.StressScore {
+			w = p
+		}
+	}
+	if err := core.Monitor.Program(core.Profile.DeterministicLimit(w.StressScore) + 1); err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(1)
+	runs, fails := 0, 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 4; i++ {
+			res, err := m.RunCoreTrialRetry(core, w, src.SplitIndex("run", runs), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs++
+			if !res.OK() {
+				fails++
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("trial loop allocates %v times per 4 runs, want 0", allocs)
+	}
+	if fails == 0 {
+		t.Errorf("no run of %d failed one step past the limit; the failure draw went unmeasured", runs)
+	}
+}
+
+// TestCoreTrialRetryMatchesLabelEntry: the label entry and the handle
+// entry are one trial implementation — same results from the same
+// streams, and the observer sees both alike.
+func TestCoreTrialRetryMatchesLabelEntry(t *testing.T) {
+	m := NewReference()
+	core, err := m.Core("P1C3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ProgramCPM("P1C3", 5); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	m.SetTrialObserver(func(label, wl string, retries int, res TrialResult, err error) {
+		if label != "P1C3" || wl != workload.X264.Name || retries != 0 || err != nil {
+			t.Errorf("observer saw %s/%s retries=%d err=%v", label, wl, retries, err)
+		}
+		seen++
+	})
+	src := rng.New(6)
+	for i := 0; i < 200; i++ {
+		a, errA := m.RunTrialRetry("P1C3", workload.X264, src.SplitIndex("t", i), 2)
+		b, errB := m.RunCoreTrialRetry(core, workload.X264, src.SplitIndex("t", i), 2)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if a != b {
+			t.Fatalf("trial %d: label entry %+v, handle entry %+v", i, a, b)
+		}
+	}
+	if seen != 400 {
+		t.Errorf("observer saw %d trials, want 400", seen)
+	}
+	if _, err := m.RunTrialRetry("P9C9", workload.X264, src, 2); err == nil {
+		t.Error("unknown core accepted")
+	}
+}
+
 func TestFailureKindStrings(t *testing.T) {
 	if FailureNone.String() != "ok" || FailureSDC.String() != "sdc" ||
 		FailureSegfault.String() != "abnormal-exit" || FailureSystemCrash.String() != "system-crash" {

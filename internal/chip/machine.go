@@ -110,7 +110,7 @@ type Machine struct {
 func (m *Machine) SetTrialFault(f TrialFault) { m.trialFault = f }
 
 // SetTrialObserver installs (or, with nil, removes) the trial observer
-// notified by RunTrialRetry and RunStressmarkRetry. The observer must
+// notified by the retry-wrapped trials (see TrialObserver). The observer must
 // not run trials itself and must not draw randomness — it sees
 // outcomes, it does not influence them.
 func (m *Machine) SetTrialObserver(o TrialObserver) { m.trialObserver = o }

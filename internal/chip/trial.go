@@ -76,60 +76,51 @@ func (r TrialResult) OK() bool { return r.Failure == FailureNone }
 // from the empirical mix the paper reports; whether it is *detected*
 // depends on the workload's checker (SDCs in checker-less programs
 // escape — which is why the methodology insists on checked workloads).
+// An armed trial fault hook then sees the outcome.
 //
 //atm:hotpath
 func (m *Machine) RunTrial(label string, w workload.Profile, src *rng.Source) (TrialResult, error) {
-	res, err := m.runTrialModel(label, w, src)
-	if err != nil {
-		return res, err
-	}
-	if m.trialFault != nil {
-		// The harness can fail independently of how the silicon behaved:
-		// the hook sees every trial, clean or not.
-		return m.trialFault(label, w.Name, res)
-	}
-	return res, nil
-}
-
-// runTrialModel is the physical trial: the failure model without any
-// injected harness faults.
-//
-//atm:hotpath
-func (m *Machine) runTrialModel(label string, w workload.Profile, src *rng.Source) (TrialResult, error) {
 	core, err := m.Core(label)
 	if err != nil {
 		return TrialResult{}, err
 	}
+	return m.runTrial(core, &w, src)
+}
+
+// runTrial is RunTrial on a resolved core: the physical trial, then the
+// harness fault hook, which can fail the trial independently of how the
+// silicon behaved.
+//
+//atm:hotpath
+func (m *Machine) runTrial(core *Core, w *workload.Profile, src *rng.Source) (TrialResult, error) {
 	res := TrialResult{
-		Core:      label,
+		Core:      core.Profile.Label,
 		Workload:  w.Name,
 		Reduction: core.Reduction(),
+		Detected:  true,
 	}
-	if core.mode != ModeATM {
-		// Static margin guards the worst case by construction; a trial
-		// under static margin always passes.
-		res.Detected = true
-		return res, nil
+	// Static margin guards the worst case by construction; a trial under
+	// static margin always passes.
+	if core.mode == ModeATM {
+		ok, err := core.Profile.SurvivesTrial(res.Reduction, w.StressScore, src)
+		if err != nil {
+			return TrialResult{}, err
+		}
+		if !ok {
+			// Timing violation: draw the manifestation.
+			switch u := src.Float64(); {
+			case u < 0.45:
+				res.Failure = FailureSegfault
+			case u < 0.75:
+				res.Failure = FailureSystemCrash
+			default:
+				res.Failure = FailureSDC
+				res.Detected = w.HasChecker
+			}
+		}
 	}
-	ok, err := core.Profile.SurvivesTrial(core.Reduction(), w.StressScore, src)
-	if err != nil {
-		return TrialResult{}, err
-	}
-	if ok {
-		res.Detected = true
-		return res, nil
-	}
-	// Timing violation: draw the manifestation.
-	switch u := src.Float64(); {
-	case u < 0.45:
-		res.Failure = FailureSegfault
-		res.Detected = true
-	case u < 0.75:
-		res.Failure = FailureSystemCrash
-		res.Detected = true
-	default:
-		res.Failure = FailureSDC
-		res.Detected = w.HasChecker
+	if m.trialFault != nil {
+		return m.trialFault(res.Core, res.Workload, res)
 	}
 	return res, nil
 }
@@ -161,58 +152,59 @@ func (m *Machine) RunStressmark(label string, s workload.Stressmark, src *rng.So
 	if err := s.Validate(); err != nil {
 		return TrialResult{}, err
 	}
-	res, err := m.RunTrial(label, s.Profile, src)
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	return m.RunTrial(label, s.Profile, src)
 }
 
-// TrialObserver is notified once per retry-wrapped trial (RunTrialRetry
-// / RunStressmarkRetry) with the number of transient retries consumed
-// and the final outcome. It is the observability plane's tap: observers
-// count and trace, they never perturb the trial or its random streams.
+// TrialObserver is notified once per retry-wrapped trial (RunTrialRetry,
+// RunStressmarkRetry, RunCoreTrialRetry) that reached a core, with the
+// number of transient retries consumed and the final outcome. It is the
+// observability plane's tap: observers count and trace, they never
+// perturb the trial or its random streams.
 type TrialObserver func(label, workload string, retries int, res TrialResult, err error)
-
-// retryTransient runs one trial attempt through run, retrying up to
-// retries additional times when the attempt fails with an error wrapping
-// ErrTransient. Attempt 0 draws from src itself — so with no faults
-// armed the stream consumed is identical to a plain single run — and
-// each retry draws from an independent split, keeping the parent stream
-// untouched. used reports how many retries were actually consumed.
-func retryTransient(run func(*rng.Source) (TrialResult, error), src *rng.Source, retries int) (res TrialResult, used int, err error) {
-	res, err = run(src)
-	for a := 1; a <= retries && err != nil && errors.Is(err, ErrTransient); a++ {
-		used = a
-		res, err = run(src.SplitIndex("retry", a))
-	}
-	if err != nil && errors.Is(err, ErrTransient) && retries > 0 {
-		return res, used, fmt.Errorf("%w (persisted through %d retries)", err, retries)
-	}
-	return res, used, err
-}
 
 // RunTrialRetry is RunTrial with a bounded retry budget for transient
 // harness failures (ErrTransient). Genuine model errors and timing
 // violations are never retried.
 func (m *Machine) RunTrialRetry(label string, w workload.Profile, src *rng.Source, retries int) (TrialResult, error) {
-	res, used, err := retryTransient(func(s *rng.Source) (TrialResult, error) {
-		return m.RunTrial(label, w, s)
-	}, src, retries)
-	if m.trialObserver != nil {
-		m.trialObserver(label, w.Name, used, res, err)
+	core, err := m.Core(label)
+	if err != nil {
+		return TrialResult{}, err
 	}
-	return res, err
+	return m.RunCoreTrialRetry(core, w, src, retries)
 }
 
 // RunStressmarkRetry is RunStressmark with a bounded retry budget for
 // transient harness failures.
 func (m *Machine) RunStressmarkRetry(label string, s workload.Stressmark, src *rng.Source, retries int) (TrialResult, error) {
-	res, used, err := retryTransient(func(r *rng.Source) (TrialResult, error) {
-		return m.RunStressmark(label, s, r)
-	}, src, retries)
+	if err := s.Validate(); err != nil {
+		return TrialResult{}, err
+	}
+	core, err := m.Core(label)
+	if err != nil {
+		return TrialResult{}, err
+	}
+	return m.RunCoreTrialRetry(core, s.Profile, src, retries)
+}
+
+// RunCoreTrialRetry is RunTrialRetry on a core handle, for callers that
+// run many trials on one core: it skips the label lookup and allocates
+// nothing. Attempt 0 draws from src itself — so with no faults armed the
+// stream consumed is identical to a plain single run — and each retry
+// after a transient failure draws from an independent split, keeping
+// the parent stream untouched. The trial observer, when installed, sees
+// the final outcome and how many retries it consumed.
+func (m *Machine) RunCoreTrialRetry(core *Core, w workload.Profile, src *rng.Source, retries int) (TrialResult, error) {
+	res, err := m.runTrial(core, &w, src)
+	used := 0
+	for a := 1; a <= retries && err != nil && errors.Is(err, ErrTransient); a++ {
+		used = a
+		res, err = m.runTrial(core, &w, src.SplitIndex("retry", a))
+	}
+	if err != nil && errors.Is(err, ErrTransient) && retries > 0 {
+		err = fmt.Errorf("%w (persisted through %d retries)", err, retries)
+	}
 	if m.trialObserver != nil {
-		m.trialObserver(label, s.Profile.Name, used, res, err)
+		m.trialObserver(core.Profile.Label, w.Name, used, res, err)
 	}
 	return res, err
 }

@@ -272,7 +272,8 @@ func (o *Overlay) CoreAge(i int) float64 {
 }
 
 // Advance moves simulated time forward by dtHours and rewrites the
-// machine's silicon and electrical parameters for the new instant.
+// machine's silicon and electrical parameters for the new instant,
+// refreshing each rewritten core profile (silicon.CoreProfile.Refresh).
 // active[i] marks cores that did real work during the elapsed slice
 // (the HCI stress input); its order is the machine's AllCores order.
 func (o *Overlay) Advance(dtHours float64, active []bool) {
@@ -307,6 +308,7 @@ func (o *Overlay) Advance(dtHours float64, active []bool) {
 		}
 		// The uncovered-droop tail widens with age.
 		p.SigmaFrac = bp.SigmaFrac * (1 + o.p.NoiseGrowthPerYear*tY)
+		p.Refresh()
 	}
 
 	amb := o.AmbientAt(t)

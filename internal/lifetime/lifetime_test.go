@@ -3,6 +3,7 @@ package lifetime
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/chip"
 	"repro/internal/rng"
 	"repro/internal/silicon"
+	"repro/internal/workload"
 )
 
 func mustJSON(t *testing.T, v interface{}) []byte {
@@ -171,5 +173,51 @@ func TestOverlayAmbientDeterminism(t *testing.T) {
 	}
 	if reflect.DeepEqual(trace(5), trace(6)) {
 		t.Fatal("different seeds, identical ambient trace: excursions are not seeded")
+	}
+}
+
+// TestOverlayRefreshesAgedProfiles: after every Advance, each aged core
+// gives the same requirements, limits and failure probabilities as a
+// Clone of it that called Refresh — the overlay's in-place rewrites
+// never leave a stale cached uBench limit behind.
+func TestOverlayRefreshesAgedProfiles(t *testing.T) {
+	m, err := chip.New(silicon.Reference().Clone(), chip.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const epochs = 50
+	ov := NewOverlay(m, Params{}, 5, rng.New(3).Split("lifetime/drift"))
+	active := make([]bool, len(m.AllCores()))
+	for i := range active {
+		active[i] = i%2 == 0
+	}
+	bits := func(v float64) uint64 { return math.Float64bits(v) }
+	workloads := workload.All()
+	for e := 1; e <= epochs; e++ {
+		ov.Advance(5*HoursPerYear/epochs, active)
+		for _, core := range m.AllCores() {
+			aged := core.Profile
+			fresh := aged.Clone()
+			fresh.Refresh()
+			for _, w := range workloads {
+				score := w.StressScore
+				if got, want := aged.RequiredGuardPs(score), fresh.RequiredGuardPs(score); bits(float64(got)) != bits(float64(want)) {
+					t.Fatalf("epoch %d: %s RequiredGuardPs(%s) = %v, refreshed clone %v", e, aged.Label, w.Name, got, want)
+				}
+				if got, want := aged.DeterministicLimit(score), fresh.DeterministicLimit(score); got != want {
+					t.Fatalf("epoch %d: %s DeterministicLimit(%s) = %d, refreshed clone %d", e, aged.Label, w.Name, got, want)
+				}
+				for r := 0; r <= aged.MaxReduction(); r++ {
+					got, err1 := aged.FailureProb(r, score)
+					want, err2 := fresh.FailureProb(r, score)
+					if err1 != nil || err2 != nil {
+						t.Fatalf("epoch %d: %s FailureProb(%d, %s): %v / %v", e, aged.Label, r, w.Name, err1, err2)
+					}
+					if bits(got) != bits(want) {
+						t.Fatalf("epoch %d: %s FailureProb(%d, %s) = %g, refreshed clone %g", e, aged.Label, r, w.Name, got, want)
+					}
+				}
+			}
+		}
 	}
 }

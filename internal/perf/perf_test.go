@@ -106,6 +106,8 @@ func TestKernelStagesRunAndAllocFree(t *testing.T) {
 		"pdn_steady_voltage": true,
 		"pdn_step_response":  true,
 		"pdn_first_droop":    true,
+		"chip_run_trial":     true,
+		"chip_run_trial_app": true,
 	}
 	for _, st := range stages {
 		st.Iters = 200 // the full plan is overkill for a unit test

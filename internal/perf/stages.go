@@ -78,7 +78,44 @@ func kernelStages(quick bool) []Stage {
 	vref := params.VRef
 	cycle := core.Profile.DefaultFreq().CycleTime()
 	pd := pdn.DefaultParams()
-	w := workload.UBench()[0]
+
+	// The trial stages run on the machine built here, so they time the
+	// trial and not its setup. uBench trials take the linear branch of
+	// the silicon requirement; application trials take the rollback
+	// branch, which the most stressful application on a vulnerable core
+	// exercises in full.
+	ubench := workload.UBench()[0]
+	app := workload.Realistic()[0]
+	for _, w := range workload.Realistic() {
+		if w.StressScore > app.StressScore {
+			app = w
+		}
+	}
+	appCore := core
+	for _, c := range m.AllCores() {
+		if c.Profile.Vulnerability > 0 {
+			appCore = c
+			break
+		}
+	}
+	trialStage := func(name, note, label string, w workload.Profile) Stage {
+		return Stage{
+			Name: name, Group: "kernel", AllocStable: true,
+			Note:  note,
+			Iters: pick(quick, 5_000, 50_000),
+			Run: func(iters int) (int64, error) {
+				src := rng.New(1)
+				for i := 0; i < iters; i++ {
+					res, err := m.RunTrial(label, w, src)
+					if err != nil {
+						return 0, err
+					}
+					sinkTrial = res
+				}
+				return int64(iters), nil
+			},
+		}
+	}
 
 	return []Stage{
 		{
@@ -156,24 +193,12 @@ func kernelStages(quick bool) []Stage {
 				return int64(iters), nil
 			},
 		},
-		{
-			Name: "chip_run_trial", Group: "kernel", AllocStable: true,
-			Note:  "one seeded workload trial incl. failure draw (chip.RunTrial)",
-			Iters: pick(quick, 5_000, 50_000),
-			Run: func(iters int) (int64, error) {
-				mm := chip.NewReference()
-				label := mm.AllCores()[0].Profile.Label
-				src := rng.New(1)
-				for i := 0; i < iters; i++ {
-					res, err := mm.RunTrial(label, w, src)
-					if err != nil {
-						return 0, err
-					}
-					sinkTrial = res
-				}
-				return int64(iters), nil
-			},
-		},
+		trialStage("chip_run_trial",
+			"one seeded uBench trial, linear requirement branch (chip.RunTrial)",
+			core.Profile.Label, ubench),
+		trialStage("chip_run_trial_app",
+			"one seeded trial of the most stressful app on a vulnerable core, rollback branch (chip.RunTrial)",
+			appCore.Profile.Label, app),
 	}
 }
 

@@ -40,18 +40,28 @@ func (s *Source) Uint64() uint64 {
 // and the label. Splitting does not advance the parent stream, so the
 // order in which children are created relative to parent draws does not
 // change the parent's sequence.
+//
+// Split and SplitIndex are small enough to inline, so a child that the
+// caller does not leak stays on the caller's stack.
 func (s *Source) Split(label string) *Source {
-	h := hashString(label)
-	// Mix the parent's seed state (not its advancing position) with the
-	// label hash so the same (seed, label) pair always yields the same
-	// child stream.
-	return New(mix(s.state^0x4E54AD1077089B93, h))
+	return &Source{state: childSeed(s.state, label, 0, false)}
 }
 
 // SplitIndex is Split for integer labels (core index, trial number, ...).
 func (s *Source) SplitIndex(label string, i int) *Source {
+	return &Source{state: childSeed(s.state, label, i, true)}
+}
+
+// childSeed is the seed of the child split off a parent whose state is
+// state: the parent's seed state (not its advancing position) mixed with
+// the label hash, and for SplitIndex with the index too, so the same
+// (seed, label[, index]) always yields the same child stream.
+func childSeed(state uint64, label string, i int, indexed bool) uint64 {
 	h := hashString(label)
-	return New(mix(s.state^0x4E54AD1077089B93, mix(h, uint64(i)+golden)))
+	if indexed {
+		h = mix(h, uint64(i)+golden)
+	}
+	return mix(state^0x4E54AD1077089B93, h)
 }
 
 // Float64 returns a uniform value in [0, 1).

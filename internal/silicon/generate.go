@@ -230,5 +230,6 @@ func generateCore(p Params, label string, basePath, chipSpeed, speedSigma float6
 		}
 		c.SiteSkewPs[i] = units.Picosecond(-1 - 5*src.Float64())
 	}
+	c.Refresh()
 	return c, nil
 }

@@ -15,8 +15,11 @@ var CPMSiteName = [5]string{"IFU", "ISU", "FXU", "FPU", "LLC"}
 // CoreProfile is the manufactured silicon of one core plus its CPM
 // hardware and its empirical failure envelope. All delays are at VRef.
 //
-// A CoreProfile is immutable after construction; the mutable runtime
-// state (current tap setting, DPLL state) lives in internal/chip.
+// The mutable runtime state (current tap setting, DPLL state) lives in
+// internal/chip. The profile itself caches its uBench limit, so code
+// that writes any field of a built profile in place must call Refresh
+// before the profile is used again (ScaleTrialNoise and the
+// internal/lifetime overlay do).
 type CoreProfile struct {
 	// Label identifies the core, e.g. "P0C3" (processor 0, core 3).
 	Label string
@@ -71,10 +74,19 @@ type CoreProfile struct {
 	SigmaFrac float64
 
 	params Params
+	// ubLimit caches limitForGuard(UBenchGuardPs), the uBench limit every
+	// application requirement rolls back from; Refresh recomputes it.
+	ubLimit int
 }
 
 // Params returns the chip-level constants the profile was built with.
 func (c *CoreProfile) Params() Params { return c.params }
+
+// Refresh recomputes the values the profile derives from its fields.
+// Construction, Clone and ScaleTrialNoise keep them current; any other
+// in-place write to a field must be followed by Refresh, or the
+// application requirements go on using the stale uBench limit.
+func (c *CoreProfile) Refresh() { c.ubLimit = c.limitForGuard(c.UBenchGuardPs) }
 
 // MaxReduction returns the largest legal inserted-delay reduction: the
 // tap index cannot go below zero.
@@ -184,8 +196,7 @@ func (c *CoreProfile) RequiredGuardPs(score float64) units.Picosecond {
 		// Past the uBench anchor the envelope follows the quantized
 		// rollback curve: the guard needed is the guard of the
 		// (uBench limit − rollback) configuration.
-		rb := c.RollbackAt(normalizeAppScore(score))
-		lim := c.limitForGuard(c.UBenchGuardPs) - rb
+		lim := c.ubLimit - c.RollbackAt(normalizeAppScore(score))
 		if lim < 0 {
 			lim = 0
 		}
@@ -384,7 +395,7 @@ func (s *ServerProfile) FindCore(label string) *CoreProfile {
 
 // Clone returns a deep copy of the core profile: mutating the clone's
 // slices or scalars never aliases the original. The unexported params
-// ride along unchanged (they are a value type).
+// and the cached uBench limit ride along unchanged (they are values).
 func (c *CoreProfile) Clone() *CoreProfile {
 	nc := *c
 	nc.StepPs = append([]units.Picosecond(nil), c.StepPs...)
@@ -425,6 +436,7 @@ func (s *ServerProfile) ScaleTrialNoise(factor float64) *ServerProfile {
 	out := s.Clone()
 	for _, c := range out.AllCores() {
 		c.SigmaFrac *= factor
+		c.Refresh()
 	}
 	return out
 }

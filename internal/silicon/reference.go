@@ -244,6 +244,7 @@ func calibrateCore(p Params, label string, idle, uBench, normal, worst int, src 
 		}
 		c.SiteSkewPs[i] = units.Picosecond(-1 - 5*src.Float64())
 	}
+	c.Refresh()
 	return c
 }
 

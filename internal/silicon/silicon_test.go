@@ -1,12 +1,14 @@
 package silicon
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rng"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 func TestDefaultParamsValidate(t *testing.T) {
@@ -495,5 +497,63 @@ func TestCloneNeverAliasesReference(t *testing.T) {
 	// survive the copy so the clone still validates and settles.
 	if clone.Params() != ref.Params() {
 		t.Fatalf("clone dropped the chip-level params")
+	}
+}
+
+// uncached is a copy of c whose uBench limit is recomputed from its
+// fields on the spot: the computation the cached limit must equal.
+func uncached(c *CoreProfile) *CoreProfile {
+	nc := *c
+	nc.ubLimit = nc.limitForGuard(nc.UBenchGuardPs)
+	return &nc
+}
+
+// checkCacheCurrent fails unless every core of s gives, for every
+// workload score, the same requirement, limit and per-reduction failure
+// probability as the uncached computation, bit for bit.
+func checkCacheCurrent(t *testing.T, stage string, s *ServerProfile) {
+	t.Helper()
+	bits := func(v float64) uint64 { return math.Float64bits(v) }
+	for _, c := range s.AllCores() {
+		want := uncached(c)
+		for _, w := range workload.All() {
+			score := w.StressScore
+			if got, exp := c.RequiredGuardPs(score), want.RequiredGuardPs(score); bits(float64(got)) != bits(float64(exp)) {
+				t.Fatalf("%s: %s RequiredGuardPs(%s) = %v, uncached %v", stage, c.Label, w.Name, got, exp)
+			}
+			if got, exp := c.DeterministicLimit(score), want.DeterministicLimit(score); got != exp {
+				t.Fatalf("%s: %s DeterministicLimit(%s) = %d, uncached %d", stage, c.Label, w.Name, got, exp)
+			}
+			for r := 0; r <= c.MaxReduction(); r++ {
+				got, err1 := c.FailureProb(r, score)
+				exp, err2 := want.FailureProb(r, score)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("%s: %s FailureProb(%d, %s): %v / %v", stage, c.Label, r, w.Name, err1, err2)
+				}
+				if bits(got) != bits(exp) {
+					t.Fatalf("%s: %s FailureProb(%d, %s) = %g, uncached %g", stage, c.Label, r, w.Name, got, exp)
+				}
+			}
+		}
+	}
+}
+
+// TestCachedUBenchLimitStaysCurrent checks the cached uBench limit on
+// the reference and 20 generated servers after construction, Clone and
+// ScaleTrialNoise: each must leave every derived value equal to the
+// uncached computation.
+func TestCachedUBenchLimitStaysCurrent(t *testing.T) {
+	servers := []*ServerProfile{Reference()}
+	for seed := uint64(1); seed <= 20; seed++ {
+		s, err := Generate(seed, GenerateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers = append(servers, s)
+	}
+	for i, s := range servers {
+		checkCacheCurrent(t, fmt.Sprintf("server %d built", i), s)
+		checkCacheCurrent(t, fmt.Sprintf("server %d cloned", i), s.Clone())
+		checkCacheCurrent(t, fmt.Sprintf("server %d noise ×2", i), s.ScaleTrialNoise(2))
 	}
 }

@@ -234,20 +234,22 @@ func (h *Histogram) Support() []int {
 
 // MinValue returns the smallest observed value; ok is false when empty.
 func (h *Histogram) MinValue() (v int, ok bool) {
-	s := h.Support()
-	if len(s) == 0 {
-		return 0, false
+	for x := range h.counts {
+		if !ok || x < v {
+			v, ok = x, true
+		}
 	}
-	return s[0], true
+	return v, ok
 }
 
 // MaxValue returns the largest observed value; ok is false when empty.
 func (h *Histogram) MaxValue() (v int, ok bool) {
-	s := h.Support()
-	if len(s) == 0 {
-		return 0, false
+	for x := range h.counts {
+		if !ok || x > v {
+			v, ok = x, true
+		}
 	}
-	return s[len(s)-1], true
+	return v, ok
 }
 
 // Spread returns max − min of the support (0 when fewer than 2 values).

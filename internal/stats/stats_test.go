@@ -217,6 +217,46 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
+func TestHistogramExtremes(t *testing.T) {
+	cases := []struct {
+		name   string
+		values []int
+		lo, hi int
+		ok     bool
+	}{
+		{"empty", nil, 0, 0, false},
+		{"one value", []int{7}, 7, 7, true},
+		{"repeated value", []int{3, 3, 3}, 3, 3, true},
+		{"negative values", []int{-2, -9, -4, -9}, -9, -2, true},
+		{"straddles zero", []int{4, -1, 0, 12, -1}, -1, 12, true},
+		{"unsorted", []int{10, 2, 8, 2, 11, 5}, 2, 11, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := NewHistogram()
+			for _, v := range tc.values {
+				h.Add(v)
+			}
+			lo, okLo := h.MinValue()
+			hi, okHi := h.MaxValue()
+			if lo != tc.lo || hi != tc.hi || okLo != tc.ok || okHi != tc.ok {
+				t.Fatalf("MinValue, MaxValue = (%d, %v), (%d, %v); want (%d, %v), (%d, %v)",
+					lo, okLo, hi, okHi, tc.lo, tc.ok, tc.hi, tc.ok)
+			}
+			// The extremes are the ends of the sorted support.
+			if sup := h.Support(); len(sup) > 0 && (sup[0] != lo || sup[len(sup)-1] != hi) {
+				t.Errorf("support %v disagrees with extremes %d..%d", sup, lo, hi)
+			}
+			if got := h.Spread(); got != tc.hi-tc.lo {
+				t.Errorf("Spread = %d, want %d", got, tc.hi-tc.lo)
+			}
+			if n := testing.AllocsPerRun(10, func() { h.MinValue(); h.MaxValue() }); n != 0 {
+				t.Errorf("MinValue+MaxValue allocate %v times", n)
+			}
+		})
+	}
+}
+
 func TestApproxEqual(t *testing.T) {
 	// Runtime arithmetic so the compiler cannot constant-fold the sum
 	// exactly; tenth+fifth carries the classic last-ulp residue vs 0.3.
