@@ -549,7 +549,7 @@ func cmdFleet(args []string) error {
 		Trace:        tr,
 	}
 	if *timing {
-		// The fleet engine is in detrand scope and never reads the wall
+		// The fleet engine is in detflow scope and never reads the wall
 		// clock itself; the timing clock is injected from out here.
 		opts.Clock = func() int64 { return time.Now().UnixNano() }
 	}

@@ -1,23 +1,17 @@
 // Command atmlint runs the repository's domain-specific static
-// analyzers (internal/lint) over the module: per-package determinism
-// (detrand, maporder), unit safety (unitsafety), float comparison
-// hygiene (floatcmp), error hygiene (errdrop), hot-path allocation
-// discipline (hotpath), nil-safe-handle contracts (nilsafe), and the
-// whole-program determinism-taint rule (detflow).
+// analyzers (internal/lint) over the module: determinism (detflow,
+// maporder), unit safety (unitsafety), float comparison hygiene
+// (floatcmp), error hygiene (errdrop), hot-path allocation discipline
+// (hotpath) and nil-safe-handle contracts (nilsafe).
 //
 // Usage:
 //
-//	atmlint [-json] [-list] [-rules r1,r2] [-changed [-ref REF]] [package-dir | ./...]
+//	atmlint [-json] [-list] [package-dir | ./...]
 //
 // With no argument (or "./...") the whole module containing the
-// current directory is linted; with a package directory, just that
-// package. -rules restricts the run to a comma-separated rule subset
-// (the CI gate runs `-rules detflow,hotpath,nilsafe ./...` alongside
-// the full set). -changed lints only the packages whose Go files
-// differ from the git ref (-ref, default HEAD) — the pre-commit fast
-// path; whole-module completeness checks (stale detflow baseline
-// entries) run only on full walks. Exit status: 0 clean, 1 findings,
-// 2 usage or load failure.
+// current directory is linted, and a //lint:ignore rule that suppresses
+// no finding is itself a finding; with a package directory, just that
+// package. Exit status: 0 clean, 1 findings, 2 usage or load failure.
 //
 // Suppress an individual finding with an annotation on the same line,
 // the line directly above it, or the opening line of the multi-line
@@ -42,11 +36,8 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("atmlint", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	listRules := fs.Bool("list", false, "list rule IDs and exit")
-	rules := fs.String("rules", "", "comma-separated rule subset to run (default: all)")
-	changed := fs.Bool("changed", false, "lint only packages with Go files differing from -ref")
-	ref := fs.String("ref", "HEAD", "git ref -changed diffs against")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: atmlint [-json] [-list] [-rules r1,r2] [-changed [-ref REF]] [package-dir | ./...]")
+		fmt.Fprintln(os.Stderr, "usage: atmlint [-json] [-list] [package-dir | ./...]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -58,78 +49,35 @@ func run(args []string) int {
 		}
 		return 0
 	}
-	analyzers, err := lint.SelectAnalyzers(*rules)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "atmlint:", err)
-		return 2
-	}
-	wholeModule := true
-	dir := "."
-	switch fs.NArg() {
-	case 0:
-	case 1:
-		if arg := fs.Arg(0); arg != "./..." {
-			dir, wholeModule = arg, false
-		}
-	default:
+	if fs.NArg() > 1 {
 		fs.Usage()
 		return 2
 	}
 
 	var findings []lint.Finding
-	switch {
-	case *changed:
-		if !wholeModule {
-			fmt.Fprintln(os.Stderr, "atmlint: -changed takes no package argument (it discovers its own)")
-			return 2
-		}
-		root, err := lint.ModuleRoot(dir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "atmlint:", err)
-			return 2
-		}
-		dirs, err := lint.ChangedDirs(root, *ref)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "atmlint:", err)
-			return 2
-		}
-		if len(dirs) == 0 {
-			fmt.Fprintf(os.Stderr, "atmlint: no Go changes against %s\n", *ref)
-		}
-		findings, err = lint.RunDirs(dirs, lint.DefaultConfig(), analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "atmlint:", err)
-			return 2
-		}
-	case wholeModule:
-		findings, err = lint.RunRules(dir, lint.DefaultConfig(), analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "atmlint:", err)
-			return 2
-		}
-	default:
-		findings, err = lint.RunDirs([]string{dir}, lint.DefaultConfig(), analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "atmlint:", err)
-			return 2
-		}
-	}
-	if *jsonOut {
-		if err := lint.RenderJSON(os.Stdout, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "atmlint:", err)
-			return 2
-		}
+	var err error
+	if arg := fs.Arg(0); arg == "" || arg == "./..." {
+		findings, err = lint.Run(".", lint.DefaultConfig())
 	} else {
-		if err := lint.Render(os.Stdout, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "atmlint:", err)
-			return 2
-		}
-		if len(findings) > 0 {
-			fmt.Fprintf(os.Stderr, "atmlint: %d finding(s)\n", len(findings))
-		}
+		findings, err = lint.RunDir(arg, lint.DefaultConfig())
 	}
-	if len(findings) > 0 {
-		return 1
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "atmlint:", err)
+		return 2
 	}
-	return 0
+	render := lint.Render
+	if *jsonOut {
+		render = lint.RenderJSON
+	}
+	if err := render(os.Stdout, findings); err != nil {
+		fmt.Fprintln(os.Stderr, "atmlint:", err)
+		return 2
+	}
+	if len(findings) == 0 {
+		return 0
+	}
+	if !*jsonOut {
+		fmt.Fprintf(os.Stderr, "atmlint: %d finding(s)\n", len(findings))
+	}
+	return 1
 }

@@ -36,10 +36,10 @@ func TestParseOpsProfileOverridesAndErrors(t *testing.T) {
 		t.Fatalf("override parse = %+v", p)
 	}
 	for _, bad := range []string{
-		"nope",                    // unknown preset
-		"chip-deaths=1,ops-storm", // preset not first
-		"chip-deaths=x",           // bad count
-		"chip-deaths=-1",          // negative count
+		"nope",                        // unknown preset
+		"chip-deaths=1,ops-storm",     // preset not first
+		"chip-deaths=x",               // bad count
+		"chip-deaths=-1",              // negative count
 		"thermals=1,thermal-frac=1.5", // excursion must land below idle
 		"brownouts=1,brownout-frac=2", // frac outside [0,1]
 		"wibble=3",                    // unknown key

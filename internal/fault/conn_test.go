@@ -65,13 +65,10 @@ func startFaultyServer(t *testing.T, inj *Injector) net.Conn {
 	cliSide, srvSide := net.Pipe()
 	sess := fsp.NewSession(fsp.NewController(chip.NewReference()))
 	go func() {
-		//lint:ignore errdrop test server: the client closing the pipe ends the session with an expected error
 		sess.Serve(srvSide, srvSide)
-		//lint:ignore errdrop test teardown of an in-memory pipe
 		srvSide.Close()
 	}()
 	t.Cleanup(func() {
-		//lint:ignore errdrop test teardown of an in-memory pipe
 		cliSide.Close()
 	})
 	if inj == nil {
@@ -170,11 +167,9 @@ func TestTelemetryFaultRetried(t *testing.T) {
 	inj.ArmController(ctl)
 	sess := fsp.NewSession(ctl)
 	go func() {
-		//lint:ignore errdrop test server: the client closing the pipe ends the session with an expected error
 		sess.Serve(srvSide, srvSide)
 	}()
 	t.Cleanup(func() {
-		//lint:ignore errdrop test teardown of an in-memory pipe
 		cliSide.Close()
 	})
 	cli := fsp.NewClient(cliSide, fsp.ClientOptions{

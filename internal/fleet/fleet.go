@@ -27,7 +27,7 @@
 //     across worker counts), and per-job spans emitted in canonical
 //     order on the logical time axis after the pool drains.
 //
-// The package is in atmlint's detrand scope: no wall clock, no ambient
+// The package is in atmlint's detflow scope: no wall clock, no ambient
 // randomness — the only entropy is the seeds in the job specs.
 package fleet
 
@@ -303,7 +303,7 @@ type Options struct {
 	// so the trace is byte-identical across worker counts.
 	Trace *obs.Tracer
 	// Clock, when non-nil, timestamps each job's execution and records
-	// the delta in Result.WallNS. The package itself is in detrand
+	// the delta in Result.WallNS. The package itself is in detflow
 	// scope and never reads the wall clock — callers outside that scope
 	// (atmctl, the bench harness) inject one. Timing is provenance: it
 	// never reaches the merged serialization.

@@ -131,7 +131,8 @@ func TestMonteCarloMatchesDirect(t *testing.T) {
 	if got.IdleLimitLo != lo || got.IdleLimitHi != hi {
 		t.Errorf("idle limits: got %d-%d, want %d-%d", got.IdleLimitLo, got.IdleLimitHi, lo, hi)
 	}
-	//lint:ignore floatcmp the fleet job must reproduce the direct computation bit-for-bit, so exact equality is the contract under test
+	// The fleet job must reproduce the direct computation bit-for-bit,
+	// so exact equality is the contract under test.
 	if got.SpeedDiffMHz != dep.SpeedDifferentialMHz() || got.MaxIdleFreqMHz != fMax {
 		t.Errorf("freqs: got (%v, %v), want (%v, %v)",
 			got.SpeedDiffMHz, got.MaxIdleFreqMHz, dep.SpeedDifferentialMHz(), fMax)

@@ -183,7 +183,7 @@ var crashPoints = []string{"fleet/pre-entry", "fleet/post-entry", "fleet/post-ma
 // TestKillMatrixResume with the crash point armed, it runs the
 // campaign until guard.CrashPoint kills it.
 func TestCrashHelperProcess(t *testing.T) {
-	//lint:ignore detrand subprocess re-exec handshake: the env var selects helper mode, it never feeds a simulation result
+	//lint:ignore detflow subprocess re-exec handshake: the env var selects helper mode, it never feeds a simulation result
 	dir := os.Getenv("FLEET_CRASH_DIR")
 	if dir == "" {
 		t.Skip("helper mode only (set FLEET_CRASH_DIR)")
@@ -209,7 +209,7 @@ func TestKillMatrixResume(t *testing.T) {
 		t.Run(strings.ReplaceAll(point, "/", "_"), func(t *testing.T) {
 			dir := t.TempDir()
 			cmd := exec.Command(os.Args[0], "-test.run", "^TestCrashHelperProcess$")
-			//lint:ignore detrand subprocess re-exec handshake: the child inherits the test environment plus the crash-point arming
+			//lint:ignore detflow subprocess re-exec handshake: the child inherits the test environment plus the crash-point arming
 			cmd.Env = append(os.Environ(),
 				"FLEET_CRASH_DIR="+dir,
 				guard.CrashPointEnv+"="+point,

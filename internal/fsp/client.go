@@ -190,14 +190,14 @@ type deadlined interface {
 
 func (c *Client) armRead() {
 	if d, ok := c.rw.(deadlined); ok && c.opt.Timeout > 0 {
-		//lint:ignore errdrop best-effort deadline arming: a transport that refuses deadlines degrades to blocking reads, which the caller accepted by providing it
+		//lint:ignore errdrop,detflow best-effort deadline arming: a transport that refuses deadlines degrades to blocking reads, which the caller accepted by providing it; wall time bounds how long a read may block, never what it returns, and the in-memory loopback the simulation uses never hits the deadline
 		d.SetReadDeadline(time.Now().Add(c.opt.Timeout))
 	}
 }
 
 func (c *Client) armWrite() {
 	if d, ok := c.rw.(deadlined); ok && c.opt.Timeout > 0 {
-		//lint:ignore errdrop best-effort deadline arming: a transport that refuses deadlines degrades to blocking writes, which the caller accepted by providing it
+		//lint:ignore errdrop,detflow best-effort deadline arming: a transport that refuses deadlines degrades to blocking writes, which the caller accepted by providing it; wall time bounds how long a write may block, never what it returns, and the in-memory loopback the simulation uses never hits the deadline
 		d.SetWriteDeadline(time.Now().Add(c.opt.Timeout))
 	}
 }

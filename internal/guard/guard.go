@@ -21,7 +21,7 @@
 //     driven either by a caller-supplied monotone clock (Now) or by
 //     their own event counter (one tick per admission decision), so a
 //     guarded run replays bit-for-bit and chaos tests can assert exact
-//     trip/recovery points. The package is in atmlint's detrand scope.
+//     trip/recovery points. The package is in atmlint's detflow scope.
 //   - Shedding is explicit and in-band. A guard never blocks and never
 //     silently drops: callers get a boolean (or an error) and answer
 //     their protocol's "busy" line themselves.
@@ -74,7 +74,7 @@ const CrashPointEnv = "ATM_CRASH_POINT"
 // sanctioned exception — it selects *where to die*, never a simulation
 // input, so it cannot perturb any result that survives the crash.
 var armedCrashPoint = sync.OnceValue(func() string {
-	//lint:ignore detrand crash-point arming selects where the process kills itself for kill-matrix CI; it never feeds a simulation result
+	//lint:ignore detflow crash-point arming reads the variable once, before any simulation step, and selects where the process kills itself for kill-matrix CI; it never feeds a simulation result
 	return os.Getenv(CrashPointEnv)
 })
 

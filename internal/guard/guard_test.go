@@ -49,7 +49,7 @@ func TestSafeRunRecoversTypedPanic(t *testing.T) {
 // TestCrashPointKills re-executes the test binary with the crash point
 // armed and asserts the process dies with exit status 137.
 func TestCrashPointKills(t *testing.T) {
-	//lint:ignore detrand subprocess re-exec handshake: the env var selects helper mode, it never feeds a simulation result
+	//lint:ignore detflow subprocess re-exec handshake: the env var selects helper mode, it never feeds a simulation result
 	if os.Getenv("GUARD_TEST_CRASH") == "1" {
 		CrashPoint("not-this-one") // a miss must not kill
 		CrashPoint("test/crash-here")
@@ -57,7 +57,7 @@ func TestCrashPointKills(t *testing.T) {
 		return
 	}
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestCrashPointKills$")
-	//lint:ignore detrand subprocess re-exec handshake: the child inherits the test environment plus the crash-point arming
+	//lint:ignore detflow subprocess re-exec handshake: the child inherits the test environment plus the crash-point arming
 	cmd.Env = append(os.Environ(), "GUARD_TEST_CRASH=1", CrashPointEnv+"=test/crash-here")
 	err := cmd.Run()
 	var ee *exec.ExitError

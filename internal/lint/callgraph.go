@@ -264,19 +264,6 @@ func (g *CallGraph) NodeAt(pos token.Pos) string {
 	return ""
 }
 
-// NodeAtLine maps a (filename, line) pair — the form findings carry —
-// back to the containing function's node ID, or "".
-func (g *CallGraph) NodeAtLine(file string, line int) string {
-	for _, ex := range g.extents[file] {
-		start := g.fset.Position(ex.start)
-		end := g.fset.Position(ex.end)
-		if line >= start.Line && line <= end.Line {
-			return ex.id
-		}
-	}
-	return ""
-}
-
 // SortedIDs returns every node ID in sorted order.
 func (g *CallGraph) SortedIDs() []string {
 	ids := make([]string, 0, len(g.Nodes))

@@ -96,14 +96,9 @@ func TestCallGraphAttribution(t *testing.T) {
 	if got := g.NodeAt(boot.Pos()); got != cgB+".init" {
 		t.Errorf("NodeAt(var boot) = %q, want %s.init", got, cgB)
 	}
-	// NodeAtLine round-trips through the (file, line) form findings use.
-	pos := loader.Fset().Position(ping.Pos)
-	if got := g.NodeAtLine(pos.Filename, pos.Line+1); got != cgA+".Ping" {
-		t.Errorf("NodeAtLine(%s:%d) = %q, want %s.Ping", filepath.Base(pos.Filename), pos.Line+1, got, cgA)
-	}
 	// A package-scope position outside every extent attributes nowhere.
-	if got := g.NodeAtLine(pos.Filename, 1); got != "" {
-		t.Errorf("NodeAtLine(line 1) = %q, want \"\"", got)
+	if got := g.NodeAt(pkgs[0].Files[0].Package); got != "" {
+		t.Errorf("NodeAt(package clause) = %q, want \"\"", got)
 	}
 }
 
@@ -134,7 +129,8 @@ func TestCallGraphDeterministic(t *testing.T) {
 // hides in an unexported interface implementation in helper, reachable
 // only through dispatch from the sim package. Analyzing both packages
 // must produce exactly one finding, on the sink line, with a chain
-// that crosses the boundary.
+// that crosses the boundary: the use is also direct (helper sits in
+// the fixture's simulation scope), and the chain message wins.
 func TestDetFlowCrossPackage(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
@@ -149,7 +145,7 @@ func TestDetFlowCrossPackage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	findings := Analyze(loader, []*Package{helper, sim}, DefaultConfig(), []*Analyzer{DetFlow})
+	findings := analyze(loader, []*Package{helper, sim}, DefaultConfig(), []*Analyzer{DetFlow}, false)
 	if len(findings) != 1 {
 		t.Fatalf("want exactly 1 cross-package finding, got %d: %v", len(findings), findings)
 	}
@@ -167,8 +163,10 @@ func TestDetFlowCrossPackage(t *testing.T) {
 	}
 
 	// The helper package alone is a partial program: nothing reaches
-	// the sink, so detflow stays quiet rather than guessing.
-	if got := Analyze(loader, []*Package{helper}, DefaultConfig(), []*Analyzer{DetFlow}); len(got) != 0 {
-		t.Errorf("helper alone should produce no findings, got %v", got)
+	// the sink, so detflow reports the direct use without guessing a
+	// chain.
+	got := analyze(loader, []*Package{helper}, DefaultConfig(), []*Analyzer{DetFlow}, false)
+	if len(got) != 1 || got[0].Line != f.Line || strings.Contains(got[0].Message, "chain") {
+		t.Errorf("helper alone: want the one direct-use finding on line %d without a chain, got %v", f.Line, got)
 	}
 }

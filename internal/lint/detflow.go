@@ -1,59 +1,67 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// DetFlow is the whole-program companion to detrand: instead of
-// banning nondeterminism sources inside simulation packages only, it
-// walks the cross-package call graph and flags every function
-// reachable from a simulation entry point — exported functions and
-// package initialization of the Config.SimPackages — whose chain
-// reaches a wall-clock read, an environment read, an ambient-RNG
-// package, or map-order-dependent output, through any helper in any
-// package. Intentional edges (CLI wiring, crash-point arming) live in
-// a reviewed baseline file, one `<function-id> <sink> -- <reason>`
-// line each; whole-module runs additionally flag stale entries so the
-// baseline can only shrink.
+// DetFlow is the determinism rule. Every stochastic draw in the
+// simulator must come from the seeded, splittable generator in
+// internal/rng, and every "time" in it is simulated time, so the
+// invariant for bit-reproducible experiments (DESIGN.md §3) is: no
+// source of entropy the seed does not control. The sinks are wall-clock
+// and environment reads (bannedFuncs) and the ambient-randomness
+// packages (bannedImports); the blessed RNG package is exempt. DetFlow
+// reports a sink use two ways:
+//
+//   - by flow: it walks the cross-package call graph from every
+//     simulation entry point — exported non-test functions and package
+//     initialization of the Config.SimPackages — and flags each
+//     function whose chain reaches a sink, through any helper in any
+//     package (one finding per function and sink, at its first use);
+//   - directly: any other use anywhere in a simulation package, test
+//     files and unreachable helpers included. A banned import counts as
+//     a use by the package's init node.
+//
+// A use that is both direct and reached keeps the chain message.
+// Intentional edges (CLI wiring, crash-point arming, I/O deadlines)
+// carry a //lint:ignore detflow <reason> directive at the sink line.
 var DetFlow = &Analyzer{
-	Name:     "detflow",
-	Doc:      "forbid call chains from simulation entry points to wall-clock, environment, RNG or map-order sinks",
-	Severity: SeverityError,
+	Name:       "detflow",
+	Doc:        "forbid wall-clock, environment and ambient-RNG use in simulation packages and call chains from their entry points to it",
+	Severity:   SeverityError,
 	RunProgram: runDetFlow,
 }
 
-// mapOrderSink is the baseline token for map-order-dependent output
-// reached through a helper (the per-package maporder rule names the
-// precise construct).
-const mapOrderSink = "map-order"
+// bannedFuncs maps package path → function names whose use breaks
+// seeded reproducibility.
+var bannedFuncs = map[string]map[string]bool{
+	"time": {"Now": true, "Since": true, "Until": true},
+	"os":   {"Getenv": true, "LookupEnv": true, "Environ": true},
+}
 
-// sinkUse is one direct use of a nondeterminism sink inside a
-// function body.
-type sinkUse struct {
-	fn   string // containing call-graph node
-	sink string // sink token: "time.Now", "math/rand", "map-order", ...
-	file string
-	line int
-	col  int
+// bannedImports are the ambient-randomness packages: math/rand streams
+// are not stable across Go releases, and crypto/rand is entropy the
+// seed does not control.
+var bannedImports = map[string]bool{
+	"math/rand":    true,
+	"math/rand/v2": true,
+	"crypto/rand":  true,
 }
 
 func runDetFlow(p *ProgramPass) {
 	graph := BuildCallGraph(p.Fset, p.Pkgs)
-	uses := collectSinkUses(p, graph)
-	entries := simEntries(p, graph)
 
 	// Deterministic BFS over sorted entries and sorted adjacency:
 	// first-visit parents give one stable example chain per node.
 	visited := map[string]bool{}
 	parent := map[string]string{}
-	queue := make([]string, 0, len(entries))
-	for _, e := range entries {
+	var queue []string
+	for _, e := range simEntries(p, graph) {
 		if graph.Nodes[e] != nil && !visited[e] {
 			visited[e] = true
 			queue = append(queue, e)
@@ -72,67 +80,60 @@ func runDetFlow(p *ProgramPass) {
 		}
 	}
 
-	baseline, baselinePath := loadDetflowBaseline(p)
-	usedBaseline := map[string]bool{}
-
-	// One finding per (tainted function, sink token), at the first
-	// sink site in deterministic order.
-	sort.Slice(uses, func(i, j int) bool {
-		a, b := uses[i], uses[j]
-		if a.fn != b.fn {
-			return a.fn < b.fn
-		}
-		if a.sink != b.sink {
-			return a.sink < b.sink
-		}
-		if a.file != b.file {
-			return a.file < b.file
-		}
-		if a.line != b.line {
-			return a.line < b.line
-		}
-		return a.col < b.col
-	})
-	seen := map[string]bool{}
-	for _, u := range uses {
-		if !visited[u.fn] {
+	// Packages, files and nodes are walked in source order, so the
+	// first use of a (function, sink) pair is the one that carries the
+	// chain.
+	chained := map[string]bool{}
+	for _, pkg := range p.Pkgs {
+		if pkg.Path == p.Config.RNGPackage {
 			continue
 		}
-		key := u.fn + " " + u.sink
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if _, ok := baseline[key]; ok {
-			usedBaseline[key] = true
-			continue
-		}
-		p.report(Finding{
-			Rule:     p.Analyzer.Name,
-			Severity: p.Analyzer.Severity,
-			File:     u.file,
-			Line:     u.line,
-			Col:      u.col,
-			Message: fmt.Sprintf(
-				"determinism taint: %s reaches %s (chain %s); fix the helper or baseline %q with a reason in %s",
-				u.fn, u.sink, taintChain(parent, u.fn), key, p.Config.DetflowBaseline),
-		})
-	}
-
-	// Completeness: a baseline entry nothing matches is stale. Only a
-	// whole-module run can prove absence, so partial (-changed or
-	// fixture) runs skip this.
-	if p.WholeProgram && baselinePath != "" {
-		keys := make([]string, 0, len(baseline))
-		for k := range baseline {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if !usedBaseline[k] {
-				p.ReportFile(p.Config.DetflowBaseline, baseline[k].line,
-					"stale detflow baseline entry %q: no call chain reaches it any more; delete the line", k)
+		sim := p.Config.isSimPackage(pkg.Path)
+		use := func(pos token.Pos, sink string) {
+			fn := graph.NodeAt(pos)
+			if fn == "" {
+				fn = initID(pkg.Path) // package scope: imports, type declarations
 			}
+			key := fn + " " + sink
+			switch {
+			case visited[fn] && !chained[key]:
+				chained[key] = true
+				p.Reportf(pos,
+					"determinism taint: %s reaches %s (chain %s); fix the helper or annotate the sink with //lint:ignore detflow <reason>",
+					fn, sink, taintChain(parent, fn))
+			case sim:
+				p.Reportf(pos,
+					"simulation package uses %s: wall-clock, environment and ambient-RNG reads break seeded reproducibility; draw from %s",
+					sink, p.Config.RNGPackage)
+			}
+		}
+		for _, file := range pkg.Files {
+			for _, imp := range file.Imports {
+				if path, err := strconv.Unquote(imp.Path.Value); err == nil && bannedImports[path] {
+					use(imp.Pos(), path)
+				}
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				ident, ok := sel.X.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				pkgName, ok := pkg.Info.Uses[ident].(*types.PkgName)
+				if !ok {
+					return true
+				}
+				path := pkgName.Imported().Path()
+				if bannedFuncs[path][sel.Sel.Name] {
+					use(sel.Pos(), path+"."+sel.Sel.Name)
+				} else if bannedImports[path] {
+					use(sel.Pos(), path)
+				}
+				return true
+			})
 		}
 	}
 }
@@ -157,70 +158,6 @@ func simEntries(p *ProgramPass, graph *CallGraph) []string {
 	return entries
 }
 
-// collectSinkUses finds every direct sink use in every analyzed
-// package: selector uses of the detrand banned functions, any selector
-// into a banned-import package, and map-order hazards detected by
-// re-running the maporder rule with a capturing reporter. The blessed
-// RNG package is exempt — it is the seeded source the rest of the
-// tree is directed to.
-func collectSinkUses(p *ProgramPass, graph *CallGraph) []sinkUse {
-	var uses []sinkUse
-	add := func(fn, sink, file string, line, col int) {
-		if fn == "" {
-			return
-		}
-		uses = append(uses, sinkUse{fn: fn, sink: sink, file: file, line: line, col: col})
-	}
-	for _, pkg := range p.Pkgs {
-		if pkg.Path == p.Config.RNGPackage {
-			continue
-		}
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				ident, ok := sel.X.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				pkgName, ok := pkg.Info.Uses[ident].(*types.PkgName)
-				if !ok {
-					return true
-				}
-				path := pkgName.Imported().Path()
-				var sink string
-				if banned, ok := bannedFuncs[path]; ok && banned[sel.Sel.Name] {
-					sink = path + "." + sel.Sel.Name
-				} else if _, ok := bannedImports[path]; ok {
-					sink = path
-				} else {
-					return true
-				}
-				pos := p.Fset.Position(sel.Pos())
-				add(graph.NodeAt(sel.Pos()), sink, pos.Filename, pos.Line, pos.Column)
-				return true
-			})
-		}
-		// Map-order hazards: reuse the per-package rule's detection
-		// verbatim, attributing each raw finding to its function.
-		capture := func(f Finding) {
-			add(graph.NodeAtLine(f.File, f.Line), mapOrderSink, f.File, f.Line, f.Col)
-		}
-		runMapOrder(&Pass{
-			Analyzer: MapOrder,
-			Fset:     p.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			Config:   p.Config,
-			report:   capture,
-		})
-	}
-	return uses
-}
-
 // taintChain renders the example path entry -> ... -> fn recorded by
 // the BFS parent map.
 func taintChain(parent map[string]string, fn string) string {
@@ -237,42 +174,4 @@ func taintChain(parent map[string]string, fn string) string {
 		chain[i], chain[j] = chain[j], chain[i]
 	}
 	return strings.Join(chain, " -> ")
-}
-
-// baselineLine is one parsed detflow baseline entry.
-type baselineLine struct {
-	reason string
-	line   int
-}
-
-// loadDetflowBaseline parses the reviewed baseline. Missing files are
-// an empty baseline (fresh tree); malformed lines are findings against
-// the baseline file itself. Returns the map keyed by
-// "<function-id> <sink>" and the absolute path ("" when disabled).
-func loadDetflowBaseline(p *ProgramPass) (map[string]baselineLine, string) {
-	out := map[string]baselineLine{}
-	if p.Config.DetflowBaseline == "" {
-		return out, ""
-	}
-	path := filepath.Join(p.Root, filepath.FromSlash(p.Config.DetflowBaseline))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return out, ""
-	}
-	for i, raw := range strings.Split(string(data), "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		entry, reason, found := strings.Cut(line, " -- ")
-		fields := strings.Fields(entry)
-		reason = strings.TrimSpace(reason)
-		if !found || len(fields) != 2 || reason == "" {
-			p.ReportFile(p.Config.DetflowBaseline, i+1,
-				"malformed detflow baseline line: want \"<function-id> <sink> -- <reason>\"")
-			continue
-		}
-		out[fields[0]+" "+fields[1]] = baselineLine{reason: reason, line: i + 1}
-	}
-	return out, path
 }

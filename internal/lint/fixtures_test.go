@@ -18,9 +18,11 @@ import (
 // be found.
 
 // fixtureCases maps fixture package name → the analyzers run over it.
+// Each fixture is named after its rule, except detrand: the direct
+// ambient-entropy uses, which detflow reports.
 var fixtureCases = map[string][]*Analyzer{
-	"detrand":    {DetRand},
 	"detflow":    {DetFlow},
+	"detrand":    {DetFlow},
 	"maporder":   {MapOrder},
 	"floatcmp":   {FloatCmp},
 	"hotpath":    {HotPath},
@@ -49,7 +51,7 @@ func runFixture(t *testing.T, name string, analyzers []*Analyzer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Analyze(loader, []*Package{pkg}, DefaultConfig(), analyzers)
+	findings := analyze(loader, []*Package{pkg}, DefaultConfig(), analyzers, false)
 
 	wants := parseWants(t, loader, pkg)
 	for _, f := range findings {
@@ -141,12 +143,12 @@ func TestFixtureRuleIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		findings := Analyze(loader, []*Package{pkg}, DefaultConfig(), analyzers)
+		findings := analyze(loader, []*Package{pkg}, DefaultConfig(), analyzers, false)
 		if len(findings) == 0 {
 			t.Errorf("fixture %s: no findings", name)
 		}
 		for _, f := range findings {
-			if f.Rule != name {
+			if f.Rule != analyzers[0].Name {
 				t.Errorf("fixture %s: finding reported under rule %q: %s", name, f.Rule, f)
 			}
 		}
@@ -164,7 +166,7 @@ func TestIgnoreDirectiveRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Analyze(loader, []*Package{pkg}, DefaultConfig(), []*Analyzer{FloatCmp})
+	findings := analyze(loader, []*Package{pkg}, DefaultConfig(), []*Analyzer{FloatCmp}, false)
 	rules := map[string]int{}
 	for _, f := range findings {
 		rules[f.Rule]++
@@ -177,8 +179,44 @@ func TestIgnoreDirectiveRule(t *testing.T) {
 	}
 }
 
+// TestUnusedDirectives runs the staleignore fixture the way a
+// whole-module run sees it: each directive rule that suppresses no
+// finding is one "ignore" finding naming that rule, and a used
+// directive is silent. RunDir, a partial program, reports none.
+func TestUnusedDirectives(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join("testdata", "src", "staleignore")
+	pkg, err := loader.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Directive line → the unused rule its finding must name.
+	want := map[int]string{17: `"floatcmp"`, 23: `"detflow"`}
+	findings := analyze(loader, []*Package{pkg}, DefaultConfig(), Analyzers(), true)
+	if len(findings) != len(want) {
+		t.Fatalf("want %d unused-directive findings, got %d: %v", len(want), len(findings), findings)
+	}
+	for _, f := range findings {
+		rule, ok := want[f.Line]
+		if !ok || f.Rule != "ignore" || !strings.Contains(f.Message, "unused //lint:ignore rule "+rule) {
+			t.Errorf("unexpected finding %s", f)
+		}
+	}
+
+	partial, err := RunDir(dir, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(partial) != 0 {
+		t.Errorf("RunDir reported %v; unused directives are a whole-module finding", partial)
+	}
+}
+
 func ExampleFinding_String() {
-	f := Finding{Rule: "detrand", Severity: SeverityError, File: "internal/chip/machine.go", Line: 12, Col: 3, Message: "simulation package calls time.Now"}
+	f := Finding{Rule: "detflow", Severity: SeverityError, File: "internal/chip/machine.go", Line: 12, Col: 3, Message: "simulation package uses time.Now"}
 	fmt.Println(f)
-	// Output: internal/chip/machine.go:12:3: [detrand] simulation package calls time.Now
+	// Output: internal/chip/machine.go:12:3: [detflow] simulation package uses time.Now
 }

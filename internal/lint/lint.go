@@ -11,12 +11,10 @@
 //
 // Rules:
 //
-//	detrand    — no math/rand, time.Now/Since or os.Getenv inside
-//	             simulation packages; draw from internal/rng instead.
-//	detflow    — whole-program determinism taint: no call chain from a
-//	             simulation entry point to a wall-clock, environment or
-//	             ambient-randomness read through any helper in any
-//	             package (baseline file for reviewed edges).
+//	detflow    — determinism: no wall-clock, environment or
+//	             ambient-randomness use anywhere in a simulation
+//	             package, and no call chain from a simulation entry
+//	             point to one through any helper in any package.
 //	maporder   — no order-sensitive work (appends later left unsorted,
 //	             output writes, RNG draws) inside range-over-map loops.
 //	hotpath    — no allocation- or dispatch-inducing constructs inside
@@ -28,7 +26,8 @@
 //	unitsafety — no direct conversion between distinct internal/units
 //	             types, and no +/- mixing of float64-stripped units.
 //	errdrop    — no discarded error returns in cmd/ and internal/fsp.
-//	ignore     — malformed or unknown //lint:ignore directives.
+//	ignore     — malformed, unknown-rule or unused //lint:ignore
+//	             directives.
 //
 // Most rules inspect one package at a time (Analyzer.Run); detflow is a
 // program rule (Analyzer.RunProgram) that sees every loaded package at
@@ -42,7 +41,9 @@
 //	//lint:ignore <rule>[,<rule>...] <reason>
 //
 // The reason is mandatory; the framework reports malformed or
-// unknown-rule directives under the rule ID "ignore".
+// unknown-rule directives under the rule ID "ignore". A whole-module
+// run (Run) also reports there every rule a directive names that
+// suppressed no finding, so a directive cannot outlive its finding.
 package lint
 
 import (
@@ -95,13 +96,6 @@ type ProgramPass struct {
 	Pkgs []*Package
 	// Config is the run configuration.
 	Config *Config
-	// Root is the absolute module root (for root-relative side files
-	// like the detflow baseline).
-	Root string
-	// WholeProgram is true when Pkgs is the entire module — the only
-	// mode in which completeness findings (stale baseline entries) are
-	// meaningful.
-	WholeProgram bool
 
 	report func(Finding)
 }
@@ -115,19 +109,6 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 		File:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportFile records a finding against a plain (non-Go) file, such as
-// the detflow baseline.
-func (p *ProgramPass) ReportFile(file string, line int, format string, args ...any) {
-	p.report(Finding{
-		Rule:     p.Analyzer.Name,
-		Severity: p.Analyzer.Severity,
-		File:     file,
-		Line:     line,
-		Col:      1,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -205,8 +186,10 @@ func sortFindings(fs []Finding) {
 type Config struct {
 	// ModulePath is the module's import path ("repro").
 	ModulePath string
-	// SimPackages are the import paths detrand treats as simulation
-	// code, where wall-clock reads and ambient randomness are banned.
+	// SimPackages are the import paths detflow treats as simulation
+	// code: wall-clock, environment and ambient-randomness uses are
+	// banned anywhere in them, and their exported functions and
+	// package initialization are the entry points of its call chains.
 	SimPackages []string
 	// ErrPackages are import-path prefixes where errdrop polices
 	// discarded errors (exact path, or prefix when ending in "/").
@@ -215,7 +198,7 @@ type Config struct {
 	// whose types unitsafety protects.
 	UnitsPackage string
 	// RNGPackage is the import path of the blessed deterministic RNG;
-	// detrand allowlists it and maporder treats draws from it as
+	// detflow allowlists it and maporder treats draws from it as
 	// order-sensitive sinks.
 	RNGPackage string
 	// TestdataPrefix puts lint's own fixture packages (which live
@@ -223,10 +206,6 @@ type Config struct {
 	// scope for every path-scoped rule, so `atmlint <fixture-dir>`
 	// exercises all analyzers.
 	TestdataPrefix string
-	// DetflowBaseline is the module-root-relative path of the reviewed
-	// baseline of intentional determinism-taint edges. Empty disables
-	// baseline handling (fixture runs).
-	DetflowBaseline string
 }
 
 // DefaultConfig returns the repository's lint scope.
@@ -259,10 +238,9 @@ func DefaultConfig() *Config {
 			"repro/cmd/",
 			"repro/internal/fsp",
 		},
-		UnitsPackage:    "repro/internal/units",
-		RNGPackage:      "repro/internal/rng",
-		TestdataPrefix:  "repro/internal/lint/testdata/",
-		DetflowBaseline: "internal/lint/detflow_baseline.txt",
+		UnitsPackage:   "repro/internal/units",
+		RNGPackage:     "repro/internal/rng",
+		TestdataPrefix: "repro/internal/lint/testdata/",
 	}
 }
 
@@ -304,7 +282,6 @@ func (c *Config) isTestdata(path string) bool {
 // Analyzers returns every registered rule, sorted by name.
 func Analyzers() []*Analyzer {
 	as := []*Analyzer{
-		DetRand,
 		DetFlow,
 		ErrDrop,
 		FloatCmp,
@@ -317,57 +294,22 @@ func Analyzers() []*Analyzer {
 	return as
 }
 
-// SelectAnalyzers resolves a comma-separated rule list ("" selects
-// every rule) against the registry, preserving the sorted order.
-func SelectAnalyzers(rules string) ([]*Analyzer, error) {
-	all := Analyzers()
-	if rules == "" {
-		return all, nil
-	}
-	byName := map[string]*Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	picked := map[string]bool{}
-	for _, r := range strings.Split(rules, ",") {
-		r = strings.TrimSpace(r)
-		if r == "" {
-			continue
-		}
-		if byName[r] == nil {
-			return nil, fmt.Errorf("lint: unknown rule %q", r)
-		}
-		picked[r] = true
-	}
-	var out []*Analyzer
-	for _, a := range all {
-		if picked[a.Name] {
-			out = append(out, a)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("lint: empty rule selection %q", rules)
-	}
-	return out, nil
-}
-
 // ---- //lint:ignore directives ----
 
 const ignorePrefix = "//lint:ignore"
 
 // ignoreDirective is one parsed //lint:ignore annotation.
 type ignoreDirective struct {
-	rules  []string // rule IDs the directive suppresses
-	reason string   // mandatory justification
-	line   int      // line the directive appears on
-	pos    token.Pos
+	rules []string // rule IDs the directive suppresses
+	used  []bool   // per rule: the directive suppressed a finding
+	at    token.Position
 }
 
-// parseIgnores extracts every //lint:ignore directive from a file,
-// keyed by the line it annotates. Malformed directives (missing rule
-// or reason) are reported as findings under the rule ID "ignore".
-func parseIgnores(fset *token.FileSet, file *ast.File, report func(Finding)) map[int][]ignoreDirective {
-	out := map[int][]ignoreDirective{}
+// parseIgnores extracts every //lint:ignore directive from a file in
+// source order. Malformed directives (missing rule or reason) are
+// reported as findings under the rule ID "ignore".
+func parseIgnores(fset *token.FileSet, file *ast.File, report func(Finding)) []*ignoreDirective {
+	var out []*ignoreDirective
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			if !strings.HasPrefix(c.Text, ignorePrefix) {
@@ -412,16 +354,27 @@ func parseIgnores(fset *token.FileSet, file *ast.File, report func(Finding)) map
 			if bad {
 				continue
 			}
-			d := ignoreDirective{
-				rules:  rules,
-				reason: strings.Join(fields[1:], " "),
-				line:   pos.Line,
-				pos:    c.Pos(),
-			}
-			out[d.line] = append(out[d.line], d)
+			out = append(out, &ignoreDirective{rules: rules, used: make([]bool, len(rules)), at: pos})
 		}
 	}
 	return out
+}
+
+// unused reports, under the rule ID "ignore", every rule of d that
+// suppressed no finding.
+func (d *ignoreDirective) unused(report func(Finding)) {
+	for i, r := range d.rules {
+		if !d.used[i] {
+			report(Finding{
+				Rule:     "ignore",
+				Severity: SeverityError,
+				File:     d.at.Filename,
+				Line:     d.at.Line,
+				Col:      d.at.Column,
+				Message:  fmt.Sprintf("unused //lint:ignore rule %q: it suppresses no finding; remove it from the directive", r),
+			})
+		}
+	}
 }
 
 // fileIgnores is the suppression context of one source file: its
@@ -429,7 +382,7 @@ func parseIgnores(fset *token.FileSet, file *ast.File, report func(Finding)) map
 // a directive on the opening line of a multi-line statement cover
 // findings on the statement's continuation lines.
 type fileIgnores struct {
-	directives map[int][]ignoreDirective
+	directives map[int][]*ignoreDirective
 	anchors    map[int]int // continuation line → statement opening line
 }
 
@@ -465,7 +418,8 @@ func stmtAnchors(fset *token.FileSet, file *ast.File) map[int]int {
 // suppressed reports whether a finding is covered by a directive for
 // its rule on the same line, the line directly above, or (via the
 // statement anchors) on or directly above the opening line of the
-// multi-line statement containing it.
+// multi-line statement containing it, and marks that directive's rule
+// used.
 func suppressed(f Finding, ignores map[string]*fileIgnores) bool {
 	fi := ignores[f.File]
 	if fi == nil {
@@ -477,8 +431,9 @@ func suppressed(f Finding, ignores map[string]*fileIgnores) bool {
 	}
 	for _, line := range lines {
 		for _, d := range fi.directives[line] {
-			for _, r := range d.rules {
+			for i, r := range d.rules {
 				if r == f.Rule {
+					d.used[i] = true
 					return true
 				}
 			}

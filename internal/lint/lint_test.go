@@ -41,7 +41,7 @@ func TestConfigScoping(t *testing.T) {
 		{"repro/internal/report", false, false},
 		{"repro/internal/rng", false, false},
 		{"repro", false, false},
-		{"repro/internal/lint/testdata/src/detrand", true, true},
+		{"repro/internal/lint/testdata/src/detflow", true, true},
 	}
 	for _, c := range cases {
 		if got := cfg.isSimPackage(c.path); got != c.sim {
@@ -72,8 +72,8 @@ func TestSortFindingsOrder(t *testing.T) {
 
 func TestAnalyzersSortedAndNamed(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 8 {
-		t.Fatalf("want 8 analyzers, got %d", len(as))
+	if len(as) != 7 {
+		t.Fatalf("want 7 analyzers, got %d", len(as))
 	}
 	for i, a := range as {
 		if a.Name == "" || a.Doc == "" || (a.Run == nil && a.RunProgram == nil) {

@@ -8,49 +8,32 @@ import (
 )
 
 // Run loads every package under the module containing dir and applies
-// every registered analyzer, honoring //lint:ignore directives. The
+// every registered analyzer, honoring //lint:ignore directives and
+// reporting the rules of directives that suppressed nothing. The
 // returned findings are deterministically sorted; file paths are
 // relative to the module root so output is stable across checkouts.
 func Run(dir string, cfg *Config) ([]Finding, error) {
-	return RunRules(dir, cfg, Analyzers())
-}
-
-// RunRules is Run restricted to the given analyzers.
-func RunRules(dir string, cfg *Config, analyzers []*Analyzer) ([]Finding, error) {
-	return runAnalyzers(dir, cfg, analyzers, true, func(l *Loader) ([]*Package, error) {
+	return runLoaded(dir, cfg, true, func(l *Loader) ([]*Package, error) {
 		return l.LoadAll()
 	})
 }
 
 // RunDir lints the single package in dir (which must sit inside a
 // module), with the same directive handling and ordering as Run.
-// Program rules see only that package; completeness checks (stale
-// detflow baseline entries) are reserved for whole-module runs.
+// Program rules see only that package, so a directive that suppresses
+// nothing is not reported: only a whole-module run can prove that no
+// call chain reaches it.
 func RunDir(dir string, cfg *Config) ([]Finding, error) {
-	return RunDirs([]string{dir}, cfg, Analyzers())
-}
-
-// RunDirs lints the packages in dirs (all inside one module) with the
-// given analyzers — the `-changed` fast path. Program rules see the
-// selected packages as a partial program.
-func RunDirs(dirs []string, cfg *Config, analyzers []*Analyzer) ([]Finding, error) {
-	if len(dirs) == 0 {
-		return []Finding{}, nil
-	}
-	return runAnalyzers(dirs[0], cfg, analyzers, false, func(l *Loader) ([]*Package, error) {
-		pkgs := make([]*Package, 0, len(dirs))
-		for _, dir := range dirs {
-			pkg, err := l.LoadDir(dir)
-			if err != nil {
-				return nil, err
-			}
-			pkgs = append(pkgs, pkg)
+	return runLoaded(dir, cfg, false, func(l *Loader) ([]*Package, error) {
+		pkg, err := l.LoadDir(dir)
+		if err != nil {
+			return nil, err
 		}
-		return pkgs, nil
+		return []*Package{pkg}, nil
 	})
 }
 
-func runAnalyzers(dir string, cfg *Config, analyzers []*Analyzer, whole bool, load func(*Loader) ([]*Package, error)) ([]Finding, error) {
+func runLoaded(dir string, cfg *Config, whole bool, load func(*Loader) ([]*Package, error)) ([]Finding, error) {
 	loader, err := NewLoader(dir)
 	if err != nil {
 		return nil, err
@@ -59,7 +42,7 @@ func runAnalyzers(dir string, cfg *Config, analyzers []*Analyzer, whole bool, lo
 	if err != nil {
 		return nil, err
 	}
-	findings := analyze(loader, pkgs, cfg, analyzers, whole)
+	findings := analyze(loader, pkgs, cfg, Analyzers(), whole)
 	for i := range findings {
 		if filepath.IsAbs(findings[i].File) {
 			if rel, err := filepath.Rel(loader.root, findings[i].File); err == nil {
@@ -71,29 +54,31 @@ func runAnalyzers(dir string, cfg *Config, analyzers []*Analyzer, whole bool, lo
 	return findings, nil
 }
 
-// Analyze applies analyzers to the given packages, suppressing
+// analyze applies analyzers to the given packages, suppressing
 // findings covered by //lint:ignore directives and reporting malformed
 // directives. Program analyzers see the packages as a (partial)
-// program; completeness findings are reserved for whole-module runs
-// through Run. Findings are sorted before being returned.
-func Analyze(loader *Loader, pkgs []*Package, cfg *Config, analyzers []*Analyzer) []Finding {
-	return analyze(loader, pkgs, cfg, analyzers, false)
-}
-
+// program. When whole is set, pkgs is the entire module and every
+// analyzer ran, so each directive rule that suppressed no finding is
+// reported too. Findings are sorted before being returned.
 func analyze(loader *Loader, pkgs []*Package, cfg *Config, analyzers []*Analyzer, whole bool) []Finding {
 	var all []Finding
+	keep := func(f Finding) { all = append(all, f) } // directive findings are not suppressible
 	// Suppression context for every file of every package up front:
 	// program analyzers report across package boundaries.
 	ignores := map[string]*fileIgnores{}
+	var directives []*ignoreDirective
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
-			name := loader.fset.Position(file.Pos()).Filename
-			ignores[name] = &fileIgnores{
-				directives: parseIgnores(loader.fset, file, func(f Finding) {
-					all = append(all, f) // malformed directives are not suppressible
-				}),
-				anchors: stmtAnchors(loader.fset, file),
+			ds := parseIgnores(loader.fset, file, keep)
+			byLine := map[int][]*ignoreDirective{}
+			for _, d := range ds {
+				byLine[d.at.Line] = append(byLine[d.at.Line], d)
 			}
+			ignores[loader.fset.Position(file.Pos()).Filename] = &fileIgnores{
+				directives: byLine,
+				anchors:    stmtAnchors(loader.fset, file),
+			}
+			directives = append(directives, ds...)
 		}
 	}
 	var raw []Finding
@@ -119,18 +104,21 @@ func analyze(loader *Loader, pkgs []*Package, cfg *Config, analyzers []*Analyzer
 			continue
 		}
 		a.RunProgram(&ProgramPass{
-			Analyzer:     a,
-			Fset:         loader.fset,
-			Pkgs:         pkgs,
-			Config:       cfg,
-			Root:         loader.root,
-			WholeProgram: whole,
-			report:       report,
+			Analyzer: a,
+			Fset:     loader.fset,
+			Pkgs:     pkgs,
+			Config:   cfg,
+			report:   report,
 		})
 	}
 	for _, f := range raw {
 		if !suppressed(f, ignores) {
 			all = append(all, f)
+		}
+	}
+	if whole {
+		for _, d := range directives {
+			d.unused(keep)
 		}
 	}
 	sortFindings(all)

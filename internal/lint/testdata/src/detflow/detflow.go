@@ -1,11 +1,13 @@
-// Package detflow is the fixture for the whole-program determinism
-// taint rule. The package path sits under the lint testdata prefix, so
-// its exported functions count as simulation entry points; findings
-// land on the sink lines, deep inside helpers.
+// Package detflow is the fixture for the determinism rule. The package
+// path sits under the lint testdata prefix, so it is a simulation
+// package and its exported functions count as entry points; findings
+// land on the sink lines, deep inside helpers. The detrand fixture holds
+// sink uses written directly in entry points, in package initialization
+// and in a test.
 package detflow
 
 import (
-	"math/rand"
+	"math/rand" // want "detflow.init reaches math/rand (chain repro/internal/lint/testdata/src/detflow.init)"
 	"os"
 	"time"
 )
@@ -60,18 +62,9 @@ func MethodValue() func() int64 {
 	return w.Tick
 }
 
-// Emit writes map entries in iteration order through a helper — a
-// map-order sink reached transitively.
-func Emit(m map[string]int, out chan<- string) { emitAll(m, out) }
-
-func emitAll(m map[string]int, out chan<- string) {
-	for k := range m {
-		out <- k // want "map-order"
-	}
-}
-
-// orphan is never reachable from any entry point: its wall-clock read
-// must NOT be flagged by detflow.
+// orphan is never reachable from any entry point: no chain leads to
+// its wall-clock read, but it sits in a simulation package, so the use
+// is flagged directly.
 func orphan() int64 {
-	return time.Now().UnixNano()
+	return time.Now().UnixNano() // want "simulation package uses time.Now"
 }

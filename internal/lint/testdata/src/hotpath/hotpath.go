@@ -32,8 +32,8 @@ func Hot(vals []float64, m map[string]int) float64 {
 	var sink any
 	sink = vals[0] // want "assignment boxes float64"
 	_ = sink
-	takeAny(vals[0])    // want "argument boxes float64"
-	c := any(vals[0])   // want "conversion boxes float64"
+	takeAny(vals[0])  // want "argument boxes float64"
+	c := any(vals[0]) // want "conversion boxes float64"
 	_ = c
 	fmt.Println(vals) // want "fmt.Println allocates"
 	var b strings.Builder

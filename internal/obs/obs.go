@@ -20,7 +20,7 @@
 //     monotone logical clock the caller advances (SetTimeUS) or that
 //     ticks once per event.
 //   - No wall clock, no ambient randomness: the package is in
-//     atmlint's detrand scope alongside the simulation packages.
+//     atmlint's detflow scope alongside the simulation packages.
 //
 // Registration (Registry.Counter/Gauge/Histogram) is get-or-create and
 // cheap but not free; instrumented code resolves handles once, outside

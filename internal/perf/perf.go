@@ -6,7 +6,7 @@
 // regression gate.
 //
 // The package deliberately lives OUTSIDE atmlint's simulation scope
-// (detrand/detflow): it is where wall-clock reads belong, and keeping
+// (detflow): it is where wall-clock reads belong, and keeping
 // the dependency direction one-way — perf imports the simulation, the
 // simulation never imports perf — keeps the taint analysis able to
 // prove the simulation itself never touches ambient time.

@@ -6,7 +6,7 @@
 // job spec, a CLI flag set and a datacenter node materialize the same
 // server byte for byte.
 //
-// The package is in atmlint's detrand scope: a Server is a pure
+// The package is in atmlint's detflow scope: a Server is a pure
 // function of its Spec, with no wall clock or ambient randomness
 // anywhere in the recipe.
 package platform

@@ -481,7 +481,8 @@ func TestCloneNeverAliasesReference(t *testing.T) {
 			c.UBenchGuardPs != b.ubench || c.PresetTaps != b.preset {
 			t.Fatalf("%s: scalar field of the reference changed after mutating a clone", c.Label)
 		}
-		//lint:ignore floatcmp aliasing check: the value must be bit-identical to its snapshot, any change at all is the bug
+		// Aliasing check: the value must be bit-identical to its snapshot;
+		// any change at all is the bug.
 		if c.SigmaFrac != b.sigma {
 			t.Fatalf("%s: SigmaFrac of the reference changed after mutating a clone", c.Label)
 		}
