@@ -17,7 +17,7 @@ import (
 // the canonical BENCH_core.json artifact.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	set := fs.String("set", "", "comma-separated stage groups to run: kernel,e2e,fleet,dc (empty = all)")
+	set := fs.String("set", "", "comma-separated stage groups to run: kernel,e2e,fleet,dc,lifetime (empty = all)")
 	quick := fs.Bool("quick", false, "CI-sized iteration plan (baselines are checked in quick)")
 	out := fs.String("out", "", "write the BENCH json artifact to this file")
 	baseline := fs.String("baseline", "", "compare against this BENCH json and exit 3 on regression")

@@ -13,7 +13,7 @@
 //	atmctl dc -racks 2 -chassis 4 -chips-per-chassis 8 -workers 8 [-json] [-cache-dir .dc] [-resume]
 //	atmctl lifetime [-years 3] [-seed 1] [-sentinel-off] [-cache-dir .fleet] [-resume]
 //	atmctl transient [-chip P0] [-steps 2000] [-stress]
-//	atmctl bench [-set kernel,e2e,fleet,dc] [-quick] [-out BENCH_core.json] [-baseline BENCH_core.json]
+//	atmctl bench [-set kernel,e2e,fleet,dc,lifetime] [-quick] [-out BENCH_core.json] [-baseline BENCH_core.json]
 //	             [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz] [-trace trace.out]
 //	atmctl flood [-sessions 16] [-commands 200] [-seed 1] [-quick] [-out BENCH_fsp.json] [-baseline BENCH_fsp.json]
 //	atmctl status
@@ -123,6 +123,16 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 		return usageError{err}
 	}
 	return nil
+}
+
+// badFlag reports a flag value the FlagSet parsed but the command
+// cannot use, the way the FlagSet reports a parse error: the
+// diagnostic, then the flag summary, then exit 2.
+func badFlag(fs *flag.FlagSet, format string, a ...any) error {
+	err := fmt.Errorf(format, a...)
+	fmt.Fprintln(os.Stderr, err)
+	fs.Usage()
+	return usageError{err}
 }
 
 // partialError marks a run whose results rendered fine but carried a
@@ -686,6 +696,12 @@ func cmdLifetime(args []string) error {
 	attach, flush := obsFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
+	}
+	if *years < 0 {
+		return badFlag(fs, "-years %d is negative", *years)
+	}
+	if *n < 1 {
+		return badFlag(fs, "-n %d: want at least one server", *n)
 	}
 
 	// The runs are hermetic fleet jobs: cached, kill-safe, and merged in

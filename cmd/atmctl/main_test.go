@@ -35,6 +35,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"quarantined cores are partial", []string{"tune", "-fault-profile", "broken-core"}, 3},
 		{"lifetime safe", []string{"lifetime", "-years", "1"}, 0},
 		{"lifetime unsafe is partial", []string{"lifetime", "-years", "3", "-sentinel-off"}, 3},
+		{"lifetime negative years", []string{"lifetime", "-years", "-1"}, 2},
+		{"lifetime no servers", []string{"lifetime", "-n", "0"}, 2},
 		{"dc ok", []string{"dc", "-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8"}, 0},
 		{"dc bad flag", []string{"dc", "-no-such-flag"}, 2},
 		{"dc quarantined chips are partial", []string{"dc",

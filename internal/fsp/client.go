@@ -414,14 +414,22 @@ type CoreMargin struct {
 // the server's register address order. The read rides the full
 // resilience envelope: transient telemetry upsets and garbled
 // transport lines are retried with re-sync like any other command.
+//
+// The payload is walked in place: each core label is a substring of
+// it, and each value goes through strconv.ParseFloat, whose exact fast
+// path returns float64(m)/1000 for the server's three-decimal form.
 func (c *Client) Margins() ([]CoreMargin, error) {
 	out, err := c.Exec("margins")
 	if err != nil {
 		return nil, err
 	}
-	fields := strings.Fields(out)
-	ms := make([]CoreMargin, 0, len(fields))
-	for _, f := range fields {
+	ms := make([]CoreMargin, 0, strings.Count(out, " ")+1)
+	for rest := out; rest != ""; {
+		var f string
+		f, rest, _ = strings.Cut(rest, " ")
+		if f == "" {
+			continue
+		}
 		name, val, ok := strings.Cut(f, "=")
 		if !ok || name == "" {
 			return nil, fmt.Errorf("fsp: bad margins payload %q", out)

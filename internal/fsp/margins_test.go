@@ -1,11 +1,12 @@
 package fsp
 
 import (
-	"math"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/chip"
+	"repro/internal/rng"
 )
 
 // loopbackClient builds a client over a synchronous loopback session on
@@ -80,6 +81,13 @@ func TestMarginRegisterMatchesSafetyCriterion(t *testing.T) {
 
 func TestClientMarginsLoopback(t *testing.T) {
 	cli, ctl := loopbackClient(t, ClientOptions{})
+	// Programmed to its full reduction, the first core reports a
+	// negative margin, so the read also crosses the formatter's sign
+	// path.
+	first := ctl.Machine().AllCores()[0].Profile
+	if err := ctl.Machine().ProgramCPM(first.Label, first.MaxReduction()); err != nil {
+		t.Fatal(err)
+	}
 	ms, err := cli.Margins()
 	if err != nil {
 		t.Fatal(err)
@@ -87,12 +95,15 @@ func TestClientMarginsLoopback(t *testing.T) {
 	if len(ms) != 16 {
 		t.Fatalf("Margins returned %d cores, want 16", len(ms))
 	}
+	if ms[0].Sigma >= 0 {
+		t.Fatalf("%s at its full reduction reports margin %v, want negative", ms[0].Core, ms[0].Sigma)
+	}
 	for i, core := range ctl.Machine().AllCores() {
 		if ms[i].Core != core.Profile.Label {
 			t.Fatalf("margin %d is %s, want %s", i, ms[i].Core, core.Profile.Label)
 		}
 		want := float64(marginMilliSigma(core)) / 1000
-		if math.Abs(ms[i].Sigma-want) > 1e-9 {
+		if ms[i].Sigma != want {
 			t.Fatalf("%s margin = %v, want %v", ms[i].Core, ms[i].Sigma, want)
 		}
 	}
@@ -105,5 +116,37 @@ func TestLoopbackQuitAndResync(t *testing.T) {
 	}
 	if err := cli.Quit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAppendMilliMatchesPercentF: the margins verb's formatter writes
+// the bytes fmt's "%.3f" of float64(m)/1000 writes, on the sign
+// boundaries, on sampled registers up to 2^52, and up to the bound its
+// doc comment states. Just past that bound the two differ: the double
+// nearest m/1000 is then up to half of a 2^-9 ulp away, and "%.3f"
+// rounds to a neighbouring decimal.
+func TestAppendMilliMatchesPercentF(t *testing.T) {
+	const bound = 1000 << 43
+	ms := []int64{0, 1, -1, 999, -999, 1000, -1000, 1001, -1001, bound, -bound}
+	for k := int64(1); k <= 1000; k++ {
+		ms = append(ms, bound-k, -(bound - k))
+	}
+	src := rng.New(52)
+	for k := 0; k < 20000; k++ {
+		m := int64(src.Uint64() >> (12 + src.Intn(52)))
+		if k%2 == 1 {
+			m = -m
+		}
+		ms = append(ms, m)
+	}
+	var buf []byte
+	for _, m := range ms {
+		buf = appendMilli(buf[:0], m)
+		if want := fmt.Sprintf("%.3f", float64(m)/1000); string(buf) != want {
+			t.Fatalf("appendMilli(%d) = %q, %%.3f prints %q", m, buf, want)
+		}
+	}
+	if got, pf := string(appendMilli(nil, bound+1)), fmt.Sprintf("%.3f", float64(bound+1)/1000); got == pf {
+		t.Fatalf("appendMilli and %%.3f agree past the documented bound at %d (%q): the doc comment's bound is not tight", bound+1, got)
 	}
 }

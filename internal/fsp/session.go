@@ -55,6 +55,10 @@ type Session struct {
 	// the deterministic flood harness wires logical ticks. Nil (the
 	// default) skips latency measurement entirely.
 	clock func() int64
+
+	// margins is the "margins" verb's payload buffer, reused across
+	// polls.
+	margins []byte
 }
 
 // sessionObs is the session's pre-resolved metric handle set plus the
@@ -424,20 +428,23 @@ func (s *Session) dispatch(cmd string, args []string) (string, error) {
 		// worst-case workload envelope, in per-trial sigmas, in register
 		// address order. One round trip reads the whole server — the
 		// margin sentinel's per-sample poll.
-		var sb strings.Builder
+		b := s.margins[:0]
 		for ci, ch := range s.ctl.m.Chips {
 			for ki, core := range ch.Cores {
 				v, err := s.ctl.Getscom(MakeCoreAddr(ci, ki, regMargin))
 				if err != nil {
 					return "", err
 				}
-				if sb.Len() > 0 {
-					sb.WriteByte(' ')
+				if len(b) > 0 {
+					b = append(b, ' ')
 				}
-				sb.WriteString(fmt.Sprintf("%s=%.3f", core.Profile.Label, float64(int64(v))/1000))
+				b = append(b, core.Profile.Label...)
+				b = append(b, '=')
+				b = appendMilli(b, int64(v))
 			}
 		}
-		return sb.String(), nil
+		s.margins = b
+		return string(b), nil
 
 	case "chip":
 		if len(args) != 1 {
@@ -493,6 +500,26 @@ func (s *Session) dispatch(cmd string, args []string) (string, error) {
 	default:
 		return "", fmt.Errorf("unknown command %q", cmd)
 	}
+}
+
+// appendMilli appends a milli-unit register value m as a decimal with
+// exactly three fraction digits. The bytes equal fmt's "%.3f" of
+// float64(m)/1000 for |m| ≤ 1000·2^43 (about 8.8e15): up to that bound
+// the double nearest m/1000 lies within half an ulp, under 0.0005, of
+// m's exact decimal, so "%.3f" rounds back to it. Past it the two can
+// differ; margin registers stay many orders of magnitude below it.
+func appendMilli(b []byte, m int64) []byte {
+	q, r := m/1000, m%1000
+	if r < 0 {
+		r = -r
+	}
+	// Go's division truncates toward zero, so q drops the sign of
+	// m in (-1000, 0).
+	if m < 0 && q == 0 {
+		b = append(b, '-')
+	}
+	b = strconv.AppendInt(b, q, 10)
+	return append(b, '.', byte('0'+r/100), byte('0'+r/10%10), byte('0'+r%10))
 }
 
 func parseAddr(s string) (Addr, error) {

@@ -160,13 +160,17 @@ type coreDrift struct {
 	activeYears float64
 }
 
+// nbtiTime is the NBTI time factor t^0.16 at powered age tYears. It is
+// the same for every core, so an epoch computes it once.
+func nbtiTime(tYears float64) float64 { return math.Pow(tYears, 0.16) }
+
 // ageFrac returns the core's fractional true-path slowdown at powered
-// age tYears with the accumulated activity.
-func (d *coreDrift) ageFrac(tYears float64) float64 {
+// age tYears with the accumulated activity; nbtiT is nbtiTime(tYears).
+func (d *coreDrift) ageFrac(tYears, nbtiT float64) float64 {
 	if tYears <= 0 {
 		return 0
 	}
-	return d.nbti*math.Pow(tYears, 0.16) + d.hci*math.Sqrt(d.activeYears)
+	return d.nbti*nbtiT + d.hci*math.Sqrt(d.activeYears)
 }
 
 // excursion is one seeded ambient event.
@@ -187,8 +191,10 @@ type excursion struct {
 type Overlay struct {
 	p Params
 	m *chip.Machine
-	// base is the pristine deep copy every aged value derives from.
-	base *silicon.ServerProfile
+	// live are the machine's core profiles and pristine a deep copy of
+	// them taken at construction, every aged value's source; both in
+	// AllCores order.
+	live, pristine []*silicon.CoreProfile
 	// baseLoadline/baseAmbient snapshot the chip-level electricals.
 	baseLoadline []float64
 	cores        []coreDrift
@@ -204,12 +210,14 @@ type Overlay struct {
 // function of (machine profile, params, seed).
 func NewOverlay(m *chip.Machine, p Params, horizonYears float64, src *rng.Source) *Overlay {
 	p = p.withDefaults()
-	o := &Overlay{p: p, m: m, base: m.Profile().Clone()}
+	o := &Overlay{p: p, m: m, pristine: m.Profile().Clone().AllCores()}
 
 	coreSrc := src.Split("cores")
 	cores := m.AllCores()
 	o.cores = make([]coreDrift, len(cores))
+	o.live = make([]*silicon.CoreProfile, len(cores))
 	for i, core := range cores {
+		o.live[i] = core.Profile
 		cs := coreSrc.SplitIndex("core", i)
 		d := coreDrift{
 			nbti:  cs.TruncNorm(p.NBTIMean, p.NBTISigma, p.NBTIMean/3, p.NBTIMean*2),
@@ -268,7 +276,8 @@ func (o *Overlay) CoreAge(i int) float64 {
 	if i < 0 || i >= len(o.cores) {
 		return 0
 	}
-	return o.cores[i].ageFrac(o.lastHours / HoursPerYear)
+	tY := o.lastHours / HoursPerYear
+	return o.cores[i].ageFrac(tY, nbtiTime(tY))
 }
 
 // Advance moves simulated time forward by dtHours and rewrites the
@@ -280,18 +289,17 @@ func (o *Overlay) Advance(dtHours float64, active []bool) {
 	t := o.lastHours + dtHours
 	o.lastHours = t
 	tY := t / HoursPerYear
+	nbtiT := nbtiTime(tY)
 
-	cores := o.m.AllCores()
-	baseCores := o.base.AllCores()
-	for i := range cores {
+	for i, p := range o.live {
 		d := &o.cores[i]
 		if i < len(active) && active[i] {
 			d.activeYears += dtHours / HoursPerYear
 		}
-		age := d.ageFrac(tY)
+		age := d.ageFrac(tY, nbtiT)
 		cpmAge := d.track * age
 
-		p, bp := cores[i].Profile, baseCores[i]
+		bp := o.pristine[i]
 		// The true paths (and the guard the workloads demand) age at
 		// the full rate...
 		p.PathPs = units.Picosecond(float64(bp.PathPs) * (1 + age))

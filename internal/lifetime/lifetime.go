@@ -20,14 +20,16 @@ import (
 // Options configures a lifetime simulation. The zero value (plus a
 // profile) runs three years at seed 1 with the sentinel on.
 type Options struct {
-	// Years is the simulated horizon. Default 3.
+	// Years is the simulated horizon. Default 3; Run rejects a
+	// negative value.
 	Years int
 	// Seed drives every stochastic element: drift trajectories,
 	// ambient excursions, workload trials, re-tune searches. Default 1.
 	Seed uint64
 	// EpochHours is the simulation step: drift is re-applied, one
 	// trial per active core runs, and the sentinel takes one margin
-	// sample per epoch. Default 6.
+	// sample per epoch. Default 6. Run rejects a negative or
+	// non-finite value and one longer than the horizon.
 	EpochHours float64
 	// SentinelOff disables the margin sentinel: the machine keeps its
 	// day-one fine-tuned configuration for the whole horizon. This is
@@ -80,6 +82,22 @@ func (o Options) withDefaults() Options {
 	o.Sentinel.Obs = o.Obs
 	o.Sentinel.Trace = o.Trace
 	return o
+}
+
+// validate rejects a horizon the simulation cannot step through: a
+// negative Years, an EpochHours that is not positive and finite, or a
+// horizon shorter than one epoch. It checks the options after
+// withDefaults.
+func (o Options) validate() error {
+	switch {
+	case o.Years < 0:
+		return fmt.Errorf("lifetime: negative horizon of %d year(s)", o.Years)
+	case !(o.EpochHours > 0) || math.IsInf(o.EpochHours, 1):
+		return fmt.Errorf("lifetime: epoch length %v h is not positive and finite", o.EpochHours)
+	case float64(o.Years)*HoursPerYear < o.EpochHours:
+		return fmt.Errorf("lifetime: %d-year horizon is shorter than one %v h epoch", o.Years, o.EpochHours)
+	}
+	return nil
 }
 
 // EventKind tags a timeline entry.
@@ -236,6 +254,9 @@ func (a *actuator) Quarantine(core, reason string) error {
 // (profile, Options) — same inputs, byte-identical outcome.
 func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	aged := profile.Clone()
 	m, err := chip.New(aged, chip.Options{})
 	if err != nil {
@@ -387,7 +408,7 @@ func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 			}
 			w := workMix[i%len(workMix)]
 			cores[i].SetWorkload(w)
-			tr, err := m.RunTrialRetry(label, w, trialSrc.SplitIndex("trial", e*len(cores)+i), o.TrialRetries)
+			tr, err := m.RunCoreTrialRetry(cores[i], w, trialSrc.SplitIndex("trial", e*len(cores)+i), o.TrialRetries)
 			if err != nil {
 				if errors.Is(err, chip.ErrTransient) {
 					continue

@@ -221,3 +221,31 @@ func TestOverlayRefreshesAgedProfiles(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsBadHorizons: a horizon Run cannot step through is an
+// error before any work runs, not a verdict over zero or negative
+// epochs. A horizon of exactly one epoch still runs.
+func TestRunRejectsBadHorizons(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    Options
+	}{
+		{"negative years", Options{Years: -1}},
+		{"negative epoch", Options{EpochHours: -6}},
+		{"NaN epoch", Options{EpochHours: math.NaN()}},
+		{"infinite epoch", Options{EpochHours: math.Inf(1)}},
+		{"negative infinite epoch", Options{EpochHours: math.Inf(-1)}},
+		{"epoch longer than the horizon", Options{Years: 1, EpochHours: HoursPerYear + 1}},
+	} {
+		if res, err := Run(silicon.Reference(), tc.o); err == nil {
+			t.Errorf("%s: Run returned %s over %d epoch(s), want an error", tc.name, res.Verdict(), res.Epochs)
+		}
+	}
+	res, err := Run(silicon.Reference(), Options{Years: 1, EpochHours: HoursPerYear})
+	if err != nil {
+		t.Fatalf("one-epoch horizon: %v", err)
+	}
+	if res.Epochs != 1 {
+		t.Fatalf("one-epoch horizon ran %d epochs", res.Epochs)
+	}
+}

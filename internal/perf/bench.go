@@ -7,11 +7,11 @@ import (
 )
 
 // Stage is one benchmarkable unit: a hotpath kernel, an end-to-end
-// tuning stage, a fleet campaign, or a datacenter hot path. Iteration
-// counts are fixed per stage — never time-calibrated — so the
-// canonical stage rows of the emitted artifact are pure functions of
-// the code and the plan, and two runs on different machines differ
-// only in the timing section.
+// tuning stage, a fleet campaign, a datacenter hot path, or a lifetime
+// epoch's cost. Iteration counts are fixed per stage — never
+// time-calibrated — so the canonical stage rows of the emitted
+// artifact are pure functions of the code and the plan, and two runs
+// on different machines differ only in the timing section.
 type Stage struct {
 	// Name keys the stage in artifacts and baselines (snake_case).
 	Name string

@@ -27,7 +27,7 @@ var (
 )
 
 // StageGroups are the selectable -set values, in run order.
-var StageGroups = []string{"kernel", "e2e", "fleet", "dc"}
+var StageGroups = []string{"kernel", "e2e", "fleet", "dc", "lifetime"}
 
 // Stages builds the benchmark plan. quick selects the CI-sized
 // iteration counts; the stage set itself is identical, so quick and
@@ -47,7 +47,10 @@ func Stages(quick bool, groups ...string) ([]Stage, error) {
 		}
 		want[g] = true
 	}
-	all := append(append(append(kernelStages(quick), e2eStages(quick)...), fleetStages(quick)...), dcStages(quick)...)
+	var all []Stage
+	for _, stages := range [][]Stage{kernelStages(quick), e2eStages(quick), fleetStages(quick), dcStages(quick), lifetimeStages(quick)} {
+		all = append(all, stages...)
+	}
 	if len(want) == 0 {
 		return all, nil
 	}

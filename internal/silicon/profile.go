@@ -222,22 +222,37 @@ func normalizeAppScore(score float64) float64 {
 	return s
 }
 
-// limitForGuard returns the largest reduction r whose guard still meets
-// the required guard req with the calibration headroom factor applied —
-// i.e. the deterministic configuration limit for that requirement.
+// limitForGuard returns the deterministic configuration limit for the
+// required guard req: the reduction just below the smallest one whose
+// guard falls short of req with the calibration headroom factor
+// applied, PresetTaps when none does, and 0 when reduction 0 already
+// falls short.
+//
+// Reduction r's guard uses tap PresetTaps−r, so the smallest short
+// reduction is the last short tap. One forward pass over the taps
+// finds it, summing StepPs in the order InsertedDelayPs does, so every
+// guard it compares is bit-identical to GuardPs(r). It does not assume
+// the guard grows with the tap index, and it is O(taps).
 func (c *CoreProfile) limitForGuard(req units.Picosecond) int {
 	// The 1e-9 slack keeps limitForGuard an exact inverse of
 	// requiredGuardForLimit in the presence of float rounding.
 	need := float64(req)*(1+limitHeadroomSigmas*c.SigmaFrac) - 1e-9
-	lim := 0
-	for r := 0; r <= c.PresetTaps; r++ {
-		if float64(c.mustGuard(r)) >= need {
-			lim = r
-		} else {
-			break
+	theta := c.params.ThetaPs()
+	var inserted units.Picosecond
+	lastShort := -1
+	for t := 0; t <= c.PresetTaps; t++ {
+		if t > 0 {
+			inserted += c.StepPs[t]
+		}
+		// Negated >=: a NaN guard counts as short.
+		if !(float64(c.SynthPs+inserted+theta) >= need) {
+			lastShort = t
 		}
 	}
-	return lim
+	if lastShort < 0 {
+		return c.PresetTaps
+	}
+	return max(c.PresetTaps-lastShort-1, 0)
 }
 
 // requiredGuardForLimit inverts limitForGuard: the nominal required
