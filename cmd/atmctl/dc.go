@@ -50,9 +50,7 @@ func cmdDC(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-
-	reg, tr := attach(nil)
-	res, err := atm.RunDatacenter(atm.DCOptions{
+	opts := atm.DCOptions{
 		Racks:           *racks,
 		ChassisPerRack:  *chassis,
 		ChipsPerChassis: *chipsPer,
@@ -72,9 +70,13 @@ func cmdDC(args []string) error {
 		OpsFaultSeed:    *opsSeed,
 		CacheDir:        *cacheDir,
 		Resume:          *resume,
-		Obs:             reg,
-		Trace:           tr,
-	})
+	}
+	if err := opts.Validate(); err != nil {
+		return badFlag(fs, "%v", err)
+	}
+
+	opts.Obs, opts.Trace = attach(nil)
+	res, err := atm.RunDatacenter(opts)
 	if err != nil {
 		return err
 	}

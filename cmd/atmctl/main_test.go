@@ -39,6 +39,13 @@ func TestRunExitCodes(t *testing.T) {
 		{"lifetime no servers", []string{"lifetime", "-n", "0"}, 2},
 		{"dc ok", []string{"dc", "-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8"}, 0},
 		{"dc bad flag", []string{"dc", "-no-such-flag"}, 2},
+		{"dc negative tenants", []string{"dc", "-tenants", "-5"}, 2},
+		{"dc negative racks", []string{"dc", "-racks", "-2"}, 2},
+		{"dc negative ticks", []string{"dc", "-ticks", "-5"}, 2},
+		{"dc negative rollback", []string{"dc", "-rollback", "-1"}, 2},
+		{"dc negative rack cap", []string{"dc", "-rack-cap", "-10"}, 2},
+		{"dc nan chip cap", []string{"dc", "-chip-cap", "nan"}, 2},
+		{"dc infinite chassis cap", []string{"dc", "-chassis-cap", "+Inf"}, 2},
 		{"dc quarantined chips are partial", []string{"dc",
 			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
 			"-fault-profile", "test-floor,broken=8", "-fault-seed", "5"}, 3},

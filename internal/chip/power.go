@@ -64,14 +64,26 @@ func (pm PowerModel) Validate() error {
 func (pm PowerModel) CorePower(w workload.Profile, f units.MHz, v units.Volt,
 	tp thermal.Params, t units.Celsius, gated bool) units.Watt {
 	vr := float64(v) / float64(pm.VRefForCdyn)
+	return pm.corePowerAt(w.CdynRel, f, vr, pm.coreLeak(tp, t, vr), gated)
+}
+
+// coreLeak returns one ungated core's leakage at voltage ratio vr and
+// junction temperature t.
+func (pm PowerModel) coreLeak(tp thermal.Params, t units.Celsius, vr float64) float64 {
 	// Sub-threshold leakage falls steeply with supply (DIBL); a cubic
 	// dependence is the usual compact-model linearization at this
 	// operating range.
-	leak := float64(pm.CoreLeakW) * tp.LeakageScale(t) * vr * vr * vr
+	return float64(pm.CoreLeakW) * tp.LeakageScale(t) * vr * vr * vr
+}
+
+// corePowerAt returns the power of one core with relative dynamic
+// capacitance cdyn at frequency f, given its chip's voltage ratio vr
+// and ungated core leakage leak.
+func (pm PowerModel) corePowerAt(cdyn float64, f units.MHz, vr, leak float64, gated bool) units.Watt {
 	if gated {
 		return units.Watt(leak * pm.GatedLeakFrac)
 	}
-	dyn := w.CdynRel * float64(pm.CdynMaxWPerGHz) * vr * vr * f.GHz()
+	dyn := cdyn * float64(pm.CdynMaxWPerGHz) * vr * vr * f.GHz()
 	return units.Watt(leak + dyn)
 }
 

@@ -72,7 +72,7 @@ const (
 // leakage (temperature). The loop is a contraction at sane operating
 // points and converges in a handful of iterations.
 func (m *Machine) Solve() (State, error) {
-	var st State
+	st := State{Chips: make([]ChipState, 0, len(m.Chips))}
 	for _, c := range m.Chips {
 		cs, err := m.solveChip(c)
 		if err != nil {
@@ -83,27 +83,61 @@ func (m *Machine) Solve() (State, error) {
 	return st, nil
 }
 
+// coreScratch is one core's slot in solveChip: its settle guard, a
+// loop invariant, and its latest frequency and power.
+type coreScratch struct {
+	guard units.Picosecond
+	freq  units.MHz
+	power units.Watt
+}
+
 // solveChip runs the fixed point for one chip.
 func (m *Machine) solveChip(c *Chip) (ChipState, error) {
 	p := m.profile.Params()
 	v := p.VRef
 	t := c.Thermal.SteadyTemp(60)
 
-	var (
-		freqs  = make([]units.MHz, len(c.Cores))
-		powers = make([]units.Watt, len(c.Cores))
-		total  units.Watt
-	)
+	// An ATM core's settle guard depends on its CPM configuration, not
+	// on V or T, so it is read once.
+	cores := make([]coreScratch, len(c.Cores))
+	for i, core := range c.Cores {
+		if core.gated {
+			continue
+		}
+		switch core.mode {
+		case ModeStatic:
+		case ModeATM:
+			cores[i].guard = core.Monitor.SettleGuardPs()
+		default:
+			return ChipState{}, fmt.Errorf("chip: core %s in unknown mode %v", core.Profile.Label, core.mode)
+		}
+	}
+	var total units.Watt
 	for iter := 0; iter < solveMaxIter; iter++ {
+		// Every core on the chip shares the supply and the junction
+		// temperature, so it shares the ungated leakage too.
+		vr := float64(v) / float64(m.power.VRefForCdyn)
+		leak := m.power.coreLeak(c.Thermal, t, vr)
 		total = m.power.UncoreW
 		for i, core := range c.Cores {
-			f, err := m.coreFreqAt(core, v)
-			if err != nil {
-				return ChipState{}, err
+			cs := &cores[i]
+			switch {
+			case core.gated:
+				cs.freq = 0
+			case core.mode == ModeStatic:
+				// Static margin: the p-state frequency is guaranteed by
+				// the static guardband regardless of load.
+				cs.freq = core.pstate
+			default:
+				// ATM tunes frequency around the p-state: at the
+				// overclocking setup's full voltage the settle point
+				// always sits above it, and under the undervolting
+				// controller it is the quantity the frequency-target
+				// constraint watches.
+				cs.freq = p.SettleFreq(cs.guard, v)
 			}
-			freqs[i] = f
-			powers[i] = m.power.CorePower(core.work, f, v, c.Thermal, t, core.gated)
-			total += powers[i]
+			cs.power = m.power.corePowerAt(core.work.CdynRel, cs.freq, vr, leak, core.gated)
+			total += cs.power
 		}
 		vNew := c.PDN.SteadyVoltage(total)
 		tNew := c.Thermal.SteadyTemp(total)
@@ -124,39 +158,18 @@ func (m *Machine) solveChip(c *Chip) (ChipState, error) {
 		Power:    total,
 		TempC:    t,
 		InBudget: c.Thermal.WithinEnvelope(total),
+		Cores:    make([]CoreState, len(c.Cores)),
 	}
 	for i, core := range c.Cores {
-		cs.Cores = append(cs.Cores, CoreState{
+		cs.Cores[i] = CoreState{
 			Label:     core.Profile.Label,
 			Mode:      core.mode,
 			Reduction: core.Reduction(),
 			Gated:     core.gated,
 			Workload:  core.work.Name,
-			Freq:      freqs[i],
-			Power:     powers[i],
-		})
+			Freq:      cores[i].freq,
+			Power:     cores[i].power,
+		}
 	}
 	return cs, nil
-}
-
-// coreFreqAt returns the core's clock at supply voltage v.
-func (m *Machine) coreFreqAt(core *Core, v units.Volt) (units.MHz, error) {
-	if core.gated {
-		return 0, nil
-	}
-	switch core.mode {
-	case ModeStatic:
-		// Static margin: the p-state frequency is guaranteed by the
-		// static guardband regardless of load.
-		return core.pstate, nil
-	case ModeATM:
-		// ATM tunes frequency around the p-state: at the overclocking
-		// setup's full voltage the settle point always sits above it,
-		// and under the undervolting controller it is the quantity the
-		// frequency-target constraint watches.
-		p := m.profile.Params()
-		return p.SettleFreq(core.Monitor.SettleGuardPs(), v), nil
-	default:
-		return 0, fmt.Errorf("chip: core %s in unknown mode %v", core.Profile.Label, core.mode)
-	}
 }

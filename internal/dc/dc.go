@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/fleet"
 	"repro/internal/guard"
@@ -76,7 +77,8 @@ type Options struct {
 	// chip deaths, FSP link flaps, PDU brownouts and thermal excursions
 	// drawn from labelled splits of OpsFaultSeed (0 = 1), with the
 	// recovery ladder, tenant migration and degraded-mode water-fill
-	// built on top. "none" or "" keeps the exact pre-ops code path.
+	// built on top. "none" or "" is byte-identical to a run without
+	// the ops plane.
 	OpsFaultProfile string
 	OpsFaultSeed    uint64
 	// CacheDir/Resume pass through to the intake fleet (content-
@@ -119,6 +121,26 @@ func (o Options) withDefaults() Options {
 		o.KI = 0.5
 	}
 	return o
+}
+
+// Validate rejects options no campaign can run: a negative topology
+// count, tenant count, horizon or rollback, and a cap that is negative
+// or not finite. Zero still selects each default. Run calls it first.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"racks", float64(o.Racks)}, {"chassis per rack", float64(o.ChassisPerRack)},
+		{"chips per chassis", float64(o.ChipsPerChassis)}, {"tenants", float64(o.Tenants)},
+		{"ticks", float64(o.Ticks)}, {"rollback", float64(o.Rollback)},
+		{"rack cap", o.RackCapW}, {"chassis cap", o.ChassisCapW}, {"chip cap", o.ChipCapW},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("dc: %s %v is not finite and non-negative", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // Topology records the campaign's shape in the result document.
@@ -333,8 +355,12 @@ func Campaign(o Options) *fleet.Campaign {
 
 // Run executes the campaign: sharded intake, then the budget/placement
 // simulation. A failed node quarantines its chip and the run
-// continues; Run errors only on spec or infrastructure failures.
+// continues; Run errors only on invalid options, spec or
+// infrastructure failures.
 func Run(o Options) (*Result, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
 	o = o.withDefaults()
 	// Parse the ops profile up front so a bad spec fails before the
 	// (expensive) intake fleet runs.
@@ -359,12 +385,9 @@ func Run(o Options) (*Result, error) {
 // intakeChips turns the merged fleet results into the scheduler's chip
 // view plus the per-node summaries and retained provision records, in
 // topology order. Failed nodes get a breaker tripped open past the sim
-// horizon. clock, when non-nil, is the ops plane's logical tick clock:
-// live nodes' breakers then run on it with a finite open window of
-// reAdmitTicks, so a runtime quarantine earns a re-admission probe —
-// with no ops plane (clock nil) every breaker keeps the original
-// event-clock options and, since a live node's breaker never trips,
-// the operation sim is bit-identical to the pre-ops plane.
+// horizon. Live nodes' breakers run on clock, the sim's logical tick,
+// with an open window of reAdmitTicks, so a runtime quarantine earns a
+// re-admission probe.
 func intakeChips(o Options, fres *fleet.CampaignResult, clock *int64, reAdmitTicks int64) ([]PlacerChip, []ChipSummary, []*platform.Provision) {
 	chips := make([]PlacerChip, len(fres.Results))
 	sums := make([]ChipSummary, len(fres.Results))
@@ -429,10 +452,10 @@ func intakeChips(o Options, fres *fleet.CampaignResult, clock *int64, reAdmitTic
 					OpenTicks:        1 << 40,
 					Obs:              o.Obs,
 				}
-				if clock != nil && !pc.Quarantined {
-					// Ops mode: runtime quarantines measure their open
-					// window on the sim tick clock and then probe for
-					// re-admission.
+				if !pc.Quarantined {
+					// Runtime quarantines (ops plane only) measure their
+					// open window on the sim tick clock and then probe
+					// for re-admission.
 					opts.OpenTicks = reAdmitTicks
 					opts.Now = func() int64 { return *clock }
 				}

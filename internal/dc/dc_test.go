@@ -2,6 +2,7 @@ package dc
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/obs"
@@ -280,5 +281,38 @@ func TestCampaignShape(t *testing.T) {
 		if j.SiliconSeed == 0 {
 			t.Fatalf("job %d: zero silicon seed", i)
 		}
+	}
+}
+
+// TestRunRejectsBadOptions checks that Run refuses, before any intake,
+// the options no campaign can run: negative counts, horizon and
+// rollback, and negative or non-finite caps.
+func TestRunRejectsBadOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mod  func(*Options)
+	}{
+		{"racks", func(o *Options) { o.Racks = -2 }},
+		{"chassis", func(o *Options) { o.ChassisPerRack = -1 }},
+		{"chips", func(o *Options) { o.ChipsPerChassis = -1 }},
+		{"tenants", func(o *Options) { o.Tenants = -5 }},
+		{"ticks", func(o *Options) { o.Ticks = -5 }},
+		{"rollback", func(o *Options) { o.Rollback = -1 }},
+		{"negative rack cap", func(o *Options) { o.RackCapW = -10 }},
+		{"nan chip cap", func(o *Options) { o.ChipCapW = math.NaN() }},
+		{"infinite chassis cap", func(o *Options) { o.ChassisCapW = math.Inf(1) }},
+		{"negative infinite chip cap", func(o *Options) { o.ChipCapW = math.Inf(-1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := smallOpts()
+			o.Obs = obs.NewRegistry()
+			tc.mod(&o)
+			if res, err := Run(o); err == nil {
+				t.Fatalf("Run accepted %+v: %d tenant(s) placed", o, res.Placement.Placed)
+			}
+			if got, empty := o.Obs.SnapshotJSON(), obs.NewRegistry().SnapshotJSON(); !bytes.Equal(got, empty) {
+				t.Fatalf("Run ran the intake before rejecting the options: %s", got)
+			}
+		})
 	}
 }

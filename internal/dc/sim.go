@@ -84,16 +84,13 @@ func makeTenants(o Options) []*tenant {
 
 // simulate runs the operation phase over the merged intake results and
 // assembles the canonical Result. ops is the parsed operational fault
-// profile; the empty profile selects the exact pre-ops code path, so
-// "-ops-fault-profile none" stays byte-identical to a plain run.
+// profile; the empty profile is byte-identical to a run without the
+// ops plane, so "-ops-fault-profile none" matches a plain run.
 func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.CampaignResult) (*Result, error) {
 	opsOn := !ops.Empty()
-	// With the ops plane active, live-node breakers run on the sim's
-	// logical tick clock so quarantine windows are measured in ticks.
-	var clock *int64
-	if opsOn {
-		clock = new(int64)
-	}
+	// Live-node breakers run on the sim's logical tick clock, so
+	// quarantine windows are measured in ticks.
+	clock := new(int64)
 	chips, sums, provs := intakeChips(o, fres, clock, int64(ops.ReAdmitTicks))
 	rackCap, chassisCap, chipCap := autoCaps(o, chips)
 
@@ -185,6 +182,8 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 	}
 
 	for tick := 0; tick < o.Ticks; tick++ {
+		*clock = int64(tick)
+
 		// Completions: un-throttled tenants burn one tick of work.
 		live := running[:0]
 		for _, t := range running {
@@ -208,7 +207,6 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 		// tick. Evacuated tenants leave running by their cleared
 		// placement and are already back in the queue.
 		if opsP != nil {
-			*clock = int64(tick)
 			opsP.beginTick(tick)
 			live := running[:0]
 			for _, t := range running {

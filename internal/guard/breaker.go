@@ -2,6 +2,7 @@ package guard
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -49,9 +50,11 @@ type BreakerOptions struct {
 	// close the breaker again. Default 1.
 	HalfOpenProbes int
 	// Now supplies the logical clock. Nil selects the breaker's own
-	// event clock: one tick per Allow call, so "time" is admission
-	// pressure and the schedule is deterministic with no external
-	// clock at all.
+	// event clock: one tick per Allow call on an open breaker, so the
+	// open window is measured in admission attempts and the schedule
+	// is deterministic with no external clock at all. Now must be a
+	// pure read with no side effects: a breaker that is not open
+	// answers Allow without calling it.
 	Now func() int64
 	// Obs, when non-nil, exports guard_breaker_state (0 closed, 1
 	// open, 2 half-open), guard_breaker_rejected_total and
@@ -84,6 +87,15 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 type Breaker struct {
 	opt BreakerOptions
 
+	// admitAll is true while the breaker is not open. Allow then has
+	// nothing to decide and answers true without the lock. The clock
+	// only times the open window, so it need not advance meanwhile.
+	// What this saves is an uncontended lock, a defer and a clock read
+	// per call, which a CPU profile of the dc placement scan put at
+	// 23 ns, 8 times per attempt; it is not there for lock contention.
+	// Written by NewBreaker and, under mu, by setState.
+	admitAll atomic.Bool
+
 	mu       sync.Mutex
 	state    State
 	fails    int   // consecutive failures while closed
@@ -111,6 +123,7 @@ func NewBreaker(o BreakerOptions) *Breaker {
 		b.toClosedC = o.Obs.Counter("guard_breaker_transitions_total", "name", o.Name, "to", "closed")
 		b.stateG.Set(float64(StateClosed))
 	}
+	b.admitAll.Store(true)
 	return b
 }
 
@@ -131,6 +144,7 @@ func (b *Breaker) setState(s State) {
 		return
 	}
 	b.state = s
+	b.admitAll.Store(s != StateOpen)
 	b.stateG.Set(float64(s))
 	switch s {
 	case StateOpen:
@@ -142,9 +156,10 @@ func (b *Breaker) setState(s State) {
 	}
 }
 
-// Allow reports whether a request may proceed, advancing the logical
-// clock one tick (on the internal event clock) and performing the
-// open → half-open transition when the open window has elapsed. A shed
+// Allow reports whether a request may proceed. A breaker that is not
+// open admits without locking. An open one advances the logical clock
+// one tick (on the internal event clock) and performs the open →
+// half-open transition when the open window has elapsed. A shed
 // request must not reach the protected resource; the caller answers
 // its protocol's busy line in-band instead.
 //
@@ -153,6 +168,17 @@ func (b *Breaker) Allow() bool {
 	if b == nil {
 		return true
 	}
+	if b.admitAll.Load() {
+		return true
+	}
+	return b.allowLocked()
+}
+
+// allowLocked is Allow's decision under the lock, taken when the flag
+// says the breaker is open.
+//
+//atm:hotpath
+func (b *Breaker) allowLocked() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	now := b.now()

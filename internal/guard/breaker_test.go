@@ -2,6 +2,9 @@ package guard
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -156,29 +159,46 @@ func TestBreakerHalfOpenSuccessThenFailure(t *testing.T) {
 	}
 }
 
+// TestBreakerExternalClock drives the open window on an external clock
+// and pins the contract on BreakerOptions.Now: Allow reads the clock
+// only on an open breaker, and a trip reads it once to stamp the window.
 func TestBreakerExternalClock(t *testing.T) {
-	var clock int64
+	var clock, reads int64
 	b := NewBreaker(BreakerOptions{
 		FailureThreshold: 1,
 		OpenTicks:        10,
-		Now:              func() int64 { return clock },
+		Now:              func() int64 { reads++; return clock },
 	})
+	allow := func(when string, want bool, wantReads int64) {
+		t.Helper()
+		reads = 0
+		if got := b.Allow(); got != want {
+			t.Fatalf("%s: Allow = %v, want %v", when, got, want)
+		}
+		if reads != wantReads {
+			t.Fatalf("%s: Allow read the clock %d times, want %d", when, reads, wantReads)
+		}
+	}
+	allow("closed", true, 0)
 	clock = 100
+	reads = 0
 	b.Failure()
 	if got := b.State(); got != StateOpen {
 		t.Fatalf("state = %v, want open", got)
 	}
+	if reads != 1 {
+		t.Fatalf("trip read the clock %d times, want 1", reads)
+	}
 	clock = 105
-	if b.Allow() {
-		t.Fatal("Allow admitted inside the open window")
-	}
+	allow("inside the open window", false, 1)
 	clock = 110
-	if !b.Allow() {
-		t.Fatal("Allow shed after the open window elapsed")
-	}
+	allow("after the open window", true, 1)
 	if got := b.State(); got != StateHalfOpen {
 		t.Fatalf("state = %v, want half-open", got)
 	}
+	allow("half-open", true, 0)
+	b.Success()
+	allow("closed again", true, 0)
 }
 
 // TestBreakerHalfOpenRefailRestartsWindow drives the dc re-admission
@@ -258,20 +278,39 @@ func TestStateString(t *testing.T) {
 	}
 }
 
+// breakerOps is what the op-sequence replays drive: Breaker, or the
+// lockedBreaker reference.
+type breakerOps interface {
+	Allow() bool
+	Success()
+	Failure()
+	State() State
+	Rejected() int64
+}
+
 // breakerTrace replays a byte-encoded op sequence against a fresh
-// breaker and returns a deterministic trace of every observable.
-func breakerTrace(ops []byte) string {
+// breaker from mk and returns a deterministic trace of every
+// observable: each Allow answer, the state and rejection count after
+// every op, and the final obs snapshot. op%4 selects Allow, Success,
+// Failure or a clock step of op>>5 ticks; with external unset the
+// breaker runs on its own event clock and never reads the stepped one.
+func breakerTrace(ops []byte, external bool, mk func(BreakerOptions) breakerOps) string {
 	reg := obs.NewRegistry()
-	b := NewBreaker(BreakerOptions{
+	var clock int64
+	o := BreakerOptions{
 		Name:             "fuzz",
 		FailureThreshold: 3,
 		OpenTicks:        5,
 		HalfOpenProbes:   2,
 		Obs:              reg,
-	})
+	}
+	if external {
+		o.Now = func() int64 { return clock }
+	}
+	b := mk(o)
 	out := ""
 	for _, op := range ops {
-		switch op % 3 {
+		switch op % 4 {
 		case 0:
 			out += fmt.Sprintf("a%v", b.Allow())
 		case 1:
@@ -280,28 +319,43 @@ func breakerTrace(ops []byte) string {
 		case 2:
 			b.Failure()
 			out += "f"
+		case 3:
+			clock += int64(op >> 5)
+			out += "t"
 		}
-		out += b.State().String()[:1]
+		out += b.State().String()[:1] + fmt.Sprint(b.Rejected())
 	}
 	return out + "|" + string(reg.SnapshotJSON())
 }
 
-// FuzzGuardBreaker checks that any op sequence (a) replays to a
-// byte-identical trace — the breaker is a pure function of its input
-// history — and (b) never violates the state invariants.
+func newBreakerOps(o BreakerOptions) breakerOps { return NewBreaker(o) }
+
+func newLockedBreakerOps(o BreakerOptions) breakerOps { return newLockedBreaker(o) }
+
+// FuzzGuardBreaker checks that any op sequence, on the event clock and
+// on an external clock, (a) replays to a byte-identical trace — the
+// breaker is a pure function of its input history — (b) matches the
+// lockedBreaker reference observable for observable, and (c) never
+// violates the state invariants.
 func FuzzGuardBreaker(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 2, 2, 0, 0, 0, 0, 0, 1, 1})
 	f.Add([]byte{0, 1, 2, 0, 1, 2, 0, 1, 2})
 	f.Add([]byte{2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0, 1, 2, 0})
+	f.Add([]byte{2, 2, 2, 0, 35, 0, 99, 0, 1, 0, 1, 2, 0, 163, 0, 2, 227, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1024 {
 			ops = ops[:1024]
 		}
-		t1 := breakerTrace(ops)
-		t2 := breakerTrace(ops)
-		if t1 != t2 {
-			t.Fatalf("breaker trace not deterministic:\n%s\n%s", t1, t2)
+		for _, external := range []bool{false, true} {
+			t1 := breakerTrace(ops, external, newBreakerOps)
+			t2 := breakerTrace(ops, external, newBreakerOps)
+			if t1 != t2 {
+				t.Fatalf("external=%v: breaker trace not deterministic:\n%s\n%s", external, t1, t2)
+			}
+			if ref := breakerTrace(ops, external, newLockedBreakerOps); t1 != ref {
+				t.Fatalf("external=%v: breaker diverged from the locked reference:\n%s\n%s", external, t1, ref)
+			}
 		}
 
 		// Invariants over a single replay.
@@ -309,7 +363,7 @@ func FuzzGuardBreaker(f *testing.F) {
 		rejectedWhileNotOpen := false
 		for _, op := range ops {
 			before := b.State()
-			switch op % 3 {
+			switch op % 4 {
 			case 0:
 				if !b.Allow() && before != StateOpen {
 					rejectedWhileNotOpen = true
@@ -327,4 +381,185 @@ func FuzzGuardBreaker(f *testing.F) {
 			t.Fatal("breaker shed a request while not open")
 		}
 	})
+}
+
+// lockedBreaker is the breaker's logic without the admit-all fast
+// path: every Allow takes the lock and reads the clock.
+// FuzzGuardBreaker checks Breaker against it.
+type lockedBreaker struct {
+	opt BreakerOptions
+
+	mu       sync.Mutex
+	state    State
+	fails    int
+	probes   int
+	openedAt int64
+	events   int64
+	rejected int64
+
+	rejectedC *obs.Counter
+	stateG    *obs.Gauge
+	toOpenC   *obs.Counter
+	toHalfC   *obs.Counter
+	toClosedC *obs.Counter
+}
+
+func newLockedBreaker(o BreakerOptions) *lockedBreaker {
+	o = o.withDefaults()
+	b := &lockedBreaker{opt: o}
+	if o.Obs != nil {
+		b.rejectedC = o.Obs.Counter("guard_breaker_rejected_total", "name", o.Name)
+		b.stateG = o.Obs.Gauge("guard_breaker_state", "name", o.Name)
+		b.toOpenC = o.Obs.Counter("guard_breaker_transitions_total", "name", o.Name, "to", "open")
+		b.toHalfC = o.Obs.Counter("guard_breaker_transitions_total", "name", o.Name, "to", "half-open")
+		b.toClosedC = o.Obs.Counter("guard_breaker_transitions_total", "name", o.Name, "to", "closed")
+		b.stateG.Set(float64(StateClosed))
+	}
+	return b
+}
+
+func (b *lockedBreaker) now() int64 {
+	if b.opt.Now != nil {
+		return b.opt.Now()
+	}
+	b.events++
+	return b.events
+}
+
+func (b *lockedBreaker) setState(s State) {
+	if b.state == s {
+		return
+	}
+	b.state = s
+	b.stateG.Set(float64(s))
+	switch s {
+	case StateOpen:
+		b.toOpenC.Inc()
+	case StateHalfOpen:
+		b.toHalfC.Inc()
+	case StateClosed:
+		b.toClosedC.Inc()
+	}
+}
+
+func (b *lockedBreaker) Allow() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	now := b.now()
+	switch b.state {
+	case StateOpen:
+		if now-b.openedAt >= b.opt.OpenTicks {
+			b.probes = 0
+			b.setState(StateHalfOpen)
+			return true
+		}
+		b.rejected++
+		b.rejectedC.Inc()
+		return false
+	default:
+		return true
+	}
+}
+
+func (b *lockedBreaker) Success() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch b.state {
+	case StateClosed:
+		b.fails = 0
+	case StateHalfOpen:
+		b.probes++
+		if b.probes >= b.opt.HalfOpenProbes {
+			b.fails = 0
+			b.setState(StateClosed)
+		}
+	}
+}
+
+func (b *lockedBreaker) Failure() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch b.state {
+	case StateClosed:
+		b.fails++
+		if b.fails >= b.opt.FailureThreshold {
+			b.trip()
+		}
+	case StateHalfOpen:
+		b.trip()
+	}
+}
+
+func (b *lockedBreaker) trip() {
+	b.fails = 0
+	b.probes = 0
+	if b.opt.Now != nil {
+		b.openedAt = b.opt.Now()
+	} else {
+		b.openedAt = b.events
+	}
+	b.setState(StateOpen)
+}
+
+func (b *lockedBreaker) State() State {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}
+
+func (b *lockedBreaker) Rejected() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.rejected
+}
+
+// TestBreakerConcurrentAllow races Allow callers against one goroutine
+// that trips the breaker, ages it past its open window and closes it
+// again, round after round. Every shed answer must be counted: the
+// callers' false returns equal Rejected(). Each round waits until a
+// caller has been shed and until a caller's Allow has half-opened the
+// breaker, so every round crosses the locked path and the fast path.
+func TestBreakerConcurrentAllow(t *testing.T) {
+	var clock atomic.Int64
+	b := NewBreaker(BreakerOptions{FailureThreshold: 1, OpenTicks: 4, Now: clock.Load})
+	var (
+		stop atomic.Bool
+		shed atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var n int64
+			for !stop.Load() {
+				if !b.Allow() {
+					n++
+				}
+			}
+			shed.Add(n)
+		}()
+	}
+	for round := 0; round < 50; round++ {
+		before := b.Rejected()
+		b.Failure()
+		for b.Rejected() == before {
+			runtime.Gosched()
+		}
+		clock.Add(4)
+		for b.State() == StateOpen {
+			runtime.Gosched()
+		}
+		b.Success()
+		if got := b.State(); got != StateClosed {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("round %d: state after a half-open success = %v, want closed", round, got)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if got, want := shed.Load(), b.Rejected(); got != want {
+		t.Fatalf("callers saw %d shed answers, Rejected() = %d", got, want)
+	}
 }

@@ -123,6 +123,29 @@ func BenchmarkEnabledBreakerAllow(b *testing.B) {
 	}
 }
 
+// BenchmarkClosedBreakerAllow times Allow alone on a closed breaker,
+// which takes the lock-free path on either clock.
+func BenchmarkClosedBreakerAllow(b *testing.B) {
+	var clock int64
+	for _, tc := range []struct {
+		name string
+		now  func() int64
+	}{
+		{"external", func() int64 { return clock }},
+		{"event", nil},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			br := NewBreaker(BreakerOptions{Now: tc.now})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !br.Allow() {
+					b.Fatal("closed breaker shed")
+				}
+			}
+		})
+	}
+}
+
 func ExamplePanicError() {
 	err := SafeRun(func() error { panic(42) })
 	fmt.Println(err)

@@ -2,15 +2,18 @@ package perf
 
 import (
 	"repro/internal/dc"
+	"repro/internal/guard"
 )
 
 // dcStages benches the datacenter plane's //atm:hotpath kernels: one
 // hierarchical budget step (water-fill apportionment plus the Chen
 // integral update) over the acceptance topology, and one scheduler
-// placement round over a 64-chip rack. Both are single-goroutine and
-// alloc-stable — the budget loop and placement scan run every sim
-// tick, so their allocs/op must stay at zero. Fixtures are built
-// outside Run so the setup cost never leaks into the per-op counts.
+// placement round over a 64-chip rack whose closed breakers run on a
+// sim tick clock, as a live node's do in dc.Run. Both are
+// single-goroutine and alloc-stable — the budget loop and placement
+// scan run every sim tick, so their allocs/op must stay at zero.
+// Fixtures are built outside Run so the setup cost never leaks into
+// the per-op counts.
 func dcStages(quick bool) []Stage {
 	const chips = 2 * 4 * 8
 	idle := make([]float64, chips)
@@ -23,9 +26,13 @@ func dcStages(quick bool) []Stage {
 	}
 	tree := dc.NewBudgetTree(2, 4, 8, 2000, 600, 150, 0.5, idle)
 
+	var clock int64 // the sim tick; placement rounds do not advance it
 	nodes := make([]dc.PlacerChip, 64)
 	for i := range nodes {
-		nodes[i] = dc.PlacerChip{ID: dc.NodeID(0, 0, i), IdleW: 50, SpanW: 12}
+		id := dc.NodeID(0, 0, i)
+		nodes[i] = dc.PlacerChip{ID: id, IdleW: 50, SpanW: 12, Breaker: guard.NewBreaker(guard.BreakerOptions{
+			Name: "dc/" + id, FailureThreshold: 1, Now: func() int64 { return clock },
+		})}
 		nodes[i].Cores = make([]dc.PlacerCore, 8)
 		for j := range nodes[i].Cores {
 			nodes[i].Cores[j] = dc.PlacerCore{
@@ -73,7 +80,7 @@ func dcStages(quick bool) []Stage {
 		},
 		{
 			Name: "dc_place", Group: "dc", AllocStable: true,
-			Note:  "Eq. 1 placement scan + release over 64 chips × 8 cores (dc.Placer)",
+			Note:  "Eq. 1 placement scan + release over 64 chips × 8 cores behind closed breakers (dc.Placer)",
 			Iters: pick(quick, 10_000, 200_000),
 			Run: func(iters int) (int64, error) {
 				for i := 0; i < iters; i++ {

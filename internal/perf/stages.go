@@ -24,6 +24,7 @@ var (
 	sinkF     float64
 	sinkRead  cpm.Reading
 	sinkTrial chip.TrialResult
+	sinkState chip.State
 )
 
 // StageGroups are the selectable -set values, in run order.
@@ -72,7 +73,8 @@ func pick(quick bool, quickN, fullN int) int {
 }
 
 // kernelStages benches every //atm:hotpath kernel the control loop is
-// built from. All are single-goroutine and alloc-stable: their
+// built from, and the steady-state solve the dc intake calibrates its
+// predictors with. All are single-goroutine and alloc-stable: their
 // allocs/op rows gate in CI, and the hot ones must stay at zero.
 func kernelStages(quick bool) []Stage {
 	m := chip.NewReference()
@@ -202,6 +204,21 @@ func kernelStages(quick bool) []Stage {
 		trialStage("chip_run_trial_app",
 			"one seeded trial of the most stressful app on a vulnerable core, rollback branch (chip.RunTrial)",
 			appCore.Profile.Label, app),
+		{
+			Name: "chip_solve", Group: "kernel", AllocStable: true,
+			Note:  "steady-state fixed point of the idle reference server (chip.Machine.Solve)",
+			Iters: pick(quick, 2_000, 20_000),
+			Run: func(iters int) (int64, error) {
+				for i := 0; i < iters; i++ {
+					st, err := m.Solve()
+					if err != nil {
+						return 0, err
+					}
+					sinkState = st
+				}
+				return int64(iters), nil
+			},
+		},
 	}
 }
 
