@@ -67,17 +67,44 @@ func TestBenchBaselineGate(t *testing.T) {
 		t.Fatalf("baseline run exit = %d, want 0", got)
 	}
 
-	// A fresh run against its own baseline passes the gate.
-	if got := run([]string{"bench", "-set", "kernel", "-quick", "-baseline", out}); got != 0 {
-		t.Fatalf("self-comparison exit = %d, want 0", got)
-	}
-
-	// Poison the baseline: impossible allocs and a vanished stage must
-	// both surface as exit 3 (partial), not a hard failure.
 	doc, err := perf.ReadDoc(out)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// writeScaled writes the baseline with every stage's ns/op times f.
+	writeScaled := func(f float64) {
+		t.Helper()
+		scaled := *doc
+		scaled.Timing.Stages = make(map[string]perf.StageTiming, len(doc.Timing.Stages))
+		for name, st := range doc.Timing.Stages {
+			st.NSPerOp = int64(float64(st.NSPerOp) * f)
+			scaled.Timing.Stages[name] = st
+		}
+		raw, err := scaled.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(out, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A fresh run against its own baseline passes the gate. Host speed
+	// moves ns/op past 2× between two runs on a shared host, so the
+	// baseline's timings get 100× slack: only the stage set and
+	// allocs/op gate this step. TestCompareGates pins the ns/op rule.
+	writeScaled(100)
+	if got := run([]string{"bench", "-set", "kernel", "-quick", "-baseline", out}); got != 0 {
+		t.Fatalf("self-comparison exit = %d, want 0", got)
+	}
+	// A baseline 100× faster than this host trips the timing gate.
+	writeScaled(0.01)
+	if got := run([]string{"bench", "-set", "kernel", "-quick", "-baseline", out}); got != 3 {
+		t.Fatalf("ns/op regression exit = %d, want 3", got)
+	}
+
+	// Poison the baseline: impossible allocs and a vanished stage must
+	// both surface as exit 3 (partial), not a hard failure.
 	doc.Stages = append(doc.Stages, perf.StageRow{Name: "ghost_stage", Group: "kernel", AllocsPerOp: -1})
 	raw, err := doc.Marshal()
 	if err != nil {

@@ -33,6 +33,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"status ok", []string{"status"}, 0},
 		{"hard failure", []string{"sweep", "-core", "P9C9"}, 1},
 		{"quarantined cores are partial", []string{"tune", "-fault-profile", "broken-core"}, 3},
+		{"nan fault probability is hard", []string{"tune", "-fault-profile", "drop=NaN"}, 1},
 		{"lifetime safe", []string{"lifetime", "-years", "1"}, 0},
 		{"lifetime unsafe is partial", []string{"lifetime", "-years", "3", "-sentinel-off"}, 3},
 		{"lifetime negative years", []string{"lifetime", "-years", "-1"}, 2},
@@ -46,6 +47,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"dc negative rack cap", []string{"dc", "-rack-cap", "-10"}, 2},
 		{"dc nan chip cap", []string{"dc", "-chip-cap", "nan"}, 2},
 		{"dc infinite chassis cap", []string{"dc", "-chassis-cap", "+Inf"}, 2},
+		{"dc nan ki", []string{"dc", "-ki", "nan"}, 2},
+		{"dc infinite ki", []string{"dc", "-ki", "inf"}, 2},
 		{"dc quarantined chips are partial", []string{"dc",
 			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
 			"-fault-profile", "test-floor,broken=8", "-fault-seed", "5"}, 3},
@@ -63,6 +66,12 @@ func TestRunExitCodes(t *testing.T) {
 		{"dc bad ops profile is hard", []string{"dc",
 			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
 			"-ops-fault-profile", "no-such-preset"}, 1},
+		{"dc nan brownout frac is hard", []string{"dc",
+			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
+			"-ops-fault-profile", "brownouts=1,brownout-frac=NaN"}, 1},
+		{"dc nan thermal frac is hard", []string{"dc",
+			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
+			"-ops-fault-profile", "thermals=1,thermal-frac=nan"}, 1},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

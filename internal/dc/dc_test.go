@@ -302,6 +302,9 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{"nan chip cap", func(o *Options) { o.ChipCapW = math.NaN() }},
 		{"infinite chassis cap", func(o *Options) { o.ChassisCapW = math.Inf(1) }},
 		{"negative infinite chip cap", func(o *Options) { o.ChipCapW = math.Inf(-1) }},
+		{"nan ki", func(o *Options) { o.KI = math.NaN() }},
+		{"infinite ki", func(o *Options) { o.KI = math.Inf(1) }},
+		{"negative infinite ki", func(o *Options) { o.KI = math.Inf(-1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := smallOpts()

@@ -19,9 +19,8 @@ package dc
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
+	"repro/internal/fault"
 	"repro/internal/rng"
 )
 
@@ -32,41 +31,41 @@ type OpsProfile struct {
 	// ChipDeaths is the number of chips that die permanently at a
 	// seeded tick. Their tenants are evacuated and their idle draw is
 	// handed back to the budget hierarchy.
-	ChipDeaths int
+	ChipDeaths int `spec:"chip-deaths"`
 	// LinkFlaps is the number of FSP link-flap events: the node's
 	// telemetry goes dark for FlapTicks ticks. A flap outlasting the
 	// GraceTicks window quarantines the node (tenants evacuated,
 	// breaker opened); the node is re-admitted when the link returns.
-	LinkFlaps int
+	LinkFlaps int `spec:"link-flaps"`
 	// FlapTicks is a flap's telemetry-loss duration (default 6).
-	FlapTicks int
+	FlapTicks int `spec:"flap-ticks"`
 	// GraceTicks is the telemetry-loss grace window: a node dark for
 	// longer is quarantined (default 2).
-	GraceTicks int
+	GraceTicks int `spec:"grace"`
 	// ReAdmitTicks is the quarantine breaker's open window in logical
 	// ticks before a re-admission probe is allowed (default 2).
-	ReAdmitTicks int
+	ReAdmitTicks int `spec:"readmit"`
 	// Brownouts / RackBrownouts are PDU cap excursions at chassis and
 	// rack level: the affected cap drops to BrownoutFrac of its
 	// configured value for BrownoutTicks ticks, and the water-fill
 	// re-apportions the reduced budget over the survivors.
-	Brownouts     int
-	RackBrownouts int
+	Brownouts     int `spec:"brownouts"`
+	RackBrownouts int `spec:"rack-brownouts"`
 	// BrownoutFrac is the cap multiplier during a brownout (default 0.6).
-	BrownoutFrac float64
+	BrownoutFrac float64 `spec:"brownout-frac"`
 	// BrownoutTicks is a brownout's duration (default 6).
-	BrownoutTicks int
+	BrownoutTicks int `spec:"brownout-ticks"`
 	// Thermals is the number of chip thermal excursions: the chip's
 	// allowance is forced to ThermalFrac of its idle floor — below
 	// idle, the carve-out case of the cap invariant — for ThermalTicks
 	// ticks, shedding every tenant on it to idle draw.
-	Thermals int
+	Thermals int `spec:"thermals"`
 	// ThermalFrac is the fraction of the chip's idle floor the forced
 	// cap drops to (default 0.5; must stay below 1 so the excursion
 	// actually lands under the idle floor).
-	ThermalFrac float64
+	ThermalFrac float64 `spec:"thermal-frac"`
 	// ThermalTicks is a thermal excursion's duration (default 4).
-	ThermalTicks int
+	ThermalTicks int `spec:"thermal-ticks"`
 }
 
 // Empty reports whether the profile schedules no events at all.
@@ -107,7 +106,8 @@ func (p OpsProfile) withDefaults() OpsProfile {
 	return p
 }
 
-// Validate rejects negative counts and out-of-range shapes.
+// Validate rejects negative counts and out-of-range shapes, NaN
+// fractions included.
 func (p OpsProfile) Validate() error {
 	if p.ChipDeaths < 0 || p.LinkFlaps < 0 || p.Brownouts < 0 ||
 		p.RackBrownouts < 0 || p.Thermals < 0 {
@@ -117,10 +117,10 @@ func (p OpsProfile) Validate() error {
 		p.BrownoutTicks < 0 || p.ThermalTicks < 0 {
 		return fmt.Errorf("dc: negative duration in ops profile %+v", p)
 	}
-	if p.BrownoutFrac < 0 || p.BrownoutFrac > 1 {
+	if !(p.BrownoutFrac >= 0 && p.BrownoutFrac <= 1) {
 		return fmt.Errorf("dc: brownout-frac %v outside [0,1]", p.BrownoutFrac)
 	}
-	if p.ThermalFrac < 0 || p.ThermalFrac >= 1 {
+	if !(p.ThermalFrac >= 0 && p.ThermalFrac < 1) {
 		return fmt.Errorf("dc: thermal-frac %v outside [0,1) — the excursion must land below the idle floor", p.ThermalFrac)
 	}
 	return nil
@@ -145,135 +145,20 @@ var opsPresets = map[string]OpsProfile{
 }
 
 // OpsPresetNames lists the named ops profiles in sorted order.
-func OpsPresetNames() []string {
-	var names []string
-	for n := range opsPresets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func OpsPresetNames() []string { return fault.SpecPresetNames(opsPresets) }
 
-// ParseOpsProfile builds an OpsProfile from a spec string in the style
-// of fault.ParseProfile: a preset name ("ops-storm"), a comma-separated
-// key=value list ("chip-deaths=1,brownouts=2"), or a preset with
-// overrides ("flaky-links,grace=4"). The empty string and "none" are
-// the empty profile.
+// ParseOpsProfile builds an OpsProfile from a spec string in
+// fault.ParseProfile's grammar: a preset name ("ops-storm"), a
+// comma-separated key=value list ("chip-deaths=1,brownouts=2"), or a
+// preset with overrides ("flaky-links,grace=4"). The empty string and
+// "none" are the empty profile.
 func ParseOpsProfile(spec string) (OpsProfile, error) {
-	var p OpsProfile
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return p, nil
-	}
-	for i, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if !strings.Contains(part, "=") {
-			base, ok := opsPresets[part]
-			if !ok {
-				return OpsProfile{}, fmt.Errorf("dc: unknown ops profile %q (have %s)",
-					part, strings.Join(OpsPresetNames(), ", "))
-			}
-			if i != 0 {
-				return OpsProfile{}, fmt.Errorf("dc: preset %q must come first in %q", part, spec)
-			}
-			p = base
-			continue
-		}
-		k, v, _ := strings.Cut(part, "=")
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		if err := p.set(k, v); err != nil {
-			return OpsProfile{}, err
-		}
-	}
-	p = p.withDefaults()
-	if err := p.Validate(); err != nil {
-		return OpsProfile{}, err
-	}
-	return p, nil
-}
-
-// set applies one key=value override.
-func (p *OpsProfile) set(k, v string) error {
-	parseCount := func() (int, error) {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, fmt.Errorf("dc: bad count %q for %s", v, k)
-		}
-		return n, nil
-	}
-	parseFrac := func() (float64, error) {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, fmt.Errorf("dc: bad value %q for %s", v, k)
-		}
-		return f, nil
-	}
-	var err error
-	switch k {
-	case "chip-deaths":
-		p.ChipDeaths, err = parseCount()
-	case "link-flaps":
-		p.LinkFlaps, err = parseCount()
-	case "flap-ticks":
-		p.FlapTicks, err = parseCount()
-	case "grace":
-		p.GraceTicks, err = parseCount()
-	case "readmit":
-		p.ReAdmitTicks, err = parseCount()
-	case "brownouts":
-		p.Brownouts, err = parseCount()
-	case "rack-brownouts":
-		p.RackBrownouts, err = parseCount()
-	case "brownout-frac":
-		p.BrownoutFrac, err = parseFrac()
-	case "brownout-ticks":
-		p.BrownoutTicks, err = parseCount()
-	case "thermals":
-		p.Thermals, err = parseCount()
-	case "thermal-frac":
-		p.ThermalFrac, err = parseFrac()
-	case "thermal-ticks":
-		p.ThermalTicks, err = parseCount()
-	default:
-		return fmt.Errorf("dc: unknown ops key %q (want chip-deaths, link-flaps, flap-ticks, grace, readmit, brownouts, rack-brownouts, brownout-frac, brownout-ticks, thermals, thermal-frac, thermal-ticks)", k)
-	}
-	return err
+	return fault.ParseSpec(spec, opsPresets, OpsProfile.withDefaults, "dc", "ops ")
 }
 
 // String renders the profile as a canonical key=value spec
 // ParseOpsProfile accepts; the empty profile renders as "none".
-func (p OpsProfile) String() string {
-	var parts []string
-	addN := func(k string, n int) {
-		if n != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, n))
-		}
-	}
-	addF := func(k string, f float64) {
-		if f != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%v", k, f))
-		}
-	}
-	addN("chip-deaths", p.ChipDeaths)
-	addN("link-flaps", p.LinkFlaps)
-	addN("flap-ticks", p.FlapTicks)
-	addN("grace", p.GraceTicks)
-	addN("readmit", p.ReAdmitTicks)
-	addN("brownouts", p.Brownouts)
-	addN("rack-brownouts", p.RackBrownouts)
-	addF("brownout-frac", p.BrownoutFrac)
-	addN("brownout-ticks", p.BrownoutTicks)
-	addN("thermals", p.Thermals)
-	addF("thermal-frac", p.ThermalFrac)
-	addN("thermal-ticks", p.ThermalTicks)
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
-}
+func (p OpsProfile) String() string { return fault.FormatSpec(p) }
 
 // OpsKind identifies a scheduled operational event class.
 type OpsKind uint8

@@ -2,6 +2,8 @@ package dc
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 )
 
@@ -231,6 +233,44 @@ func TestOpsThermalForcedBelowIdle(t *testing.T) {
 	}
 	if !seen {
 		t.Fatal("no thermal-start event emitted")
+	}
+}
+
+// TestOpsMaxDurationLastsTheRun: an event of math.MaxInt ticks, whose
+// end tick tick+d would wrap negative, behaves exactly like one that
+// ends at the horizon — for every event class with a duration. Only
+// the configured duration in the profile, the campaign hash and the
+// link-down detail may differ.
+func TestOpsMaxDurationLastsTheRun(t *testing.T) {
+	for _, tc := range []struct{ name, spec, end string }{
+		{"link flap", "flaky-links,flap-ticks=%d", "link-up"},
+		{"thermal", "thermal,thermal-ticks=%d", "thermal-end"},
+		{"chassis brownout", "brownout,brownout-ticks=%d", "brownout-end"},
+		{"rack brownout", "rack-brownout,brownout-ticks=%d", "brownout-end"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(d int) []byte {
+				res := opsRun(t, fmt.Sprintf(tc.spec, d))
+				if len(res.Events) == 0 || len(eventTicks(res, tc.end)) != 0 {
+					t.Fatalf("duration %d: want events and no %s, got %+v", d, tc.end, res.Events)
+				}
+				res.CampaignHash, res.Ops.Profile = "", ""
+				for i := range res.Events {
+					if res.Events[i].Kind == "link-down" {
+						res.Events[i].Detail = ""
+					}
+				}
+				return canon(t, res)
+			}
+			horizon := run(opsOpts("").Ticks)
+			if got := run(math.MaxInt); !bytes.Equal(got, horizon) {
+				t.Fatalf("a math.MaxInt duration diverged from one ending at the horizon:\n%s\n%s", got, horizon)
+			}
+		})
+	}
+	res := opsRun(t, fmt.Sprintf("flaky-links,flap-ticks=%d", math.MaxInt))
+	if res.Ops.Quarantines == 0 {
+		t.Fatal("a link dark for math.MaxInt ticks never quarantined its node")
 	}
 }
 

@@ -17,6 +17,7 @@ package dc
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/obs"
 	"repro/internal/platform"
@@ -319,7 +320,7 @@ func (op *opsPlane) apply(ev OpsSched, tick int) {
 		if tick >= op.linkDownUntil[i] {
 			op.linkDownSince[i] = tick
 		}
-		if until := tick + ev.Duration; until > op.linkDownUntil[i] {
+		if until := endTick(tick, ev.Duration); until > op.linkDownUntil[i] {
 			op.linkDownUntil[i] = until
 		}
 		op.sum.LinkFlaps++
@@ -331,7 +332,7 @@ func (op *opsPlane) apply(ev OpsSched, tick int) {
 			return
 		}
 		capW := op.p.ThermalFrac * op.idleW[i]
-		op.thermalUntil[i] = tick + ev.Duration
+		op.thermalUntil[i] = endTick(tick, ev.Duration)
 		op.tree.ForceChipCap(i, capW)
 		op.sum.Thermals++
 		op.emit(OpsEvent{Tick: tick, Kind: "thermal-start", Node: op.placer.Chips[i].ID,
@@ -339,16 +340,27 @@ func (op *opsPlane) apply(ev OpsSched, tick int) {
 	case OpsBrownout:
 		ci := ev.Target
 		capW := op.p.BrownoutFrac * op.tree.chassisCap
-		op.chassisUntil[ci] = tick + ev.Duration
+		op.chassisUntil[ci] = endTick(tick, ev.Duration)
 		op.tree.SetChassisCap(ci, capW)
 		op.sum.Brownouts++
 		op.emit(OpsEvent{Tick: tick, Kind: "brownout-start", Node: op.chassisID(ci), CapW: capW})
 	case OpsRackBrownout:
 		r := ev.Target
 		capW := op.p.BrownoutFrac * op.tree.rackCap
-		op.rackUntil[r] = tick + ev.Duration
+		op.rackUntil[r] = endTick(tick, ev.Duration)
 		op.tree.SetRackCap(r, capW)
 		op.sum.Brownouts++
 		op.emit(OpsEvent{Tick: tick, Kind: "brownout-start", Node: op.rackID(r), CapW: capW})
 	}
+}
+
+// endTick is the first tick after an event of d ticks that starts at
+// tick. A sum past math.MaxInt saturates there instead of wrapping
+// negative, so such an event, like any that ends past the horizon,
+// lasts the rest of the run.
+func endTick(tick, d int) int {
+	if d > math.MaxInt-tick {
+		return math.MaxInt
+	}
+	return tick + d
 }

@@ -26,45 +26,40 @@
 //     the operator transport.
 package fault
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Profile describes how hostile the platform is: per-layer fault rates
 // and counts. The zero value injects nothing.
 type Profile struct {
 	// CPMUpsetProb is the per-measurement probability that a reading's
 	// inverter count is jittered by up to ±CPMUpsetMag units.
-	CPMUpsetProb float64
+	CPMUpsetProb float64 `spec:"cpm-upset"`
 	// CPMUpsetMag is the maximum upset magnitude in inverter units
 	// (default 3 when upsets are enabled).
-	CPMUpsetMag int
+	CPMUpsetMag int `spec:"cpm-upset-mag"`
 	// CPMStuckSites is the number of cores given one CPM site stuck
 	// reading low margin. A stuck-low site drags the worst-of-five
 	// reading down, slowing that core — a degradation, not a crash.
-	CPMStuckSites int
+	CPMStuckSites int `spec:"stuck"`
 
 	// TelemetryErrProb is the per-read probability that a read-only FSP
 	// telemetry register access fails with a transient error.
-	TelemetryErrProb float64
+	TelemetryErrProb float64 `spec:"telemetry"`
 
 	// DropProb is the per-line probability that a faulty transport
 	// drops a response line entirely.
-	DropProb float64
+	DropProb float64 `spec:"drop"`
 	// GarbleProb is the per-line probability that a faulty transport
 	// corrupts a response line's framing.
-	GarbleProb float64
+	GarbleProb float64 `spec:"garble"`
 
 	// TrialErrProb is the per-trial probability that the harness fails
 	// transiently (retryable chip.ErrTransient).
-	TrialErrProb float64
+	TrialErrProb float64 `spec:"trial-err"`
 	// BrokenCores is the number of cores (chosen deterministically from
 	// the seed) whose trials always fail — the persistent failures that
 	// must end in quarantine, not an aborted run.
-	BrokenCores int
+	BrokenCores int `spec:"broken"`
 }
 
 // Empty reports whether the profile injects nothing.
@@ -78,7 +73,8 @@ func (p Profile) withDefaults() Profile {
 	return p
 }
 
-// Validate rejects probabilities outside [0,1] and negative counts.
+// Validate rejects probabilities outside [0,1], NaN included, and
+// negative counts.
 func (p Profile) Validate() error {
 	for _, pr := range []struct {
 		name string
@@ -90,7 +86,7 @@ func (p Profile) Validate() error {
 		{"garble", p.GarbleProb},
 		{"trial-err", p.TrialErrProb},
 	} {
-		if pr.v < 0 || pr.v > 1 {
+		if !(pr.v >= 0 && pr.v <= 1) {
 			return fmt.Errorf("fault: %s probability %v outside [0,1]", pr.name, pr.v)
 		}
 	}
@@ -135,14 +131,7 @@ var presets = map[string]Profile{
 }
 
 // PresetNames lists the named profiles in sorted order.
-func PresetNames() []string {
-	var names []string
-	for n := range presets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func PresetNames() []string { return SpecPresetNames(presets) }
 
 // ParseProfile builds a Profile from a spec string: a preset name
 // ("test-floor"), a comma-separated key=value list
@@ -150,105 +139,9 @@ func PresetNames() []string {
 // ("test-floor,drop=0.3"). The empty string and "none" are the empty
 // profile.
 func ParseProfile(spec string) (Profile, error) {
-	var p Profile
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return p, nil
-	}
-	for i, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if !strings.Contains(part, "=") {
-			base, ok := presets[part]
-			if !ok {
-				return Profile{}, fmt.Errorf("fault: unknown profile %q (have %s)",
-					part, strings.Join(PresetNames(), ", "))
-			}
-			if i != 0 {
-				return Profile{}, fmt.Errorf("fault: preset %q must come first in %q", part, spec)
-			}
-			p = base
-			continue
-		}
-		k, v, _ := strings.Cut(part, "=")
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		if err := p.set(k, v); err != nil {
-			return Profile{}, err
-		}
-	}
-	p = p.withDefaults()
-	if err := p.Validate(); err != nil {
-		return Profile{}, err
-	}
-	return p, nil
-}
-
-// set applies one key=value override.
-func (p *Profile) set(k, v string) error {
-	parseProb := func() (float64, error) {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, fmt.Errorf("fault: bad value %q for %s", v, k)
-		}
-		return f, nil
-	}
-	parseCount := func() (int, error) {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, fmt.Errorf("fault: bad count %q for %s", v, k)
-		}
-		return n, nil
-	}
-	var err error
-	switch k {
-	case "cpm-upset":
-		p.CPMUpsetProb, err = parseProb()
-	case "cpm-upset-mag":
-		p.CPMUpsetMag, err = parseCount()
-	case "stuck":
-		p.CPMStuckSites, err = parseCount()
-	case "telemetry":
-		p.TelemetryErrProb, err = parseProb()
-	case "drop":
-		p.DropProb, err = parseProb()
-	case "garble":
-		p.GarbleProb, err = parseProb()
-	case "trial-err":
-		p.TrialErrProb, err = parseProb()
-	case "broken":
-		p.BrokenCores, err = parseCount()
-	default:
-		return fmt.Errorf("fault: unknown key %q (want cpm-upset, cpm-upset-mag, stuck, telemetry, drop, garble, trial-err, broken)", k)
-	}
-	return err
+	return ParseSpec(spec, presets, Profile.withDefaults, "fault", "")
 }
 
 // String renders the profile as a canonical key=value spec ParseProfile
 // accepts; the empty profile renders as "none".
-func (p Profile) String() string {
-	var parts []string
-	add := func(k string, v float64) {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%v", k, v))
-		}
-	}
-	addN := func(k string, n int) {
-		if n != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, n))
-		}
-	}
-	add("cpm-upset", p.CPMUpsetProb)
-	addN("cpm-upset-mag", p.CPMUpsetMag)
-	addN("stuck", p.CPMStuckSites)
-	add("telemetry", p.TelemetryErrProb)
-	add("drop", p.DropProb)
-	add("garble", p.GarbleProb)
-	add("trial-err", p.TrialErrProb)
-	addN("broken", p.BrokenCores)
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
-}
+func (p Profile) String() string { return FormatSpec(p) }

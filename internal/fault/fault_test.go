@@ -62,6 +62,8 @@ func TestParseRejectsBadValues(t *testing.T) {
 		"broken=-1",           // negative count
 		"bogus=1",             // unknown key
 		"drop=abc",            // unparsable value
+		"drop=NaN",            // NaN is no probability
+		"trial-err=nan",       // either spelling
 	} {
 		if _, err := ParseProfile(spec); err == nil {
 			t.Errorf("ParseProfile(%q) accepted", spec)
