@@ -34,6 +34,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"hard failure", []string{"sweep", "-core", "P9C9"}, 1},
 		{"quarantined cores are partial", []string{"tune", "-fault-profile", "broken-core"}, 3},
 		{"nan fault probability is hard", []string{"tune", "-fault-profile", "drop=NaN"}, 1},
+		{"schedule negative qos is hard", []string{"schedule", "-qos", "-1"}, 1},
+		{"schedule nan qos is hard", []string{"schedule", "-qos", "nan"}, 1},
+		{"schedule infinite qos is hard", []string{"schedule", "-qos", "inf"}, 1},
 		{"lifetime safe", []string{"lifetime", "-years", "1"}, 0},
 		{"lifetime unsafe is partial", []string{"lifetime", "-years", "3", "-sentinel-off"}, 3},
 		{"lifetime negative years", []string{"lifetime", "-years", "-1"}, 2},
@@ -49,6 +52,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"dc infinite chassis cap", []string{"dc", "-chassis-cap", "+Inf"}, 2},
 		{"dc nan ki", []string{"dc", "-ki", "nan"}, 2},
 		{"dc infinite ki", []string{"dc", "-ki", "inf"}, 2},
+		{"dc negative ki", []string{"dc", "-ki", "-3"}, 2},
 		{"dc quarantined chips are partial", []string{"dc",
 			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
 			"-fault-profile", "test-floor,broken=8", "-fault-seed", "5"}, 3},

@@ -124,9 +124,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Validate rejects options no campaign can run: a negative topology
-// count, tenant count, horizon or rollback, a cap that is negative or
-// not finite, and a ki that is not finite. Zero still selects each
-// default, and so does a negative ki. Run calls it first.
+// count, tenant count, horizon or rollback, and a cap or ki that is
+// negative or not finite. Zero still selects each default. Run calls
+// it first.
 func (o Options) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -136,13 +136,11 @@ func (o Options) Validate() error {
 		{"chips per chassis", float64(o.ChipsPerChassis)}, {"tenants", float64(o.Tenants)},
 		{"ticks", float64(o.Ticks)}, {"rollback", float64(o.Rollback)},
 		{"rack cap", o.RackCapW}, {"chassis cap", o.ChassisCapW}, {"chip cap", o.ChipCapW},
+		{"ki", o.KI},
 	} {
 		if !(f.v >= 0) || math.IsInf(f.v, 1) {
 			return fmt.Errorf("dc: %s %v is not finite and non-negative", f.name, f.v)
 		}
-	}
-	if math.IsNaN(o.KI) || math.IsInf(o.KI, 0) {
-		return fmt.Errorf("dc: ki %v is not finite", o.KI)
 	}
 	return nil
 }

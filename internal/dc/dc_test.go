@@ -305,6 +305,7 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{"nan ki", func(o *Options) { o.KI = math.NaN() }},
 		{"infinite ki", func(o *Options) { o.KI = math.Inf(1) }},
 		{"negative infinite ki", func(o *Options) { o.KI = math.Inf(-1) }},
+		{"negative ki", func(o *Options) { o.KI = -3 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := smallOpts()

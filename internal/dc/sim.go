@@ -1,8 +1,9 @@
 package dc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/fleet"
 	"repro/internal/rng"
@@ -104,6 +105,11 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 	tree := NewBudgetTree(o.Racks, o.ChassisPerRack, o.ChipsPerChassis, rackCap, chassisCap, chipCap, o.KI, idle)
 	placer := NewPlacer(chips)
 	tenants := makeTenants(o)
+	// Arrival order, ID order within a tick: each tick's arrivals are
+	// the next run of this list.
+	arrivals := slices.Clone(tenants)
+	slices.SortStableFunc(arrivals, func(a, b *tenant) int { return cmp.Compare(a.arrival, b.arrival) })
+	nextArrival := 0
 
 	// Obs handles resolved once, outside the loop.
 	var (
@@ -143,7 +149,7 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 				t.throttled = false
 				t.pendingMig = true
 				t.everDisplaced = true
-				queue = append(queue, t)
+				queue = enqueue(queue, t)
 			}
 			n := len(list)
 			for k := range list {
@@ -220,20 +226,11 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 			running = live
 		}
 
-		// Arrivals join the queue, critical tenants ahead of the rest,
-		// ID order within a class (stable sort on a deterministic
-		// insertion order).
-		for _, t := range tenants {
-			if t.arrival == tick {
-				queue = append(queue, t)
-			}
+		// Arrivals join the queue at their place in queueCmp order;
+		// evacuees joined it the same way in beginTick.
+		for ; nextArrival < len(arrivals) && arrivals[nextArrival].arrival == tick; nextArrival++ {
+			queue = enqueue(queue, arrivals[nextArrival])
 		}
-		sort.SliceStable(queue, func(i, j int) bool {
-			if queue[i].critical != queue[j].critical {
-				return queue[i].critical
-			}
-			return queue[i].id < queue[j].id
-		})
 
 		// Budget: requests follow demand plus headroom for one more
 		// core, so grants track where tenants actually run — a chip
@@ -501,6 +498,27 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 		res.Events = opsP.events
 	}
 	return res, nil
+}
+
+// queueCmp orders the queue: critical tenants ahead of the rest, ID
+// order within a class. IDs are unique, so the order is total.
+func queueCmp(a, b *tenant) int {
+	if a.critical != b.critical {
+		if a.critical {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// enqueue inserts t into a queue sorted by queueCmp at its binary-
+// searched place, so the queue stays sorted without a re-sort. The
+// placement pass keeps the survivors' order, so the queue is sorted
+// whenever a tenant joins it.
+func enqueue(queue []*tenant, t *tenant) []*tenant {
+	i, _ := slices.BinarySearchFunc(queue, t, queueCmp)
+	return slices.Insert(queue, i, t)
 }
 
 // removeTenant drops t from list preserving order, clearing the

@@ -2,6 +2,7 @@ package manage
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/chip"
 	"repro/internal/units"
@@ -25,7 +26,7 @@ import (
 // the steady-state solver — because the real manager plans before it
 // runs; Evaluate then measures the actual outcome.
 func (mg *Manager) planBalanced(pair Pair, qosTarget float64) (Evaluation, error) {
-	if qosTarget <= 0 {
+	if !(qosTarget > 0) || math.IsInf(qosTarget, 1) {
 		return Evaluation{}, fmt.Errorf("manage: balanced scheduling needs a positive QoS target")
 	}
 	cores := mg.fastestOnChip()

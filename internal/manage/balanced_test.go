@@ -1,6 +1,7 @@
 package manage
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -39,12 +40,21 @@ func TestImpossibleQoSFallsToGating(t *testing.T) {
 	}
 }
 
-// TestBalancedRejectsZeroQoS: balanced mode requires a target.
+// TestBalancedRejectsZeroQoS: balanced mode requires a finite, positive
+// target. A negative, NaN or infinite one is no target either and gets
+// the same error, instead of a plan built on a NaN or infinite
+// frequency.
 func TestBalancedRejectsZeroQoS(t *testing.T) {
 	mg := manager(t)
 	pair := Fig14Pairs()[0]
-	if _, err := mg.Evaluate(ScenarioManagedBalanced, pair, 0); err == nil {
-		t.Error("balanced scheduling without a QoS target accepted")
+	_, want := mg.Evaluate(ScenarioManagedBalanced, pair, 0)
+	if want == nil {
+		t.Fatal("balanced scheduling without a QoS target accepted")
+	}
+	for _, q := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := mg.Evaluate(ScenarioManagedBalanced, pair, q); err == nil || err.Error() != want.Error() {
+			t.Errorf("QoS target %v: error %v, want %v", q, err, want)
+		}
 	}
 }
 

@@ -82,11 +82,21 @@ func CalibrateFreqPredictor(m *chip.Machine, label string) (FreqPredictor, error
 		}
 	}()
 
-	// Load ladder: idle → k stream co-runners → k daxpy co-runners.
+	// Load ladder: idle → k stream → k coremark → k daxpy co-runners.
 	loads := []workload.Profile{workload.Idle, workload.Stream, workload.Coremark, workload.Daxpy}
-	var xs, ys []float64
-	for _, load := range loads {
+	xs := make([]float64, 0, len(loads)*len(ch.Cores))
+	ys := make([]float64, 0, len(loads)*len(ch.Cores))
+	for li, load := range loads {
 		for n := 0; n < len(ch.Cores); n++ {
+			// A rung with no loaded sibling (every step of the idle load,
+			// and step 0 of the others) is the ladder's first chip state:
+			// the target busy, its siblings idle. Solve has no side
+			// effects, so that state is solved once and its sample reused.
+			if len(xs) > 0 && (li == 0 || n == 0) {
+				xs = append(xs, xs[0])
+				ys = append(ys, ys[0])
+				continue
+			}
 			placed := 0
 			for _, c := range ch.Cores {
 				if c.Profile.Label == label {

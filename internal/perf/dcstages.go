@@ -1,8 +1,11 @@
 package perf
 
 import (
+	"repro/internal/chip"
 	"repro/internal/dc"
 	"repro/internal/guard"
+	"repro/internal/manage"
+	"repro/internal/silicon"
 )
 
 // dcStages benches the datacenter plane's //atm:hotpath kernels: one
@@ -11,10 +14,12 @@ import (
 // placement round over a 64-chip rack whose closed breakers run on a
 // sim tick clock, as a live node's do in dc.Run. Both are
 // single-goroutine and alloc-stable — the budget loop and placement
-// scan run every sim tick, so their allocs/op must stay at zero.
-// Fixtures are built outside Run so the setup cost never leaks into
-// the per-op counts.
-func dcStages(quick bool) []Stage {
+// scan run every sim tick, so their allocs/op must stay at zero. The
+// intake's per-core Eq. 1 calibration on a generated single-chip node
+// pins its allocs/op too: each solve it adds allocates, so a ladder
+// that solves more rungs trips the gate. Fixtures are built outside Run
+// so the setup cost never leaks into the per-op counts.
+func dcStages(quick bool) ([]Stage, error) {
 	const chips = 2 * 4 * 8
 	idle := make([]float64, chips)
 	req := make([]float64, chips)
@@ -47,6 +52,16 @@ func dcStages(quick bool) []Stage {
 	}
 
 	opsOpts := dc.Options{Racks: 2, ChassisPerRack: 4, ChipsPerChassis: 8, Ticks: 64}
+
+	prof, err := silicon.Generate(1, silicon.GenerateOptions{Chips: 1})
+	if err != nil {
+		return nil, err
+	}
+	node, err := chip.New(prof, chip.Options{})
+	if err != nil {
+		return nil, err
+	}
+	calCore := node.AllCores()[0].Profile.Label
 
 	return []Stage{
 		{
@@ -93,5 +108,20 @@ func dcStages(quick bool) []Stage {
 				return int64(iters), nil
 			},
 		},
-	}
+		{
+			Name: "manage_calibrate", Group: "dc", AllocStable: true,
+			Note:  "one core's Eq. 1 calibration ladder on a generated single-chip node (manage.CalibrateFreqPredictor)",
+			Iters: pick(quick, 200, 2_000),
+			Run: func(iters int) (int64, error) {
+				for i := 0; i < iters; i++ {
+					fp, err := manage.CalibrateFreqPredictor(node, calCore)
+					if err != nil {
+						return 0, err
+					}
+					sinkF = fp.Fit.Slope
+				}
+				return int64(iters), nil
+			},
+		},
+	}, nil
 }

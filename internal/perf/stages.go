@@ -48,8 +48,12 @@ func Stages(quick bool, groups ...string) ([]Stage, error) {
 		}
 		want[g] = true
 	}
+	dcs, err := dcStages(quick)
+	if err != nil {
+		return nil, err
+	}
 	var all []Stage
-	for _, stages := range [][]Stage{kernelStages(quick), e2eStages(quick), fleetStages(quick), dcStages(quick), lifetimeStages(quick)} {
+	for _, stages := range [][]Stage{kernelStages(quick), e2eStages(quick), fleetStages(quick), dcs, lifetimeStages(quick)} {
 		all = append(all, stages...)
 	}
 	if len(want) == 0 {
