@@ -113,8 +113,7 @@ type (
 	// job order is the canonical merge order of the results.
 	FleetCampaign = fleet.Campaign
 	// FleetOptions configures a campaign run: worker-pool bound,
-	// content-addressed cache directory, checkpoint resume, and obs
-	// plane wiring.
+	// content-addressed cache directory, and obs plane wiring.
 	FleetOptions = fleet.Options
 	// FleetResult is the merged campaign outcome in canonical job
 	// order — byte-identical for every worker count.
@@ -136,7 +135,7 @@ type (
 	// pool, budget caps, tenants, faults, cache.
 	DCOptions = dc.Options
 	// DCResult is the campaign's canonical outcome — byte-identical
-	// across worker counts and across fresh, cached and resumed runs.
+	// across worker counts and across fresh and cached runs.
 	DCResult = dc.Result
 
 	// LifetimeOptions configures a lifetime drift simulation: horizon,
@@ -327,8 +326,8 @@ func NewTracer() *Tracer { return obs.NewTracer() }
 // bounded worker pool and merges the results in canonical job order.
 // The merged output — and every obs export — is byte-identical
 // regardless of Workers; with a cache directory, completed jobs are
-// content-addressed on disk so re-runs skip them and a killed campaign
-// resumes from its checkpoint.
+// content-addressed on disk so re-runs skip them, and a killed campaign
+// rerun on the same directory finishes where it stopped.
 func RunCampaign(c *FleetCampaign, o FleetOptions) (*FleetResult, error) {
 	return fleet.Run(c, o)
 }

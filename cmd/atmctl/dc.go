@@ -10,9 +10,10 @@ import (
 )
 
 // cmdDC runs a rack-scale datacenter campaign: every node provisioned
-// through the fleet (sharded across -workers, content-addressed cache,
-// kill-safe -resume), then the hierarchical power budget and the Eq. 1
-// predictor-driven scheduler simulated over a seeded tenant stream.
+// through the fleet (sharded across -workers, content-addressed cache
+// that serves a rerun after a kill), then the hierarchical power
+// budget and the Eq. 1 predictor-driven scheduler simulated over a
+// seeded tenant stream.
 // Stdout carries only the canonical view — the human table or the
 // -json document — byte-identical across worker counts; provenance
 // (cache hits, campaign name) goes to stderr. With -ops-fault-profile
@@ -43,8 +44,7 @@ func cmdDC(args []string) error {
 	opsProfile := fs.String("ops-fault-profile", "",
 		"operational fault timeline for the post-intake sim: a preset (ops-storm, chip-death, flaky-links, brownout, rack-brownout, thermal, none) or key=value spec")
 	opsSeed := fs.Uint64("ops-fault-seed", 1, "seed the per-entity operational fault streams split from")
-	cacheDir := fs.String("cache-dir", "", "content-addressed provision cache + checkpoint manifest directory")
-	resume := fs.Bool("resume", false, "continue a killed campaign from its checkpoint in -cache-dir")
+	cacheDir := fs.String("cache-dir", "", "content-addressed provision cache directory")
 	jsonOut := fs.Bool("json", false, "emit the canonical campaign result as JSON instead of tables")
 	attach, flush := obsFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
@@ -69,7 +69,6 @@ func cmdDC(args []string) error {
 		OpsFaultProfile: *opsProfile,
 		OpsFaultSeed:    *opsSeed,
 		CacheDir:        *cacheDir,
-		Resume:          *resume,
 	}
 	if err := opts.Validate(); err != nil {
 		return badFlag(fs, "%v", err)

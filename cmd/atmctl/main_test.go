@@ -37,10 +37,19 @@ func TestRunExitCodes(t *testing.T) {
 		{"schedule negative qos is hard", []string{"schedule", "-qos", "-1"}, 1},
 		{"schedule nan qos is hard", []string{"schedule", "-qos", "nan"}, 1},
 		{"schedule infinite qos is hard", []string{"schedule", "-qos", "inf"}, 1},
+		{"characterize negative trials", []string{"characterize", "-trials", "-1"}, 2},
+		{"tune negative rollback", []string{"tune", "-rollback", "-2"}, 2},
+		{"fleet no jobs", []string{"fleet", "-n", "0"}, 2},
+		{"fleet negative jobs", []string{"fleet", "-n", "-3"}, 2},
+		{"fleet negative rollback", []string{"fleet", "-kind", "tune", "-rollback", "-1"}, 2},
+		{"fleet negative trials", []string{"fleet", "-kind", "characterize", "-trials", "-1"}, 2},
+		{"fleet resume is an unknown flag", []string{"fleet", "-n", "1", "-resume"}, 2},
 		{"lifetime safe", []string{"lifetime", "-years", "1"}, 0},
 		{"lifetime unsafe is partial", []string{"lifetime", "-years", "3", "-sentinel-off"}, 3},
 		{"lifetime negative years", []string{"lifetime", "-years", "-1"}, 2},
 		{"lifetime no servers", []string{"lifetime", "-n", "0"}, 2},
+		{"lifetime zero years", []string{"lifetime", "-years", "0"}, 2},
+		{"lifetime resume is an unknown flag", []string{"lifetime", "-resume"}, 2},
 		{"dc ok", []string{"dc", "-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8"}, 0},
 		{"dc bad flag", []string{"dc", "-no-such-flag"}, 2},
 		{"dc negative tenants", []string{"dc", "-tenants", "-5"}, 2},
@@ -53,6 +62,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"dc nan ki", []string{"dc", "-ki", "nan"}, 2},
 		{"dc infinite ki", []string{"dc", "-ki", "inf"}, 2},
 		{"dc negative ki", []string{"dc", "-ki", "-3"}, 2},
+		{"dc resume is an unknown flag", []string{"dc", "-resume"}, 2},
 		{"dc quarantined chips are partial", []string{"dc",
 			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
 			"-fault-profile", "test-floor,broken=8", "-fault-seed", "5"}, 3},

@@ -327,7 +327,23 @@ func FindLimit(m *chip.Machine, label string, w workload.Profile, trials, runsPe
 	return findLimit(m, label, w, trials, runsPerConfig, 0, src, nil, nil)
 }
 
+// checkCounts rejects a search that would run nothing: with no trial
+// the limit reads 0, and with no run per configuration every
+// configuration passes unexamined.
+func checkCounts(trials, runsPerConfig int) error {
+	if trials < 1 {
+		return fmt.Errorf("charact: Trials %d: want at least 1", trials)
+	}
+	if runsPerConfig < 1 {
+		return fmt.Errorf("charact: RunsPerConfig %d: want at least 1", runsPerConfig)
+	}
+	return nil
+}
+
 func findLimit(m *chip.Machine, label string, w workload.Profile, trials, runsPerConfig, retries int, src *rng.Source, tc *obs.Counter, tr *obs.Tracer) (Distribution, error) {
+	if err := checkCounts(trials, runsPerConfig); err != nil {
+		return Distribution{}, err
+	}
 	core, err := m.Core(label)
 	if err != nil {
 		return Distribution{}, err
@@ -380,6 +396,9 @@ func FindRollback(m *chip.Machine, label string, w workload.Profile, start, tria
 }
 
 func findRollback(m *chip.Machine, label string, w workload.Profile, start, trials, runsPerConfig, retries int, src *rng.Source, tc *obs.Counter, tr *obs.Tracer) (Distribution, error) {
+	if err := checkCounts(trials, runsPerConfig); err != nil {
+		return Distribution{}, err
+	}
 	core, err := m.Core(label)
 	if err != nil {
 		return Distribution{}, err

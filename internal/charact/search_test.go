@@ -1,6 +1,7 @@
 package charact
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -138,5 +139,36 @@ func TestRobustnessRankStable(t *testing.T) {
 			t.Fatalf("duplicate %s in rank", l)
 		}
 		seen[l] = true
+	}
+}
+
+// TestSearchesRejectEmptyCounts: a search with no trial reads a limit
+// of 0, and one with no run per configuration passes every reduction
+// unexamined, so both searches refuse a count below 1 and name the
+// field, whichever entry point reached them.
+func TestSearchesRejectEmptyCounts(t *testing.T) {
+	apps := []workload.Profile{workload.GCC}
+	for _, tc := range []struct {
+		name string
+		o    Options
+		want string
+	}{
+		{"negative trials", Options{Trials: -1, Apps: apps}, "Trials -1"},
+		{"negative runs", Options{Trials: 2, RunsPerConfig: -1, Apps: apps}, "RunsPerConfig -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Characterize(chip.NewReference(), tc.o); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Characterize: err = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+	m := chip.NewReference()
+	for _, c := range []struct{ trials, runs int }{{0, 4}, {10, 0}} {
+		if _, err := FindLimit(m, "P0C0", workload.Idle, c.trials, c.runs, rng.New(1)); err == nil {
+			t.Errorf("FindLimit with %d trial(s) of %d run(s) accepted", c.trials, c.runs)
+		}
+		if _, err := findRollback(m, "P0C0", workload.GCC, 6, c.trials, c.runs, 0, rng.New(1), nil, nil); err == nil {
+			t.Errorf("findRollback with %d trial(s) of %d run(s) accepted", c.trials, c.runs)
+		}
 	}
 }

@@ -4,8 +4,8 @@
 // full ATM stress-test flow. The plane has two phases:
 //
 //  1. Intake — every node is provisioned through internal/platform as
-//     a fleet dcprovision job (sharded across workers, content-
-//     addressed cache, kill-safe -resume): stress-test deployment,
+//     a fleet dcprovision job (sharded across workers, served from a
+//     content-addressed cache on a rerun): stress-test deployment,
 //     per-core Eq. 1 frequency-predictor calibration, and the
 //     idle/loaded power envelope. A node whose provision fails is
 //     quarantined behind a tripped circuit breaker; the rack keeps
@@ -18,7 +18,7 @@
 //
 // Both phases are pure functions of Options: the canonical Result
 // serializes byte-identically at every worker count, plain or faulted,
-// fresh or resumed.
+// fresh or served from the cache.
 package dc
 
 import (
@@ -81,10 +81,10 @@ type Options struct {
 	// the ops plane.
 	OpsFaultProfile string
 	OpsFaultSeed    uint64
-	// CacheDir/Resume pass through to the intake fleet (content-
-	// addressed provision cache, kill-safe resume).
+	// CacheDir passes through to the intake fleet: a content-addressed
+	// provision cache, so a killed intake rerun on the same directory
+	// provisions only the nodes it had not finished.
 	CacheDir string
-	Resume   bool
 	// Obs, when non-nil, collects budget-loop gauges, placement and
 	// throttle counters, and the intake fleet's own series.
 	Obs *obs.Registry
@@ -241,7 +241,7 @@ type PlacementSummary struct {
 }
 
 // Result is the campaign's canonical outcome: byte-identical across
-// worker counts and across fresh, cached, and resumed intakes.
+// worker counts and across fresh, cached, and rerun intakes.
 type Result struct {
 	Topology     Topology         `json:"topology"`
 	CampaignHash string           `json:"campaign_hash"`
@@ -262,7 +262,7 @@ type Result struct {
 	FailedJobs []string `json:"failed_jobs,omitempty"`
 	// CachedJobs counts intake results served from the cache. Cached
 	// is provenance, not content: it is excluded from the canonical
-	// serialization so resumed campaigns stay byte-identical.
+	// serialization so rerun campaigns stay byte-identical.
 	CachedJobs int `json:"-"`
 }
 
@@ -299,7 +299,7 @@ func NodeID(rack, chassis, slot int) string {
 // single-chip dcprovision job per node, silicon seeds SiliconStart+i,
 // trial seeds Seed+i, fault streams split from FaultSeed by node ID.
 // An armed ops profile is stamped (canonically) into every job spec so
-// the campaign hash — and therefore the checkpoint manifest — names
+// the campaign_hash the result prints, and each job's cache key, name
 // the whole operational scenario, not just the intake inputs.
 func Campaign(o Options) *fleet.Campaign {
 	o = o.withDefaults()
@@ -374,7 +374,6 @@ func Run(o Options) (*Result, error) {
 	fres, err := fleet.Run(campaign, fleet.Options{
 		Workers:  o.Workers,
 		CacheDir: o.CacheDir,
-		Resume:   o.Resume,
 		Obs:      o.Obs,
 		Trace:    o.Trace,
 	})

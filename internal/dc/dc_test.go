@@ -74,7 +74,6 @@ func TestCacheHitResume(t *testing.T) {
 	if fresh.CachedJobs != 0 {
 		t.Fatalf("fresh run served %d cached jobs, want 0", fresh.CachedJobs)
 	}
-	o.Resume = true
 	resumed, err := Run(o)
 	if err != nil {
 		t.Fatal(err)

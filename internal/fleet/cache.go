@@ -6,26 +6,24 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 
 	"repro/internal/guard"
 )
 
-// The on-disk cache has two parts:
-//
-//   - Content-addressed results: <dir>/<jobhash>.json holds one
-//     completed job's payload inside an envelope that repeats the hash
-//     and spec identity, so a corrupted or foreign entry is detected
-//     and treated as a miss (the job simply re-runs).
-//   - A checkpoint manifest: <dir>/campaign-<hash12>.json records the
-//     campaign identity and the sorted completed-job set, rewritten
-//     atomically (temp file + rename) after every completion, so a
-//     killed campaign restarts from wherever it got to.
+// The on-disk cache is content-addressed: <dir>/<jobhash>.json holds
+// one completed job's payload inside an envelope that repeats the hash
+// and spec identity, so a corrupted or foreign entry is detected and
+// treated as a miss (the job simply re-runs). The entries are the only
+// record of finished work: a killed campaign rerun on the same
+// directory serves every entry it finds and runs the rest. Any other
+// file in the directory, such as an older build's checkpoint, is
+// ignored.
 //
 // Entries are keyed by the job's content hash, not its campaign, so
 // overlapping campaigns sharing a cache directory reuse each other's
-// completed work.
+// completed work. A job writes only its own entry and temp file, and
+// its ID, unique in its campaign, is part of its hash, so concurrent
+// workers never write the same path.
 
 // cacheEntry is the envelope around one stored payload.
 type cacheEntry struct {
@@ -36,56 +34,15 @@ type cacheEntry struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// manifest is the campaign checkpoint.
-type manifest struct {
-	Version      string `json:"version"`
-	Name         string `json:"name"`
-	CampaignHash string `json:"campaign_hash"`
-	// Completed is the sorted set of completed job IDs.
-	Completed []string `json:"completed"`
-}
+// diskCache is one cache directory.
+type diskCache struct{ dir string }
 
-// diskCache serializes access to one cache directory for one campaign.
-type diskCache struct {
-	dir          string
-	mu           sync.Mutex
-	manifestPath string
-	man          manifest
-}
-
-// openCache prepares dir for the campaign: creates it, and loads or
-// resets the campaign's checkpoint manifest.
-func openCache(dir string, c *Campaign, resume bool) (*diskCache, error) {
+// openCache prepares dir, creating it if missing.
+func openCache(dir string) (*diskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: cache dir: %w", err)
 	}
-	hash := c.Hash()
-	dc := &diskCache{
-		dir:          dir,
-		manifestPath: filepath.Join(dir, "campaign-"+hash[:12]+".json"),
-		man:          manifest{Version: specVersion, Name: c.Name, CampaignHash: hash},
-	}
-	raw, err := os.ReadFile(dc.manifestPath)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// Fresh start — resuming from nothing is still a valid resume.
-	case err != nil:
-		return nil, fmt.Errorf("fleet: read checkpoint: %w", err)
-	case resume:
-		var prev manifest
-		if err := json.Unmarshal(raw, &prev); err != nil {
-			return nil, fmt.Errorf("fleet: corrupt checkpoint %s: %w", dc.manifestPath, err)
-		}
-		if prev.CampaignHash != hash {
-			return nil, fmt.Errorf("fleet: checkpoint %s belongs to a different campaign", dc.manifestPath)
-		}
-		sort.Strings(prev.Completed)
-		dc.man = prev
-	default:
-		// Not resuming: start a fresh progress record. The
-		// content-addressed entries stay valid and still serve hits.
-	}
-	return dc, nil
+	return &diskCache{dir: dir}, nil
 }
 
 // lookup returns the cached payload for a job, if a valid entry
@@ -109,8 +66,8 @@ func (dc *diskCache) lookup(j Job) (json.RawMessage, bool) {
 	return e.Payload, true
 }
 
-// store persists one completed job's payload and checkpoints the
-// campaign manifest. Called concurrently by workers.
+// store persists one completed job's payload. Called concurrently by
+// workers, each with its own job.
 func (dc *diskCache) store(j Job, payload json.RawMessage) error {
 	entry, err := json.Marshal(cacheEntry{
 		Version: specVersion,
@@ -122,45 +79,15 @@ func (dc *diskCache) store(j Job, payload json.RawMessage) error {
 	if err != nil {
 		return err
 	}
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	// The three crash points bracket the dangerous windows of the
-	// checkpoint protocol; the kill-matrix CI job dies at each one and
-	// proves a -resume run still merges byte-identical output. The
-	// middle window (entry durable, manifest stale) is the interesting
-	// one: resume must treat the manifest as authoritative-but-lagging
-	// and let the content cache serve the orphaned entry.
+	// The crash points bracket the entry write; the kill matrices die
+	// at each one and prove a plain rerun still merges byte-identical
+	// output, with the entry either absent (the job re-runs) or whole
+	// (it is served).
 	guard.CrashPoint("fleet/pre-entry")
 	if err := writeAtomic(dc.entryPath(j), append(entry, '\n')); err != nil {
 		return fmt.Errorf("fleet: cache store %s: %w", j.ID, err)
 	}
 	guard.CrashPoint("fleet/post-entry")
-	dc.man.Completed = insertSorted(dc.man.Completed, j.ID)
-	man, err := json.Marshal(dc.man)
-	if err != nil {
-		return err
-	}
-	if err := writeAtomic(dc.manifestPath, append(man, '\n')); err != nil {
-		return fmt.Errorf("fleet: checkpoint: %w", err)
-	}
-	guard.CrashPoint("fleet/post-manifest")
-	return nil
-}
-
-// markCompleted checkpoints a job that was served from the cache, so
-// the manifest reflects full campaign progress even when no new entry
-// was written.
-func (dc *diskCache) markCompleted(j Job) error {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	dc.man.Completed = insertSorted(dc.man.Completed, j.ID)
-	man, err := json.Marshal(dc.man)
-	if err != nil {
-		return err
-	}
-	if err := writeAtomic(dc.manifestPath, append(man, '\n')); err != nil {
-		return fmt.Errorf("fleet: checkpoint: %w", err)
-	}
 	return nil
 }
 
@@ -172,7 +99,7 @@ func (dc *diskCache) entryPath(j Job) string {
 // parent-directory fsync. The rename alone makes a kill mid-write
 // atomic (no torn file), but not durable: after a power-loss-style
 // kill the directory entry can survive while the data blocks were
-// never flushed, surfacing an empty or truncated manifest. Syncing the
+// never flushed, surfacing an empty or truncated entry. Syncing the
 // file before the rename and the directory after it closes both holes.
 func writeAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
@@ -216,16 +143,4 @@ func syncDir(dir string) error {
 		return err
 	}
 	return nil
-}
-
-// insertSorted adds id to the sorted set, keeping order and uniqueness.
-func insertSorted(set []string, id string) []string {
-	i := sort.SearchStrings(set, id)
-	if i < len(set) && set[i] == id {
-		return set
-	}
-	set = append(set, "")
-	copy(set[i+1:], set[i:])
-	set[i] = id
-	return set
 }

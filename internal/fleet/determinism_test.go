@@ -13,9 +13,9 @@ import (
 // The engine's contract: the merged results, the metrics snapshot, the
 // trace file, and the cache contents are all byte-identical whether a
 // campaign runs on one worker or many, with or without fault
-// injection, and whether it ran straight through or resumed from a
-// checkpoint. These tests are the fleet's slice of the repository's
-// determinism CI gate.
+// injection, and whether it ran straight through or was rerun on the
+// cache a killed run left. These tests are the fleet's slice of the
+// repository's determinism CI gate.
 
 // runExports captures every deterministic export of one campaign run.
 type runExports struct {
@@ -25,11 +25,11 @@ type runExports struct {
 	cache   map[string]string // file name → contents
 }
 
-func runWith(t *testing.T, c *Campaign, workers int, dir string, resume bool) runExports {
+func runWith(t *testing.T, c *Campaign, workers int, dir string) runExports {
 	t.Helper()
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer()
-	res, err := Run(c, Options{Workers: workers, CacheDir: dir, Resume: resume, Obs: reg, Trace: tr})
+	res, err := Run(c, Options{Workers: workers, CacheDir: dir, Obs: reg, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +101,8 @@ func diffExports(t *testing.T, what string, a, b runExports) {
 // workers=8 and demands byte-identical exports across the board.
 func TestWorkerCountInvariance(t *testing.T) {
 	camp := MonteCarlo(6, 1)
-	one := runWith(t, camp, 1, t.TempDir(), false)
-	eight := runWith(t, camp, 8, t.TempDir(), false)
+	one := runWith(t, camp, 1, t.TempDir())
+	eight := runWith(t, camp, 8, t.TempDir())
 	diffExports(t, "montecarlo w1 vs w8", one, eight)
 }
 
@@ -111,8 +111,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 // so parallelism must not reorder them either.
 func TestWorkerCountInvarianceFaulted(t *testing.T) {
 	camp := TuneSweep(4, 1, 0, "test-floor,broken=1", 7)
-	one := runWith(t, camp, 1, t.TempDir(), false)
-	eight := runWith(t, camp, 8, t.TempDir(), false)
+	one := runWith(t, camp, 1, t.TempDir())
+	eight := runWith(t, camp, 8, t.TempDir())
 	diffExports(t, "faulted tune w1 vs w8", one, eight)
 
 	// The profile must actually bite: at least one job should report a
@@ -139,15 +139,16 @@ func TestWorkerCountInvarianceFaulted(t *testing.T) {
 }
 
 // TestResumeMatchesUninterrupted simulates a campaign killed partway:
-// a prefix of the jobs completes (and checkpoints), the process "dies",
-// and the campaign restarts with Resume on the same cache directory.
-// The resumed final output must be byte-identical to a straight-through
-// run, and the checkpoint must end up listing every job.
+// a prefix of the jobs completes (and is cached), the process "dies",
+// and the same campaign is rerun on the same cache directory. The
+// rerun's final output must be byte-identical to a straight-through
+// run, and the directory must end up holding exactly one entry per
+// job and nothing else.
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	full := MonteCarlo(5, 11)
 
 	// The uninterrupted reference run.
-	ref := runWith(t, full, 8, t.TempDir(), false)
+	ref := runWith(t, full, 8, t.TempDir())
 
 	// The killed run: only the first two jobs ever executed. A prefix
 	// campaign shares those jobs' content hashes, so its cache entries
@@ -160,29 +161,33 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 
 	// The restart. It must serve the completed prefix from cache, run
 	// the rest, and merge to the reference bytes.
-	reg := obs.NewRegistry()
-	res, err := Run(full, Options{Workers: 8, CacheDir: dir, Resume: true, Obs: reg})
+	res, err := Run(full, Options{Workers: 8, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.CachedCount(); got != 2 {
-		t.Errorf("resumed run cached count = %d, want 2", got)
+		t.Errorf("rerun cached count = %d, want 2", got)
 	}
 	if got := mergedJSON(t, res); got != ref.merged {
-		t.Errorf("resumed merge differs from uninterrupted run:\n%s\nvs\n%s", got, ref.merged)
+		t.Errorf("rerun merge differs from uninterrupted run:\n%s\nvs\n%s", got, ref.merged)
 	}
-	man := readManifest(t, dir, full)
-	want := make([]string, 0, len(full.Jobs))
-	for _, j := range full.Jobs {
-		want = append(want, j.ID)
+	checkOnlyEntries(t, dir, full)
+	if files := snapshotDir(t, dir); len(files) != len(full.Jobs) {
+		t.Errorf("cache holds %d file(s), want one entry per job (%d)", len(files), len(full.Jobs))
 	}
-	sort.Strings(want)
-	if len(man.Completed) != len(want) {
-		t.Fatalf("manifest completed = %v, want %v", man.Completed, want)
+}
+
+// checkOnlyEntries fails the test for any file in dir that is not the
+// cache entry of one of the campaign's jobs.
+func checkOnlyEntries(t *testing.T, dir string, c *Campaign) {
+	t.Helper()
+	entries := make(map[string]bool, len(c.Jobs))
+	for _, j := range c.Jobs {
+		entries[j.Hash()+".json"] = true
 	}
-	for i := range want {
-		if man.Completed[i] != want[i] {
-			t.Fatalf("manifest completed = %v, want %v", man.Completed, want)
+	for name := range snapshotDir(t, dir) {
+		if !entries[name] {
+			t.Errorf("cache holds %s, which is no entry of campaign %s", name, c.Name)
 		}
 	}
 }
@@ -192,7 +197,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 // so cache state can ride in the byte-diff CI gate too.
 func TestCacheContentsStableAcrossRuns(t *testing.T) {
 	camp := CharacterizeSweep(2, 21, 1, "", 0)
-	a := runWith(t, camp, 2, t.TempDir(), false)
-	b := runWith(t, camp, 1, t.TempDir(), false)
+	a := runWith(t, camp, 2, t.TempDir())
+	b := runWith(t, camp, 1, t.TempDir())
 	diffExports(t, "charact sweep cache", a, b)
 }

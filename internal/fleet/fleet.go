@@ -18,8 +18,8 @@
 //     serialized with fixed field order (WriteJSON), so the merged
 //     artifact is byte-stable across worker counts.
 //   - Results are content-addressed: a job's spec hash names its cache
-//     entry on disk, so re-running a campaign skips completed jobs and
-//     a killed campaign resumes from its checkpoint manifest with
+//     entry on disk, so re-running a campaign skips completed jobs, and
+//     a killed campaign rerun on the same directory finishes with
 //     byte-identical final output.
 //   - Observability rides the obs plane: dispatch/completion/cache/
 //     failure counters, a live worker-occupancy gauge (zero by the
@@ -118,9 +118,9 @@ type Job struct {
 	// OpsProfile/OpsSeed stamp a dcprovision job with the operational
 	// fault scenario its campaign will run after intake (a canonical
 	// dc.ParseOpsProfile spec; opaque to the engine). The stage itself
-	// ignores them — they exist so the campaign hash, and therefore the
-	// checkpoint manifest, names the whole scenario. Both omitempty:
-	// zero values hash identically to pre-ops specs.
+	// ignores them — they exist so the campaign_hash the dc result
+	// prints, and the job's cache key, name the whole scenario. Both
+	// omitempty: zero values hash identically to pre-ops specs.
 	OpsProfile string `json:"ops_profile,omitempty"`
 	OpsSeed    uint64 `json:"ops_seed,omitempty"`
 }
@@ -189,7 +189,7 @@ func (c *Campaign) Validate() error {
 }
 
 // Hash content-addresses the whole campaign (name, job order, and
-// every job spec) — the identity the checkpoint manifest records.
+// every job spec) — the campaign_hash of the merged result.
 func (c *Campaign) Hash() string {
 	h := sha256.New()
 	io.WriteString(h, specVersion)
@@ -214,7 +214,7 @@ type Result struct {
 	Payload json.RawMessage `json:"payload,omitempty"`
 	// Cached marks a result served from the content-addressed cache.
 	// It is provenance, not content: it is excluded from the merged
-	// serialization so resumed and uninterrupted campaigns produce
+	// serialization so rerun and uninterrupted campaigns produce
 	// byte-identical final output.
 	Cached bool `json:"-"`
 	// WallNS is the job's execution wall time in the clock Options.Clock
@@ -257,7 +257,7 @@ func (r *CampaignResult) CachedCount() int {
 
 // WriteJSON writes the merged result as one JSON document with a
 // trailing newline — byte-identical across worker counts and across
-// cached, resumed, and fresh runs of the same campaign.
+// cached, rerun, and fresh runs of the same campaign.
 func (r *CampaignResult) WriteJSON(w io.Writer) error {
 	var b bytes.Buffer
 	enc := json.NewEncoder(&b)
@@ -276,15 +276,10 @@ type Options struct {
 	// for every value.
 	Workers int
 	// CacheDir, when non-empty, enables the content-addressed result
-	// cache and the checkpoint manifest in that directory (created if
-	// missing). Completed jobs found there are served without
-	// re-execution.
+	// cache in that directory (created if missing). Completed jobs
+	// found there are served without re-execution, so rerunning a
+	// killed campaign on the same directory finishes it.
 	CacheDir string
-	// Resume requires CacheDir and tolerates a pre-existing checkpoint
-	// manifest for this campaign, continuing from its completed set.
-	// Without Resume a fresh manifest replaces any previous one (the
-	// per-job content cache still serves hits either way).
-	Resume bool
 	// PanicRetries bounds how many times a panicking job is retried
 	// before it is quarantined as a poison job (recorded failed in the
 	// merged results; the pool keeps running). 0 selects the default of
@@ -324,13 +319,10 @@ func Run(c *Campaign, o Options) (*CampaignResult, error) {
 	if o.Workers > len(c.Jobs) {
 		o.Workers = len(c.Jobs)
 	}
-	if o.Resume && o.CacheDir == "" {
-		return nil, errors.New("fleet: Resume requires a cache directory")
-	}
 	var cache *diskCache
 	if o.CacheDir != "" {
 		var err error
-		cache, err = openCache(o.CacheDir, c, o.Resume)
+		cache, err = openCache(o.CacheDir)
 		if err != nil {
 			return nil, err
 		}
@@ -356,9 +348,6 @@ func Run(c *Campaign, o Options) (*CampaignResult, error) {
 			if payload, ok := cache.lookup(j); ok {
 				results[i] = Result{JobID: j.ID, Kind: j.Kind, Payload: payload, Cached: true}
 				cachedHits.Inc()
-				if err := cache.markCompleted(j); err != nil {
-					return nil, err
-				}
 				continue
 			}
 		}
@@ -367,8 +356,8 @@ func Run(c *Campaign, o Options) (*CampaignResult, error) {
 
 	// The pool: workers drain a channel of job indices. Each job is
 	// hermetic, so the only shared state is the results slice (disjoint
-	// indices), the cache (internally locked), and the obs handles
-	// (atomic).
+	// indices), the cache directory (one entry file per job), and the
+	// obs handles (atomic).
 	var (
 		wg       sync.WaitGroup
 		idx      = make(chan int)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -35,7 +34,7 @@ func TestPanickingJobQuarantined(t *testing.T) {
 	camp := MonteCarlo(6, 1)
 	var runs []runExports
 	for _, workers := range []int{1, 2, 4, 8} {
-		runs = append(runs, runWith(t, camp, workers, t.TempDir(), false))
+		runs = append(runs, runWith(t, camp, workers, t.TempDir()))
 	}
 	for i, r := range runs[1:] {
 		diffExports(t, fmt.Sprintf("poison campaign w1 vs w%d", []int{2, 4, 8}[i]), runs[0], r)
@@ -163,7 +162,7 @@ func TestTrialBudgetDeadline(t *testing.T) {
 // result: the watchdog observes trials, it never influences them.
 func TestTrialBudgetGenerous(t *testing.T) {
 	camp := MonteCarlo(2, 7)
-	plain := runWith(t, camp, 2, t.TempDir(), false)
+	plain := runWith(t, camp, 2, t.TempDir())
 
 	reg := obs.NewRegistry()
 	res, err := Run(camp, Options{Workers: 2, TrialBudget: 1 << 40, Obs: reg})
@@ -175,9 +174,8 @@ func TestTrialBudgetGenerous(t *testing.T) {
 	}
 }
 
-// crashPoints is the kill matrix: every dangerous window of the
-// checkpoint store protocol.
-var crashPoints = []string{"fleet/pre-entry", "fleet/post-entry", "fleet/post-manifest"}
+// crashPoints is the kill matrix: both sides of the cache entry write.
+var crashPoints = []string{"fleet/pre-entry", "fleet/post-entry"}
 
 // TestCrashHelperProcess is not a test: re-executed as a subprocess by
 // TestKillMatrixResume with the crash point armed, it runs the
@@ -195,8 +193,8 @@ func TestCrashHelperProcess(t *testing.T) {
 }
 
 // TestKillMatrixResume is the in-repo kill matrix: SIGKILL-equivalent
-// death at each crash point, then -resume, then byte-diff against an
-// uninterrupted run.
+// death at each crash point, then a plain rerun on the same cache
+// directory, then byte-diff against an uninterrupted run.
 func TestKillMatrixResume(t *testing.T) {
 	camp := MonteCarlo(3, 21)
 	ref, err := Run(camp, Options{Workers: 1})
@@ -223,30 +221,21 @@ func TestKillMatrixResume(t *testing.T) {
 				t.Fatalf("helper at %s: err = %v (want exit 137), output:\n%s", point, err, out.String())
 			}
 
-			// The kill must never leave a torn file behind.
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
-				if strings.HasSuffix(e.Name(), ".tmp") {
-					t.Errorf("torn temp file survived the kill: %s", e.Name())
-				}
-				raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
-				if err != nil {
-					t.Fatal(err)
-				}
+			// The kill must never leave a torn file behind: every
+			// survivor is a whole entry of the campaign.
+			checkOnlyEntries(t, dir, camp)
+			for name, raw := range snapshotDir(t, dir) {
 				if len(raw) == 0 {
-					t.Errorf("empty file survived the kill: %s", e.Name())
+					t.Errorf("empty file survived the kill: %s", name)
 				}
 			}
 
-			res, err := Run(camp, Options{Workers: 2, CacheDir: dir, Resume: true})
+			res, err := Run(camp, Options{Workers: 2, CacheDir: dir})
 			if err != nil {
-				t.Fatalf("resume after kill at %s: %v", point, err)
+				t.Fatalf("rerun after kill at %s: %v", point, err)
 			}
 			if got := mergedJSON(t, res); got != refJSON {
-				t.Fatalf("resume after kill at %s diverged:\n%s\nvs\n%s", point, got, refJSON)
+				t.Fatalf("rerun after kill at %s diverged:\n%s\nvs\n%s", point, got, refJSON)
 			}
 		})
 	}

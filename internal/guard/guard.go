@@ -65,8 +65,8 @@ func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 // point. When set, the process kills itself (exit status 137, the
 // kill -9 convention) the first time the named point is reached —
 // simulating a power-loss-style kill at exactly that instruction, so
-// CI can prove crash-safety invariants (fsync'd manifests, resumable
-// campaigns) at every dangerous window.
+// CI can prove crash-safety invariants (fsync'd cache entries,
+// campaigns that a plain rerun finishes) at every dangerous window.
 const CrashPointEnv = "ATM_CRASH_POINT"
 
 // armedCrashPoint reads the armed point once. Reading the environment

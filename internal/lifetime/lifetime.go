@@ -65,8 +65,8 @@ func (o Options) withDefaults() Options {
 		o.TrialRetries = 2
 	}
 	// StressTestCore consumes Options verbatim (Deploy normalizes for
-	// its own callers), so the zero value must be filled here: an empty
-	// battery or zero passes would "validate" every reduction.
+	// its own callers), so the zero value must be filled here:
+	// StressTestCore rejects an empty battery or zero passes.
 	if o.Tune.Passes == 0 {
 		o.Tune.Passes = 3
 	}
@@ -225,7 +225,7 @@ func (a *actuator) Retune(core string) (int, error) {
 		return 0, err
 	}
 	// Chaos hook: killing the process here — after the search, before
-	// the commit — must leave a resumed run byte-identical, because a
+	// the commit — must leave a rerun byte-identical, because a
 	// failed fleet job is never cached and replays from scratch.
 	guard.CrashPoint("sentinel/retune-commit")
 	if err := a.cli.SetCPM(core, lim); err != nil {

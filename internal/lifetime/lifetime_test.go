@@ -6,11 +6,13 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/chip"
 	"repro/internal/rng"
 	"repro/internal/silicon"
+	"repro/internal/tuning"
 	"repro/internal/workload"
 )
 
@@ -25,8 +27,8 @@ func mustJSON(t *testing.T, v interface{}) []byte {
 
 // TestRunIsDeterministic pins the replay contract: the Result is a pure
 // function of (profile, Options), byte-identical across runs. The fleet
-// cache, the CI two-run identity gate, and kill-safe resume all stand
-// on this.
+// cache, the CI two-run identity gate, and the rerun after a kill all
+// stand on this.
 func TestRunIsDeterministic(t *testing.T) {
 	opts := Options{Years: 3, Seed: 1}
 	a, err := Run(silicon.Reference(), opts)
@@ -219,6 +221,16 @@ func TestOverlayRefreshesAgedProfiles(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunRejectsEmptyStressTest: a day-one stress test with no pass
+// would deploy every core at its maximum reduction and end UNSAFE, so
+// Run fails instead, naming the field.
+func TestRunRejectsEmptyStressTest(t *testing.T) {
+	_, err := Run(silicon.Reference(), Options{Years: 1, Tune: tuning.Options{Passes: -1}})
+	if err == nil || !strings.Contains(err.Error(), "Passes -1") {
+		t.Fatalf("err = %v, want one naming Passes", err)
 	}
 }
 

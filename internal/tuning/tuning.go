@@ -180,8 +180,18 @@ func (d *Deployment) SpeedDifferentialMHz() float64 {
 
 // StressTestCore finds one core's stress-test limit: the largest
 // reduction at which every stressmark of the battery passes
-// RunsPerConfig consecutive runs on every pass.
+// RunsPerConfig consecutive runs on every pass. It consumes o verbatim
+// and rejects a search that would run nothing (no pass, no run or no
+// stressmark), which would pass every reduction unexamined.
 func StressTestCore(m *chip.Machine, label string, o Options, src *rng.Source) (int, error) {
+	switch {
+	case o.Passes < 1:
+		return 0, fmt.Errorf("tuning: Passes %d: want at least 1", o.Passes)
+	case o.RunsPerConfig < 1:
+		return 0, fmt.Errorf("tuning: RunsPerConfig %d: want at least 1", o.RunsPerConfig)
+	case len(o.Battery) == 0:
+		return 0, errors.New("tuning: empty Battery: want at least one stressmark")
+	}
 	core, err := m.Core(label)
 	if err != nil {
 		return 0, err

@@ -1,10 +1,13 @@
 package tuning
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/chip"
+	"repro/internal/rng"
 	"repro/internal/silicon"
+	"repro/internal/workload"
 )
 
 var refDeployment *Deployment
@@ -150,6 +153,31 @@ func TestDeployRejectsNegativeRollback(t *testing.T) {
 	m := chip.NewReference()
 	if _, err := Deploy(m, Options{Rollback: -1}); err == nil {
 		t.Error("negative rollback accepted")
+	}
+}
+
+// TestStressTestRejectsEmptySearch: a stress test with no pass, no run
+// or no stressmark examines nothing and would deploy every core at its
+// maximum reduction, so StressTestCore refuses it, naming the field,
+// and Deploy fails through it.
+func TestStressTestRejectsEmptySearch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    Options
+		want string
+	}{
+		{"negative passes", Options{Passes: -1}, "Passes -1"},
+		{"negative runs", Options{RunsPerConfig: -1}, "RunsPerConfig -1"},
+		{"empty battery", Options{Battery: []workload.Stressmark{}}, "Battery"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Deploy(chip.NewReference(), tc.o); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Deploy: err = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+	if _, err := StressTestCore(chip.NewReference(), "P0C0", Options{}, rng.New(1)); err == nil {
+		t.Error("StressTestCore accepted zero-valued Options")
 	}
 }
 

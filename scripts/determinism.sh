@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Every CLI byte-diff of the repository: seeded runs must replay byte
 # for byte across runs and worker counts, exit with their documented
-# codes, and resume from any crash point to an uninterrupted run's
-# output. Run from anywhere, with no arguments:
+# codes, and, killed at any crash point, finish on a plain rerun with
+# an uninterrupted run's output. Run from anywhere, with no arguments:
 #
 #	bash scripts/determinism.sh
 #
 # It builds atmctl and atmfigures once into a temp dir and runs each
 # command in a fresh directory of its own, which collects its stdout,
-# stderr, exit code and any relative -metrics-out/-trace-out file. Two
-# runs match when `diff -r` finds no difference outside stderr. The
+# stderr, exit code and any relative -metrics-out/-trace-out/-csv file.
+# Two runs match when `diff -r` finds no difference outside stderr. The
 # first failed check stops the script with a non-zero exit.
 set -eEuo pipefail
 cd "$(dirname "$0")/.."
@@ -69,6 +69,10 @@ twice atmctl tune -fault-profile broken-core -fault-seed 7 -metrics-out metrics.
 expect 3
 grep -q quarantined "$out/stdout"
 
+# The control loop's transient trace, CSV export included.
+twice atmctl transient -steps 300 -csv trace.csv
+expect 0
+
 # Fleet campaigns at any worker count, a cache that serves every job
 # of a second run, and the fleet-backed Monte-Carlo study.
 workers 8 atmctl fleet -kind montecarlo -n 16 -metrics-out metrics.json -trace-out trace.json
@@ -79,13 +83,13 @@ grep -q '4 cached' "$out/stderr"
 workers 8 atmfigures -id ext-montecarlo
 expect 0
 
-# Datacenter intake at any worker count, a resumed campaign served
-# from the cache, and a broken rack that quarantines without stalling.
+# Datacenter intake at any worker count, a rerun campaign served from
+# the cache, and a broken rack that quarantines without stalling.
 workers 8 atmctl dc -racks 2 -chassis 4 -chips-per-chassis 8 -json -metrics-out metrics.json -trace-out trace.json
 expect 0
 run atmctl dc -racks 1 -chassis 2 -chips-per-chassis 4 -cache-dir "$tmp/dc-cache"
 ref=$out
-run atmctl dc -racks 1 -chassis 2 -chips-per-chassis 4 -cache-dir "$tmp/dc-cache" -resume
+run atmctl dc -racks 1 -chassis 2 -chips-per-chassis 4 -cache-dir "$tmp/dc-cache"
 same "$ref" "$out"
 expect 0
 grep -q '8 cached' "$out/stderr"
@@ -121,20 +125,20 @@ expect 3
 grep -qw UNSAFE "$out/stdout"
 grep -qw UNSAFE "$out/stderr"
 
-# Kill matrices: die at each crash point (exit 137), resume from the
-# checkpoint, and match an uninterrupted run.
+# Kill matrices: die at each crash point (exit 137), rerun the same
+# command on the same cache, and match an uninterrupted run.
 run atmctl fleet -kind montecarlo -n 8 -workers 2
 ref=$out
-for point in fleet/pre-entry fleet/post-entry fleet/post-manifest; do
+for point in fleet/pre-entry fleet/post-entry; do
 	cache=$tmp/crash-${point//\//-}
 	run env ATM_CRASH_POINT="$point" atmctl fleet -kind montecarlo -n 8 -workers 1 -cache-dir "$cache"
 	expect 137
-	run atmctl fleet -kind montecarlo -n 8 -workers 2 -cache-dir "$cache" -resume
+	run atmctl fleet -kind montecarlo -n 8 -workers 2 -cache-dir "$cache"
 	same "$ref" "$out"
 done
 run env ATM_CRASH_POINT=sentinel/retune-commit atmctl lifetime -years 3 -seed 1 -cache-dir "$tmp/crash-sentinel"
 expect 137
-run atmctl lifetime -years 3 -seed 1 -cache-dir "$tmp/crash-sentinel" -resume
+run atmctl lifetime -years 3 -seed 1 -cache-dir "$tmp/crash-sentinel"
 same "$lifetime" "$out"
 
 echo "determinism: $runs runs, every check passed"
