@@ -19,10 +19,12 @@ import (
 // (cache hits, campaign name) goes to stderr. With -ops-fault-profile
 // the sim additionally absorbs a seeded operational fault timeline
 // (chip deaths, link flaps, brownouts, thermals) and reports the
-// recovery/availability summary with a SAFE/UNSAFE verdict. Exit 3
-// when any chip ends intake-quarantined, any budget cap is violated,
-// any intake job failed, or the ops verdict is UNSAFE (a displaced
-// tenant was never re-placed).
+// recovery/availability summary with a SAFE/UNSAFE verdict. A cap
+// below its level's idle draw exits 1 after intake, before the first
+// tick. Exit 3 when any chip ends intake-quarantined, any intake job
+// failed, the ops verdict is UNSAFE (a displaced tenant was never
+// re-placed), or a budget cap is violated, which means a broken
+// invariant.
 func cmdDC(args []string) error {
 	fs := flag.NewFlagSet("dc", flag.ContinueOnError)
 	racks := fs.Int("racks", 2, "rack count")
@@ -34,9 +36,9 @@ func cmdDC(args []string) error {
 	tenants := fs.Int("tenants", 0, "tenant workload count (0 = 2 per chip)")
 	ticks := fs.Int("ticks", 0, "operation horizon in ticks (0 = 32)")
 	rollback := fs.Int("rollback", 0, "intake deployment safety steps below the stress-test limit")
-	rackCap := fs.Float64("rack-cap", 0, "rack PDU cap in watts (0 = derive from the provisioned envelope)")
-	chassisCap := fs.Float64("chassis-cap", 0, "chassis cap in watts (0 = derive)")
-	chipCap := fs.Float64("chip-cap", 0, "chip cap in watts (0 = derive)")
+	rackCap := fs.Float64("rack-cap", 0, "rack PDU cap in watts (0 = derive from the provisioned envelope; below the rack's idle draw is an error)")
+	chassisCap := fs.Float64("chassis-cap", 0, "chassis cap in watts (0 = derive; below a chassis's idle draw is an error)")
+	chipCap := fs.Float64("chip-cap", 0, "chip cap in watts (0 = derive; below a chip's idle draw is an error)")
 	ki := fs.Float64("ki", 0, "per-chip integral gain of the budget controller (0 = 0.5)")
 	faultProfile := fs.String("fault-profile", "",
 		"arm this fault profile on every node (per-node seeds are independent rng splits)")

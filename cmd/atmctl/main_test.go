@@ -66,9 +66,12 @@ func TestRunExitCodes(t *testing.T) {
 		{"dc quarantined chips are partial", []string{"dc",
 			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
 			"-fault-profile", "test-floor,broken=8", "-fault-seed", "5"}, 3},
-		{"dc budget violation is partial", []string{"dc",
+		{"dc chassis cap below idle is hard", []string{"dc",
 			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
-			"-chassis-cap", "30"}, 3},
+			"-chassis-cap", "30"}, 1},
+		{"dc chip cap below idle under thermals is hard", []string{"dc",
+			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
+			"-chip-cap", "20", "-ops-fault-profile", "thermals=1"}, 1},
 		{"dc ops recovered is ok", []string{"dc",
 			"-racks", "1", "-chassis", "2", "-chips-per-chassis", "2",
 			"-ticks", "32", "-tenants", "16",

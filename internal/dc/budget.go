@@ -7,10 +7,10 @@ package dc
 // ramps each chip's admission toward its grant at rate ki·(grant −
 // measured), and the effective allowance is min(grant, soft). The min
 // makes cap safety structural — water-filling conserves every level's
-// cap, so Σ measured ≤ Σ grant ≤ cap at chassis and rack level on
-// every tick — while the integral supplies the soft-start dynamics:
-// a freshly provisioned chip earns budget over a few ticks instead of
-// slamming to its grant.
+// cap, so each level draws at most its cap plus the idle draw its
+// grants could not cover (Check) — while the integral supplies the
+// soft-start dynamics: a freshly provisioned chip earns budget over a
+// few ticks instead of slamming to its grant.
 
 // budgetEps is the slack under every cap comparison: water-fill
 // residues are sums of float64 divisions and land within a few ulp of
@@ -18,8 +18,8 @@ package dc
 const budgetEps = 1e-9
 
 // BudgetTree is the three-level budget hierarchy over a fixed
-// topology. All per-tick state is preallocated; Apportion and Regulate
-// run allocation-free on the sim's hot path.
+// topology. All per-tick state is preallocated; Apportion, Regulate
+// and Check run allocation-free on the sim's hot path.
 type BudgetTree struct {
 	racks, chassisPerRack, chipsPerChassis int
 
@@ -94,9 +94,6 @@ func NewBudgetTree(racks, chassisPerRack, chipsPerChassis int, rackCapW, chassis
 	}
 	return t
 }
-
-// Chips returns the number of leaf chips in the tree.
-func (t *BudgetTree) Chips() int { return len(t.grant) }
 
 // Grant returns chip i's current water-filled grant.
 func (t *BudgetTree) Grant(i int) float64 { return t.grant[i] }
@@ -176,6 +173,46 @@ func (t *BudgetTree) Regulate(measured []float64) {
 	}
 }
 
+// Check measures one tick's per-chip draw against the hierarchy: the
+// largest draw at each level and the number of levels over their
+// threshold, the one definition of a budget violation. A chip cannot
+// shed below its idle floor, so its threshold is max(cap, idle), and a
+// chassis or rack excuses the idle draw its grants could not cover,
+// Σ max(0, idle − grant). Caps are the effective ones, grants the last
+// Apportion's; measured is in topology order.
+//
+//atm:hotpath
+func (t *BudgetTree) Check(measured []float64) (rackMax, chassisMax, chipMax float64, violations int) {
+	i := 0
+	for r := 0; r < t.racks; r++ {
+		rackW, rackSlack := 0.0, 0.0
+		for c := 0; c < t.chassisPerRack; c++ {
+			chassisW, chassisSlack := 0.0, 0.0
+			for s := 0; s < t.chipsPerChassis; s++ {
+				w := measured[i]
+				chassisW += w
+				chipMax = max(chipMax, w)
+				chassisSlack += max(0, t.idle[i]-t.grant[i])
+				if w > max(t.chipEff[i], t.idle[i])+budgetEps {
+					violations++
+				}
+				i++
+			}
+			rackW += chassisW
+			rackSlack += chassisSlack
+			chassisMax = max(chassisMax, chassisW)
+			if chassisW > t.chassisEff[r*t.chassisPerRack+c]+chassisSlack+budgetEps {
+				violations++
+			}
+		}
+		rackMax = max(rackMax, rackW)
+		if rackW > t.rackEff[r]+rackSlack+budgetEps {
+			violations++
+		}
+	}
+	return rackMax, chassisMax, chipMax, violations
+}
+
 // clampRequest bounds a chip's request to [idle floor, chip cap].
 // When an ops event forces the effective cap below the idle floor the
 // ceiling wins: the chip is allowed only its forced cap, the one case
@@ -211,18 +248,6 @@ func (t *BudgetTree) ForceChipCap(i int, capW float64) { t.chipEff[i] = capW }
 
 // ResetChipCap restores chip i's configured ceiling.
 func (t *BudgetTree) ResetChipCap(i int) { t.chipEff[i] = t.chipCap }
-
-// RackCapEff returns rack r's effective cap this tick.
-func (t *BudgetTree) RackCapEff(r int) float64 { return t.rackEff[r] }
-
-// ChassisCapEff returns global chassis ci's effective cap this tick.
-func (t *BudgetTree) ChassisCapEff(ci int) float64 { return t.chassisEff[ci] }
-
-// ChipCapEff returns chip i's effective ceiling this tick.
-func (t *BudgetTree) ChipCapEff(i int) float64 { return t.chipEff[i] }
-
-// Idle returns chip i's admission floor.
-func (t *BudgetTree) Idle(i int) float64 { return t.idle[i] }
 
 // SetIdle rewrites chip i's admission floor: 0 for a dead or
 // quarantined chip (its draw leaves the hierarchy), the provisioned

@@ -199,8 +199,76 @@ func TestBudgetStepAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		tree.Apportion(req)
 		tree.Regulate(meas)
+		tree.Check(meas)
 	})
 	if allocs != 0 {
 		t.Fatalf("budget step allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestBudgetCheck pins the one definition of a budget violation on a
+// 1×2×2 tree: a draw at a level's cap is within it, a watt over any
+// chip, chassis or rack cap counts once, and the only excuse is the
+// idle draw a forced cap's grants could not cover.
+func TestBudgetCheck(t *testing.T) {
+	idle := []float64{10, 10, 10, 10}
+	every := []float64{40, 40, 40, 40}
+
+	// Caps 100/60/40: the request water-fills to 25 W per chip, above
+	// every idle floor, so no level has anything to excuse.
+	tree := NewBudgetTree(1, 2, 2, 100, 60, 40, 0.5, idle)
+	tree.Apportion(every)
+	for _, tc := range []struct {
+		name     string
+		measured []float64
+		want     int
+	}{
+		{"chip, chassis and rack at their caps", []float64{40, 20, 30, 10}, 0},
+		{"a chip 1 W over", []float64{41, 10, 30, 10}, 1},
+		{"a chassis 1 W over", []float64{40, 21, 20, 10}, 1},
+		{"the rack 1 W over", []float64{40, 20, 30, 11}, 1},
+	} {
+		if _, _, _, got := tree.Check(tc.measured); got != tc.want {
+			t.Errorf("%s: %d violation(s), want %d", tc.name, got, tc.want)
+		}
+	}
+	rackMax, chassisMax, chipMax, _ := tree.Check([]float64{40, 20, 30, 10})
+	if rackMax != 100 || chassisMax != 60 || chipMax != 40 {
+		t.Errorf("maxima = %v/%v/%v W, want 100/60/40", rackMax, chassisMax, chipMax)
+	}
+
+	// A brownout drops chassis 0 to 15 W, below its chips' summed
+	// 20 W idle: each chip's 7.5 W grant leaves 2.5 W of idle uncovered,
+	// so the chassis threshold is 15 + 5 W.
+	tree.SetChassisCap(0, 15)
+	tree.Apportion(every)
+	if _, _, _, got := tree.Check([]float64{10, 10, 30, 30}); got != 0 {
+		t.Errorf("brownout: chips at idle count %d violation(s), want 0", got)
+	}
+	if _, _, _, got := tree.Check([]float64{11, 10, 30, 30}); got != 1 {
+		t.Errorf("brownout: 1 W over the excused idle counts %d violation(s), want 1", got)
+	}
+
+	// Caps 200/30/40, then a thermal excursion forces chip 0 to 5 W,
+	// half its idle floor: its grant is 5 W, chip 1's 25 W, and chassis
+	// 0 excuses exactly 10 − 5 W over its 30 W cap.
+	tree = NewBudgetTree(1, 2, 2, 200, 30, 40, 0.5, idle)
+	tree.ForceChipCap(0, 5)
+	tree.Apportion(every)
+	if g0, g1 := tree.Grant(0), tree.Grant(1); g0 != 5 || g1 != 25 {
+		t.Fatalf("forced grants = %v, %v W, want 5, 25", g0, g1)
+	}
+	for _, tc := range []struct {
+		name     string
+		measured []float64
+		want     int
+	}{
+		{"forced chip at idle, chassis at cap + idle − grant", []float64{10, 25, 10, 10}, 0},
+		{"forced chip 1 W over idle", []float64{11, 24, 10, 10}, 1},
+		{"chassis 1 W over cap + idle − grant", []float64{10, 26, 10, 10}, 1},
+	} {
+		if _, _, _, got := tree.Check(tc.measured); got != tc.want {
+			t.Errorf("%s: %d violation(s), want %d", tc.name, got, tc.want)
+		}
 	}
 }

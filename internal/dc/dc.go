@@ -61,7 +61,8 @@ type Options struct {
 	// RackCapW, ChassisCapW, ChipCapW cap each level of the budget
 	// hierarchy. 0 derives the cap from the provisioned envelope (see
 	// autoCaps): tight enough that the controller visibly throttles,
-	// loose enough that idle draw always fits.
+	// loose enough that idle draw always fits. Run rejects a cap below
+	// its level's largest idle draw, which no throttle can shed.
 	RackCapW    float64
 	ChassisCapW float64
 	ChipCapW    float64
@@ -72,13 +73,12 @@ type Options struct {
 	// FaultSeed by node ID.
 	FaultProfile string
 	FaultSeed    uint64
-	// OpsFaultProfile, when non-empty and not "none", arms the
-	// operational fault timeline (ParseOpsProfile spec): seeded runtime
-	// chip deaths, FSP link flaps, PDU brownouts and thermal excursions
-	// drawn from labelled splits of OpsFaultSeed (0 = 1), with the
-	// recovery ladder, tenant migration and degraded-mode water-fill
-	// built on top. "none" or "" is byte-identical to a run without
-	// the ops plane.
+	// OpsFaultProfile is the operational fault timeline
+	// (ParseOpsProfile spec): seeded runtime chip deaths, FSP link
+	// flaps, PDU brownouts and thermal excursions drawn from labelled
+	// splits of OpsFaultSeed (0 = 1), with the recovery ladder, tenant
+	// migration and degraded-mode water-fill built on top. An empty
+	// profile ("", "none") schedules nothing and reports no ops summary.
 	OpsFaultProfile string
 	OpsFaultSeed    uint64
 	// CacheDir passes through to the intake fleet: a content-addressed
@@ -189,7 +189,7 @@ type TenantOutcome struct {
 	ThrottledTicks int     `json:"throttled_ticks,omitempty"`
 	Placed         bool    `json:"placed,omitempty"`
 	Completed      bool    `json:"completed,omitempty"`
-	// Operational-fault fate (all zero without the ops plane):
+	// Operational-fault fate (all zero under an empty ops profile):
 	// Migrations counts successful re-placements after evacuation,
 	// DowntimeTicks the queued-while-displaced ticks, Shed marks a
 	// displaced tenant never re-placed by the horizon.
@@ -208,12 +208,12 @@ type TickRow struct {
 	Queued      int     `json:"queued"`
 	Running     int     `json:"running"`
 	Throttled   int     `json:"throttled"`
-	// Violations counts cap breaches at any level this tick. The
-	// water-fill + min(grant, soft) design keeps this zero unless a
-	// caller forces a cap below the fleet's idle draw.
+	// Violations counts levels over their BudgetTree.Check threshold
+	// this tick. Run rejects caps below idle, so a non-zero count is a
+	// broken invariant.
 	Violations int `json:"violations"`
 	// Down counts chips out of service this tick (dead, quarantined,
-	// or telemetry-dark); only the ops plane sets it.
+	// or telemetry-dark); always 0 under an empty ops profile.
 	Down int `json:"down,omitempty"`
 }
 
@@ -252,8 +252,8 @@ type Result struct {
 	Placement    PlacementSummary `json:"placement"`
 
 	// Ops and Events carry the operational fault plane's availability
-	// summary and event/recovery timeline; both absent (and the
-	// serialization unchanged) when the plane is off.
+	// summary and event/recovery timeline; both absent under an empty
+	// ops profile, which keeps a plain run's serialization.
 	Ops    *OpsSummary `json:"ops,omitempty"`
 	Events []OpsEvent  `json:"events,omitempty"`
 
@@ -477,8 +477,9 @@ func intakeChips(o Options, fres *fleet.CampaignResult, clock *int64, reAdmitTic
 // sits at 92% of the hottest provisioned envelope (so a fully loaded
 // chip must be throttled), the chassis cap at 75% of its chips' summed
 // caps, the rack cap at 85% of its chassis' — each floored at 105% of
-// the level's worst-case idle draw so an idle fleet always fits.
-func autoCaps(o Options, chips []PlacerChip) (rackCap, chassisCap, chipCap float64) {
+// the level's worst-case idle draw so an idle fleet always fits. A
+// final cap below its level's largest live idle draw is an error.
+func autoCaps(o Options, chips []PlacerChip) (rackCap, chassisCap, chipCap float64, err error) {
 	rackCap, chassisCap, chipCap = o.RackCapW, o.ChassisCapW, o.ChipCapW
 	if chipCap == 0 {
 		maxLoaded := 0.0
@@ -493,7 +494,7 @@ func autoCaps(o Options, chips []PlacerChip) (rackCap, chassisCap, chipCap float
 		}
 		chipCap = 0.92 * maxLoaded
 	}
-	maxChassisIdle, maxRackIdle := 0.0, 0.0
+	maxChipIdle, maxChassisIdle, maxRackIdle := 0.0, 0.0, 0.0
 	for r := 0; r < o.Racks; r++ {
 		rackIdle := 0.0
 		for c := 0; c < o.ChassisPerRack; c++ {
@@ -502,6 +503,7 @@ func autoCaps(o Options, chips []PlacerChip) (rackCap, chassisCap, chipCap float
 				i := (r*o.ChassisPerRack+c)*o.ChipsPerChassis + s
 				if !chips[i].Quarantined {
 					idle += chips[i].IdleW
+					maxChipIdle = max(maxChipIdle, chips[i].IdleW)
 				}
 			}
 			if idle > maxChassisIdle {
@@ -525,5 +527,14 @@ func autoCaps(o Options, chips []PlacerChip) (rackCap, chassisCap, chipCap float
 			rackCap = floor
 		}
 	}
-	return rackCap, chassisCap, chipCap
+	for _, l := range []struct {
+		level       string
+		capW, idleW float64
+	}{{"chip", chipCap, maxChipIdle}, {"chassis", chassisCap, maxChassisIdle}, {"rack", rackCap, maxRackIdle}} {
+		if l.capW < l.idleW {
+			return 0, 0, 0, fmt.Errorf("dc: %s cap %g W is below the largest %s idle draw, %g W; idle power cannot be shed",
+				l.level, l.capW, l.level, l.idleW)
+		}
+	}
+	return rackCap, chassisCap, chipCap, nil
 }

@@ -2,7 +2,9 @@ package dc
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -170,17 +172,45 @@ func TestBudgetHierarchyEnforced(t *testing.T) {
 	}
 }
 
-// TestForcedViolation: a chassis cap below the fleet's idle draw is
-// physically unenforceable (idle power cannot be shed) and must be
-// reported as violations, not hidden.
-func TestForcedViolation(t *testing.T) {
-	o := Options{Racks: 1, ChassisPerRack: 1, ChipsPerChassis: 2, ChassisCapW: 30, ChipCapW: 200, Tenants: 4}
-	res, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Budget.Violations == 0 {
-		t.Fatal("idle draw above the chassis cap reported no violations")
+// TestBelowIdleCapRejected: a configured cap below its level's idle
+// draw is physically unenforceable (idle power cannot be shed), so Run
+// rejects it at every level, with or without an ops profile, instead
+// of running a campaign that excuses or miscounts it. A cap equal to
+// the idle draw is feasible and runs with no violations.
+func TestBelowIdleCapRejected(t *testing.T) {
+	idle := idleOf(t, smallOpts())
+	for _, profile := range []string{"", "thermals=1"} {
+		for _, tc := range []struct {
+			level string
+			idleW float64
+			set   func(*Options, float64)
+		}{
+			{"chip", idle.chip, func(o *Options, w float64) { o.ChipCapW = w }},
+			{"chassis", idle.chassis, func(o *Options, w float64) { o.ChassisCapW = w }},
+			{"rack", idle.rack, func(o *Options, w float64) { o.RackCapW = w }},
+		} {
+			o := smallOpts()
+			o.OpsFaultProfile = profile
+			below := math.Nextafter(tc.idleW, 0)
+			tc.set(&o, below)
+			_, err := Run(o)
+			want := fmt.Sprintf("dc: %s cap %g W is below the largest %s idle draw, %g W", tc.level, below, tc.level, tc.idleW)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("profile %q, %s cap just below idle: err = %v, want it to contain %q", profile, tc.level, err, want)
+			}
+
+			o = smallOpts()
+			o.OpsFaultProfile = profile
+			tc.set(&o, tc.idleW)
+			res, err := Run(o)
+			if err != nil {
+				t.Errorf("profile %q, %s cap equal to idle: %v", profile, tc.level, err)
+				continue
+			}
+			if res.Budget.Violations != 0 {
+				t.Errorf("profile %q, %s cap equal to idle: %d violation(s), want 0", profile, tc.level, res.Budget.Violations)
+			}
+		}
 	}
 }
 

@@ -123,12 +123,15 @@ type opsPlane struct {
 }
 
 // newOpsPlane draws the schedule and initializes the ladder. seed 0 is
-// normalized to 1 (the injector convention everywhere else).
+// normalized to 1 (the injector convention everywhere else). An empty
+// profile registers no series.
 func newOpsPlane(p OpsProfile, seed uint64, o Options, placer *Placer, tree *BudgetTree,
 	provs []*platform.Provision, evacuate func(chip, tick int) int, reg *obs.Registry) *opsPlane {
-	o = o.withDefaults()
 	if seed == 0 {
 		seed = 1
+	}
+	if p.Empty() {
+		reg = nil
 	}
 	n := len(placer.Chips)
 	live := make([]bool, n)

@@ -85,15 +85,17 @@ func makeTenants(o Options) []*tenant {
 
 // simulate runs the operation phase over the merged intake results and
 // assembles the canonical Result. ops is the parsed operational fault
-// profile; the empty profile is byte-identical to a run without the
-// ops plane, so "-ops-fault-profile none" matches a plain run.
+// profile; an empty one schedules nothing, so every run takes the same
+// path. A cap below its level's idle draw fails before the first tick.
 func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.CampaignResult) (*Result, error) {
-	opsOn := !ops.Empty()
 	// Live-node breakers run on the sim's logical tick clock, so
 	// quarantine windows are measured in ticks.
 	clock := new(int64)
 	chips, sums, provs := intakeChips(o, fres, clock, int64(ops.ReAdmitTicks))
-	rackCap, chassisCap, chipCap := autoCaps(o, chips)
+	rackCap, chassisCap, chipCap, err := autoCaps(o, chips)
+	if err != nil {
+		return nil, err
+	}
 
 	nChips := len(chips)
 	idle := make([]float64, nChips)
@@ -129,6 +131,7 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 	grants := make([]float64, nChips)
 	allow := make([]float64, nChips)
 	measured := make([]float64, nChips)
+	telemetry := make([]float64, nChips)
 	// perChip tracks each chip's tenants in placement order for the
 	// throttle scan.
 	perChip := make([][]*tenant, nChips)
@@ -136,32 +139,26 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 	var queue []*tenant
 	var running []*tenant
 
-	// The ops plane, when armed: its evacuation callback pulls a dying
-	// or quarantined chip's tenants back into the queue; the tick loop
+	// The ops plane: its evacuation callback pulls a dying or
+	// quarantined chip's tenants back into the queue; the tick loop
 	// filters them out of running by their cleared placement.
-	var opsP *opsPlane
-	var telemetry, lastTele []float64
-	if opsOn {
-		evacuate := func(chip, _ int) int {
-			list := perChip[chip]
-			for _, t := range list {
-				t.chip, t.core = -1, -1
-				t.throttled = false
-				t.pendingMig = true
-				t.everDisplaced = true
-				queue = enqueue(queue, t)
-			}
-			n := len(list)
-			for k := range list {
-				list[k] = nil // do not retain evicted tenants in the backing array
-			}
-			perChip[chip] = list[:0]
-			return n
+	evacuate := func(chip, _ int) int {
+		list := perChip[chip]
+		for _, t := range list {
+			t.chip, t.core = -1, -1
+			t.throttled = false
+			t.pendingMig = true
+			t.everDisplaced = true
+			queue = enqueue(queue, t)
 		}
-		opsP = newOpsPlane(ops, o.OpsFaultSeed, o, placer, tree, provs, evacuate, o.Obs)
-		telemetry = make([]float64, nChips)
-		lastTele = make([]float64, nChips)
+		n := len(list)
+		for k := range list {
+			list[k] = nil // do not retain evicted tenants in the backing array
+		}
+		perChip[chip] = list[:0]
+		return n
 	}
+	opsP := newOpsPlane(ops, o.OpsFaultSeed, o, placer, tree, provs, evacuate, o.Obs)
 
 	res := &Result{
 		Topology: Topology{
@@ -212,19 +209,17 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 		// pass, so freed or reduced capacity is re-apportioned this
 		// tick. Evacuated tenants leave running by their cleared
 		// placement and are already back in the queue.
-		if opsP != nil {
-			opsP.beginTick(tick)
-			live := running[:0]
-			for _, t := range running {
-				if t.chip >= 0 {
-					live = append(live, t)
-				}
+		opsP.beginTick(tick)
+		live = running[:0]
+		for _, t := range running {
+			if t.chip >= 0 {
+				live = append(live, t)
 			}
-			for k := len(live); k < len(running); k++ {
-				running[k] = nil
-			}
-			running = live
 		}
+		for k := len(live); k < len(running); k++ {
+			running[k] = nil
+		}
+		running = live
 
 		// Arrivals join the queue at their place in queueCmp order;
 		// evacuees joined it the same way in beginTick.
@@ -290,12 +285,10 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 		queue = still
 
 		// Displaced tenants still queued lose this tick.
-		if opsP != nil {
-			for _, t := range queue {
-				if t.pendingMig {
-					t.downtimeTicks++
-					opsP.sum.TenantTicksLost++
-				}
+		for _, t := range queue {
+			if t.pendingMig {
+				t.downtimeTicks++
+				opsP.sum.TenantTicksLost++
 			}
 		}
 
@@ -328,96 +321,26 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 		}
 
 		// Measure and regulate. A node running dark (FSP link down,
-		// inside the grace window) holds its last good telemetry sample
-		// for the integral controller; the violation accounting below
-		// always uses the actual draw.
+		// inside the grace window) leaves its telemetry at the last good
+		// sample for the integral controller; the check below always
+		// reads the actual draw.
 		for i := range measured {
 			measured[i] = placer.Demand(i)
-		}
-		if opsP != nil {
-			for i := range measured {
-				if opsP.dark(i, tick) {
-					telemetry[i] = lastTele[i]
-					continue
-				}
+			if !opsP.dark(i, tick) {
 				telemetry[i] = measured[i]
-				lastTele[i] = measured[i]
 			}
-			tree.Regulate(telemetry)
-		} else {
-			tree.Regulate(measured)
 		}
+		tree.Regulate(telemetry)
 
 		// Record the tick: level maxima and cap violations.
-		row := TickRow{Tick: tick, Queued: len(queue), Running: len(running)}
-		if opsP != nil {
-			row.Down = opsP.downCount(tick)
-		}
+		row := TickRow{Tick: tick, Queued: len(queue), Running: len(running), Down: opsP.downCount(tick)}
 		for _, t := range running {
 			if t.throttled {
 				t.throttledTicks++
 				row.Throttled++
 			}
 		}
-		// With the ops plane active the thresholds track the effective
-		// caps, plus the forced-below-idle carve-out: a chip cannot shed
-		// under its idle floor, so each level excuses exactly the idle
-		// draw its grants could not cover (Σ max(0, idle − grant)). The
-		// invariant checked is "no level exceeds its grant unless forced
-		// below idle". Without the plane this is the original scalar
-		// accounting, byte for byte.
-		idx := 0
-		for r := 0; r < o.Racks; r++ {
-			rackW := 0.0
-			rackSlack := 0.0
-			for c := 0; c < o.ChassisPerRack; c++ {
-				chassisW := 0.0
-				chassisSlack := 0.0
-				for s := 0; s < o.ChipsPerChassis; s++ {
-					w := measured[idx]
-					chassisW += w
-					if w > row.ChipMaxW {
-						row.ChipMaxW = w
-					}
-					thr := chipCap
-					if opsP != nil {
-						thr = tree.ChipCapEff(idx)
-						if fl := tree.Idle(idx); fl > thr {
-							thr = fl
-						}
-						if sl := tree.Idle(idx) - grants[idx]; sl > 0 {
-							chassisSlack += sl
-						}
-					}
-					if w > thr+budgetEps {
-						row.Violations++
-					}
-					idx++
-				}
-				rackW += chassisW
-				rackSlack += chassisSlack
-				if chassisW > row.ChassisMaxW {
-					row.ChassisMaxW = chassisW
-				}
-				thr := chassisCap
-				if opsP != nil {
-					thr = tree.ChassisCapEff(r*o.ChassisPerRack+c) + chassisSlack
-				}
-				if chassisW > thr+budgetEps {
-					row.Violations++
-				}
-			}
-			if rackW > row.RackMaxW {
-				row.RackMaxW = rackW
-			}
-			thr := rackCap
-			if opsP != nil {
-				thr = tree.RackCapEff(r) + rackSlack
-			}
-			if rackW > thr+budgetEps {
-				row.Violations++
-			}
-		}
+		row.RackMaxW, row.ChassisMaxW, row.ChipMaxW, row.Violations = tree.Check(measured)
 		res.Budget.Violations += row.Violations
 		violationC.Add(int64(row.Violations))
 		if row.RackMaxW > res.Budget.PeakRackW {
@@ -440,16 +363,14 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 	// Horizon accounting for the ops plane: displaced tenants the
 	// placer never found a new home for are shed; every other displaced
 	// tenant recovered.
-	if opsP != nil {
-		for _, t := range tenants {
-			if t.pendingMig {
-				t.shed = true
-				opsP.sum.Shed++
-				opsP.emit(OpsEvent{Tick: o.Ticks, Kind: "shed",
-					Detail: fmt.Sprintf("tenant %d displaced and never re-placed", t.id)})
-			} else if t.everDisplaced {
-				opsP.sum.Recovered++
-			}
+	for _, t := range tenants {
+		if t.pendingMig {
+			t.shed = true
+			opsP.sum.Shed++
+			opsP.emit(OpsEvent{Tick: o.Ticks, Kind: "shed",
+				Detail: fmt.Sprintf("tenant %d displaced and never re-placed", t.id)})
+		} else if t.everDisplaced {
+			opsP.sum.Recovered++
 		}
 	}
 
@@ -489,7 +410,8 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 	for i := range chips {
 		res.Placement.BreakerRejected += chips[i].Breaker.Rejected()
 	}
-	if opsP != nil {
+	// Only a profile that schedules events reports on them.
+	if !ops.Empty() {
 		opsP.sum.Safe = opsP.sum.Shed == 0 && res.Budget.Violations == 0
 		if opsP.sum.Readmits > 0 {
 			opsP.sum.MTTRTicks = float64(opsP.downTicksTotal) / float64(opsP.sum.Readmits)

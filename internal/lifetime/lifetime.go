@@ -37,7 +37,8 @@ type Options struct {
 	SentinelOff bool
 	// Drift shapes the aging model (zero value → DefaultParams).
 	Drift Params
-	// Sentinel tunes the detector and escalation ladder.
+	// Sentinel tunes the detector and escalation ladder. Run rejects a
+	// configuration its Validate rejects.
 	Sentinel sentinel.Config
 	// Tune configures the initial fine-tuning deployment and the
 	// sentinel's bounded online re-tunes.
@@ -84,10 +85,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// validate rejects a horizon the simulation cannot step through: a
+// validate rejects a horizon the simulation cannot step through (a
 // negative Years, an EpochHours that is not positive and finite, or a
-// horizon shorter than one epoch. It checks the options after
-// withDefaults.
+// horizon shorter than one epoch) and a sentinel configuration
+// sentinel.Config.Validate rejects. It checks the options after
+// withDefaults, before the deployment.
 func (o Options) validate() error {
 	switch {
 	case o.Years < 0:
@@ -96,6 +98,9 @@ func (o Options) validate() error {
 		return fmt.Errorf("lifetime: epoch length %v h is not positive and finite", o.EpochHours)
 	case float64(o.Years)*HoursPerYear < o.EpochHours:
 		return fmt.Errorf("lifetime: %d-year horizon is shorter than one %v h epoch", o.Years, o.EpochHours)
+	}
+	if err := o.Sentinel.Validate(); err != nil {
+		return fmt.Errorf("lifetime: %w", err)
 	}
 	return nil
 }

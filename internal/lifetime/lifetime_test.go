@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/chip"
 	"repro/internal/rng"
+	"repro/internal/sentinel"
 	"repro/internal/silicon"
 	"repro/internal/tuning"
 	"repro/internal/workload"
@@ -231,6 +232,35 @@ func TestRunRejectsEmptyStressTest(t *testing.T) {
 	_, err := Run(silicon.Reference(), Options{Years: 1, Tune: tuning.Options{Passes: -1}})
 	if err == nil || !strings.Contains(err.Error(), "Passes -1") {
 		t.Fatalf("err = %v, want one naming Passes", err)
+	}
+}
+
+// TestRunRejectsBadSentinelConfig: each of these settings gets past
+// the sentinel's defaults and, if run, weakens or switches it off (3
+// years, seed 1: UNSAFE with 20,926 failures for the first four,
+// exactly the sentinel-off result), so Run fails before the
+// deployment, naming the field.
+func TestRunRejectsBadSentinelConfig(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   sentinel.Config
+	}{
+		{"AlarmSigma", sentinel.Config{AlarmSigma: math.NaN()}},
+		{"Ki", sentinel.Config{Ki: math.NaN()}},
+		{"ActAt", sentinel.Config{ActAt: math.NaN()}},
+		{"AlarmSigma", sentinel.Config{AlarmSigma: math.Inf(-1)}},
+		{"Alpha", sentinel.Config{Alpha: math.NaN()}},
+		{"AlarmSigma", sentinel.Config{AlarmSigma: -1}},
+	} {
+		res, err := Run(silicon.Reference(), Options{Years: 3, Seed: 1, Sentinel: tc.cfg})
+		if err == nil {
+			t.Errorf("%+v: Run returned %s with %d failure(s), want an error naming %s",
+				tc.cfg, res.Verdict(), res.Failures, tc.field)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field+" ") {
+			t.Errorf("%+v: err = %v, want one naming %s", tc.cfg, err, tc.field)
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ package sentinel
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/guard"
 	"repro/internal/obs"
@@ -84,7 +85,8 @@ type Actuator interface {
 }
 
 // Config tunes the detector and the ladder. The zero value selects
-// the defaults noted per field.
+// the defaults noted per field; Validate rejects values outside each
+// field's range.
 type Config struct {
 	// Alpha is the EWMA smoothing factor. Default 0.25.
 	Alpha float64
@@ -127,6 +129,43 @@ type Config struct {
 	Obs *obs.Registry
 	// Trace, when non-nil, receives an instant event per action.
 	Trace *obs.Tracer
+}
+
+// Validate rejects a configuration that would quietly weaken or
+// switch off the sentinel: a float field that is NaN, infinite or
+// negative, an Alpha above 1, a set ClearSigma at or below the
+// effective AlarmSigma, and a negative count. Each comparison with NaN
+// is false, so a NaN AlarmSigma, Ki or ActAt would never fire. Zero
+// still selects each default.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Alpha", c.Alpha}, {"AlarmSigma", c.AlarmSigma}, {"ClearSigma", c.ClearSigma},
+		{"Ki", c.Ki}, {"IntegralCap", c.IntegralCap}, {"ActAt", c.ActAt},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("sentinel: %s %v is not finite and non-negative", f.name, f.v)
+		}
+	}
+	if c.Alpha > 1 {
+		return fmt.Errorf("sentinel: Alpha %v is above 1", c.Alpha)
+	}
+	if alarm := c.withDefaults().AlarmSigma; c.ClearSigma != 0 && c.ClearSigma <= alarm {
+		return fmt.Errorf("sentinel: ClearSigma %v does not exceed AlarmSigma %v", c.ClearSigma, alarm)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"RetuneAfterSteps", c.RetuneAfterSteps}, {"MaxRetunes", c.MaxRetunes}, {"BreakerFailures", c.BreakerFailures},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("sentinel: %s %d is negative", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {

@@ -2,6 +2,8 @@ package sentinel
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -253,5 +255,46 @@ func TestOutOfRangeCoreIndex(t *testing.T) {
 	}
 	if ev := s.Act(7); ev.Action != ActionNone || ev.Core != "" {
 		t.Fatal("out-of-range Act did something")
+	}
+}
+
+// TestConfigValidate: every value withDefaults would let through to
+// weaken or switch off the detector is rejected, naming its field,
+// while zero still selects each default.
+func TestConfigValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		cfg   Config
+		field string // "" when the config is valid
+	}{
+		{Config{}, ""},
+		{Config{Alpha: 1, AlarmSigma: 4.2, ClearSigma: 4.4, Ki: 2, IntegralCap: 3, ActAt: 1,
+			RetuneAfterSteps: 2, MaxRetunes: 2, BreakerFailures: 4}, ""},
+		{Config{ClearSigma: 4.3}, ""}, // exceeds the default AlarmSigma 4.2
+		{Config{AlarmSigma: nan}, "AlarmSigma"},
+		{Config{AlarmSigma: -inf}, "AlarmSigma"},
+		{Config{AlarmSigma: -1}, "AlarmSigma"},
+		{Config{Ki: nan}, "Ki"},
+		{Config{Ki: -2}, "Ki"},
+		{Config{ActAt: nan}, "ActAt"},
+		{Config{ActAt: inf}, "ActAt"},
+		{Config{IntegralCap: -3}, "IntegralCap"},
+		{Config{Alpha: nan}, "Alpha"},
+		{Config{Alpha: -0.25}, "Alpha"},
+		{Config{Alpha: 1.5}, "Alpha"},
+		{Config{ClearSigma: nan}, "ClearSigma"},
+		{Config{ClearSigma: 4.2}, "ClearSigma"},
+		{Config{AlarmSigma: 3, ClearSigma: 2}, "ClearSigma"},
+		{Config{RetuneAfterSteps: -1}, "RetuneAfterSteps"},
+		{Config{MaxRetunes: -1}, "MaxRetunes"},
+		{Config{BreakerFailures: -1}, "BreakerFailures"},
+	} {
+		err := tc.cfg.Validate()
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%+v: %v, want valid", tc.cfg, err)
+		case tc.field != "" && (err == nil || !strings.Contains(err.Error(), tc.field+" ")):
+			t.Errorf("%+v: err = %v, want one naming %s", tc.cfg, err, tc.field)
+		}
 	}
 }

@@ -97,18 +97,30 @@ run atmctl dc -racks 1 -chassis 1 -chips-per-chassis 2 -ticks 8 -fault-profile t
 expect 3
 grep -q quarantined "$out/stderr"
 
-# The ops plane: an ops-storm at any worker count, an empty ops
-# profile identical to a plain run, and tenants with nowhere to go
-# shed UNSAFE.
+# The ops plane: an ops-storm at any worker count, empty ops profiles
+# ("none", and a spec that sets only event shapes) identical to a plain
+# run, and tenants with nowhere to go shed UNSAFE.
 workers 8 atmctl dc -racks 1 -chassis 2 -chips-per-chassis 2 -ticks 32 -tenants 16 -ops-fault-profile ops-storm -json
 expect 0
 run atmctl dc -racks 1 -chassis 2 -chips-per-chassis 2 -ticks 32 -json
 ref=$out
 run atmctl dc -racks 1 -chassis 2 -chips-per-chassis 2 -ticks 32 -json -ops-fault-profile none
 same "$ref" "$out"
+run atmctl dc -racks 1 -chassis 2 -chips-per-chassis 2 -ticks 32 -json \
+	-ops-fault-profile flap-ticks=9,grace=1,readmit=7,brownout-frac=0.3,thermal-frac=0.2
+same "$ref" "$out"
 run atmctl dc -racks 1 -chassis 1 -chips-per-chassis 2 -ticks 10 -tenants 12 -ops-fault-profile chip-deaths=2
 expect 3
 grep -qw UNSAFE "$out/stdout"
+
+# A cap below its level's idle draw is a hard error before the first
+# tick, with or without an ops profile: idle power cannot be shed.
+run atmctl dc -racks 1 -chassis 2 -chips-per-chassis 4 -ticks 32 -chip-cap 20
+expect 1
+grep -q 'below the largest chip idle draw' "$out/stderr"
+run atmctl dc -racks 1 -chassis 2 -chips-per-chassis 4 -ticks 32 -chip-cap 20 -ops-fault-profile thermals=1
+expect 1
+grep -q 'below the largest chip idle draw' "$out/stderr"
 
 # Lifetime drift: three years with the sentinel end SAFE after
 # re-tunes, a sweep matches at any worker count, and the sentinel-off
