@@ -71,21 +71,38 @@ func TestGoldenRuns(t *testing.T) {
 }
 
 // TestOverloadGolden pins the SHA-256 of the canonical Result plus the
-// obs snapshot of three benchmark-shaped overload runs across commits:
-// 1×2×4 chips under 8× tenant overload (512 tenants over 2048 ticks)
-// with the ops-storm profile, on ops seeds 1–3. Each run must queue at
-// least 100 tenants at once, which the 64-tenant goldens never reach,
-// and migrate at least one, so the queue and evacuation paths are
-// exercised. Regenerate intentionally with:
+// obs snapshot of five benchmark-shaped overload runs across commits:
+// 1×2×4 chips under 8× tenant overload (512 tenants over 2048 ticks),
+// three with the ops-storm profile on ops seeds 1–3, one plain, and one
+// whose intake fault profile quarantines some but not all nodes, so
+// open breakers on the event clock sit beside live chips. Each run
+// must queue at least 100 tenants at once, which the 64-tenant goldens
+// never reach, and each ops-storm run must migrate at least one, so
+// the queue and evacuation paths are exercised. Regenerate
+// intentionally with:
 //
 //	go test ./internal/dc -run TestOverloadGolden -update
 func TestOverloadGolden(t *testing.T) {
 	var b bytes.Buffer
-	for _, seed := range []uint64{1, 2, 3} {
+	for _, tc := range []struct {
+		name          string
+		ops           string
+		opsSeed       uint64
+		fault         string
+		faultSeed     uint64
+		wantMigration bool
+	}{
+		{name: "ops-seed 1", ops: "ops-storm", opsSeed: 1, wantMigration: true},
+		{name: "ops-seed 2", ops: "ops-storm", opsSeed: 2, wantMigration: true},
+		{name: "ops-seed 3", ops: "ops-storm", opsSeed: 3, wantMigration: true},
+		{name: "plain"},
+		{name: "fault-seed 1 trial-err=0.8", fault: "trial-err=0.8", faultSeed: 1},
+	} {
 		o := Options{
 			Racks: 1, ChassisPerRack: 2, ChipsPerChassis: 4,
 			Tenants: 512, Ticks: 2048,
-			OpsFaultProfile: "ops-storm", OpsFaultSeed: seed,
+			OpsFaultProfile: tc.ops, OpsFaultSeed: tc.opsSeed,
+			FaultProfile: tc.fault, FaultSeed: tc.faultSeed,
 			Obs: obs.NewRegistry(),
 		}
 		res, err := Run(o)
@@ -97,13 +114,16 @@ func TestOverloadGolden(t *testing.T) {
 			peak = max(peak, row.Queued)
 		}
 		if peak < 100 {
-			t.Errorf("ops seed %d: the queue peaks at %d tenants, want at least 100", seed, peak)
+			t.Errorf("%s: the queue peaks at %d tenants, want at least 100", tc.name, peak)
 		}
-		if res.Ops == nil || res.Ops.Migrations < 1 {
-			t.Errorf("ops seed %d: no tenant migrated", seed)
+		if tc.wantMigration && (res.Ops == nil || res.Ops.Migrations < 1) {
+			t.Errorf("%s: no tenant migrated", tc.name)
+		}
+		if q := res.QuarantinedChips(); tc.fault != "" && (q == 0 || q == len(res.Chips)) {
+			t.Errorf("%s: %d of %d nodes quarantined at intake, want some but not all", tc.name, q, len(res.Chips))
 		}
 		sum := sha256.Sum256(append(canon(t, res), o.Obs.SnapshotJSON()...))
-		fmt.Fprintf(&b, "ops-seed %d %x\n", seed, sum)
+		fmt.Fprintf(&b, "%s %x\n", tc.name, sum)
 	}
 	got := b.Bytes()
 	path := filepath.Join("testdata", "overload.golden")
