@@ -204,18 +204,25 @@ func machineFlag(fs *flag.FlagSet) func() (*atm.Machine, error) {
 	}
 }
 
-// faultFlag adds the -fault-profile and -fault-seed flags and returns an
-// armer that installs the requested faults on a machine. The armer
-// returns nil when no faults were requested, so fault-free runs take
-// exactly the code path (and RNG streams) they did before this flag
-// existed.
-func faultFlag(fs *flag.FlagSet) func(*atm.Machine) (*atm.FaultInjector, error) {
+// faultFlag adds the -fault-profile and -fault-seed flags. check
+// reports a spec that does not parse as a usage error, before any
+// work; arm installs the requested faults on a machine and returns nil
+// when none were requested, so fault-free runs take exactly the code
+// path (and RNG streams) they did before this flag existed.
+func faultFlag(fs *flag.FlagSet) (check func() error, arm func(*atm.Machine) (*atm.FaultInjector, error)) {
 	profile := fs.String("fault-profile", "",
 		"inject deterministic faults: preset (test-floor, flaky-fsp, noisy-cpm, broken-core) or key=value list")
 	seed := fs.Uint64("fault-seed", 1, "fault injection seed")
-	return func(m *atm.Machine) (*atm.FaultInjector, error) {
+	check = func() error {
+		if _, err := atm.ParseFaultProfile(*profile); err != nil {
+			return badFlag(fs, "%v", err)
+		}
+		return nil
+	}
+	arm = func(m *atm.Machine) (*atm.FaultInjector, error) {
 		return atm.ArmFaults(m, *profile, *seed)
 	}
+	return check, arm
 }
 
 // obsFlag adds the -metrics-out and -trace-out flags. The returned
@@ -273,13 +280,16 @@ func cmdCharacterize(args []string) error {
 	trials := fs.Int("trials", 10, "repeated trials per (core, workload)")
 	seed := fs.Uint64("seed", 1, "trial seed")
 	build := machineFlag(fs)
-	arm := faultFlag(fs)
+	check, arm := faultFlag(fs)
 	attach, flush := obsFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *trials < 0 {
 		return badFlag(fs, "-trials %d is negative", *trials)
+	}
+	if err := check(); err != nil {
+		return err
 	}
 	m, err := build()
 	if err != nil {
@@ -337,13 +347,16 @@ func cmdTune(args []string) error {
 	fs := flag.NewFlagSet("tune", flag.ContinueOnError)
 	rollback := fs.Int("rollback", 0, "safety steps below the stress-test limit")
 	build := machineFlag(fs)
-	arm := faultFlag(fs)
+	check, arm := faultFlag(fs)
 	attach, flush := obsFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *rollback < 0 {
 		return badFlag(fs, "-rollback %d is negative", *rollback)
+	}
+	if err := check(); err != nil {
+		return err
 	}
 	m, err := build()
 	if err != nil {
@@ -554,12 +567,15 @@ func cmdFleet(args []string) error {
 	case *rollback < 0:
 		return badFlag(fs, "-rollback %d is negative", *rollback)
 	}
+	if _, err := atm.ParseFaultProfile(*faultProfile); err != nil {
+		return badFlag(fs, "%v", err)
+	}
 
 	var camp *atm.FleetCampaign
 	switch *kind {
 	case "montecarlo":
 		if *faultProfile != "" {
-			return errors.New("fleet: -fault-profile applies to characterize and tune campaigns")
+			return badFlag(fs, "fleet: -fault-profile applies to characterize and tune campaigns")
 		}
 		camp = atm.MonteCarloCampaign(*n, *start)
 	case "characterize":
@@ -567,7 +583,7 @@ func cmdFleet(args []string) error {
 	case "tune":
 		camp = atm.TuneCampaign(*n, *start, *rollback, *faultProfile, *faultSeed)
 	default:
-		return fmt.Errorf("fleet: unknown kind %q", *kind)
+		return badFlag(fs, "fleet: unknown kind %q", *kind)
 	}
 
 	reg, tr := attach(nil)

@@ -6,8 +6,9 @@ import (
 )
 
 // TestRunExitCodes pins the exit-code contract scripts and CI branch
-// on: 0 success, 1 hard failure, 2 usage, 3 partial (quarantined
-// cores, failed jobs, UNSAFE lifetime verdict).
+// on: 0 success, 1 hard failure, 2 usage (bad flags and flag values,
+// fault and ops profile specs included), 3 partial (quarantined cores,
+// failed jobs, UNSAFE lifetime verdict).
 func TestRunExitCodes(t *testing.T) {
 	// The subcommands render straight to os.Stdout; keep the test log
 	// readable. Diagnostics still reach os.Stderr.
@@ -33,7 +34,10 @@ func TestRunExitCodes(t *testing.T) {
 		{"status ok", []string{"status"}, 0},
 		{"hard failure", []string{"sweep", "-core", "P9C9"}, 1},
 		{"quarantined cores are partial", []string{"tune", "-fault-profile", "broken-core"}, 3},
-		{"nan fault probability is hard", []string{"tune", "-fault-profile", "drop=NaN"}, 1},
+		{"nan fault probability is hard", []string{"tune", "-fault-profile", "drop=NaN"}, 2},
+		{"tune unknown fault profile", []string{"tune", "-fault-profile", "bogus"}, 2},
+		{"characterize unknown fault profile", []string{"characterize", "-fault-profile", "bogus"}, 2},
+		{"characterize nan fault probability", []string{"characterize", "-fault-profile", "drop=NaN"}, 2},
 		{"schedule negative qos is hard", []string{"schedule", "-qos", "-1"}, 1},
 		{"schedule nan qos is hard", []string{"schedule", "-qos", "nan"}, 1},
 		{"schedule infinite qos is hard", []string{"schedule", "-qos", "inf"}, 1},
@@ -44,6 +48,10 @@ func TestRunExitCodes(t *testing.T) {
 		{"fleet negative rollback", []string{"fleet", "-kind", "tune", "-rollback", "-1"}, 2},
 		{"fleet negative trials", []string{"fleet", "-kind", "characterize", "-trials", "-1"}, 2},
 		{"fleet resume is an unknown flag", []string{"fleet", "-n", "1", "-resume"}, 2},
+		{"fleet unknown kind", []string{"fleet", "-kind", "bogus"}, 2},
+		{"fleet montecarlo fault profile", []string{"fleet", "-kind", "montecarlo", "-fault-profile", "test-floor"}, 2},
+		{"fleet tune unknown fault profile", []string{"fleet", "-kind", "tune", "-n", "1", "-fault-profile", "bogus"}, 2},
+		{"fleet characterize nan fault probability", []string{"fleet", "-kind", "characterize", "-n", "1", "-fault-profile", "drop=NaN"}, 2},
 		{"lifetime safe", []string{"lifetime", "-years", "1"}, 0},
 		{"lifetime unsafe is partial", []string{"lifetime", "-years", "3", "-sentinel-off"}, 3},
 		{"lifetime negative years", []string{"lifetime", "-years", "-1"}, 2},
@@ -82,13 +90,16 @@ func TestRunExitCodes(t *testing.T) {
 			"-ops-fault-profile", "chip-deaths=2"}, 3},
 		{"dc bad ops profile is hard", []string{"dc",
 			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
-			"-ops-fault-profile", "no-such-preset"}, 1},
+			"-ops-fault-profile", "no-such-preset"}, 2},
 		{"dc nan brownout frac is hard", []string{"dc",
 			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
-			"-ops-fault-profile", "brownouts=1,brownout-frac=NaN"}, 1},
+			"-ops-fault-profile", "brownouts=1,brownout-frac=NaN"}, 2},
 		{"dc nan thermal frac is hard", []string{"dc",
 			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
-			"-ops-fault-profile", "thermals=1,thermal-frac=nan"}, 1},
+			"-ops-fault-profile", "thermals=1,thermal-frac=nan"}, 2},
+		{"dc unknown fault profile", []string{"dc",
+			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
+			"-fault-profile", "bogus"}, 2},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -48,7 +48,7 @@ func (m *Machine) solveChipReference(c *Chip) (ChipState, error) {
 		}
 		vNew := c.PDN.SteadyVoltage(total)
 		tNew := c.Thermal.SteadyTemp(total)
-		done := math.Abs(float64(vNew-v)) < solveTolV && math.Abs(float64(tNew-t)) < 1e-4
+		done := math.Abs(float64(vNew-v)) < solveTolV && math.Abs(float64(tNew-t)) < solveTolT
 		v = units.Volt(0.5*float64(v) + 0.5*float64(vNew))
 		t = units.Celsius(0.5*float64(t) + 0.5*float64(tNew))
 		if done {

@@ -60,6 +60,7 @@ func (s State) ChipState(label string) (ChipState, error) {
 const (
 	solveMaxIter = 200
 	solveTolV    = 1e-7 // volts
+	solveTolT    = 1e-4 // °C
 )
 
 // Solve finds the steady operating point of every chip: the fixed point
@@ -70,7 +71,8 @@ const (
 // DC drop through the loadline and the junction temperature through the
 // thermal resistance; both feed back into frequency (voltage) and
 // leakage (temperature). The loop is a contraction at sane operating
-// points and converges in a handful of iterations.
+// points and converges in a handful of iterations; a chip that has not
+// met both tolerances after solveMaxIter iterations is an error.
 func (m *Machine) Solve() (State, error) {
 	st := State{Chips: make([]ChipState, 0, len(m.Chips))}
 	for _, c := range m.Chips {
@@ -112,10 +114,16 @@ func (m *Machine) solveChip(c *Chip) (ChipState, error) {
 			return ChipState{}, fmt.Errorf("chip: core %s in unknown mode %v", core.Profile.Label, core.mode)
 		}
 	}
-	var total units.Watt
-	for iter := 0; iter < solveMaxIter; iter++ {
+	var (
+		total        units.Watt
+		stepV, stepT float64
+		converged    bool
+	)
+	for iter := 0; iter < solveMaxIter && !converged; iter++ {
 		// Every core on the chip shares the supply and the junction
-		// temperature, so it shares the ungated leakage too.
+		// temperature, so it shares the delay scale and the ungated
+		// leakage too.
+		scale := p.Scale(v)
 		vr := float64(v) / float64(m.power.VRefForCdyn)
 		leak := m.power.coreLeak(c.Thermal, t, vr)
 		total = m.power.UncoreW
@@ -134,21 +142,23 @@ func (m *Machine) solveChip(c *Chip) (ChipState, error) {
 				// always sits above it, and under the undervolting
 				// controller it is the quantity the frequency-target
 				// constraint watches.
-				cs.freq = p.SettleFreq(cs.guard, v)
+				cs.freq = p.SettleFreqAtScale(cs.guard, scale)
 			}
 			cs.power = m.power.corePowerAt(core.work.CdynRel, cs.freq, vr, leak, core.gated)
 			total += cs.power
 		}
 		vNew := c.PDN.SteadyVoltage(total)
 		tNew := c.Thermal.SteadyTemp(total)
-		done := math.Abs(float64(vNew-v)) < solveTolV && math.Abs(float64(tNew-t)) < 1e-4
+		stepV, stepT = math.Abs(float64(vNew-v)), math.Abs(float64(tNew-t))
+		converged = stepV < solveTolV && stepT < solveTolT
 		// Light damping keeps the leakage/voltage double feedback
 		// monotone even at extreme operating points.
 		v = units.Volt(0.5*float64(v) + 0.5*float64(vNew))
 		t = units.Celsius(0.5*float64(t) + 0.5*float64(tNew))
-		if done {
-			break
-		}
+	}
+	if !converged {
+		return ChipState{}, fmt.Errorf("chip: %s did not converge in %d iterations: last steps %g V and %g °C",
+			c.Profile.Label, solveMaxIter, stepV, stepT)
 	}
 
 	cs := ChipState{

@@ -1,9 +1,12 @@
 package chip
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/silicon"
 	"repro/internal/workload"
 )
@@ -104,5 +107,78 @@ func TestSolveAllocs(t *testing.T) {
 	}
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSolvePopulationConverges solves 60 generated machines of one to
+// three chips and four to eight cores, each core drawn as ATM, static
+// at a random p-state, or gated, with a random workload and reduction.
+// Every chip must converge within solveMaxIter, reach a finite
+// operating point, and match the reference solver bit for bit.
+func TestSolvePopulationConverges(t *testing.T) {
+	src := rng.New(1).Split("solve-population")
+	all := workload.All()
+	for seed := uint64(1); seed <= 60; seed++ {
+		s, err := silicon.Generate(1000+seed, silicon.GenerateOptions{
+			Chips: 1 + src.Intn(3), CoresPerChip: 4 + src.Intn(5),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(s, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range m.AllCores() {
+			switch src.Intn(5) {
+			case 0:
+				c.SetGated(true)
+			case 1:
+				c.SetMode(ModeStatic)
+				if err := c.SetPState(PStates[src.Intn(len(PStates))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.SetWorkload(all[src.Intn(len(all))])
+			if err := c.Monitor.Program(src.Intn(c.Profile.MaxReduction() + 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := m.Solve()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, cs := range got.Chips {
+			for _, x := range []float64{float64(cs.Supply), float64(cs.TempC), float64(cs.Power)} {
+				if math.IsNaN(x) || math.IsInf(x, 0) || x <= 0 {
+					t.Fatalf("seed %d chip %s: operating point %+v is not finite and positive", seed, cs.Label, cs)
+				}
+			}
+		}
+		want, err := m.SolveReference()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Solve diverged from the reference\n got %+v\nwant %+v", seed, got, want)
+		}
+	}
+}
+
+// TestSolveNonConvergenceIsAnError gives one chip a thermal path so
+// resistive that leakage runs away: the solve must fail, naming the
+// chip and its last steps, instead of returning the last iterate.
+func TestSolveNonConvergenceIsAnError(t *testing.T) {
+	m := NewReference()
+	m.Chips[1].Thermal.ResistanceCPerW = 100
+	_, err := m.Solve()
+	if err == nil {
+		t.Fatal("Solve converged through a thermal runaway")
+	}
+	label := m.Chips[1].Profile.Label
+	for _, want := range []string{"chip: " + label + " did not converge", "200 iterations", "last steps"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("Solve error %q does not contain %q", err, want)
+		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/guard"
 	"repro/internal/obs"
@@ -124,9 +125,10 @@ func (o Options) withDefaults() Options {
 }
 
 // Validate rejects options no campaign can run: a negative topology
-// count, tenant count, horizon or rollback, and a cap or ki that is
-// negative or not finite. Zero still selects each default. Run calls
-// it first.
+// count, tenant count, horizon or rollback, a cap or ki that is
+// negative or not finite, and a fault or ops profile spec that does
+// not parse. Zero still selects each default. Run calls it first, so
+// none of these reaches the intake.
 func (o Options) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -142,7 +144,11 @@ func (o Options) Validate() error {
 			return fmt.Errorf("dc: %s %v is not finite and non-negative", f.name, f.v)
 		}
 	}
-	return nil
+	if _, err := fault.ParseProfile(o.FaultProfile); err != nil {
+		return err
+	}
+	_, err := ParseOpsProfile(o.OpsFaultProfile)
+	return err
 }
 
 // Topology records the campaign's shape in the result document.
@@ -364,8 +370,6 @@ func Run(o Options) (*Result, error) {
 		return nil, err
 	}
 	o = o.withDefaults()
-	// Parse the ops profile up front so a bad spec fails before the
-	// (expensive) intake fleet runs.
 	ops, err := ParseOpsProfile(o.OpsFaultProfile)
 	if err != nil {
 		return nil, err

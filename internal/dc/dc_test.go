@@ -2,11 +2,13 @@ package dc
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
@@ -214,6 +216,39 @@ func TestBelowIdleCapRejected(t *testing.T) {
 	}
 }
 
+// TestNegativeSpanRejected feeds the sim an intake whose second node
+// measured its loaded draw 1 W below idle: the run must fail before the
+// first tick, naming the node, as a below-idle cap does. A loaded draw
+// equal to idle (span 0) runs.
+func TestNegativeSpanRejected(t *testing.T) {
+	o := smallOpts().withDefaults()
+	campaign := Campaign(o)
+	withLoaded := func(delta float64) *fleet.CampaignResult {
+		fres, err := fleet.Run(campaign, fleet.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prov, err := fres.Results[1].DCProvision()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := &prov.Provision.Chips[0]
+		cp.LoadedW = cp.IdleW + delta
+		if fres.Results[1].Payload, err = json.Marshal(prov); err != nil {
+			t.Fatal(err)
+		}
+		return fres
+	}
+	_, err := simulate(o, OpsProfile{}, campaign, withLoaded(-1))
+	want := "dc: node " + NodeID(0, 0, 1) + " per-core span is -0.125 W, want at least 0"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("loaded draw below idle: err = %v, want it to contain %q", err, want)
+	}
+	if _, err := simulate(o, OpsProfile{}, campaign, withLoaded(0)); err != nil {
+		t.Fatalf("loaded draw equal to idle: %v", err)
+	}
+}
+
 // TestSoftStartDynamics: the Chen integral controller gates fresh
 // placements below their grant until the soft state winds up, so a
 // default campaign shows matched throttle and resume events.
@@ -315,7 +350,8 @@ func TestCampaignShape(t *testing.T) {
 
 // TestRunRejectsBadOptions checks that Run refuses, before any intake,
 // the options no campaign can run: negative counts, horizon and
-// rollback, and negative or non-finite caps.
+// rollback, negative or non-finite caps, and fault or ops profile
+// specs that do not parse.
 func TestRunRejectsBadOptions(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -335,6 +371,10 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{"infinite ki", func(o *Options) { o.KI = math.Inf(1) }},
 		{"negative infinite ki", func(o *Options) { o.KI = math.Inf(-1) }},
 		{"negative ki", func(o *Options) { o.KI = -3 }},
+		{"unknown fault profile", func(o *Options) { o.FaultProfile = "bogus" }},
+		{"nan fault probability", func(o *Options) { o.FaultProfile = "drop=NaN" }},
+		{"unknown ops profile", func(o *Options) { o.OpsFaultProfile = "no-such-preset" }},
+		{"nan brownout frac", func(o *Options) { o.OpsFaultProfile = "brownouts=1,brownout-frac=NaN" }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := smallOpts()

@@ -1,6 +1,10 @@
 package dc
 
-import "repro/internal/guard"
+import (
+	"math"
+
+	"repro/internal/guard"
+)
 
 // The global scheduler's placement core. Every chip carries the Eq. 1
 // per-core frequency fits from its datacenter intake (platform
@@ -35,7 +39,8 @@ type PlacerChip struct {
 	Offline bool
 	// IdleW is the chip's measured all-idle power; SpanW is the
 	// measured per-core idle→loaded span (the power one fully loaded
-	// core adds).
+	// core adds). The sim rejects a negative span at intake: its
+	// same-tick skip relies on a placement never lowering demand.
 	IdleW float64
 	SpanW float64
 	// Breaker guards the chip: tripped open at intake when the node's
@@ -95,18 +100,31 @@ func (p *Placer) FreeCores(i int) int { return p.Chips[i].freeCores }
 //
 //atm:hotpath
 func (p *Placer) Place(cdyn float64, allow []float64) (chipIdx, coreIdx int, predMHz float64, ok bool) {
+	chipIdx, coreIdx, predMHz, ok, _ = p.place(cdyn, allow)
+	return chipIdx, coreIdx, predMHz, ok
+}
+
+// place is Place that also reports breakerOnly: some chip's breaker
+// refused the tenant although the chip's flags, free cores and budget
+// would have admitted it. Every chip's breaker is asked first, in
+// topology order, whatever the rest of the chip's answer.
+//
+//atm:hotpath
+func (p *Placer) place(cdyn float64, allow []float64) (chipIdx, coreIdx int, predMHz float64, ok, breakerOnly bool) {
 	bestChip, bestCore := -1, -1
 	bestPred := 0.0
 	for i := range p.Chips {
 		ch := &p.Chips[i]
-		if !ch.Breaker.Allow() {
-			continue
-		}
+		admitted := ch.Breaker.Allow()
 		if ch.Quarantined || ch.Offline || ch.freeCores == 0 {
 			continue
 		}
 		projected := ch.demand + cdyn*ch.SpanW
 		if projected > allow[i]+budgetEps {
+			continue
+		}
+		if !admitted {
+			breakerOnly = true
 			continue
 		}
 		for j := range ch.Cores {
@@ -121,13 +139,47 @@ func (p *Placer) Place(cdyn float64, allow []float64) (chipIdx, coreIdx int, pre
 		}
 	}
 	if bestChip < 0 {
-		return 0, 0, 0, false
+		return 0, 0, 0, false, breakerOnly
 	}
 	ch := &p.Chips[bestChip]
 	ch.busy[bestCore] = true
 	ch.freeCores--
 	ch.demand += cdyn * ch.SpanW
-	return bestChip, bestCore, bestPred, true
+	return bestChip, bestCore, bestPred, true, breakerOnly
+}
+
+// A placePass is one tick's placement pass over the queue. It keeps
+// minFail, the smallest cdyn that failed in the pass with no chip
+// refused by its breaker alone. A failed attempt changes no placer
+// state and a success only adds demand (cdyn and SpanW are
+// non-negative) and busies a core, so every chip that refused minFail
+// refuses any later tenant at or above it, whatever its breaker says.
+// Such a tenant defers without being scored, but its attempt still
+// asks every breaker in topology order, so rejection counts, half-open
+// transitions and event clocks are those of a full scan. Within a pass
+// only its own placements may change the placer; allowances, chip
+// flags and breaker outcomes stay fixed.
+type placePass struct {
+	minFail float64
+}
+
+func newPlacePass() placePass { return placePass{minFail: math.Inf(1)} }
+
+// place offers the pass's next tenant to p and answers as Place would.
+//
+//atm:hotpath
+func (s *placePass) place(p *Placer, cdyn float64, allow []float64) (chipIdx, coreIdx int, predMHz float64, ok bool) {
+	if cdyn >= s.minFail {
+		for i := range p.Chips {
+			p.Chips[i].Breaker.Allow()
+		}
+		return 0, 0, 0, false
+	}
+	chipIdx, coreIdx, predMHz, ok, breakerOnly := p.place(cdyn, allow)
+	if !ok && !breakerOnly {
+		s.minFail = cdyn
+	}
+	return chipIdx, coreIdx, predMHz, ok
 }
 
 // Release frees a core and retires its tenant's power draw.

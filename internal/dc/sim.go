@@ -42,12 +42,15 @@ type tenant struct {
 	throttledTicks               int
 
 	// Operational-fault bookkeeping: a tenant evacuated off a dying or
-	// quarantined chip re-enters the queue with pendingMig set until
-	// the placer finds it a new home (a migration) or the horizon ends
-	// (shed). downtimeTicks counts the queued-while-displaced ticks.
+	// quarantined chip at tick displacedAt re-enters the queue with
+	// pendingMig set until the placer finds it a new home (a migration)
+	// or the horizon ends (shed). downtimeTicks counts the
+	// queued-while-displaced ticks: each displacement adds the ticks
+	// from displacedAt to the re-placement or the horizon.
 	pendingMig    bool
 	everDisplaced bool
 	shed          bool
+	displacedAt   int
 	migrations    int
 	downtimeTicks int
 }
@@ -96,6 +99,15 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 	if err != nil {
 		return nil, err
 	}
+	// The placement pass's same-tick skip needs every span non-negative.
+	// A re-admission rebuilds a chip from the same provision record, so
+	// checking the intake covers the whole run.
+	for i := range chips {
+		if !chips[i].Quarantined && !(chips[i].SpanW >= 0) {
+			return nil, fmt.Errorf("dc: node %s per-core span is %g W, want at least 0; its loaded draw is below idle",
+				chips[i].ID, chips[i].SpanW)
+		}
+	}
 
 	nChips := len(chips)
 	idle := make([]float64, nChips)
@@ -142,13 +154,14 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 	// The ops plane: its evacuation callback pulls a dying or
 	// quarantined chip's tenants back into the queue; the tick loop
 	// filters them out of running by their cleared placement.
-	evacuate := func(chip, _ int) int {
+	evacuate := func(chip, tick int) int {
 		list := perChip[chip]
 		for _, t := range list {
 			t.chip, t.core = -1, -1
 			t.throttled = false
 			t.pendingMig = true
 			t.everDisplaced = true
+			t.displacedAt = tick
 			queue = enqueue(queue, t)
 		}
 		n := len(list)
@@ -253,10 +266,13 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 		// may draw — while the throttle below enforces the integral
 		// allowance, so a fresh placement sheds for a tick or two
 		// until the Chen controller winds its soft state up to the
-		// grant (the soft start), then resumes.
+		// grant (the soft start), then resumes. The pass defers,
+		// unscored, a tenant whose failure an earlier one already
+		// decided (see placePass).
+		pass := newPlacePass()
 		still := queue[:0]
 		for _, t := range queue {
-			ci, cj, pred, ok := placer.Place(t.wl.CdynRel, grants)
+			ci, cj, pred, ok := pass.place(placer, t.wl.CdynRel, grants)
 			if !ok {
 				deferrals.Inc()
 				res.Placement.Deferrals++
@@ -275,6 +291,8 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 			res.Placement.Placed++
 			if t.pendingMig {
 				t.pendingMig = false
+				t.downtimeTicks += tick - t.displacedAt
+				opsP.sum.TenantTicksLost += tick - t.displacedAt
 				t.migrations++
 				opsP.sum.Migrations++
 				opsP.migrC.Inc()
@@ -283,14 +301,6 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 			}
 		}
 		queue = still
-
-		// Displaced tenants still queued lose this tick.
-		for _, t := range queue {
-			if t.pendingMig {
-				t.downtimeTicks++
-				opsP.sum.TenantTicksLost++
-			}
-		}
 
 		// Throttle/resume against the allowance: resume in placement
 		// order (critical tenants were queued first), then shed from
@@ -365,6 +375,8 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 	// tenant recovered.
 	for _, t := range tenants {
 		if t.pendingMig {
+			t.downtimeTicks += o.Ticks - t.displacedAt
+			opsP.sum.TenantTicksLost += o.Ticks - t.displacedAt
 			t.shed = true
 			opsP.sum.Shed++
 			opsP.emit(OpsEvent{Tick: o.Ticks, Kind: "shed",

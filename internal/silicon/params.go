@@ -105,8 +105,10 @@ func DefaultParams() Params {
 // Scale returns the delay multiplier at supply voltage v relative to
 // VRef: path delays at v are (delay at VRef) × Scale(v). It is the
 // linearized alpha-power law g(v) = (VRef−VTh)/(v−VTh); Scale(VRef) = 1,
-// and Scale grows as the supply sags.
-func (p Params) Scale(v units.Volt) float64 {
+// and Scale grows as the supply sags. It and SettleFreqAtScale take a
+// pointer, so an inlined call in a solver loop reads two fields instead
+// of copying the whole parameter set.
+func (p *Params) Scale(v units.Volt) float64 {
 	den := float64(v - p.VTh)
 	if den <= 1e-6 {
 		den = 1e-6
@@ -123,10 +125,17 @@ func (p Params) ThetaPs() units.Picosecond {
 // slack, in ps at VRef) into the frequency the DPLL settles at under
 // supply voltage v, clamped to the hardware ceiling.
 func (p Params) SettleFreq(guard units.Picosecond, v units.Volt) units.MHz {
+	return p.SettleFreqAtScale(guard, p.Scale(v))
+}
+
+// SettleFreqAtScale is SettleFreq at a supply whose delay multiplier
+// Scale(v) the caller already holds, so cores sharing one supply
+// compute it once.
+func (p *Params) SettleFreqAtScale(guard units.Picosecond, scale float64) units.MHz {
 	if guard <= 0 {
 		return p.FMaxHW
 	}
-	f := units.Picosecond(float64(guard) * p.Scale(v)).Frequency()
+	f := units.Picosecond(float64(guard) * scale).Frequency()
 	return f.Clamp(0, p.FMaxHW)
 }
 

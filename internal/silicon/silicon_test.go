@@ -66,6 +66,55 @@ func TestSettleFreqCap(t *testing.T) {
 	}
 }
 
+// settleFreqReference is SettleFreq's formula with the scale computed
+// inside, as it read before the scale-taking form existed.
+func settleFreqReference(p Params, guard units.Picosecond, v units.Volt) units.MHz {
+	if guard <= 0 {
+		return p.FMaxHW
+	}
+	den := float64(v - p.VTh)
+	if den <= 1e-6 {
+		den = 1e-6
+	}
+	scale := float64(p.VRef-p.VTh) / den
+	f := units.Picosecond(float64(guard) * scale).Frequency()
+	return f.Clamp(0, p.FMaxHW)
+}
+
+// TestSettleFreqAtScaleMatchesSettleFreq pins the scale-taking settle
+// form bit for bit against SettleFreq and the formula both came from:
+// guards at and below zero, tiny and huge guards, voltages at, below
+// and just above the VTh + 1e-6 floor of Scale, and random draws.
+func TestSettleFreqAtScaleMatchesSettleFreq(t *testing.T) {
+	p := DefaultParams()
+	floor := p.VTh + 1e-6
+	guards := []units.Picosecond{-100, -1e-300, units.Picosecond(math.Copysign(0, -1)), 0,
+		1e-300, 1, 50, 187.5, 240, 1e6, units.Picosecond(math.Inf(1))}
+	volts := []units.Volt{floor, units.Volt(math.Nextafter(float64(floor), 0)),
+		units.Volt(math.Nextafter(float64(floor), 2)), p.VTh, p.VTh - 0.1, 0, -1,
+		0.6, 1.0, 1.2, p.VRef, 1.4, units.Volt(math.NaN())}
+	bits := func(f units.MHz) uint64 { return math.Float64bits(float64(f)) }
+	check := func(g units.Picosecond, v units.Volt) {
+		t.Helper()
+		want := settleFreqReference(p, g, v)
+		if got := p.SettleFreqAtScale(g, p.Scale(v)); bits(got) != bits(want) {
+			t.Fatalf("SettleFreqAtScale(%v, Scale(%v)) = %v, want %v", g, v, got, want)
+		}
+		if got := p.SettleFreq(g, v); bits(got) != bits(want) {
+			t.Fatalf("SettleFreq(%v, %v) = %v, want %v", g, v, got, want)
+		}
+	}
+	for _, g := range guards {
+		for _, v := range volts {
+			check(g, v)
+		}
+	}
+	src := rng.New(1).Split("settle-at-scale")
+	for i := 0; i < 10000; i++ {
+		check(units.Picosecond(src.Float64()*400-20), units.Volt(float64(p.VTh)+src.Float64()*1.2-0.1))
+	}
+}
+
 func TestReferenceIsValid(t *testing.T) {
 	srv := Reference()
 	if err := srv.Validate(); err != nil {

@@ -113,6 +113,14 @@ run atmctl dc -racks 1 -chassis 1 -chips-per-chassis 2 -ticks 10 -tenants 12 -op
 expect 3
 grep -qw UNSAFE "$out/stdout"
 
+# An 8x tenant overload under the ops-storm at any worker count: the
+# placement pass defers most of the queue unscored but still asks every
+# breaker, so the open breakers' rejections are diffed too.
+workers 8 atmctl dc -racks 1 -chassis 2 -chips-per-chassis 4 -tenants 512 -ticks 256 -ops-fault-profile ops-storm -json
+expect 3
+grep -qw UNSAFE "$out/stderr"
+grep -q '"breaker_rejected":[1-9]' "$out/stdout"
+
 # A cap below its level's idle draw is a hard error before the first
 # tick, with or without an ops profile: idle power cannot be shed.
 run atmctl dc -racks 1 -chassis 2 -chips-per-chassis 4 -ticks 32 -chip-cap 20
