@@ -2,6 +2,7 @@ package fsp
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -38,6 +39,13 @@ type Client struct {
 	seq int
 	st  ClientStats
 	ob  clientObs
+
+	// wbuf is the outgoing command line, long holds a reply line too
+	// long for br's buffer, and margins is the slice Margins returns;
+	// all three are reused across commands.
+	wbuf    []byte
+	long    []byte
+	margins []CoreMargin
 }
 
 // clientObs is the client's pre-resolved metric handle set. The zero
@@ -205,37 +213,51 @@ func (c *Client) armWrite() {
 // writeLine sends one command line.
 func (c *Client) writeLine(line string) error {
 	c.armWrite()
-	_, err := io.WriteString(c.rw, line+"\n")
+	c.wbuf = append(append(c.wbuf[:0], line...), '\n')
+	_, err := c.rw.Write(c.wbuf)
 	return err
 }
 
-// readLine reads one response line under the per-command deadline.
-func (c *Client) readLine() (string, error) {
+// readLine reads one response line under the per-command deadline,
+// with its line ending trimmed. The line is a view of the client's read
+// buffer, valid until the next read.
+func (c *Client) readLine() ([]byte, error) {
 	c.armRead()
-	line, err := c.br.ReadString('\n')
-	if err != nil {
-		return "", err
+	line, err := c.br.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		c.long = append(c.long[:0], line...)
+		for errors.Is(err, bufio.ErrBufferFull) {
+			line, err = c.br.ReadSlice('\n')
+			c.long = append(c.long, line...)
+		}
+		line = c.long
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	if err != nil {
+		return nil, err
+	}
+	for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
+		line = line[:len(line)-1]
+	}
+	return line, nil
 }
 
-// response is one parsed protocol reply.
+// response is one parsed protocol reply; payload is a view of the line.
 type response struct {
 	isErr   bool
-	payload string
+	payload []byte
 }
 
 // parseResponse classifies a line; ok=false marks a garbled line that
 // belongs to no well-formed reply.
-func parseResponse(line string) (response, bool) {
+func parseResponse(line []byte) (response, bool) {
 	switch {
-	case line == "ok":
+	case string(line) == "ok":
 		return response{}, true
-	case strings.HasPrefix(line, "ok "):
+	case bytes.HasPrefix(line, []byte("ok ")):
 		return response{payload: line[len("ok "):]}, true
-	case strings.HasPrefix(line, "err "):
+	case bytes.HasPrefix(line, []byte("err ")):
 		return response{isErr: true, payload: line[len("err "):]}, true
-	case line == "err":
+	case string(line) == "err":
 		return response{isErr: true}, true
 	default:
 		return response{}, false
@@ -260,7 +282,7 @@ func (c *Client) resync() error {
 		if err != nil {
 			return err
 		}
-		if line == want {
+		if string(line) == want {
 			return nil
 		}
 		c.st.Discarded++
@@ -275,6 +297,16 @@ func (c *Client) resync() error {
 // backoff until the budget is spent, then reported wrapping
 // ErrExhausted.
 func (c *Client) Exec(cmd string) (string, error) {
+	payload, err := c.exec(cmd)
+	if err != nil {
+		return "", err
+	}
+	return string(payload), nil
+}
+
+// exec is Exec's retry loop. The payload it returns is a view of the
+// client's read buffer, valid until the next command.
+func (c *Client) exec(cmd string) ([]byte, error) {
 	c.st.Commands++
 	c.ob.commands.Inc()
 	var lastErr error
@@ -283,7 +315,7 @@ func (c *Client) Exec(cmd string) (string, error) {
 			c.st.Retries++
 			c.ob.retries.Inc()
 			if err := c.pause(attempt); err != nil {
-				return "", fmt.Errorf("fsp: %q: %w", cmd, err)
+				return nil, fmt.Errorf("fsp: %q: %w", cmd, err)
 			}
 			if err := c.resync(); err != nil {
 				lastErr = err
@@ -307,20 +339,20 @@ func (c *Client) Exec(cmd string) (string, error) {
 			continue
 		}
 		if resp.isErr {
-			cerr := &CmdError{Cmd: cmd, Msg: resp.payload}
+			cerr := &CmdError{Cmd: cmd, Msg: string(resp.payload)}
 			if cerr.Transient() || cerr.Busy() {
 				lastErr = cerr
 				continue
 			}
 			c.ob.attempts.Observe(float64(attempt + 1))
-			return "", cerr
+			return nil, cerr
 		}
 		c.ob.attempts.Observe(float64(attempt + 1))
 		return resp.payload, nil
 	}
 	c.ob.exhausted.Inc()
 	c.ob.attempts.Observe(float64(c.opt.Retries + 1))
-	return "", fmt.Errorf("fsp: %q failed after %d attempts: %w: %w",
+	return nil, fmt.Errorf("fsp: %q failed after %d attempts: %w: %w",
 		cmd, c.opt.Retries+1, ErrExhausted, lastErr)
 }
 
@@ -415,32 +447,98 @@ type CoreMargin struct {
 // resilience envelope: transient telemetry upsets and garbled
 // transport lines are retried with re-sync like any other command.
 //
-// The payload is walked in place: each core label is a substring of
-// it, and each value goes through strconv.ParseFloat, whose exact fast
-// path returns float64(m)/1000 for the server's three-decimal form.
+// The returned slice is owned by the client and valid until the next
+// call, which reuses it: the sentinel polls every epoch, and a poll
+// whose labels match the previous one's reuses their strings too, so a
+// steady-state poll allocates no result.
 func (c *Client) Margins() ([]CoreMargin, error) {
-	out, err := c.Exec("margins")
+	payload, err := c.exec("margins")
 	if err != nil {
 		return nil, err
 	}
-	ms := make([]CoreMargin, 0, strings.Count(out, " ")+1)
-	for rest := out; rest != ""; {
-		var f string
-		f, rest, _ = strings.Cut(rest, " ")
-		if f == "" {
+	ms, err := parseMargins(c.margins, payload)
+	if err != nil {
+		return nil, err
+	}
+	c.margins = ms
+	return ms, nil
+}
+
+// parseMargins parses a "margins" payload, label=value pairs separated
+// by single spaces (runs of spaces are skipped), in place into dst[:0].
+// A label whose bytes equal the label dst held at the same index keeps
+// that string. A value in the server's [-]d.ddd form is exactly
+// float64(m)/1000 of its milli-units m, the double strconv.ParseFloat
+// rounds the decimal to; any other value goes through ParseFloat.
+func parseMargins(dst []CoreMargin, payload []byte) ([]CoreMargin, error) {
+	prev := dst[:cap(dst)]
+	ms := dst[:0]
+	for rest := payload; len(rest) > 0; {
+		f := rest
+		if sp := bytes.IndexByte(rest, ' '); sp >= 0 {
+			f, rest = rest[:sp], rest[sp+1:]
+		} else {
+			rest = nil
+		}
+		if len(f) == 0 {
 			continue
 		}
-		name, val, ok := strings.Cut(f, "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("fsp: bad margins payload %q", out)
+		eq := bytes.IndexByte(f, '=')
+		if eq <= 0 {
+			return nil, fmt.Errorf("fsp: bad margins payload %q", payload)
 		}
-		v, perr := strconv.ParseFloat(val, 64)
-		if perr != nil {
-			return nil, fmt.Errorf("fsp: bad margins payload %q", out)
+		name, val := f[:eq], f[eq+1:]
+		v, ok := parseMilli(val)
+		if !ok {
+			var perr error
+			if v, perr = strconv.ParseFloat(string(val), 64); perr != nil {
+				return nil, fmt.Errorf("fsp: bad margins payload %q", payload)
+			}
 		}
-		ms = append(ms, CoreMargin{Core: name, Sigma: v})
+		var label string
+		if i := len(ms); i < len(prev) && prev[i].Core == string(name) {
+			label = prev[i].Core
+		} else {
+			label = string(name)
+		}
+		ms = append(ms, CoreMargin{Core: label, Sigma: v})
 	}
 	return ms, nil
+}
+
+// parseMilli parses the [-]d.ddd form appendMilli writes and reports
+// whether b had that form with milli-units m ≤ 2^53. Then float64(m) is
+// exact and float64(m)/1000 is the correctly rounded quotient, which is
+// the double ParseFloat returns for the same decimal. The sign applies
+// last, so "-0.000" is −0, as ParseFloat reads it.
+func parseMilli(b []byte) (float64, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	// At most 15 integer digits keep m below 10^18, inside int64.
+	ip := len(b) - len(".ddd")
+	if ip < 1 || ip > 15 || b[ip] != '.' {
+		return 0, false
+	}
+	var m int64
+	for i, ch := range b {
+		if i == ip {
+			continue
+		}
+		if ch < '0' || ch > '9' {
+			return 0, false
+		}
+		m = m*10 + int64(ch-'0')
+	}
+	if m > 1<<53 {
+		return 0, false
+	}
+	v := float64(m) / 1000
+	if neg {
+		v = -v
+	}
+	return v, true
 }
 
 // Cores lists the server's core labels.
@@ -462,7 +560,7 @@ func (c *Client) Quit() error {
 	if err != nil {
 		return err
 	}
-	if line != "ok bye" {
+	if string(line) != "ok bye" {
 		return fmt.Errorf("fsp: quit acknowledged with %q", line)
 	}
 	return nil

@@ -43,8 +43,8 @@ func TestParseResponse(t *testing.T) {
 		{"okay", false, false, ""},
 	}
 	for _, c := range cases {
-		resp, wellFormed := parseResponse(c.line)
-		if wellFormed != c.ok || resp.isErr != c.isErr || resp.payload != c.payload {
+		resp, wellFormed := parseResponse([]byte(c.line))
+		if wellFormed != c.ok || resp.isErr != c.isErr || string(resp.payload) != c.payload {
 			t.Errorf("parseResponse(%q) = %+v, %v; want payload %q isErr %v ok %v",
 				c.line, resp, wellFormed, c.payload, c.isErr, c.ok)
 		}

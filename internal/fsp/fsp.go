@@ -278,26 +278,17 @@ func (c *Controller) Putscom(a Addr, v uint64) error {
 }
 
 // marginMilliSigma computes a core's CPM slack margin register value:
-// how many per-trial sigmas of headroom the core's guarded path keeps
-// above the worst-case workload envelope (stress score 1) at its
-// current reduction, in milli-sigmas, two's-complement encoded so an
-// aged core can report a negative margin. The margin is the quantity
-// the paper's safety criterion bounds (limitHeadroomSigmas in
-// internal/silicon): a freshly fine-tuned core sits at ≥ +4500, a core
+// silicon.CoreProfile.MarginSigmas at the core's current reduction, in
+// milli-sigmas, two's-complement encoded so an aged core can report a
+// negative margin. A freshly fine-tuned core sits at ≥ +4500, a core
 // whose silicon drifted past its envelope goes negative.
 func marginMilliSigma(core *chip.Core) int64 {
-	p := core.Profile
-	g, err := p.GuardPs(core.Reduction())
+	sigma, err := core.Profile.MarginSigmas(core.Reduction())
 	if err != nil {
 		// The programmed reduction was validated on the way in; an error
 		// here is unreachable, but a register read must not panic.
 		return 0
 	}
-	req := float64(p.RequiredGuardPs(1))
-	if req <= 0 || p.SigmaFrac <= 0 {
-		return 0
-	}
-	sigma := (float64(g)/req - 1) / p.SigmaFrac
 	return int64(math.Round(sigma * 1000))
 }
 

@@ -22,45 +22,54 @@ type Loopback struct {
 	s *Session
 	// pending accumulates written bytes until a full line arrives.
 	pending []byte
-	// buf holds response lines not yet read back.
-	buf bytes.Buffer
+	// out holds response lines, of which Read has drained the first
+	// read bytes. The session appends each reply straight into it.
+	out  []byte
+	read int
 }
 
 // NewLoopback wraps a session in a synchronous transport.
 func NewLoopback(s *Session) *Loopback { return &Loopback{s: s} }
 
 // Write feeds command bytes in. Every complete line is executed
-// synchronously through Session.Exec and its response buffered for
+// synchronously through the session and its response buffered for
 // Read. Partial trailing lines are held until their newline arrives.
 func (l *Loopback) Write(p []byte) (int, error) {
 	l.pending = append(l.pending, p...)
+	// Drop what Read already drained, so the buffer does not grow.
+	l.out = l.out[:copy(l.out, l.out[l.read:])]
+	l.read = 0
+	done := 0
 	for {
-		nl := bytes.IndexByte(l.pending, '\n')
+		nl := bytes.IndexByte(l.pending[done:], '\n')
 		if nl < 0 {
-			return len(p), nil
+			break
 		}
-		line := strings.TrimSpace(string(l.pending[:nl]))
-		l.pending = l.pending[nl+1:]
+		line := strings.TrimSpace(string(l.pending[done : done+nl]))
+		done += nl + 1
 		switch {
 		case line == "" || strings.HasPrefix(line, "#"):
 			// Blank lines and comments are ignored, matching Serve.
 		case line == "quit":
 			// "quit" never reaches Exec in the served protocol; answer it
 			// here the way the serve loop does.
-			l.buf.WriteString("ok bye\n")
+			l.out = append(l.out, "ok bye\n"...)
 		default:
-			l.buf.WriteString(l.s.Exec(line))
-			l.buf.WriteByte('\n')
+			l.out = append(l.s.exec(l.out, line), '\n')
 		}
 	}
+	l.pending = l.pending[:copy(l.pending, l.pending[done:])]
+	return len(p), nil
 }
 
 // Read drains buffered response lines. With nothing buffered it
 // reports io.EOF; a retrying client treats that as a lost response,
 // re-syncs, and the next Write replenishes the buffer.
 func (l *Loopback) Read(p []byte) (int, error) {
-	if l.buf.Len() == 0 {
+	if l.read == len(l.out) {
 		return 0, io.EOF
 	}
-	return l.buf.Read(p)
+	n := copy(p, l.out[l.read:])
+	l.read += n
+	return n, nil
 }

@@ -56,9 +56,8 @@ type Session struct {
 	// default) skips latency measurement entirely.
 	clock func() int64
 
-	// margins is the "margins" verb's payload buffer, reused across
-	// polls.
-	margins []byte
+	// reply is Exec's response buffer, reused across commands.
+	reply []byte
 }
 
 // sessionObs is the session's pre-resolved metric handle set plus the
@@ -219,20 +218,27 @@ func readCappedLine(br *bufio.Reader, limit int) (line string, tooLong bool, err
 
 // Exec runs one command line and returns the response line.
 func (s *Session) Exec(line string) string {
+	s.reply = s.exec(s.reply[:0], line)
+	return string(s.reply)
+}
+
+// exec runs one command line and appends its response line, without
+// the newline, to dst.
+func (s *Session) exec(dst []byte, line string) []byte {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		s.ob.errs.Inc()
 		s.breaker.Failure()
-		return "err empty command"
+		return append(dst, "err empty command"...)
 	}
 	cmd, args := fields[0], fields[1:]
 	if s.clock == nil {
-		return s.execVerb(cmd, args)
+		return s.execVerb(dst, cmd, args)
 	}
 	began := s.clock()
-	resp := s.execVerb(cmd, args)
+	dst = s.execVerb(dst, cmd, args)
 	s.observeLatency(cmd, began)
-	return resp
+	return dst
 }
 
 // observeLatency records one command's clock delta in the per-verb
@@ -246,8 +252,9 @@ func (s *Session) observeLatency(cmd string, began int64) {
 	h.Observe(float64(s.clock() - began))
 }
 
-// execVerb runs one parsed command: counters, breaker policy, dispatch.
-func (s *Session) execVerb(cmd string, args []string) string {
+// execVerb runs one parsed command — counters, breaker policy,
+// dispatch — and appends its response line to dst.
+func (s *Session) execVerb(dst []byte, cmd string, args []string) []byte {
 	if vc, known := s.ob.verbs[cmd]; known {
 		vc.Inc()
 	} else {
@@ -258,16 +265,17 @@ func (s *Session) execVerb(cmd string, args []string) string {
 		// read the guard plane exactly when the session is being shed.
 		if len(args) != 0 {
 			s.ob.errs.Inc()
-			return "err usage: health"
+			return append(dst, "err usage: health"...)
 		}
-		return "ok " + s.healthDoc()
+		return append(append(dst, "ok "...), s.healthDoc()...)
 	}
 	if !s.breaker.Allow() {
 		s.ob.errs.Inc()
-		return "err busy breaker open"
+		return append(dst, "err busy breaker open"...)
 	}
 	known := isKnownVerb(cmd)
-	out, err := s.dispatch(cmd, args)
+	n := len(dst)
+	out, err := s.dispatch(append(dst, "ok "...), cmd, args)
 	// The breaker tracks protocol garbage, not command outcomes: an
 	// unknown verb is a peer speaking the wrong protocol and counts as
 	// a failure; a well-formed command that errs (bad core label, SCOM
@@ -279,12 +287,13 @@ func (s *Session) execVerb(cmd string, args []string) string {
 	}
 	if err != nil {
 		s.ob.errs.Inc()
-		return "err " + err.Error()
+		return append(append(out[:n], "err "...), err.Error()...)
 	}
-	if out == "" {
-		return "ok"
+	if len(out) == n+len("ok ") {
+		// An empty payload answers a bare "ok".
+		return out[:n+len("ok")]
 	}
-	return "ok " + out
+	return out
 }
 
 // healthDoc renders the "health" verb's JSON document.
@@ -302,65 +311,67 @@ func (s *Session) healthDoc() string {
 	return string(raw)
 }
 
-func (s *Session) dispatch(cmd string, args []string) (string, error) {
+// dispatch runs one verb and appends its payload to dst. On an error it
+// returns dst, possibly grown, and the caller discards what it appended.
+func (s *Session) dispatch(dst []byte, cmd string, args []string) ([]byte, error) {
 	switch cmd {
 	case "getscom":
 		if len(args) != 1 {
-			return "", fmt.Errorf("usage: getscom <hex-addr>")
+			return dst, fmt.Errorf("usage: getscom <hex-addr>")
 		}
 		a, err := parseAddr(args[0])
 		if err != nil {
-			return "", err
+			return dst, err
 		}
 		v, err := s.ctl.Getscom(a)
 		if err != nil {
-			return "", err
+			return dst, err
 		}
-		return fmt.Sprintf("%#x", v), nil
+		return fmt.Appendf(dst, "%#x", v), nil
 
 	case "putscom":
 		if len(args) != 2 {
-			return "", fmt.Errorf("usage: putscom <hex-addr> <value>")
+			return dst, fmt.Errorf("usage: putscom <hex-addr> <value>")
 		}
 		a, err := parseAddr(args[0])
 		if err != nil {
-			return "", err
+			return dst, err
 		}
 		v, err := strconv.ParseUint(strings.TrimPrefix(args[1], "0x"), 0, 64)
 		if err != nil {
-			return "", fmt.Errorf("bad value %q", args[1])
+			return dst, fmt.Errorf("bad value %q", args[1])
 		}
-		return "", s.ctl.Putscom(a, v)
+		return dst, s.ctl.Putscom(a, v)
 
 	case "cpm":
 		if len(args) < 1 || len(args) > 2 {
-			return "", fmt.Errorf("usage: cpm <core> [<reduction>]")
+			return dst, fmt.Errorf("usage: cpm <core> [<reduction>]")
 		}
 		ci, ki, err := s.ctl.CoreAddrByLabel(args[0])
 		if err != nil {
-			return "", err
+			return dst, err
 		}
 		addr := MakeCoreAddr(ci, ki, regCPMReduction)
 		if len(args) == 2 {
 			red, err := strconv.Atoi(args[1])
 			if err != nil || red < 0 {
-				return "", fmt.Errorf("bad reduction %q", args[1])
+				return dst, fmt.Errorf("bad reduction %q", args[1])
 			}
-			return "", s.ctl.Putscom(addr, uint64(red))
+			return dst, s.ctl.Putscom(addr, uint64(red))
 		}
 		v, err := s.ctl.Getscom(addr)
 		if err != nil {
-			return "", err
+			return dst, err
 		}
-		return strconv.FormatUint(v, 10), nil
+		return strconv.AppendUint(dst, v, 10), nil
 
 	case "mode":
 		if len(args) != 2 {
-			return "", fmt.Errorf("usage: mode <core> <static|atm>")
+			return dst, fmt.Errorf("usage: mode <core> <static|atm>")
 		}
 		ci, ki, err := s.ctl.CoreAddrByLabel(args[0])
 		if err != nil {
-			return "", err
+			return dst, err
 		}
 		var v uint64
 		switch args[1] {
@@ -369,31 +380,31 @@ func (s *Session) dispatch(cmd string, args []string) (string, error) {
 		case "atm":
 			v = 1
 		default:
-			return "", fmt.Errorf("mode %q not static|atm", args[1])
+			return dst, fmt.Errorf("mode %q not static|atm", args[1])
 		}
-		return "", s.ctl.Putscom(MakeCoreAddr(ci, ki, regMode), v)
+		return dst, s.ctl.Putscom(MakeCoreAddr(ci, ki, regMode), v)
 
 	case "pstate":
 		if len(args) != 2 {
-			return "", fmt.Errorf("usage: pstate <core> <MHz>")
+			return dst, fmt.Errorf("usage: pstate <core> <MHz>")
 		}
 		ci, ki, err := s.ctl.CoreAddrByLabel(args[0])
 		if err != nil {
-			return "", err
+			return dst, err
 		}
 		mhz, err := strconv.ParseUint(args[1], 10, 32)
 		if err != nil {
-			return "", fmt.Errorf("bad p-state %q", args[1])
+			return dst, fmt.Errorf("bad p-state %q", args[1])
 		}
-		return "", s.ctl.Putscom(MakeCoreAddr(ci, ki, regPState), mhz)
+		return dst, s.ctl.Putscom(MakeCoreAddr(ci, ki, regPState), mhz)
 
 	case "gate":
 		if len(args) != 2 {
-			return "", fmt.Errorf("usage: gate <core> <on|off>")
+			return dst, fmt.Errorf("usage: gate <core> <on|off>")
 		}
 		ci, ki, err := s.ctl.CoreAddrByLabel(args[0])
 		if err != nil {
-			return "", err
+			return dst, err
 		}
 		var v uint64
 		switch args[1] {
@@ -402,53 +413,52 @@ func (s *Session) dispatch(cmd string, args []string) (string, error) {
 		case "off":
 			v = 0
 		default:
-			return "", fmt.Errorf("gate %q not on|off", args[1])
+			return dst, fmt.Errorf("gate %q not on|off", args[1])
 		}
-		return "", s.ctl.Putscom(MakeCoreAddr(ci, ki, regGated), v)
+		return dst, s.ctl.Putscom(MakeCoreAddr(ci, ki, regGated), v)
 
 	case "freq":
 		if len(args) != 1 {
-			return "", fmt.Errorf("usage: freq <core>")
+			return dst, fmt.Errorf("usage: freq <core>")
 		}
 		ci, ki, err := s.ctl.CoreAddrByLabel(args[0])
 		if err != nil {
-			return "", err
+			return dst, err
 		}
 		v, err := s.ctl.Getscom(MakeCoreAddr(ci, ki, regFreq))
 		if err != nil {
-			return "", err
+			return dst, err
 		}
-		return fmt.Sprintf("%d MHz", v), nil
+		return append(strconv.AppendUint(dst, v, 10), " MHz"...), nil
 
 	case "margins":
 		if len(args) != 0 {
-			return "", fmt.Errorf("usage: margins")
+			return dst, fmt.Errorf("usage: margins")
 		}
 		// Read-only batch telemetry: every core's CPM slack margin to the
 		// worst-case workload envelope, in per-trial sigmas, in register
 		// address order. One round trip reads the whole server — the
 		// margin sentinel's per-sample poll.
-		b := s.margins[:0]
+		start := len(dst)
 		for ci, ch := range s.ctl.m.Chips {
 			for ki, core := range ch.Cores {
 				v, err := s.ctl.Getscom(MakeCoreAddr(ci, ki, regMargin))
 				if err != nil {
-					return "", err
+					return dst, err
 				}
-				if len(b) > 0 {
-					b = append(b, ' ')
+				if len(dst) > start {
+					dst = append(dst, ' ')
 				}
-				b = append(b, core.Profile.Label...)
-				b = append(b, '=')
-				b = appendMilli(b, int64(v))
+				dst = append(dst, core.Profile.Label...)
+				dst = append(dst, '=')
+				dst = appendMilli(dst, int64(v))
 			}
 		}
-		s.margins = b
-		return string(b), nil
+		return dst, nil
 
 	case "chip":
 		if len(args) != 1 {
-			return "", fmt.Errorf("usage: chip <label>")
+			return dst, fmt.Errorf("usage: chip <label>")
 		}
 		ci := -1
 		for i, ch := range s.ctl.m.Chips {
@@ -457,48 +467,54 @@ func (s *Session) dispatch(cmd string, args []string) (string, error) {
 			}
 		}
 		if ci < 0 {
-			return "", fmt.Errorf("no chip %q", args[0])
+			return dst, fmt.Errorf("no chip %q", args[0])
 		}
 		p, err := s.ctl.Getscom(MakeChipAddr(ci, regChipPower))
 		if err != nil {
-			return "", err
+			return dst, err
 		}
 		v, err := s.ctl.Getscom(MakeChipAddr(ci, regChipVolt))
 		if err != nil {
-			return "", err
+			return dst, err
 		}
 		t, err := s.ctl.Getscom(MakeChipAddr(ci, regChipTemp))
 		if err != nil {
-			return "", err
+			return dst, err
 		}
 		ok, err := s.ctl.Getscom(MakeChipAddr(ci, regChipInBudg))
 		if err != nil {
-			return "", err
+			return dst, err
 		}
-		return fmt.Sprintf("power=%.1fW supply=%dmV temp=%.1fC budget=%d",
+		return fmt.Appendf(dst, "power=%.1fW supply=%dmV temp=%.1fC budget=%d",
 			float64(p)/1000, v, float64(t)/1000, ok), nil
 
 	case "cores":
-		return strings.Join(s.ctl.Labels(), " "), nil
+		for i, l := range s.ctl.Labels() {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = append(dst, l...)
+		}
+		return dst, nil
 
 	case "ping":
 		if len(args) != 1 {
-			return "", fmt.Errorf("usage: ping <token>")
+			return dst, fmt.Errorf("usage: ping <token>")
 		}
 		// Echo for liveness probes and client re-sync: the token lets a
 		// client discard stale response lines after a transport fault.
-		return "pong " + args[0], nil
+		return append(append(dst, "pong "...), args[0]...), nil
 
 	case "stats":
 		if len(args) != 0 {
-			return "", fmt.Errorf("usage: stats")
+			return dst, fmt.Errorf("usage: stats")
 		}
 		// Read-only: one compact JSON line of every registered metric.
 		// With no registry attached the snapshot is legitimately empty.
-		return string(s.ob.reg.SnapshotJSON()), nil
+		return append(dst, s.ob.reg.SnapshotJSON()...), nil
 
 	default:
-		return "", fmt.Errorf("unknown command %q", cmd)
+		return dst, fmt.Errorf("unknown command %q", cmd)
 	}
 }
 

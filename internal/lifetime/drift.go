@@ -153,8 +153,9 @@ type coreDrift struct {
 	nbti  float64
 	hci   float64
 	track float64
-	// stepJit[k] skews tap k's aging relative to the core's τ.
-	stepJit []float64
+	// stepSkew[k] is 1 + tap k's aging jitter: the factor that skews
+	// tap k's aging relative to the core's τ.
+	stepSkew []float64
 	// activeYears accumulates the core's powered-and-working time, the
 	// HCI stress variable.
 	activeYears float64
@@ -224,9 +225,9 @@ func NewOverlay(m *chip.Machine, p Params, horizonYears float64, src *rng.Source
 			hci:   cs.TruncNorm(p.HCIMean, p.HCISigma, 0, p.HCIMean*3),
 			track: p.TrackLo + cs.Float64()*(p.TrackHi-p.TrackLo),
 		}
-		d.stepJit = make([]float64, len(core.Profile.StepPs))
-		for k := range d.stepJit {
-			d.stepJit[k] = cs.TruncNorm(0, p.StepSkewSigma, -3*p.StepSkewSigma, 3*p.StepSkewSigma)
+		d.stepSkew = make([]float64, len(core.Profile.StepPs))
+		for k := range d.stepSkew {
+			d.stepSkew[k] = 1 + cs.TruncNorm(0, p.StepSkewSigma, -3*p.StepSkewSigma, 3*p.StepSkewSigma)
 		}
 		o.cores[i] = d
 	}
@@ -308,11 +309,17 @@ func (o *Overlay) Advance(dtHours float64, active []bool) {
 		// ...while the CPM synthetic path and its inserted-delay chain
 		// track at only τ of it, so the reported margin erodes.
 		p.SynthPs = units.Picosecond(float64(bp.SynthPs) * (1 + cpmAge))
-		for k := 1; k < len(p.StepPs); k++ {
-			p.StepPs[k] = units.Picosecond(float64(bp.StepPs[k]) * (1 + cpmAge*(1+d.stepJit[k])))
+		// The slices are resliced to one length so the compiler drops
+		// the loops' bounds checks.
+		steps := p.StepPs
+		baseSteps, skew := bp.StepPs[:len(steps)], d.stepSkew[:len(steps)]
+		for k := 1; k < len(steps); k++ {
+			steps[k] = units.Picosecond(float64(baseSteps[k]) * (1 + cpmAge*skew[k]))
 		}
-		for k := range p.SiteSkewPs {
-			p.SiteSkewPs[k] = units.Picosecond(float64(bp.SiteSkewPs[k]) * (1 + cpmAge))
+		sites := p.SiteSkewPs
+		baseSites := bp.SiteSkewPs[:len(sites)]
+		for k := range sites {
+			sites[k] = units.Picosecond(float64(baseSites[k]) * (1 + cpmAge))
 		}
 		// The uncovered-droop tail widens with age.
 		p.SigmaFrac = bp.SigmaFrac * (1 + o.p.NoiseGrowthPerYear*tY)

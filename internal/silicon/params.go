@@ -117,7 +117,9 @@ func (p *Params) Scale(v units.Volt) float64 {
 }
 
 // ThetaPs returns the threshold slack the DPLL maintains, in ps at VRef.
-func (p Params) ThetaPs() units.Picosecond {
+// Like Scale it takes a pointer, so a call does not copy the parameter
+// set.
+func (p *Params) ThetaPs() units.Picosecond {
 	return units.Picosecond(float64(p.ThetaUnits)) * p.InvPs
 }
 

@@ -115,14 +115,70 @@ func (c *CoreProfile) InsertedDelayPs(taps int) units.Picosecond {
 // exactly this value, so GuardPs is both the protection the loop
 // maintains and the inverse of the settled frequency.
 func (c *CoreProfile) GuardPs(reduction int) (units.Picosecond, error) {
+	// Score 0 is the idle requirement, which needs no tap of its own.
+	g, _, err := c.guards(reduction, 0)
+	return g, err
+}
+
+// guards returns GuardPs(reduction) and RequiredGuardPs(score) from one
+// walk of the step table. Both are a prefix sum of StepPs plus the
+// synthetic path and the threshold slack: the guard's up to tap
+// PresetTaps−reduction, an application requirement's up to the tap of
+// the configuration its rollback lands on. One pass up to the deeper of
+// the two taps reads both sums, each added in InsertedDelayPs's order,
+// so both values are bit-identical to summing the taps separately.
+//
+//atm:hotpath
+func (c *CoreProfile) guards(reduction int, score float64) (g, req units.Picosecond, err error) {
+	if reduction < 0 || reduction > c.PresetTaps {
+		return 0, 0, c.reductionErr(reduction)
+	}
+	gTap, reqTap := c.PresetTaps-reduction, -1
+	switch {
+	case score <= 0:
+		req = c.IdleGuardPs
+	case score <= UBenchScore:
+		// Between idle and the uBench anchor the envelope ramps
+		// linearly: light instruction streams begin exercising real
+		// paths immediately.
+		frac := score / UBenchScore
+		req = c.IdleGuardPs + units.Picosecond(frac*float64(c.UBenchGuardPs-c.IdleGuardPs))
+	default:
+		// Past the uBench anchor the envelope follows the quantized
+		// rollback curve: the guard needed is the guard of the
+		// (uBench limit − rollback) configuration.
+		lim := c.ubLimit - c.RollbackAt(normalizeAppScore(score))
+		reqTap = c.PresetTaps - min(max(lim, 0), c.PresetTaps)
+	}
+	steps := c.StepPs[:max(gTap, reqTap)+1]
+	lo := max(min(gTap, reqTap), 0)
+	var ins units.Picosecond
+	for _, s := range steps[1 : lo+1] {
+		ins += s
+	}
+	shallow := ins
+	for _, s := range steps[lo+1:] {
+		ins += s
+	}
+	gIns, reqIns := ins, shallow
+	if gTap <= reqTap {
+		gIns, reqIns = shallow, ins
+	}
+	theta := c.params.ThetaPs()
+	g = c.SynthPs + gIns + theta
+	if reqTap >= 0 {
+		req = c.requirementForGuard(c.SynthPs + reqIns + theta)
+	}
+	return g, req, nil
+}
+
+// reductionErr is GuardPs's error for a reduction outside [0, PresetTaps].
+func (c *CoreProfile) reductionErr(reduction int) error {
 	if reduction < 0 {
-		return 0, fmt.Errorf("silicon: negative CPM delay reduction %d on %s", reduction, c.Label)
+		return fmt.Errorf("silicon: negative CPM delay reduction %d on %s", reduction, c.Label)
 	}
-	if reduction > c.PresetTaps {
-		return 0, fmt.Errorf("silicon: CPM delay reduction %d exceeds preset %d on %s",
-			reduction, c.PresetTaps, c.Label)
-	}
-	return c.SynthPs + c.InsertedDelayPs(c.PresetTaps-reduction) + c.params.ThetaPs(), nil
+	return fmt.Errorf("silicon: CPM delay reduction %d exceeds preset %d on %s",
+		reduction, c.PresetTaps, c.Label)
 }
 
 // mustGuard is GuardPs for internal callers that have validated reduction.
@@ -183,25 +239,10 @@ func (c *CoreProfile) RollbackAt(score float64) int {
 // micro-benchmark envelope; larger scores interpolate through the
 // rollback curve up to the worst profiled workload at 1.
 func (c *CoreProfile) RequiredGuardPs(score float64) units.Picosecond {
-	switch {
-	case score <= 0:
-		return c.IdleGuardPs
-	case score <= UBenchScore:
-		// Between idle and the uBench anchor the envelope ramps
-		// linearly: light instruction streams begin exercising real
-		// paths immediately.
-		frac := score / UBenchScore
-		return c.IdleGuardPs + units.Picosecond(frac*float64(c.UBenchGuardPs-c.IdleGuardPs))
-	default:
-		// Past the uBench anchor the envelope follows the quantized
-		// rollback curve: the guard needed is the guard of the
-		// (uBench limit − rollback) configuration.
-		lim := c.ubLimit - c.RollbackAt(normalizeAppScore(score))
-		if lim < 0 {
-			lim = 0
-		}
-		return c.requiredGuardForLimit(lim)
-	}
+	// Reduction PresetTaps is always legal and puts the guard at tap 0,
+	// so the walk covers only the requirement's taps.
+	_, req, _ := c.guards(c.PresetTaps, score)
+	return req
 }
 
 // UBenchScore is the stress score assigned to the three micro-benchmarks:
@@ -238,11 +279,12 @@ func (c *CoreProfile) limitForGuard(req units.Picosecond) int {
 	// requiredGuardForLimit in the presence of float rounding.
 	need := float64(req)*(1+limitHeadroomSigmas*c.SigmaFrac) - 1e-9
 	theta := c.params.ThetaPs()
+	steps := c.StepPs[:c.PresetTaps+1]
 	var inserted units.Picosecond
 	lastShort := -1
-	for t := 0; t <= c.PresetTaps; t++ {
+	for t := range steps {
 		if t > 0 {
-			inserted += c.StepPs[t]
+			inserted += steps[t]
 		}
 		// Negated >=: a NaN guard counts as short.
 		if !(float64(c.SynthPs+inserted+theta) >= need) {
@@ -264,7 +306,13 @@ func (c *CoreProfile) requiredGuardForLimit(lim int) units.Picosecond {
 	if lim < 0 {
 		lim = 0
 	}
-	return units.Picosecond(float64(c.mustGuard(lim)) / (1 + limitHeadroomSigmas*c.SigmaFrac))
+	return c.requirementForGuard(c.mustGuard(lim))
+}
+
+// requirementForGuard is the nominal requirement a configuration with
+// guard g covers with the calibration headroom to spare.
+func (c *CoreProfile) requirementForGuard(g units.Picosecond) units.Picosecond {
+	return units.Picosecond(float64(g) / (1 + limitHeadroomSigmas*c.SigmaFrac))
 }
 
 // limitHeadroomSigmas is how many per-trial sigmas of headroom the
@@ -292,33 +340,55 @@ func (c *CoreProfile) DeterministicLimit(score float64) int {
 //
 //atm:hotpath
 func (c *CoreProfile) SurvivesTrial(reduction int, score float64, src *rng.Source) (bool, error) {
-	g, err := c.GuardPs(reduction)
+	g, req, err := c.guards(reduction, score)
 	if err != nil {
 		return false, err
 	}
-	req := float64(c.RequiredGuardPs(score))
 	tail := math.Abs(src.Norm(0, c.SigmaFrac))
-	return float64(g) >= req*(1+tail), nil
+	return float64(g) >= float64(req)*(1+tail), nil
 }
 
 // FailureProb returns the per-trial failure probability at the given
 // reduction and stress score (the analytic counterpart of SurvivesTrial,
 // used by property tests).
 func (c *CoreProfile) FailureProb(reduction int, score float64) (float64, error) {
-	g, err := c.GuardPs(reduction)
+	g, req, err := c.guards(reduction, score)
 	if err != nil {
 		return 0, err
 	}
-	req := float64(c.RequiredGuardPs(score))
 	if req <= 0 {
 		return 0, nil
 	}
-	t := (float64(g)/req - 1) / c.SigmaFrac
+	t := c.headroomSigmas(g, req)
 	if t < 0 {
 		return 1, nil
 	}
 	// P(|N(0,1)| > t) = erfc(t/√2).
 	return math.Erfc(t / math.Sqrt2), nil
+}
+
+// MarginSigmas returns the core's CPM slack margin at the given
+// reduction: how many per-trial sigmas of headroom its guard keeps above
+// the worst-case workload envelope (stress score 1). It is the quantity
+// the limit criterion bounds (limitHeadroomSigmas): a freshly
+// fine-tuned core keeps at least 4.5, a core whose silicon drifted past
+// its envelope goes negative. It is 0 when the envelope or the sigma is
+// not positive. The FSP margin register reports it in milli-sigmas.
+func (c *CoreProfile) MarginSigmas(reduction int) (float64, error) {
+	g, req, err := c.guards(reduction, 1)
+	if err != nil {
+		return 0, err
+	}
+	if req <= 0 || c.SigmaFrac <= 0 {
+		return 0, nil
+	}
+	return c.headroomSigmas(g, req), nil
+}
+
+// headroomSigmas is guard g's headroom over requirement req in
+// per-trial sigmas: (g/req − 1)/σ.
+func (c *CoreProfile) headroomSigmas(g, req units.Picosecond) float64 {
+	return (float64(g)/float64(req) - 1) / c.SigmaFrac
 }
 
 // Validate reports whether the profile is internally consistent.
