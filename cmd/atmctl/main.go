@@ -48,6 +48,7 @@ import (
 
 	atm "repro"
 	"repro/internal/chip"
+	"repro/internal/fleet"
 	"repro/internal/manage"
 	"repro/internal/report"
 	"repro/internal/rng"
@@ -567,6 +568,9 @@ func cmdFleet(args []string) error {
 	case *rollback < 0:
 		return badFlag(fs, "-rollback %d is negative", *rollback)
 	}
+	if err := fleet.CheckSeedRange("-seed", *start, *n); err != nil {
+		return badFlag(fs, "%v", err)
+	}
 	if _, err := atm.ParseFaultProfile(*faultProfile); err != nil {
 		return badFlag(fs, "%v", err)
 	}
@@ -738,6 +742,12 @@ func cmdLifetime(args []string) error {
 	}
 	if *n < 1 {
 		return badFlag(fs, "-n %d: want at least one server", *n)
+	}
+	if err := fleet.CheckSeedRange("-seed", *seed, *n); err != nil {
+		return badFlag(fs, "%v", err)
+	}
+	if err := fleet.CheckSeedRange("-silicon-start", *silStart, *n); err != nil {
+		return badFlag(fs, "%v", err)
 	}
 
 	// The runs are hermetic fleet jobs: cached, kill-safe, and merged in

@@ -52,12 +52,18 @@ func TestRunExitCodes(t *testing.T) {
 		{"fleet montecarlo fault profile", []string{"fleet", "-kind", "montecarlo", "-fault-profile", "test-floor"}, 2},
 		{"fleet tune unknown fault profile", []string{"fleet", "-kind", "tune", "-n", "1", "-fault-profile", "bogus"}, 2},
 		{"fleet characterize nan fault probability", []string{"fleet", "-kind", "characterize", "-n", "1", "-fault-profile", "drop=NaN"}, 2},
+		{"fleet tune seed range wraps", []string{"fleet", "-kind", "tune", "-n", "2", "-seed", "18446744073709551615"}, 2},
+		{"fleet montecarlo seed range wraps", []string{"fleet", "-kind", "montecarlo", "-n", "2", "-seed", "18446744073709551615"}, 2},
+		{"fleet last seed alone runs", []string{"fleet", "-kind", "montecarlo", "-n", "1", "-seed", "18446744073709551615"}, 0},
 		{"lifetime safe", []string{"lifetime", "-years", "1"}, 0},
 		{"lifetime unsafe is partial", []string{"lifetime", "-years", "3", "-sentinel-off"}, 3},
 		{"lifetime negative years", []string{"lifetime", "-years", "-1"}, 2},
 		{"lifetime no servers", []string{"lifetime", "-n", "0"}, 2},
 		{"lifetime zero years", []string{"lifetime", "-years", "0"}, 2},
 		{"lifetime resume is an unknown flag", []string{"lifetime", "-resume"}, 2},
+		{"lifetime seed range wraps", []string{"lifetime", "-years", "1", "-n", "2", "-seed", "18446744073709551615"}, 2},
+		{"lifetime silicon range wraps", []string{"lifetime", "-years", "1", "-n", "2", "-silicon-start", "18446744073709551615"}, 2},
+		{"lifetime last seed alone runs", []string{"lifetime", "-years", "1", "-n", "1", "-seed", "18446744073709551615"}, 0},
 		{"dc ok", []string{"dc", "-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8"}, 0},
 		{"dc bad flag", []string{"dc", "-no-such-flag"}, 2},
 		{"dc negative tenants", []string{"dc", "-tenants", "-5"}, 2},
@@ -100,6 +106,12 @@ func TestRunExitCodes(t *testing.T) {
 		{"dc unknown fault profile", []string{"dc",
 			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
 			"-fault-profile", "bogus"}, 2},
+		{"dc silicon range wraps", []string{"dc",
+			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2",
+			"-silicon-start", "18446744073709551615"}, 2},
+		{"dc seed range wraps", []string{"dc",
+			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2",
+			"-seed", "18446744073709551615"}, 2},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

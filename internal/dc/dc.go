@@ -126,8 +126,9 @@ func (o Options) withDefaults() Options {
 
 // Validate rejects options no campaign can run: a negative topology
 // count, tenant count, horizon or rollback, a cap or ki that is
-// negative or not finite, and a fault or ops profile spec that does
-// not parse. Zero still selects each default. Run calls it first, so
+// negative or not finite, a Seed or SiliconStart whose per-node range
+// wraps past 2^64−1, and a fault or ops profile spec that does not
+// parse. Zero still selects each default. Run calls it first, so
 // none of these reaches the intake.
 func (o Options) Validate() error {
 	for _, f := range []struct {
@@ -143,6 +144,15 @@ func (o Options) Validate() error {
 		if !(f.v >= 0) || math.IsInf(f.v, 1) {
 			return fmt.Errorf("dc: %s %v is not finite and non-negative", f.name, f.v)
 		}
+	}
+	// Node i takes Seed+i and SiliconStart+i.
+	d := o.withDefaults()
+	nodes := d.Racks * d.ChassisPerRack * d.ChipsPerChassis
+	if err := fleet.CheckSeedRange("dc: seed", d.Seed, nodes); err != nil {
+		return err
+	}
+	if err := fleet.CheckSeedRange("dc: silicon start", d.SiliconStart, nodes); err != nil {
+		return err
 	}
 	if _, err := fault.ParseProfile(o.FaultProfile); err != nil {
 		return err

@@ -350,8 +350,8 @@ func TestCampaignShape(t *testing.T) {
 
 // TestRunRejectsBadOptions checks that Run refuses, before any intake,
 // the options no campaign can run: negative counts, horizon and
-// rollback, negative or non-finite caps, and fault or ops profile
-// specs that do not parse.
+// rollback, negative or non-finite caps, seed ranges that wrap past
+// 2^64−1, and fault or ops profile specs that do not parse.
 func TestRunRejectsBadOptions(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -375,6 +375,8 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{"nan fault probability", func(o *Options) { o.FaultProfile = "drop=NaN" }},
 		{"unknown ops profile", func(o *Options) { o.OpsFaultProfile = "no-such-preset" }},
 		{"nan brownout frac", func(o *Options) { o.OpsFaultProfile = "brownouts=1,brownout-frac=NaN" }},
+		{"seed range wraps", func(o *Options) { o.Seed = math.MaxUint64 - 2 }},
+		{"silicon range wraps", func(o *Options) { o.SiliconStart = math.MaxUint64 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := smallOpts()

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 )
@@ -12,6 +13,17 @@ import (
 // determined before any worker runs and identical builder inputs
 // always produce identical campaigns (and therefore identical hashes,
 // cache entries, and merged results).
+
+// CheckSeedRange rejects a range of n seeds start, start+1, …,
+// start+n−1 that wraps past 2^64−1, where job n−1 would silently take a
+// small seed again (seed 0 is the reference server, and a wrapped run
+// seed replays another job). name is the option that set start.
+func CheckSeedRange(name string, start uint64, n int) error {
+	if n > 1 && start > math.MaxUint64-uint64(n-1) {
+		return fmt.Errorf("%s %d: a range of %d seeds from it wraps past 2^64-1", name, start, n)
+	}
+	return nil
+}
 
 // MonteCarlo builds the ext-montecarlo population campaign: n servers
 // manufactured from silicon seeds start..start+n-1, each deployed with

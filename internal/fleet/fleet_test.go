@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -283,5 +284,30 @@ func TestClockRecordsWallNSOutOfBand(t *testing.T) {
 	}
 	if !bytes.Equal(timed.Bytes(), untimed.Bytes()) {
 		t.Fatalf("clock leaked into merged output:\n%s\n%s", timed.String(), untimed.String())
+	}
+}
+
+// TestCheckSeedRange: a sweep's seed range is rejected exactly when its
+// last job's seed would wrap past 2^64−1.
+func TestCheckSeedRange(t *testing.T) {
+	for _, tc := range []struct {
+		start uint64
+		n     int
+		ok    bool
+	}{
+		{math.MaxUint64, 0, true},
+		{math.MaxUint64, 1, true},
+		{math.MaxUint64, 2, false},
+		{math.MaxUint64 - 1, 2, true},
+		{math.MaxUint64 - 1, 3, false},
+		{math.MaxUint64 - 7, 8, true},
+		{math.MaxUint64 - 7, 9, false},
+		{0, math.MaxInt, true},
+		{1, math.MaxInt, true},
+	} {
+		err := CheckSeedRange("-seed", tc.start, tc.n)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckSeedRange(%d, %d) = %v, want ok %v", tc.start, tc.n, err, tc.ok)
+		}
 	}
 }
