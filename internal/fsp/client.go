@@ -467,9 +467,9 @@ func (c *Client) Margins() ([]CoreMargin, error) {
 // parseMargins parses a "margins" payload, label=value pairs separated
 // by single spaces (runs of spaces are skipped), in place into dst[:0].
 // A label whose bytes equal the label dst held at the same index keeps
-// that string. A value in the server's [-]d.ddd form is exactly
-// float64(m)/1000 of its milli-units m, the double strconv.ParseFloat
-// rounds the decimal to; any other value goes through ParseFloat.
+// that string. A value in the server's [-]d.ddd form goes through
+// parseMilli, any other through strconv.ParseFloat; both give the same
+// double.
 func parseMargins(dst []CoreMargin, payload []byte) ([]CoreMargin, error) {
 	prev := dst[:cap(dst)]
 	ms := dst[:0]
