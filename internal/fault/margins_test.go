@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/chip"
@@ -33,7 +34,8 @@ func TestClientMarginsUnderGarbledTransport(t *testing.T) {
 			if err != nil {
 				t.Fatalf("margins read %d under faults: %v", i, err)
 			}
-			out = append(out, ms)
+			// Margins reuses its result slice on the next call.
+			out = append(out, slices.Clone(ms))
 		}
 		return out, cli.Stats()
 	}
