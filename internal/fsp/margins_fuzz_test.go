@@ -36,7 +36,7 @@ func refParseMargins(out string) ([]CoreMargin, error) {
 // the payloads the reference does, with the same error text, and gives
 // equal labels and bit-equal sigmas — parsing into a fresh slice, into
 // its own previous result (the label-reuse path) and into a slice
-// holding other labels.
+// holding other labels, which a rejected payload leaves as it was.
 func FuzzMarginsPayload(f *testing.F) {
 	var seeds []string
 	milli := func(m int64) string { return string(appendMilli(nil, m)) }
@@ -86,6 +86,9 @@ func FuzzMarginsPayload(f *testing.F) {
 		mixed, err := parseMargins(other[:1], []byte(payload))
 		if e := same(mixed, err, want, werr); e != nil {
 			t.Fatalf("payload %q, slice with other labels: %v", payload, e)
+		}
+		if err != nil && other[0] != (CoreMargin{Core: "P9C9", Sigma: 1}) {
+			t.Fatalf("payload %q: a rejected payload changed dst to %v", payload, other[0])
 		}
 	})
 }
