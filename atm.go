@@ -66,9 +66,6 @@ type (
 	// operating point (Machine.SolveUndervolt) — the third ATM
 	// component, which the paper's experiments disable.
 	UndervoltResult = chip.UndervoltResult
-	// CapResult is the EnergyScale power-capping controller's operating
-	// point (Machine.SolveCapped).
-	CapResult = chip.CapResult
 	// SiliconProfile describes a server's manufactured silicon.
 	SiliconProfile = silicon.ServerProfile
 	// GenerateOptions controls the Monte-Carlo silicon generator.
@@ -314,7 +311,7 @@ func NewFaultInjector(p FaultProfile, seed uint64) *FaultInjector { return fault
 
 // NewMetricsRegistry builds an empty metrics registry. Pass it through
 // CharactOptions/DeployOptions (and FaultInjector.Observe) to collect,
-// then export with WriteProm or SnapshotJSON — byte-identical across
+// then export with SnapshotJSON — byte-identical across
 // identically-seeded runs.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 

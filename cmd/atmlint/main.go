@@ -2,7 +2,8 @@
 // analyzers (internal/lint) over the module: determinism (detflow,
 // maporder), unit safety (unitsafety), float comparison hygiene
 // (floatcmp), error hygiene (errdrop), hot-path allocation discipline
-// (hotpath) and nil-safe-handle contracts (nilsafe).
+// (hotpath), nil-safe-handle contracts (nilsafe) and code no program
+// reaches (deadcode; judged only when a main package is linted).
 //
 // Usage:
 //

@@ -318,15 +318,6 @@ func configSafe(m *chip.Machine, core *chip.Core, w workload.Profile, runs, retr
 	return true, nil
 }
 
-// FindLimit performs the idle-style upward search: per trial, increase
-// the reduction from 0 until the first failure; the trial's limit is the
-// last safe configuration. Returns the distribution over trials.
-// Transient harness failures are not retried; use Characterize with
-// Options.TrialRetries for the fault-tolerant path.
-func FindLimit(m *chip.Machine, label string, w workload.Profile, trials, runsPerConfig int, src *rng.Source) (Distribution, error) {
-	return findLimit(m, label, w, trials, runsPerConfig, 0, src, nil, nil)
-}
-
 // checkCounts rejects a search that would run nothing: with no trial
 // the limit reads 0, and with no run per configuration every
 // configuration passes unexamined.
@@ -340,6 +331,11 @@ func checkCounts(trials, runsPerConfig int) error {
 	return nil
 }
 
+// findLimit performs the idle-style upward search: per trial, increase
+// the reduction from 0 until the first failure; the trial's limit is the
+// last safe configuration. Returns the distribution over trials. Each
+// run retries transient harness failures up to retries times; tc counts
+// the trials and tr traces them (both may be nil).
 func findLimit(m *chip.Machine, label string, w workload.Profile, trials, runsPerConfig, retries int, src *rng.Source, tc *obs.Counter, tr *obs.Tracer) (Distribution, error) {
 	if err := checkCounts(trials, runsPerConfig); err != nil {
 		return Distribution{}, err
@@ -386,15 +382,10 @@ func findLimit(m *chip.Machine, label string, w workload.Profile, trials, runsPe
 	return d, nil
 }
 
-// FindRollback performs the uBench/application-style search: per trial,
+// findRollback performs the uBench/application-style search: per trial,
 // start at the given configuration and roll the reduction back until the
 // workload runs correctly (Sec. V-B). Returns the distribution of safe
-// configurations over trials. Like FindLimit, it does not retry
-// transient harness failures.
-func FindRollback(m *chip.Machine, label string, w workload.Profile, start, trials, runsPerConfig int, src *rng.Source) (Distribution, error) {
-	return findRollback(m, label, w, start, trials, runsPerConfig, 0, src, nil, nil)
-}
-
+// configurations over trials. retries, tc and tr are as for findLimit.
 func findRollback(m *chip.Machine, label string, w workload.Profile, start, trials, runsPerConfig, retries int, src *rng.Source, tc *obs.Counter, tr *obs.Tracer) (Distribution, error) {
 	if err := checkCounts(trials, runsPerConfig); err != nil {
 		return Distribution{}, err

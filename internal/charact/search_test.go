@@ -17,7 +17,7 @@ func TestFindLimitMatchesDeterministic(t *testing.T) {
 	m := chip.NewReference()
 	src := rng.New(21)
 	for _, core := range m.AllCores() {
-		d, err := FindLimit(m, core.Profile.Label, workload.Idle, 10, 4, src.Split(core.Profile.Label))
+		d, err := findLimit(m, core.Profile.Label, workload.Idle, 10, 4, 0, src.Split(core.Profile.Label), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,8 +25,12 @@ func TestFindLimitMatchesDeterministic(t *testing.T) {
 		if d.Limit != want {
 			t.Errorf("%s: search found %d, deterministic %d", core.Profile.Label, d.Limit, want)
 		}
-		if d.Hist.Total() != 10 {
-			t.Errorf("%s: %d trials recorded", core.Profile.Label, d.Hist.Total())
+		recorded := 0
+		for _, v := range d.Hist.Support() {
+			recorded += d.Hist.Count(v)
+		}
+		if recorded != 10 {
+			t.Errorf("%s: %d trials recorded", core.Profile.Label, recorded)
 		}
 	}
 }
@@ -45,7 +49,7 @@ func TestFindRollbackFromAbove(t *testing.T) {
 	if want >= idle {
 		t.Fatalf("fixture broken: x264 limit %d not below idle %d", want, idle)
 	}
-	d, err := FindRollback(m, "P1C3", workload.X264, idle, 10, 4, src.Split("above"))
+	d, err := findRollback(m, "P1C3", workload.X264, idle, 10, 4, 0, src.Split("above"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +57,7 @@ func TestFindRollbackFromAbove(t *testing.T) {
 		t.Errorf("rollback from idle found %d, want %d", d.Limit, want)
 	}
 	// Starting at the limit itself: no movement.
-	d2, err := FindRollback(m, "P1C3", workload.X264, want, 10, 4, src.Split("at"))
+	d2, err := findRollback(m, "P1C3", workload.X264, want, 10, 4, 0, src.Split("at"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +65,7 @@ func TestFindRollbackFromAbove(t *testing.T) {
 		t.Errorf("rollback from the limit moved to %d", d2.Limit)
 	}
 	// Starting below: stays below (the search never climbs).
-	d3, err := FindRollback(m, "P1C3", workload.X264, want-1, 10, 4, src.Split("below"))
+	d3, err := findRollback(m, "P1C3", workload.X264, want-1, 10, 4, 0, src.Split("below"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +92,7 @@ func TestSearchesMatchDeterministicOnGeneratedChips(t *testing.T) {
 		}
 		cores := m.AllCores()
 		core := cores[int(coreIdx)%len(cores)]
-		d, err := FindLimit(m, core.Profile.Label, workload.Idle, 8, 4, rng.New(seed^0xABCD))
+		d, err := findLimit(m, core.Profile.Label, workload.Idle, 8, 4, 0, rng.New(seed^0xABCD), nil, nil)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -164,8 +168,8 @@ func TestSearchesRejectEmptyCounts(t *testing.T) {
 	}
 	m := chip.NewReference()
 	for _, c := range []struct{ trials, runs int }{{0, 4}, {10, 0}} {
-		if _, err := FindLimit(m, "P0C0", workload.Idle, c.trials, c.runs, rng.New(1)); err == nil {
-			t.Errorf("FindLimit with %d trial(s) of %d run(s) accepted", c.trials, c.runs)
+		if _, err := findLimit(m, "P0C0", workload.Idle, c.trials, c.runs, 0, rng.New(1), nil, nil); err == nil {
+			t.Errorf("findLimit with %d trial(s) of %d run(s) accepted", c.trials, c.runs)
 		}
 		if _, err := findRollback(m, "P0C0", workload.GCC, 6, c.trials, c.runs, 0, rng.New(1), nil, nil); err == nil {
 			t.Errorf("findRollback with %d trial(s) of %d run(s) accepted", c.trials, c.runs)

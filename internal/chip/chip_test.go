@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/silicon"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -162,17 +161,6 @@ func TestSetPStateValidation(t *testing.T) {
 	}
 }
 
-func TestNearestPState(t *testing.T) {
-	cases := []struct {
-		in, want units.MHz
-	}{{4200, 4200}, {4199, 4000}, {2050, 2100}, {9999, 4200}, {3699, 3300}}
-	for _, c := range cases {
-		if got := NearestPState(c.in); got != c.want {
-			t.Errorf("NearestPState(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 func TestGatingRemovesCore(t *testing.T) {
 	m := NewReference()
 	core, _ := m.Core("P0C7")
@@ -259,14 +247,33 @@ func TestResetAll(t *testing.T) {
 	}
 }
 
+// runTrials runs n independent trials of w on the labelled core and
+// returns the number that passed, the number that failed, and the first
+// failing result.
+func runTrials(t *testing.T, m *Machine, label string, w workload.Profile, n int, src *rng.Source) (pass, fail int, first TrialResult) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		r, err := m.RunTrial(label, w, src.SplitIndex("trial", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.OK() {
+			pass++
+			continue
+		}
+		if fail == 0 {
+			first = r
+		}
+		fail++
+	}
+	return pass, fail, first
+}
+
 func TestTrialAtDefaultNeverFails(t *testing.T) {
 	m := NewReference()
 	src := rng.New(2)
 	for _, core := range m.AllCores() {
-		pass, fail, first, err := m.RunTrials(core.Profile.Label, workload.X264, 50, src.Split(core.Profile.Label))
-		if err != nil {
-			t.Fatal(err)
-		}
+		pass, fail, first := runTrials(t, m, core.Profile.Label, workload.X264, 50, src.Split(core.Profile.Label))
 		if fail != 0 {
 			t.Errorf("%s failed %d/50 trials at the default config (%v)", core.Profile.Label, fail, first.Failure)
 		}
@@ -292,10 +299,7 @@ func TestTrialBeyondLimitFails(t *testing.T) {
 		if err := m.ProgramCPM(label, worstLim+2); err != nil {
 			t.Fatal(err)
 		}
-		_, fail, _, err := m.RunTrials(label, workload.X264, 20, src.Split(label))
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, fail, _ := runTrials(t, m, label, workload.X264, 20, src.Split(label))
 		if fail == 0 {
 			t.Errorf("%s survived 20 trials two steps past thread-worst", label)
 		}
@@ -314,10 +318,7 @@ func TestTrialUnderStaticMarginAlwaysPasses(t *testing.T) {
 	if err := m.ProgramCPM("P0C0", core.Profile.MaxReduction()); err != nil {
 		t.Fatal(err)
 	}
-	_, fail, _, err := m.RunTrials("P0C0", workload.X264, 50, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, fail, _ := runTrials(t, m, "P0C0", workload.X264, 50, rng.New(4))
 	if fail != 0 {
 		t.Errorf("static margin failed %d trials", fail)
 	}
@@ -401,9 +402,10 @@ func TestCoreTrialLoopAllocFree(t *testing.T) {
 	}
 }
 
-// TestCoreTrialRetryMatchesLabelEntry: the label entry and the handle
-// entry are one trial implementation — same results from the same
-// streams, and the observer sees both alike.
+// TestCoreTrialRetryMatchesLabelEntry: the label entry
+// (RunStressmarkRetry) and the handle entry are one trial
+// implementation — same results from the same streams, and the observer
+// sees both alike.
 func TestCoreTrialRetryMatchesLabelEntry(t *testing.T) {
 	m := NewReference()
 	core, err := m.Core("P1C3")
@@ -413,17 +415,18 @@ func TestCoreTrialRetryMatchesLabelEntry(t *testing.T) {
 	if err := m.ProgramCPM("P1C3", 5); err != nil {
 		t.Fatal(err)
 	}
+	virus := workload.VoltageVirus()
 	seen := 0
 	m.SetTrialObserver(func(label, wl string, retries int, res TrialResult, err error) {
-		if label != "P1C3" || wl != workload.X264.Name || retries != 0 || err != nil {
+		if label != "P1C3" || wl != virus.Profile.Name || retries != 0 || err != nil {
 			t.Errorf("observer saw %s/%s retries=%d err=%v", label, wl, retries, err)
 		}
 		seen++
 	})
 	src := rng.New(6)
 	for i := 0; i < 200; i++ {
-		a, errA := m.RunTrialRetry("P1C3", workload.X264, src.SplitIndex("t", i), 2)
-		b, errB := m.RunCoreTrialRetry(core, workload.X264, src.SplitIndex("t", i), 2)
+		a, errA := m.RunStressmarkRetry("P1C3", virus, src.SplitIndex("t", i), 2)
+		b, errB := m.RunCoreTrialRetry(core, virus.Profile, src.SplitIndex("t", i), 2)
 		if errA != nil || errB != nil {
 			t.Fatal(errA, errB)
 		}
@@ -434,7 +437,7 @@ func TestCoreTrialRetryMatchesLabelEntry(t *testing.T) {
 	if seen != 400 {
 		t.Errorf("observer saw %d trials, want 400", seen)
 	}
-	if _, err := m.RunTrialRetry("P9C9", workload.X264, src, 2); err == nil {
+	if _, err := m.RunStressmarkRetry("P9C9", virus, src, 2); err == nil {
 		t.Error("unknown core accepted")
 	}
 }
@@ -506,6 +509,38 @@ func TestTransientViolationsUnderStress(t *testing.T) {
 	}
 	if res.Violations <= idleRes.Violations {
 		t.Logf("stress violations %d, idle %d (acceptable but unusual)", res.Violations, idleRes.Violations)
+	}
+}
+
+// TestVirusSilentDangerMechanism pins the model's subtle point: an
+// aggressive configuration's *shorter* CPM path is less sensitive to
+// voltage in absolute picoseconds, so with every P0 core running the
+// voltage virus the loop observes no more margin violations than at the
+// default, while the true-path failure hazard (what the trial model
+// charges; silicon's TestFailureProbAtLimitsIsExtreme) grows sharply.
+// The danger of fine-tuning is precisely that the canary gets quieter
+// as the coal mine gets worse; only correctness checking sees it
+// (Sec. III-B).
+func TestVirusSilentDangerMechanism(t *testing.T) {
+	violationsAt := func(red int, seed uint64) int {
+		m := NewReference()
+		for _, core := range m.Chips[0].Cores {
+			core.SetWorkload(workload.VoltageVirus().Profile)
+			if err := m.ProgramCPM(core.Profile.Label, min(red, core.Profile.MaxReduction())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := m.Transient("P0", 400, 1.0, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Violations
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		if vDeep, vDefault := violationsAt(7, seed), violationsAt(0, seed); vDeep > vDefault {
+			t.Errorf("seed %d: measured violations grew with reduction (%d > %d); the shorter CPM path should see less",
+				seed, vDeep, vDefault)
+		}
 	}
 }
 

@@ -59,18 +59,6 @@ var (
 	PStateMax = PStates[len(PStates)-1]
 )
 
-// NearestPState returns the highest p-state not exceeding f (or the
-// lowest p-state when f is below the ladder).
-func NearestPState(f units.MHz) units.MHz {
-	best := PStateMin
-	for _, p := range PStates {
-		if p <= f && p > best {
-			best = p
-		}
-	}
-	return best
-}
-
 // Core is the runtime state of one core.
 type Core struct {
 	Profile *silicon.CoreProfile

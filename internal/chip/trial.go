@@ -125,26 +125,6 @@ func (m *Machine) runTrial(core *Core, w *workload.Profile, src *rng.Source) (Tr
 	return res, nil
 }
 
-// RunTrials runs n independent trials and returns the number that
-// passed, the number that failed, and the first failing result.
-func (m *Machine) RunTrials(label string, w workload.Profile, n int, src *rng.Source) (pass, fail int, first TrialResult, err error) {
-	for i := 0; i < n; i++ {
-		r, e := m.RunTrial(label, w, src.SplitIndex("trial", i))
-		if e != nil {
-			return 0, 0, TrialResult{}, e
-		}
-		if r.OK() {
-			pass++
-			continue
-		}
-		if fail == 0 {
-			first = r
-		}
-		fail++
-	}
-	return pass, fail, first, nil
-}
-
 // RunStressmark executes a stressmark trial: the stress score is the
 // mark's own, and the synchronized variants also verify the chip stays
 // inside its thermal envelope at the stressmark operating point.
@@ -155,23 +135,12 @@ func (m *Machine) RunStressmark(label string, s workload.Stressmark, src *rng.So
 	return m.RunTrial(label, s.Profile, src)
 }
 
-// TrialObserver is notified once per retry-wrapped trial (RunTrialRetry,
-// RunStressmarkRetry, RunCoreTrialRetry) that reached a core, with the
+// TrialObserver is notified once per retry-wrapped trial
+// (RunStressmarkRetry, RunCoreTrialRetry) that reached a core, with the
 // number of transient retries consumed and the final outcome. It is the
 // observability plane's tap: observers count and trace, they never
 // perturb the trial or its random streams.
 type TrialObserver func(label, workload string, retries int, res TrialResult, err error)
-
-// RunTrialRetry is RunTrial with a bounded retry budget for transient
-// harness failures (ErrTransient). Genuine model errors and timing
-// violations are never retried.
-func (m *Machine) RunTrialRetry(label string, w workload.Profile, src *rng.Source, retries int) (TrialResult, error) {
-	core, err := m.Core(label)
-	if err != nil {
-		return TrialResult{}, err
-	}
-	return m.RunCoreTrialRetry(core, w, src, retries)
-}
 
 // RunStressmarkRetry is RunStressmark with a bounded retry budget for
 // transient harness failures.
@@ -186,9 +155,11 @@ func (m *Machine) RunStressmarkRetry(label string, s workload.Stressmark, src *r
 	return m.RunCoreTrialRetry(core, s.Profile, src, retries)
 }
 
-// RunCoreTrialRetry is RunTrialRetry on a core handle, for callers that
-// run many trials on one core: it skips the label lookup and allocates
-// nothing. Attempt 0 draws from src itself — so with no faults armed the
+// RunCoreTrialRetry is RunTrial on a core handle with a bounded retry
+// budget for transient harness failures (ErrTransient); genuine model
+// errors and timing violations are never retried. It is for callers
+// that run many trials on one core: it skips the label lookup and
+// allocates nothing. Attempt 0 draws from src itself — so with no faults armed the
 // stream consumed is identical to a plain single run — and each retry
 // after a transient failure draws from an independent split, keeping
 // the parent stream untouched. The trial observer, when installed, sees

@@ -55,9 +55,6 @@ func New(core *silicon.CoreProfile) *Monitor {
 // Core returns the silicon profile the monitor instruments.
 func (m *Monitor) Core() *silicon.CoreProfile { return m.core }
 
-// Taps returns the current inserted-delay tap index.
-func (m *Monitor) Taps() int { return m.taps }
-
 // Reduction returns the current reduction from the preset — the paper's
 // "steps of CPM inserted delay reduction".
 func (m *Monitor) Reduction() int { return m.core.PresetTaps - m.taps }

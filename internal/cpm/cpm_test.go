@@ -20,8 +20,8 @@ func refCore(t *testing.T, label string) *silicon.CoreProfile {
 func TestNewStartsAtPreset(t *testing.T) {
 	c := refCore(t, "P0C0")
 	m := New(c)
-	if m.Taps() != c.PresetTaps {
-		t.Errorf("new monitor at tap %d, want preset %d", m.Taps(), c.PresetTaps)
+	if m.taps != c.PresetTaps {
+		t.Errorf("new monitor at tap %d, want preset %d", m.taps, c.PresetTaps)
 	}
 	if m.Reduction() != 0 {
 		t.Errorf("new monitor reduction = %d, want 0", m.Reduction())
@@ -37,8 +37,8 @@ func TestProgramAccounting(t *testing.T) {
 	if err := m.Program(5); err != nil {
 		t.Fatal(err)
 	}
-	if m.Reduction() != 5 || m.Taps() != c.PresetTaps-5 {
-		t.Errorf("after Program(5): reduction=%d taps=%d", m.Reduction(), m.Taps())
+	if m.Reduction() != 5 || m.taps != c.PresetTaps-5 {
+		t.Errorf("after Program(5): reduction=%d taps=%d", m.Reduction(), m.taps)
 	}
 	if err := m.Program(0); err != nil {
 		t.Fatal(err)

@@ -304,14 +304,11 @@ func TestObsAndTraceDeterministic(t *testing.T) {
 		if _, err := Run(o); err != nil {
 			t.Fatal(err)
 		}
-		var m, s bytes.Buffer
-		if err := reg.WriteProm(&m); err != nil {
-			t.Fatal(err)
-		}
+		var s bytes.Buffer
 		if err := tr.WriteJSON(&s); err != nil {
 			t.Fatal(err)
 		}
-		return m.Bytes(), s.Bytes()
+		return reg.SnapshotJSON(), s.Bytes()
 	}
 	m1, s1 := run()
 	m2, s2 := run()

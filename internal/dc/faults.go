@@ -144,9 +144,6 @@ var opsPresets = map[string]OpsProfile{
 	"thermal": {Thermals: 1},
 }
 
-// OpsPresetNames lists the named ops profiles in sorted order.
-func OpsPresetNames() []string { return fault.SpecPresetNames(opsPresets) }
-
 // ParseOpsProfile builds an OpsProfile from a spec string in
 // fault.ParseProfile's grammar: a preset name ("ops-storm"), a
 // comma-separated key=value list ("chip-deaths=1,brownouts=2"), or a

@@ -13,7 +13,7 @@ import (
 )
 
 func TestParseOpsProfilePresets(t *testing.T) {
-	for _, name := range OpsPresetNames() {
+	for _, name := range fault.SpecPresetNames(opsPresets) {
 		p, err := ParseOpsProfile(name)
 		if err != nil {
 			t.Fatalf("preset %q: %v", name, err)
@@ -59,7 +59,7 @@ func TestParseOpsProfileOverridesAndErrors(t *testing.T) {
 }
 
 func TestOpsProfileStringRoundTrip(t *testing.T) {
-	specs := append(OpsPresetNames(),
+	specs := append(fault.SpecPresetNames(opsPresets),
 		"chip-deaths=2,link-flaps=1,grace=3",
 		"brownouts=1,rack-brownouts=2,brownout-frac=0.4",
 		"thermals=3,thermal-frac=0.25,thermal-ticks=9",

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
@@ -81,7 +82,7 @@ func (g *popGen) options() (Options, idleDraws) {
 	o.Ticks = 8 + g.src.Intn(40)
 	o.Seed = uint64(1 + g.src.Intn(4))
 	o.KI = 0.05 * math.Pow(2000, g.src.Float64())
-	presets := append([]string{"", "none"}, OpsPresetNames()...)
+	presets := append([]string{"", "none"}, fault.SpecPresetNames(opsPresets)...)
 	if k := g.src.Intn(len(presets) + 2); k < len(presets) {
 		o.OpsFaultProfile = presets[k]
 	} else {

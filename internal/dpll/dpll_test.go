@@ -27,6 +27,19 @@ func newLoop(t *testing.T, label string, red int, start units.MHz) *Loop {
 	return l
 }
 
+// run steps the loop n intervals at a fixed supply voltage and returns
+// the final frequency and how many intervals read negative margin (the
+// clock-gating emergency response).
+func run(l *Loop, n int, v units.Volt) (units.MHz, int) {
+	violations := 0
+	for i := 0; i < n; i++ {
+		if l.Step(v).Units < 0 {
+			violations++
+		}
+	}
+	return l.Freq(), violations
+}
+
 func TestNewValidation(t *testing.T) {
 	c := silicon.Reference().AllCores()[0]
 	m := cpm.New(c)
@@ -49,7 +62,7 @@ func TestNewValidation(t *testing.T) {
 func TestConvergesFromBelow(t *testing.T) {
 	l := newLoop(t, "P0C0", 0, 4000)
 	v := units.Volt(1.25)
-	got := l.Run(400, v)
+	got, _ := run(l, 400, v)
 	want := l.SettlePoint(v)
 	if math.Abs(float64(got-want)) > 2 {
 		t.Errorf("settled at %v, want %v", got, want)
@@ -60,7 +73,7 @@ func TestConvergesFromBelow(t *testing.T) {
 func TestConvergesFromAbove(t *testing.T) {
 	l := newLoop(t, "P0C0", 0, 5200)
 	v := units.Volt(1.25)
-	got := l.Run(400, v)
+	got, _ := run(l, 400, v)
 	want := l.SettlePoint(v)
 	if math.Abs(float64(got-want)) > 2 {
 		t.Errorf("settled at %v, want %v", got, want)
@@ -71,8 +84,8 @@ func TestConvergesFromAbove(t *testing.T) {
 // actual control loop (Fig. 5).
 func TestSettlesHigherWithReduction(t *testing.T) {
 	v := units.Volt(1.25)
-	base := newLoop(t, "P0C3", 0, 4600).Run(500, v)
-	tuned := newLoop(t, "P0C3", 8, 4600).Run(500, v)
+	base, _ := run(newLoop(t, "P0C3", 0, 4600), 500, v)
+	tuned, _ := run(newLoop(t, "P0C3", 8, 4600), 500, v)
 	if tuned <= base+50 {
 		t.Errorf("8-step reduction settled at %v, base %v — expected a large gain", tuned, base)
 	}
@@ -82,12 +95,12 @@ func TestSettlesHigherWithReduction(t *testing.T) {
 // frequency; recovery restores it.
 func TestTracksVoltageDroop(t *testing.T) {
 	l := newLoop(t, "P0C1", 2, 4600)
-	fHigh := l.Run(400, 1.25)
-	fLow := l.Run(400, 1.21)
+	fHigh, _ := run(l, 400, 1.25)
+	fLow, _ := run(l, 400, 1.21)
 	if fLow >= fHigh-10 {
 		t.Errorf("frequency did not track 40 mV sag: %v → %v", fHigh, fLow)
 	}
-	fBack := l.Run(400, 1.25)
+	fBack, _ := run(l, 400, 1.25)
 	if math.Abs(float64(fBack-fHigh)) > 2 {
 		t.Errorf("did not recover after droop: %v vs %v", fBack, fHigh)
 	}
@@ -97,11 +110,9 @@ func TestTracksVoltageDroop(t *testing.T) {
 // clock gating, and the loop pulls frequency down hard.
 func TestEmergencyResponse(t *testing.T) {
 	l := newLoop(t, "P0C4", 6, 4600)
-	l.Run(400, 1.25)
-	before := l.Freq()
-	l.Step(1.08) // catastrophic instantaneous sag
-	if l.Violations() == 0 || l.GatedCycles() == 0 {
-		t.Errorf("deep droop produced no violation/gating (violations=%d)", l.Violations())
+	before, _ := run(l, 400, 1.25)
+	if r := l.Step(1.08); r.Units >= 0 { // catastrophic instantaneous sag
+		t.Errorf("deep droop produced no violation (margin %d units)", r.Units)
 	}
 	if l.Freq() >= before {
 		t.Error("emergency response did not cut frequency")
@@ -110,12 +121,8 @@ func TestEmergencyResponse(t *testing.T) {
 
 func TestNoViolationsInSteadyState(t *testing.T) {
 	l := newLoop(t, "P0C2", 1, 4600)
-	l.Run(500, 1.25)
-	if l.Violations() != 0 {
-		t.Errorf("steady state produced %d violations", l.Violations())
-	}
-	if l.Intervals() != 500 {
-		t.Errorf("interval count = %d", l.Intervals())
+	if _, violations := run(l, 500, 1.25); violations != 0 {
+		t.Errorf("steady state produced %d violations", violations)
 	}
 }
 
@@ -130,7 +137,7 @@ func TestFrequencyBounds(t *testing.T) {
 	if l.Freq() != 4400 {
 		t.Errorf("start frequency not clamped: %v", l.Freq())
 	}
-	l.Run(300, 1.25)
+	run(l, 300, 1.25)
 	if l.Freq() > 4400 || l.Freq() < cfg.FMin {
 		t.Errorf("loop escaped bounds: %v", l.Freq())
 	}

@@ -13,8 +13,6 @@
 package dvfs
 
 import (
-	"fmt"
-
 	"repro/internal/chip"
 	"repro/internal/units"
 )
@@ -24,8 +22,6 @@ type Governor interface {
 	// Pick returns the p-state for a core whose recent utilization is
 	// util ∈ [0, 1], given its current p-state.
 	Pick(util float64, current units.MHz) units.MHz
-	// Name is the sysfs-style governor name.
-	Name() string
 }
 
 // Performance always runs the top p-state.
@@ -34,17 +30,11 @@ type Performance struct{}
 // Pick implements Governor.
 func (Performance) Pick(float64, units.MHz) units.MHz { return chip.PStateMax }
 
-// Name implements Governor.
-func (Performance) Name() string { return "performance" }
-
 // Powersave always runs the bottom p-state.
 type Powersave struct{}
 
 // Pick implements Governor.
 func (Powersave) Pick(float64, units.MHz) units.MHz { return chip.PStateMin }
-
-// Name implements Governor.
-func (Powersave) Name() string { return "powersave" }
 
 // Ondemand jumps to the top p-state above the up-threshold and walks
 // down one ladder step at a time when utilization falls below the
@@ -58,9 +48,6 @@ type Ondemand struct {
 
 // DefaultOndemand returns the stock thresholds.
 func DefaultOndemand() Ondemand { return Ondemand{UpThreshold: 0.80, DownThreshold: 0.30} }
-
-// Name implements Governor.
-func (Ondemand) Name() string { return "ondemand" }
 
 // Pick implements Governor.
 func (g Ondemand) Pick(util float64, current units.MHz) units.MHz {
@@ -92,20 +79,6 @@ func stepDown(current units.MHz) units.MHz {
 		prev = p
 	}
 	return prev
-}
-
-// ByName resolves a governor the way the CLI and configs reference them.
-func ByName(name string) (Governor, error) {
-	switch name {
-	case "performance":
-		return Performance{}, nil
-	case "powersave":
-		return Powersave{}, nil
-	case "ondemand":
-		return DefaultOndemand(), nil
-	default:
-		return nil, fmt.Errorf("dvfs: unknown governor %q", name)
-	}
 }
 
 // Apply sets a core's p-state from the governor's decision (the core's

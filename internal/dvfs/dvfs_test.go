@@ -88,18 +88,6 @@ func TestPickAlwaysOnLadder(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"performance", "powersave", "ondemand"} {
-		g, err := ByName(name)
-		if err != nil || g.Name() != name {
-			t.Errorf("ByName(%s) = %v, %v", name, g, err)
-		}
-	}
-	if _, err := ByName("conservative-ondemand"); err == nil {
-		t.Error("unknown governor accepted")
-	}
-}
-
 func TestApply(t *testing.T) {
 	m := chip.NewReference()
 	core, err := m.Core("P0C0")

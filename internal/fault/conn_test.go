@@ -3,6 +3,7 @@ package fault
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -91,8 +92,9 @@ func TestClientSurvivesFaultyTransport(t *testing.T) {
 		Timeout: 50 * time.Millisecond,
 	})
 	for i := 0; i < 20; i++ {
-		if err := cli.Ping(); err != nil {
-			t.Fatalf("ping %d failed through the fault envelope: %v", i, err)
+		token := fmt.Sprintf("live-%d", i)
+		if out, err := cli.Exec("ping " + token); err != nil || out != "pong "+token {
+			t.Fatalf("ping %d failed through the fault envelope: %q, %v", i, out, err)
 		}
 	}
 	red, err := cli.CPM("P0C0")
@@ -124,14 +126,14 @@ func TestClientSurvivesFaultyTransport(t *testing.T) {
 func TestClientCleanTransportNoRetries(t *testing.T) {
 	conn := startFaultyServer(t, nil)
 	cli := fsp.NewClient(conn, fsp.ClientOptions{Timeout: time.Second})
-	if err := cli.Ping(); err != nil {
-		t.Fatal(err)
+	if out, err := cli.Exec("ping live-1"); err != nil || out != "pong live-1" {
+		t.Fatalf("ping = %q, %v; want the token echoed", out, err)
 	}
-	cores, err := cli.Cores()
+	cores, err := cli.Exec("cores")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cores) == 0 {
+	if cores == "" {
 		t.Error("no cores listed")
 	}
 	if st := cli.Stats(); st.Retries != 0 || st.Resyncs != 0 || st.Discarded != 0 {
@@ -178,7 +180,7 @@ func TestTelemetryFaultRetried(t *testing.T) {
 	})
 	sawRetry := false
 	for i := 0; i < 10; i++ {
-		if _, err := cli.FreqMHz("P0C0"); err != nil {
+		if _, err := cli.Exec("freq P0C0"); err != nil {
 			t.Fatalf("freq read %d not absorbed: %v", i, err)
 		}
 		if cli.Stats().Retries > 0 {

@@ -88,22 +88,6 @@ func (in *Injector) Profile() Profile { return in.profile }
 // Seed returns the seed every armed fault stream descends from.
 func (in *Injector) Seed() uint64 { return in.seed }
 
-// Broken returns the labels of cores the injector fails persistently,
-// in sorted order. Empty until ArmMachine runs.
-func (in *Injector) Broken() []string {
-	return append([]string(nil), in.broken...)
-}
-
-// StuckSites returns the chosen (core label → stuck site index) pairs.
-// Empty until ArmMachine runs.
-func (in *Injector) StuckSites() map[string]int {
-	out := map[string]int{}
-	for k, v := range in.stuck {
-		out[k] = v
-	}
-	return out
-}
-
 // ArmMachine installs the CPM and trial hooks on every core of m.
 // Broken cores and stuck sites are chosen here, deterministically from
 // the seed and the machine's sorted core labels.
@@ -209,6 +193,8 @@ const stuckUnits = 1
 // ArmController installs the telemetry read-fault hook on a service
 // processor. Injected errors carry the in-band "transient" convention,
 // so operator clients (fsp.Client) retry them.
+//
+//lint:ignore deadcode FSP fault path, kept until the sentinel's link takes a fault profile or the path is deleted
 func (in *Injector) ArmController(ctl *fsp.Controller) {
 	in.ctl = ctl
 	if in.profile.TelemetryErrProb == 0 {
@@ -228,6 +214,8 @@ func (in *Injector) ArmController(ctl *fsp.Controller) {
 
 // Disarm removes every hook the injector installed, leaving the
 // platform fault-free.
+//
+//lint:ignore deadcode FSP fault path, kept until the sentinel's link takes a fault profile or the path is deleted
 func (in *Injector) Disarm() {
 	if in.machine != nil {
 		in.machine.SetTrialFault(nil)

@@ -32,20 +32,20 @@ func TestInjectorChoicesDeterministic(t *testing.T) {
 	a, b := New(p, 42), New(p, 42)
 	a.ArmMachine(chip.NewReference())
 	b.ArmMachine(chip.NewReference())
-	if !reflect.DeepEqual(a.Broken(), b.Broken()) {
-		t.Errorf("broken cores differ: %v vs %v", a.Broken(), b.Broken())
+	if !reflect.DeepEqual(a.broken, b.broken) {
+		t.Errorf("broken cores differ: %v vs %v", a.broken, b.broken)
 	}
-	if !reflect.DeepEqual(a.StuckSites(), b.StuckSites()) {
-		t.Errorf("stuck sites differ: %v vs %v", a.StuckSites(), b.StuckSites())
+	if !reflect.DeepEqual(a.stuck, b.stuck) {
+		t.Errorf("stuck sites differ: %v vs %v", a.stuck, b.stuck)
 	}
-	if len(a.Broken()) != 2 || len(a.StuckSites()) != 2 {
-		t.Errorf("chose %v broken, %v stuck; want 2 each", a.Broken(), a.StuckSites())
+	if len(a.broken) != 2 || len(a.stuck) != 2 {
+		t.Errorf("chose %v broken, %v stuck; want 2 each", a.broken, a.stuck)
 	}
 	// A different seed picks different victims (with overwhelming
 	// probability on a 16-core machine; seed pair chosen to differ).
 	c := New(p, 43)
 	c.ArmMachine(chip.NewReference())
-	if reflect.DeepEqual(a.Broken(), c.Broken()) && reflect.DeepEqual(a.StuckSites(), c.StuckSites()) {
+	if reflect.DeepEqual(a.broken, c.broken) && reflect.DeepEqual(a.stuck, c.stuck) {
 		t.Error("seeds 42 and 43 chose identical victims")
 	}
 }
@@ -80,12 +80,12 @@ func TestCharacterizeQuarantinesBrokenCores(t *testing.T) {
 			}
 		}
 	}
-	if want := inj.Broken(); !reflect.DeepEqual(got, want) {
+	if want := inj.broken; !reflect.DeepEqual(got, want) {
 		t.Errorf("quarantined %v, want the injector's broken set %v", got, want)
 	}
 	for _, row := range rep.TableI() {
 		want := false
-		for _, b := range inj.Broken() {
+		for _, b := range inj.broken {
 			if row.Core == b {
 				want = true
 			}
@@ -110,7 +110,7 @@ func TestDeployQuarantinesBrokenCores(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Deploy with a broken core aborted: %v", err)
 	}
-	if got, want := dep.Quarantined(), inj.Broken(); !reflect.DeepEqual(got, want) {
+	if got, want := dep.Quarantined(), inj.broken; !reflect.DeepEqual(got, want) {
 		t.Fatalf("quarantined %v, want %v", got, want)
 	}
 	for _, label := range dep.Quarantined() {

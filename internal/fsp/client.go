@@ -25,8 +25,8 @@ import (
 //
 // Backoff time is simulated by default — the Sleep hook is a no-op that
 // only accumulates into Stats — so retry schedules are deterministic
-// and tests are instant; wire Sleep to time.Sleep for a real test-floor
-// link.
+// and tests are instant; wire Sleep to a wall-clock sleep that honors
+// cancel for a real test-floor link.
 //
 // In-band "err ..." responses are protocol results, not transport
 // faults: they are returned as *CmdError without retrying, except for
@@ -92,7 +92,7 @@ type ClientOptions struct {
 	Backoff func(attempt int) time.Duration
 	// Sleep consumes the backoff pauses. The default records the total
 	// in Stats without sleeping (simulated time). A real implementation
-	// must honor cancel and return early when it fires — RealSleep does.
+	// must honor cancel and return early when it fires.
 	Sleep func(d time.Duration, cancel <-chan struct{})
 	// Cancel, when non-nil, aborts the retry loop: a close of the
 	// channel makes Exec return ErrCanceled at the next backoff (a
@@ -169,17 +169,6 @@ var ErrExhausted = errors.New("retry budget exhausted")
 // abandoned by choice, not defeated by the transport.
 var ErrCanceled = errors.New("canceled")
 
-// RealSleep is a Sleep implementation for real test-floor links: it
-// sleeps in wall time but returns as soon as cancel fires.
-func RealSleep(d time.Duration, cancel <-chan struct{}) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-cancel:
-	}
-}
-
 // NewClient wraps a transport. The transport is used from one goroutine
 // at a time.
 func NewClient(rw io.ReadWriter, opts ClientOptions) *Client {
@@ -188,6 +177,8 @@ func NewClient(rw io.ReadWriter, opts ClientOptions) *Client {
 }
 
 // Stats returns the counters accumulated so far.
+//
+//lint:ignore deadcode FSP fault path, kept until the sentinel's link takes a fault profile or the path is deleted; tests read the retry counters
 func (c *Client) Stats() ClientStats { return c.st }
 
 // deadlined is the optional transport surface the per-command timeout
@@ -379,20 +370,6 @@ func (c *Client) pause(attempt int) error {
 	return nil
 }
 
-// Ping verifies liveness end to end.
-func (c *Client) Ping() error {
-	c.seq++
-	token := fmt.Sprintf("live-%d", c.seq)
-	out, err := c.Exec("ping " + token)
-	if err != nil {
-		return err
-	}
-	if out != "pong "+token {
-		return fmt.Errorf("fsp: ping echoed %q, want %q", out, "pong "+token)
-	}
-	return nil
-}
-
 // CPM reads a core's current inserted-delay reduction.
 func (c *Client) CPM(core string) (int, error) {
 	out, err := c.Exec("cpm " + core)
@@ -416,23 +393,6 @@ func (c *Client) SetCPM(core string, reduction int) error {
 func (c *Client) SetMode(core, mode string) error {
 	_, err := c.Exec(fmt.Sprintf("mode %s %s", core, mode))
 	return err
-}
-
-// FreqMHz reads a core's settled frequency.
-func (c *Client) FreqMHz(core string) (float64, error) {
-	out, err := c.Exec("freq " + core)
-	if err != nil {
-		return 0, err
-	}
-	fields := strings.Fields(out)
-	if len(fields) != 2 || fields[1] != "MHz" {
-		return 0, fmt.Errorf("fsp: bad freq payload %q", out)
-	}
-	v, perr := strconv.ParseFloat(fields[0], 64)
-	if perr != nil {
-		return 0, fmt.Errorf("fsp: bad freq payload %q", out)
-	}
-	return v, nil
 }
 
 // CoreMargin is one core's CPM slack margin as reported by the
@@ -551,29 +511,4 @@ func parseMilli(b []byte) (float64, bool) {
 		v = -v
 	}
 	return v, true
-}
-
-// Cores lists the server's core labels.
-func (c *Client) Cores() ([]string, error) {
-	out, err := c.Exec("cores")
-	if err != nil {
-		return nil, err
-	}
-	return strings.Fields(out), nil
-}
-
-// Quit ends the session politely. The transport is left to the caller
-// to close.
-func (c *Client) Quit() error {
-	if err := c.writeLine("quit"); err != nil {
-		return err
-	}
-	line, err := c.readLine()
-	if err != nil {
-		return err
-	}
-	if string(line) != "ok bye" {
-		return fmt.Errorf("fsp: quit acknowledged with %q", line)
-	}
-	return nil
 }

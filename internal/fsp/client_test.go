@@ -3,6 +3,8 @@ package fsp
 import (
 	"errors"
 	"net"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -54,15 +56,15 @@ func TestParseResponse(t *testing.T) {
 func TestClientCommands(t *testing.T) {
 	conn, _ := startSession(t)
 	cli := NewClient(conn, ClientOptions{Timeout: time.Second})
-	if err := cli.Ping(); err != nil {
-		t.Fatal(err)
+	if out, err := cli.Exec("ping live-1"); err != nil || out != "pong live-1" {
+		t.Fatalf("ping = %q, %v; want the token echoed", out, err)
 	}
-	cores, err := cli.Cores()
+	cores, err := cli.Exec("cores")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cores) != 16 {
-		t.Errorf("reference server lists %d cores, want 16", len(cores))
+	if n := len(strings.Fields(cores)); n != 16 {
+		t.Errorf("reference server lists %d cores, want 16", n)
 	}
 	if err := cli.SetCPM("P0C0", 5); err != nil {
 		t.Fatal(err)
@@ -77,15 +79,16 @@ func TestClientCommands(t *testing.T) {
 	if err := cli.SetMode("P0C0", "atm"); err != nil {
 		t.Fatal(err)
 	}
-	f, err := cli.FreqMHz("P0C0")
+	freq, err := cli.Exec("freq P0C0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f <= 0 {
-		t.Errorf("frequency %v MHz", f)
+	f, ok := strings.CutSuffix(freq, " MHz")
+	if v, err := strconv.ParseFloat(f, 64); !ok || err != nil || v <= 0 {
+		t.Errorf("freq payload %q, want a positive MHz value", freq)
 	}
-	if err := cli.Quit(); err != nil {
-		t.Fatal(err)
+	if out, err := cli.Exec("quit"); err != nil || out != "bye" {
+		t.Fatalf("quit = %q, %v; want bye", out, err)
 	}
 }
 
@@ -120,7 +123,7 @@ func TestClientRetriesTransient(t *testing.T) {
 		return nil
 	})
 	cli := NewClient(conn, ClientOptions{Retries: 3, Timeout: time.Second})
-	if _, err := cli.FreqMHz("P0C0"); err != nil {
+	if _, err := cli.Exec("freq P0C0"); err != nil {
 		t.Fatalf("transient faults not absorbed: %v", err)
 	}
 	if st := cli.Stats(); st.Retries != 2 {
@@ -136,7 +139,7 @@ func TestClientExhaustion(t *testing.T) {
 		return errors.New("transient telemetry upset (injected, permanent)")
 	})
 	cli := NewClient(conn, ClientOptions{Retries: 2, Timeout: time.Second})
-	_, err := cli.FreqMHz("P0C0")
+	_, err := cli.Exec("freq P0C0")
 	if !errors.Is(err, ErrExhausted) {
 		t.Fatalf("got %v, want ErrExhausted", err)
 	}
@@ -156,7 +159,7 @@ func TestClientBackoffSimulated(t *testing.T) {
 	})
 	cli := NewClient(conn, ClientOptions{Retries: 3, Timeout: time.Second})
 	start := time.Now()
-	if _, err := cli.FreqMHz("P0C0"); err == nil {
+	if _, err := cli.Exec("freq P0C0"); err == nil {
 		t.Fatal("want exhaustion")
 	}
 	elapsed := time.Since(start)
@@ -195,7 +198,7 @@ func TestClientResyncAfterGarble(t *testing.T) {
 	cli := NewClient(&garbleFirstRead{Conn: conn}, ClientOptions{Retries: 3, Timeout: time.Second})
 	// Attempt 0 reads the garbage; the retry re-syncs and lands the
 	// command.
-	if err := cli.Ping(); err != nil {
+	if _, err := cli.Exec("ping live-1"); err != nil {
 		t.Fatalf("client never realigned: %v", err)
 	}
 	st := cli.Stats()
@@ -203,7 +206,7 @@ func TestClientResyncAfterGarble(t *testing.T) {
 		t.Errorf("garbled line cost no resync/discard: %+v", st)
 	}
 	// Framing is aligned again: further commands run clean.
-	if _, err := cli.Cores(); err != nil {
+	if _, err := cli.Exec("cores"); err != nil {
 		t.Fatalf("post-resync cores: %v", err)
 	}
 	if st2 := cli.Stats(); st2.Retries != st.Retries {

@@ -91,6 +91,8 @@ type Controller struct {
 type ReadFault func(a Addr) error
 
 // SetReadFault arms (or, with nil, disarms) the telemetry fault hook.
+//
+//lint:ignore deadcode FSP fault path, kept until the sentinel's link takes a fault profile or the path is deleted
 func (c *Controller) SetReadFault(f ReadFault) { c.readFault = f }
 
 // faultRead consults the injection hook for a telemetry read of a.
@@ -105,9 +107,6 @@ func (c *Controller) faultRead(a Addr) error {
 func NewController(m *chip.Machine) *Controller {
 	return &Controller{m: m, stale: true}
 }
-
-// Machine returns the controlled machine.
-func (c *Controller) Machine() *chip.Machine { return c.m }
 
 // coreAt resolves a register address to a core.
 func (c *Controller) coreAt(a Addr) (*chip.Core, error) {

@@ -38,7 +38,7 @@ func TestScomCPMRoundTrip(t *testing.T) {
 		t.Errorf("read back %d, want 6", v)
 	}
 	// The underlying machine must be programmed.
-	core, err := ctl.Machine().Core("P0C3")
+	core, err := ctl.m.Core("P0C3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,14 +158,14 @@ func TestSessionScript(t *testing.T) {
 		t.Errorf("chip telemetry = %q", lines[7])
 	}
 	// Effects landed on the machine.
-	core, err := ctl.Machine().Core("P0C7")
+	core, err := ctl.m.Core("P0C7")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if core.Mode() != chip.ModeStatic || core.PState() != 3700 {
 		t.Error("mode/pstate commands did not apply")
 	}
-	g, err := ctl.Machine().Core("P1C0")
+	g, err := ctl.m.Core("P1C0")
 	if err != nil {
 		t.Fatal(err)
 	}

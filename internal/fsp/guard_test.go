@@ -316,7 +316,12 @@ func TestClientCancelDuringBackoff(t *testing.T) {
 			// arriving while the client waits.
 			slept = true
 			close(cancel)
-			RealSleep(d, stop)
+			timer := time.NewTimer(d)
+			defer timer.Stop()
+			select {
+			case <-timer.C:
+			case <-stop:
+			}
 		},
 	})
 	start := time.Now()
@@ -347,16 +352,5 @@ func TestClientCancelBeforeExec(t *testing.T) {
 	_, err := c.Exec("cores")
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-}
-
-// TestRealSleepCancels pins the helper's early return.
-func TestRealSleepCancels(t *testing.T) {
-	cancel := make(chan struct{})
-	close(cancel)
-	start := time.Now()
-	RealSleep(time.Hour, cancel)
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("RealSleep ignored cancel for %v", elapsed)
 	}
 }

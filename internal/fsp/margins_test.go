@@ -39,7 +39,7 @@ func TestMarginsVerbFormat(t *testing.T) {
 
 func TestMarginRegisterMatchesSafetyCriterion(t *testing.T) {
 	ctl := NewController(chip.NewReference())
-	m := ctl.Machine()
+	m := ctl.m
 	core := m.AllCores()[0]
 	p := core.Profile
 
@@ -84,8 +84,8 @@ func TestClientMarginsLoopback(t *testing.T) {
 	// Programmed to its full reduction, the first core reports a
 	// negative margin, so the read also crosses the formatter's sign
 	// path.
-	first := ctl.Machine().AllCores()[0].Profile
-	if err := ctl.Machine().ProgramCPM(first.Label, first.MaxReduction()); err != nil {
+	first := ctl.m.AllCores()[0].Profile
+	if err := ctl.m.ProgramCPM(first.Label, first.MaxReduction()); err != nil {
 		t.Fatal(err)
 	}
 	ms, err := cli.Margins()
@@ -98,7 +98,7 @@ func TestClientMarginsLoopback(t *testing.T) {
 	if ms[0].Sigma >= 0 {
 		t.Fatalf("%s at its full reduction reports margin %v, want negative", ms[0].Core, ms[0].Sigma)
 	}
-	for i, core := range ctl.Machine().AllCores() {
+	for i, core := range ctl.m.AllCores() {
 		if ms[i].Core != core.Profile.Label {
 			t.Fatalf("margin %d is %s, want %s", i, ms[i].Core, core.Profile.Label)
 		}
@@ -111,11 +111,11 @@ func TestClientMarginsLoopback(t *testing.T) {
 
 func TestLoopbackQuitAndResync(t *testing.T) {
 	cli, _ := loopbackClient(t, ClientOptions{})
-	if err := cli.Ping(); err != nil {
-		t.Fatal(err)
+	if out, err := cli.Exec("ping live-1"); err != nil || out != "pong live-1" {
+		t.Fatalf("ping = %q, %v; want the token echoed", out, err)
 	}
-	if err := cli.Quit(); err != nil {
-		t.Fatal(err)
+	if out, err := cli.Exec("quit"); err != nil || out != "bye" {
+		t.Fatalf("quit = %q, %v; want bye", out, err)
 	}
 }
 

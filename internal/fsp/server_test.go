@@ -114,7 +114,7 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 	// Every core the clients touched ends at reduction 1.
 	for c := 0; c < 8; c++ {
-		core, err := srv.ctl.Machine().Core(fmt.Sprintf("P1C%d", c))
+		core, err := srv.ctl.m.Core(fmt.Sprintf("P1C%d", c))
 		if err != nil {
 			t.Fatal(err)
 		}

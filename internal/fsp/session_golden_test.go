@@ -122,7 +122,7 @@ func goldenTranscript(t *testing.T, run func(s *Session, lines []string) []strin
 	ctl := NewController(chip.NewReference())
 	sess := NewSession(ctl)
 	var b strings.Builder
-	for seg, lines := range goldenScript(ctl.Machine()) {
+	for seg, lines := range goldenScript(ctl.m) {
 		if seg == 1 {
 			sess.Observe(obs.NewRegistry())
 			b.WriteString("-- registry attached --\n")

@@ -79,26 +79,3 @@ func (w *Watchdog) Tick(n int64) error {
 	}
 	return nil
 }
-
-// Expired reports whether the budget has run out (false on nil).
-func (w *Watchdog) Expired() bool {
-	if w == nil {
-		return false
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.expired
-}
-
-// Remaining returns the unspent budget (0 on nil or after expiry).
-func (w *Watchdog) Remaining() int64 {
-	if w == nil {
-		return 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.expired {
-		return 0
-	}
-	return w.remaining
-}

@@ -10,7 +10,7 @@ import (
 func TestWatchdogBudget(t *testing.T) {
 	reg := obs.NewRegistry()
 	w := NewWatchdog(WatchdogOptions{Name: "t", Budget: 10, Obs: reg})
-	if w.Expired() {
+	if w.expired {
 		t.Fatal("fresh watchdog already expired")
 	}
 	if err := w.Tick(4); err != nil {
@@ -19,14 +19,14 @@ func TestWatchdogBudget(t *testing.T) {
 	if err := w.Tick(6); err != nil {
 		t.Fatalf("Tick(6) = %v at exactly the budget", err)
 	}
-	if got := w.Remaining(); got != 0 {
-		t.Fatalf("Remaining() = %d, want 0", got)
+	if got := w.remaining; got != 0 {
+		t.Fatalf("remaining budget = %d, want 0", got)
 	}
 	if err := w.Tick(1); !errors.Is(err, ErrWatchdogExpired) {
 		t.Fatalf("Tick past budget = %v, want ErrWatchdogExpired", err)
 	}
-	if !w.Expired() {
-		t.Fatal("Expired() = false after expiry")
+	if !w.expired {
+		t.Fatal("watchdog not marked expired after expiry")
 	}
 	// Expiry is sticky.
 	if err := w.Tick(0); !errors.Is(err, ErrWatchdogExpired) {
@@ -44,11 +44,5 @@ func TestWatchdogDisabled(t *testing.T) {
 	var w *Watchdog
 	if err := w.Tick(1 << 40); err != nil {
 		t.Fatalf("nil watchdog Tick = %v, want nil", err)
-	}
-	if w.Expired() {
-		t.Fatal("nil watchdog Expired() = true")
-	}
-	if w.Remaining() != 0 {
-		t.Fatal("nil watchdog Remaining() != 0")
 	}
 }

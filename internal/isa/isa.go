@@ -96,26 +96,6 @@ func Generate(seed uint64, n int) Program {
 	return p
 }
 
-// Coverage reports which opcodes the program exercises.
-func (p Program) Coverage() map[Op]int {
-	out := map[Op]int{}
-	for _, in := range p.Code {
-		out[in.Op]++
-	}
-	return out
-}
-
-// FullCoverage reports whether every opcode appears at least once.
-func (p Program) FullCoverage() bool {
-	cov := p.Coverage()
-	for op := Op(0); op < numOps; op++ {
-		if cov[op] == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Machine is the interpreter state.
 type Machine struct {
 	Regs [NumRegs]uint64

@@ -269,9 +269,6 @@ func (o *Overlay) AmbientAt(tHours float64) float64 {
 	return a
 }
 
-// Hours returns the overlay's current simulated time.
-func (o *Overlay) Hours() float64 { return o.lastHours }
-
 // CoreAge returns core i's current fractional true-path slowdown.
 func (o *Overlay) CoreAge(i int) float64 {
 	if i < 0 || i >= len(o.cores) {

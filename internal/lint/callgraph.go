@@ -9,8 +9,8 @@ import (
 )
 
 // The call-graph builder turns a set of analyzed packages into a
-// conservative whole-program call graph for the flow rules (detflow).
-// Three edge kinds are modeled:
+// conservative whole-program call graph for the program rules (detflow,
+// deadcode). Three edge kinds are modeled:
 //
 //   - call:     a statically resolved call to a named function/method;
 //   - ref:      a reference to a function value without calling it —
@@ -27,7 +27,9 @@ import (
 // only place a reviewer can annotate. Package-level variable
 // initializers and explicit init functions fold into one pseudo-node
 // per package, "<path>.init", because package initialization runs in
-// every process importing the package.
+// every process importing the package. Those of _test.go files fold
+// into a test-only "<path>.init_test" instead: only the test binary
+// runs them.
 //
 // The graph is deterministic: nodes and adjacency lists are sorted, so
 // traversals (and therefore detflow's findings and example chains) are
@@ -126,6 +128,15 @@ func FuncID(fn *types.Func) string {
 // initID is the pseudo-node ID of a package's initialization.
 func initID(pkgPath string) string { return pkgPath + ".init" }
 
+// fileInitID returns the init pseudo-node that file's var initializers
+// and init functions fold into, and whether file is a _test.go file.
+func fileInitID(fset *token.FileSet, file *ast.File, pkgPath string) (string, bool) {
+	if strings.HasSuffix(fset.Position(file.Pos()).Filename, "_test.go") {
+		return pkgPath + ".init_test", true
+	}
+	return initID(pkgPath), false
+}
+
 // BuildCallGraph constructs the conservative call graph over pkgs.
 func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 	g := &CallGraph{
@@ -140,7 +151,8 @@ func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 	for _, pkg := range pkgs {
 		g.ensureNode(initID(pkg.Path), pkg.Path, nil, token.NoPos, false, false)
 		for _, file := range pkg.Files {
-			testOnly := strings.HasSuffix(fset.Position(file.Pos()).Filename, "_test.go")
+			initNode, testOnly := fileInitID(fset, file, pkg.Path)
+			g.ensureNode(initNode, pkg.Path, nil, token.NoPos, false, testOnly)
 			for _, decl := range file.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
@@ -149,7 +161,7 @@ func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 						continue
 					}
 					if d.Name.Name == "init" && d.Recv == nil {
-						g.addExtent(d, initID(pkg.Path))
+						g.addExtent(d, initNode)
 						continue
 					}
 					id := FuncID(fn)
@@ -163,7 +175,7 @@ func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 					}
 					for _, spec := range d.Specs {
 						if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) > 0 {
-							g.addExtent(vs, initID(pkg.Path))
+							g.addExtent(vs, initNode)
 						}
 					}
 				}
@@ -174,13 +186,14 @@ func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 	// Pass 2: edges.
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
+			initNode, _ := fileInitID(fset, file, pkg.Path)
 			for _, decl := range file.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
 					if d.Body == nil {
 						continue
 					}
-					id := initID(pkg.Path)
+					id := initNode
 					if !(d.Name.Name == "init" && d.Recv == nil) {
 						if fn, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
 							id = FuncID(fn)
@@ -197,7 +210,7 @@ func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 							continue
 						}
 						for _, v := range vs.Values {
-							g.addEdgesFrom(initID(pkg.Path), v, pkg, named)
+							g.addEdgesFrom(initNode, v, pkg, named)
 						}
 					}
 				}
@@ -372,7 +385,7 @@ func (g *CallGraph) addCallEdges(node *Node, call *ast.CallExpr, pkg *Package, n
 			ifaceNode := g.ensureNode(ifaceID, node.Pkg, fn, fn.Pos(), false, false)
 			node.Edges = append(node.Edges, Edge{Callee: ifaceID, Kind: EdgeCall, Pos: call.Pos()})
 			for _, t := range named {
-				impl := implementation(t, iface, fn.Name())
+				impl := implementation(t, iface, fn)
 				if impl == nil {
 					continue
 				}
@@ -384,9 +397,11 @@ func (g *CallGraph) addCallEdges(node *Node, call *ast.CallExpr, pkg *Package, n
 	}
 }
 
-// implementation returns t's (or *t's) concrete method named name when
-// t implements iface, nil otherwise.
-func implementation(t types.Type, iface *types.Interface, name string) *types.Func {
+// implementation returns t's (or *t's) concrete method for the
+// interface method m when t implements iface, nil otherwise. The lookup
+// passes m's package, without which an unexported method is never
+// found.
+func implementation(t types.Type, iface *types.Interface, m *types.Func) *types.Func {
 	if types.IsInterface(t) {
 		return nil
 	}
@@ -394,7 +409,7 @@ func implementation(t types.Type, iface *types.Interface, name string) *types.Fu
 	if !types.Implements(t, iface) && !types.Implements(pt, iface) {
 		return nil
 	}
-	obj, _, _ := types.LookupFieldOrMethod(pt, true, nil, name)
+	obj, _, _ := types.LookupFieldOrMethod(pt, true, m.Pkg(), m.Name())
 	fn, ok := obj.(*types.Func)
 	if !ok {
 		return nil

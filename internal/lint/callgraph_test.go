@@ -10,8 +10,8 @@ import (
 // The callgraph fixture is two packages exercising the shapes the
 // builder must model: a mutual-recursion cycle, a method value
 // (reference edge), an interface whose implementations straddle the
-// package boundary (dispatch fan-out), and a package-level var
-// initializer (init pseudo-node).
+// package boundary (dispatch fan-out), an unexported interface method,
+// and a package-level var initializer (init pseudo-node).
 const (
 	cgA = "repro/internal/lint/testdata/src/callgraph/a"
 	cgB = "repro/internal/lint/testdata/src/callgraph/b"
@@ -36,7 +36,7 @@ func loadCallGraphFixture(t *testing.T) (*Loader, []*Package) {
 
 func TestCallGraphEdges(t *testing.T) {
 	loader, pkgs := loadCallGraphFixture(t)
-	g := BuildCallGraph(loader.Fset(), pkgs)
+	g := BuildCallGraph(loader.fset, pkgs)
 
 	hasEdge := func(from, to string, kind EdgeKind) bool {
 		n := g.Nodes[from]
@@ -60,6 +60,7 @@ func TestCallGraphEdges(t *testing.T) {
 		{cgA + ".Drive", cgA + ".(Runner).Run", EdgeCall, "interface call targets the abstract method node"},
 		{cgA + ".(Runner).Run", cgA + ".(Fast).Run", EdgeDispatch, "dispatch fans out to the local value-receiver impl"},
 		{cgA + ".(Runner).Run", cgB + ".(*Slow).Run", EdgeDispatch, "dispatch fans out across the package boundary"},
+		{cgA + ".(stepper).step", cgA + ".(walker).step", EdgeDispatch, "dispatch through an unexported interface method"},
 		{cgB + ".(*Slow).Run", cgA + ".Ping", EdgeCall, "cross-package call"},
 		{cgB + ".Handle", cgB + ".(*Slow).Run", EdgeRef, "method value is a reference, not a call"},
 		{cgB + ".init", cgA + ".Ping", EdgeCall, "package-level var initializer folds into the init pseudo-node"},
@@ -77,7 +78,7 @@ func TestCallGraphEdges(t *testing.T) {
 
 func TestCallGraphAttribution(t *testing.T) {
 	loader, pkgs := loadCallGraphFixture(t)
-	g := BuildCallGraph(loader.Fset(), pkgs)
+	g := BuildCallGraph(loader.fset, pkgs)
 
 	// A position inside a declared function attributes to its node.
 	ping := g.Nodes[cgA+".Ping"]
@@ -108,7 +109,7 @@ func TestCallGraphAttribution(t *testing.T) {
 func TestCallGraphDeterministic(t *testing.T) {
 	render := func() string {
 		loader, pkgs := loadCallGraphFixture(t)
-		g := BuildCallGraph(loader.Fset(), pkgs)
+		g := BuildCallGraph(loader.fset, pkgs)
 		var b strings.Builder
 		for _, id := range g.SortedIDs() {
 			fmt.Fprintf(&b, "%s:", id)

@@ -54,7 +54,7 @@ var bannedImports = map[string]bool{
 }
 
 func runDetFlow(p *ProgramPass) {
-	graph := BuildCallGraph(p.Fset, p.Pkgs)
+	graph := p.Graph
 
 	// Deterministic BFS over sorted entries and sorted adjacency:
 	// first-visit parents give one stable example chain per node.

@@ -21,6 +21,7 @@ import (
 // Each fixture is named after its rule, except detrand: the direct
 // ambient-entropy uses, which detflow reports.
 var fixtureCases = map[string][]*Analyzer{
+	"deadcode":   {DeadCode},
 	"detflow":    {DetFlow},
 	"detrand":    {DetFlow},
 	"maporder":   {MapOrder},
@@ -105,7 +106,7 @@ func parseWants(t *testing.T, loader *Loader, pkg *Package) map[wantKey][]*want 
 				if m == nil {
 					continue
 				}
-				pos := loader.Fset().Position(c.Pos())
+				pos := loader.fset.Position(c.Pos())
 				line := pos.Line
 				if m[1] == "-above" {
 					line--
@@ -212,6 +213,40 @@ func TestUnusedDirectives(t *testing.T) {
 	}
 	if len(partial) != 0 {
 		t.Errorf("RunDir reported %v; unused directives are a whole-module finding", partial)
+	}
+}
+
+// TestDeadCodeNeedsAProgram: without a main package every library
+// function may be some program's entry, so deadcode judges nothing.
+// RunDir on a library package, and every other fixture, report no
+// deadcode finding.
+func TestDeadCodeNeedsAProgram(t *testing.T) {
+	findings, err := RunDir(filepath.Join("testdata", "src", "callgraph", "a"), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		if f.Rule == "deadcode" {
+			t.Errorf("RunDir on a library package: %s", f)
+		}
+	}
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range fixtureCases {
+		if name == "deadcode" {
+			continue
+		}
+		pkg, err := loader.LoadDir(filepath.Join("testdata", "src", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range analyze(loader, []*Package{pkg}, DefaultConfig(), []*Analyzer{DeadCode}, false) {
+			if f.Rule == "deadcode" {
+				t.Errorf("fixture %s: %s", name, f)
+			}
+		}
 	}
 }
 

@@ -26,12 +26,15 @@
 //	unitsafety — no direct conversion between distinct internal/units
 //	             types, and no +/- mixing of float64-stripped units.
 //	errdrop    — no discarded error returns in cmd/ and internal/fsp.
+//	deadcode   — no non-test function that no program reaches from a
+//	             main, a package init or the atm facade.
 //	ignore     — malformed, unknown-rule or unused //lint:ignore
 //	             directives.
 //
-// Most rules inspect one package at a time (Analyzer.Run); detflow is a
-// program rule (Analyzer.RunProgram) that sees every loaded package at
-// once and walks the cross-package call graph built in callgraph.go.
+// Most rules inspect one package at a time (Analyzer.Run); detflow and
+// deadcode are program rules (Analyzer.RunProgram) that see every
+// loaded package at once and walk the cross-package call graph built in
+// callgraph.go.
 //
 // A finding is suppressed by an annotation on the same line, the line
 // directly above it, or — for findings inside a multi-line simple
@@ -94,6 +97,8 @@ type ProgramPass struct {
 	Fset     *token.FileSet
 	// Pkgs are all analyzed packages, sorted by import path.
 	Pkgs []*Package
+	// Graph is the call graph over Pkgs, built once per run.
+	Graph *CallGraph
 	// Config is the run configuration.
 	Config *Config
 
@@ -282,6 +287,7 @@ func (c *Config) isTestdata(path string) bool {
 // Analyzers returns every registered rule, sorted by name.
 func Analyzers() []*Analyzer {
 	as := []*Analyzer{
+		DeadCode,
 		DetFlow,
 		ErrDrop,
 		FloatCmp,

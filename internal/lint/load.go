@@ -76,12 +76,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset exposes the loader's position table.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
-// ModulePath returns the path declared in go.mod.
-func (l *Loader) ModulePath() string { return l.modPath }
-
 // findModuleRoot walks upward from dir until it finds go.mod.
 func findModuleRoot(dir string) (string, error) {
 	abs, err := filepath.Abs(dir)

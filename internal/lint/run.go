@@ -99,14 +99,19 @@ func analyze(loader *Loader, pkgs []*Package, cfg *Config, analyzers []*Analyzer
 			})
 		}
 	}
+	var graph *CallGraph
 	for _, a := range analyzers {
 		if a.RunProgram == nil {
 			continue
+		}
+		if graph == nil {
+			graph = BuildCallGraph(loader.fset, pkgs)
 		}
 		a.RunProgram(&ProgramPass{
 			Analyzer: a,
 			Fset:     loader.fset,
 			Pkgs:     pkgs,
+			Graph:    graph,
 			Config:   cfg,
 			report:   report,
 		})

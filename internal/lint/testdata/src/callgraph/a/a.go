@@ -1,7 +1,7 @@
 // Package a is half of the synthetic call-graph fixture: a mutual
-// recursion cycle, an interface with one local implementation, and a
+// recursion cycle, an interface with one local implementation, a
 // dispatcher whose interface call must fan out to implementations in
-// both packages.
+// both packages, and an unexported interface with an unexported method.
 package a
 
 // Ping and Pong form a cross-function cycle.
@@ -36,4 +36,20 @@ func (Fast) Run() int { return 1 }
 // implementation.
 func Drive(r Runner) int {
 	return r.Run()
+}
+
+// stepper is unexported, and so is its method: dispatch must still find
+// the implementation.
+type stepper interface {
+	step() int
+}
+
+// walker is stepper's one implementation.
+type walker struct{}
+
+func (walker) step() int { return 2 }
+
+// Walk calls through the unexported interface.
+func Walk(s stepper) int {
+	return s.step()
 }

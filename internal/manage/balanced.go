@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/chip"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // planBalanced implements the Fig. 13 budget flow for the balanced
@@ -173,29 +172,4 @@ func (mg *Manager) estimateChipPower(criticalCore string, pair Pair,
 		}
 	}
 	return total
-}
-
-// SwapCoRunner suggests the paper's final optimization (Sec. VII-D): when
-// a critical application exceeds its QoS with headroom under the chosen
-// background setting, the spare power budget can host a more power-hungry
-// co-runner instead. It returns the highest-power background workload
-// from the Table II background set whose estimated chip power still fits
-// the budget at the throttled setting, or the current one if none fits
-// better.
-func (mg *Manager) SwapCoRunner(criticalCore string, pair Pair, budget units.Watt,
-	bgPState units.MHz) workload.Profile {
-	best := pair.Background
-	for _, cand := range workload.Background() {
-		if cand.MemIntensive() && pair.Critical.MemIntensive() {
-			continue // Table II co-location rule
-		}
-		if cand.CdynRel <= best.CdynRel {
-			continue
-		}
-		test := Pair{Critical: pair.Critical, Background: cand}
-		if mg.estimateChipPower(criticalCore, test, false, bgPState, false) <= budget {
-			best = cand
-		}
-	}
-	return best
 }

@@ -79,24 +79,6 @@ func TestBudgetClampedToThermalEnvelope(t *testing.T) {
 	}
 }
 
-// TestCoresBySpeedOrdering: the predictor-based ranking is descending.
-func TestCoresBySpeedOrdering(t *testing.T) {
-	mg := manager(t)
-	labels := mg.chipCores()
-	ranked := mg.Preds.CoresBySpeed(labels, 100)
-	if len(ranked) != len(labels) {
-		t.Fatalf("ranking dropped cores: %d vs %d", len(ranked), len(labels))
-	}
-	prev := 1e12
-	for _, l := range ranked {
-		f := float64(mg.Preds.Freq[l].Predict(100))
-		if f > prev {
-			t.Fatalf("ranking not descending at %s", l)
-		}
-		prev = f
-	}
-}
-
 // TestScenarioStringNames pin the CLI-facing scenario names.
 func TestScenarioStringNames(t *testing.T) {
 	names := map[Scenario]string{

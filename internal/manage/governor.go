@@ -123,18 +123,3 @@ func coreIsRobust(rep *charact.Report, label string) bool {
 	}
 	return true
 }
-
-// RobustCores lists the cores the conservative governor schedules
-// foreground work on.
-func RobustCores(rep *charact.Report) []string {
-	if rep == nil {
-		return nil
-	}
-	var out []string
-	for _, c := range rep.Cores {
-		if coreIsRobust(rep, c.Core) {
-			out = append(out, c.Core)
-		}
-	}
-	return out
-}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/charact"
 	"repro/internal/chip"
 	"repro/internal/tuning"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -58,13 +59,13 @@ func TestEq1Slope(t *testing.T) {
 func TestFreqPredictorInversion(t *testing.T) {
 	mg := manager(t)
 	fp := mg.Preds.Freq["P0C0"]
-	f := fp.Predict(100)
+	f := units.MHz(fp.Fit.Slope*100 + fp.Fit.Intercept)
 	p, ok := fp.PowerForFreq(f)
 	if !ok {
 		t.Fatal("inversion failed")
 	}
 	if math.Abs(float64(p)-100) > 1e-6 {
-		t.Errorf("PowerForFreq(Predict(100)) = %v", p)
+		t.Errorf("PowerForFreq(f(100 W)) = %v", p)
 	}
 }
 
@@ -95,8 +96,8 @@ func TestPerfPredictorInversion(t *testing.T) {
 	if !ok {
 		t.Fatal("inversion failed")
 	}
-	if got := pp.Predict(f); math.Abs(got-1.10) > 1e-9 {
-		t.Errorf("Predict(FreqForPerf(1.10)) = %g", got)
+	if got := pp.Fit.Slope*float64(f) + pp.Fit.Intercept; math.Abs(got-1.10) > 1e-9 {
+		t.Errorf("perf(FreqForPerf(1.10)) = %g", got)
 	}
 	// +10% over static needs well under the fine-tuned ceiling.
 	if f < 4400 || f > 4900 {
@@ -319,7 +320,12 @@ func TestGovernors(t *testing.T) {
 
 func TestRobustCores(t *testing.T) {
 	_ = manager(t) // populate fixtureRep
-	robust := RobustCores(fixtureRep)
+	var robust []string
+	for _, c := range fixtureRep.Cores {
+		if coreIsRobust(fixtureRep, c.Core) {
+			robust = append(robust, c.Core)
+		}
+	}
 	if len(robust) == 0 {
 		t.Fatal("no robust cores found; Fig. 10 shows several")
 	}
@@ -334,24 +340,8 @@ func TestRobustCores(t *testing.T) {
 				label, cr.UBenchLimit-cr.ThreadWorst)
 		}
 	}
-	if RobustCores(nil) != nil {
-		t.Error("RobustCores(nil) should be empty")
-	}
-}
-
-func TestSwapCoRunner(t *testing.T) {
-	mg := manager(t)
-	pair := Pair{Critical: workload.MustByName("seq2seq"), Background: workload.MustByName("streamcluster")}
-	// With a generous budget the swap should find a more power-hungry
-	// co-runner (the paper swaps streamcluster for lu_cb).
-	got := mg.SwapCoRunner(mg.fastestOnChip()[0], pair, 200, 4200)
-	if got.CdynRel <= pair.Background.CdynRel {
-		t.Errorf("swap kept %s; expected a hungrier co-runner", got.Name)
-	}
-	// With no budget headroom the swap keeps the current co-runner.
-	got = mg.SwapCoRunner(mg.fastestOnChip()[0], pair, 10, 4200)
-	if got.Name != "streamcluster" {
-		t.Errorf("swap upgraded under an impossible budget: %s", got.Name)
+	if coreIsRobust(nil, robust[0]) {
+		t.Error("a core is robust without a characterization report")
 	}
 }
 

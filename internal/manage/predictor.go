@@ -8,7 +8,6 @@ package manage
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/chip"
 	"repro/internal/stats"
@@ -28,11 +27,6 @@ import (
 type FreqPredictor struct {
 	Core string
 	Fit  stats.LinearFit // x = chip power (W), y = frequency (MHz)
-}
-
-// Predict returns the core's expected frequency at total chip power p.
-func (fp FreqPredictor) Predict(p units.Watt) units.MHz {
-	return units.MHz(fp.Fit.Predict(float64(p)))
 }
 
 // PowerForFreq inverts the model: the total chip power at which the core
@@ -141,12 +135,6 @@ type PerfPredictor struct {
 	Fit stats.LinearFit // x = frequency (MHz), y = relative performance
 }
 
-// Predict returns the application's expected relative performance at
-// frequency f.
-func (pp PerfPredictor) Predict(f units.MHz) float64 {
-	return pp.Fit.Predict(float64(f))
-}
-
 // FreqForPerf inverts the model: the core frequency needed to reach a
 // target relative performance.
 func (pp PerfPredictor) FreqForPerf(perf float64) (units.MHz, bool) {
@@ -204,20 +192,4 @@ func CalibratePredictors(m *chip.Machine) (*PredictorSet, error) {
 		ps.Perf[app.Name] = pp
 	}
 	return ps, nil
-}
-
-// CoresBySpeed returns the chip's core labels sorted by descending
-// predicted frequency at the given chip power.
-func (ps *PredictorSet) CoresBySpeed(labels []string, at units.Watt) []string {
-	out := append([]string(nil), labels...)
-	sort.Slice(out, func(i, j int) bool {
-		fi := ps.Freq[out[i]].Predict(at)
-		fj := ps.Freq[out[j]].Predict(at)
-		//lint:ignore floatcmp comparator tie-break: exact inequality only routes to the secondary key, any consistent order is deterministic
-		if fi != fj {
-			return fi > fj
-		}
-		return out[i] < out[j]
-	})
-	return out
 }

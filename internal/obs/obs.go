@@ -494,68 +494,6 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// seriesName composes name{body,extra} handling the empty pieces.
-func seriesName(name, body, extra string) string {
-	switch {
-	case body == "" && extra == "":
-		return name
-	case body == "":
-		return name + "{" + extra + "}"
-	case extra == "":
-		return name + "{" + body + "}"
-	default:
-		return name + "{" + body + "," + extra + "}"
-	}
-}
-
-// WriteProm writes the registry in the Prometheus text exposition
-// format, byte-identically across runs with identical contents. A nil
-// registry writes nothing.
-func (r *Registry) WriteProm(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var b bytes.Buffer
-	for _, fam := range r.sortedFamilies() {
-		fmt.Fprintf(&b, "# TYPE %s %s\n", fam.name, fam.kind)
-		for _, s := range fam.sortedSeries() {
-			switch fam.kind {
-			case kindCounter:
-				fmt.Fprintf(&b, "%s %d\n", seriesName(fam.name, s.labelBody, ""), s.c.Value())
-			case kindGauge:
-				fmt.Fprintf(&b, "%s %s\n", seriesName(fam.name, s.labelBody, ""), formatFloat(s.g.Value()))
-			case kindHistogram:
-				cum := int64(0)
-				for i := range s.h.buckets {
-					cum += s.h.buckets[i].Load()
-					le := "+Inf"
-					if i < len(fam.bounds) {
-						le = formatFloat(fam.bounds[i])
-					}
-					fmt.Fprintf(&b, "%s %d\n",
-						seriesName(fam.name+"_bucket", s.labelBody, `le="`+le+`"`), cum)
-				}
-				fmt.Fprintf(&b, "%s %s\n", seriesName(fam.name+"_sum", s.labelBody, ""), formatFloat(s.h.Sum()))
-				fmt.Fprintf(&b, "%s %d\n", seriesName(fam.name+"_count", s.labelBody, ""), s.h.Count())
-				// Summary-style quantile series, estimated from the fixed
-				// buckets (see Histogram.Quantile). Empty histograms skip
-				// them — there is no distribution to summarize.
-				if s.h.Count() > 0 {
-					for _, q := range ExportQuantiles {
-						fmt.Fprintf(&b, "%s %s\n",
-							seriesName(fam.name, s.labelBody, `quantile="`+formatFloat(q)+`"`),
-							formatFloat(s.h.Quantile(q)))
-					}
-				}
-			}
-		}
-	}
-	_, err := w.Write(b.Bytes())
-	return err
-}
-
 // SnapshotJSON returns the registry as one compact JSON line (no
 // trailing newline) with deterministic ordering — the payload of the
 // FSP protocol's in-band "stats" verb. A nil registry snapshots to

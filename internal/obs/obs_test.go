@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -69,7 +68,7 @@ func TestRegistryPanicsOnMisuse(t *testing.T) {
 	}
 }
 
-func TestWritePromFormat(t *testing.T) {
+func TestSnapshotJSONFormat(t *testing.T) {
 	r := NewRegistry()
 	// Registration order deliberately scrambled: export must sort.
 	r.Gauge("zz_gauge").Set(1.5)
@@ -79,42 +78,43 @@ func TestWritePromFormat(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(5)
 
-	var b bytes.Buffer
-	if err := r.WriteProm(&b); err != nil {
+	want := `{"metrics":[` +
+		`{"name":"aa_total","labels":"core=\"EP00\"","type":"counter","value":2},` +
+		`{"name":"aa_total","labels":"core=\"EP01\"","type":"counter","value":1},` +
+		`{"name":"hh","labels":"","type":"histogram","count":2,"sum":5.5,` +
+		`"buckets":[{"le":"1","count":1},{"le":"2","count":1},{"le":"+Inf","count":2}],` +
+		`"quantiles":[{"q":0.5,"v":1},{"q":0.95,"v":2},{"q":0.99,"v":2}]},` +
+		`{"name":"zz_gauge","labels":"","type":"gauge","value":1.5}]}`
+	if got := string(r.SnapshotJSON()); got != want {
+		t.Fatalf("SnapshotJSON:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// snapshotLabels returns the label bodies of r's series in export
+// order, decoded from SnapshotJSON.
+func snapshotLabels(t *testing.T, r *Registry) []string {
+	t.Helper()
+	var doc struct {
+		Metrics []struct {
+			Labels string `json:"labels"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal(r.SnapshotJSON(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	want := strings.Join([]string{
-		"# TYPE aa_total counter",
-		`aa_total{core="EP00"} 2`,
-		`aa_total{core="EP01"} 1`,
-		"# TYPE hh histogram",
-		`hh_bucket{le="1"} 1`,
-		`hh_bucket{le="2"} 1`,
-		`hh_bucket{le="+Inf"} 2`,
-		"hh_sum 5.5",
-		"hh_count 2",
-		`hh{quantile="0.5"} 1`,
-		`hh{quantile="0.95"} 2`,
-		`hh{quantile="0.99"} 2`,
-		"# TYPE zz_gauge gauge",
-		"zz_gauge 1.5",
-		"",
-	}, "\n")
-	if got := b.String(); got != want {
-		t.Fatalf("WriteProm:\n%s\nwant:\n%s", got, want)
+	var out []string
+	for _, m := range doc.Metrics {
+		out = append(out, m.Labels)
 	}
+	return out
 }
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c", "core", "EP\"0\\0\n").Inc()
-	var b bytes.Buffer
-	if err := r.WriteProm(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := `c{core="EP\"0\\0\n"} 1` + "\n"
-	if got := b.String(); !strings.Contains(got, want) {
-		t.Fatalf("WriteProm = %q, want to contain %q", got, want)
+	want := `core="EP\"0\\0\n"`
+	if got := snapshotLabels(t, r); len(got) != 1 || got[0] != want {
+		t.Fatalf("labels = %q, want [%q]", got, want)
 	}
 }
 
@@ -126,12 +126,8 @@ func TestLabelsSortedByKey(t *testing.T) {
 	if a != b {
 		t.Fatalf("label order created distinct series")
 	}
-	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `c{a="1",b="2"} 0`) {
-		t.Fatalf("labels not key-sorted: %q", buf.String())
+	if got := snapshotLabels(t, r); len(got) != 1 || got[0] != `a="1",b="2"` {
+		t.Fatalf("labels not key-sorted: %q", got)
 	}
 }
 
@@ -170,9 +166,6 @@ func TestSnapshotJSONValidAndDeterministic(t *testing.T) {
 func TestNilRegistryExports(t *testing.T) {
 	var r *Registry
 	var b bytes.Buffer
-	if err := r.WriteProm(&b); err != nil || b.Len() != 0 {
-		t.Fatalf("nil WriteProm = (%q, %v), want empty", b.String(), err)
-	}
 	if got := string(r.SnapshotJSON()); got != `{"metrics":[]}` {
 		t.Fatalf("nil SnapshotJSON = %q", got)
 	}

@@ -86,11 +86,6 @@ func (p Params) SteadyVoltage(power units.Watt) units.Volt {
 	return units.Volt(v)
 }
 
-// DropAt returns the DC IR drop at the given power.
-func (p Params) DropAt(power units.Watt) units.Volt {
-	return p.VNom - p.SteadyVoltage(power)
-}
-
 // CalibrateVRM returns a copy of p with VNom raised so that the on-chip
 // supply equals target at the given reference power (the paper runs the
 // 4.2 GHz p-state with Vdd pinned at 1.25 V on-die under light load).

@@ -56,7 +56,7 @@ func TestDropMagnitudeAtOperatingPoint(t *testing.T) {
 	// At ~128 A (160 W / 1.25 V) the DC drop should be tens of mV —
 	// the ~3% of Vdd the paper cites for the DC component.
 	p := DefaultParams().CalibrateVRM(1.25, 55)
-	drop := p.DropAt(160) - p.DropAt(55)
+	drop := p.SteadyVoltage(55) - p.SteadyVoltage(160)
 	if drop < 0.025 || drop > 0.060 {
 		t.Errorf("DC drop from idle to 160 W = %v, want 25–60 mV", drop)
 	}

@@ -131,6 +131,8 @@ func (d *Doc) Marshal() ([]byte, error) {
 
 // CanonicalBytes renders the artifact with Timing zeroed: the form two
 // identically-seeded runs must reproduce byte for byte.
+//
+//lint:ignore deadcode the determinism tests of perf and cmd/atmctl compare artifacts in this form
 func (d *Doc) CanonicalBytes() ([]byte, error) {
 	stripped := *d
 	stripped.Timing = Timing{}

@@ -208,19 +208,6 @@ func (p *Provision) View() (NodeView, error) {
 	return v, nil
 }
 
-// QuarantinedCores counts quarantined cores across the server.
-func (p *Provision) QuarantinedCores() int {
-	n := 0
-	for _, ch := range p.Chips {
-		for _, c := range ch.Cores {
-			if c.Quarantined {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // ProvisionServer runs the datacenter intake pass on a built server:
 // stress-test deployment (tuning.Deploy), then per-core Eq. 1
 // frequency-predictor calibration and the idle/loaded power envelope

@@ -118,19 +118,6 @@ func (s *Source) Exp(rate float64) float64 {
 	return -math.Log(u) / rate
 }
 
-// Gumbel returns a draw from a Gumbel (max-extreme-value) distribution
-// with location mu and scale beta. Fast voltage-droop *tails* are extreme
-// value events — the worst droop observed over a run of many cycles — so
-// the failure model uses Gumbel rather than normal tails.
-func (s *Source) Gumbel(mu, beta float64) float64 {
-	u := s.Float64()
-	//lint:ignore floatcmp exact endpoint rejection: Float64 can emit these exact values and either makes the double Log infinite
-	for u == 0 || u == 1 {
-		u = s.Float64()
-	}
-	return mu - beta*math.Log(-math.Log(u))
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)

@@ -130,20 +130,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestGumbelLocation(t *testing.T) {
-	s := New(17)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += s.Gumbel(5, 2)
-	}
-	// Gumbel mean = mu + beta·γ (Euler–Mascheroni).
-	want := 5 + 2*0.5772156649
-	if mean := sum / n; math.Abs(mean-want) > 0.1 {
-		t.Errorf("Gumbel mean = %g, want ≈%g", mean, want)
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	s := New(19)
 	counts := make([]int, 7)

@@ -332,28 +332,6 @@ func (s *Sentinel) Observe(i int, sigma float64) bool {
 	return c.alarmed && c.integral >= s.cfg.ActAt
 }
 
-// Margin returns core i's current smoothed margin estimate in sigmas.
-func (s *Sentinel) Margin(i int) float64 {
-	if s == nil {
-		return 0
-	}
-	if i < 0 || i >= len(s.cores) {
-		return 0
-	}
-	return s.cores[i].ewma
-}
-
-// Quarantined reports whether core i has been retired.
-func (s *Sentinel) Quarantined(i int) bool {
-	if s == nil {
-		return false
-	}
-	if i < 0 || i >= len(s.cores) {
-		return false
-	}
-	return s.cores[i].quarantined
-}
-
 // Act walks core i one rung down the escalation ladder. Call it when
 // Observe returns true. The returned event records what was done; an
 // ActionNone event means the core needed nothing (already quarantined,

@@ -125,7 +125,7 @@ func TestEscalationLadderOrder(t *testing.T) {
 			t.Fatalf("rung %d (%s): reduction %d, want %d", i, want, ev.Reduction, wantReds[i])
 		}
 	}
-	if !s.Quarantined(0) {
+	if !s.cores[0].quarantined {
 		t.Fatal("core not quarantined after exhausting the ladder")
 	}
 	if act.lastReason == "" {
@@ -198,10 +198,10 @@ func TestFailingActuatorTripsQuarantineBreaker(t *testing.T) {
 	s := New(Config{BreakerFailures: 3}, []string{"P0C0"}, act)
 
 	var last Event
-	for n := 0; n < 20 && !s.Quarantined(0); n++ {
+	for n := 0; n < 20 && !s.cores[0].quarantined; n++ {
 		last = drive(t, s, 1.0, 200)
 	}
-	if !s.Quarantined(0) {
+	if !s.cores[0].quarantined {
 		t.Fatal("persistent actuator failure never quarantined the core")
 	}
 	if last.Action != ActionQuarantine {
@@ -216,7 +216,7 @@ func TestObsCountsActions(t *testing.T) {
 	reg := obs.NewRegistry()
 	act := &fakeActuator{red: 5, retuneTo: 3}
 	s := New(Config{Obs: reg, RetuneAfterSteps: 1, MaxRetunes: 1}, []string{"P0C0"}, act)
-	for n := 0; n < 5 && !s.Quarantined(0); n++ {
+	for n := 0; n < 5 && !s.cores[0].quarantined; n++ {
 		drive(t, s, 1.0, 200)
 	}
 	for _, c := range []struct {
@@ -239,9 +239,6 @@ func TestNilSentinelIsInert(t *testing.T) {
 	var s *Sentinel
 	if s.Observe(0, -10) {
 		t.Fatal("nil sentinel observed an action")
-	}
-	if s.Quarantined(0) || s.Margin(0) != 0 {
-		t.Fatal("nil sentinel has state")
 	}
 	if ev := s.Act(0); ev.Action != ActionNone {
 		t.Fatal("nil sentinel acted")

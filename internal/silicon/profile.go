@@ -351,6 +351,8 @@ func (c *CoreProfile) SurvivesTrial(reduction int, score float64, src *rng.Sourc
 // FailureProb returns the per-trial failure probability at the given
 // reduction and stress score (the analytic counterpart of SurvivesTrial,
 // used by property tests).
+//
+//lint:ignore deadcode reference model: the silicon tests compare SurvivesTrial's empirical failure rate against it
 func (c *CoreProfile) FailureProb(reduction int, score float64) (float64, error) {
 	g, req, err := c.guards(reduction, score)
 	if err != nil {

@@ -285,12 +285,3 @@ func ReferenceTableI(label string) (idle, uBench, normal, worst int, ok bool) {
 	}
 	return 0, 0, 0, 0, false
 }
-
-// ReferenceCoreLabels returns the 16 core labels in Table I order.
-func ReferenceCoreLabels() []string {
-	out := make([]string, len(referenceLimits))
-	for i, row := range referenceLimits {
-		out[i] = row.label
-	}
-	return out
-}

@@ -314,20 +314,29 @@ func TestFailureProbMonotoneInReduction(t *testing.T) {
 func TestFailureProbAtLimitsIsExtreme(t *testing.T) {
 	for _, c := range Reference().AllCores() {
 		idle, _, _, _, _ := ReferenceTableI(c.Label)
-		pAt, err := c.FailureProb(idle, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pAt > 1e-4 {
-			t.Errorf("%s failure prob at idle limit = %g, want ≤1e-4", c.Label, pAt)
-		}
-		if idle+1 <= c.MaxReduction() {
-			pBeyond, err := c.FailureProb(idle+1, 0)
+		// The Table I idle limit at score 0, and the deterministic limit
+		// at score 1 (the voltage virus), whose hazard explodes within
+		// two steps.
+		cases := []struct {
+			score        float64
+			limit, steps int
+		}{{0, idle, 1}, {1, c.DeterministicLimit(1), 2}}
+		for _, in := range cases {
+			pAt, err := c.FailureProb(in.limit, in.score)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pBeyond < 0.25 {
-				t.Errorf("%s failure prob one step past idle limit = %g, want ≥0.25", c.Label, pBeyond)
+			if pAt > 1e-4 {
+				t.Errorf("%s failure prob at the score-%g limit = %g, want ≤1e-4", c.Label, in.score, pAt)
+			}
+			if in.limit+in.steps <= c.MaxReduction() {
+				pBeyond, err := c.FailureProb(in.limit+in.steps, in.score)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pBeyond < 0.25 {
+					t.Errorf("%s failure prob %d step(s) past the score-%g limit = %g, want ≥0.25", c.Label, in.steps, in.score, pBeyond)
+				}
 			}
 		}
 	}
@@ -440,9 +449,8 @@ func TestFindCore(t *testing.T) {
 }
 
 func TestReferenceCoreLabels(t *testing.T) {
-	labels := ReferenceCoreLabels()
-	if len(labels) != 16 || labels[0] != "P0C0" || labels[15] != "P1C7" {
-		t.Errorf("labels = %v", labels)
+	if n := len(referenceLimits); n != 16 || referenceLimits[0].label != "P0C0" || referenceLimits[15].label != "P1C7" {
+		t.Errorf("Table I has %d rows from %s to %s", n, referenceLimits[0].label, referenceLimits[n-1].label)
 	}
 	if _, _, _, _, ok := ReferenceTableI("nope"); ok {
 		t.Error("ReferenceTableI accepted a bogus label")

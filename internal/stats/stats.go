@@ -19,6 +19,8 @@ var ErrInsufficientData = errors.New("stats: insufficient data")
 // epsilon comparison the floatcmp lint rule points at: exact ==/!= on
 // computed floats differs in the last ulp between mathematically equal
 // expressions.
+//
+//lint:ignore deadcode floatcmp's message names it as the comparison to use
 func ApproxEqual(a, b, tol float64) bool {
 	if a == b { //lint:ignore floatcmp fast path; also makes Inf == Inf true
 		return true
@@ -160,9 +162,6 @@ type LinearFit struct {
 	R2        float64
 }
 
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.Slope*x + f.Intercept }
-
 // FitLinear performs an OLS fit of ys on xs. It returns
 // ErrInsufficientData when fewer than two distinct x values are present.
 func FitLinear(xs, ys []float64) (LinearFit, error) {
@@ -218,9 +217,6 @@ func (h *Histogram) Add(v int) {
 
 // Count returns the number of observations equal to v.
 func (h *Histogram) Count(v int) int { return h.counts[v] }
-
-// Total returns the total number of observations.
-func (h *Histogram) Total() int { return h.total }
 
 // Support returns the sorted distinct values observed.
 func (h *Histogram) Support() []int {

@@ -1,6 +1,6 @@
 // Package thermal is the lumped thermal model of one processor package:
-// a single thermal resistance from junction to ambient, a first-order
-// time constant for transients, and a leakage-power feedback term.
+// a single thermal resistance from junction to ambient and a
+// leakage-power feedback term.
 //
 // The paper maintains die temperature under 70 °C in all experiments
 // (Sec. VII-D) and reports temperature playing only a modest role in
@@ -24,8 +24,6 @@ type Params struct {
 	// 0.28 °C/W puts a 160 W chip at 70 °C with a 25 °C inlet — the
 	// paper's stress-test operating point.
 	ResistanceCPerW float64
-	// TimeConstantS is the first-order thermal time constant.
-	TimeConstantS float64
 	// TjMaxC is the thermal envelope the experiments must respect.
 	TjMaxC units.Celsius
 }
@@ -36,7 +34,6 @@ func DefaultParams() Params {
 	return Params{
 		AmbientC:        25,
 		ResistanceCPerW: 0.28,
-		TimeConstantS:   8,
 		TjMaxC:          70,
 	}
 }
@@ -46,8 +43,6 @@ func (p Params) Validate() error {
 	switch {
 	case p.ResistanceCPerW <= 0:
 		return fmt.Errorf("thermal: non-positive resistance %g", p.ResistanceCPerW)
-	case p.TimeConstantS <= 0:
-		return fmt.Errorf("thermal: non-positive time constant %g", p.TimeConstantS)
 	case p.TjMaxC <= p.AmbientC:
 		return fmt.Errorf("thermal: TjMax %v not above ambient %v", p.TjMaxC, p.AmbientC)
 	}
@@ -68,29 +63,6 @@ func (p Params) WithinEnvelope(power units.Watt) bool {
 // MaxPower returns the sustained power that saturates the envelope.
 func (p Params) MaxPower() units.Watt {
 	return units.Watt(float64(p.TjMaxC-p.AmbientC) / p.ResistanceCPerW)
-}
-
-// State tracks a transient junction temperature.
-type State struct {
-	params Params
-	temp   units.Celsius
-}
-
-// NewState returns a transient state starting at ambient.
-func NewState(p Params) *State {
-	return &State{params: p, temp: p.AmbientC}
-}
-
-// Temp returns the current junction temperature.
-func (s *State) Temp() units.Celsius { return s.temp }
-
-// Step advances the first-order thermal state by dt seconds under the
-// given power and returns the new temperature.
-func (s *State) Step(power units.Watt, dtSeconds float64) units.Celsius {
-	target := s.params.SteadyTemp(power)
-	alpha := 1 - math.Exp(-dtSeconds/s.params.TimeConstantS)
-	s.temp += units.Celsius(alpha * float64(target-s.temp))
-	return s.temp
 }
 
 // LeakageScale returns the multiplicative leakage-power factor at

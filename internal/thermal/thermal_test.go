@@ -3,8 +3,6 @@ package thermal
 import (
 	"math"
 	"testing"
-
-	"repro/internal/units"
 )
 
 func TestDefaultParamsValidate(t *testing.T) {
@@ -16,7 +14,6 @@ func TestDefaultParamsValidate(t *testing.T) {
 func TestValidateCatchesBadness(t *testing.T) {
 	bad := []func(*Params){
 		func(p *Params) { p.ResistanceCPerW = 0 },
-		func(p *Params) { p.TimeConstantS = 0 },
 		func(p *Params) { p.TjMaxC = p.AmbientC },
 	}
 	for i, mutate := range bad {
@@ -62,43 +59,6 @@ func TestSteadyTempLinear(t *testing.T) {
 	t150 := p.SteadyTemp(150)
 	if math.Abs(float64((t150-t100)-(t100-t50))) > 1e-9 {
 		t.Error("steady temperature not linear in power")
-	}
-}
-
-func TestTransientConverges(t *testing.T) {
-	p := DefaultParams()
-	s := NewState(p)
-	if s.Temp() != p.AmbientC {
-		t.Errorf("initial temp %v, want ambient", s.Temp())
-	}
-	var power units.Watt = 120
-	for i := 0; i < 200; i++ {
-		s.Step(power, 1)
-	}
-	want := p.SteadyTemp(power)
-	if math.Abs(float64(s.Temp()-want)) > 0.1 {
-		t.Errorf("transient settled at %v, want %v", s.Temp(), want)
-	}
-}
-
-func TestTransientIsMonotoneApproach(t *testing.T) {
-	p := DefaultParams()
-	s := NewState(p)
-	prev := s.Temp()
-	for i := 0; i < 60; i++ {
-		cur := s.Step(160, 0.5)
-		if cur < prev-1e-9 {
-			t.Fatalf("heating transient decreased at step %d", i)
-		}
-		prev = cur
-	}
-	// Cooling after load removal.
-	for i := 0; i < 60; i++ {
-		cur := s.Step(0, 0.5)
-		if cur > prev+1e-9 {
-			t.Fatalf("cooling transient increased at step %d", i)
-		}
-		prev = cur
 	}
 }
 

@@ -34,9 +34,6 @@ type Celsius float64
 // Millivolts returns the voltage expressed in millivolts.
 func (v Volt) Millivolts() float64 { return float64(v) * 1000 }
 
-// FromMillivolts converts a value in millivolts to a Volt.
-func FromMillivolts(mv float64) Volt { return Volt(mv / 1000) }
-
 // GHz returns the frequency expressed in gigahertz.
 func (f MHz) GHz() float64 { return float64(f) / 1000 }
 
@@ -60,9 +57,6 @@ func (d Picosecond) Frequency() MHz {
 	}
 	return MHz(1e6 / float64(d))
 }
-
-// Nanoseconds returns the delay expressed in nanoseconds.
-func (d Picosecond) Nanoseconds() float64 { return float64(d) / 1000 }
 
 // String implements fmt.Stringer with the unit suffix the paper uses.
 func (f MHz) String() string { return fmt.Sprintf("%.0f MHz", float64(f)) }
@@ -88,17 +82,6 @@ func (f MHz) Clamp(lo, hi MHz) MHz {
 		return hi
 	}
 	return f
-}
-
-// Clamp returns v bounded to the closed interval [lo, hi].
-func (v Volt) Clamp(lo, hi Volt) Volt {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // Max returns the larger of a and b.

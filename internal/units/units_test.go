@@ -56,9 +56,6 @@ func TestMillivolts(t *testing.T) {
 	if got := Volt(1.25).Millivolts(); got != 1250 {
 		t.Errorf("Millivolts = %g, want 1250", got)
 	}
-	if got := FromMillivolts(37.5); math.Abs(float64(got)-0.0375) > 1e-12 {
-		t.Errorf("FromMillivolts = %v", got)
-	}
 }
 
 func TestGHz(t *testing.T) {
@@ -76,9 +73,6 @@ func TestClamp(t *testing.T) {
 	}
 	if got := MHz(4000).Clamp(1000, 4600); got != 4000 {
 		t.Errorf("clamp mid = %v", got)
-	}
-	if got := Volt(1.5).Clamp(0.8, 1.3); got != 1.3 {
-		t.Errorf("volt clamp = %v", got)
 	}
 }
 
@@ -109,11 +103,5 @@ func TestStrings(t *testing.T) {
 		if c.s != c.want {
 			t.Errorf("String = %q, want %q", c.s, c.want)
 		}
-	}
-}
-
-func TestNanoseconds(t *testing.T) {
-	if got := Picosecond(1250).Nanoseconds(); got != 1.25 {
-		t.Errorf("Nanoseconds = %g, want 1.25", got)
 	}
 }

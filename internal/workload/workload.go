@@ -430,15 +430,3 @@ func Critical() []Profile { return ByRole(RoleCritical) }
 
 // Background returns the throttle-tolerant Table II workloads.
 func Background() []Profile { return ByRole(RoleBackground) }
-
-// WorstStress returns the most stressful realistic workload — the one
-// that defines the thread-worst configuration (x264 in the paper).
-func WorstStress() Profile {
-	ws := Realistic()[0]
-	for _, p := range Realistic() {
-		if p.StressScore > ws.StressScore {
-			ws = p
-		}
-	}
-	return ws
-}

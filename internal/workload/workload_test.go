@@ -105,11 +105,23 @@ func TestTableIIPartition(t *testing.T) {
 	}
 }
 
+// worstStress returns the most stressful realistic workload, the one
+// that defines the thread-worst configuration (x264 in the paper).
+func worstStress() Profile {
+	ws := Realistic()[0]
+	for _, p := range Realistic() {
+		if p.StressScore > ws.StressScore {
+			ws = p
+		}
+	}
+	return ws
+}
+
 func TestStressOrderings(t *testing.T) {
 	// Fig. 9/10: x264 and ferret top the stress ranking; gcc and leela
 	// sit at the bottom.
-	if WorstStress().Name != "x264" {
-		t.Errorf("worst stress = %s, want x264", WorstStress().Name)
+	if worstStress().Name != "x264" {
+		t.Errorf("worst stress = %s, want x264", worstStress().Name)
 	}
 	x, f := MustByName("x264"), MustByName("ferret")
 	g, l := MustByName("gcc"), MustByName("leela")
@@ -195,7 +207,7 @@ func TestStressmarks(t *testing.T) {
 	if !vv.Synchronized || vv.ThrottlePeriod != 128 || vv.ThreadsPerCore != 4 {
 		t.Errorf("voltage virus recipe wrong: %+v", vv)
 	}
-	if vv.Profile.StressScore < WorstStress().StressScore {
+	if vv.Profile.StressScore < worstStress().StressScore {
 		t.Error("voltage virus below the worst profiled application stress")
 	}
 	if PowerVirus().Profile.CdynRel < 1 {
@@ -231,34 +243,6 @@ func TestStressmarkValidateCatchesBadness(t *testing.T) {
 	s.ThrottlePeriod = -1
 	if err := s.Validate(); err == nil {
 		t.Error("negative throttle period accepted")
-	}
-}
-
-func TestKernels(t *testing.T) {
-	for _, k := range UBenchKernels() {
-		if err := k.Check(64); err != nil {
-			t.Errorf("%s: %v", k.Name, err)
-		}
-		// Deterministic across calls.
-		if k.Run(100) != k.Run(100) {
-			t.Errorf("%s not deterministic", k.Name)
-		}
-		// Size-sensitive (different work → different checksum).
-		if k.Run(100) == k.Run(101) {
-			t.Errorf("%s checksum insensitive to size", k.Name)
-		}
-		if k.Run(0) != 0 {
-			t.Errorf("%s non-zero checksum for zero size", k.Name)
-		}
-	}
-}
-
-func TestKernelFor(t *testing.T) {
-	if _, ok := KernelFor("daxpy"); !ok {
-		t.Error("no kernel for daxpy")
-	}
-	if _, ok := KernelFor("gcc"); ok {
-		t.Error("kernel reported for profile-only workload")
 	}
 }
 
