@@ -1,6 +1,7 @@
 package chip
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -43,6 +44,50 @@ func TestCoreLookup(t *testing.T) {
 	}
 	if _, err := m.ChipOf("nope"); err == nil {
 		t.Error("bogus ChipOf label accepted")
+	}
+}
+
+// TestCoreLookupMatchesScan holds the label-addressed lookup to a scan
+// of every core, on the reference machine and on one whose labels do
+// not all match their slots: two swapped, one free-form, one naming a
+// chip that does not exist. Malformed and unknown labels must miss.
+func TestCoreLookupMatchesScan(t *testing.T) {
+	prof := silicon.Reference().Clone()
+	c0 := prof.Chips[0].Cores
+	c0[1].Label, c0[2].Label = c0[2].Label, c0[1].Label
+	prof.Chips[1].Cores[3].Label = "core-b3"
+	prof.Chips[1].Cores[4].Label = "P7C0"
+	shuffled, err := New(prof, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := []string{"", "P", "PC", "P0C", "P0C3x", "P00C3", "P0C03", "p0c3", "P-1C3",
+		"P99999C0", "P0C1 ", "P1C99", "P2C0", "core-b3", "P7C0", "P1C3", "P1C4"}
+	for ci := range 2 {
+		for k := range 8 {
+			labels = append(labels, fmt.Sprintf("P%dC%d", ci, k))
+		}
+	}
+	for _, m := range []*Machine{NewReference(), shuffled} {
+		for _, label := range labels {
+			var wantChip *Chip
+			var wantCore *Core
+			for _, c := range m.Chips {
+				for _, core := range c.Cores {
+					if wantCore == nil && core.Profile.Label == label {
+						wantChip, wantCore = c, core
+					}
+				}
+			}
+			core, err := m.Core(label)
+			if core != wantCore || (err == nil) != (wantCore != nil) {
+				t.Errorf("Core(%q) = %v, %v; scan finds %v", label, core, err, wantCore)
+			}
+			chip, err := m.ChipOf(label)
+			if chip != wantChip || (err == nil) != (wantChip != nil) {
+				t.Errorf("ChipOf(%q) = %v, %v; scan finds %v", label, chip, err, wantChip)
+			}
+		}
 	}
 }
 

@@ -194,26 +194,58 @@ func (m *Machine) Power() PowerModel { return m.power }
 
 // Core returns the core with the given label.
 func (m *Machine) Core(label string) (*Core, error) {
-	for _, c := range m.Chips {
-		for _, core := range c.Cores {
-			if core.Profile.Label == label {
-				return core, nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("chip: no core %q", label)
+	_, core, err := m.find(label)
+	return core, err
 }
 
 // ChipOf returns the chip containing the core with the given label.
 func (m *Machine) ChipOf(label string) (*Chip, error) {
+	c, _, err := m.find(label)
+	return c, err
+}
+
+// find returns the core with the given label and its chip. A label of
+// the form P<chip>C<core> names its slot, so find checks that slot
+// first and scans every core only when the slot holds another label.
+// New rejects duplicate labels, so the slot's core is the only match.
+func (m *Machine) find(label string) (*Chip, *Core, error) {
+	if ci, k, ok := parseCoreLabel(label); ok && ci < len(m.Chips) && k < len(m.Chips[ci].Cores) {
+		if c := m.Chips[ci]; c.Cores[k].Profile.Label == label {
+			return c, c.Cores[k], nil
+		}
+	}
 	for _, c := range m.Chips {
 		for _, core := range c.Cores {
 			if core.Profile.Label == label {
-				return c, nil
+				return c, core, nil
 			}
 		}
 	}
-	return nil, fmt.Errorf("chip: no core %q", label)
+	return nil, nil, fmt.Errorf("chip: no core %q", label)
+}
+
+// parseCoreLabel reads the chip and core indices of a P<chip>C<core>
+// label, each one to four decimal digits.
+func parseCoreLabel(label string) (chip, core int, ok bool) {
+	chip, rest, ok := parseIndex(label, 'P')
+	if !ok {
+		return 0, 0, false
+	}
+	core, rest, ok = parseIndex(rest, 'C')
+	return chip, core, ok && rest == ""
+}
+
+// parseIndex reads prefix followed by one to four decimal digits from
+// the front of s and returns their value and the rest of s.
+func parseIndex(s string, prefix byte) (n int, rest string, ok bool) {
+	if len(s) < 2 || s[0] != prefix {
+		return 0, "", false
+	}
+	i := 1
+	for ; i < len(s) && i <= 4 && '0' <= s[i] && s[i] <= '9'; i++ {
+		n = 10*n + int(s[i]-'0')
+	}
+	return n, s[i:], i > 1
 }
 
 // AllCores returns every core in (chip, core) order.

@@ -11,33 +11,36 @@ import (
 	"repro/internal/chip"
 )
 
-// dialScript connects, sends the script lines, and returns the response
-// lines.
-func dialScript(t *testing.T, addr string, lines ...string) []string {
-	t.Helper()
+// dialScript connects, sends the script lines and a closing quit, and
+// returns the response lines once the server has closed the connection
+// and every write has finished. err is the dial error or the first
+// write error: a session the server sheds or ends early makes one.
+func dialScript(addr string, lines ...string) (out []string, err error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	//lint:ignore errdrop test teardown; the session already quit and the response was read
+	//lint:ignore errdrop test teardown; the session already ended and the writer finished
 	defer conn.Close()
+	sent := make(chan error, 1)
 	go func() {
 		for _, l := range lines {
 			if _, err := fmt.Fprintln(conn, l); err != nil {
-				t.Errorf("send %q: %v", l, err)
+				sent <- fmt.Errorf("send %q: %w", l, err)
 				return
 			}
 		}
 		if _, err := fmt.Fprintln(conn, "quit"); err != nil {
-			t.Errorf("send quit: %v", err)
+			sent <- fmt.Errorf("send quit: %w", err)
+			return
 		}
+		sent <- nil
 	}()
-	var out []string
 	sc := bufio.NewScanner(conn)
 	for sc.Scan() {
 		out = append(out, sc.Text())
 	}
-	return out
+	return out, <-sent
 }
 
 func startServer(t *testing.T) (*Server, string) {
@@ -63,7 +66,10 @@ func startServer(t *testing.T) (*Server, string) {
 
 func TestServerSingleSession(t *testing.T) {
 	_, addr := startServer(t)
-	resp := dialScript(t, addr, "cpm P0C3 6", "cpm P0C3", "freq P0C3")
+	resp, err := dialScript(addr, "cpm P0C3 6", "cpm P0C3", "freq P0C3")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(resp) != 4 { // 3 commands + quit ack
 		t.Fatalf("got %d responses: %v", len(resp), resp)
 	}
@@ -91,11 +97,15 @@ func TestServerConcurrentClients(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			core := fmt.Sprintf("P1C%d", c%8)
-			resp := dialScript(t, addr,
+			resp, err := dialScript(addr,
 				fmt.Sprintf("cpm %s 1", core),
 				fmt.Sprintf("freq %s", core),
 				"chip P1",
 			)
+			if err != nil {
+				errs <- fmt.Sprintf("client %d: %v", c, err)
+				return
+			}
 			if len(resp) != 4 {
 				errs <- fmt.Sprintf("client %d: %d responses", c, len(resp))
 				return

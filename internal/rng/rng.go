@@ -81,14 +81,27 @@ func (s *Source) Intn(n int) int {
 // Norm returns a normally distributed value with the given mean and
 // standard deviation, via the Box–Muller transform.
 func (s *Source) Norm(mean, stddev float64) float64 {
-	// Draw until u1 is nonzero to keep Log finite.
-	u1 := s.Float64()
+	return mean + stddev*BoxMuller(s.NormUniforms())
+}
+
+// NormUniforms draws the two uniforms one Norm consumes, advancing the
+// stream exactly as Norm does: u1 in (0, 1), redrawn while it is zero
+// to keep Log finite, then u2 in [0, 1). Both are multiples of 2^-53.
+// A caller that can decide what it needs from bounds on the draw
+// (silicon.CoreProfile.SurvivesTrial) takes the uniforms and calls
+// BoxMuller only when the bounds cannot decide.
+func (s *Source) NormUniforms() (u1, u2 float64) {
+	u1 = s.Float64()
 	for u1 == 0 {
 		u1 = s.Float64()
 	}
-	u2 := s.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
+	return u1, s.Float64()
+}
+
+// BoxMuller is the standard normal deviate the Box–Muller transform
+// makes of the uniforms u1 in (0, 1) and u2 in [0, 1).
+func BoxMuller(u1, u2 float64) float64 {
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
 // TruncNorm returns a normal draw truncated to [lo, hi] by rejection,

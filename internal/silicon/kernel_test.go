@@ -32,7 +32,7 @@ func refRequiredGuardPs(c *CoreProfile, score float64) units.Picosecond {
 		frac := score / UBenchScore
 		return c.IdleGuardPs + units.Picosecond(frac*float64(c.UBenchGuardPs-c.IdleGuardPs))
 	default:
-		lim := c.ubLimit - c.RollbackAt(normalizeAppScore(score))
+		lim := c.ubLimit - refRollbackAt(c, normalizeAppScore(score))
 		lim = min(max(lim, 0), c.PresetTaps)
 		g, err := refGuardPs(c, lim)
 		if err != nil {
@@ -40,6 +40,22 @@ func refRequiredGuardPs(c *CoreProfile, score float64) units.Picosecond {
 		}
 		return units.Picosecond(float64(g) / (1 + limitHeadroomSigmas*c.SigmaFrac))
 	}
+}
+
+// refRollbackAt is RollbackAt as the rounding of math.Pow, without the
+// bounds that decide it.
+func refRollbackAt(c *CoreProfile, score float64) int {
+	if score <= 0 || c.Vulnerability == 0 {
+		return 0
+	}
+	if score > 1 {
+		score = 1
+	}
+	rb := int(math.Round(float64(c.Vulnerability) * math.Pow(score, c.Gamma)))
+	if rb > c.Vulnerability {
+		rb = c.Vulnerability
+	}
+	return rb
 }
 
 func refSurvivesTrial(c *CoreProfile, reduction int, score float64, src *rng.Source) (bool, error) {
@@ -90,9 +106,14 @@ var kernelScores = []float64{
 	math.NaN(), math.Inf(1), math.Inf(-1),
 }
 
+// kernelDraws is how many seeds checkKernel draws SurvivesTrial from at
+// each (reduction, score).
+const kernelDraws = 64
+
 // TestGuardKernelMatchesReference holds the one-walk kernel bit for bit
 // to the per-value references: GuardPs, RequiredGuardPs, SurvivesTrial
-// (result and the random source's state after the draw), FailureProb
+// (result and the random source's state after each of kernelDraws
+// draws), FailureProb
 // and MarginSigmas, with the same errors, on the reference server and
 // 50 generated ones, each core also aged in place and refreshed, at
 // every reduction from −1 to PresetTaps+1 and every kernelScores score.
@@ -153,15 +174,17 @@ func checkKernel(t *testing.T, name string, c *CoreProfile) {
 			if !same(p, wp) || !sameErr(err, werr) {
 				t.Fatalf("%s: FailureProb(%d, %v) = %v, %v; reference %v, %v", name, r, score, p, err, wp, werr)
 			}
-			seed := uint64((r+1)*len(kernelScores) + si + 1)
-			src, wsrc := rng.New(seed), rng.New(seed)
-			ok, err := c.SurvivesTrial(r, score, src)
-			wok, werr := refSurvivesTrial(c, r, score, wsrc)
-			if ok != wok || !sameErr(err, werr) {
-				t.Fatalf("%s: SurvivesTrial(%d, %v) = %v, %v; reference %v, %v", name, r, score, ok, err, wok, werr)
-			}
-			if a, b := src.Uint64(), wsrc.Uint64(); a != b {
-				t.Fatalf("%s: SurvivesTrial(%d, %v) left the source at %#x, the reference at %#x", name, r, score, a, b)
+			for d := range uint64(kernelDraws) {
+				seed := uint64((r+1)*len(kernelScores)+si)*kernelDraws + d + 1
+				src, wsrc := rng.New(seed), rng.New(seed)
+				ok, err := c.SurvivesTrial(r, score, src)
+				wok, werr := refSurvivesTrial(c, r, score, wsrc)
+				if ok != wok || !sameErr(err, werr) {
+					t.Fatalf("%s: SurvivesTrial(%d, %v) seed %d = %v, %v; reference %v, %v", name, r, score, seed, ok, err, wok, werr)
+				}
+				if a, b := src.Uint64(), wsrc.Uint64(); a != b {
+					t.Fatalf("%s: SurvivesTrial(%d, %v) seed %d left the source at %#x, the reference at %#x", name, r, score, seed, a, b)
+				}
 			}
 		}
 	}

@@ -218,13 +218,23 @@ func (c *CoreProfile) StaticPerCoreFreq() units.MHz {
 
 // RollbackAt returns how many inserted-delay steps an application with
 // the given stress score (0 = benign, 1 = the worst profiled workload)
-// forces the core to roll back from its uBench limit.
+// forces the core to roll back from its uBench limit:
+// round(Vulnerability · score^Gamma), clamped to Vulnerability. It
+// decides the rounding from bounds where it can (boundedRollback) and
+// calls math.Pow only near a rounding threshold or outside the
+// tabulated domain; the result is the same either way.
+//
+//atm:hotpath
 func (c *CoreProfile) RollbackAt(score float64) int {
 	if score <= 0 || c.Vulnerability == 0 {
 		return 0
 	}
-	if score > 1 {
-		score = 1
+	if score >= 1 {
+		// Pow(1, γ) is 1 for every γ, NaN included.
+		return c.Vulnerability
+	}
+	if rb, ok := boundedRollback(c.Vulnerability, score, c.Gamma); ok {
+		return rb
 	}
 	rb := int(math.Round(float64(c.Vulnerability) * math.Pow(score, c.Gamma)))
 	if rb > c.Vulnerability {
@@ -336,7 +346,10 @@ func (c *CoreProfile) DeterministicLimit(score float64) int {
 // SurvivesTrial draws one stochastic trial: does the core execute the
 // given workload correctly at the given reduction? The per-trial
 // requirement is the nominal guard inflated by a half-normal tail —
-// the worst uncovered droop seen during the run.
+// the worst uncovered droop seen during the run: the run survives when
+// g ≥ req·(1 + |σ·z|) for a standard normal z. The draw consumes the
+// stream exactly as src.Norm does, and the outcome is decided from
+// bounds on |z| unless they cannot decide it (see survives).
 //
 //atm:hotpath
 func (c *CoreProfile) SurvivesTrial(reduction int, score float64, src *rng.Source) (bool, error) {
@@ -344,8 +357,8 @@ func (c *CoreProfile) SurvivesTrial(reduction int, score float64, src *rng.Sourc
 	if err != nil {
 		return false, err
 	}
-	tail := math.Abs(src.Norm(0, c.SigmaFrac))
-	return float64(g) >= float64(req)*(1+tail), nil
+	u1, u2 := src.NormUniforms()
+	return survives(float64(g), float64(req), c.SigmaFrac, u1, u2), nil
 }
 
 // FailureProb returns the per-trial failure probability at the given
@@ -420,8 +433,12 @@ func (c *CoreProfile) Validate() error {
 	if c.Vulnerability < 0 {
 		return fmt.Errorf("silicon: %s negative vulnerability", c.Label)
 	}
-	if c.SigmaFrac <= 0 {
-		return fmt.Errorf("silicon: %s non-positive sigma", c.Label)
+	// Negated comparisons, so NaN is rejected too.
+	if !(c.SigmaFrac > 0 && c.SigmaFrac <= math.MaxFloat64) {
+		return fmt.Errorf("silicon: %s sigma %v not finite and positive", c.Label, c.SigmaFrac)
+	}
+	if !(c.Gamma > 0 && c.Gamma <= math.MaxFloat64) {
+		return fmt.Errorf("silicon: %s rollback gamma %v not finite and positive", c.Label, c.Gamma)
 	}
 	if len(c.SiteSkewPs) != c.params.NumCPMSites {
 		return fmt.Errorf("silicon: %s has %d CPM sites, want %d",
@@ -470,11 +487,14 @@ func (s *ServerProfile) AllCores() []*CoreProfile {
 	return out
 }
 
-// FindCore returns the core with the given label, or nil.
+// FindCore returns the first core, in (chip, core) order, with the
+// given label, or nil.
 func (s *ServerProfile) FindCore(label string) *CoreProfile {
-	for _, c := range s.AllCores() {
-		if c.Label == label {
-			return c
+	for _, ch := range s.Chips {
+		for _, c := range ch.Cores {
+			if c.Label == label {
+				return c
+			}
 		}
 	}
 	return nil
@@ -528,18 +548,28 @@ func (s *ServerProfile) ScaleTrialNoise(factor float64) *ServerProfile {
 	return out
 }
 
-// Validate checks every core on the server.
+// Validate checks every core on the server, and that no two chips and
+// no two cores share a label: cores are addressed by label, so a
+// duplicate would shadow the core behind it.
 func (s *ServerProfile) Validate() error {
 	if len(s.Chips) == 0 {
 		return fmt.Errorf("silicon: server has no chips")
 	}
-	for _, ch := range s.Chips {
+	for ci, ch := range s.Chips {
 		if len(ch.Cores) == 0 {
 			return fmt.Errorf("silicon: chip %s has no cores", ch.Label)
+		}
+		for _, prev := range s.Chips[:ci] {
+			if prev.Label == ch.Label {
+				return fmt.Errorf("silicon: duplicate chip label %q", ch.Label)
+			}
 		}
 		for _, c := range ch.Cores {
 			if err := c.Validate(); err != nil {
 				return err
+			}
+			if s.FindCore(c.Label) != c {
+				return fmt.Errorf("silicon: duplicate core label %q", c.Label)
 			}
 		}
 	}

@@ -37,6 +37,35 @@ func TestParamsValidateCatchesBadness(t *testing.T) {
 	}
 }
 
+// TestProfileValidateCatchesBadness: each edit to the reference
+// server's P0C3 (first four rows) or to its labels ran and reported
+// nonsense limits before Validate caught it. A NaN sigma fails every
+// run; a NaN or negative gamma breaks the rollback curve; a duplicate
+// label shadows the core behind it from every lookup by label.
+func TestProfileValidateCatchesBadness(t *testing.T) {
+	bad := []func(*ServerProfile){
+		func(s *ServerProfile) { s.Chips[0].Cores[3].SigmaFrac = math.NaN() },
+		func(s *ServerProfile) { s.Chips[0].Cores[3].Gamma = math.NaN() },
+		func(s *ServerProfile) { s.Chips[0].Cores[3].Gamma = -1 },
+		func(s *ServerProfile) { s.Chips[0].Cores[3].Label = "P0C0" },
+		func(s *ServerProfile) { s.Chips[0].Cores[3].SigmaFrac = math.Inf(1) },
+		func(s *ServerProfile) { s.Chips[0].Cores[3].Gamma = 0 },
+		func(s *ServerProfile) { s.Chips[0].Cores[3].Gamma = math.Inf(1) },
+		func(s *ServerProfile) { s.Chips[1].Cores[7].Label = "P0C3" },
+		func(s *ServerProfile) { s.Chips[1].Label = "P0" },
+	}
+	if err := Reference().Validate(); err != nil {
+		t.Fatalf("reference server invalid: %v", err)
+	}
+	for i, mutate := range bad {
+		s := Reference().Clone()
+		mutate(s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("mutation %d not caught by Validate", i)
+		}
+	}
+}
+
 func TestScale(t *testing.T) {
 	p := DefaultParams()
 	if got := p.Scale(p.VRef); math.Abs(got-1) > 1e-12 {
