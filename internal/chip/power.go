@@ -2,6 +2,7 @@ package chip
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/thermal"
 	"repro/internal/units"
@@ -42,19 +43,22 @@ func DefaultPowerModel() PowerModel {
 	}
 }
 
-// Validate reports whether the model is usable.
+// Validate reports whether the model is usable: finite powers, the
+// uncore and leakage non-negative, Cdyn and VRefForCdyn positive, and
+// GatedLeakFrac inside [0, 1]. Each test is written so that NaN fails
+// it.
 func (pm PowerModel) Validate() error {
 	switch {
-	case pm.UncoreW < 0:
-		return fmt.Errorf("chip: negative uncore power %v", pm.UncoreW)
-	case pm.CoreLeakW < 0:
-		return fmt.Errorf("chip: negative core leakage %v", pm.CoreLeakW)
-	case pm.CdynMaxWPerGHz <= 0:
-		return fmt.Errorf("chip: non-positive Cdyn %v", pm.CdynMaxWPerGHz)
-	case pm.GatedLeakFrac < 0 || pm.GatedLeakFrac > 1:
-		return fmt.Errorf("chip: gated leak fraction %g outside [0,1]", pm.GatedLeakFrac)
-	case pm.VRefForCdyn <= 0:
-		return fmt.Errorf("chip: non-positive VRefForCdyn %v", pm.VRefForCdyn)
+	case !(pm.UncoreW >= 0) || math.IsInf(float64(pm.UncoreW), 1):
+		return fmt.Errorf("chip: UncoreW %v, want non-negative and finite", pm.UncoreW)
+	case !(pm.CoreLeakW >= 0) || math.IsInf(float64(pm.CoreLeakW), 1):
+		return fmt.Errorf("chip: CoreLeakW %v, want non-negative and finite", pm.CoreLeakW)
+	case !(pm.CdynMaxWPerGHz > 0) || math.IsInf(float64(pm.CdynMaxWPerGHz), 1):
+		return fmt.Errorf("chip: CdynMaxWPerGHz %v, want positive and finite", pm.CdynMaxWPerGHz)
+	case !(pm.GatedLeakFrac >= 0 && pm.GatedLeakFrac <= 1):
+		return fmt.Errorf("chip: GatedLeakFrac %g outside [0,1]", pm.GatedLeakFrac)
+	case !(pm.VRefForCdyn > 0) || math.IsInf(float64(pm.VRefForCdyn), 1):
+		return fmt.Errorf("chip: VRefForCdyn %v, want positive and finite", pm.VRefForCdyn)
 	}
 	return nil
 }

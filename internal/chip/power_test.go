@@ -2,9 +2,12 @@ package chip
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/pdn"
+	"repro/internal/silicon"
 	"repro/internal/thermal"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -27,6 +30,45 @@ func TestDefaultPowerModelValidates(t *testing.T) {
 		if err := pm.Validate(); err == nil {
 			t.Errorf("mutation %d not caught", i)
 		}
+	}
+}
+
+// TestPowerModelRejectsNonFinite sets each field, in turn, to NaN,
+// +Inf and −Inf: each must be rejected with an error naming the field.
+func TestPowerModelRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*PowerModel, float64)
+	}{
+		{"UncoreW", func(pm *PowerModel, v float64) { pm.UncoreW = units.Watt(v) }},
+		{"CoreLeakW", func(pm *PowerModel, v float64) { pm.CoreLeakW = units.Watt(v) }},
+		{"CdynMaxWPerGHz", func(pm *PowerModel, v float64) { pm.CdynMaxWPerGHz = units.Watt(v) }},
+		{"GatedLeakFrac", func(pm *PowerModel, v float64) { pm.GatedLeakFrac = v }},
+		{"VRefForCdyn", func(pm *PowerModel, v float64) { pm.VRefForCdyn = units.Volt(v) }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			pm := DefaultPowerModel()
+			f.set(&pm, v)
+			if err := pm.Validate(); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: Validate() = %v, want an error naming %s", f.name, v, err, f.name)
+			}
+		}
+	}
+}
+
+// TestNewRejectsNaNThermalAndLoadline: a NaN thermal resistance or
+// loadline fails chip.New, naming the field, instead of the first Solve.
+func TestNewRejectsNaNThermalAndLoadline(t *testing.T) {
+	tp := thermal.DefaultParams()
+	tp.ResistanceCPerW = math.NaN()
+	if _, err := New(silicon.Reference(), Options{Thermal: tp}); err == nil || !strings.Contains(err.Error(), "ResistanceCPerW") {
+		t.Errorf("NaN thermal resistance: New error %v, want one naming ResistanceCPerW", err)
+	}
+	pp := pdn.DefaultParams()
+	pp.LoadlineOhms = math.NaN()
+	if _, err := New(silicon.Reference(), Options{PDN: pp}); err == nil || !strings.Contains(err.Error(), "LoadlineOhms") {
+		t.Errorf("NaN loadline: New error %v, want one naming LoadlineOhms", err)
 	}
 }
 

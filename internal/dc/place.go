@@ -148,22 +148,92 @@ func (p *Placer) place(cdyn float64, allow []float64) (chipIdx, coreIdx int, pre
 	return bestChip, bestCore, bestPred, true, breakerOnly
 }
 
-// A placePass is one tick's placement pass over the queue. It keeps
-// minFail, the smallest cdyn that failed in the pass with no chip
-// refused by its breaker alone. A failed attempt changes no placer
-// state and a success only adds demand (cdyn and SpanW are
-// non-negative) and busies a core, so every chip that refused minFail
-// refuses any later tenant at or above it, whatever its breaker says.
-// Such a tenant defers without being scored, but its attempt still
-// asks every breaker in topology order, so rejection counts, half-open
-// transitions and event clocks are those of a full scan. Within a pass
-// only its own placements may change the placer; allowances, chip
-// flags and breaker outcomes stay fixed.
+// A placePass is the placement pass's state across a run's ticks.
+//
+// Within a tick's pass it keeps minFail, the smallest cdyn that failed
+// in the pass with no chip refused by its breaker alone. A failed
+// attempt changes no placer state and a success only adds demand (cdyn
+// and SpanW are non-negative) and busies a core, so every chip that
+// refused minFail refuses any later tenant at or above it, whatever its
+// breaker says. Such a tenant defers without being scored, but its
+// attempt still asks every breaker in topology order, so rejection
+// counts, half-open transitions and event clocks are those of a full
+// scan. Within a pass only its own placements may change the placer;
+// allowances, chip flags and breaker outcomes stay fixed.
+//
+// Across ticks it carries a whole pass's failures. When a scanned pass
+// ends, every survivor was refused by every chip on the chip's flags,
+// free cores or budget (demand + cdyn·span > grant + eps), unless a
+// breaker alone refused one. The pass records each chip's state then.
+// The next pass carries the survivors over unscored when no tenant has
+// joined the queue since, no survivor was refused by a breaker alone,
+// and each chip still refuses them all: it is flagged now, or it was
+// unflagged then and is now, with the same span, and either has no free
+// core now or had one then and has no less demand and no more grant
+// now. The refusal test is monotone in demand and grant under
+// rounding, so these plain comparisons are exact; a NaN fails them and
+// the pass is scanned. A carried pass asks each chip's breaker for all
+// its tenants at once with AllowN, in topology order. Breakers are
+// independent, so rejection counts, transitions and clocks end as a
+// full scan leaves them. The record stays that of the last scanned
+// pass, whose survivors a carried pass leaves unchanged.
 type placePass struct {
-	minFail float64
+	minFail     float64
+	breakerOnly bool // a failed tenant was refused by a breaker alone
+
+	survivors int // the last scanned pass's, -1 before the first
+	last      []passChip
 }
 
-func newPlacePass() placePass { return placePass{minFail: math.Inf(1)} }
+// passChip is one chip's state when the last scanned pass ended.
+type passChip struct {
+	flagged              bool // Quarantined or Offline
+	free                 bool // a schedulable idle core
+	spanW, demand, grant float64
+}
+
+func newPlacePass(chips int) *placePass {
+	return &placePass{survivors: -1, last: make([]passChip, chips)}
+}
+
+// carry starts a tick's pass over a queue of n tenants. It reports
+// whether the pass carries the last pass's failures; it has then asked
+// every breaker n times and every tenant defers. Otherwise the caller
+// offers each tenant to place and calls end.
+//
+//atm:hotpath
+func (s *placePass) carry(p *Placer, grants []float64, n int) bool {
+	if s.carries(p, grants, n) {
+		for i := range p.Chips {
+			p.Chips[i].Breaker.AllowN(n)
+		}
+		return true
+	}
+	s.minFail, s.breakerOnly = math.Inf(1), false
+	return false
+}
+
+// carries is carry's test, O(chips).
+//
+//atm:hotpath
+func (s *placePass) carries(p *Placer, grants []float64, n int) bool {
+	if n != s.survivors || s.breakerOnly {
+		return false
+	}
+	for i := range p.Chips {
+		ch, last := &p.Chips[i], &s.last[i]
+		switch {
+		case ch.Quarantined || ch.Offline: // refuses every tenant
+		//lint:ignore floatcmp the carry needs the span the survivors were refused at, not a close one
+		case last.flagged || ch.SpanW != last.spanW:
+			return false
+		case ch.freeCores == 0: // refuses every tenant
+		case !last.free || !(ch.demand >= last.demand) || !(grants[i] <= last.grant):
+			return false
+		}
+	}
+	return true
+}
 
 // place offers the pass's next tenant to p and answers as Place would.
 //
@@ -176,10 +246,31 @@ func (s *placePass) place(p *Placer, cdyn float64, allow []float64) (chipIdx, co
 		return 0, 0, 0, false
 	}
 	chipIdx, coreIdx, predMHz, ok, breakerOnly := p.place(cdyn, allow)
-	if !ok && !breakerOnly {
-		s.minFail = cdyn
+	if !ok {
+		if breakerOnly {
+			s.breakerOnly = true
+		} else {
+			s.minFail = cdyn
+		}
 	}
 	return chipIdx, coreIdx, predMHz, ok
+}
+
+// end records the state a scanned pass left, with its survivor count.
+//
+//atm:hotpath
+func (s *placePass) end(p *Placer, grants []float64, survivors int) {
+	s.survivors = survivors
+	for i := range p.Chips {
+		ch := &p.Chips[i]
+		s.last[i] = passChip{
+			flagged: ch.Quarantined || ch.Offline,
+			free:    ch.freeCores > 0,
+			spanW:   ch.SpanW,
+			demand:  ch.demand,
+			grant:   grants[i],
+		}
+	}
 }
 
 // Release frees a core and retires its tenant's power draw.

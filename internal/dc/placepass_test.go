@@ -142,34 +142,161 @@ type attempt struct {
 	ok         bool
 }
 
-// TestPlacePassMatchesFullScan drives random placer states through up
-// to three ticks of the skipping pass and of a full scan, survivors
-// carried to the next tick as the sim carries them, and requires the
-// same placements, deferral counts, placer state, and breaker
-// rejections, states and later answers. The states include breakers
-// that alone refuse an otherwise admissible chip and, on the event
-// clock, half-open within the pass.
-func TestPlacePassMatchesFullScan(t *testing.T) {
-	skipped, breakerAlone := 0, 0
-	for seed := uint64(1); seed <= 3000; seed++ {
-		got, want := randomPassState(seed), randomPassState(seed)
-		gotQ, wantQ := got.queue, want.queue
-		for tick := got.start; tick < got.start+1+int64(seed%3); tick++ {
-			*got.clock, *want.clock = tick, tick
-			var gotA, wantA []attempt
-			pass := newPlacePass()
-			var gotStill, wantStill []float64
-			for _, c := range gotQ {
-				if c >= pass.minFail {
-					skipped++
-				}
-				ci, cj, pred, ok := pass.place(got.placer, c, got.allow)
-				gotA = append(gotA, attempt{ci, cj, math.Float64bits(pred), ok})
-				if !ok {
-					gotStill = append(gotStill, c)
+// changeBetweenTicks makes 0–3 changes to both states alike, as the
+// sim's tick makes them between two passes: a completion frees a busy
+// core (Release), a throttle or resume moves a live chip's demand with
+// no core freed (AddDemand), a grant rises or falls, a tenant arrives
+// at a random place in the queue, a live chip is Reset (dead or
+// quarantined) or an offline one Rebuilt, the clock steps, a chip's
+// breaker is asked a few times, or it sees a failure or a success. got
+// and want are equal when it is called, so the draws read got.
+func changeBetweenTicks(src *rng.Source, got, want *passState) {
+	both := [2]*passState{got, want}
+	for range []int{0, 0, 1, 1, 1, 2, 3}[src.Intn(7)] {
+		i := src.Intn(len(got.placer.Chips))
+		ch := &got.placer.Chips[i]
+		live := !ch.Quarantined && !ch.Offline
+		switch src.Intn(9) {
+		case 0:
+			j, cdyn := src.Intn(len(ch.Cores)), 0.3+src.Float64()
+			if live && ch.busy[j] {
+				for _, s := range both {
+					s.placer.Release(i, j, cdyn)
 				}
 			}
-			for _, c := range wantQ {
+		case 1:
+			delta := (2*src.Float64() - 1) * (ch.SpanW + 0.5)
+			if live {
+				for _, s := range both {
+					s.placer.AddDemand(i, delta)
+				}
+			}
+		case 2:
+			delta := (2*src.Float64() - 1) * (ch.SpanW + 0.5)
+			for _, s := range both {
+				s.allow[i] += delta
+			}
+		case 3:
+			k, cdyn := src.Intn(len(got.queue)+1), 1.5*src.Float64()
+			for _, s := range both {
+				s.queue = slices.Insert(s.queue, k, cdyn)
+			}
+		case 4:
+			dead := src.Intn(4) == 0
+			if live {
+				for _, s := range both {
+					s.placer.Reset(i, dead)
+				}
+			}
+		case 5:
+			idle, span := 40+20*src.Float64(), 20*src.Float64()
+			if src.Intn(2) == 0 {
+				span = ch.SpanW
+			}
+			var cores []PlacerCore
+			for j := range 1 + src.Intn(8) {
+				cores = append(cores, PlacerCore{Label: fmt.Sprintf("C%d", j), Quarantined: src.Intn(5) == 0,
+					Slope: -1 - 2*src.Float64(), Intercept: 4000 + 300*src.Float64()})
+			}
+			if ch.Offline && !ch.Quarantined {
+				for _, s := range both {
+					s.placer.Rebuild(i, idle, span, slices.Clone(cores))
+				}
+			}
+		case 6:
+			step := int64(1 + src.Intn(4))
+			for _, s := range both {
+				*s.clock += step
+			}
+		case 7:
+			calls := 1 + src.Intn(6)
+			for _, s := range both {
+				for range calls {
+					s.placer.Chips[i].Breaker.Allow()
+				}
+			}
+		case 8:
+			fail := src.Intn(2) == 0
+			for _, s := range both {
+				if fail {
+					s.placer.Chips[i].Breaker.Failure()
+				} else {
+					s.placer.Chips[i].Breaker.Success()
+				}
+			}
+		}
+	}
+}
+
+// samePlacers fails t unless the two placers' chips agree: demand bits,
+// free cores, busy cores, flags, spans, and each breaker's state and
+// rejection count.
+func samePlacers(t *testing.T, seed uint64, tick int64, got, want *Placer) {
+	t.Helper()
+	for i := range got.Chips {
+		g, w := &got.Chips[i], &want.Chips[i]
+		if math.Float64bits(g.demand) != math.Float64bits(w.demand) || g.freeCores != w.freeCores ||
+			!slices.Equal(g.busy, w.busy) || g.Quarantined != w.Quarantined || g.Offline != w.Offline ||
+			math.Float64bits(g.SpanW) != math.Float64bits(w.SpanW) {
+			t.Fatalf("seed %d tick %d chip %d: placer state %+v, full scan %+v", seed, tick, i, *g, *w)
+		}
+		if g.Breaker.Rejected() != w.Breaker.Rejected() || g.Breaker.State() != w.Breaker.State() {
+			t.Fatalf("seed %d tick %d chip %d: breaker %v with %d rejected, full scan %v with %d",
+				seed, tick, i, g.Breaker.State(), g.Breaker.Rejected(), w.Breaker.State(), w.Breaker.Rejected())
+		}
+	}
+}
+
+// TestPlacePassMatchesFullScan drives random placer states through
+// sequences of up to eight ticks of the placement pass and of a full
+// scan. Survivors carry to the next tick as the sim carries them, and
+// between ticks both states take the same completions, throttles and
+// resumes, grant steps, arrivals, Resets and Rebuilds, clock steps and
+// breaker calls and transitions (changeBetweenTicks). At every tick it
+// requires the same attempts, deferral counts, placer state and breaker
+// states and rejections, and after the last tick the same answers to
+// later breaker calls. The states include breakers that alone refuse an
+// otherwise admissible chip and, on the event clock, half-open within a
+// pass. It logs how often a pass was carried whole and how many
+// attempts a scanned pass skipped, with a floor on each.
+func TestPlacePassMatchesFullScan(t *testing.T) {
+	passes, carried, carriedAttempts, skipped, breakerAlone := 0, 0, 0, 0, 0
+	for seed := uint64(1); seed <= 3000; seed++ {
+		got, want := randomPassState(seed), randomPassState(seed)
+		changes := rng.New(seed).Split("between ticks")
+		pass := newPlacePass(len(got.placer.Chips))
+		*got.clock, *want.clock = got.start, want.start
+		ticks := int64(1 + seed%8)
+		for tick := int64(0); tick < ticks; tick++ {
+			if tick > 0 {
+				*got.clock++
+				*want.clock++
+				changeBetweenTicks(changes, &got, &want)
+			}
+			passes++
+			var gotA, wantA []attempt
+			var gotStill, wantStill []float64
+			if pass.carry(got.placer, got.allow, len(got.queue)) {
+				carried++
+				carriedAttempts += len(got.queue)
+				for range got.queue {
+					gotA = append(gotA, attempt{})
+				}
+				gotStill = got.queue
+			} else {
+				for _, c := range got.queue {
+					if c >= pass.minFail {
+						skipped++
+					}
+					ci, cj, pred, ok := pass.place(got.placer, c, got.allow)
+					gotA = append(gotA, attempt{ci, cj, math.Float64bits(pred), ok})
+					if !ok {
+						gotStill = append(gotStill, c)
+					}
+				}
+				pass.end(got.placer, got.allow, len(gotStill))
+			}
+			for _, c := range want.queue {
 				ci, cj, pred, ok, alone := placeFullScan(want.placer, c, want.allow)
 				wantA = append(wantA, attempt{ci, cj, math.Float64bits(pred), ok})
 				if !ok {
@@ -185,29 +312,23 @@ func TestPlacePassMatchesFullScan(t *testing.T) {
 			if len(gotStill) != len(wantStill) {
 				t.Fatalf("seed %d tick %d: %d deferrals, full scan %d", seed, tick, len(gotStill), len(wantStill))
 			}
-			gotQ, wantQ = gotStill, wantStill
+			samePlacers(t, seed, tick, got.placer, want.placer)
+			got.queue, want.queue = gotStill, wantStill
 		}
+		// Equal event clocks answer the next calls alike.
 		for i := range got.placer.Chips {
-			g, w := &got.placer.Chips[i], &want.placer.Chips[i]
-			if math.Float64bits(g.demand) != math.Float64bits(w.demand) || g.freeCores != w.freeCores ||
-				!slices.Equal(g.busy, w.busy) || g.Quarantined != w.Quarantined || g.Offline != w.Offline {
-				t.Fatalf("seed %d chip %d: placer state %+v, full scan %+v", seed, i, *g, *w)
-			}
-			if g.Breaker.Rejected() != w.Breaker.Rejected() || g.Breaker.State() != w.Breaker.State() {
-				t.Fatalf("seed %d chip %d: breaker %v with %d rejected, full scan %v with %d",
-					seed, i, g.Breaker.State(), g.Breaker.Rejected(), w.Breaker.State(), w.Breaker.Rejected())
-			}
-			// Equal event clocks answer the next calls alike.
+			g, w := got.placer.Chips[i].Breaker, want.placer.Chips[i].Breaker
 			for k := 0; k < 6; k++ {
-				if ga, wa := g.Breaker.Allow(), w.Breaker.Allow(); ga != wa {
+				if ga, wa := g.Allow(), w.Allow(); ga != wa {
 					t.Fatalf("seed %d chip %d: call %d after the passes admits %v, full scan %v", seed, i, k, ga, wa)
 				}
 			}
 		}
 	}
-	t.Logf("%d attempts skipped, %d failures with a chip refused by its breaker alone", skipped, breakerAlone)
-	if skipped < 1000 || breakerAlone < 100 {
-		t.Fatalf("%d attempts skipped and %d failures had a chip refused by its breaker alone, want at least 1000 and 100",
-			skipped, breakerAlone)
+	t.Logf("%d of %d passes carried whole (%d attempts), %d attempts skipped in scanned passes, %d failures with a chip refused by its breaker alone",
+		carried, passes, carriedAttempts, skipped, breakerAlone)
+	if carried < 2000 || skipped < 1000 || breakerAlone < 100 {
+		t.Fatalf("%d passes carried, %d attempts skipped and %d failures had a chip refused by its breaker alone, want at least 2000, 1000 and 100",
+			carried, skipped, breakerAlone)
 	}
 }

@@ -124,6 +124,7 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 	arrivals := slices.Clone(tenants)
 	slices.SortStableFunc(arrivals, func(a, b *tenant) int { return cmp.Compare(a.arrival, b.arrival) })
 	nextArrival := 0
+	pass := newPlacePass(nChips)
 
 	// Obs handles resolved once, outside the loop.
 	var (
@@ -187,6 +188,8 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 		},
 		CampaignHash: campaign.Hash(),
 		Chips:        sums,
+		Tenants:      make([]TenantOutcome, 0, len(tenants)),
+		Timeline:     make([]TickRow, 0, o.Ticks),
 		FailedJobs:   fres.Failed(),
 		CachedJobs:   fres.CachedCount(),
 		Budget: BudgetSummary{
@@ -268,39 +271,46 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 		// until the Chen controller winds its soft state up to the
 		// grant (the soft start), then resumes. The pass defers,
 		// unscored, a tenant whose failure an earlier one already
-		// decided (see placePass).
-		pass := newPlacePass()
-		still := queue[:0]
-		for _, t := range queue {
-			ci, cj, pred, ok := pass.place(placer, t.wl.CdynRel, grants)
-			if !ok {
-				deferrals.Inc()
-				res.Placement.Deferrals++
-				still = append(still, t)
-				continue
+		// decided, and carries a whole pass's failures into the next
+		// tick while nothing a survivor could use has changed (see
+		// placePass).
+		if pass.carry(placer, grants, len(queue)) {
+			deferrals.Add(int64(len(queue)))
+			res.Placement.Deferrals += len(queue)
+		} else {
+			still := queue[:0]
+			for _, t := range queue {
+				ci, cj, pred, ok := pass.place(placer, t.wl.CdynRel, grants)
+				if !ok {
+					deferrals.Inc()
+					res.Placement.Deferrals++
+					still = append(still, t)
+					continue
+				}
+				t.chip, t.core = ci, cj
+				t.coreLabel = placer.Chips[ci].Cores[cj].Label
+				t.nodeID = placer.Chips[ci].ID
+				t.predMHz = pred
+				t.start = tick
+				t.placed = true
+				perChip[ci] = append(perChip[ci], t)
+				running = append(running, t)
+				placements.Inc()
+				res.Placement.Placed++
+				if t.pendingMig {
+					t.pendingMig = false
+					t.downtimeTicks += tick - t.displacedAt
+					opsP.sum.TenantTicksLost += tick - t.displacedAt
+					t.migrations++
+					opsP.sum.Migrations++
+					opsP.migrC.Inc()
+					opsP.emit(OpsEvent{Tick: tick, Kind: "migrate", Node: t.nodeID,
+						Detail: fmt.Sprintf("tenant %d re-placed on %s", t.id, t.coreLabel)})
+				}
 			}
-			t.chip, t.core = ci, cj
-			t.coreLabel = placer.Chips[ci].Cores[cj].Label
-			t.nodeID = placer.Chips[ci].ID
-			t.predMHz = pred
-			t.start = tick
-			t.placed = true
-			perChip[ci] = append(perChip[ci], t)
-			running = append(running, t)
-			placements.Inc()
-			res.Placement.Placed++
-			if t.pendingMig {
-				t.pendingMig = false
-				t.downtimeTicks += tick - t.displacedAt
-				opsP.sum.TenantTicksLost += tick - t.displacedAt
-				t.migrations++
-				opsP.sum.Migrations++
-				opsP.migrC.Inc()
-				opsP.emit(OpsEvent{Tick: tick, Kind: "migrate", Node: t.nodeID,
-					Detail: fmt.Sprintf("tenant %d re-placed on %s", t.id, t.coreLabel)})
-			}
+			queue = still
+			pass.end(placer, grants, len(queue))
 		}
-		queue = still
 
 		// Throttle/resume against the allowance: resume in placement
 		// order (critical tenants were queued first), then shed from

@@ -21,6 +21,7 @@ package dpll
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cpm"
 	"repro/internal/units"
@@ -69,11 +70,18 @@ func New(monitor *cpm.Monitor, cfg Config, start units.MHz) (*Loop, error) {
 	if cfg.ThetaUnits < 0 {
 		return nil, fmt.Errorf("dpll: negative threshold %d", cfg.ThetaUnits)
 	}
-	if cfg.FMin <= 0 || cfg.FMax <= cfg.FMin {
-		return nil, fmt.Errorf("dpll: bad frequency bounds [%v, %v]", cfg.FMin, cfg.FMax)
-	}
-	if cfg.UpSlewMHz <= 0 || cfg.DownSlewMHz <= 0 || cfg.EmergencyFactor < 1 {
-		return nil, fmt.Errorf("dpll: non-positive slew gains")
+	// Each test is written so that NaN fails it.
+	switch {
+	case !(cfg.FMin > 0) || math.IsInf(float64(cfg.FMin), 1):
+		return nil, fmt.Errorf("dpll: FMin %v, want positive and finite", cfg.FMin)
+	case !(cfg.FMax > cfg.FMin) || math.IsInf(float64(cfg.FMax), 1):
+		return nil, fmt.Errorf("dpll: FMax %v, want finite and above FMin %v", cfg.FMax, cfg.FMin)
+	case !(cfg.UpSlewMHz > 0) || math.IsInf(cfg.UpSlewMHz, 1):
+		return nil, fmt.Errorf("dpll: UpSlewMHz %g, want positive and finite", cfg.UpSlewMHz)
+	case !(cfg.DownSlewMHz > 0) || math.IsInf(cfg.DownSlewMHz, 1):
+		return nil, fmt.Errorf("dpll: DownSlewMHz %g, want positive and finite", cfg.DownSlewMHz)
+	case !(cfg.EmergencyFactor >= 1) || math.IsInf(cfg.EmergencyFactor, 1):
+		return nil, fmt.Errorf("dpll: EmergencyFactor %g, want finite and at least 1", cfg.EmergencyFactor)
 	}
 	return &Loop{cfg: cfg, monitor: monitor, freq: start.Clamp(cfg.FMin, cfg.FMax)}, nil
 }

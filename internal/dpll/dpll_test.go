@@ -2,6 +2,7 @@ package dpll
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cpm"
@@ -53,6 +54,34 @@ func TestNewValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := New(m, cfg, 4000); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// TestNewRejectsNonFinite sets each bound and slew field of the default
+// config, in turn, to NaN, +Inf and −Inf: New must reject each with an
+// error naming the field.
+func TestNewRejectsNonFinite(t *testing.T) {
+	c := silicon.Reference().AllCores()[0]
+	m := cpm.New(c)
+	p := c.Params()
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"FMin", func(cfg *Config, v float64) { cfg.FMin = units.MHz(v) }},
+		{"FMax", func(cfg *Config, v float64) { cfg.FMax = units.MHz(v) }},
+		{"UpSlewMHz", func(cfg *Config, v float64) { cfg.UpSlewMHz = v }},
+		{"DownSlewMHz", func(cfg *Config, v float64) { cfg.DownSlewMHz = v }},
+		{"EmergencyFactor", func(cfg *Config, v float64) { cfg.EmergencyFactor = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig(p.ThetaUnits, p.FMaxHW)
+			f.set(&cfg, v)
+			if _, err := New(m, cfg, 4000); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: New error %v, want one naming %s", f.name, v, err, f.name)
+			}
 		}
 	}
 }

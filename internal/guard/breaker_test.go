@@ -264,6 +264,89 @@ func TestBreakerNilSafe(t *testing.T) {
 	}
 }
 
+// TestBreakerAllowNEdges pins AllowN's edge cases: a batch of n = 0 or
+// less, a window that elapses inside the batch or on its last call on
+// the event clock, one that outlasts it, an external clock inside and
+// past the window, and the nil breaker. Each batch must answer as n
+// Allow calls on the lockedBreaker reference and leave the same state,
+// rejection count, obs series and clock, so later calls agree too.
+func TestBreakerAllowNEdges(t *testing.T) {
+	type step func(b breakerOps, clock *int64)
+	trip := func(b breakerOps, _ *int64) { b.Failure() }
+	allow := func(b breakerOps, _ *int64) { b.Allow() }
+	at := func(tick int64) step { return func(_ breakerOps, clock *int64) { *clock = tick } }
+	cases := []struct {
+		name      string
+		external  bool
+		openTicks int64
+		setup     []step
+		n         int
+		admitted  int
+		rejected  int64
+		state     State
+		toHalf    int64
+	}{
+		{"zero calls on an open breaker", false, 4, []step{trip}, 0, 0, 0, StateOpen, 0},
+		{"negative n on an open breaker", false, 4, []step{trip}, -3, 0, 0, StateOpen, 0},
+		{"closed breaker", false, 4, nil, 5, 5, 0, StateClosed, 0},
+		{"window elapses inside the batch", false, 4, []step{trip}, 10, 7, 3, StateHalfOpen, 1},
+		{"window elapses on the last call", false, 4, []step{trip}, 4, 1, 3, StateHalfOpen, 1},
+		{"window outlasts the batch", false, 8, []step{trip}, 5, 0, 5, StateOpen, 0},
+		{"window partly spent by single calls", false, 4, []step{trip, allow, allow}, 3, 2, 1, StateHalfOpen, 1},
+		{"window elapsed on a single call", false, 2, []step{trip, allow, allow}, 3, 3, 0, StateHalfOpen, 1},
+		{"external clock inside the window", true, 10, []step{at(100), trip, at(105)}, 6, 0, 6, StateOpen, 0},
+		{"external clock past the window", true, 10, []step{at(100), trip, at(110)}, 6, 6, 0, StateHalfOpen, 1},
+		{"half-open again after a failed probe", false, 3, []step{trip, allow, allow, allow, trip}, 4, 2, 2, StateHalfOpen, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var clocks [2]int64
+			regs := [2]*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
+			opts := func(k int) BreakerOptions {
+				o := BreakerOptions{Name: "edge", FailureThreshold: 1, OpenTicks: c.openTicks, Obs: regs[k]}
+				if c.external {
+					o.Now = func() int64 { return clocks[k] }
+				}
+				return o
+			}
+			b, ref := NewBreaker(opts(0)), newLockedBreaker(opts(1))
+			for _, s := range c.setup {
+				s(b, &clocks[0])
+				s(ref, &clocks[1])
+			}
+			rejectedBefore := b.Rejected()
+			got, want := b.AllowN(c.n), ref.AllowN(c.n)
+			if got != c.admitted || got != want {
+				t.Fatalf("AllowN(%d) admitted %d, want %d (reference %d)", c.n, got, c.admitted, want)
+			}
+			if d := b.Rejected() - rejectedBefore; d != c.rejected || b.Rejected() != ref.Rejected() {
+				t.Fatalf("AllowN(%d) shed %d, want %d (reference total %d, breaker %d)", c.n, d, c.rejected, ref.Rejected(), b.Rejected())
+			}
+			if b.State() != c.state || ref.State() != c.state {
+				t.Fatalf("state %v after AllowN(%d), want %v (reference %v)", b.State(), c.n, c.state, ref.State())
+			}
+			if v := regs[0].Counter("guard_breaker_transitions_total", "name", "edge", "to", "half-open").Value(); v != c.toHalf {
+				t.Fatalf("%d half-open transitions, want %d", v, c.toHalf)
+			}
+			// Equal clocks answer the next calls alike.
+			b.Failure()
+			ref.Failure()
+			for k := 0; k < 12; k++ {
+				if g, w := b.Allow(), ref.Allow(); g != w {
+					t.Fatalf("call %d after AllowN(%d) admits %v, reference %v", k, c.n, g, w)
+				}
+			}
+			if g, w := string(regs[0].SnapshotJSON()), string(regs[1].SnapshotJSON()); g != w {
+				t.Fatalf("obs series differ from the reference:\n%s\n%s", g, w)
+			}
+		})
+	}
+	var nilB *Breaker
+	if got := nilB.AllowN(3); got != 3 {
+		t.Fatalf("nil breaker AllowN(3) = %d, want 3", got)
+	}
+}
+
 func TestStateString(t *testing.T) {
 	cases := map[State]string{
 		StateClosed:   "closed",
@@ -282,6 +365,7 @@ func TestStateString(t *testing.T) {
 // lockedBreaker reference.
 type breakerOps interface {
 	Allow() bool
+	AllowN(n int) int
 	Success()
 	Failure()
 	State() State
@@ -291,9 +375,10 @@ type breakerOps interface {
 // breakerTrace replays a byte-encoded op sequence against a fresh
 // breaker from mk and returns a deterministic trace of every
 // observable: each Allow answer, the state and rejection count after
-// every op, and the final obs snapshot. op%4 selects Allow, Success,
-// Failure or a clock step of op>>5 ticks; with external unset the
-// breaker runs on its own event clock and never reads the stepped one.
+// every op, and the final obs snapshot. op%4 selects Allow (AllowN of
+// op>>3 calls when op&4 is set), Success, Failure or a clock step of
+// op>>5 ticks; with external unset the breaker runs on its own event
+// clock and never reads the stepped one.
 func breakerTrace(ops []byte, external bool, mk func(BreakerOptions) breakerOps) string {
 	reg := obs.NewRegistry()
 	var clock int64
@@ -312,7 +397,11 @@ func breakerTrace(ops []byte, external bool, mk func(BreakerOptions) breakerOps)
 	for _, op := range ops {
 		switch op % 4 {
 		case 0:
-			out += fmt.Sprintf("a%v", b.Allow())
+			if op&4 != 0 {
+				out += fmt.Sprintf("n%d", b.AllowN(int(op>>3)))
+			} else {
+				out += fmt.Sprintf("a%v", b.Allow())
+			}
 		case 1:
 			b.Success()
 			out += "s"
@@ -343,6 +432,7 @@ func FuzzGuardBreaker(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 1, 2, 0, 1, 2})
 	f.Add([]byte{2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0, 1, 2, 0})
 	f.Add([]byte{2, 2, 2, 0, 35, 0, 99, 0, 1, 0, 1, 2, 0, 163, 0, 2, 227, 0})
+	f.Add([]byte{2, 2, 2, 12, 1, 2, 0, 0, 4, 60, 1, 1, 2, 2, 2, 35, 20, 99, 28, 2, 252})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1024 {
 			ops = ops[:1024]
@@ -365,7 +455,11 @@ func FuzzGuardBreaker(f *testing.F) {
 			before := b.State()
 			switch op % 4 {
 			case 0:
-				if !b.Allow() && before != StateOpen {
+				if op&4 != 0 {
+					if n := int(op >> 3); b.AllowN(n) != n && before != StateOpen {
+						rejectedWhileNotOpen = true
+					}
+				} else if !b.Allow() && before != StateOpen {
 					rejectedWhileNotOpen = true
 				}
 			case 1:
@@ -461,6 +555,17 @@ func (b *lockedBreaker) Allow() bool {
 	}
 }
 
+// AllowN is n Allow calls in a row.
+func (b *lockedBreaker) AllowN(n int) int {
+	admitted := 0
+	for range n {
+		if b.Allow() {
+			admitted++
+		}
+	}
+	return admitted
+}
+
 func (b *lockedBreaker) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -513,11 +618,12 @@ func (b *lockedBreaker) Rejected() int64 {
 	return b.rejected
 }
 
-// TestBreakerConcurrentAllow races Allow callers against one goroutine
-// that trips the breaker, ages it past its open window and closes it
-// again, round after round. Every shed answer must be counted: the
-// callers' false returns equal Rejected(). Each round waits until a
-// caller has been shed and until a caller's Allow has half-opened the
+// TestBreakerConcurrentAllow races Allow callers, and AllowN callers
+// asking three at a time, against one goroutine that trips the
+// breaker, ages it past its open window and closes it again, round
+// after round. Every shed answer must be counted: the callers' false
+// returns and refused batch calls equal Rejected(). Each round waits
+// until a caller has been shed and until a caller has half-opened the
 // breaker, so every round crosses the locked path and the fast path.
 func TestBreakerConcurrentAllow(t *testing.T) {
 	var clock atomic.Int64
@@ -533,7 +639,9 @@ func TestBreakerConcurrentAllow(t *testing.T) {
 			defer wg.Done()
 			var n int64
 			for !stop.Load() {
-				if !b.Allow() {
+				if w%2 == 1 {
+					n += int64(3 - b.AllowN(3))
+				} else if !b.Allow() {
 					n++
 				}
 			}

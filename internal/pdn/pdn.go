@@ -53,21 +53,26 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports whether the parameter set is usable.
+// Validate reports whether the parameter set is usable: every field
+// positive and finite, DampingZeta inside (0, 1). Each test is written
+// so that NaN fails it.
 func (p Params) Validate() error {
-	switch {
-	case p.VNom <= 0:
-		return fmt.Errorf("pdn: non-positive VNom %v", p.VNom)
-	case p.LoadlineOhms <= 0:
-		return fmt.Errorf("pdn: non-positive loadline %g", p.LoadlineOhms)
-	case p.ResonantHz <= 0:
-		return fmt.Errorf("pdn: non-positive resonance %g", p.ResonantHz)
-	case p.DampingZeta <= 0 || p.DampingZeta >= 1:
-		return fmt.Errorf("pdn: damping ratio %g outside (0,1)", p.DampingZeta)
-	case p.PeakImpedanceOhms <= 0:
-		return fmt.Errorf("pdn: non-positive peak impedance %g", p.PeakImpedanceOhms)
-	case p.LoopResponseNs <= 0:
-		return fmt.Errorf("pdn: non-positive loop response %g", p.LoopResponseNs)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"VNom", float64(p.VNom)},
+		{"LoadlineOhms", p.LoadlineOhms},
+		{"ResonantHz", p.ResonantHz},
+		{"PeakImpedanceOhms", p.PeakImpedanceOhms},
+		{"LoopResponseNs", p.LoopResponseNs},
+	} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("pdn: %s %g, want positive and finite", f.name, f.v)
+		}
+	}
+	if !(p.DampingZeta > 0 && p.DampingZeta < 1) {
+		return fmt.Errorf("pdn: DampingZeta %g outside (0,1)", p.DampingZeta)
 	}
 	return nil
 }

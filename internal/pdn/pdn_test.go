@@ -2,6 +2,7 @@ package pdn
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -29,6 +30,31 @@ func TestValidateCatchesBadness(t *testing.T) {
 		mutate(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("mutation %d not caught", i)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite sets each field, in turn, to NaN, +Inf
+// and −Inf: each must be rejected with an error naming the field.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Params, float64)
+	}{
+		{"VNom", func(p *Params, v float64) { p.VNom = units.Volt(v) }},
+		{"LoadlineOhms", func(p *Params, v float64) { p.LoadlineOhms = v }},
+		{"ResonantHz", func(p *Params, v float64) { p.ResonantHz = v }},
+		{"DampingZeta", func(p *Params, v float64) { p.DampingZeta = v }},
+		{"PeakImpedanceOhms", func(p *Params, v float64) { p.PeakImpedanceOhms = v }},
+		{"LoopResponseNs", func(p *Params, v float64) { p.LoopResponseNs = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := DefaultParams()
+			f.set(&p, v)
+			if err := p.Validate(); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: Validate() = %v, want an error naming %s", f.name, v, err, f.name)
+			}
 		}
 	}
 }

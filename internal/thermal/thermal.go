@@ -38,16 +38,25 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports whether the parameter set is usable.
+// Validate reports whether the parameter set is usable: a positive,
+// finite resistance and finite temperatures with TjMaxC above
+// AmbientC. Each test is written so that NaN fails it.
 func (p Params) Validate() error {
 	switch {
-	case p.ResistanceCPerW <= 0:
-		return fmt.Errorf("thermal: non-positive resistance %g", p.ResistanceCPerW)
-	case p.TjMaxC <= p.AmbientC:
-		return fmt.Errorf("thermal: TjMax %v not above ambient %v", p.TjMaxC, p.AmbientC)
+	case !(p.ResistanceCPerW > 0) || math.IsInf(p.ResistanceCPerW, 1):
+		return fmt.Errorf("thermal: ResistanceCPerW %g, want positive and finite", p.ResistanceCPerW)
+	case !finite(float64(p.AmbientC)):
+		return fmt.Errorf("thermal: AmbientC %v, want finite", p.AmbientC)
+	case !finite(float64(p.TjMaxC)):
+		return fmt.Errorf("thermal: TjMaxC %v, want finite", p.TjMaxC)
+	case !(p.TjMaxC > p.AmbientC):
+		return fmt.Errorf("thermal: TjMaxC %v not above AmbientC %v", p.TjMaxC, p.AmbientC)
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // SteadyTemp returns the junction temperature at sustained power P.
 func (p Params) SteadyTemp(power units.Watt) units.Celsius {

@@ -2,7 +2,10 @@ package thermal
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"repro/internal/units"
 )
 
 func TestDefaultParamsValidate(t *testing.T) {
@@ -21,6 +24,28 @@ func TestValidateCatchesBadness(t *testing.T) {
 		mutate(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("mutation %d not caught", i)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite sets each field, in turn, to NaN, +Inf
+// and −Inf: each must be rejected with an error naming the field.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Params, float64)
+	}{
+		{"ResistanceCPerW", func(p *Params, v float64) { p.ResistanceCPerW = v }},
+		{"AmbientC", func(p *Params, v float64) { p.AmbientC = units.Celsius(v) }},
+		{"TjMaxC", func(p *Params, v float64) { p.TjMaxC = units.Celsius(v) }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := DefaultParams()
+			f.set(&p, v)
+			if err := p.Validate(); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: Validate() = %v, want an error naming %s", f.name, v, err, f.name)
+			}
 		}
 	}
 }
