@@ -39,8 +39,11 @@ type PlacerChip struct {
 	Offline bool
 	// IdleW is the chip's measured all-idle power; SpanW is the
 	// measured per-core idle→loaded span (the power one fully loaded
-	// core adds). The sim rejects a negative span at intake: its
-	// same-tick skip relies on a placement never lowering demand.
+	// core adds). The sim rejects a negative span at intake: the
+	// placement pass's same-tick skip relies on a placement never
+	// lowering demand. Its cross-tick carry needs SpanW equal to the
+	// span at the last scanned pass, because a survivor's projected
+	// draw scales with it; only Rebuild changes it.
 	IdleW float64
 	SpanW float64
 	// Breaker guards the chip: tripped open at intake when the node's
