@@ -87,11 +87,10 @@ type (
 	// Deployment is a server's deployed fine-tuned configuration.
 	Deployment = tuning.Deployment
 
-	// FaultProfile describes deterministic fault injection: per-layer
-	// rates for CPM upsets, telemetry errors, transport loss, and
-	// harness failures.
+	// FaultProfile describes deterministic fault injection into the
+	// trial harness: spurious trial failures and broken cores.
 	FaultProfile = fault.Profile
-	// FaultInjector arms a FaultProfile on a machine and controller.
+	// FaultInjector arms a FaultProfile on a machine.
 	FaultInjector = fault.Injector
 
 	// MetricsRegistry collects deterministic counters, gauges, and
@@ -297,17 +296,12 @@ func GenerateJobTrace(o SchedOptions, seed uint64) []Job {
 }
 
 // ParseFaultProfile builds a fault profile from a spec string: a preset
-// name ("test-floor", "flaky-fsp", "noisy-cpm", "broken-core", "none"),
-// a key=value list ("trial-err=0.1,broken=1"), or a preset with
-// overrides ("test-floor,drop=0.3").
+// name (FaultPresetNames), a key=value list ("trial-err=0.1,broken=1"),
+// or a preset with overrides ("test-floor,broken=1").
 func ParseFaultProfile(spec string) (FaultProfile, error) { return fault.ParseProfile(spec) }
 
 // FaultPresetNames lists the named fault profiles in sorted order.
 func FaultPresetNames() []string { return fault.PresetNames() }
-
-// NewFaultInjector builds an injector whose every fault replays
-// bit-for-bit from (profile, seed).
-func NewFaultInjector(p FaultProfile, seed uint64) *FaultInjector { return fault.New(p, seed) }
 
 // NewMetricsRegistry builds an empty metrics registry. Pass it through
 // CharactOptions/DeployOptions (and FaultInjector.Observe) to collect,

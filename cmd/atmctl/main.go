@@ -44,6 +44,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	atm "repro"
@@ -212,7 +213,7 @@ func machineFlag(fs *flag.FlagSet) func() (*atm.Machine, error) {
 // path (and RNG streams) they did before this flag existed.
 func faultFlag(fs *flag.FlagSet) (check func() error, arm func(*atm.Machine) (*atm.FaultInjector, error)) {
 	profile := fs.String("fault-profile", "",
-		"inject deterministic faults: preset (test-floor, flaky-fsp, noisy-cpm, broken-core) or key=value list")
+		"inject deterministic faults: preset ("+strings.Join(atm.FaultPresetNames(), ", ")+") or key=value list")
 	seed := fs.Uint64("fault-seed", 1, "fault injection seed")
 	check = func() error {
 		if _, err := atm.ParseFaultProfile(*profile); err != nil {

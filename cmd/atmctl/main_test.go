@@ -34,10 +34,12 @@ func TestRunExitCodes(t *testing.T) {
 		{"status ok", []string{"status"}, 0},
 		{"hard failure", []string{"sweep", "-core", "P9C9"}, 1},
 		{"quarantined cores are partial", []string{"tune", "-fault-profile", "broken-core"}, 3},
-		{"nan fault probability is hard", []string{"tune", "-fault-profile", "drop=NaN"}, 2},
+		{"nan fault probability is hard", []string{"tune", "-fault-profile", "trial-err=NaN"}, 2},
 		{"tune unknown fault profile", []string{"tune", "-fault-profile", "bogus"}, 2},
+		{"tune removed fault preset", []string{"tune", "-fault-profile", "flaky-fsp"}, 2},
 		{"characterize unknown fault profile", []string{"characterize", "-fault-profile", "bogus"}, 2},
-		{"characterize nan fault probability", []string{"characterize", "-fault-profile", "drop=NaN"}, 2},
+		{"characterize removed fault preset", []string{"characterize", "-fault-profile", "noisy-cpm"}, 2},
+		{"characterize nan fault probability", []string{"characterize", "-fault-profile", "trial-err=NaN"}, 2},
 		{"schedule negative qos is hard", []string{"schedule", "-qos", "-1"}, 1},
 		{"schedule nan qos is hard", []string{"schedule", "-qos", "nan"}, 1},
 		{"schedule infinite qos is hard", []string{"schedule", "-qos", "inf"}, 1},
@@ -51,7 +53,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"fleet unknown kind", []string{"fleet", "-kind", "bogus"}, 2},
 		{"fleet montecarlo fault profile", []string{"fleet", "-kind", "montecarlo", "-fault-profile", "test-floor"}, 2},
 		{"fleet tune unknown fault profile", []string{"fleet", "-kind", "tune", "-n", "1", "-fault-profile", "bogus"}, 2},
-		{"fleet characterize nan fault probability", []string{"fleet", "-kind", "characterize", "-n", "1", "-fault-profile", "drop=NaN"}, 2},
+		{"fleet tune removed fault key", []string{"fleet", "-kind", "tune", "-n", "1", "-fault-profile", "stuck=1"}, 2},
+		{"fleet characterize nan fault probability", []string{"fleet", "-kind", "characterize", "-n", "1", "-fault-profile", "trial-err=NaN"}, 2},
 		{"fleet tune seed range wraps", []string{"fleet", "-kind", "tune", "-n", "2", "-seed", "18446744073709551615"}, 2},
 		{"fleet montecarlo seed range wraps", []string{"fleet", "-kind", "montecarlo", "-n", "2", "-seed", "18446744073709551615"}, 2},
 		{"fleet last seed alone runs", []string{"fleet", "-kind", "montecarlo", "-n", "1", "-seed", "18446744073709551615"}, 0},
@@ -106,6 +109,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"dc unknown fault profile", []string{"dc",
 			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
 			"-fault-profile", "bogus"}, 2},
+		{"dc removed fault key", []string{"dc",
+			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
+			"-fault-profile", "drop=0.1"}, 2},
 		{"dc silicon range wraps", []string{"dc",
 			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2",
 			"-silicon-start", "18446744073709551615"}, 2},

@@ -31,20 +31,7 @@ import (
 type Monitor struct {
 	core *silicon.CoreProfile
 	taps int // current inserted-delay tap index
-
-	// readFault, when non-nil, perturbs every reading before it is
-	// reported — the hook internal/fault uses to model read upsets and
-	// stuck-at sites without this package importing the injector.
-	readFault ReadFault
 }
-
-// ReadFault is an injection hook over one cycle's measurement. The
-// returned reading's Units are re-clamped to the inverter-chain range,
-// matching what the hardware counter could physically emit.
-type ReadFault func(Reading) Reading
-
-// SetReadFault arms (or, with nil, disarms) the measurement fault hook.
-func (m *Monitor) SetReadFault(f ReadFault) { m.readFault = f }
 
 // New returns a Monitor for the core, configured at the manufacturer
 // preset (zero reduction).
@@ -125,17 +112,7 @@ func (m *Monitor) Measure(cycle units.Picosecond, v units.Volt) Reading {
 	if u < MinUnits {
 		u = MinUnits
 	}
-	r := Reading{Units: u, WorstSite: worst, SlackPs: slack}
-	if m.readFault != nil {
-		r = m.readFault(r)
-		if r.Units > MaxUnits {
-			r.Units = MaxUnits
-		}
-		if r.Units < MinUnits {
-			r.Units = MinUnits
-		}
-	}
-	return r
+	return Reading{Units: u, WorstSite: worst, SlackPs: slack}
 }
 
 // MaxUnits is the saturation value of the inverter-chain counter: the

@@ -369,7 +369,7 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{"negative infinite ki", func(o *Options) { o.KI = math.Inf(-1) }},
 		{"negative ki", func(o *Options) { o.KI = -3 }},
 		{"unknown fault profile", func(o *Options) { o.FaultProfile = "bogus" }},
-		{"nan fault probability", func(o *Options) { o.FaultProfile = "drop=NaN" }},
+		{"nan fault probability", func(o *Options) { o.FaultProfile = "trial-err=NaN" }},
 		{"unknown ops profile", func(o *Options) { o.OpsFaultProfile = "no-such-preset" }},
 		{"nan brownout frac", func(o *Options) { o.OpsFaultProfile = "brownouts=1,brownout-frac=NaN" }},
 		{"seed range wraps", func(o *Options) { o.Seed = math.MaxUint64 - 2 }},

@@ -24,11 +24,11 @@ func TestParsePresets(t *testing.T) {
 }
 
 func TestParseKeyValues(t *testing.T) {
-	p, err := ParseProfile("trial-err=0.1,broken=2,drop=0.05")
+	p, err := ParseProfile("trial-err=0.1,broken=2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.TrialErrProb != 0.1 || p.BrokenCores != 2 || p.DropProb != 0.05 {
+	if p.TrialErrProb != 0.1 || p.BrokenCores != 2 {
 		t.Errorf("parsed %+v", p)
 	}
 }
@@ -38,46 +38,35 @@ func TestParsePresetWithOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ParseProfile("test-floor,drop=0.3")
+	p, err := ParseProfile("test-floor,broken=3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.DropProb != 0.3 {
+	if p.BrokenCores != 3 {
 		t.Errorf("override ignored: %+v", p)
 	}
-	if p.TelemetryErrProb != base.TelemetryErrProb {
+	if p.TrialErrProb != base.TrialErrProb {
 		t.Errorf("preset fields lost: %+v", p)
 	}
 	// A preset anywhere but first is ambiguous and must be rejected.
-	if _, err := ParseProfile("drop=0.3,test-floor"); err == nil {
+	if _, err := ParseProfile("broken=3,test-floor"); err == nil {
 		t.Error("late preset accepted")
 	}
 }
 
 func TestParseRejectsBadValues(t *testing.T) {
 	for _, spec := range []string{
-		"drop=1.5",            // probability above 1
-		"trial-err=-0.1",      // negative probability
-		"drop=0.6,garble=0.6", // drop+garble over 1
-		"broken=-1",           // negative count
-		"bogus=1",             // unknown key
-		"drop=abc",            // unparsable value
-		"drop=NaN",            // NaN is no probability
-		"trial-err=nan",       // either spelling
+		"trial-err=1.5",  // probability above 1
+		"trial-err=-0.1", // negative probability
+		"broken=-1",      // negative count
+		"bogus=1",        // unknown key
+		"trial-err=abc",  // unparsable value
+		"trial-err=NaN",  // NaN is no probability
+		"trial-err=nan",  // either spelling
 	} {
 		if _, err := ParseProfile(spec); err == nil {
 			t.Errorf("ParseProfile(%q) accepted", spec)
 		}
-	}
-}
-
-func TestUpsetMagDefault(t *testing.T) {
-	p, err := ParseProfile("cpm-upset=0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.CPMUpsetMag != 3 {
-		t.Errorf("default upset magnitude %d, want 3", p.CPMUpsetMag)
 	}
 }
 
@@ -99,7 +88,7 @@ func TestStringRoundTrip(t *testing.T) {
 	if s := (Profile{}).String(); s != "none" {
 		t.Errorf("empty profile renders %q", s)
 	}
-	if s := (Profile{DropProb: 0.5}).String(); !strings.Contains(s, "drop=0.5") {
-		t.Errorf("drop profile renders %q", s)
+	if s := (Profile{TrialErrProb: 0.5}).String(); !strings.Contains(s, "trial-err=0.5") {
+		t.Errorf("trial-err profile renders %q", s)
 	}
 }

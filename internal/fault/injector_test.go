@@ -25,7 +25,7 @@ func quickDeploy() tuning.Options {
 }
 
 func TestInjectorChoicesDeterministic(t *testing.T) {
-	p, err := ParseProfile("broken=2,stuck=2")
+	p, err := ParseProfile("broken=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,17 +35,14 @@ func TestInjectorChoicesDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.broken, b.broken) {
 		t.Errorf("broken cores differ: %v vs %v", a.broken, b.broken)
 	}
-	if !reflect.DeepEqual(a.stuck, b.stuck) {
-		t.Errorf("stuck sites differ: %v vs %v", a.stuck, b.stuck)
-	}
-	if len(a.broken) != 2 || len(a.stuck) != 2 {
-		t.Errorf("chose %v broken, %v stuck; want 2 each", a.broken, a.stuck)
+	if len(a.broken) != 2 {
+		t.Errorf("chose %v broken; want 2", a.broken)
 	}
 	// A different seed picks different victims (with overwhelming
 	// probability on a 16-core machine; seed pair chosen to differ).
 	c := New(p, 43)
 	c.ArmMachine(chip.NewReference())
-	if reflect.DeepEqual(a.broken, c.broken) && reflect.DeepEqual(a.stuck, c.stuck) {
+	if reflect.DeepEqual(a.broken, c.broken) {
 		t.Error("seeds 42 and 43 chose identical victims")
 	}
 }
@@ -165,9 +162,8 @@ func TestSpuriousFailuresRetried(t *testing.T) {
 	}
 }
 
-// TestNoFaultArmIsTransparent: arming and disarming leaves the machine's
-// outputs identical to a never-armed machine, and an empty profile arms
-// nothing in the first place.
+// TestNoFaultArmIsTransparent: an empty profile arms nothing, so the
+// machine's outputs equal a never-armed machine's.
 func TestNoFaultArmIsTransparent(t *testing.T) {
 	base, err := charact.Characterize(chip.NewReference(), quickCharact())
 	if err != nil {
@@ -183,16 +179,40 @@ func TestNoFaultArmIsTransparent(t *testing.T) {
 	if !reflect.DeepEqual(rep.TableI(), base.TableI()) {
 		t.Error("empty-profile arm changed Table I")
 	}
-	m2 := chip.NewReference()
-	inj2 := New(Profile{TrialErrProb: 0.5}, 7)
-	inj2.ArmMachine(m2)
-	inj2.Disarm()
-	rep2, err := charact.Characterize(m2, quickCharact())
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestEveryFaultKeyActs: each key the grammar accepts changes what a
+// deployment decides. A key that parses, validates and prints as armed
+// while every result equals the fault-free run's misleads whoever sets
+// it. The keys come from Profile's spec tags, so a key added later is
+// held to the same rule.
+func TestEveryFaultKeyActs(t *testing.T) {
+	outcome := func(p Profile) string {
+		m := chip.NewReference()
+		New(p, 1).ArmMachine(m)
+		dep, err := tuning.Deploy(m, quickDeploy())
+		if err != nil {
+			t.Fatalf("Deploy under %v: %v", p, err)
+		}
+		out := ""
+		for _, cfg := range dep.Configs {
+			out += fmt.Sprintf("%s %d %d %v\n", cfg.Core, cfg.StressLimit, cfg.Reduction, cfg.Quarantined)
+		}
+		return out
 	}
-	if !reflect.DeepEqual(rep2.TableI(), base.TableI()) {
-		t.Error("disarmed machine differs from never-armed machine")
+	base := outcome(Profile{})
+	typ := reflect.TypeOf(Profile{})
+	for i := 0; i < typ.NumField(); i++ {
+		var p Profile
+		switch f := reflect.ValueOf(&p).Elem().Field(i); f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		case reflect.Int:
+			f.SetInt(1)
+		}
+		if outcome(p) == base {
+			t.Errorf("key %s: %v deploys the fault-free limits, reductions and quarantines", typ.Field(i).Tag.Get("spec"), p)
+		}
 	}
 }
 

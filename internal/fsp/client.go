@@ -23,22 +23,20 @@ import (
 // and discards stale lines until the echo comes back, so one lost byte
 // cannot skew every subsequent response.
 //
-// Backoff time is simulated by default — the Sleep hook is a no-op that
-// only accumulates into Stats — so retry schedules are deterministic
-// and tests are instant; wire Sleep to a wall-clock sleep that honors
-// cancel for a real test-floor link.
+// Backoff time is simulated by default — with no Sleep hook the client
+// does not pause — so retry schedules are deterministic and tests are
+// instant; wire Sleep to a wall-clock sleep that honors cancel for a
+// real test-floor link.
 //
 // In-band "err ..." responses are protocol results, not transport
 // faults: they are returned as *CmdError without retrying, except for
-// responses marked transient (the controller's telemetry-upset
-// convention, "err transient ..."), which are retried like a transport
-// fault.
+// responses a server marks retryable ("err transient ..." or
+// "err busy ..."), which are retried like a transport fault.
 type Client struct {
 	rw  io.ReadWriter
 	br  *bufio.Reader
 	opt ClientOptions
 	seq int
-	st  ClientStats
 	ob  clientObs
 
 	// wbuf is the outgoing command line, long holds a reply line too
@@ -79,20 +77,20 @@ func newClientObs(r *obs.Registry) clientObs {
 // ClientOptions tunes the client's resilience envelope.
 type ClientOptions struct {
 	// Retries is the number of additional attempts after the first
-	// failed one. Default 3.
+	// failed one. Default 3; negative means none, one attempt per
+	// command.
 	Retries int
 	// Timeout bounds each read and write when the transport supports
-	// deadlines (net.Conn, net.Pipe, fault wrappers). Default 2s;
-	// negative disables.
+	// deadlines (net.Conn, net.Pipe). Default 2s; negative disables.
 	Timeout time.Duration
 	// Backoff maps attempt number (1, 2, ...) to the pause before that
 	// retry. The default is deterministic binary exponential:
 	// 25ms · 2^(attempt−1), capped at 1s. No jitter — reproducibility
 	// outranks thundering-herd etiquette on a one-operator link.
 	Backoff func(attempt int) time.Duration
-	// Sleep consumes the backoff pauses. The default records the total
-	// in Stats without sleeping (simulated time). A real implementation
-	// must honor cancel and return early when it fires.
+	// Sleep consumes the backoff pauses. The default does not sleep
+	// (simulated time). A real implementation must honor cancel and
+	// return early when it fires.
 	Sleep func(d time.Duration, cancel <-chan struct{})
 	// Cancel, when non-nil, aborts the retry loop: a close of the
 	// channel makes Exec return ErrCanceled at the next backoff (a
@@ -103,16 +101,18 @@ type ClientOptions struct {
 	// ResyncWindow is how many stale lines a re-sync may discard while
 	// hunting for its pong before the attempt is abandoned. Default 32.
 	ResyncWindow int
-	// Obs, when non-nil, surfaces the ClientStats counters the client
-	// already pays for (commands, retries, resyncs, discarded lines,
-	// exhausted budgets) as fsp_client_* metrics, plus a histogram of
-	// attempts consumed per command. Nil disables at ~zero cost.
+	// Obs, when non-nil, counts what the resilience machinery absorbed
+	// (commands, retries, resyncs, discarded lines, exhausted budgets)
+	// as fsp_client_* metrics, plus a histogram of attempts consumed
+	// per command. Nil disables at ~zero cost.
 	Obs *obs.Registry
 }
 
 func (o ClientOptions) withDefaults() ClientOptions {
 	if o.Retries == 0 {
 		o.Retries = 3
+	} else if o.Retries < 0 {
+		o.Retries = 0
 	}
 	if o.Timeout == 0 {
 		o.Timeout = 2 * time.Second
@@ -132,15 +132,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	return o
 }
 
-// ClientStats counts what the resilience machinery absorbed.
-type ClientStats struct {
-	Commands  int           // commands issued through Exec
-	Retries   int           // attempts beyond the first
-	Resyncs   int           // ping/pong re-synchronizations performed
-	Discarded int           // stale or garbled lines thrown away
-	Backoff   time.Duration // total backoff consumed (simulated by default)
-}
-
 // CmdError is an in-band protocol error: the server executed (or
 // rejected) the command and said "err ...".
 type CmdError struct {
@@ -151,7 +142,7 @@ type CmdError struct {
 func (e *CmdError) Error() string { return fmt.Sprintf("fsp: %q: %s", e.Cmd, e.Msg) }
 
 // Transient reports whether the server marked the failure retryable
-// (a telemetry read upset rather than a rejected command).
+// ("err transient ...") rather than rejecting the command.
 func (e *CmdError) Transient() bool { return strings.HasPrefix(e.Msg, "transient") }
 
 // Busy reports whether the server shed the command under overload
@@ -175,11 +166,6 @@ func NewClient(rw io.ReadWriter, opts ClientOptions) *Client {
 	o := opts.withDefaults()
 	return &Client{rw: rw, br: bufio.NewReaderSize(rw, 4096), opt: o, ob: newClientObs(o.Obs)}
 }
-
-// Stats returns the counters accumulated so far.
-//
-//lint:ignore deadcode FSP fault path, kept until the sentinel's link takes a fault profile or the path is deleted; tests read the retry counters
-func (c *Client) Stats() ClientStats { return c.st }
 
 // deadlined is the optional transport surface the per-command timeout
 // uses; net.Conn and net.Pipe both provide it.
@@ -263,7 +249,6 @@ func parseResponse(line []byte) (response, bool) {
 func (c *Client) resync() error {
 	c.seq++
 	token := fmt.Sprintf("sync-%d", c.seq)
-	c.st.Resyncs++
 	c.ob.resyncs.Inc()
 	if err := c.writeLine("ping " + token); err != nil {
 		return err
@@ -277,7 +262,6 @@ func (c *Client) resync() error {
 		if string(line) == want {
 			return nil
 		}
-		c.st.Discarded++
 		c.ob.discarded.Inc()
 	}
 	return fmt.Errorf("fsp: resync token %s not echoed within %d lines", token, c.opt.ResyncWindow)
@@ -299,12 +283,10 @@ func (c *Client) Exec(cmd string) (string, error) {
 // exec is Exec's retry loop. The payload it returns is a view of the
 // client's read buffer, valid until the next command.
 func (c *Client) exec(cmd string) ([]byte, error) {
-	c.st.Commands++
 	c.ob.commands.Inc()
 	var lastErr error
 	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
 		if attempt > 0 {
-			c.st.Retries++
 			c.ob.retries.Inc()
 			if err := c.pause(attempt); err != nil {
 				return nil, fmt.Errorf("fsp: %q: %w", cmd, err)
@@ -325,7 +307,6 @@ func (c *Client) exec(cmd string) ([]byte, error) {
 		}
 		resp, wellFormed := parseResponse(line)
 		if !wellFormed {
-			c.st.Discarded++
 			c.ob.discarded.Inc()
 			lastErr = fmt.Errorf("fsp: garbled response %q", line)
 			continue
@@ -357,10 +338,8 @@ func (c *Client) pause(attempt int) error {
 		return ErrCanceled
 	default:
 	}
-	d := c.opt.Backoff(attempt)
-	c.st.Backoff += d
 	if c.opt.Sleep != nil {
-		c.opt.Sleep(d, c.opt.Cancel)
+		c.opt.Sleep(c.opt.Backoff(attempt), c.opt.Cancel)
 	}
 	select {
 	case <-c.opt.Cancel:
@@ -405,7 +384,7 @@ type CoreMargin struct {
 
 // Margins reads every core's CPM slack margin in one round trip, in
 // the server's register address order. The read rides the full
-// resilience envelope: transient telemetry upsets and garbled
+// resilience envelope: transient and busy replies and garbled
 // transport lines are retried with re-sync like any other command.
 //
 // The returned slice is owned by the client and valid until the next

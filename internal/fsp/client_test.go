@@ -1,32 +1,132 @@
 package fsp
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/chip"
+	"repro/internal/obs"
 )
 
 // startSession serves a session over a pipe and hands back the client
-// end.
-func startSession(t *testing.T) (net.Conn, *Controller) {
+// end. The server end closes once the session ends, so a reader sees
+// EOF after quit.
+func startSession(t *testing.T) net.Conn {
 	t.Helper()
-	ctl := NewController(chip.NewReference())
 	cliSide, srvSide := net.Pipe()
-	sess := NewSession(ctl)
+	sess := NewSession(NewController(chip.NewReference()))
 	go func() {
 		//lint:ignore errdrop test server: the client closing the pipe ends the session with an expected error
 		sess.Serve(srvSide, srvSide)
+		//lint:ignore errdrop test teardown of an in-memory pipe
+		srvSide.Close()
 	}()
 	t.Cleanup(func() {
 		//lint:ignore errdrop test teardown of an in-memory pipe
 		cliSide.Close()
 	})
-	return cliSide, ctl
+	return cliSide
+}
+
+// lineFault is what a lossyLink does to one reply line.
+type lineFault int
+
+const (
+	pass      lineFault = iota
+	drop                // the line never arrives
+	garble              // the framing bytes are overwritten with '#'
+	transient           // the line becomes an in-band transient error
+)
+
+// lossyLink sits between a client and its transport and faults the
+// reply lines the client reads: fault picks each line's fate by its
+// index in the reply stream (0 = the first line). Writes go straight
+// to the transport. Over a Loopback a dropped line is an empty read.
+type lossyLink struct {
+	rw      io.ReadWriter
+	br      *bufio.Reader
+	fault   func(i int) lineFault
+	n       int
+	pending []byte
+}
+
+func newLossyLink(rw io.ReadWriter, fault func(i int) lineFault) *lossyLink {
+	return &lossyLink{rw: rw, br: bufio.NewReader(rw), fault: fault}
+}
+
+func (l *lossyLink) Write(p []byte) (int, error) { return l.rw.Write(p) }
+
+func (l *lossyLink) Read(p []byte) (int, error) {
+	for len(l.pending) == 0 {
+		line, err := l.br.ReadBytes('\n')
+		if err != nil {
+			return 0, err
+		}
+		l.n++
+		switch l.fault(l.n - 1) {
+		case drop:
+			continue
+		case garble:
+			for i := 0; i < 2 && line[i] != '\n'; i++ {
+				line[i] = '#'
+			}
+		case transient:
+			line = []byte("err transient telemetry upset\n")
+		}
+		l.pending = line
+	}
+	n := copy(p, l.pending)
+	l.pending = l.pending[n:]
+	return n, nil
+}
+
+// lossyConn is a lossyLink over a connection. Deadlines and Close pass
+// through, so a dropped line surfaces as a read timeout, as on a hung
+// link.
+type lossyConn struct {
+	net.Conn
+	l *lossyLink
+}
+
+func (c lossyConn) Read(p []byte) (int, error) { return c.l.Read(p) }
+
+// lossyPipe serves a session over a pipe and returns a client end that
+// faults its reply lines.
+func lossyPipe(t *testing.T, fault func(i int) lineFault) net.Conn {
+	conn := startSession(t)
+	return lossyConn{Conn: conn, l: newLossyLink(conn, fault)}
+}
+
+// lossyLoopback is a Loopback to a reference machine's session whose
+// reply lines fault.
+func lossyLoopback(fault func(i int) lineFault) *lossyLink {
+	return newLossyLink(NewLoopback(NewSession(NewController(chip.NewReference()))), fault)
+}
+
+// faultsAt faults the reply lines the map names and passes the rest.
+func faultsAt(m map[int]lineFault) func(int) lineFault {
+	return func(i int) lineFault { return m[i] }
+}
+
+// clientCounts are the resilience counters a client keeps in the
+// registry passed as ClientOptions.Obs.
+type clientCounts struct{ retries, resyncs, discarded int64 }
+
+func countsOf(reg *obs.Registry) clientCounts {
+	return clientCounts{
+		retries:   reg.Counter("fsp_client_retries_total").Value(),
+		resyncs:   reg.Counter("fsp_client_resyncs_total").Value(),
+		discarded: reg.Counter("fsp_client_discarded_total").Value(),
+	}
 }
 
 func TestParseResponse(t *testing.T) {
@@ -54,8 +154,7 @@ func TestParseResponse(t *testing.T) {
 }
 
 func TestClientCommands(t *testing.T) {
-	conn, _ := startSession(t)
-	cli := NewClient(conn, ClientOptions{Timeout: time.Second})
+	cli := NewClient(startSession(t), ClientOptions{Timeout: time.Second})
 	if out, err := cli.Exec("ping live-1"); err != nil || out != "pong live-1" {
 		t.Fatalf("ping = %q, %v; want the token echoed", out, err)
 	}
@@ -95,8 +194,8 @@ func TestClientCommands(t *testing.T) {
 // TestClientNonTransientNoRetry: an in-band protocol rejection must come
 // back immediately as *CmdError without burning the retry budget.
 func TestClientNonTransientNoRetry(t *testing.T) {
-	conn, _ := startSession(t)
-	cli := NewClient(conn, ClientOptions{Timeout: time.Second})
+	reg := obs.NewRegistry()
+	cli := NewClient(startSession(t), ClientOptions{Timeout: time.Second, Obs: reg})
 	_, err := cli.Exec("cpm NOPE")
 	var cerr *CmdError
 	if !errors.As(err, &cerr) {
@@ -105,40 +204,41 @@ func TestClientNonTransientNoRetry(t *testing.T) {
 	if cerr.Transient() {
 		t.Errorf("rejection %q classified transient", cerr.Msg)
 	}
-	if st := cli.Stats(); st.Retries != 0 {
-		t.Errorf("non-transient error consumed %d retries", st.Retries)
+	if c := countsOf(reg); c.retries != 0 {
+		t.Errorf("non-transient error consumed %d retries", c.retries)
 	}
 }
 
-// TestClientRetriesTransient: a controller read fault marked transient
-// is retried until a clean read lands.
+// TestClientRetriesTransient: a reply marked transient is retried until
+// a clean reply lands. Replies 0 and 2 answer the command's first two
+// attempts; reply 1 is the re-sync's pong.
 func TestClientRetriesTransient(t *testing.T) {
-	conn, ctl := startSession(t)
-	fails := 2
-	ctl.SetReadFault(func(a Addr) error {
-		if fails > 0 {
-			fails--
-			return errors.New("transient telemetry upset (injected)")
-		}
-		return nil
-	})
-	cli := NewClient(conn, ClientOptions{Retries: 3, Timeout: time.Second})
+	reg := obs.NewRegistry()
+	link := lossyPipe(t, faultsAt(map[int]lineFault{0: transient, 2: transient}))
+	cli := NewClient(link, ClientOptions{Retries: 3, Timeout: time.Second, Obs: reg})
 	if _, err := cli.Exec("freq P0C0"); err != nil {
 		t.Fatalf("transient faults not absorbed: %v", err)
 	}
-	if st := cli.Stats(); st.Retries != 2 {
-		t.Errorf("absorbed %d retries, want 2: %+v", st.Retries, st)
+	if c := countsOf(reg); c.retries != 2 {
+		t.Errorf("absorbed %d retries, want 2: %+v", c.retries, c)
 	}
+}
+
+// everyAttemptTransient answers every attempt of a command with a
+// transient error and lets each re-sync's pong through: the command's
+// replies and the pongs alternate.
+func everyAttemptTransient(i int) lineFault {
+	if i%2 == 0 {
+		return transient
+	}
+	return pass
 }
 
 // TestClientExhaustion: a permanently transient fault spends the budget
 // and surfaces ErrExhausted wrapping the cause.
 func TestClientExhaustion(t *testing.T) {
-	conn, ctl := startSession(t)
-	ctl.SetReadFault(func(a Addr) error {
-		return errors.New("transient telemetry upset (injected, permanent)")
-	})
-	cli := NewClient(conn, ClientOptions{Retries: 2, Timeout: time.Second})
+	link := lossyPipe(t, everyAttemptTransient)
+	cli := NewClient(link, ClientOptions{Retries: 2, Timeout: time.Second})
 	_, err := cli.Exec("freq P0C0")
 	if !errors.Is(err, ErrExhausted) {
 		t.Fatalf("got %v, want ErrExhausted", err)
@@ -149,67 +249,259 @@ func TestClientExhaustion(t *testing.T) {
 	}
 }
 
-// TestClientBackoffSimulated: the default Sleep is simulated — the
-// deterministic exponential schedule accumulates in Stats without
-// slowing the test down.
+// TestClientBackoffSimulated: without a Sleep hook the backoff is
+// simulated, so spending the budget takes no wall time, and a hook sees
+// the deterministic exponential schedule.
 func TestClientBackoffSimulated(t *testing.T) {
-	conn, ctl := startSession(t)
-	ctl.SetReadFault(func(a Addr) error {
-		return errors.New("transient telemetry upset (injected, permanent)")
-	})
-	cli := NewClient(conn, ClientOptions{Retries: 3, Timeout: time.Second})
+	want := []time.Duration{25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
 	start := time.Now()
+	cli := NewClient(lossyLoopback(everyAttemptTransient), ClientOptions{Retries: 3})
 	if _, err := cli.Exec("freq P0C0"); err == nil {
 		t.Fatal("want exhaustion")
 	}
-	elapsed := time.Since(start)
-	want := 25*time.Millisecond + 50*time.Millisecond + 100*time.Millisecond
-	if st := cli.Stats(); st.Backoff != want {
-		t.Errorf("accumulated backoff %v, want %v", st.Backoff, want)
-	}
-	if elapsed > want {
+	if elapsed := time.Since(start); elapsed > want[0]+want[1]+want[2] {
 		t.Errorf("simulated backoff actually slept: %v elapsed", elapsed)
 	}
-}
-
-// garbleFirstRead corrupts the framing bytes of the first read, as if
-// one response line got mangled on the wire.
-type garbleFirstRead struct {
-	net.Conn
-	done bool
-}
-
-func (g *garbleFirstRead) Read(p []byte) (int, error) {
-	n, err := g.Conn.Read(p)
-	if !g.done && n > 0 {
-		for i := 0; i < n && i < 2; i++ {
-			p[i] = '#'
-		}
-		g.done = true
+	var got []time.Duration
+	cli = NewClient(lossyLoopback(everyAttemptTransient), ClientOptions{
+		Retries: 3,
+		Sleep:   func(d time.Duration, _ <-chan struct{}) { got = append(got, d) },
+	})
+	if _, err := cli.Exec("freq P0C0"); err == nil {
+		t.Fatal("want exhaustion")
 	}
-	return n, err
+	if !slices.Equal(got, want) {
+		t.Errorf("backoff schedule %v, want %v", got, want)
+	}
 }
 
 // TestClientResyncAfterGarble: a garbled response triggers the retry
 // path's ping/pong re-sync, after which framing is realigned and
 // further commands run clean.
 func TestClientResyncAfterGarble(t *testing.T) {
-	conn, _ := startSession(t)
-	cli := NewClient(&garbleFirstRead{Conn: conn}, ClientOptions{Retries: 3, Timeout: time.Second})
+	reg := obs.NewRegistry()
+	link := lossyPipe(t, faultsAt(map[int]lineFault{0: garble}))
+	cli := NewClient(link, ClientOptions{Retries: 3, Timeout: time.Second, Obs: reg})
 	// Attempt 0 reads the garbage; the retry re-syncs and lands the
 	// command.
 	if _, err := cli.Exec("ping live-1"); err != nil {
 		t.Fatalf("client never realigned: %v", err)
 	}
-	st := cli.Stats()
-	if st.Resyncs == 0 || st.Discarded == 0 {
-		t.Errorf("garbled line cost no resync/discard: %+v", st)
+	c := countsOf(reg)
+	if c.resyncs == 0 || c.discarded == 0 {
+		t.Errorf("garbled line cost no resync/discard: %+v", c)
 	}
 	// Framing is aligned again: further commands run clean.
 	if _, err := cli.Exec("cores"); err != nil {
 		t.Fatalf("post-resync cores: %v", err)
 	}
-	if st2 := cli.Stats(); st2.Retries != st.Retries {
-		t.Errorf("post-resync command needed retries: %+v", st2)
+	if c2 := countsOf(reg); c2.retries != c.retries {
+		t.Errorf("post-resync command needed retries: %+v", c2)
+	}
+}
+
+// TestClientNegativeRetries: a negative Retries sends each command once
+// and retries nothing, the way a negative Timeout disables the
+// deadline.
+func TestClientNegativeRetries(t *testing.T) {
+	reg := obs.NewRegistry()
+	cli := NewClient(lossyLoopback(faultsAt(map[int]lineFault{1: transient})), ClientOptions{Retries: -1, Obs: reg})
+	if out, err := cli.Exec("ping x"); err != nil || out != "pong x" {
+		t.Fatalf("ping = %q, %v; want the token echoed", out, err)
+	}
+	_, err := cli.Exec("ping y")
+	var cerr *CmdError
+	if !errors.Is(err, ErrExhausted) || !errors.As(err, &cerr) || !cerr.Transient() {
+		t.Fatalf("got %v, want ErrExhausted wrapping the transient reply", err)
+	}
+	if !strings.Contains(err.Error(), "after 1 attempts") {
+		t.Errorf("error %q does not report the one attempt", err)
+	}
+	if c := countsOf(reg); c.retries != 0 || c.resyncs != 0 {
+		t.Errorf("negative Retries retried: %+v", c)
+	}
+}
+
+// TestClientSurvivesFaultyTransport is the operator-plane resilience
+// proof: a client with retries and re-sync completes a command sequence
+// over a transport that drops and garbles lines.
+func TestClientSurvivesFaultyTransport(t *testing.T) {
+	reg := obs.NewRegistry()
+	link := lossyPipe(t, func(i int) lineFault {
+		switch {
+		case i%11 == 4:
+			return drop
+		case i%7 == 2:
+			return garble
+		}
+		return pass
+	})
+	cli := NewClient(link, ClientOptions{
+		Retries: 8,
+		Timeout: 50 * time.Millisecond,
+		Obs:     reg,
+	})
+	for i := 0; i < 20; i++ {
+		token := fmt.Sprintf("live-%d", i)
+		if out, err := cli.Exec("ping " + token); err != nil || out != "pong "+token {
+			t.Fatalf("ping %d failed through the fault envelope: %q, %v", i, out, err)
+		}
+	}
+	red, err := cli.CPM("P0C0")
+	if err != nil {
+		t.Fatalf("cpm read: %v", err)
+	}
+	if red != 0 {
+		t.Errorf("fresh machine reports reduction %d, want 0", red)
+	}
+	if err := cli.SetCPM("P0C0", 3); err != nil {
+		t.Fatalf("cpm write: %v", err)
+	}
+	red, err = cli.CPM("P0C0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if red != 3 {
+		t.Errorf("read back reduction %d, want 3", red)
+	}
+	c := countsOf(reg)
+	if c.retries == 0 || c.resyncs == 0 {
+		t.Errorf("dropped and garbled lines cost no retries or resyncs: %+v", c)
+	}
+	t.Logf("counts: %+v", c)
+}
+
+// TestClientCleanTransportNoRetries: over a clean link the resilience
+// machinery must be pure overhead-free passthrough.
+func TestClientCleanTransportNoRetries(t *testing.T) {
+	reg := obs.NewRegistry()
+	cli := NewClient(startSession(t), ClientOptions{Timeout: time.Second, Obs: reg})
+	if out, err := cli.Exec("ping live-1"); err != nil || out != "pong live-1" {
+		t.Fatalf("ping = %q, %v; want the token echoed", out, err)
+	}
+	cores, err := cli.Exec("cores")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cores == "" {
+		t.Error("no cores listed")
+	}
+	if c := countsOf(reg); c != (clientCounts{}) {
+		t.Errorf("clean link accumulated fault counts: %+v", c)
+	}
+}
+
+// TestClientExhaustsBudget: a transport that garbles everything must
+// surface ErrExhausted, not hang or panic.
+func TestClientExhaustsBudget(t *testing.T) {
+	link := lossyLoopback(func(int) lineFault { return garble })
+	cli := NewClient(link, ClientOptions{Retries: 2})
+	_, err := cli.Exec("cores")
+	if err == nil {
+		t.Fatal("command succeeded over a fully-garbled link")
+	}
+	if !errors.Is(err, ErrExhausted) || !strings.Contains(err.Error(), "retry budget exhausted") {
+		t.Errorf("error %v does not report exhaustion", err)
+	}
+}
+
+// TestTelemetryFaultRetried: transient telemetry errors reported in-band
+// are absorbed by the client's retry loop. Every third reply is
+// transient, which hits the first attempt of every other command.
+func TestTelemetryFaultRetried(t *testing.T) {
+	reg := obs.NewRegistry()
+	link := lossyPipe(t, func(i int) lineFault {
+		if i%3 == 0 {
+			return transient
+		}
+		return pass
+	})
+	cli := NewClient(link, ClientOptions{Retries: 12, Timeout: time.Second, Obs: reg})
+	for i := 0; i < 10; i++ {
+		if _, err := cli.Exec("freq P0C0"); err != nil {
+			t.Fatalf("freq read %d not absorbed: %v", i, err)
+		}
+	}
+	if c := countsOf(reg); c.retries == 0 {
+		t.Error("transient telemetry replies never triggered a retry")
+	}
+}
+
+// TestClientMarginsUnderGarbledTransport: the margins verb — the
+// sentinel's telemetry path — must survive a faulty link like every
+// other command. Dropped and garbled response lines are absorbed by
+// the client's retry/re-sync envelope and the values delivered are
+// identical to a clean link's.
+func TestClientMarginsUnderGarbledTransport(t *testing.T) {
+	clean := NewClient(NewLoopback(NewSession(NewController(chip.NewReference()))), ClientOptions{})
+	want, err := clean.Margins()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("clean margins read returned no cores")
+	}
+
+	read := func() ([][]CoreMargin, []byte) {
+		reg := obs.NewRegistry()
+		link := lossyLoopback(func(i int) lineFault {
+			switch {
+			case i%5 == 1:
+				return drop
+			case i%4 == 2:
+				return garble
+			}
+			return pass
+		})
+		cli := NewClient(link, ClientOptions{Retries: 8, Obs: reg})
+		var out [][]CoreMargin
+		for i := 0; i < 10; i++ {
+			ms, err := cli.Margins()
+			if err != nil {
+				t.Fatalf("margins read %d under faults: %v", i, err)
+			}
+			// Margins reuses its result slice on the next call.
+			out = append(out, slices.Clone(ms))
+		}
+		if c := countsOf(reg); c.retries == 0 && c.resyncs == 0 {
+			t.Fatalf("the link faulted nothing (%+v) — the test is vacuous", c)
+		}
+		return out, reg.SnapshotJSON()
+	}
+
+	got, snap := read()
+	for i, ms := range got {
+		if !slices.Equal(ms, want) {
+			t.Fatalf("read %d = %+v, want %+v (faults leaked into values)", i, ms, want)
+		}
+	}
+
+	// The same fault schedule replays the same retries and values.
+	got2, snap2 := read()
+	if !bytes.Equal(snap, snap2) {
+		t.Fatalf("same faults, different client metrics:\n%s\n%s", snap, snap2)
+	}
+	for i := range got {
+		if !slices.Equal(got[i], got2[i]) {
+			t.Fatalf("same faults, different values at read %d", i)
+		}
+	}
+}
+
+// TestFaultyLinkEndToEndScript drives the raw line protocol over a pipe
+// with no client: a script's replies arrive in order, and the session
+// hangs up after quit.
+func TestFaultyLinkEndToEndScript(t *testing.T) {
+	conn := startSession(t)
+	if _, err := io.WriteString(conn, "cores\nquit\n"); err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(conn)
+	var lines []string
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "ok ") || lines[1] != "ok bye" {
+		t.Errorf("script got %q", lines)
 	}
 }

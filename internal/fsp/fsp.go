@@ -75,32 +75,6 @@ type Controller struct {
 	// last telemetry solve.
 	stale bool
 	last  chip.State
-
-	// readFault, when non-nil, may fail a read-only telemetry register
-	// access — the hook internal/fault uses to model transient sensor
-	// and SCOM-bus upsets. Control registers (the RW set) are never
-	// faulted: on the real machine those go through a checked firmware
-	// write path, while telemetry reads are best-effort.
-	readFault ReadFault
-}
-
-// ReadFault is an injection hook consulted before each telemetry
-// register read. A non-nil return aborts the read; errors wrapping
-// chip.ErrTransient are retryable and reported in-band with a
-// "transient" prefix so operator clients know to retry.
-type ReadFault func(a Addr) error
-
-// SetReadFault arms (or, with nil, disarms) the telemetry fault hook.
-//
-//lint:ignore deadcode FSP fault path, kept until the sentinel's link takes a fault profile or the path is deleted
-func (c *Controller) SetReadFault(f ReadFault) { c.readFault = f }
-
-// faultRead consults the injection hook for a telemetry read of a.
-func (c *Controller) faultRead(a Addr) error {
-	if c.readFault == nil {
-		return nil
-	}
-	return c.readFault(a)
 }
 
 // NewController wraps a machine.
@@ -160,9 +134,6 @@ func (c *Controller) Getscom(a Addr) (uint64, error) {
 		}
 		return 0, nil
 	case regFreq:
-		if err := c.faultRead(a); err != nil {
-			return 0, err
-		}
 		st, err := c.telemetry()
 		if err != nil {
 			return 0, err
@@ -173,9 +144,6 @@ func (c *Controller) Getscom(a Addr) (uint64, error) {
 		}
 		return uint64(cs.Freq), nil
 	case regPower:
-		if err := c.faultRead(a); err != nil {
-			return 0, err
-		}
 		st, err := c.telemetry()
 		if err != nil {
 			return 0, err
@@ -186,9 +154,6 @@ func (c *Controller) Getscom(a Addr) (uint64, error) {
 		}
 		return uint64(float64(cs.Power) * 1000), nil
 	case regMargin:
-		if err := c.faultRead(a); err != nil {
-			return 0, err
-		}
 		return uint64(marginMilliSigma(core)), nil
 	default:
 		return 0, fmt.Errorf("fsp: unknown core register %#x", a.fn())
@@ -199,9 +164,6 @@ func (c *Controller) getChip(a Addr) (uint64, error) {
 	ci := a.chip()
 	if ci < 0 || ci >= len(c.m.Chips) {
 		return 0, fmt.Errorf("fsp: no chip %d", ci)
-	}
-	if err := c.faultRead(a); err != nil {
-		return 0, err
 	}
 	label := c.m.Chips[ci].Profile.Label
 	st, err := c.telemetry()

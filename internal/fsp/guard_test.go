@@ -278,7 +278,8 @@ func TestClientRetriesBusy(t *testing.T) {
 		"ok pong sync-1",
 		"ok pong probe-ok",
 	)
-	c := NewClient(script, ClientOptions{Retries: 2})
+	reg := obs.NewRegistry()
+	c := NewClient(script, ClientOptions{Retries: 2, Obs: reg})
 	out, err := c.Exec("ping probe-ok")
 	if err != nil {
 		t.Fatalf("Exec = %v", err)
@@ -286,8 +287,8 @@ func TestClientRetriesBusy(t *testing.T) {
 	if out != "pong probe-ok" {
 		t.Fatalf("payload = %q", out)
 	}
-	if st := c.Stats(); st.Retries != 1 {
-		t.Fatalf("Retries = %d, want 1", st.Retries)
+	if n := countsOf(reg).retries; n != 1 {
+		t.Fatalf("retries = %d, want 1", n)
 	}
 }
 

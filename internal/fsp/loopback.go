@@ -14,10 +14,9 @@ import (
 // goroutine, a client driven over a Loopback is fully deterministic —
 // the closed-loop consumers (the lifetime margin sentinel, tests) get
 // operator-plane semantics, retries and all, without any scheduling.
-//
-// A Loopback composes with the fault plane: wrap it with
-// Injector.WrapReadWriter to make the *link* drop or garble response
-// lines while the session underneath stays healthy.
+// A test can wrap a Loopback in a reader that drops or garbles response
+// lines to make the link lossy while the session underneath stays
+// healthy.
 type Loopback struct {
 	s *Session
 	// pending accumulates written bytes until a full line arrives.

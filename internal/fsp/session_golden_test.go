@@ -160,7 +160,8 @@ func TestSessionGolden(t *testing.T) {
 		return out
 	}, never)
 	loopback := goldenTranscript(t, func(s *Session, lines []string) []string {
-		cli := NewClient(NewLoopback(s), ClientOptions{})
+		reg := obs.NewRegistry()
+		cli := NewClient(NewLoopback(s), ClientOptions{Obs: reg})
 		out := make([]string, len(lines))
 		for i, l := range lines {
 			payload, err := cli.Exec(l)
@@ -176,8 +177,8 @@ func TestSessionGolden(t *testing.T) {
 				out[i] = "ok " + payload
 			}
 		}
-		if st := cli.Stats(); st.Retries != 0 || st.Discarded != 0 {
-			t.Fatalf("loopback client retried on a clean link: %+v", st)
+		if c := countsOf(reg); c.retries != 0 || c.discarded != 0 {
+			t.Fatalf("loopback client retried on a clean link: %+v", c)
 		}
 		return out
 	}, transportSkips)
