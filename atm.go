@@ -29,8 +29,9 @@
 //	mgr, err := atm.NewManager(machine, dep, nil)
 //	ev, err := mgr.Evaluate(atm.ScenarioManagedMax, pair, 0.10)
 //
-// See examples/ for runnable programs and DESIGN.md for the model and
-// its calibration against the paper's published measurements.
+// The Example functions in example_test.go walk through the paper's
+// flows and check their output under go test; DESIGN.md describes the
+// model and its calibration against the paper's published measurements.
 package atm
 
 import (
@@ -226,9 +227,6 @@ func NewMachine(profile *SiliconProfile) (*Machine, error) {
 	return chip.New(profile, chip.Options{})
 }
 
-// ReferenceSilicon returns the paper-calibrated silicon profile.
-func ReferenceSilicon() *SiliconProfile { return silicon.Reference() }
-
 // GenerateSilicon manufactures a fresh server from the forward
 // process-variation model — the method generalizes beyond the paper's
 // two chips.
@@ -261,28 +259,12 @@ func NewManager(m *Machine, dep *Deployment, rep *CharactReport) (*Manager, erro
 // and figure of the paper (see cmd/atmfigures).
 func NewSuite(opts SuiteOptions) (*Suite, error) { return core.NewSuite(opts) }
 
-// NewReferenceSuite is NewSuite over the reference silicon.
-func NewReferenceSuite() (*Suite, error) { return core.NewReferenceSuite() }
-
 // WorkloadByName looks up a workload profile (SPEC CPU 2017, PARSEC 3.0,
 // DNN inference, uBench) by its benchmark name.
 func WorkloadByName(name string) (Workload, error) { return workload.ByName(name) }
 
-// Workloads returns the full workload library.
-func Workloads() []Workload { return workload.All() }
-
-// CriticalWorkloads returns the latency-sensitive Table II applications.
-func CriticalWorkloads() []Workload { return workload.Critical() }
-
-// BackgroundWorkloads returns the throttle-tolerant Table II
-// applications.
-func BackgroundWorkloads() []Workload { return workload.Background() }
-
 // VoltageVirus returns the paper's test-time di/dt + power stressmark.
 func VoltageVirus() Stressmark { return workload.VoltageVirus() }
-
-// Fig14Pairs returns the evaluation's ⟨critical : background⟩ pairs.
-func Fig14Pairs() []Pair { return manage.Fig14Pairs() }
 
 // NewJobSimulator builds the dynamic job scheduler over a deployed
 // machine.
@@ -290,8 +272,10 @@ func NewJobSimulator(m *Machine, dep *Deployment, chipLabel string) (*JobSimulat
 	return sched.NewSimulator(m, dep, chipLabel)
 }
 
-// GenerateJobTrace draws a reproducible Poisson job trace.
-func GenerateJobTrace(o SchedOptions, seed uint64) []Job {
+// GenerateJobTrace draws a reproducible Poisson job trace. Options
+// whose horizon, arrival rates or service means are negative, NaN or
+// infinite are an error.
+func GenerateJobTrace(o SchedOptions, seed uint64) ([]Job, error) {
 	return sched.GenerateTrace(o, rng.New(seed))
 }
 
@@ -339,12 +323,6 @@ func TuneCampaign(n int, start uint64, rollback int, faultProfile string, faultS
 // servers (trials 0 = the methodology default).
 func CharacterizeCampaign(n int, start uint64, trials int, faultProfile string, faultSeed uint64) *FleetCampaign {
 	return fleet.CharacterizeSweep(n, start, trials, faultProfile, faultSeed)
-}
-
-// LifetimeCampaign builds a lifetime drift sweep over n servers
-// (silicon seed 0 = the reference server; years 0 = three).
-func LifetimeCampaign(n int, start uint64, years int, sentinelOff bool) *FleetCampaign {
-	return fleet.LifetimeSweep(n, start, years, sentinelOff)
 }
 
 // SimulateLifetime ages a fine-tuned server through years of simulated

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/manage"
 	"repro/internal/report"
+	"repro/internal/workload"
 )
 
 // TestPublicPipeline drives the whole library through the public facade
@@ -54,7 +56,7 @@ func TestPublicPipeline(t *testing.T) {
 // TestSuiteRegeneratesEverything runs every experiment end to end and
 // checks the artifacts render.
 func TestSuiteRegeneratesEverything(t *testing.T) {
-	s, err := NewReferenceSuite()
+	s, err := NewSuite(SuiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +132,13 @@ func TestGeneratedSiliconPipeline(t *testing.T) {
 	}
 }
 
-// TestWorkloadAccessors sanity-checks the facade's workload surface.
+// TestWorkloadAccessors sanity-checks the workload library, the
+// facade's lookups into it, and the evaluation pairs.
 func TestWorkloadAccessors(t *testing.T) {
-	if len(Workloads()) < 25 {
-		t.Errorf("library has %d workloads", len(Workloads()))
+	if len(workload.All()) < 25 {
+		t.Errorf("library has %d workloads", len(workload.All()))
 	}
-	if len(CriticalWorkloads()) == 0 || len(BackgroundWorkloads()) == 0 {
+	if len(workload.Critical()) == 0 || len(workload.Background()) == 0 {
 		t.Error("Table II roles empty")
 	}
 	if _, err := WorkloadByName("x264"); err != nil {
@@ -148,7 +151,7 @@ func TestWorkloadAccessors(t *testing.T) {
 	if vv.Profile.Name != "voltage-virus" {
 		t.Errorf("virus = %q", vv.Profile.Name)
 	}
-	if len(Fig14Pairs()) < 5 {
+	if len(manage.Fig14Pairs()) < 5 {
 		t.Error("too few evaluation pairs")
 	}
 }
@@ -199,7 +202,10 @@ func TestFacadeJobSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := SchedOptions{Policy: SchedManaged, HorizonSec: 30, Seed: 5}
-	trace := GenerateJobTrace(opts, opts.Seed)
+	trace, err := GenerateJobTrace(opts, opts.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(trace) == 0 {
 		t.Fatal("empty trace")
 	}

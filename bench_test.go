@@ -31,7 +31,7 @@ var (
 func suite(b *testing.B) *Suite {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchS, benchErr = NewReferenceSuite()
+		benchS, benchErr = NewSuite(SuiteOptions{})
 		if benchErr != nil {
 			return
 		}
@@ -267,7 +267,7 @@ func BenchmarkFig14Management(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pairs := Fig14Pairs()
+	pairs := manage.Fig14Pairs()
 	var sum float64
 	for _, pair := range pairs {
 		ev, err := mgr.Evaluate(ScenarioManagedMax, pair, 0.10)

@@ -634,10 +634,53 @@ func cmdFleet(args []string) error {
 	} else if err := renderFleet(camp, res); err != nil {
 		return err
 	}
-	if failed := res.Failed(); len(failed) > 0 {
+	quarantined := 0
+	for _, r := range res.Results {
+		n, err := quarantinedCores(r)
+		if err != nil {
+			return err
+		}
+		quarantined += n
+	}
+	switch failed := res.Failed(); {
+	case len(failed) > 0:
 		return partialf("fleet: %d job(s) failed: %v", len(failed), failed)
+	case quarantined > 0:
+		return partialf("fleet: %d core(s) quarantined", quarantined)
 	}
 	return nil
+}
+
+// quarantinedCores counts the cores a finished tune or characterize
+// job quarantined, from its payload. Other kinds quarantine none.
+func quarantinedCores(r fleet.Result) (int, error) {
+	if r.Err != "" {
+		return 0, nil
+	}
+	n := 0
+	switch r.Kind {
+	case atm.FleetTune:
+		d, err := r.Tune()
+		if err != nil {
+			return 0, err
+		}
+		for _, cfg := range d.Configs {
+			if cfg.Quarantined {
+				n++
+			}
+		}
+	case atm.FleetCharacterize:
+		d, err := r.Characterize()
+		if err != nil {
+			return 0, err
+		}
+		for _, row := range d.Rows {
+			if row.Quarantined {
+				n++
+			}
+		}
+	}
+	return n, nil
 }
 
 // renderFleet prints one row per job, with kind-specific columns.

@@ -58,6 +58,10 @@ func TestRunExitCodes(t *testing.T) {
 		{"fleet tune seed range wraps", []string{"fleet", "-kind", "tune", "-n", "2", "-seed", "18446744073709551615"}, 2},
 		{"fleet montecarlo seed range wraps", []string{"fleet", "-kind", "montecarlo", "-n", "2", "-seed", "18446744073709551615"}, 2},
 		{"fleet last seed alone runs", []string{"fleet", "-kind", "montecarlo", "-n", "1", "-seed", "18446744073709551615"}, 0},
+		{"fleet tune fault-free is ok", []string{"fleet", "-kind", "tune", "-n", "2"}, 0},
+		{"fleet tune quarantined cores are partial", []string{"fleet", "-kind", "tune", "-n", "2", "-workers", "1", "-fault-profile", "broken=1"}, 3},
+		{"fleet tune json quarantined cores are partial", []string{"fleet", "-kind", "tune", "-n", "2", "-fault-profile", "broken=1", "-json"}, 3},
+		{"fleet characterize quarantined cores are partial", []string{"fleet", "-kind", "characterize", "-n", "2", "-trials", "2", "-fault-profile", "broken=1"}, 3},
 		{"lifetime safe", []string{"lifetime", "-years", "1"}, 0},
 		{"lifetime unsafe is partial", []string{"lifetime", "-years", "3", "-sentinel-off"}, 3},
 		{"lifetime negative years", []string{"lifetime", "-years", "-1"}, 2},

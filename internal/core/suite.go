@@ -70,10 +70,6 @@ func NewSuite(opts SuiteOptions) (*Suite, error) {
 	return &Suite{opts: opts, M: m}, nil
 }
 
-// NewReferenceSuite is NewSuite over the paper-calibrated silicon with
-// default options.
-func NewReferenceSuite() (*Suite, error) { return NewSuite(SuiteOptions{}) }
-
 // Report runs (once) and returns the full characterization.
 func (s *Suite) Report() (*charact.Report, error) {
 	if s.rep == nil {

@@ -14,7 +14,7 @@ var sharedSuite *Suite
 func testSuite(t *testing.T) *Suite {
 	t.Helper()
 	if sharedSuite == nil {
-		s, err := NewReferenceSuite()
+		s, err := NewSuite(SuiteOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -341,21 +341,35 @@ func TestOpsWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestRemoveTenantClearsVacatedSlot: the completion-path helper must
-// nil the vacated tail slot so the backing array does not pin the
-// removed tenant for the rest of the run (sim.go's removeTenant).
-func TestRemoveTenantClearsVacatedSlot(t *testing.T) {
-	a, b, c := &tenant{id: 1}, &tenant{id: 2}, &tenant{id: 3}
-	list := []*tenant{a, b, c}
-	got := removeTenant(list, b)
+// TestCompleteClearsVacatedSlots: the completion filter burns a tick
+// of work for each un-throttled tenant, keeps the unfinished ones in
+// placement order, hands the finished ones to done in the same order,
+// and nils the vacated tail slots so the backing array does not pin a
+// finished tenant for the rest of the run (sim.go's complete).
+func TestCompleteClearsVacatedSlots(t *testing.T) {
+	a := &tenant{id: 1, remaining: 2}
+	b := &tenant{id: 2, remaining: 1}
+	c := &tenant{id: 3, remaining: 1, throttled: true}
+	d := &tenant{id: 4, remaining: 1}
+	list := []*tenant{a, b, c, d}
+	var done []*tenant
+	got := complete(list, func(t *tenant) { done = append(done, t) })
 	if len(got) != 2 || got[0] != a || got[1] != c {
-		t.Fatalf("removeTenant returned %v", got)
+		t.Fatalf("complete kept %v, want tenants 1 and 3", got)
 	}
-	if tail := list[:3][2]; tail != nil {
-		t.Fatalf("vacated tail slot still pins tenant %d", tail.id)
+	if len(done) != 2 || done[0] != b || done[1] != d {
+		t.Fatalf("complete finished %v, want tenants 2 and 4", done)
 	}
-	// Removing a tenant that is not in the list is a no-op.
-	if got = removeTenant(got, b); len(got) != 2 {
-		t.Fatalf("no-op removal changed length to %d", len(got))
+	if a.remaining != 1 || c.remaining != 1 {
+		t.Fatalf("remaining work %d and %d, want 1 and 1 (a throttled tenant burns none)", a.remaining, c.remaining)
+	}
+	for k, x := range list[len(got):] {
+		if x != nil {
+			t.Fatalf("vacated slot %d still pins tenant %d", len(got)+k, x.id)
+		}
+	}
+	// Next tick tenant 1 finishes; the throttled tenant 3 stays.
+	if got = complete(got, func(t *tenant) { done = append(done, t) }); len(got) != 1 || got[0] != c || done[2] != a {
+		t.Fatalf("second tick kept %v and finished %v, want tenant 3 kept and tenant 1 finished", got, done)
 	}
 }

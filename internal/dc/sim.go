@@ -145,16 +145,15 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 	allow := make([]float64, nChips)
 	measured := make([]float64, nChips)
 	telemetry := make([]float64, nChips)
-	// perChip tracks each chip's tenants in placement order for the
-	// throttle scan.
+	// perChip holds each chip's running tenants in placement order:
+	// the completion walk, the throttle scan and the tick row read it.
 	perChip := make([][]*tenant, nChips)
 
 	var queue []*tenant
-	var running []*tenant
 
 	// The ops plane: its evacuation callback pulls a dying or
-	// quarantined chip's tenants back into the queue; the tick loop
-	// filters them out of running by their cleared placement.
+	// quarantined chip's tenants back into the queue and empties the
+	// chip's list.
 	evacuate := func(chip, tick int) int {
 		list := perChip[chip]
 		for _, t := range list {
@@ -204,38 +203,22 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 		*clock = int64(tick)
 
 		// Completions: un-throttled tenants burn one tick of work.
-		live := running[:0]
-		for _, t := range running {
-			if !t.throttled {
-				t.remaining--
-			}
-			if t.remaining == 0 {
+		// Release touches only its own chip's demand, and each list
+		// keeps placement order, so each chip releases in placement
+		// order whatever order the chips are walked in.
+		for i := range perChip {
+			perChip[i] = complete(perChip[i], func(t *tenant) {
 				t.completed = true
 				t.end = tick
 				placer.Release(t.chip, t.core, t.wl.CdynRel)
-				perChip[t.chip] = removeTenant(perChip[t.chip], t)
 				res.Placement.Completed++
-				continue
-			}
-			live = append(live, t)
+			})
 		}
-		running = live
 
 		// Operational events and recoveries fire before the budget
 		// pass, so freed or reduced capacity is re-apportioned this
-		// tick. Evacuated tenants leave running by their cleared
-		// placement and are already back in the queue.
+		// tick. Evacuated tenants are already back in the queue.
 		opsP.beginTick(tick)
-		live = running[:0]
-		for _, t := range running {
-			if t.chip >= 0 {
-				live = append(live, t)
-			}
-		}
-		for k := len(live); k < len(running); k++ {
-			running[k] = nil
-		}
-		running = live
 
 		// Arrivals join the queue at their place in queueCmp order;
 		// evacuees joined it the same way in beginTick.
@@ -294,7 +277,6 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 				t.start = tick
 				t.placed = true
 				perChip[ci] = append(perChip[ci], t)
-				running = append(running, t)
 				placements.Inc()
 				res.Placement.Placed++
 				if t.pendingMig {
@@ -353,11 +335,14 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 		tree.Regulate(telemetry)
 
 		// Record the tick: level maxima and cap violations.
-		row := TickRow{Tick: tick, Queued: len(queue), Running: len(running), Down: opsP.downCount(tick)}
-		for _, t := range running {
-			if t.throttled {
-				t.throttledTicks++
-				row.Throttled++
+		row := TickRow{Tick: tick, Queued: len(queue), Down: opsP.downCount(tick)}
+		for _, list := range perChip {
+			row.Running += len(list)
+			for _, t := range list {
+				if t.throttled {
+					t.throttledTicks++
+					row.Throttled++
+				}
 			}
 		}
 		row.RackMaxW, row.ChassisMaxW, row.ChipMaxW, row.Violations = tree.Check(measured)
@@ -465,16 +450,22 @@ func enqueue(queue []*tenant, t *tenant) []*tenant {
 	return slices.Insert(queue, i, t)
 }
 
-// removeTenant drops t from list preserving order, clearing the
-// vacated tail slot so the backing array does not keep the evicted
-// *tenant reachable.
-func removeTenant(list []*tenant, t *tenant) []*tenant {
-	for i, x := range list {
-		if x == t {
-			copy(list[i:], list[i+1:])
-			list[len(list)-1] = nil
-			return list[:len(list)-1]
+// complete burns one tick of work for each un-throttled tenant of a
+// chip's list, hands each tenant that finishes to done, and returns
+// the rest in order. It filters in place and nils the vacated tail, so
+// the backing array does not keep a finished *tenant reachable.
+func complete(list []*tenant, done func(*tenant)) []*tenant {
+	live := list[:0]
+	for _, t := range list {
+		if !t.throttled {
+			t.remaining--
 		}
+		if t.remaining == 0 {
+			done(t)
+			continue
+		}
+		live = append(live, t)
 	}
-	return list
+	clear(list[len(live):])
+	return live
 }

@@ -92,32 +92,6 @@ func CharacterizeSweep(n int, start uint64, trials int, faultProfile string, fau
 	return c
 }
 
-// LifetimeSweep builds a lifetime campaign over n servers: silicon
-// seeds start..start+n-1, each simulated for the given horizon. A
-// start of 0 puts the paper-calibrated reference server first (silicon
-// seed 0 selects it), which is what the safety CI gate runs. The trial
-// seed equals the silicon seed except for the reference server, which
-// takes the lifetime stage's default seed.
-func LifetimeSweep(n int, start uint64, years int, sentinelOff bool) *Campaign {
-	name := fmt.Sprintf("lifetime-n%d-s%d-y%d", n, start, years)
-	if sentinelOff {
-		name += "-nosentinel"
-	}
-	c := &Campaign{Name: name}
-	for i := 0; i < n; i++ {
-		seed := start + uint64(i)
-		c.Jobs = append(c.Jobs, Job{
-			ID:          fmt.Sprintf("lifetime-%04d", seed),
-			Kind:        KindLifetime,
-			SiliconSeed: seed,
-			Seed:        seed,
-			Years:       years,
-			SentinelOff: sentinelOff,
-		})
-	}
-	return c
-}
-
 // splitFaultSeed derives a job's independent fault seed from the
 // campaign-level base seed via a labelled rng split.
 func splitFaultSeed(jobID, faultProfile string, faultSeed uint64) (string, uint64) {

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // DeadCode reports every non-test function with a body that no program
@@ -12,8 +14,8 @@ import (
 //
 //   - the main function of every main package;
 //   - every package's initialization;
-//   - the exported functions the module's root package (the atm facade)
-//     declares, but not the methods of the types it aliases;
+//   - every Example function of an in-package _test.go file, the
+//     programs go test compiles, runs and checks as documentation;
 //   - methods that implement an interface declared in a package the
 //     graph does not cover (the standard library, and in a
 //     single-package run any other package), since code outside the
@@ -21,15 +23,17 @@ import (
 //   - methods named Unwrap, Is or As, which errors.Is and errors.As
 //     call through interfaces declared inside their bodies.
 //
-// Only a package set that contains a main package is judged: without a
-// program, every library function may be some program's entry. A
+// Being exported roots nothing: the atm facade's functions stay only
+// while a command, atmbench or an Example calls them. Only a package
+// set that contains a main package is judged: without a program,
+// every library function may be some program's entry. A
 // function kept on purpose (a reference model tests compare production
 // against, a seam a later change will wire) carries a
 // //lint:ignore deadcode <reason> directive on the line above its
 // declaration.
 var DeadCode = &Analyzer{
 	Name:       "deadcode",
-	Doc:        "forbid non-test functions that no main, package init or atm facade function reaches",
+	Doc:        "forbid non-test functions that no main, package init or Example function reaches",
 	Severity:   SeverityWarn,
 	RunProgram: runDeadCode,
 }
@@ -51,10 +55,10 @@ func runDeadCode(p *ProgramPass) {
 	}
 	for _, id := range graph.SortedIDs() {
 		n := graph.Nodes[id]
-		if n.Fn == nil || n.TestOnly {
+		if n.Fn == nil {
 			continue
 		}
-		if (n.Pkg == p.Config.ModulePath && n.Exported) || externalMethod(n.Fn, external) {
+		if (n.TestOnly && isExample(n.Fn)) || (!n.TestOnly && externalMethod(n.Fn, external)) {
 			roots = append(roots, id)
 		}
 	}
@@ -94,6 +98,19 @@ func runDeadCode(p *ProgramPass) {
 			}
 		}
 	}
+}
+
+// isExample reports whether fn, declared in a _test.go file, is one
+// go test runs as an example: a function without a receiver named
+// Example, or Example followed by a suffix that does not start with a
+// lower-case letter (ExampleF, ExampleT_M, Example_suffix).
+func isExample(fn *types.Func) bool {
+	rest, ok := strings.CutPrefix(fn.Name(), "Example")
+	if !ok || fn.Type().(*types.Signature).Recv() != nil {
+		return false
+	}
+	r, _ := utf8.DecodeRuneInString(rest)
+	return rest == "" || !unicode.IsLower(r)
 }
 
 // externalMethod reports whether fn is a concrete method that code

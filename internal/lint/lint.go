@@ -189,8 +189,6 @@ func sortFindings(fs []Finding) {
 // Config scopes the rules to the packages they police. The zero value
 // is not useful; call DefaultConfig for the repository's settings.
 type Config struct {
-	// ModulePath is the module's import path ("repro").
-	ModulePath string
 	// SimPackages are the import paths detflow treats as simulation
 	// code: wall-clock, environment and ambient-randomness uses are
 	// banned anywhere in them, and their exported functions and
@@ -216,7 +214,6 @@ type Config struct {
 // DefaultConfig returns the repository's lint scope.
 func DefaultConfig() *Config {
 	return &Config{
-		ModulePath: "repro",
 		SimPackages: []string{
 			"repro/internal/chip",
 			"repro/internal/cpm",

@@ -221,9 +221,11 @@ func (l *Loader) importPathFor(abs string) (string, error) {
 }
 
 // parseDir parses the .go files of one directory. withTests merges
-// in-package _test.go files; external test packages (package foo_test)
-// are always skipped — the repository has none, and they would form a
-// second package in the same directory.
+// in-package _test.go files. External test packages (package foo_test)
+// are always skipped, because they would form a second package in the
+// same directory: no rule sees internal/fsp/alloc_test.go,
+// internal/obs/determinism_test.go or internal/silicon/limit_test.go,
+// and an Example declared in such a file roots nothing for deadcode.
 func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

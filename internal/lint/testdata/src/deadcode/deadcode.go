@@ -86,6 +86,17 @@ func onlyTests() int { return 4 } // want "no program reaches repro/internal/lin
 // onlyTestInit is called from a test file's var initializer only.
 func onlyTestInit() int { return 5 } // want "no program reaches repro/internal/lint/testdata/src/deadcode.onlyTestInit;"
 
+// onlyExample is called from an Example function only, which go test
+// runs as a program.
+func onlyExample() int { return 6 }
+
+// onlyExamples is called from a test function whose name goes on with
+// a lower-case letter, which go test does not run as an example.
+func onlyExamples() int { return 7 } // want "no program reaches repro/internal/lint/testdata/src/deadcode.onlyExamples;"
+
+// Exported has no caller; being exported does not make it a root.
+func Exported() {} // want "no program reaches repro/internal/lint/testdata/src/deadcode.Exported;"
+
 // kept is unreached on purpose.
 //
 //lint:ignore deadcode fixture: a directive keeps an unreached function

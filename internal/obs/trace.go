@@ -185,16 +185,6 @@ func pairArgs(args []string) []kv {
 	return out
 }
 
-// Events returns the number of emitted events (0 on the nil tracer).
-func (t *Tracer) Events() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
 // WriteJSON writes the Chrome trace_event file: thread_name metadata
 // for every track in tid order, then the events in emission order.
 // Byte-identical across runs with identical contents. A nil tracer

@@ -17,6 +17,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -187,8 +188,33 @@ type Result struct {
 	MakespanSec float64
 }
 
-// GenerateTrace draws a reproducible job trace from the options.
-func GenerateTrace(o Options, src *rng.Source) []Job {
+// Validate rejects an arrival or service setting under which the trace
+// generator would never finish or would panic: a horizon, arrival rate
+// or mean service time that is negative, NaN or infinite. A NaN rate
+// makes every arrival time NaN and a +Inf rate every gap 0, so with
+// either, or with a NaN or +Inf horizon, arrivals never pass the
+// horizon. Zero still selects each default.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"HorizonSec", o.HorizonSec}, {"CritRate", o.CritRate}, {"BGRate", o.BGRate},
+		{"CritServiceSec", o.CritServiceSec}, {"BGServiceSec", o.BGServiceSec},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("sched: %s %v is not finite and non-negative", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// GenerateTrace draws a reproducible job trace from the options. It
+// validates them first and draws nothing when they are invalid.
+func GenerateTrace(o Options, src *rng.Source) ([]Job, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
 	o = o.withDefaults()
 	crit := workload.Critical()
 	bg := workload.Background()
@@ -217,7 +243,7 @@ func GenerateTrace(o Options, src *rng.Source) []Job {
 	for i := range jobs {
 		jobs[i].ID = i
 	}
-	return jobs
+	return jobs, nil
 }
 
 // Simulator executes traces on a deployed machine.

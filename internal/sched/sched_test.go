@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/chip"
@@ -33,6 +34,17 @@ func sim(t *testing.T) *Simulator {
 	return s
 }
 
+// genTrace draws o's trace from its seed, failing the test on an
+// options error.
+func genTrace(t *testing.T, o Options) []Job {
+	t.Helper()
+	trace, err := GenerateTrace(o, rng.New(o.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace
+}
+
 func shortOpts(p Policy) Options {
 	return Options{
 		Policy:     p,
@@ -43,7 +55,7 @@ func shortOpts(p Policy) Options {
 
 func TestTraceGeneration(t *testing.T) {
 	o := shortOpts(PolicyStatic)
-	trace := GenerateTrace(o, rng.New(o.Seed))
+	trace := genTrace(t, o)
 	if len(trace) < 10 {
 		t.Fatalf("trace has only %d jobs", len(trace))
 	}
@@ -77,16 +89,52 @@ func TestTraceGeneration(t *testing.T) {
 		t.Fatalf("trace missing a class: crit=%d bg=%d", crit, bg)
 	}
 	// Deterministic for a given seed.
-	again := GenerateTrace(o, rng.New(o.Seed))
+	again := genTrace(t, o)
 	if len(again) != len(trace) || again[3] != trace[3] {
 		t.Error("trace generation not deterministic")
+	}
+}
+
+// TestGenerateTraceRejectsBadOptions: a negative value would panic in
+// rng.Exp and a NaN or infinite one would never end the arrival loop,
+// so returning an error at all shows the check ran before any draw.
+// The error names the field; zero still selects the default.
+func TestGenerateTraceRejectsBadOptions(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Options, float64)
+	}{
+		{"HorizonSec", func(o *Options, v float64) { o.HorizonSec = v }},
+		{"CritRate", func(o *Options, v float64) { o.CritRate = v }},
+		{"BGRate", func(o *Options, v float64) { o.BGRate = v }},
+		{"CritServiceSec", func(o *Options, v float64) { o.CritServiceSec = v }},
+		{"BGServiceSec", func(o *Options, v float64) { o.BGServiceSec = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			o := shortOpts(PolicyStatic)
+			f.set(&o, v)
+			trace, err := GenerateTrace(o, rng.New(o.Seed))
+			if err == nil || trace != nil {
+				t.Errorf("%s = %v: got %d jobs, err %v; want no jobs and an error", f.name, v, len(trace), err)
+				continue
+			}
+			if !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: error %q does not name the field", f.name, v, err)
+			}
+		}
+		o := shortOpts(PolicyStatic)
+		f.set(&o, 0)
+		if len(genTrace(t, o)) == 0 {
+			t.Errorf("%s = 0: empty trace, want the default", f.name)
+		}
 	}
 }
 
 func TestAllJobsComplete(t *testing.T) {
 	s := sim(t)
 	o := shortOpts(PolicyManaged)
-	trace := GenerateTrace(o, rng.New(o.Seed))
+	trace := genTrace(t, o)
 	res, err := s.Run(trace, o)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +166,7 @@ func TestAllJobsComplete(t *testing.T) {
 func TestStaticSpeedupIsOne(t *testing.T) {
 	s := sim(t)
 	o := shortOpts(PolicyStatic)
-	trace := GenerateTrace(o, rng.New(o.Seed))
+	trace := genTrace(t, o)
 	res, err := s.Run(trace, o)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +187,7 @@ func TestPolicyLadder(t *testing.T) {
 	speed := map[Policy]float64{}
 	for _, p := range []Policy{PolicyStatic, PolicyUnmanaged, PolicyManaged} {
 		o := shortOpts(p)
-		trace := GenerateTrace(o, rng.New(o.Seed))
+		trace := genTrace(t, o)
 		res, err := s.Run(trace, o)
 		if err != nil {
 			t.Fatal(err)
@@ -166,7 +214,7 @@ func TestPolicyLadder(t *testing.T) {
 func TestManagedPlacement(t *testing.T) {
 	s := sim(t)
 	o := shortOpts(PolicyManaged)
-	trace := GenerateTrace(o, rng.New(o.Seed))
+	trace := genTrace(t, o)
 	res, err := s.Run(trace, o)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +247,7 @@ func TestManagedPlacement(t *testing.T) {
 func TestMachineResetAfterRun(t *testing.T) {
 	s := sim(t)
 	o := shortOpts(PolicyManaged)
-	trace := GenerateTrace(o, rng.New(o.Seed))
+	trace := genTrace(t, o)
 	if _, err := s.Run(trace, o); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +262,7 @@ func TestMachineResetAfterRun(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	s := sim(t)
 	o := shortOpts(PolicyManaged)
-	trace := GenerateTrace(o, rng.New(o.Seed))
+	trace := genTrace(t, o)
 	r1, err := s.Run(trace, o)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +281,7 @@ func TestDeterminism(t *testing.T) {
 func TestOverload(t *testing.T) {
 	s := sim(t)
 	o := Options{Policy: PolicyManaged, HorizonSec: 30, BGRate: 4, CritRate: 0.3, Seed: 3}
-	trace := GenerateTrace(o, rng.New(o.Seed))
+	trace := genTrace(t, o)
 	res, err := s.Run(trace, o)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +307,7 @@ func TestOndemandSavesEnergy(t *testing.T) {
 	s := sim(t)
 	oStatic := shortOpts(PolicyStatic)
 	oOnd := shortOpts(PolicyOndemand)
-	trace := GenerateTrace(oStatic, rng.New(oStatic.Seed))
+	trace := genTrace(t, oStatic)
 	rs, err := s.Run(trace, oStatic)
 	if err != nil {
 		t.Fatal(err)
