@@ -136,15 +136,13 @@ type (
 	DCResult = dc.Result
 
 	// LifetimeOptions configures a lifetime drift simulation: horizon,
-	// seed, drift parameters, sentinel calibration, control arm.
+	// seed, sentinel calibration, control arm.
 	LifetimeOptions = lifetime.Options
 	// LifetimeResult is a lifetime simulation's outcome: the safety
 	// verdict, intervention counts, per-core journeys and the timeline.
 	LifetimeResult = lifetime.Result
 	// LifetimeEvent is one timeline entry of a lifetime simulation.
 	LifetimeEvent = lifetime.Event
-	// DriftParams shapes the NBTI/HCI aging and ambient model.
-	DriftParams = lifetime.Params
 
 	// Manager is the managed-ATM scheduler.
 	Manager = manage.Manager

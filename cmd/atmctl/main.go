@@ -758,10 +758,13 @@ func renderFleet(camp *atm.FleetCampaign, res *atm.FleetResult) error {
 					worstHi = row.Worst
 				}
 			}
-			t.AddRow(fmt.Sprintf("%d", d.SiliconSeed),
-				fmt.Sprintf("%d–%d", idleLo, idleHi),
-				fmt.Sprintf("%d–%d", worstLo, worstHi),
-				fmt.Sprintf("%d", quarantined))
+			// With every core quarantined no limit was found, and the
+			// ranges would print their search start values.
+			idle, worst := "-", "-"
+			if quarantined < len(d.Rows) {
+				idle, worst = fmt.Sprintf("%d–%d", idleLo, idleHi), fmt.Sprintf("%d–%d", worstLo, worstHi)
+			}
+			t.AddRow(fmt.Sprintf("%d", d.SiliconSeed), idle, worst, fmt.Sprintf("%d", quarantined))
 		}
 	}
 	return t.Render(os.Stdout)

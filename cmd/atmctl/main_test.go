@@ -1,7 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -129,5 +132,31 @@ func TestRunExitCodes(t *testing.T) {
 				t.Fatalf("run(%v) = %d, want %d", tc.argv, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestFleetTableAllQuarantined: a characterize job whose every core is
+// quarantined found no limit, so its ranges print "-" rather than the
+// searches' start values (1<<30 and 0); the campaign still exits 3.
+func TestFleetTableAllQuarantined(t *testing.T) {
+	var code int
+	out := captureStdout(t, func() {
+		code = run([]string{"fleet", "-kind", "characterize", "-n", "1", "-trials", "2",
+			"-fault-profile", "broken=16", "-workers", "1"})
+	})
+	if code != 3 {
+		t.Fatalf("exit %d, want 3", code)
+	}
+	if strings.Contains(out, fmt.Sprint(1<<30)) {
+		t.Errorf("table prints the search sentinel:\n%s", out)
+	}
+	found := false
+	for _, line := range strings.Split(out, "\n") {
+		if slices.Equal(strings.Fields(line), []string{"1", "-", "-", "16"}) {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no row `1 - - 16` for the all-quarantined job:\n%s", out)
 	}
 }

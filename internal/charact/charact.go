@@ -53,10 +53,6 @@ type Options struct {
 	// Apps overrides the realistic workload set (default: the full
 	// SPEC + PARSEC + DNN library).
 	Apps []workload.Profile
-	// TrialRetries is the budget of extra attempts for a trial that
-	// fails with a transient harness error (chip.ErrTransient) before
-	// the core is quarantined. Default 2; negative disables retrying.
-	TrialRetries int
 	// Obs, when non-nil, collects counters for the run (trials, runs,
 	// transient retries, quarantines). Nil — the default — disables
 	// collection at near-zero cost and changes no output.
@@ -79,14 +75,13 @@ func (o Options) withDefaults() Options {
 	if o.Apps == nil {
 		o.Apps = workload.Realistic()
 	}
-	if o.TrialRetries == 0 {
-		o.TrialRetries = 2
-	}
-	if o.TrialRetries < 0 {
-		o.TrialRetries = 0
-	}
 	return o
 }
+
+// trialRetries is the budget of extra attempts for a trial that fails
+// with a transient harness error (chip.ErrTransient) before the core is
+// quarantined.
+const trialRetries = 2
 
 // Distribution is the repeated-trial outcome of one limit search.
 type Distribution struct {
@@ -245,7 +240,7 @@ func characterizeCore(m *chip.Machine, label string, o Options, in instr, src *r
 
 	// Stage 1: system idle, upward sweep.
 	sp := in.tr.Begin("charact", "stage:idle", label)
-	idle, err := findLimit(m, label, workload.Idle, o.Trials, o.RunsPerConfig, o.TrialRetries, src.Split("idle"), in.idleTrials, in.tr)
+	idle, err := findLimit(m, label, workload.Idle, o.Trials, o.RunsPerConfig, trialRetries, src.Split("idle"), in.idleTrials, in.tr)
 	sp.End()
 	if err != nil {
 		return CoreResult{}, err
@@ -257,7 +252,7 @@ func characterizeCore(m *chip.Machine, label string, o Options, in instr, src *r
 	res.UBenchLimit = idle.Limit
 	sp = in.tr.Begin("charact", "stage:ubench", label)
 	for _, ub := range workload.UBench() {
-		d, err := findRollback(m, label, ub, idle.Limit, o.Trials, o.RunsPerConfig, o.TrialRetries, src.Split("ubench/"+ub.Name), in.ubenchTrials, in.tr)
+		d, err := findRollback(m, label, ub, idle.Limit, o.Trials, o.RunsPerConfig, trialRetries, src.Split("ubench/"+ub.Name), in.ubenchTrials, in.tr)
 		if err != nil {
 			sp.End()
 			return CoreResult{}, err
@@ -279,7 +274,7 @@ func characterizeCore(m *chip.Machine, label string, o Options, in instr, src *r
 	normal := res.UBenchLimit
 	sp = in.tr.Begin("charact", "stage:app", label)
 	for _, app := range o.Apps {
-		d, err := findRollback(m, label, app, res.UBenchLimit, o.Trials, o.RunsPerConfig, o.TrialRetries, src.Split("app/"+app.Name), in.appTrials, in.tr)
+		d, err := findRollback(m, label, app, res.UBenchLimit, o.Trials, o.RunsPerConfig, trialRetries, src.Split("app/"+app.Name), in.appTrials, in.tr)
 		if err != nil {
 			sp.End()
 			return CoreResult{}, err

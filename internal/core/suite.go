@@ -26,13 +26,6 @@ type SuiteOptions struct {
 	// Profile selects the silicon; nil uses the paper-calibrated
 	// reference server.
 	Profile *silicon.ServerProfile
-	// Charact tunes the characterization stage.
-	Charact charact.Options
-	// Tuning tunes the stress-test deployment stage.
-	Tuning tuning.Options
-	// QoSTarget is the balanced-mode improvement goal (default 0.10,
-	// the paper's 10%).
-	QoSTarget float64
 	// FleetWorkers bounds the worker pool the fleet-backed extension
 	// studies (ext-montecarlo) fan out on. Every value produces
 	// byte-identical artifacts; it only changes wall-clock time.
@@ -57,9 +50,6 @@ func NewSuite(opts SuiteOptions) (*Suite, error) {
 	if opts.Profile == nil {
 		opts.Profile = silicon.Reference()
 	}
-	if opts.QoSTarget == 0 {
-		opts.QoSTarget = 0.10
-	}
 	if opts.FleetWorkers == 0 {
 		opts.FleetWorkers = 4
 	}
@@ -73,7 +63,7 @@ func NewSuite(opts SuiteOptions) (*Suite, error) {
 // Report runs (once) and returns the full characterization.
 func (s *Suite) Report() (*charact.Report, error) {
 	if s.rep == nil {
-		rep, err := charact.Characterize(s.M, s.opts.Charact)
+		rep, err := charact.Characterize(s.M, charact.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("core: characterization failed: %w", err)
 		}
@@ -88,7 +78,7 @@ func (s *Suite) Report() (*charact.Report, error) {
 // Deployment runs (once) and returns the stress-test deployment.
 func (s *Suite) Deployment() (*tuning.Deployment, error) {
 	if s.dep == nil {
-		dep, err := tuning.Deploy(s.M, s.opts.Tuning)
+		dep, err := tuning.Deploy(s.M, tuning.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("core: deployment failed: %w", err)
 		}

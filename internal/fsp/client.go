@@ -83,11 +83,6 @@ type ClientOptions struct {
 	// Timeout bounds each read and write when the transport supports
 	// deadlines (net.Conn, net.Pipe). Default 2s; negative disables.
 	Timeout time.Duration
-	// Backoff maps attempt number (1, 2, ...) to the pause before that
-	// retry. The default is deterministic binary exponential:
-	// 25ms · 2^(attempt−1), capped at 1s. No jitter — reproducibility
-	// outranks thundering-herd etiquette on a one-operator link.
-	Backoff func(attempt int) time.Duration
 	// Sleep consumes the backoff pauses. The default does not sleep
 	// (simulated time). A real implementation must honor cancel and
 	// return early when it fires.
@@ -98,9 +93,6 @@ type ClientOptions struct {
 	// schedule). It does not interrupt an in-flight read — the
 	// per-command Timeout already bounds those.
 	Cancel <-chan struct{}
-	// ResyncWindow is how many stale lines a re-sync may discard while
-	// hunting for its pong before the attempt is abandoned. Default 32.
-	ResyncWindow int
 	// Obs, when non-nil, counts what the resilience machinery absorbed
 	// (commands, retries, resyncs, discarded lines, exhausted budgets)
 	// as fsp_client_* metrics, plus a histogram of attempts consumed
@@ -117,20 +109,24 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.Timeout == 0 {
 		o.Timeout = 2 * time.Second
 	}
-	if o.Backoff == nil {
-		o.Backoff = func(attempt int) time.Duration {
-			d := 25 * time.Millisecond << (attempt - 1)
-			if d > time.Second {
-				d = time.Second
-			}
-			return d
-		}
-	}
-	if o.ResyncWindow == 0 {
-		o.ResyncWindow = 32
-	}
 	return o
 }
+
+// backoff maps attempt number (1, 2, ...) to the pause before that
+// retry: deterministic binary exponential, 25ms · 2^(attempt−1), capped
+// at 1s. No jitter — reproducibility outranks thundering-herd etiquette
+// on a one-operator link.
+func backoff(attempt int) time.Duration {
+	d := 25 * time.Millisecond << (attempt - 1)
+	if d > time.Second {
+		d = time.Second
+	}
+	return d
+}
+
+// resyncWindow is how many stale lines a re-sync may discard while
+// hunting for its pong before the attempt is abandoned.
+const resyncWindow = 32
 
 // CmdError is an in-band protocol error: the server executed (or
 // rejected) the command and said "err ...".
@@ -254,7 +250,7 @@ func (c *Client) resync() error {
 		return err
 	}
 	want := "ok pong " + token
-	for i := 0; i < c.opt.ResyncWindow; i++ {
+	for i := 0; i < resyncWindow; i++ {
 		line, err := c.readLine()
 		if err != nil {
 			return err
@@ -264,7 +260,7 @@ func (c *Client) resync() error {
 		}
 		c.ob.discarded.Inc()
 	}
-	return fmt.Errorf("fsp: resync token %s not echoed within %d lines", token, c.opt.ResyncWindow)
+	return fmt.Errorf("fsp: resync token %s not echoed within %d lines", token, resyncWindow)
 }
 
 // Exec runs one command with the full resilience envelope and returns
@@ -339,7 +335,7 @@ func (c *Client) pause(attempt int) error {
 	default:
 	}
 	if c.opt.Sleep != nil {
-		c.opt.Sleep(c.opt.Backoff(attempt), c.opt.Cancel)
+		c.opt.Sleep(backoff(attempt), c.opt.Cancel)
 	}
 	select {
 	case <-c.opt.Cancel:

@@ -24,12 +24,9 @@ type GuardOptions struct {
 	MaxSessions int
 	// AcceptCapacity > 0 arms a token bucket on session admission with
 	// that burst capacity: connection storms beyond the burst are shed
-	// in-band. 0 disables.
+	// in-band. One logical tick buys back one token (the default clock
+	// ticks once per admission attempt). 0 disables.
 	AcceptCapacity int64
-	// AcceptRefillEvery is how many logical ticks buy back one
-	// admission token (default 1; the default clock ticks once per
-	// admission attempt).
-	AcceptRefillEvery int64
 	// GarbageThreshold > 0 arms a per-session circuit breaker: that
 	// many consecutive garbage lines (unknown verbs, unparseable
 	// commands) trip the session open, and further commands are
@@ -37,7 +34,7 @@ type GuardOptions struct {
 	// 0 disables.
 	GarbageThreshold int
 	// BreakerOpenTicks is the open window in logical ticks (default 8
-	// — deliberately below the client's default ResyncWindow of 32, so
+	// — deliberately below the client's re-sync window of 32 lines, so
 	// a resyncing client's pings can walk the breaker to half-open and
 	// recover the session).
 	BreakerOpenTicks int64
@@ -63,11 +60,10 @@ func (s *Server) Guard(o GuardOptions) {
 	}
 	if o.AcceptCapacity > 0 {
 		s.bucket = guard.NewBucket(guard.BucketOptions{
-			Name:        "fsp_accept",
-			Capacity:    o.AcceptCapacity,
-			RefillEvery: o.AcceptRefillEvery,
-			Now:         o.Now,
-			Obs:         s.reg,
+			Name:     "fsp_accept",
+			Capacity: o.AcceptCapacity,
+			Now:      o.Now,
+			Obs:      s.reg,
 		})
 	}
 	s.shedC = s.reg.Counter("fsp_server_shed_total")

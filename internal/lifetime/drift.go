@@ -26,8 +26,8 @@ import (
 // HoursPerYear is the simulated-time conversion used throughout.
 const HoursPerYear = 8760
 
-// Params shapes the drift model. The zero value selects the defaults
-// noted per field (see DefaultParams).
+// Params shapes the drift model. The zero value selects DefaultParams,
+// whose values each field's comment notes.
 type Params struct {
 	// NBTIMean/NBTISigma parameterize the per-core NBTI aging
 	// coefficient: fractional true-path slowdown after one year of
@@ -108,45 +108,6 @@ func DefaultParams() Params {
 	}
 }
 
-// withDefaults fills zero fields from DefaultParams.
-func (p Params) withDefaults() Params {
-	d := DefaultParams()
-	if p.NBTIMean == 0 {
-		p.NBTIMean, p.NBTISigma = d.NBTIMean, d.NBTISigma
-	}
-	if p.HCIMean == 0 {
-		p.HCIMean, p.HCISigma = d.HCIMean, d.HCISigma
-	}
-	if p.TrackLo == 0 && p.TrackHi == 0 {
-		p.TrackLo, p.TrackHi = d.TrackLo, d.TrackHi
-	}
-	if p.StepSkewSigma == 0 {
-		p.StepSkewSigma = d.StepSkewSigma
-	}
-	if p.NoiseGrowthPerYear == 0 {
-		p.NoiseGrowthPerYear = d.NoiseGrowthPerYear
-	}
-	if p.LoadlineGrowthMean == 0 {
-		p.LoadlineGrowthMean, p.LoadlineGrowthSigma = d.LoadlineGrowthMean, d.LoadlineGrowthSigma
-	}
-	if p.AmbientMeanC == 0 {
-		p.AmbientMeanC = d.AmbientMeanC
-	}
-	if p.SeasonalAmpC == 0 {
-		p.SeasonalAmpC = d.SeasonalAmpC
-	}
-	if p.DiurnalAmpC == 0 {
-		p.DiurnalAmpC = d.DiurnalAmpC
-	}
-	if p.ExcursionsPerYear == 0 {
-		p.ExcursionsPerYear = d.ExcursionsPerYear
-		p.ExcursionAmpMeanC = d.ExcursionAmpMeanC
-		p.ExcursionAmpSigmaC = d.ExcursionAmpSigmaC
-		p.ExcursionMeanHours = d.ExcursionMeanHours
-	}
-	return p
-}
-
 // coreDrift is one core's frozen aging trajectory: coefficients drawn
 // once at overlay construction, applied as pure functions of time.
 type coreDrift struct {
@@ -205,12 +166,15 @@ type Overlay struct {
 	lastHours float64
 }
 
-// NewOverlay draws the drift trajectories for the machine's silicon.
-// horizonYears bounds the pre-drawn ambient excursion schedule. Every
-// draw comes from labelled splits of src, so the overlay is a pure
-// function of (machine profile, params, seed).
+// NewOverlay draws the drift trajectories for the machine's silicon;
+// a zero p selects DefaultParams. horizonYears bounds the pre-drawn
+// ambient excursion schedule. Every draw comes from labelled splits of
+// src, so the overlay is a pure function of (machine profile, params,
+// seed).
 func NewOverlay(m *chip.Machine, p Params, horizonYears float64, src *rng.Source) *Overlay {
-	p = p.withDefaults()
+	if p == (Params{}) {
+		p = DefaultParams()
+	}
 	o := &Overlay{p: p, m: m, pristine: m.Profile().Clone().AllCores()}
 
 	coreSrc := src.Split("cores")

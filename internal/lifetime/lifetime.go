@@ -26,26 +26,13 @@ type Options struct {
 	// Seed drives every stochastic element: drift trajectories,
 	// ambient excursions, workload trials, re-tune searches. Default 1.
 	Seed uint64
-	// EpochHours is the simulation step: drift is re-applied, one
-	// trial per active core runs, and the sentinel takes one margin
-	// sample per epoch. Default 6. Run rejects a negative or
-	// non-finite value and one longer than the horizon.
-	EpochHours float64
 	// SentinelOff disables the margin sentinel: the machine keeps its
 	// day-one fine-tuned configuration for the whole horizon. This is
 	// the control arm — it demonstrates why the sentinel must exist.
 	SentinelOff bool
-	// Drift shapes the aging model (zero value → DefaultParams).
-	Drift Params
 	// Sentinel tunes the detector and escalation ladder. Run rejects a
 	// configuration its Validate rejects.
 	Sentinel sentinel.Config
-	// Tune configures the initial fine-tuning deployment and the
-	// sentinel's bounded online re-tunes.
-	Tune tuning.Options
-	// TrialRetries is the transient-retry budget for production
-	// trials. Default 2.
-	TrialRetries int
 	// Obs, when non-nil, collects lifetime and sentinel telemetry.
 	Obs *obs.Registry
 	// Trace, when non-nil, records sentinel actions and failures.
@@ -59,51 +46,32 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.EpochHours == 0 {
-		o.EpochHours = 6
-	}
-	if o.TrialRetries == 0 {
-		o.TrialRetries = 2
-	}
-	// StressTestCore consumes Options verbatim (Deploy normalizes for
-	// its own callers), so the zero value must be filled here:
-	// StressTestCore rejects an empty battery or zero passes.
-	if o.Tune.Passes == 0 {
-		o.Tune.Passes = 3
-	}
-	if o.Tune.RunsPerConfig == 0 {
-		o.Tune.RunsPerConfig = 4
-	}
-	if o.Tune.Battery == nil {
-		o.Tune.Battery = workload.TestTimeSuite()
-	}
-	if o.Tune.TrialRetries == 0 {
-		o.Tune.TrialRetries = 2
-	}
 	o.Sentinel.Obs = o.Obs
 	o.Sentinel.Trace = o.Trace
 	return o
 }
 
-// validate rejects a horizon the simulation cannot step through (a
-// negative Years, an EpochHours that is not positive and finite, or a
-// horizon shorter than one epoch) and a sentinel configuration
+// validate rejects a negative Years and a sentinel configuration
 // sentinel.Config.Validate rejects. It checks the options after
 // withDefaults, before the deployment.
 func (o Options) validate() error {
-	switch {
-	case o.Years < 0:
+	if o.Years < 0 {
 		return fmt.Errorf("lifetime: negative horizon of %d year(s)", o.Years)
-	case !(o.EpochHours > 0) || math.IsInf(o.EpochHours, 1):
-		return fmt.Errorf("lifetime: epoch length %v h is not positive and finite", o.EpochHours)
-	case float64(o.Years)*HoursPerYear < o.EpochHours:
-		return fmt.Errorf("lifetime: %d-year horizon is shorter than one %v h epoch", o.Years, o.EpochHours)
 	}
 	if err := o.Sentinel.Validate(); err != nil {
 		return fmt.Errorf("lifetime: %w", err)
 	}
 	return nil
 }
+
+// epochHours is the simulation step: drift is re-applied, one trial
+// per active core runs, and the sentinel takes one margin sample per
+// epoch.
+const epochHours = 6
+
+// trialRetries is the transient-retry budget of every trial: the
+// production trials and the stress tests' runs.
+const trialRetries = 2
 
 // EventKind tags a timeline entry.
 const (
@@ -269,7 +237,7 @@ func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 	}
 
 	root := rng.New(o.Seed)
-	ov := NewOverlay(m, o.Drift, float64(o.Years), root.Split("lifetime/drift"))
+	ov := NewOverlay(m, Params{}, float64(o.Years), root.Split("lifetime/drift"))
 	ctl := fsp.NewController(m)
 	cli := fsp.NewClient(fsp.NewLoopback(fsp.NewSession(ctl)), fsp.ClientOptions{})
 
@@ -282,11 +250,17 @@ func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 	res := &Result{Years: o.Years, SentinelOff: o.SentinelOff}
 	res.Cores = make([]CoreReport, len(cores))
 
+	// The day-one deployment and the sentinel's bounded online re-tunes
+	// share one search configuration. StressTestCore consumes it
+	// verbatim (Deploy normalizes for its own callers), so every field
+	// it needs is set here: it rejects an empty battery or zero passes.
+	tuneOpts := tuning.Options{Passes: 3, RunsPerConfig: 4, Battery: workload.TestTimeSuite(), TrialRetries: trialRetries}
+
 	// Day one: fine-tune every core to its stress limit through the
 	// operator plane, exactly as the paper deploys.
 	deploySrc := root.Split("lifetime/deploy")
 	for i, label := range labels {
-		lim, err := tuning.StressTestCore(m, label, o.Tune, deploySrc.SplitIndex("core", i))
+		lim, err := tuning.StressTestCore(m, label, tuneOpts, deploySrc.SplitIndex("core", i))
 		if err != nil {
 			return nil, fmt.Errorf("lifetime: deploy %s: %w", label, err)
 		}
@@ -307,7 +281,7 @@ func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 		res.Cores[i].StartMargin = startMargins[i].Sigma
 	}
 
-	act := &actuator{m: m, cli: cli, tune: o.Tune, src: root.Split("lifetime/retune")}
+	act := &actuator{m: m, cli: cli, tune: tuneOpts, src: root.Split("lifetime/retune")}
 	var snt *sentinel.Sentinel
 	if !o.SentinelOff {
 		snt = sentinel.New(o.Sentinel, labels, act)
@@ -334,11 +308,11 @@ func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 		}
 	}
 
-	epochs := int(math.Round(float64(o.Years) * HoursPerYear / o.EpochHours))
+	epochs := int(math.Round(float64(o.Years) * HoursPerYear / epochHours))
 	res.Epochs = epochs
 	active := make([]bool, len(cores))
 	for e := 0; e < epochs; e++ {
-		tH := float64(e+1) * o.EpochHours
+		tH := float64(e+1) * epochHours
 		// The machine does real work 08:00–20:00 every day; nights it
 		// idles. Active cores accumulate HCI stress and take trials.
 		hourOfDay := math.Mod(tH, 24)
@@ -346,7 +320,7 @@ func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 		for i, c := range cores {
 			active[i] = working && !c.Gated() && c.Mode() == chip.ModeATM
 		}
-		ov.Advance(o.EpochHours, active)
+		ov.Advance(epochHours, active)
 		ctl.Invalidate()
 		if ambientGauge != nil {
 			ambientGauge.Set(ov.AmbientAt(tH))
@@ -413,7 +387,7 @@ func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 			}
 			w := workMix[i%len(workMix)]
 			cores[i].SetWorkload(w)
-			tr, err := m.RunCoreTrialRetry(cores[i], w, trialSrc.SplitIndex("trial", e*len(cores)+i), o.TrialRetries)
+			tr, err := m.RunCoreTrialRetry(cores[i], w, trialSrc.SplitIndex("trial", e*len(cores)+i), trialRetries)
 			if err != nil {
 				if errors.Is(err, chip.ErrTransient) {
 					continue

@@ -27,7 +27,7 @@
 //	             types, and no +/- mixing of float64-stripped units.
 //	errdrop    — no discarded error returns in cmd/ and internal/fsp.
 //	deadcode   — no non-test function that no program reaches from a
-//	             main, a package init or the atm facade.
+//	             main, a package init or an Example function.
 //	ignore     — malformed, unknown-rule or unused //lint:ignore
 //	             directives.
 //

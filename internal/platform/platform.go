@@ -111,14 +111,15 @@ type ProvisionOptions struct {
 	Seed uint64
 	// Rollback is the tuning safety margin.
 	Rollback int
-	// Passes is the stress-battery repeat count. Default 1 — the
-	// dc-scale quick pass; full manufacturing flow uses tuning's
-	// default of 3.
-	Passes int
-	// RunsPerConfig is the clean-run bar per configuration. Default 2
-	// (tuning's own default is 4) — again the dc-scale quick pass.
-	RunsPerConfig int
 }
+
+// The dc-scale quick pass: the stress-battery repeat count and the
+// clean-run bar per configuration. The full manufacturing flow uses
+// tuning's defaults of 3 and 4.
+const (
+	provisionPasses        = 1
+	provisionRunsPerConfig = 2
+)
 
 // CoreProvision is one core's datacenter-intake record: its deployed
 // fine-tuned configuration plus the fitted Eq. 1 frequency predictor
@@ -215,18 +216,12 @@ func (p *Provision) View() (NodeView, error) {
 // exactly what the fleet's dcprovision job kind caches and what the
 // dc scheduler and budget hierarchy consume.
 func ProvisionServer(srv *Server, o ProvisionOptions) (*Provision, error) {
-	if o.Passes == 0 {
-		o.Passes = 1
-	}
-	if o.RunsPerConfig == 0 {
-		o.RunsPerConfig = 2
-	}
 	m := srv.Machine
 	dep, err := tuning.Deploy(m, tuning.Options{
 		Seed:          o.Seed,
 		Rollback:      o.Rollback,
-		Passes:        o.Passes,
-		RunsPerConfig: o.RunsPerConfig,
+		Passes:        provisionPasses,
+		RunsPerConfig: provisionRunsPerConfig,
 	})
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -98,7 +99,10 @@ func TestTraceGeneration(t *testing.T) {
 // TestGenerateTraceRejectsBadOptions: a negative value would panic in
 // rng.Exp and a NaN or infinite one would never end the arrival loop,
 // so returning an error at all shows the check ran before any draw.
-// The error names the field; zero still selects the default.
+// The error names the field; zero still selects the default. An
+// expected trace above maxExpectedJobs is rejected too, with the
+// defaults applied, naming the three fields of the product; Validate
+// decides it from the arithmetic, so no oversized trace is drawn.
 func TestGenerateTraceRejectsBadOptions(t *testing.T) {
 	fields := []struct {
 		name string
@@ -127,6 +131,39 @@ func TestGenerateTraceRejectsBadOptions(t *testing.T) {
 		f.set(&o, 0)
 		if len(genTrace(t, o)) == 0 {
 			t.Errorf("%s = 0: empty trace, want the default", f.name)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		o    Options
+		ok   bool
+	}{
+		{"default run, 174 expected", Options{}, true},
+		{"TestOverload's run, 129 expected", Options{HorizonSec: 30, BGRate: 4, CritRate: 0.3}, true},
+		{"exactly at the bound", Options{HorizonSec: 1000, CritRate: 50, BGRate: 50}, true},
+		{"just above the bound", Options{HorizonSec: 1000, CritRate: 50, BGRate: 50.001}, false},
+		{"1000 jobs/s over the default horizon", Options{CritRate: 1000}, false},
+		{"long horizon at the default rates", Options{HorizonSec: 1e6}, false},
+		{"rates whose sum overflows", Options{CritRate: math.MaxFloat64, BGRate: math.MaxFloat64}, false},
+	} {
+		err := tc.o.Validate()
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted, want an error", tc.name)
+			continue
+		}
+		for _, field := range []string{"HorizonSec", "CritRate", "BGRate"} {
+			if !strings.Contains(err.Error(), field) {
+				t.Errorf("%s: error %q does not name %s", tc.name, err, field)
+			}
+		}
+		if trace, gerr := GenerateTrace(tc.o, rng.New(1)); gerr == nil || trace != nil {
+			t.Errorf("%s: GenerateTrace returned %d jobs, err %v; want no jobs and an error", tc.name, len(trace), gerr)
 		}
 	}
 }
@@ -297,6 +334,47 @@ func TestOverload(t *testing.T) {
 func TestNewSimulatorValidation(t *testing.T) {
 	if _, err := NewSimulator(fixM, fixDep, "P9"); err == nil {
 		t.Error("bogus chip accepted")
+	}
+}
+
+// TestSimulatorSchedulesOnItsChip: the chip NewSimulator is given is
+// the only one jobs run on, under every policy, and "" selects P0.
+func TestSimulatorSchedulesOnItsChip(t *testing.T) {
+	sim(t) // builds the shared fixture
+	build := func(chipLabel string) *Simulator {
+		s, err := NewSimulator(fixM, fixDep, chipLabel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	p1, p0, unnamed := build("P1"), build("P0"), build("")
+	for _, p := range []Policy{PolicyStatic, PolicyUnmanaged, PolicyManaged, PolicyOndemand} {
+		o := shortOpts(p)
+		trace := genTrace(t, o)
+		res, err := p1.Run(trace, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Completed) != len(trace) {
+			t.Fatalf("%s on P1: completed %d of %d jobs", p, len(res.Completed), len(trace))
+		}
+		for _, r := range res.Completed {
+			if ch, err := fixM.ChipOf(r.Core); err != nil || ch.Profile.Label != "P1" {
+				t.Fatalf("%s on P1: job %d ran on core %q", p, r.ID, r.Core)
+			}
+		}
+		want, err := p0.Run(trace, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := unnamed.Run(trace, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Completed, want.Completed) {
+			t.Errorf("%s: a simulator built with \"\" ran other records than one built with \"P0\"", p)
+		}
 	}
 }
 

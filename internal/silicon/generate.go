@@ -15,14 +15,6 @@ type GenerateOptions struct {
 	Chips int
 	// CoresPerChip defaults to 8.
 	CoresPerChip int
-	// SpeedSigma is the relative inter-core spread of true path delay
-	// (lithographic process variation). Default 0.018.
-	SpeedSigma float64
-	// ChipSpeedSigma is the chip-to-chip component of the spread
-	// (cores on a chip are correlated). Default 0.008.
-	ChipSpeedSigma float64
-	// Params are the electrical constants; DefaultParams when zero.
-	Params Params
 }
 
 func (o GenerateOptions) withDefaults() GenerateOptions {
@@ -32,17 +24,16 @@ func (o GenerateOptions) withDefaults() GenerateOptions {
 	if o.CoresPerChip == 0 {
 		o.CoresPerChip = 8
 	}
-	if o.SpeedSigma == 0 {
-		o.SpeedSigma = 0.028
-	}
-	if o.ChipSpeedSigma == 0 {
-		o.ChipSpeedSigma = 0.010
-	}
-	if o.Params == (Params{}) {
-		o.Params = DefaultParams()
-	}
 	return o
 }
+
+// speedSigma is the relative inter-core spread of true path delay
+// (lithographic process variation), and chipSpeedSigma its
+// chip-to-chip component (cores on a chip are correlated).
+const (
+	speedSigma     = 0.028
+	chipSpeedSigma = 0.010
+)
 
 // Generate manufactures a fresh server from the forward
 // process-variation model. Unlike Reference, nothing here is pinned to
@@ -53,10 +44,7 @@ func (o GenerateOptions) withDefaults() GenerateOptions {
 // as an emergent property.
 func Generate(seed uint64, opts GenerateOptions) (*ServerProfile, error) {
 	o := opts.withDefaults()
-	p := o.Params
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+	p := DefaultParams()
 	root := rng.New(seed)
 	server := &ServerProfile{params: p}
 
@@ -69,11 +57,11 @@ func Generate(seed uint64, opts GenerateOptions) (*ServerProfile, error) {
 	for ci := 0; ci < o.Chips; ci++ {
 		chip := &ChipProfile{Label: fmt.Sprintf("P%d", ci)}
 		chipSrc := root.SplitIndex("chip", ci)
-		chipSpeed := chipSrc.Norm(0, o.ChipSpeedSigma)
+		chipSpeed := chipSrc.Norm(0, chipSpeedSigma)
 		for k := 0; k < o.CoresPerChip; k++ {
 			src := chipSrc.SplitIndex("core", k)
 			label := fmt.Sprintf("P%dC%d", ci, k)
-			core, err := generateCore(p, label, basePath, chipSpeed, o.SpeedSigma, src)
+			core, err := generateCore(p, label, basePath, chipSpeed, src)
 			if err != nil {
 				return nil, err
 			}
@@ -88,7 +76,7 @@ func Generate(seed uint64, opts GenerateOptions) (*ServerProfile, error) {
 }
 
 // generateCore runs the forward model for one core.
-func generateCore(p Params, label string, basePath, chipSpeed, speedSigma float64, src *rng.Source) (*CoreProfile, error) {
+func generateCore(p Params, label string, basePath, chipSpeed float64, src *rng.Source) (*CoreProfile, error) {
 	c := &CoreProfile{Label: label, params: p}
 
 	// Silicon speed: true critical path with chip-level + core-level

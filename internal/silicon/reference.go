@@ -62,14 +62,7 @@ const ReferenceSeed = 0x7077_3742 // "POWER7+ '42"
 // physics model, so running this repository's characterization
 // methodology against the profile rediscovers the paper's tables.
 func Reference() *ServerProfile {
-	return ReferenceWithParams(DefaultParams())
-}
-
-// ReferenceWithParams is Reference with explicit chip constants.
-func ReferenceWithParams(p Params) *ServerProfile {
-	if err := p.Validate(); err != nil {
-		panic(fmt.Sprintf("silicon: bad reference params: %v", err))
-	}
+	p := DefaultParams()
 	src := rng.New(ReferenceSeed)
 	server := &ServerProfile{params: p}
 	chips := map[string]*ChipProfile{}
