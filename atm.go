@@ -136,7 +136,7 @@ type (
 	DCResult = dc.Result
 
 	// LifetimeOptions configures a lifetime drift simulation: horizon,
-	// seed, sentinel calibration, control arm.
+	// seed, control arm (sentinel off), telemetry.
 	LifetimeOptions = lifetime.Options
 	// LifetimeResult is a lifetime simulation's outcome: the safety
 	// verdict, intervention counts, per-core journeys and the timeline.

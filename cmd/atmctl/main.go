@@ -550,8 +550,6 @@ func cmdFleet(args []string) error {
 		"characterize/tune: arm this fault profile on every job (per-job seeds are independent rng splits)")
 	faultSeed := fs.Uint64("fault-seed", 1, "base fault seed the per-job streams split from")
 	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory")
-	panicRetries := fs.Int("panic-retries", 0,
-		"re-attempts before a panicking job is quarantined as poisoned (0 = default 1, negative = none)")
 	trialBudget := fs.Int64("trial-budget", 0,
 		"watchdog: per-job trial budget before the job is failed as stuck (0 = unlimited)")
 	jsonOut := fs.Bool("json", false, "emit the merged campaign result as JSON instead of a table")
@@ -593,12 +591,11 @@ func cmdFleet(args []string) error {
 
 	reg, tr := attach(nil)
 	opts := atm.FleetOptions{
-		Workers:      *workers,
-		CacheDir:     *cacheDir,
-		PanicRetries: *panicRetries,
-		TrialBudget:  *trialBudget,
-		Obs:          reg,
-		Trace:        tr,
+		Workers:     *workers,
+		CacheDir:    *cacheDir,
+		TrialBudget: *trialBudget,
+		Obs:         reg,
+		Trace:       tr,
 	}
 	if *timing {
 		// The fleet engine is in detflow scope and never reads the wall

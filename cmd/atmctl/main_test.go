@@ -53,6 +53,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"fleet negative rollback", []string{"fleet", "-kind", "tune", "-rollback", "-1"}, 2},
 		{"fleet negative trials", []string{"fleet", "-kind", "characterize", "-trials", "-1"}, 2},
 		{"fleet resume is an unknown flag", []string{"fleet", "-n", "1", "-resume"}, 2},
+		{"fleet panic-retries is an unknown flag", []string{"fleet", "-n", "1", "-panic-retries", "1"}, 2},
 		{"fleet unknown kind", []string{"fleet", "-kind", "bogus"}, 2},
 		{"fleet montecarlo fault profile", []string{"fleet", "-kind", "montecarlo", "-fault-profile", "test-floor"}, 2},
 		{"fleet tune unknown fault profile", []string{"fleet", "-kind", "tune", "-n", "1", "-fault-profile", "bogus"}, 2},

@@ -4,8 +4,8 @@
 //
 //	$ printf 'cpm P0C3 6\nfreq P0C3\nchip P0\nquit\n' | atmfsp
 //	ok
-//	ok 4905 MHz
-//	ok power=55.9W supply=1250mV temp=40.7C budget=1
+//	ok 4906 MHz
+//	ok power=55.2W supply=1250mV temp=40.5C budget=1
 //	ok bye
 //
 // Run with -generated <seed> to control Monte-Carlo silicon instead of
@@ -14,11 +14,15 @@
 //
 //	atmfsp -listen 127.0.0.1:7077 &
 //	printf 'freq P0C3\nquit\n' | nc 127.0.0.1 7077
+//
+// Exit codes: 0 success, 1 hard failure, 2 usage error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"time"
@@ -33,15 +37,31 @@ import (
 func wallMicros() int64 { return time.Now().UnixMicro() }
 
 func main() {
-	seed := flag.Uint64("generated", 0, "use Monte-Carlo silicon with this seed (0 = paper reference)")
-	listen := flag.String("listen", "", "serve the protocol on this TCP address instead of stdio")
-	maxSessions := flag.Int("max-sessions", 0,
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run serves one stdio session from stdin to stdout, or the TCP
+// listener -listen names, and returns the exit code.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("atmfsp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("generated", 0, "use Monte-Carlo silicon with this seed (0 = paper reference)")
+	listen := fs.String("listen", "", "serve the protocol on this TCP address instead of stdio")
+	maxSessions := fs.Int("max-sessions", 0,
 		"bound concurrently served sessions; surplus connections get an in-band 'err busy' (0 = unbounded)")
-	acceptBurst := flag.Int64("accept-burst", 0,
-		"token-bucket burst capacity on session admission; storms beyond it are shed in-band (0 = disabled)")
-	garbage := flag.Int("garbage-threshold", 0,
+	garbage := fs.Int("garbage-threshold", 0,
 		"consecutive protocol-garbage lines before a session's circuit breaker trips open (0 = disabled)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		//lint:ignore errdrop the diagnostic on stderr is the last report a failing run can make
+		fmt.Fprintln(stderr, "atmfsp:", err)
+		return 1
+	}
 
 	var m *atm.Machine
 	if *seed == 0 {
@@ -49,44 +69,40 @@ func main() {
 	} else {
 		profile, err := atm.GenerateSilicon(*seed, atm.GenerateOptions{})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		mm, err := atm.NewMachine(profile)
-		if err != nil {
-			fatal(err)
+		if m, err = atm.NewMachine(profile); err != nil {
+			return fail(err)
 		}
-		m = mm
 	}
 	ctl := fsp.NewController(m)
 	reg := atm.NewMetricsRegistry()
 	if *listen != "" {
 		l, err := net.Listen("tcp", *listen)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintln(os.Stderr, "atmfsp: serving on", l.Addr())
+		//lint:ignore errdrop the listening address on stderr is CLI chatter; Serve reports the listener's errors
+		fmt.Fprintln(stderr, "atmfsp: serving on", l.Addr())
 		srv := fsp.NewServer(ctl)
 		srv.Observe(reg)
 		srv.SetClock(wallMicros)
-		srv.Guard(fsp.GuardOptions{
+		if err := srv.Guard(fsp.GuardOptions{
 			MaxSessions:      *maxSessions,
-			AcceptCapacity:   *acceptBurst,
 			GarbageThreshold: *garbage,
-		})
-		if err := srv.Serve(l); err != nil {
-			fatal(err)
+		}); err != nil {
+			return fail(err)
 		}
-		return
+		if err := srv.Serve(l); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 	sess := fsp.NewSession(ctl)
 	sess.Observe(reg)
 	sess.SetClock(wallMicros)
-	if err := sess.Serve(os.Stdin, os.Stdout); err != nil {
-		fatal(err)
+	if err := sess.Serve(stdin, stdout); err != nil {
+		return fail(err)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "atmfsp:", err)
-	os.Exit(1)
+	return 0
 }

@@ -58,9 +58,9 @@ func run(args []string) int {
 	var findings []lint.Finding
 	var err error
 	if arg := fs.Arg(0); arg == "" || arg == "./..." {
-		findings, err = lint.Run(".", lint.DefaultConfig())
+		findings, err = lint.Run(".")
 	} else {
-		findings, err = lint.RunDir(arg, lint.DefaultConfig())
+		findings, err = lint.RunDir(arg)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "atmlint:", err)

@@ -280,11 +280,6 @@ type Options struct {
 	// found there are served without re-execution, so rerunning a
 	// killed campaign on the same directory finishes it.
 	CacheDir string
-	// PanicRetries bounds how many times a panicking job is retried
-	// before it is quarantined as a poison job (recorded failed in the
-	// merged results; the pool keeps running). 0 selects the default of
-	// one retry; negative disables retries.
-	PanicRetries int
 	// TrialBudget, when positive, arms a per-job watchdog on the trial
 	// axis: a job that consumes more than this many retry-wrapped
 	// trials is deadlined with a deterministic failure. 0 is unlimited.
@@ -376,7 +371,7 @@ func Run(c *Campaign, o Options) (*CampaignResult, error) {
 				if o.Clock != nil {
 					began = o.Clock()
 				}
-				payload, err := runGuarded(job, o, guards)
+				payload, err := runGuarded(job, o.TrialBudget, guards)
 				var wall int64
 				if o.Clock != nil {
 					wall = o.Clock() - began

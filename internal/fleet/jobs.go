@@ -157,7 +157,7 @@ func runJob(j Job, trialBudget int64) (json.RawMessage, error) {
 		return nil, err
 	}
 	m, profile := srv.Machine, srv.Profile
-	if wd := guard.NewWatchdog(guard.WatchdogOptions{Budget: trialBudget}); wd != nil {
+	if wd := guard.NewWatchdog(trialBudget); wd != nil {
 		// The observer slot is free here: the inner stages only install
 		// their own taps when run with a non-nil obs registry, and the
 		// fleet always runs them bare (see the package comment above).

@@ -12,15 +12,14 @@ import (
 // This file is the fleet's supervision layer: every job runs inside a
 // panic-isolation wrapper (guard.SafeRun) so a panicking worker
 // degrades into a per-job failure instead of killing the pool, a job
-// that keeps panicking is quarantined as a poison job after a bounded
-// number of retries, and an optional watchdog deadlines jobs on the
-// trial axis — the repository's simulated-time equivalent of a stuck
-// command. All failure messages are pure functions of the job spec and
-// its panic value, so merged results stay byte-identical across worker
-// counts even for crashing campaigns.
+// that panics is quarantined as a poison job, and an optional watchdog
+// deadlines jobs on the trial axis — the repository's simulated-time
+// equivalent of a stuck command. All failure messages are pure
+// functions of the job spec and its panic value, so merged results stay
+// byte-identical across worker counts even for crashing campaigns.
 
 // testJobPanic, when non-nil, is invoked at the top of every job
-// attempt. Chaos tests install it to make chosen jobs panic without
+// run. Chaos tests install it to make chosen jobs panic without
 // touching the job specs (a panic hook in the spec would change job
 // hashes and pollute the content-addressed cache).
 var testJobPanic func(Job)
@@ -28,8 +27,7 @@ var testJobPanic func(Job)
 // trialDeadline is the sentinel value the watchdog's trial observer
 // panics with when a job exceeds its trial budget. The panic is the
 // only way out of a deep trial loop from an observer; runGuarded
-// recognizes the sentinel and converts it into a clean, non-retried
-// job failure (the expiry is deterministic — a retry would replay it).
+// recognizes the sentinel and converts it into a clean job failure.
 type trialDeadline struct{ budget int64 }
 
 // jobGuards bundles the supervision counters the worker pool threads
@@ -40,44 +38,27 @@ type jobGuards struct {
 	deadline *obs.Counter
 }
 
-// effectivePanicRetries maps the Options knob to the retry count:
-// default (0) retries a panicking job once, negative disables retries.
-func effectivePanicRetries(o Options) int {
-	switch {
-	case o.PanicRetries < 0:
-		return 0
-	case o.PanicRetries == 0:
-		return 1
-	default:
-		return o.PanicRetries
+// runGuarded is the supervised form of runJob: a panic quarantines the
+// job as poison, and a trial-budget expiry surfaces as a deterministic
+// failure. Jobs are hermetic and deterministic, so a job that panicked
+// would panic again on a retry: the first panic is final. The pool
+// around a misbehaving job never wedges and never dies.
+func runGuarded(j Job, trialBudget int64, g jobGuards) (json.RawMessage, error) {
+	var payload json.RawMessage
+	err := guard.SafeRun(func() error {
+		var err error
+		payload, err = runJob(j, trialBudget)
+		return err
+	})
+	var pe *guard.PanicError
+	if !errors.As(err, &pe) {
+		return payload, err
 	}
-}
-
-// runGuarded is the supervised form of runJob: panics become job-level
-// errors, repeated panics quarantine the job as poison, and a trial-
-// budget expiry surfaces as a deterministic failure. The pool around a
-// misbehaving job never wedges and never dies.
-func runGuarded(j Job, o Options, g jobGuards) (json.RawMessage, error) {
-	attempts := 1 + effectivePanicRetries(o)
-	var last *guard.PanicError
-	for a := 0; a < attempts; a++ {
-		var payload json.RawMessage
-		err := guard.SafeRun(func() error {
-			var err error
-			payload, err = runJob(j, o.TrialBudget)
-			return err
-		})
-		var pe *guard.PanicError
-		if !errors.As(err, &pe) {
-			return payload, err
-		}
-		if dl, ok := pe.Value.(trialDeadline); ok {
-			g.deadline.Inc()
-			return nil, fmt.Errorf("job %s: trial budget %d exhausted", j.ID, dl.budget)
-		}
-		g.panics.Inc()
-		last = pe
+	if dl, ok := pe.Value.(trialDeadline); ok {
+		g.deadline.Inc()
+		return nil, fmt.Errorf("job %s: trial budget %d exhausted", j.ID, dl.budget)
 	}
+	g.panics.Inc()
 	g.poisoned.Inc()
-	return nil, fmt.Errorf("job %s: poison job quarantined after %d panics: %w", j.ID, attempts, last)
+	return nil, fmt.Errorf("job %s: poison job quarantined: %w", j.ID, pe)
 }

@@ -56,7 +56,7 @@ func TestPanickingJobQuarantined(t *testing.T) {
 			}
 			continue
 		}
-		want := "job mc-0002: poison job quarantined after 2 panics: panic: chaos: poison job"
+		want := "job mc-0002: poison job quarantined: panic: chaos: poison job"
 		if r.Err != want {
 			t.Fatalf("poison job Err = %q, want %q", r.Err, want)
 		}
@@ -99,24 +99,6 @@ func TestPanickingJobNotCached(t *testing.T) {
 	}
 	if res.CachedCount() != 1 {
 		t.Fatalf("CachedCount() = %d, want 1 (only the healthy job was cached)", res.CachedCount())
-	}
-}
-
-func TestPanicRetriesKnob(t *testing.T) {
-	installPanicHook(t, func(Job) { panic("always") })
-	job := Job{ID: "j", Kind: KindMonteCarlo, SiliconSeed: 1}
-
-	_, err := runGuarded(job, Options{PanicRetries: -1}, jobGuards{})
-	if want := "job j: poison job quarantined after 1 panics: panic: always"; err == nil || err.Error() != want {
-		t.Fatalf("PanicRetries=-1: err = %v, want %q", err, want)
-	}
-	_, err = runGuarded(job, Options{PanicRetries: 3}, jobGuards{})
-	if want := "job j: poison job quarantined after 4 panics: panic: always"; err == nil || err.Error() != want {
-		t.Fatalf("PanicRetries=3: err = %v, want %q", err, want)
-	}
-	var pe *guard.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("quarantine error does not wrap the PanicError: %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -408,7 +409,9 @@ func (c *Client) Margins() ([]CoreMargin, error) {
 // leaves dst as it was. A label whose bytes equal the label dst held at
 // the same index keeps that string. A value in the server's [-]d.ddd
 // form goes through parseMilli, any other through strconv.ParseFloat;
-// both give the same double.
+// both give the same double. A NaN or infinite value is rejected: the
+// server never writes one, and NaN fails every comparison the sentinel
+// makes, which would switch it off for that core.
 func parseMargins(dst []CoreMargin, payload []byte) ([]CoreMargin, error) {
 	n := len(dst)
 	// Room after dst for this payload's pairs and, once they move to
@@ -435,7 +438,7 @@ func parseMargins(dst []CoreMargin, payload []byte) ([]CoreMargin, error) {
 		v, ok := parseMilli(val)
 		if !ok {
 			var perr error
-			if v, perr = strconv.ParseFloat(string(val), 64); perr != nil {
+			if v, perr = strconv.ParseFloat(string(val), 64); perr != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("fsp: bad margins payload %q", payload)
 			}
 		}

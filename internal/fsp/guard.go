@@ -2,6 +2,7 @@ package fsp
 
 import (
 	"encoding/json"
+	"errors"
 
 	"repro/internal/guard"
 )
@@ -24,8 +25,8 @@ type GuardOptions struct {
 	MaxSessions int
 	// AcceptCapacity > 0 arms a token bucket on session admission with
 	// that burst capacity: connection storms beyond the burst are shed
-	// in-band. One logical tick buys back one token (the default clock
-	// ticks once per admission attempt). 0 disables.
+	// in-band. One tick of Now buys back one token, so the bucket needs
+	// Now. 0 disables.
 	AcceptCapacity int64
 	// GarbageThreshold > 0 arms a per-session circuit breaker: that
 	// many consecutive garbage lines (unknown verbs, unparseable
@@ -33,23 +34,19 @@ type GuardOptions struct {
 	// answered "err busy breaker open" until the open window passes.
 	// 0 disables.
 	GarbageThreshold int
-	// BreakerOpenTicks is the open window in logical ticks (default 8
-	// — deliberately below the client's re-sync window of 32 lines, so
-	// a resyncing client's pings can walk the breaker to half-open and
-	// recover the session).
-	BreakerOpenTicks int64
-	// BreakerProbes is how many consecutive clean commands close a
-	// half-open breaker again (default 1).
-	BreakerProbes int
 	// Now supplies the logical clock for the bucket and the breakers.
-	// Nil selects their internal event clocks (deterministic without
-	// any wall clock).
+	// Nil leaves the breakers on their internal event clocks
+	// (deterministic without any wall clock) and rejects a bucket.
 	Now func() int64
 }
 
 // Guard arms the server's guard plane. Call before Serve; the zero
-// options value disables all guards (the default).
-func (s *Server) Guard(o GuardOptions) {
+// options value disables all guards (the default). It rejects an
+// AcceptCapacity without Now: a bucket without a clock cannot run dry.
+func (s *Server) Guard(o GuardOptions) error {
+	if o.AcceptCapacity > 0 && o.Now == nil {
+		return errors.New("fsp: AcceptCapacity needs a Now clock")
+	}
 	s.guardOpt = o
 	if o.MaxSessions > 0 {
 		s.gate = guard.NewGate(guard.GateOptions{
@@ -67,11 +64,16 @@ func (s *Server) Guard(o GuardOptions) {
 		})
 	}
 	s.shedC = s.reg.Counter("fsp_server_shed_total")
+	return nil
 }
 
 // sessionBreaker builds one session's garbage breaker, or nil when the
 // guard is disabled. Every session shares the metric name, so the
-// exported counters aggregate across sessions.
+// exported counters aggregate across sessions. The breaker keeps the
+// default open window of 8 ticks, deliberately below the client's
+// re-sync window of 32 lines, so a resyncing client's pings can walk
+// the breaker to half-open and recover the session; one clean command
+// then closes it.
 func (s *Server) sessionBreaker() *guard.Breaker {
 	if s.guardOpt.GarbageThreshold <= 0 {
 		return nil
@@ -79,8 +81,6 @@ func (s *Server) sessionBreaker() *guard.Breaker {
 	return guard.NewBreaker(guard.BreakerOptions{
 		Name:             "fsp_session",
 		FailureThreshold: s.guardOpt.GarbageThreshold,
-		OpenTicks:        s.guardOpt.BreakerOpenTicks,
-		HalfOpenProbes:   s.guardOpt.BreakerProbes,
 		Now:              s.guardOpt.Now,
 		Obs:              s.reg,
 	})

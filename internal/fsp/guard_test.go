@@ -22,7 +22,9 @@ func startGuardedServer(t *testing.T, g GuardOptions) (*Server, string, *obs.Reg
 	srv := NewServer(ctl)
 	reg := obs.NewRegistry()
 	srv.Observe(reg)
-	srv.Guard(g)
+	if err := srv.Guard(g); err != nil {
+		t.Fatal(err)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -149,25 +151,26 @@ func TestFloodNoGoroutineLeak(t *testing.T) {
 
 // TestSessionBreakerTripAndRecover drives one session through garbage
 // → open → half-open → closed, entirely on the deterministic event
-// clock, and checks the health verb reports every stage.
+// clock, and checks the health verb reports every stage. The open
+// window is the breaker default of 8 ticks, each shed command one.
 func TestSessionBreakerTripAndRecover(t *testing.T) {
 	run := func() ([]string, string) {
-		_, addr, reg := startGuardedServer(t, GuardOptions{
-			GarbageThreshold: 3,
-			BreakerOpenTicks: 3,
-			BreakerProbes:    1,
-		})
+		_, addr, reg := startGuardedServer(t, GuardOptions{GarbageThreshold: 3})
 		script := []string{
 			"health",      // closed
 			"bogus one",   // garbage 1
 			"bogus two",   // garbage 2
-			"bogus three", // garbage 3 → trips open at event tick 3
-			"cores",       // tick 4, elapsed 1 < 3: shed
+			"bogus three", // garbage 3 → trips open
+			"cores",       // elapsed 1 < 8: shed
 			"health",      // diagnostics answer while open (no tick)
-			"cores",       // tick 5, elapsed 2 < 3: shed
-			"cores",       // tick 6, elapsed 3: half-open probe, executes
-			"health",      // probe succeeded → closed again
 		}
+		for elapsed := 2; elapsed < 8; elapsed++ {
+			script = append(script, "cores") // shed
+		}
+		script = append(script,
+			"cores",  // elapsed 8: half-open probe, executes
+			"health", // probe succeeded → closed again
+		)
 		out, err := dialScript(addr, script...)
 		if err != nil {
 			t.Fatal(err)
@@ -175,7 +178,7 @@ func TestSessionBreakerTripAndRecover(t *testing.T) {
 		return out, string(reg.SnapshotJSON())
 	}
 	out, snap := run()
-	if len(out) != 10 { // 9 responses + ok bye
+	if len(out) != 15 { // 14 responses + ok bye
 		t.Fatalf("got %d response lines: %v", len(out), out)
 	}
 	if !strings.Contains(out[0], `"breaker":"closed"`) {
@@ -186,20 +189,19 @@ func TestSessionBreakerTripAndRecover(t *testing.T) {
 			t.Errorf("garbage line %d answered %q", i, out[i])
 		}
 	}
-	if out[4] != "err busy breaker open" {
-		t.Errorf("first shed command answered %q, want err busy breaker open", out[4])
-	}
 	if !strings.Contains(out[5], `"breaker":"open"`) {
 		t.Errorf("health while open = %q", out[5])
 	}
-	if out[6] != "err busy breaker open" {
-		t.Errorf("second shed command answered %q", out[6])
+	for _, i := range []int{4, 6, 7, 8, 9, 10, 11} {
+		if out[i] != "err busy breaker open" {
+			t.Errorf("shed command %d answered %q, want err busy breaker open", i, out[i])
+		}
 	}
-	if !strings.HasPrefix(out[7], "ok ") {
-		t.Errorf("half-open probe answered %q, want the cores listing", out[7])
+	if !strings.HasPrefix(out[12], "ok ") {
+		t.Errorf("half-open probe answered %q, want the cores listing", out[12])
 	}
-	if !strings.Contains(out[8], `"breaker":"closed"`) {
-		t.Errorf("health after recovery = %q, want closed breaker", out[8])
+	if !strings.Contains(out[13], `"breaker":"closed"`) || !strings.Contains(out[13], `"breaker_rejected":7`) {
+		t.Errorf("health after recovery = %q, want a closed breaker that shed 7", out[13])
 	}
 
 	// Determinism: the same script produces byte-identical responses
@@ -210,6 +212,47 @@ func TestSessionBreakerTripAndRecover(t *testing.T) {
 	}
 	if snap != snap2 {
 		t.Fatalf("guard metrics not deterministic:\n%s\nvs\n%s", snap, snap2)
+	}
+}
+
+// TestAcceptBucketShedsStorm arms the accept bucket on a logical clock:
+// a storm beyond the burst is shed within one tick, each tick buys
+// back one admission, and the health verb counts the sheds. Without a
+// clock the bucket could never run dry, so Guard rejects it.
+func TestAcceptBucketShedsStorm(t *testing.T) {
+	srv := NewServer(NewController(chip.NewReference()))
+	reg := obs.NewRegistry()
+	srv.Observe(reg)
+	if err := srv.Guard(GuardOptions{AcceptCapacity: 3}); err == nil {
+		t.Fatal("Guard accepted AcceptCapacity without a Now clock")
+	}
+	var tick int64
+	if err := srv.Guard(GuardOptions{AcceptCapacity: 3, Now: func() int64 { return tick }}); err != nil {
+		t.Fatal(err)
+	}
+	admitted := 0
+	for i := 0; i < 10; i++ {
+		if _, ok := srv.Admit(); ok {
+			admitted++
+		}
+	}
+	if admitted != 3 {
+		t.Fatalf("storm of 10 admitted %d, want the burst of 3", admitted)
+	}
+	tick = 2
+	for i := 0; i < 10; i++ {
+		if _, ok := srv.Admit(); ok {
+			admitted++
+		}
+	}
+	if admitted != 5 {
+		t.Fatalf("two ticks later %d admitted in all, want 5", admitted)
+	}
+	if got := reg.Counter("fsp_server_shed_total").Value(); got != 15 {
+		t.Errorf("fsp_server_shed_total = %d, want 15", got)
+	}
+	if h := srv.LocalSession().Exec("health"); !strings.Contains(h, `"accept_sheds":15`) {
+		t.Errorf("health = %q, want accept_sheds 15", h)
 	}
 }
 

@@ -76,7 +76,9 @@ func TestServerAdmitMatchesGuardPlane(t *testing.T) {
 	srv := NewServer(newCtl(t))
 	reg := obs.NewRegistry()
 	srv.Observe(reg)
-	srv.Guard(GuardOptions{MaxSessions: 2})
+	if err := srv.Guard(GuardOptions{MaxSessions: 2}); err != nil {
+		t.Fatal(err)
+	}
 
 	r1, ok := srv.Admit()
 	r2, ok2 := srv.Admit()

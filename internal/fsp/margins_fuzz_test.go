@@ -10,7 +10,8 @@ import (
 
 // refParseMargins is the margins parser Client.Margins used before it
 // parsed in place, kept as parseMargins' reference: strings.Cut over
-// the payload and strconv.ParseFloat for every value.
+// the payload and strconv.ParseFloat for every value, rejecting a NaN
+// or infinite one.
 func refParseMargins(out string) ([]CoreMargin, error) {
 	ms := make([]CoreMargin, 0, strings.Count(out, " ")+1)
 	for rest := out; rest != ""; {
@@ -24,7 +25,7 @@ func refParseMargins(out string) ([]CoreMargin, error) {
 			return nil, fmt.Errorf("fsp: bad margins payload %q", out)
 		}
 		v, perr := strconv.ParseFloat(val, 64)
-		if perr != nil {
+		if perr != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("fsp: bad margins payload %q", out)
 		}
 		ms = append(ms, CoreMargin{Core: name, Sigma: v})

@@ -109,6 +109,27 @@ func TestClientMarginsLoopback(t *testing.T) {
 	}
 }
 
+// TestMarginsRejectsNonFinite: the server only writes [-]d.ddd, and a
+// NaN sample would fail every comparison in the sentinel's Observe and
+// switch it off for that core, so a NaN or infinite value is a bad
+// payload that leaves the previous poll's result intact.
+func TestMarginsRejectsNonFinite(t *testing.T) {
+	for _, bad := range []string{"NaN", "nan", "Inf", "-inf", "+Inf", "infinity"} {
+		payload := "P0C0=" + bad + " P0C1=4.500"
+		cli := NewClient(newScriptedTransport("ok P0C0=4.200 P0C1=4.300", "ok "+payload), ClientOptions{})
+		prev, err := cli.Margins()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cli.Margins(); err == nil || !strings.Contains(err.Error(), "bad margins payload") {
+			t.Errorf("%q: err = %v, want a bad margins payload error", payload, err)
+		}
+		if prev[0] != (CoreMargin{"P0C0", 4.2}) || prev[1] != (CoreMargin{"P0C1", 4.3}) {
+			t.Errorf("%q: the previous poll's result became %v", payload, prev)
+		}
+	}
+}
+
 func TestLoopbackQuitAndResync(t *testing.T) {
 	cli, _ := loopbackClient(t, ClientOptions{})
 	if out, err := cli.Exec("ping live-1"); err != nil || out != "pong live-1" {

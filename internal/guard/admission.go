@@ -6,19 +6,17 @@ import (
 	"repro/internal/obs"
 )
 
-// BucketOptions configures a token bucket. The zero value selects the
-// defaults noted on each field.
+// BucketOptions configures a token bucket. Now is required; the zero
+// value of every other field selects the default noted on it.
 type BucketOptions struct {
 	// Name labels the bucket's metric series. Default "default".
 	Name string
 	// Capacity is the burst size (maximum stored tokens; the bucket
 	// starts full). Default 8.
 	Capacity int64
-	// RefillEvery is how many logical ticks buy one token. Default 1.
-	RefillEvery int64
-	// Now supplies the logical clock. Nil selects the bucket's own
-	// event clock: one tick per Allow call, so the sustained admission
-	// rate is 1/RefillEvery of offered load once the burst is spent.
+	// Now supplies the logical clock; each tick buys one token. It is
+	// required: a clock that ticked once per Allow call would earn a
+	// token on every attempt, and the bucket would never shed.
 	Now func() int64
 	// Obs, when non-nil, exports guard_bucket_admitted_total and
 	// guard_bucket_shed_total under the bucket name.
@@ -31,9 +29,6 @@ func (o BucketOptions) withDefaults() BucketOptions {
 	}
 	if o.Capacity == 0 {
 		o.Capacity = 8
-	}
-	if o.RefillEvery == 0 {
-		o.RefillEvery = 1
 	}
 	return o
 }
@@ -48,16 +43,18 @@ type Bucket struct {
 
 	mu     sync.Mutex
 	tokens int64
-	last   int64 // logical time of the last refill accounting
-	events int64 // internal event clock (used when opt.Now == nil)
+	last   int64 // logical time of the last refill
 	sheds  int64
 
 	admittedC *obs.Counter
 	shedC     *obs.Counter
 }
 
-// NewBucket returns a full bucket.
+// NewBucket returns a full bucket. It panics when o.Now is nil.
 func NewBucket(o BucketOptions) *Bucket {
+	if o.Now == nil {
+		panic("guard: BucketOptions.Now is required")
+	}
 	o = o.withDefaults()
 	b := &Bucket{opt: o, tokens: o.Capacity}
 	if o.Obs != nil {
@@ -78,25 +75,9 @@ func (b *Bucket) Allow() bool {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var now int64
-	if b.opt.Now != nil {
-		now = b.opt.Now()
-	} else {
-		b.events++
-		now = b.events
-	}
-	if elapsed := now - b.last; elapsed > 0 {
-		earned := elapsed / b.opt.RefillEvery
-		b.tokens += earned
-		if b.tokens > b.opt.Capacity {
-			b.tokens = b.opt.Capacity
-		}
-		// Keep the remainder ticks: refill accounting must not round
-		// away sub-token progress or the sustained rate drifts.
-		b.last += earned * b.opt.RefillEvery
-		if b.tokens == b.opt.Capacity {
-			b.last = now // a full bucket cannot bank future tokens
-		}
+	if now := b.opt.Now(); now > b.last {
+		b.tokens = min(b.tokens+now-b.last, b.opt.Capacity)
+		b.last = now
 	}
 	if b.tokens <= 0 {
 		b.sheds++

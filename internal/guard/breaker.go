@@ -17,8 +17,8 @@ const (
 	// StateOpen: traffic is shed until the open window (OpenTicks of
 	// logical time) elapses.
 	StateOpen
-	// StateHalfOpen: probe traffic flows; HalfOpenProbes consecutive
-	// successes close the breaker, any failure re-opens it.
+	// StateHalfOpen: probe traffic flows; the first success closes the
+	// breaker, a failure re-opens it.
 	StateHalfOpen
 )
 
@@ -46,9 +46,6 @@ type BreakerOptions struct {
 	// OpenTicks is how long (in logical ticks) the breaker stays open
 	// before admitting probes. Default 8.
 	OpenTicks int64
-	// HalfOpenProbes is how many consecutive successes in half-open
-	// close the breaker again. Default 1.
-	HalfOpenProbes int
 	// Now supplies the logical clock. Nil selects the breaker's own
 	// event clock: one tick per Allow call on an open breaker, so the
 	// open window is measured in admission attempts and the schedule
@@ -71,9 +68,6 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 	}
 	if o.OpenTicks == 0 {
 		o.OpenTicks = 8
-	}
-	if o.HalfOpenProbes == 0 {
-		o.HalfOpenProbes = 1
 	}
 	return o
 }
@@ -102,7 +96,6 @@ type Breaker struct {
 	mu       sync.Mutex
 	state    State
 	fails    int   // consecutive failures while closed
-	probes   int   // consecutive successes while half-open
 	openedAt int64 // logical time the breaker last opened
 	events   int64 // internal event clock (used when opt.Now == nil)
 	rejected int64
@@ -223,7 +216,6 @@ func (b *Breaker) admitOpen(n int64) int64 {
 	if shed == n {
 		return 0
 	}
-	b.probes = 0
 	b.setState(StateHalfOpen)
 	return n - shed
 }
@@ -241,11 +233,7 @@ func (b *Breaker) Success() {
 	case StateClosed:
 		b.fails = 0
 	case StateHalfOpen:
-		b.probes++
-		if b.probes >= b.opt.HalfOpenProbes {
-			b.fails = 0
-			b.setState(StateClosed)
-		}
+		b.setState(StateClosed)
 	}
 }
 
@@ -274,7 +262,6 @@ func (b *Breaker) Failure() {
 // trip opens the breaker at the current logical time. Caller holds mu.
 func (b *Breaker) trip() {
 	b.fails = 0
-	b.probes = 0
 	// Do not tick the event clock here: the open window is measured in
 	// admission attempts, and the trip itself is not one.
 	if b.opt.Now != nil {

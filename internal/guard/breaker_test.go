@@ -16,7 +16,6 @@ func TestBreakerStateMachine(t *testing.T) {
 		Name:             "t",
 		FailureThreshold: 3,
 		OpenTicks:        4,
-		HalfOpenProbes:   2,
 		Obs:              reg,
 	})
 
@@ -65,14 +64,10 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatalf("Rejected() = %d, want 3", got)
 	}
 
-	// One probe success is not enough with HalfOpenProbes=2.
-	b.Success()
-	if got := b.State(); got != StateHalfOpen {
-		t.Fatalf("state after 1 probe = %v, want half-open", got)
-	}
+	// The first probe success closes the breaker.
 	b.Success()
 	if got := b.State(); got != StateClosed {
-		t.Fatalf("state after 2 probes = %v, want closed", got)
+		t.Fatalf("state after a probe success = %v, want closed", got)
 	}
 
 	// A failure in half-open re-opens immediately.
@@ -118,13 +113,12 @@ func TestBreakerTripsExactlyAtThreshold(t *testing.T) {
 	}
 }
 
-// TestBreakerHalfOpenSuccessThenFailure pins the probe-reset edge: a
-// half-open breaker that sees a success and then a failure re-opens
-// immediately, sheds for a fresh open window, and — critically — the
-// partial probe credit is forgotten, so the next half-open round still
-// needs the full HalfOpenProbes consecutive successes to close.
+// TestBreakerHalfOpenSuccessThenFailure pins the half-open edges: a
+// failed probe re-opens the breaker immediately for a fresh open
+// window, and a successful one closes it with the consecutive-failure
+// count starting again from zero.
 func TestBreakerHalfOpenSuccessThenFailure(t *testing.T) {
-	b := NewBreaker(BreakerOptions{FailureThreshold: 1, OpenTicks: 3, HalfOpenProbes: 2})
+	b := NewBreaker(BreakerOptions{FailureThreshold: 2, OpenTicks: 3})
 	toHalfOpen := func() {
 		for i := 0; b.State() != StateHalfOpen; i++ {
 			b.Allow()
@@ -135,11 +129,11 @@ func TestBreakerHalfOpenSuccessThenFailure(t *testing.T) {
 	}
 
 	b.Failure()
+	b.Failure()
 	toHalfOpen()
-	b.Success() // one probe of the two needed
-	b.Failure() // probe round fails: re-open immediately
+	b.Failure() // the probe fails: re-open immediately
 	if got := b.State(); got != StateOpen {
-		t.Fatalf("state after success-then-failure in half-open = %v, want open", got)
+		t.Fatalf("state after a failure in half-open = %v, want open", got)
 	}
 	// The re-trip starts a fresh open window measured from now.
 	if b.Allow() {
@@ -147,15 +141,18 @@ func TestBreakerHalfOpenSuccessThenFailure(t *testing.T) {
 	}
 
 	toHalfOpen()
-	// The earlier probe success must not carry over: one success is
-	// still one short of HalfOpenProbes.
-	b.Success()
-	if got := b.State(); got != StateHalfOpen {
-		t.Fatalf("state after 1 fresh probe = %v, want half-open (stale probe credit leaked)", got)
-	}
 	b.Success()
 	if got := b.State(); got != StateClosed {
-		t.Fatalf("state after full probe round = %v, want closed", got)
+		t.Fatalf("state after a probe success = %v, want closed", got)
+	}
+	// Closed again, the breaker needs the full threshold to trip.
+	b.Failure()
+	if got := b.State(); got != StateClosed {
+		t.Fatalf("state after one failure past a closing probe = %v, want closed", got)
+	}
+	b.Failure()
+	if got := b.State(); got != StateOpen {
+		t.Fatalf("state after two failures past a closing probe = %v, want open", got)
 	}
 }
 
@@ -204,14 +201,12 @@ func TestBreakerExternalClock(t *testing.T) {
 // TestBreakerHalfOpenRefailRestartsWindow drives the dc re-admission
 // pattern on the logical tick clock: a probe that fails in half-open
 // re-opens the breaker, the open window restarts from the NEW trip
-// tick, and the next half-open round starts with zero probe credit —
-// a banked success from the failed round must not count.
+// tick, and the next half-open round's success closes it.
 func TestBreakerHalfOpenRefailRestartsWindow(t *testing.T) {
 	var clock int64
 	b := NewBreaker(BreakerOptions{
 		FailureThreshold: 1,
 		OpenTicks:        10,
-		HalfOpenProbes:   2,
 		Now:              func() int64 { return clock },
 	})
 	clock = 100
@@ -220,8 +215,7 @@ func TestBreakerHalfOpenRefailRestartsWindow(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("Allow shed after the first open window elapsed")
 	}
-	b.Success() // one probe credit banked...
-	b.Failure() // ...then the probe round fails: re-open
+	b.Failure() // the probe fails: re-open
 	if got := b.State(); got != StateOpen {
 		t.Fatalf("state after half-open failure = %v, want open", got)
 	}
@@ -237,15 +231,9 @@ func TestBreakerHalfOpenRefailRestartsWindow(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("Allow shed after the restarted window elapsed")
 	}
-	// The banked success from the failed round must not survive: the
-	// new half-open round needs the full probe count.
-	b.Success()
-	if got := b.State(); got != StateHalfOpen {
-		t.Fatalf("state after 1 probe success = %v, want half-open (stale probe credit survived the re-trip)", got)
-	}
 	b.Success()
 	if got := b.State(); got != StateClosed {
-		t.Fatalf("state after full probe round = %v, want closed", got)
+		t.Fatalf("state after a probe success = %v, want closed", got)
 	}
 }
 
@@ -386,7 +374,6 @@ func breakerTrace(ops []byte, external bool, mk func(BreakerOptions) breakerOps)
 		Name:             "fuzz",
 		FailureThreshold: 3,
 		OpenTicks:        5,
-		HalfOpenProbes:   2,
 		Obs:              reg,
 	}
 	if external {
@@ -449,7 +436,7 @@ func FuzzGuardBreaker(f *testing.F) {
 		}
 
 		// Invariants over a single replay.
-		b := NewBreaker(BreakerOptions{FailureThreshold: 3, OpenTicks: 5, HalfOpenProbes: 2})
+		b := NewBreaker(BreakerOptions{FailureThreshold: 3, OpenTicks: 5})
 		rejectedWhileNotOpen := false
 		for _, op := range ops {
 			before := b.State()
@@ -486,7 +473,6 @@ type lockedBreaker struct {
 	mu       sync.Mutex
 	state    State
 	fails    int
-	probes   int
 	openedAt int64
 	events   int64
 	rejected int64
@@ -543,7 +529,6 @@ func (b *lockedBreaker) Allow() bool {
 	switch b.state {
 	case StateOpen:
 		if now-b.openedAt >= b.opt.OpenTicks {
-			b.probes = 0
 			b.setState(StateHalfOpen)
 			return true
 		}
@@ -573,11 +558,7 @@ func (b *lockedBreaker) Success() {
 	case StateClosed:
 		b.fails = 0
 	case StateHalfOpen:
-		b.probes++
-		if b.probes >= b.opt.HalfOpenProbes {
-			b.fails = 0
-			b.setState(StateClosed)
-		}
+		b.setState(StateClosed)
 	}
 }
 
@@ -597,7 +578,6 @@ func (b *lockedBreaker) Failure() {
 
 func (b *lockedBreaker) trip() {
 	b.fails = 0
-	b.probes = 0
 	if b.opt.Now != nil {
 		b.openedAt = b.opt.Now()
 	} else {

@@ -17,10 +17,10 @@
 //     TestDisabledGuardZeroAlloc pins the disabled hot path at
 //     0 allocs/op — so consumers wire guards unconditionally and
 //     enable them by construction.
-//   - Time is logical, never the wall clock. Breakers and buckets are
-//     driven either by a caller-supplied monotone clock (Now) or by
-//     their own event counter (one tick per admission decision), so a
-//     guarded run replays bit-for-bit and chaos tests can assert exact
+//   - Time is logical, never the wall clock. Buckets are driven by a
+//     caller-supplied monotone clock (Now), breakers by one or by their
+//     own event counter (one tick per admission decision), so a guarded
+//     run replays bit-for-bit and chaos tests can assert exact
 //     trip/recovery points. The package is in atmlint's detflow scope.
 //   - Shedding is explicit and in-band. A guard never blocks and never
 //     silently drops: callers get a boolean (or an error) and answer

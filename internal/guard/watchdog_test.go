@@ -3,13 +3,10 @@ package guard
 import (
 	"errors"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func TestWatchdogBudget(t *testing.T) {
-	reg := obs.NewRegistry()
-	w := NewWatchdog(WatchdogOptions{Name: "t", Budget: 10, Obs: reg})
+	w := NewWatchdog(10)
 	if w.expired {
 		t.Fatal("fresh watchdog already expired")
 	}
@@ -35,10 +32,10 @@ func TestWatchdogBudget(t *testing.T) {
 }
 
 func TestWatchdogDisabled(t *testing.T) {
-	if w := NewWatchdog(WatchdogOptions{Budget: 0}); w != nil {
+	if w := NewWatchdog(0); w != nil {
 		t.Fatal("Budget 0 should return the nil (disabled) watchdog")
 	}
-	if w := NewWatchdog(WatchdogOptions{Budget: -5}); w != nil {
+	if w := NewWatchdog(-5); w != nil {
 		t.Fatal("negative budget should return the nil watchdog")
 	}
 	var w *Watchdog

@@ -30,9 +30,6 @@ type Options struct {
 	// day-one fine-tuned configuration for the whole horizon. This is
 	// the control arm — it demonstrates why the sentinel must exist.
 	SentinelOff bool
-	// Sentinel tunes the detector and escalation ladder. Run rejects a
-	// configuration its Validate rejects.
-	Sentinel sentinel.Config
 	// Obs, when non-nil, collects lifetime and sentinel telemetry.
 	Obs *obs.Registry
 	// Trace, when non-nil, records sentinel actions and failures.
@@ -46,22 +43,7 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	o.Sentinel.Obs = o.Obs
-	o.Sentinel.Trace = o.Trace
 	return o
-}
-
-// validate rejects a negative Years and a sentinel configuration
-// sentinel.Config.Validate rejects. It checks the options after
-// withDefaults, before the deployment.
-func (o Options) validate() error {
-	if o.Years < 0 {
-		return fmt.Errorf("lifetime: negative horizon of %d year(s)", o.Years)
-	}
-	if err := o.Sentinel.Validate(); err != nil {
-		return fmt.Errorf("lifetime: %w", err)
-	}
-	return nil
 }
 
 // epochHours is the simulation step: drift is re-applied, one trial
@@ -227,8 +209,8 @@ func (a *actuator) Quarantine(core, reason string) error {
 // (profile, Options) — same inputs, byte-identical outcome.
 func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 	o = o.withDefaults()
-	if err := o.validate(); err != nil {
-		return nil, err
+	if o.Years < 0 {
+		return nil, fmt.Errorf("lifetime: negative horizon of %d year(s)", o.Years)
 	}
 	aged := profile.Clone()
 	m, err := chip.New(aged, chip.Options{})
@@ -284,7 +266,7 @@ func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 	act := &actuator{m: m, cli: cli, tune: tuneOpts, src: root.Split("lifetime/retune")}
 	var snt *sentinel.Sentinel
 	if !o.SentinelOff {
-		snt = sentinel.New(o.Sentinel, labels, act)
+		snt = sentinel.New(labels, act, o.Obs, o.Trace)
 	}
 
 	var (

@@ -146,7 +146,7 @@ func TestDetFlowCrossPackage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	findings := analyze(loader, []*Package{helper, sim}, DefaultConfig(), []*Analyzer{DetFlow}, false)
+	findings := analyze(loader, []*Package{helper, sim}, []*Analyzer{DetFlow}, false)
 	if len(findings) != 1 {
 		t.Fatalf("want exactly 1 cross-package finding, got %d: %v", len(findings), findings)
 	}
@@ -166,7 +166,7 @@ func TestDetFlowCrossPackage(t *testing.T) {
 	// The helper package alone is a partial program: nothing reaches
 	// the sink, so detflow reports the direct use without guessing a
 	// chain.
-	got := analyze(loader, []*Package{helper}, DefaultConfig(), []*Analyzer{DetFlow}, false)
+	got := analyze(loader, []*Package{helper}, []*Analyzer{DetFlow}, false)
 	if len(got) != 1 || got[0].Line != f.Line || strings.Contains(got[0].Message, "chain") {
 		t.Errorf("helper alone: want the one direct-use finding on line %d without a chain, got %v", f.Line, got)
 	}

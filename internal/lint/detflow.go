@@ -20,9 +20,10 @@ import (
 //
 //   - by flow: it walks the cross-package call graph from every
 //     simulation entry point — exported non-test functions and package
-//     initialization of the Config.SimPackages — and flags each
-//     function whose chain reaches a sink, through any helper in any
-//     package (one finding per function and sink, at its first use);
+//     initialization of the simulation packages (isSimPackage) — and
+//     flags each function whose chain reaches a sink, through any
+//     helper in any package (one finding per function and sink, at its
+//     first use);
 //   - directly: any other use anywhere in a simulation package, test
 //     files and unreachable helpers included. A banned import counts as
 //     a use by the package's init node.
@@ -85,10 +86,10 @@ func runDetFlow(p *ProgramPass) {
 	// chain.
 	chained := map[string]bool{}
 	for _, pkg := range p.Pkgs {
-		if pkg.Path == p.Config.RNGPackage {
+		if pkg.Path == rngPackage {
 			continue
 		}
-		sim := p.Config.isSimPackage(pkg.Path)
+		sim := isSimPackage(pkg.Path)
 		use := func(pos token.Pos, sink string) {
 			fn := graph.NodeAt(pos)
 			if fn == "" {
@@ -104,7 +105,7 @@ func runDetFlow(p *ProgramPass) {
 			case sim:
 				p.Reportf(pos,
 					"simulation package uses %s: wall-clock, environment and ambient-RNG reads break seeded reproducibility; draw from %s",
-					sink, p.Config.RNGPackage)
+					sink, rngPackage)
 			}
 		}
 		for _, file := range pkg.Files {
@@ -144,13 +145,13 @@ func runDetFlow(p *ProgramPass) {
 func simEntries(p *ProgramPass, graph *CallGraph) []string {
 	var entries []string
 	for _, pkg := range p.Pkgs {
-		if p.Config.isSimPackage(pkg.Path) {
+		if isSimPackage(pkg.Path) {
 			entries = append(entries, initID(pkg.Path))
 		}
 	}
 	for _, id := range graph.SortedIDs() {
 		n := graph.Nodes[id]
-		if n.Exported && !n.TestOnly && p.Config.isSimPackage(n.Pkg) {
+		if n.Exported && !n.TestOnly && isSimPackage(n.Pkg) {
 			entries = append(entries, id)
 		}
 	}

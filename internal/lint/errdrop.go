@@ -26,7 +26,7 @@ var ErrDrop = &Analyzer{
 }
 
 func runErrDrop(pass *Pass) {
-	if !pass.Config.isErrPackage(pass.Pkg.Path()) {
+	if !isErrPackage(pass.Pkg.Path()) {
 		return
 	}
 	for _, file := range pass.Files {

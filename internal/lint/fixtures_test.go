@@ -52,7 +52,7 @@ func runFixture(t *testing.T, name string, analyzers []*Analyzer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := analyze(loader, []*Package{pkg}, DefaultConfig(), analyzers, false)
+	findings := analyze(loader, []*Package{pkg}, analyzers, false)
 
 	wants := parseWants(t, loader, pkg)
 	for _, f := range findings {
@@ -144,7 +144,7 @@ func TestFixtureRuleIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		findings := analyze(loader, []*Package{pkg}, DefaultConfig(), analyzers, false)
+		findings := analyze(loader, []*Package{pkg}, analyzers, false)
 		if len(findings) == 0 {
 			t.Errorf("fixture %s: no findings", name)
 		}
@@ -167,7 +167,7 @@ func TestIgnoreDirectiveRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := analyze(loader, []*Package{pkg}, DefaultConfig(), []*Analyzer{FloatCmp}, false)
+	findings := analyze(loader, []*Package{pkg}, []*Analyzer{FloatCmp}, false)
 	rules := map[string]int{}
 	for _, f := range findings {
 		rules[f.Rule]++
@@ -196,7 +196,7 @@ func TestUnusedDirectives(t *testing.T) {
 	}
 	// Directive line → the unused rule its finding must name.
 	want := map[int]string{17: `"floatcmp"`, 23: `"detflow"`}
-	findings := analyze(loader, []*Package{pkg}, DefaultConfig(), Analyzers(), true)
+	findings := analyze(loader, []*Package{pkg}, Analyzers(), true)
 	if len(findings) != len(want) {
 		t.Fatalf("want %d unused-directive findings, got %d: %v", len(want), len(findings), findings)
 	}
@@ -207,7 +207,7 @@ func TestUnusedDirectives(t *testing.T) {
 		}
 	}
 
-	partial, err := RunDir(dir, DefaultConfig())
+	partial, err := RunDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestUnusedDirectives(t *testing.T) {
 // RunDir on a library package, and every other fixture, report no
 // deadcode finding.
 func TestDeadCodeNeedsAProgram(t *testing.T) {
-	findings, err := RunDir(filepath.Join("testdata", "src", "callgraph", "a"), DefaultConfig())
+	findings, err := RunDir(filepath.Join("testdata", "src", "callgraph", "a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestDeadCodeNeedsAProgram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range analyze(loader, []*Package{pkg}, DefaultConfig(), []*Analyzer{DeadCode}, false) {
+		for _, f := range analyze(loader, []*Package{pkg}, []*Analyzer{DeadCode}, false) {
 			if f.Rule == "deadcode" {
 				t.Errorf("fixture %s: %s", name, f)
 			}

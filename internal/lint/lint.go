@@ -54,6 +54,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -99,8 +100,6 @@ type ProgramPass struct {
 	Pkgs []*Package
 	// Graph is the call graph over Pkgs, built once per run.
 	Graph *CallGraph
-	// Config is the run configuration.
-	Config *Config
 
 	report func(Finding)
 }
@@ -128,8 +127,6 @@ type Pass struct {
 	Pkg *types.Package
 	// Info holds the type-checker's results for Files.
 	Info *types.Info
-	// Config is the run configuration (package scopes, module path).
-	Config *Config
 
 	report func(Finding)
 }
@@ -186,85 +183,52 @@ func sortFindings(fs []Finding) {
 	})
 }
 
-// Config scopes the rules to the packages they police. The zero value
-// is not useful; call DefaultConfig for the repository's settings.
-type Config struct {
-	// SimPackages are the import paths detflow treats as simulation
-	// code: wall-clock, environment and ambient-randomness uses are
-	// banned anywhere in them, and their exported functions and
-	// package initialization are the entry points of its call chains.
-	SimPackages []string
-	// ErrPackages are import-path prefixes where errdrop polices
-	// discarded errors (exact path, or prefix when ending in "/").
-	ErrPackages []string
-	// UnitsPackage is the import path of the typed-quantities package
+// The packages the path-scoped rules police.
+const (
+	// unitsPackage is the import path of the typed-quantities package
 	// whose types unitsafety protects.
-	UnitsPackage string
-	// RNGPackage is the import path of the blessed deterministic RNG;
+	unitsPackage = "repro/internal/units"
+	// rngPackage is the import path of the blessed deterministic RNG;
 	// detflow allowlists it and maporder treats draws from it as
 	// order-sensitive sinks.
-	RNGPackage string
-	// TestdataPrefix puts lint's own fixture packages (which live
+	rngPackage = "repro/internal/rng"
+	// testdataPrefix puts lint's own fixture packages (which live
 	// under a testdata directory and are skipped by module walks) in
 	// scope for every path-scoped rule, so `atmlint <fixture-dir>`
 	// exercises all analyzers.
-	TestdataPrefix string
-}
+	testdataPrefix = "repro/internal/lint/testdata/"
+)
 
-// DefaultConfig returns the repository's lint scope.
-func DefaultConfig() *Config {
-	return &Config{
-		SimPackages: []string{
-			"repro/internal/chip",
-			"repro/internal/cpm",
-			"repro/internal/dpll",
-			"repro/internal/pdn",
-			"repro/internal/silicon",
-			"repro/internal/charact",
-			"repro/internal/tuning",
-			"repro/internal/fault",
-			"repro/internal/manage",
-			"repro/internal/sched",
-			"repro/internal/predict",
-			"repro/internal/workload",
-			"repro/internal/thermal",
-			"repro/internal/obs",
-			"repro/internal/fleet",
-			"repro/internal/guard",
-			"repro/internal/lifetime",
-			"repro/internal/sentinel",
-			"repro/internal/platform",
-			"repro/internal/dc",
-		},
-		ErrPackages: []string{
-			"repro/cmd/",
-			"repro/internal/fsp",
-		},
-		UnitsPackage:   "repro/internal/units",
-		RNGPackage:     "repro/internal/rng",
-		TestdataPrefix: "repro/internal/lint/testdata/",
-	}
-}
+// errPackages are import-path prefixes where errdrop polices discarded
+// errors (exact path, or prefix when ending in "/").
+var errPackages = []string{"repro/cmd/", "repro/internal/fsp"}
 
-// isSimPackage reports whether path is one of the simulation packages.
-func (c *Config) isSimPackage(path string) bool {
-	if c.isTestdata(path) {
+// nonSimPackages are the packages under repro/internal that are not
+// simulation code: the operator protocol, which times live sessions
+// and backs off on the wall clock, this linter, the performance
+// harness, and the blessed RNG.
+var nonSimPackages = []string{"fsp", "lint", "perf", "rng"}
+
+// isSimPackage reports whether detflow treats path as simulation code:
+// wall-clock, environment and ambient-randomness uses are banned
+// anywhere in it, and its exported functions and package
+// initialization are the entry points of its call chains. That is
+// every package under repro/internal except nonSimPackages.
+func isSimPackage(path string) bool {
+	if isTestdata(path) {
 		return true
 	}
-	for _, p := range c.SimPackages {
-		if path == p {
-			return true
-		}
-	}
-	return false
+	rest, ok := strings.CutPrefix(path, "repro/internal/")
+	top, _, _ := strings.Cut(rest, "/")
+	return ok && !slices.Contains(nonSimPackages, top)
 }
 
 // isErrPackage reports whether errdrop polices path.
-func (c *Config) isErrPackage(path string) bool {
-	if c.isTestdata(path) {
+func isErrPackage(path string) bool {
+	if isTestdata(path) {
 		return true
 	}
-	for _, p := range c.ErrPackages {
+	for _, p := range errPackages {
 		if strings.HasSuffix(p, "/") {
 			if strings.HasPrefix(path, p) {
 				return true
@@ -277,8 +241,8 @@ func (c *Config) isErrPackage(path string) bool {
 }
 
 // isTestdata reports whether path is a lint fixture package.
-func (c *Config) isTestdata(path string) bool {
-	return c.TestdataPrefix != "" && strings.HasPrefix(path, c.TestdataPrefix)
+func isTestdata(path string) bool {
+	return strings.HasPrefix(path, testdataPrefix)
 }
 
 // Analyzers returns every registered rule, sorted by name.

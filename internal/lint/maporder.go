@@ -212,7 +212,7 @@ func isRNGDraw(pass *Pass, call *ast.CallExpr) bool {
 	if !ok {
 		return false
 	}
-	return named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pass.Config.RNGPackage
+	return named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == rngPackage
 }
 
 // sortFuncs lists the stdlib calls that establish a deterministic

@@ -12,8 +12,8 @@ import (
 // reporting the rules of directives that suppressed nothing. The
 // returned findings are deterministically sorted; file paths are
 // relative to the module root so output is stable across checkouts.
-func Run(dir string, cfg *Config) ([]Finding, error) {
-	return runLoaded(dir, cfg, true, func(l *Loader) ([]*Package, error) {
+func Run(dir string) ([]Finding, error) {
+	return runLoaded(dir, true, func(l *Loader) ([]*Package, error) {
 		return l.LoadAll()
 	})
 }
@@ -23,8 +23,8 @@ func Run(dir string, cfg *Config) ([]Finding, error) {
 // Program rules see only that package, so a directive that suppresses
 // nothing is not reported: only a whole-module run can prove that no
 // call chain reaches it.
-func RunDir(dir string, cfg *Config) ([]Finding, error) {
-	return runLoaded(dir, cfg, false, func(l *Loader) ([]*Package, error) {
+func RunDir(dir string) ([]Finding, error) {
+	return runLoaded(dir, false, func(l *Loader) ([]*Package, error) {
 		pkg, err := l.LoadDir(dir)
 		if err != nil {
 			return nil, err
@@ -33,7 +33,7 @@ func RunDir(dir string, cfg *Config) ([]Finding, error) {
 	})
 }
 
-func runLoaded(dir string, cfg *Config, whole bool, load func(*Loader) ([]*Package, error)) ([]Finding, error) {
+func runLoaded(dir string, whole bool, load func(*Loader) ([]*Package, error)) ([]Finding, error) {
 	loader, err := NewLoader(dir)
 	if err != nil {
 		return nil, err
@@ -42,7 +42,7 @@ func runLoaded(dir string, cfg *Config, whole bool, load func(*Loader) ([]*Packa
 	if err != nil {
 		return nil, err
 	}
-	findings := analyze(loader, pkgs, cfg, Analyzers(), whole)
+	findings := analyze(loader, pkgs, Analyzers(), whole)
 	for i := range findings {
 		if filepath.IsAbs(findings[i].File) {
 			if rel, err := filepath.Rel(loader.root, findings[i].File); err == nil {
@@ -60,7 +60,7 @@ func runLoaded(dir string, cfg *Config, whole bool, load func(*Loader) ([]*Packa
 // program. When whole is set, pkgs is the entire module and every
 // analyzer ran, so each directive rule that suppressed no finding is
 // reported too. Findings are sorted before being returned.
-func analyze(loader *Loader, pkgs []*Package, cfg *Config, analyzers []*Analyzer, whole bool) []Finding {
+func analyze(loader *Loader, pkgs []*Package, analyzers []*Analyzer, whole bool) []Finding {
 	var all []Finding
 	keep := func(f Finding) { all = append(all, f) } // directive findings are not suppressible
 	// Suppression context for every file of every package up front:
@@ -94,7 +94,6 @@ func analyze(loader *Loader, pkgs []*Package, cfg *Config, analyzers []*Analyzer
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
-				Config:   cfg,
 				report:   report,
 			})
 		}
@@ -112,7 +111,6 @@ func analyze(loader *Loader, pkgs []*Package, cfg *Config, analyzers []*Analyzer
 			Fset:     loader.fset,
 			Pkgs:     pkgs,
 			Graph:    graph,
-			Config:   cfg,
 			report:   report,
 		})
 	}

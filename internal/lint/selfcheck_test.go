@@ -10,7 +10,7 @@ import (
 // must lint clean, so `go test ./...` fails the moment a determinism,
 // unit-safety or error-hygiene violation lands anywhere in the tree.
 func TestRepoClean(t *testing.T) {
-	findings, err := Run(".", DefaultConfig())
+	findings, err := Run(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestRepoClean(t *testing.T) {
 // walks, unsorted findings).
 func TestDeterministicOutput(t *testing.T) {
 	render := func() (string, string) {
-		findings, err := Run(".", DefaultConfig())
+		findings, err := Run(".")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestDeterministicOutput(t *testing.T) {
 // the acceptance path `go run ./cmd/atmlint internal/lint/testdata/src/<rule>`.
 func TestFixturesFailStandalone(t *testing.T) {
 	for name := range fixtureCases {
-		findings, err := RunDir("testdata/src/"+name, DefaultConfig())
+		findings, err := RunDir("testdata/src/" + name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

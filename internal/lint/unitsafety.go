@@ -27,7 +27,7 @@ var UnitSafety = &Analyzer{
 }
 
 func runUnitSafety(pass *Pass) {
-	if pass.Pkg.Path() == pass.Config.UnitsPackage {
+	if pass.Pkg.Path() == unitsPackage {
 		return
 	}
 	for _, file := range pass.Files {
@@ -109,7 +109,7 @@ func unitTypeName(pass *Pass, t types.Type) string {
 		return ""
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != pass.Config.UnitsPackage {
+	if obj.Pkg() == nil || obj.Pkg().Path() != unitsPackage {
 		return ""
 	}
 	return obj.Name()

@@ -136,12 +136,14 @@ func Flood(o FloodOptions) (*FloodResult, error) {
 	var ticks int64
 	tick := func() int64 { return ticks }
 	srv.SetClock(tick)
-	srv.Guard(fsp.GuardOptions{
+	if err := srv.Guard(fsp.GuardOptions{
 		MaxSessions:      o.MaxSessions,
 		AcceptCapacity:   o.AcceptBurst,
 		GarbageThreshold: o.GarbageThreshold,
 		Now:              tick,
-	})
+	}); err != nil {
+		return nil, err
+	}
 	latency := reg.Histogram("flood_latency_ticks", fsp.LatencyBuckets)
 
 	res := &FloodResult{}

@@ -16,17 +16,15 @@
 // The sentinel itself is a pure, deterministic state machine: it never
 // touches the machine model, wall clocks, or RNG. All side effects go
 // through the Actuator interface its owner provides, so the package
-// depends only on internal/guard (quarantine breakers) and
-// internal/obs (telemetry about the sentinel itself). That keeps the
-// import graph acyclic — internal/lifetime implements the Actuator on
-// top of fsp + tuning and drives Observe/Act from its epoch loop.
+// depends only on internal/obs (telemetry about the sentinel itself).
+// That keeps the import graph acyclic — internal/lifetime implements
+// the Actuator on top of fsp + tuning and drives Observe/Act from its
+// epoch loop.
 package sentinel
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/guard"
 	"repro/internal/obs"
 )
 
@@ -68,8 +66,8 @@ func (a Action) String() string {
 // Actuator is how the sentinel changes the world. Implementations
 // (internal/lifetime) translate each rung into FSP/tuning operations.
 // Every method returns the core's reduction after the operation; an
-// error marks the recovery attempt failed and feeds the core's
-// quarantine breaker.
+// error marks the recovery attempt failed, and maxFailedRecoveries
+// failures in a row retire the core.
 type Actuator interface {
 	// StepBack lowers the core's reduction by one notch. Returns the
 	// new reduction; stepping back from zero is not an error, it just
@@ -84,120 +82,45 @@ type Actuator interface {
 	Quarantine(core string, reason string) error
 }
 
-// Config tunes the detector and the ladder. The zero value selects
-// the defaults noted per field; Validate rejects values outside each
-// field's range.
-type Config struct {
-	// Alpha is the EWMA smoothing factor. Default 0.25.
-	Alpha float64
-	// AlarmSigma arms the alarm when the smoothed margin drops below
+// The detector and ladder constants.
+const (
+	// alpha is the EWMA smoothing factor.
+	alpha = 0.25
+	// alarmSigma arms the alarm when the smoothed margin drops below
 	// it. A freshly fine-tuned core settles at or above the 4.5-sigma
 	// calibration headroom (limitHeadroomSigmas in internal/silicon),
-	// where the per-trial failure probability is ~7e-6; the default of
-	// 4.2 fires while the probability is still below 2e-5, so the
-	// sentinel reacts before erosion reaches dangerous odds.
-	AlarmSigma float64
-	// ClearSigma disarms the alarm (hysteresis). Must exceed
-	// AlarmSigma but stay below the 4.5-sigma post-intervention floor:
-	// a re-tuned core lands exactly at the calibration headroom, and
-	// that must count as recovered. Default AlarmSigma + 0.2.
-	ClearSigma float64
-	// Ki is the integral gain on the alarm error, after Chen et al.'s
+	// where the per-trial failure probability is ~7e-6; 4.2 fires while
+	// the probability is still below 2e-5, so the sentinel reacts
+	// before erosion reaches dangerous odds.
+	alarmSigma = 4.2
+	// clearSigma disarms the alarm (hysteresis). It exceeds alarmSigma
+	// but stays below the 4.5-sigma post-intervention floor: a re-tuned
+	// core lands exactly at the calibration headroom, and that must
+	// count as recovered.
+	clearSigma = 4.4
+	// ki is the integral gain on the alarm error, after Chen et al.'s
 	// voltage-margin feedback loop. The margin telemetry is a solved
-	// model quantity, not a noisy sensor, so the default of 2.0 is
-	// deliberately hot: a full tap-step drop (≥ ~3 sigma) crosses the
-	// action threshold on the first alarmed sample.
-	Ki float64
-	// IntegralCap is the anti-windup clamp on the accumulated
-	// evidence. Default 3.0.
-	IntegralCap float64
-	// ActAt is the evidence level that triggers the ladder. Default 1.0.
-	ActAt float64
-	// RetuneAfterSteps escalates from step-back to re-tune after this
+	// model quantity, not a noisy sensor, so the gain is deliberately
+	// hot: a full tap-step drop (≥ ~3 sigma) crosses actAt on the first
+	// alarmed sample.
+	ki = 2.0
+	// integralCap is the anti-windup clamp on the accumulated evidence.
+	integralCap = 3.0
+	// actAt is the evidence level that triggers the ladder.
+	actAt = 1.0
+	// retuneAfterSteps escalates from step-back to re-tune after this
 	// many step-backs since the core's last full characterization: a
 	// blind one-notch retreat is cheap and instant, but each one is a
 	// guess, and after enough of them the core deserves a real online
-	// re-characterization of its aged silicon. Default 2.
-	RetuneAfterSteps int
-	// MaxRetunes escalates from re-tune to static fallback after this
-	// many re-tunes on a core. Default 2.
-	MaxRetunes int
-	// BreakerFailures is the consecutive failed-recovery count that
-	// trips a core's quarantine breaker. Default 4.
-	BreakerFailures int
-	// Obs, when non-nil, receives sentinel counters and gauges.
-	Obs *obs.Registry
-	// Trace, when non-nil, receives an instant event per action.
-	Trace *obs.Tracer
-}
-
-// Validate rejects a configuration that would quietly weaken or
-// switch off the sentinel: a float field that is NaN, infinite or
-// negative, an Alpha above 1, a set ClearSigma at or below the
-// effective AlarmSigma, and a negative count. Each comparison with NaN
-// is false, so a NaN AlarmSigma, Ki or ActAt would never fire. Zero
-// still selects each default.
-func (c Config) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"Alpha", c.Alpha}, {"AlarmSigma", c.AlarmSigma}, {"ClearSigma", c.ClearSigma},
-		{"Ki", c.Ki}, {"IntegralCap", c.IntegralCap}, {"ActAt", c.ActAt},
-	} {
-		if !(f.v >= 0) || math.IsInf(f.v, 1) {
-			return fmt.Errorf("sentinel: %s %v is not finite and non-negative", f.name, f.v)
-		}
-	}
-	if c.Alpha > 1 {
-		return fmt.Errorf("sentinel: Alpha %v is above 1", c.Alpha)
-	}
-	if alarm := c.withDefaults().AlarmSigma; c.ClearSigma != 0 && c.ClearSigma <= alarm {
-		return fmt.Errorf("sentinel: ClearSigma %v does not exceed AlarmSigma %v", c.ClearSigma, alarm)
-	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"RetuneAfterSteps", c.RetuneAfterSteps}, {"MaxRetunes", c.MaxRetunes}, {"BreakerFailures", c.BreakerFailures},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("sentinel: %s %d is negative", f.name, f.v)
-		}
-	}
-	return nil
-}
-
-func (c Config) withDefaults() Config {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.25
-	}
-	if c.AlarmSigma == 0 {
-		c.AlarmSigma = 4.2
-	}
-	if c.ClearSigma <= c.AlarmSigma {
-		c.ClearSigma = c.AlarmSigma + 0.2
-	}
-	if c.Ki <= 0 {
-		c.Ki = 2.0
-	}
-	if c.IntegralCap <= 0 {
-		c.IntegralCap = 3.0
-	}
-	if c.ActAt <= 0 {
-		c.ActAt = 1.0
-	}
-	if c.RetuneAfterSteps <= 0 {
-		c.RetuneAfterSteps = 2
-	}
-	if c.MaxRetunes <= 0 {
-		c.MaxRetunes = 2
-	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = 4
-	}
-	return c
-}
+	// re-characterization of its aged silicon.
+	retuneAfterSteps = 2
+	// maxRetunes escalates from re-tune to static fallback after this
+	// many re-tunes on a core.
+	maxRetunes = 2
+	// maxFailedRecoveries retires a core after this many consecutive
+	// failed recoveries.
+	maxFailedRecoveries = 4
+)
 
 // coreState is the per-core detector and ladder position.
 type coreState struct {
@@ -208,7 +131,7 @@ type coreState struct {
 	seeded  bool
 	alarmed bool
 	// integral is the Chen-style accumulated evidence: grows while the
-	// smoothed margin sits below AlarmSigma, bleeds when above.
+	// smoothed margin sits below alarmSigma, bleeds when above.
 	integral float64
 
 	// Ladder position.
@@ -218,10 +141,11 @@ type coreState struct {
 	quarantined bool
 	// fixPending marks that an action was taken and the alarm has not
 	// cleared since: the next action therefore counts the previous one
-	// as a failed recovery on the breaker.
+	// as a failed recovery.
 	fixPending bool
-
-	br *guard.Breaker
+	// failedRecoveries counts consecutive failed recoveries; a
+	// recovery resets it.
+	failedRecoveries int
 }
 
 // Event is one sentinel decision, for the owner's timeline.
@@ -241,9 +165,9 @@ type Event struct {
 //
 //atm:nilsafe
 type Sentinel struct {
-	cfg   Config
 	cores []coreState
 	act   Actuator
+	trace *obs.Tracer
 
 	alarms   *obs.Counter
 	actions  [5]*obs.Counter // indexed by Action
@@ -252,28 +176,20 @@ type Sentinel struct {
 
 // New builds a sentinel over the named cores. The order of names fixes
 // the index space Observe and Act use; it must match the order the
-// margin telemetry is sampled in (fsp address order).
-func New(cfg Config, cores []string, act Actuator) *Sentinel {
-	cfg = cfg.withDefaults()
-	s := &Sentinel{cfg: cfg, act: act}
+// margin telemetry is sampled in (fsp address order). A non-nil reg
+// receives sentinel counters; a non-nil tr receives an instant event
+// per action.
+func New(cores []string, act Actuator, reg *obs.Registry, tr *obs.Tracer) *Sentinel {
+	s := &Sentinel{act: act, trace: tr}
 	s.cores = make([]coreState, len(cores))
 	for i, name := range cores {
-		s.cores[i] = coreState{
-			name: name,
-			br: guard.NewBreaker(guard.BreakerOptions{
-				Name:             "sentinel-" + name,
-				FailureThreshold: cfg.BreakerFailures,
-				// The ladder is the probe policy; one success closes.
-				HalfOpenProbes: 1,
-				Obs:            cfg.Obs,
-			}),
-		}
+		s.cores[i] = coreState{name: name}
 	}
-	if cfg.Obs != nil {
-		s.alarms = cfg.Obs.Counter("sentinel_alarms_total")
-		s.failures = cfg.Obs.Counter("sentinel_recovery_failures_total")
+	if reg != nil {
+		s.alarms = reg.Counter("sentinel_alarms_total")
+		s.failures = reg.Counter("sentinel_recovery_failures_total")
 		for a := ActionStepBack; a <= ActionQuarantine; a++ {
-			s.actions[a] = cfg.Obs.Counter("sentinel_actions_total", "action", a.String())
+			s.actions[a] = reg.Counter("sentinel_actions_total", "action", a.String())
 		}
 	}
 	return s
@@ -301,20 +217,20 @@ func (s *Sentinel) Observe(i int, sigma float64) bool {
 		c.ewma = sigma
 		c.seeded = true
 	} else {
-		c.ewma += s.cfg.Alpha * (sigma - c.ewma)
+		c.ewma += alpha * (sigma - c.ewma)
 	}
 
 	// Hysteresis on the smoothed margin.
 	if c.alarmed {
-		if c.ewma >= s.cfg.ClearSigma {
+		if c.ewma >= clearSigma {
 			c.alarmed = false
 			if c.fixPending {
 				// The last action restored the margin: a recovery.
 				c.fixPending = false
-				c.br.Success()
+				c.failedRecoveries = 0
 			}
 		}
-	} else if c.ewma < s.cfg.AlarmSigma {
+	} else if c.ewma < alarmSigma {
 		c.alarmed = true
 		if s.alarms != nil {
 			s.alarms.Inc()
@@ -323,13 +239,13 @@ func (s *Sentinel) Observe(i int, sigma float64) bool {
 
 	// Chen-style integral on the alarm error: accumulate evidence
 	// while below the alarm line, bleed it while above.
-	c.integral += s.cfg.Ki * (s.cfg.AlarmSigma - c.ewma)
+	c.integral += ki * (alarmSigma - c.ewma)
 	if c.integral < 0 {
 		c.integral = 0
-	} else if c.integral > s.cfg.IntegralCap {
-		c.integral = s.cfg.IntegralCap
+	} else if c.integral > integralCap {
+		c.integral = integralCap
 	}
-	return c.alarmed && c.integral >= s.cfg.ActAt
+	return c.alarmed && c.integral >= actAt
 }
 
 // Act walks core i one rung down the escalation ladder. Call it when
@@ -348,17 +264,14 @@ func (s *Sentinel) Act(i int) Event {
 		return Event{Core: c.name, Action: ActionNone}
 	}
 
-	// Admission through the quarantine breaker: a previous action whose
-	// alarm never cleared is a failed recovery.
+	// A previous action whose alarm never cleared is a failed recovery.
 	if c.fixPending {
-		c.br.Failure()
-		if s.failures != nil {
-			s.failures.Inc()
-		}
+		c.failedRecoveries++
+		s.failures.Inc()
 	}
-	if !c.br.Allow() {
-		// Breaker open: recoveries keep failing. Retire the core.
-		return s.retire(c, "recovery breaker open")
+	if c.failedRecoveries >= maxFailedRecoveries {
+		// Recoveries keep failing. Retire the core.
+		return s.retire(c, "recoveries keep failing")
 	}
 
 	ev := Event{Core: c.name}
@@ -368,11 +281,11 @@ func (s *Sentinel) Act(i int) Event {
 		// has drifted past even the full guardband. Nothing gentler
 		// left to try.
 		return s.retire(c, "margin alarm in static mode")
-	case c.stepBacks < s.cfg.RetuneAfterSteps:
+	case c.stepBacks < retuneAfterSteps:
 		red, err := s.act.StepBack(c.name)
 		ev.Action, ev.Reduction, ev.Err = ActionStepBack, red, err
 		c.stepBacks++
-	case c.retunes < s.cfg.MaxRetunes:
+	case c.retunes < maxRetunes:
 		red, err := s.act.Retune(c.name)
 		ev.Action, ev.Reduction, ev.Err = ActionRetune, red, err
 		c.retunes++
@@ -384,10 +297,8 @@ func (s *Sentinel) Act(i int) Event {
 	}
 
 	if ev.Err != nil {
-		c.br.Failure()
-		if s.failures != nil {
-			s.failures.Inc()
-		}
+		c.failedRecoveries++
+		s.failures.Inc()
 		c.fixPending = false
 	} else {
 		c.fixPending = true
@@ -421,12 +332,12 @@ func (s *Sentinel) note(ev Event) {
 	if ctr := s.actions[ev.Action]; ctr != nil {
 		ctr.Inc()
 	}
-	if s.cfg.Trace != nil {
+	if s.trace != nil {
 		status := "ok"
 		if ev.Err != nil {
 			status = "err"
 		}
-		s.cfg.Trace.Instant("sentinel", ev.Action.String(), ev.Core,
+		s.trace.Instant("sentinel", ev.Action.String(), ev.Core,
 			"core", ev.Core, "reduction", fmt.Sprintf("%d", ev.Reduction), "status", status)
 	}
 }

@@ -2,8 +2,6 @@ package sentinel
 
 import (
 	"errors"
-	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -74,9 +72,16 @@ func drive(t *testing.T, s *Sentinel, sigma float64, limit int) Event {
 	return Event{}
 }
 
+// recoverCore feeds a healthy margin until the alarm has cleared.
+func recoverCore(s *Sentinel) {
+	for n := 0; n < 100; n++ {
+		s.Observe(0, 5.0)
+	}
+}
+
 func TestHealthyMarginNeverActs(t *testing.T) {
 	act := &fakeActuator{red: 5}
-	s := New(Config{}, []string{"P0C0"}, act)
+	s := New([]string{"P0C0"}, act, nil, nil)
 	for n := 0; n < 10000; n++ {
 		if s.Observe(0, 4.6) {
 			t.Fatalf("sentinel acted on a healthy 4.6-sigma margin at sample %d", n)
@@ -88,7 +93,7 @@ func TestHealthyMarginNeverActs(t *testing.T) {
 }
 
 func TestNoiseBelowEvidenceThresholdIgnored(t *testing.T) {
-	s := New(Config{}, []string{"P0C0"}, &fakeActuator{red: 5})
+	s := New([]string{"P0C0"}, &fakeActuator{red: 5}, nil, nil)
 	// Alternate dips below alarm with recoveries: the integral bleeds
 	// off between dips and must never reach the action threshold.
 	for n := 0; n < 5000; n++ {
@@ -104,13 +109,12 @@ func TestNoiseBelowEvidenceThresholdIgnored(t *testing.T) {
 
 func TestEscalationLadderOrder(t *testing.T) {
 	act := &fakeActuator{red: 5, retuneTo: 3}
-	cfg := Config{RetuneAfterSteps: 2, MaxRetunes: 1}
-	s := New(cfg, []string{"P0C0"}, act)
+	s := New([]string{"P0C0"}, act, nil, nil)
 
 	// Sustained erosion with no improvement: two blind retreats, then a
 	// re-characterization (which refreshes the retreat budget), then one
 	// more retreat — at which point four consecutive un-recovered
-	// actions have tripped the quarantine breaker.
+	// actions retire the core.
 	wantActions := []Action{ActionStepBack, ActionStepBack, ActionRetune, ActionStepBack, ActionQuarantine}
 	wantReds := []int{4, 3, 3, 2, 0}
 	for i, want := range wantActions {
@@ -141,13 +145,8 @@ func TestEscalationLadderOrder(t *testing.T) {
 
 func TestStepBackBudgetSpansRecoveries(t *testing.T) {
 	act := &fakeActuator{red: 5, retuneTo: 5}
-	s := New(Config{RetuneAfterSteps: 2}, []string{"P0C0"}, act)
-
-	recover := func() {
-		for n := 0; n < 100; n++ {
-			s.Observe(0, 5.0)
-		}
-	}
+	s := New([]string{"P0C0"}, act, nil, nil)
+	recover := func() { recoverCore(s) }
 	// Two step-backs, each followed by a clean recovery above the
 	// hysteresis clear line.
 	for i := 0; i < 2; i++ {
@@ -172,12 +171,12 @@ func TestStepBackBudgetSpansRecoveries(t *testing.T) {
 
 func TestStaticFallbackAfterRetunesExhausted(t *testing.T) {
 	act := &fakeActuator{red: 5, retuneTo: 3}
-	// A breaker threshold well above the ladder length isolates the
-	// ladder's own static rung from breaker-driven quarantine.
-	cfg := Config{RetuneAfterSteps: 2, MaxRetunes: 1, BreakerFailures: 100}
-	s := New(cfg, []string{"P0C0"}, act)
+	s := New([]string{"P0C0"}, act, nil, nil)
 
+	// Each action recovers the margin before the next erosion, so no
+	// recovery fails and the ladder runs to its own static rung.
 	want := []Action{
+		ActionStepBack, ActionStepBack, ActionRetune,
 		ActionStepBack, ActionStepBack, ActionRetune,
 		ActionStepBack, ActionStepBack, ActionStatic,
 		ActionQuarantine, // alarm while static: nothing gentler left
@@ -187,15 +186,50 @@ func TestStaticFallbackAfterRetunesExhausted(t *testing.T) {
 		if ev.Action != w {
 			t.Fatalf("rung %d: got %s, want %s", i, ev.Action, w)
 		}
+		recoverCore(s)
 	}
 	if act.statics != 1 || act.quarantines != 1 {
 		t.Fatalf("statics=%d quarantines=%d, want 1 and 1", act.statics, act.quarantines)
 	}
 }
 
+// TestRetiresAfterFourConsecutiveFailedRecoveries: three failed
+// recoveries, then a recovery, then three more leave the core in
+// service; a fourth failure in a row retires it.
+func TestRetiresAfterFourConsecutiveFailedRecoveries(t *testing.T) {
+	reg := obs.NewRegistry()
+	act := &fakeActuator{red: 20, retuneTo: 20}
+	s := New([]string{"P0C0"}, act, reg, nil)
+	for i := 0; i < 4; i++ {
+		// The first action is no failure; each later one counts the
+		// one before it, whose alarm never cleared.
+		if ev := drive(t, s, 1.0, 100); ev.Action == ActionQuarantine {
+			t.Fatalf("action %d retired the core after %d failed recoveries", i, i)
+		}
+	}
+	recoverCore(s)
+	for i := 0; i < 4; i++ {
+		if ev := drive(t, s, 1.0, 100); ev.Action == ActionQuarantine {
+			t.Fatalf("action %d after the recovery retired the core after %d failed recoveries", i, i)
+		}
+	}
+	if s.cores[0].quarantined {
+		t.Fatal("core retired after three consecutive failed recoveries")
+	}
+	if ev := drive(t, s, 1.0, 100); ev.Action != ActionQuarantine {
+		t.Fatalf("fourth consecutive failed recovery: got %s, want quarantine", ev.Action)
+	}
+	if act.quarantines != 1 || act.statics != 0 {
+		t.Fatalf("quarantines=%d statics=%d, want 1 and 0", act.quarantines, act.statics)
+	}
+	if got := reg.Counter("sentinel_recovery_failures_total").Value(); got != 7 {
+		t.Fatalf("sentinel_recovery_failures_total = %d, want 7", got)
+	}
+}
+
 func TestFailingActuatorTripsQuarantineBreaker(t *testing.T) {
 	act := &fakeActuator{red: 5, fail: true}
-	s := New(Config{BreakerFailures: 3}, []string{"P0C0"}, act)
+	s := New([]string{"P0C0"}, act, nil, nil)
 
 	var last Event
 	for n := 0; n < 20 && !s.cores[0].quarantined; n++ {
@@ -215,15 +249,16 @@ func TestFailingActuatorTripsQuarantineBreaker(t *testing.T) {
 func TestObsCountsActions(t *testing.T) {
 	reg := obs.NewRegistry()
 	act := &fakeActuator{red: 5, retuneTo: 3}
-	s := New(Config{Obs: reg, RetuneAfterSteps: 1, MaxRetunes: 1}, []string{"P0C0"}, act)
-	for n := 0; n < 5 && !s.cores[0].quarantined; n++ {
+	s := New([]string{"P0C0"}, act, reg, nil)
+	for n := 0; n < 10 && !s.cores[0].quarantined; n++ {
 		drive(t, s, 1.0, 200)
+		recoverCore(s)
 	}
 	for _, c := range []struct {
 		action string
 		want   int64
 	}{
-		{"step-back", 2}, {"retune", 1}, {"static-fallback", 1}, {"quarantine", 1},
+		{"step-back", 6}, {"retune", 2}, {"static-fallback", 1}, {"quarantine", 1},
 	} {
 		got := reg.Counter("sentinel_actions_total", "action", c.action).Value()
 		if got != c.want {
@@ -246,52 +281,11 @@ func TestNilSentinelIsInert(t *testing.T) {
 }
 
 func TestOutOfRangeCoreIndex(t *testing.T) {
-	s := New(Config{}, []string{"P0C0"}, &fakeActuator{})
+	s := New([]string{"P0C0"}, &fakeActuator{}, nil, nil)
 	if s.Observe(1, -10) || s.Observe(-1, -10) {
 		t.Fatal("out-of-range index generated an action")
 	}
 	if ev := s.Act(7); ev.Action != ActionNone || ev.Core != "" {
 		t.Fatal("out-of-range Act did something")
-	}
-}
-
-// TestConfigValidate: every value withDefaults would let through to
-// weaken or switch off the detector is rejected, naming its field,
-// while zero still selects each default.
-func TestConfigValidate(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	for _, tc := range []struct {
-		cfg   Config
-		field string // "" when the config is valid
-	}{
-		{Config{}, ""},
-		{Config{Alpha: 1, AlarmSigma: 4.2, ClearSigma: 4.4, Ki: 2, IntegralCap: 3, ActAt: 1,
-			RetuneAfterSteps: 2, MaxRetunes: 2, BreakerFailures: 4}, ""},
-		{Config{ClearSigma: 4.3}, ""}, // exceeds the default AlarmSigma 4.2
-		{Config{AlarmSigma: nan}, "AlarmSigma"},
-		{Config{AlarmSigma: -inf}, "AlarmSigma"},
-		{Config{AlarmSigma: -1}, "AlarmSigma"},
-		{Config{Ki: nan}, "Ki"},
-		{Config{Ki: -2}, "Ki"},
-		{Config{ActAt: nan}, "ActAt"},
-		{Config{ActAt: inf}, "ActAt"},
-		{Config{IntegralCap: -3}, "IntegralCap"},
-		{Config{Alpha: nan}, "Alpha"},
-		{Config{Alpha: -0.25}, "Alpha"},
-		{Config{Alpha: 1.5}, "Alpha"},
-		{Config{ClearSigma: nan}, "ClearSigma"},
-		{Config{ClearSigma: 4.2}, "ClearSigma"},
-		{Config{AlarmSigma: 3, ClearSigma: 2}, "ClearSigma"},
-		{Config{RetuneAfterSteps: -1}, "RetuneAfterSteps"},
-		{Config{MaxRetunes: -1}, "MaxRetunes"},
-		{Config{BreakerFailures: -1}, "BreakerFailures"},
-	} {
-		err := tc.cfg.Validate()
-		switch {
-		case tc.field == "" && err != nil:
-			t.Errorf("%+v: %v, want valid", tc.cfg, err)
-		case tc.field != "" && (err == nil || !strings.Contains(err.Error(), tc.field+" ")):
-			t.Errorf("%+v: err = %v, want one naming %s", tc.cfg, err, tc.field)
-		}
 	}
 }
