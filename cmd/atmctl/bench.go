@@ -129,7 +129,11 @@ func gateBaseline(path string, base, doc *perf.Doc) error {
 		return err
 	}
 	if len(regs) == 0 {
-		fmt.Printf("baseline %s: ok (%d stage(s) gated)\n", path, len(base.Stages))
+		if base.Flood != nil {
+			fmt.Printf("baseline %s: ok (flood row gated)\n", path)
+		} else {
+			fmt.Printf("baseline %s: ok (%d stage(s) gated)\n", path, len(base.Stages))
+		}
 		return nil
 	}
 	for _, r := range regs {
@@ -152,7 +156,6 @@ func cmdFlood(args []string) error {
 	seed := fs.Uint64("seed", 1, "interleaver and command-mix seed")
 	garbage := fs.Int("garbage", -1, "protocol-garbage rate in per-mille (-1 = plan default)")
 	maxSessions := fs.Int("max-sessions", -1, "session gate capacity, 0 disables (-1 = plan default)")
-	acceptBurst := fs.Int64("accept-burst", -1, "admission token-bucket burst, 0 disables (-1 = plan default)")
 	garbageThreshold := fs.Int("garbage-threshold", -1, "breaker garbage threshold, 0 disables (-1 = plan default)")
 	out := fs.String("out", "", "write the BENCH json artifact to this file")
 	baseline := fs.String("baseline", "", "compare against this BENCH json and exit 3 on regression")
@@ -166,34 +169,32 @@ func cmdFlood(args []string) error {
 
 	o := perf.DefaultFloodOptions(*quick)
 	o.Seed = *seed
-	if *sessions > 0 {
-		o.Sessions = *sessions
-	}
-	if *commands > 0 {
-		o.Commands = *commands
-	}
-	if *pipeline > 0 {
-		o.Pipeline = *pipeline
-	}
-	if *garbage >= 0 {
-		o.Garbage = *garbage
-	}
-	if *maxSessions >= 0 {
-		o.MaxSessions = *maxSessions
-	}
-	if *acceptBurst >= 0 {
-		o.AcceptBurst = *acceptBurst
-	}
-	if *garbageThreshold >= 0 {
-		o.GarbageThreshold = *garbageThreshold
+	// Each flag's sentinel selects the plan default. A value above it
+	// sets the option; a value below it is a typo, not a plan.
+	for _, f := range []struct {
+		name          string
+		val, sentinel int
+		opt           *int
+	}{
+		{"sessions", *sessions, 0, &o.Sessions},
+		{"commands", *commands, 0, &o.Commands},
+		{"pipeline", *pipeline, 0, &o.Pipeline},
+		{"garbage", *garbage, -1, &o.Garbage},
+		{"max-sessions", *maxSessions, -1, &o.MaxSessions},
+		{"garbage-threshold", *garbageThreshold, -1, &o.GarbageThreshold},
+	} {
+		switch {
+		case f.val < f.sentinel:
+			return badFlag(fs, "-%s %d: want %d (plan default) or more", f.name, f.val, f.sentinel)
+		case f.val > f.sentinel:
+			*f.opt = f.val
+		}
 	}
 
+	// Flood fails only on options it rejects.
 	r, err := perf.Flood(o)
 	if err != nil {
-		if strings.Contains(err.Error(), "perf:") {
-			return usageError{err}
-		}
-		return err
+		return badFlag(fs, "%v", err)
 	}
 	doc := perf.FloodDoc(o, *quick, r)
 	fmt.Printf("flood: %d session(s) × %d cmd(s): issued %d, executed %d, shed %d (%.0f%%), breaker-rejected %d, errors %d\n",

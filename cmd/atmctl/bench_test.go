@@ -208,6 +208,13 @@ func TestFloodBaselineGate(t *testing.T) {
 	if got := run([]string{"flood", "-quick", "-baseline", out}); got != 0 {
 		t.Fatalf("self-comparison exit = %d, want 0", got)
 	}
+	// A flood of another plan is not comparable: a hard failure, not a
+	// pass that gated nothing or a regression.
+	for _, plan := range [][]string{{"-sessions", "20"}, {"-garbage", "700"}, {"-max-sessions", "0"}, {"-garbage-threshold", "2"}} {
+		if got := run(append([]string{"flood", "-quick", "-baseline", out}, plan...)); got != 1 {
+			t.Fatalf("flood %v against the default plan's baseline: exit = %d, want 1", plan, got)
+		}
+	}
 	// A baseline with a diverged canonical outcome fails the gate.
 	doc, err := perf.ReadDoc(out)
 	if err != nil {

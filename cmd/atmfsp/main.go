@@ -57,6 +57,18 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// 0 turns a guard off; a negative value is a typo, not "off".
+	for _, f := range []struct {
+		name string
+		val  int
+	}{{"max-sessions", *maxSessions}, {"garbage-threshold", *garbage}} {
+		if f.val < 0 {
+			//lint:ignore errdrop the diagnostic on stderr is the usage report itself
+			fmt.Fprintf(stderr, "-%s %d: want 0 (off) or more\n", f.name, f.val)
+			fs.Usage()
+			return 2
+		}
+	}
 	fail := func(err error) int {
 		//lint:ignore errdrop the diagnostic on stderr is the last report a failing run can make
 		fmt.Fprintln(stderr, "atmfsp:", err)
@@ -87,12 +99,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		srv := fsp.NewServer(ctl)
 		srv.Observe(reg)
 		srv.SetClock(wallMicros)
-		if err := srv.Guard(fsp.GuardOptions{
+		srv.Guard(fsp.GuardOptions{
 			MaxSessions:      *maxSessions,
 			GarbageThreshold: *garbage,
-		}); err != nil {
-			return fail(err)
-		}
+		})
 		if err := srv.Serve(l); err != nil {
 			return fail(err)
 		}

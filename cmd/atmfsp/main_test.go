@@ -67,16 +67,28 @@ func TestDocumentedSessions(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: an unknown flag, the removed -accept-burst among
-// them, is exit 2 before any session runs.
+// TestUsageErrors: an unknown flag (the removed -accept-burst among
+// them), a value that does not parse and a negative guard setting are
+// each exit 2 with a diagnostic naming the flag, before any session
+// runs.
 func TestUsageErrors(t *testing.T) {
-	for _, args := range [][]string{{"-accept-burst", "3"}, {"-no-such-flag"}, {"-max-sessions", "x"}} {
+	for _, args := range [][]string{
+		{"-accept-burst", "3"},
+		{"-no-such-flag"},
+		{"-max-sessions", "x"},
+		{"-max-sessions", "-3"},
+		{"-garbage-threshold", "-1"},
+		{"-garbage-threshold", "-1", "-max-sessions", "-3"},
+	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, strings.NewReader("ping\n"), &stdout, &stderr); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: a session ran: %q", args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), args[0]) {
+			t.Errorf("%v: stderr does not name %s: %q", args, args[0], stderr.String())
 		}
 	}
 }

@@ -331,7 +331,6 @@ func Run(c *Campaign, o Options) (*CampaignResult, error) {
 		occupancy  = o.Obs.Gauge("fleet_worker_occupancy")
 		guards     = jobGuards{
 			panics:   o.Obs.Counter("fleet_job_panics_total"),
-			poisoned: o.Obs.Counter("fleet_jobs_poisoned_total"),
 			deadline: o.Obs.Counter("fleet_watchdog_expired_total"),
 		}
 	)

@@ -34,7 +34,6 @@ type trialDeadline struct{ budget int64 }
 // through to runGuarded.
 type jobGuards struct {
 	panics   *obs.Counter
-	poisoned *obs.Counter
 	deadline *obs.Counter
 }
 
@@ -59,6 +58,5 @@ func runGuarded(j Job, trialBudget int64, g jobGuards) (json.RawMessage, error) 
 		return nil, fmt.Errorf("job %s: trial budget %d exhausted", j.ID, dl.budget)
 	}
 	g.panics.Inc()
-	g.poisoned.Inc()
 	return nil, fmt.Errorf("job %s: poison job quarantined: %w", j.ID, pe)
 }

@@ -18,16 +18,13 @@ import (
 // Client is the operator-plane counterpart of Session: it drives the
 // line protocol over any transport and survives the transport being
 // imperfect. Every command gets a per-command I/O timeout (when the
-// transport supports deadlines), a bounded retry budget with
-// deterministic backoff, and response re-synchronization: after a
-// dropped or garbled response line the client exchanges a ping token
-// and discards stale lines until the echo comes back, so one lost byte
-// cannot skew every subsequent response.
-//
-// Backoff time is simulated by default — with no Sleep hook the client
-// does not pause — so retry schedules are deterministic and tests are
-// instant; wire Sleep to a wall-clock sleep that honors cancel for a
-// real test-floor link.
+// transport supports deadlines), a bounded retry budget, and response
+// re-synchronization: after a dropped or garbled response line the
+// client exchanges a ping token and discards stale lines until the
+// echo comes back, so one lost byte cannot skew every subsequent
+// response. A retry re-syncs and resends at once: the client never
+// sleeps, so a retry costs no wall time beyond its own reads and
+// writes.
 //
 // In-band "err ..." responses are protocol results, not transport
 // faults: they are returned as *CmdError without retrying, except for
@@ -84,16 +81,6 @@ type ClientOptions struct {
 	// Timeout bounds each read and write when the transport supports
 	// deadlines (net.Conn, net.Pipe). Default 2s; negative disables.
 	Timeout time.Duration
-	// Sleep consumes the backoff pauses. The default does not sleep
-	// (simulated time). A real implementation must honor cancel and
-	// return early when it fires.
-	Sleep func(d time.Duration, cancel <-chan struct{})
-	// Cancel, when non-nil, aborts the retry loop: a close of the
-	// channel makes Exec return ErrCanceled at the next backoff (a
-	// shutting-down caller is never stuck sleeping out a backoff
-	// schedule). It does not interrupt an in-flight read — the
-	// per-command Timeout already bounds those.
-	Cancel <-chan struct{}
 	// Obs, when non-nil, counts what the resilience machinery absorbed
 	// (commands, retries, resyncs, discarded lines, exhausted budgets)
 	// as fsp_client_* metrics, plus a histogram of attempts consumed
@@ -111,18 +98,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 		o.Timeout = 2 * time.Second
 	}
 	return o
-}
-
-// backoff maps attempt number (1, 2, ...) to the pause before that
-// retry: deterministic binary exponential, 25ms · 2^(attempt−1), capped
-// at 1s. No jitter — reproducibility outranks thundering-herd etiquette
-// on a one-operator link.
-func backoff(attempt int) time.Duration {
-	d := 25 * time.Millisecond << (attempt - 1)
-	if d > time.Second {
-		d = time.Second
-	}
-	return d
 }
 
 // resyncWindow is how many stale lines a re-sync may discard while
@@ -144,18 +119,11 @@ func (e *CmdError) Transient() bool { return strings.HasPrefix(e.Msg, "transient
 
 // Busy reports whether the server shed the command under overload
 // ("err busy ..." — admission control or an open session breaker).
-// Busy errors are retried with backoff like transport faults: by the
-// time the schedule has backed off, the server has usually recovered
-// headroom or walked its breaker to half-open.
+// Busy errors are retried like transport faults.
 func (e *CmdError) Busy() bool { return strings.HasPrefix(e.Msg, "busy") }
 
 // ErrExhausted wraps the last failure after the retry budget is spent.
 var ErrExhausted = errors.New("retry budget exhausted")
-
-// ErrCanceled reports that the caller's Cancel channel fired during
-// the retry loop. It is distinct from ErrExhausted: the command was
-// abandoned by choice, not defeated by the transport.
-var ErrCanceled = errors.New("canceled")
 
 // NewClient wraps a transport. The transport is used from one goroutine
 // at a time.
@@ -266,9 +234,9 @@ func (c *Client) resync() error {
 
 // Exec runs one command with the full resilience envelope and returns
 // the "ok" payload. A non-transient in-band error returns *CmdError
-// immediately; transport faults and transient errors are retried with
-// backoff until the budget is spent, then reported wrapping
-// ErrExhausted.
+// immediately; transport faults and transient and busy errors are
+// retried, each after a re-sync, until the budget is spent, then
+// reported wrapping ErrExhausted.
 func (c *Client) Exec(cmd string) (string, error) {
 	payload, err := c.exec(cmd)
 	if err != nil {
@@ -285,9 +253,6 @@ func (c *Client) exec(cmd string) ([]byte, error) {
 	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
 		if attempt > 0 {
 			c.ob.retries.Inc()
-			if err := c.pause(attempt); err != nil {
-				return nil, fmt.Errorf("fsp: %q: %w", cmd, err)
-			}
 			if err := c.resync(); err != nil {
 				lastErr = err
 				continue
@@ -324,26 +289,6 @@ func (c *Client) exec(cmd string) ([]byte, error) {
 	c.ob.attempts.Observe(float64(c.opt.Retries + 1))
 	return nil, fmt.Errorf("fsp: %q failed after %d attempts: %w: %w",
 		cmd, c.opt.Retries+1, ErrExhausted, lastErr)
-}
-
-// pause consumes one backoff step, honoring cancellation both before
-// and after the sleep so a shutting-down caller escapes promptly even
-// when the Sleep hook ignores the cancel channel.
-func (c *Client) pause(attempt int) error {
-	select {
-	case <-c.opt.Cancel:
-		return ErrCanceled
-	default:
-	}
-	if c.opt.Sleep != nil {
-		c.opt.Sleep(backoff(attempt), c.opt.Cancel)
-	}
-	select {
-	case <-c.opt.Cancel:
-		return ErrCanceled
-	default:
-	}
-	return nil
 }
 
 // CPM reads a core's current inserted-delay reduction.

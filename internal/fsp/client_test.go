@@ -249,29 +249,18 @@ func TestClientExhaustion(t *testing.T) {
 	}
 }
 
-// TestClientBackoffSimulated: without a Sleep hook the backoff is
-// simulated, so spending the budget takes no wall time, and a hook sees
-// the deterministic exponential schedule.
+// TestClientBackoffSimulated: a retry re-syncs and resends at once,
+// so spending the whole budget takes no wall time. Four attempts over
+// the in-memory loopback take well under a millisecond; the bound
+// leaves room for a loaded host.
 func TestClientBackoffSimulated(t *testing.T) {
-	want := []time.Duration{25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
 	start := time.Now()
 	cli := NewClient(lossyLoopback(everyAttemptTransient), ClientOptions{Retries: 3})
 	if _, err := cli.Exec("freq P0C0"); err == nil {
 		t.Fatal("want exhaustion")
 	}
-	if elapsed := time.Since(start); elapsed > want[0]+want[1]+want[2] {
-		t.Errorf("simulated backoff actually slept: %v elapsed", elapsed)
-	}
-	var got []time.Duration
-	cli = NewClient(lossyLoopback(everyAttemptTransient), ClientOptions{
-		Retries: 3,
-		Sleep:   func(d time.Duration, _ <-chan struct{}) { got = append(got, d) },
-	})
-	if _, err := cli.Exec("freq P0C0"); err == nil {
-		t.Fatal("want exhaustion")
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("backoff schedule %v, want %v", got, want)
+	if elapsed := time.Since(start); elapsed > 175*time.Millisecond {
+		t.Errorf("retries slept: %v elapsed", elapsed)
 	}
 }
 

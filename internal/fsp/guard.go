@@ -2,15 +2,14 @@ package fsp
 
 import (
 	"encoding/json"
-	"errors"
 
 	"repro/internal/guard"
 )
 
 // The server's overload envelope. Real FSP firmware services one
 // operator at a time and simply stops answering when wedged; this
-// server instead makes saturation explicit and recoverable: admission
-// control sheds surplus connections with an in-band "err busy" line
+// server instead makes saturation explicit and recoverable: a session
+// gate sheds surplus connections with an in-band "err busy" line
 // (which fsp.Client treats as retryable), a per-session circuit
 // breaker cuts off peers spewing protocol garbage, and the read-only
 // "health" verb reports the whole guard plane so an operator can see
@@ -23,30 +22,21 @@ type GuardOptions struct {
 	// MaxSessions bounds concurrently served sessions; a connection
 	// over the limit is answered "err busy" and closed. 0 disables.
 	MaxSessions int
-	// AcceptCapacity > 0 arms a token bucket on session admission with
-	// that burst capacity: connection storms beyond the burst are shed
-	// in-band. One tick of Now buys back one token, so the bucket needs
-	// Now. 0 disables.
-	AcceptCapacity int64
 	// GarbageThreshold > 0 arms a per-session circuit breaker: that
 	// many consecutive garbage lines (unknown verbs, unparseable
 	// commands) trip the session open, and further commands are
 	// answered "err busy breaker open" until the open window passes.
 	// 0 disables.
 	GarbageThreshold int
-	// Now supplies the logical clock for the bucket and the breakers.
-	// Nil leaves the breakers on their internal event clocks
-	// (deterministic without any wall clock) and rejects a bucket.
+	// Now supplies the breakers' logical clock. Nil leaves them on
+	// their internal event clocks (deterministic without any wall
+	// clock).
 	Now func() int64
 }
 
 // Guard arms the server's guard plane. Call before Serve; the zero
-// options value disables all guards (the default). It rejects an
-// AcceptCapacity without Now: a bucket without a clock cannot run dry.
-func (s *Server) Guard(o GuardOptions) error {
-	if o.AcceptCapacity > 0 && o.Now == nil {
-		return errors.New("fsp: AcceptCapacity needs a Now clock")
-	}
+// options value disables all guards (the default).
+func (s *Server) Guard(o GuardOptions) {
 	s.guardOpt = o
 	if o.MaxSessions > 0 {
 		s.gate = guard.NewGate(guard.GateOptions{
@@ -55,16 +45,7 @@ func (s *Server) Guard(o GuardOptions) error {
 			Obs:   s.reg,
 		})
 	}
-	if o.AcceptCapacity > 0 {
-		s.bucket = guard.NewBucket(guard.BucketOptions{
-			Name:     "fsp_accept",
-			Capacity: o.AcceptCapacity,
-			Now:      o.Now,
-			Obs:      s.reg,
-		})
-	}
 	s.shedC = s.reg.Counter("fsp_server_shed_total")
-	return nil
 }
 
 // sessionBreaker builds one session's garbage breaker, or nil when the
@@ -98,9 +79,7 @@ type healthReport struct {
 	// (0 max = unbounded).
 	ActiveSessions int `json:"active_sessions"`
 	MaxSessions    int `json:"max_sessions"`
-	// AcceptSheds and SessionSheds count connections shed by the
-	// admission bucket and the session gate respectively.
-	AcceptSheds  int64 `json:"accept_sheds"`
+	// SessionSheds counts connections the session gate shed.
 	SessionSheds int64 `json:"session_sheds"`
 }
 
@@ -111,7 +90,6 @@ func (s *Server) healthLine(brk *guard.Breaker) string {
 		BreakerRejected: brk.Rejected(),
 		ActiveSessions:  s.gate.Depth(),
 		MaxSessions:     s.guardOpt.MaxSessions,
-		AcceptSheds:     s.bucket.Sheds(),
 		SessionSheds:    s.gate.Sheds(),
 	}
 	raw, err := json.Marshal(rep)

@@ -52,7 +52,6 @@ type Server struct {
 	// admits everything at ~zero cost.
 	guardOpt GuardOptions
 	gate     *guard.Gate
-	bucket   *guard.Bucket
 	shedC    *obs.Counter
 
 	wg      sync.WaitGroup
@@ -140,11 +139,11 @@ func (s *Server) Serve(l net.Listener) error {
 // against the shared controller.
 func (s *Server) serveConn(conn net.Conn) {
 	s.connc.Inc()
-	// Admission control: the token bucket absorbs connection storms,
-	// the gate bounds concurrently served sessions. A shed connection
-	// gets one in-band "err busy" line — the client's retryable busy
-	// convention — and is closed by the caller's deferred Close, so
-	// overload never hangs a peer and never leaks a session goroutine.
+	// Admission control: the gate bounds concurrently served sessions.
+	// A shed connection gets one in-band "err busy" line — the client's
+	// retryable busy convention — and is closed by the caller's deferred
+	// Close, so overload never hangs a peer and never leaks a session
+	// goroutine.
 	release, ok := s.Admit()
 	if !ok {
 		s.shed(conn)
@@ -161,14 +160,14 @@ func (s *Server) serveConn(conn net.Conn) {
 	_ = locked.serve(rw)
 }
 
-// Admit runs the server's admission control — the accept token bucket,
-// then the session gate — exactly as serveConn does for a network
-// connection, and counts a shed on refusal. On success the returned
-// release must be called when the session ends (serveConn defers it).
-// In-process harnesses (atmctl flood) use Admit + LocalSession to push
-// load through the real guard plane without sockets.
+// Admit runs the server's admission control — the session gate —
+// exactly as serveConn does for a network connection, and counts a
+// shed on refusal. On success the returned release must be called when
+// the session ends (serveConn defers it). In-process harnesses (atmctl
+// flood) use Admit + LocalSession to push load through the real guard
+// plane without sockets.
 func (s *Server) Admit() (release func(), ok bool) {
-	if !s.bucket.Allow() || !s.gate.TryAcquire() {
+	if !s.gate.TryAcquire() {
 		s.shedC.Inc()
 		return nil, false
 	}

@@ -6,99 +6,6 @@ import (
 	"repro/internal/obs"
 )
 
-// BucketOptions configures a token bucket. Now is required; the zero
-// value of every other field selects the default noted on it.
-type BucketOptions struct {
-	// Name labels the bucket's metric series. Default "default".
-	Name string
-	// Capacity is the burst size (maximum stored tokens; the bucket
-	// starts full). Default 8.
-	Capacity int64
-	// Now supplies the logical clock; each tick buys one token. It is
-	// required: a clock that ticked once per Allow call would earn a
-	// token on every attempt, and the bucket would never shed.
-	Now func() int64
-	// Obs, when non-nil, exports guard_bucket_admitted_total and
-	// guard_bucket_shed_total under the bucket name.
-	Obs *obs.Registry
-}
-
-func (o BucketOptions) withDefaults() BucketOptions {
-	if o.Name == "" {
-		o.Name = "default"
-	}
-	if o.Capacity == 0 {
-		o.Capacity = 8
-	}
-	return o
-}
-
-// Bucket is a deterministic token-bucket admission controller on
-// logical time. The nil *Bucket is the disabled guard: Allow always
-// admits and counts nothing.
-//
-//atm:nilsafe
-type Bucket struct {
-	opt BucketOptions
-
-	mu     sync.Mutex
-	tokens int64
-	last   int64 // logical time of the last refill
-	sheds  int64
-
-	admittedC *obs.Counter
-	shedC     *obs.Counter
-}
-
-// NewBucket returns a full bucket. It panics when o.Now is nil.
-func NewBucket(o BucketOptions) *Bucket {
-	if o.Now == nil {
-		panic("guard: BucketOptions.Now is required")
-	}
-	o = o.withDefaults()
-	b := &Bucket{opt: o, tokens: o.Capacity}
-	if o.Obs != nil {
-		b.admittedC = o.Obs.Counter("guard_bucket_admitted_total", "name", o.Name)
-		b.shedC = o.Obs.Counter("guard_bucket_shed_total", "name", o.Name)
-	}
-	return b
-}
-
-// Allow takes one token, refilling first from elapsed logical time.
-// It never blocks: a dry bucket sheds, and the caller answers its
-// protocol's busy line in-band.
-//
-//atm:hotpath
-func (b *Bucket) Allow() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if now := b.opt.Now(); now > b.last {
-		b.tokens = min(b.tokens+now-b.last, b.opt.Capacity)
-		b.last = now
-	}
-	if b.tokens <= 0 {
-		b.sheds++
-		b.shedC.Inc()
-		return false
-	}
-	b.tokens--
-	b.admittedC.Inc()
-	return true
-}
-
-// Sheds returns how many requests the bucket has shed (0 on nil).
-func (b *Bucket) Sheds() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sheds
-}
-
 // GateOptions configures a bounded-capacity gate. The zero value
 // selects the defaults noted on each field.
 type GateOptions struct {

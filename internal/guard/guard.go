@@ -1,26 +1,24 @@
 // Package guard is the process-level resilience toolkit of the
-// reproduction: circuit breakers, token-bucket admission control,
-// bounded-capacity gates, cooperative watchdogs, panic isolation, and
-// crash-point injection. Where internal/fault makes the *devices*
-// misbehave deterministically, this package keeps the *software* that
-// drives them — the fleet engine's worker pool, the FSP operator
-// server — inside a bounded failure envelope: a wedged job, a flood of
-// connections, or a panicking worker degrades into an explicit,
-// in-band, retryable error instead of a hang, a leak, or a dead
-// process.
+// reproduction: circuit breakers, bounded-capacity admission gates,
+// cooperative watchdogs, panic isolation, and crash-point injection.
+// Where internal/fault makes the *devices* misbehave deterministically,
+// this package keeps the *software* that drives them — the fleet
+// engine's worker pool, the FSP operator server — inside a bounded
+// failure envelope: a wedged job, a flood of connections, or a
+// panicking worker degrades into an explicit, in-band, retryable error
+// instead of a hang, a leak, or a dead process.
 //
 // Design rules, shared with internal/obs:
 //
 //   - Disabled is the default and costs ~nothing. Every handle (nil
-//     *Breaker, nil *Bucket, nil *Gate, nil *Watchdog) admits
-//     everything, counts nothing, and allocates nothing —
-//     TestDisabledGuardZeroAlloc pins the disabled hot path at
-//     0 allocs/op — so consumers wire guards unconditionally and
-//     enable them by construction.
-//   - Time is logical, never the wall clock. Buckets are driven by a
-//     caller-supplied monotone clock (Now), breakers by one or by their
-//     own event counter (one tick per admission decision), so a guarded
-//     run replays bit-for-bit and chaos tests can assert exact
+//     *Breaker, nil *Gate, nil *Watchdog) admits everything, counts
+//     nothing, and allocates nothing — TestDisabledGuardZeroAlloc pins
+//     the disabled hot path at 0 allocs/op — so consumers wire guards
+//     unconditionally and enable them by construction.
+//   - Time is logical, never the wall clock. Breakers are driven by a
+//     caller-supplied monotone clock (Now) or by their own event
+//     counter (one tick per admission decision), so a guarded run
+//     replays bit-for-bit and chaos tests can assert exact
 //     trip/recovery points. The package is in atmlint's detflow scope.
 //   - Shedding is explicit and in-band. A guard never blocks and never
 //     silently drops: callers get a boolean (or an error) and answer
@@ -28,8 +26,8 @@
 //
 // Observability rides the obs plane: every primitive optionally
 // resolves counters/gauges against a Registry at construction, and all
-// primitives also keep plain internal tallies (Snapshot, Sheds,
-// Rejected) so health endpoints work with collection disabled.
+// primitives also keep plain internal tallies (Sheds, Depth, Rejected)
+// so health endpoints work with collection disabled.
 package guard
 
 import (

@@ -74,12 +74,11 @@ func TestCrashPointKills(t *testing.T) {
 func TestDisabledGuardZeroAlloc(t *testing.T) {
 	var (
 		b *Breaker
-		k *Bucket
 		g *Gate
 		w *Watchdog
 	)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if !b.Allow() || !k.Allow() || !g.TryAcquire() {
+		if !b.Allow() || !g.TryAcquire() {
 			panic("nil guard shed")
 		}
 		b.Success()
@@ -97,13 +96,12 @@ func TestDisabledGuardZeroAlloc(t *testing.T) {
 func BenchmarkDisabledGuardHotPath(b *testing.B) {
 	var (
 		br *Breaker
-		bk *Bucket
 		g  *Gate
 		w  *Watchdog
 	)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if !br.Allow() || !bk.Allow() || !g.TryAcquire() {
+		if !br.Allow() || !g.TryAcquire() {
 			b.Fatal("nil guard shed")
 		}
 		br.Success()

@@ -12,35 +12,34 @@ import (
 )
 
 // The flood harness drives N logical pipelined operator sessions
-// through the REAL fsp.Server internals — admission bucket, session
-// gate, garbage breakers, per-verb latency histograms — with a
-// single-goroutine seeded interleaver on a logical tick clock. Real
-// TCP concurrency cannot give deterministic shed counts or latencies;
-// the interleaver can, so BENCH_fsp.json's canonical section is a pure
-// function of the options, while wall-clock throughput (req/s) is
-// still measured around the loop and quarantined in the timing
-// section.
+// through the REAL fsp.Server internals — session gate, garbage
+// breakers, per-verb latency histograms — with a single-goroutine
+// seeded interleaver on a logical tick clock. Real TCP concurrency
+// cannot give deterministic shed counts or latencies; the interleaver
+// can, so BENCH_fsp.json's canonical section is a pure function of the
+// options, while wall-clock throughput (req/s) is still measured
+// around the loop and quarantined in the timing section.
 
-// FloodOptions configures one flood run. The zero value is invalid;
-// use DefaultFloodOptions as the base.
+// FloodOptions configures one flood run: its plan, which FloodRow
+// records and Compare matches before it gates a row. The zero value is
+// invalid; use DefaultFloodOptions as the base.
 type FloodOptions struct {
 	// Sessions is how many logical pipelined sessions contend.
-	Sessions int
+	Sessions int `json:"sessions"`
 	// Commands is how many commands each admitted session issues.
-	Commands int
+	Commands int `json:"commands"`
 	// Pipeline is each session's issue-ahead window: up to this many
 	// commands may be in flight (issued, not yet executed) at once.
-	Pipeline int
+	Pipeline int `json:"pipeline"`
 	// Seed drives the interleaver and the command mix.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Garbage is the per-mille rate of protocol-garbage lines mixed
 	// into the command stream (0‰–1000‰) — the breaker's diet.
-	Garbage int
-	// MaxSessions, AcceptBurst, and GarbageThreshold arm the server's
-	// guard plane (fsp.GuardOptions); 0 disables each guard.
-	MaxSessions      int
-	AcceptBurst      int64
-	GarbageThreshold int
+	Garbage int `json:"garbage"`
+	// MaxSessions and GarbageThreshold arm the server's guard plane
+	// (fsp.GuardOptions); 0 disables each guard.
+	MaxSessions      int `json:"max_sessions"`
+	GarbageThreshold int `json:"garbage_threshold"`
 }
 
 // DefaultFloodOptions is the baseline plan: enough contention to shed
@@ -53,7 +52,6 @@ func DefaultFloodOptions(quick bool) FloodOptions {
 		Seed:             1,
 		Garbage:          50,
 		MaxSessions:      12,
-		AcceptBurst:      14,
 		GarbageThreshold: 4,
 	}
 	if quick {
@@ -74,6 +72,9 @@ func (o FloodOptions) validate() error {
 	}
 	if o.Garbage < 0 || o.Garbage > 1000 {
 		return fmt.Errorf("perf: flood garbage rate %d‰ outside [0, 1000]", o.Garbage)
+	}
+	if o.MaxSessions < 0 || o.GarbageThreshold < 0 {
+		return fmt.Errorf("perf: flood needs a non-negative session limit and garbage threshold (got %d, %d)", o.MaxSessions, o.GarbageThreshold)
 	}
 	return nil
 }
@@ -129,21 +130,18 @@ func Flood(o FloodOptions) (*FloodResult, error) {
 	srv := fsp.NewServer(fsp.NewController(chip.NewReference()))
 	srv.Observe(reg)
 
-	// One logical clock rules everything: guard-plane refill/open
-	// windows, per-verb latency histograms, and the client-side
-	// issue→execute distances all read the same tick counter. Wall
-	// time is read only around the loop, into WallNS.
+	// One logical clock rules everything: the breakers' open windows,
+	// per-verb latency histograms, and the client-side issue→execute
+	// distances all read the same tick counter. Wall time is read only
+	// around the loop, into WallNS.
 	var ticks int64
 	tick := func() int64 { return ticks }
 	srv.SetClock(tick)
-	if err := srv.Guard(fsp.GuardOptions{
+	srv.Guard(fsp.GuardOptions{
 		MaxSessions:      o.MaxSessions,
-		AcceptCapacity:   o.AcceptBurst,
 		GarbageThreshold: o.GarbageThreshold,
 		Now:              tick,
-	}); err != nil {
-		return nil, err
-	}
+	})
 	latency := reg.Histogram("flood_latency_ticks", fsp.LatencyBuckets)
 
 	res := &FloodResult{}
@@ -238,10 +236,7 @@ func FloodDoc(o FloodOptions, quick bool, r *FloodResult) *Doc {
 		Schema: SchemaVersion,
 		Quick:  quick,
 		Flood: &FloodRow{
-			Sessions:        o.Sessions,
-			Commands:        o.Commands,
-			Pipeline:        o.Pipeline,
-			Seed:            o.Seed,
+			FloodOptions:    o,
 			Issued:          r.Issued,
 			Executed:        r.Executed,
 			ShedSessions:    r.ShedSessions,

@@ -112,6 +112,8 @@ func TestFloodOptionValidation(t *testing.T) {
 		{Sessions: 1, Commands: 1, Pipeline: 0},
 		{Sessions: 1, Commands: 1, Pipeline: 1, Garbage: 1001},
 		{Sessions: 1, Commands: 1, Pipeline: 1, Garbage: -1},
+		{Sessions: 1, Commands: 1, Pipeline: 1, MaxSessions: -1},
+		{Sessions: 1, Commands: 1, Pipeline: 1, GarbageThreshold: -1},
 	}
 	for i, o := range bad {
 		if _, err := Flood(o); err == nil {

@@ -230,20 +230,29 @@ func TestCompareFloodDivergence(t *testing.T) {
 	mk := func(executed int64) *Doc {
 		return &Doc{
 			Bench: "fsp", Schema: SchemaVersion, Quick: true,
-			Flood: &FloodRow{Sessions: 8, Commands: 50, Pipeline: 8, Seed: 1, Executed: executed},
+			Flood: &FloodRow{FloodOptions: DefaultFloodOptions(true), Executed: executed},
 		}
 	}
 	if regs, err := Compare(mk(400), mk(400)); err != nil || len(regs) != 0 {
 		t.Fatalf("identical flood flagged: %v %v", regs, err)
 	}
-	if regs, _ := Compare(mk(400), mk(399)); len(regs) != 1 || regs[0].Stage != "flood" {
-		t.Fatalf("diverged flood not flagged: %v", regs)
+	if regs, err := Compare(mk(400), mk(399)); err != nil || len(regs) != 1 || regs[0].Stage != "flood" {
+		t.Fatalf("diverged flood not flagged: %v %v", regs, err)
 	}
-	// Different options are a plan change, not a regression.
-	changed := mk(999)
-	changed.Flood.Sessions = 16
-	if regs, _ := Compare(mk(400), changed); len(regs) != 0 {
-		t.Fatalf("option change misflagged as regression: %v", regs)
+	// A flood of another plan, the guard plan included, is not
+	// comparable: Compare refuses it instead of gating nothing or
+	// reporting the plan change as a regression.
+	for name, change := range map[string]func(*FloodOptions){
+		"sessions":          func(o *FloodOptions) { o.Sessions = 20 },
+		"garbage":           func(o *FloodOptions) { o.Garbage = 700 },
+		"max_sessions":      func(o *FloodOptions) { o.MaxSessions = 0 },
+		"garbage_threshold": func(o *FloodOptions) { o.GarbageThreshold = 2 },
+	} {
+		other := mk(400)
+		change(&other.Flood.FloodOptions)
+		if regs, err := Compare(mk(400), other); err == nil {
+			t.Errorf("%s: flood of another plan compared: %v", name, regs)
+		}
 	}
 }
 

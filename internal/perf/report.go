@@ -47,13 +47,11 @@ type StageRow struct {
 	Note        string `json:"note,omitempty"`
 }
 
-// FloodRow is the flood harness's canonical outcome: counts and
-// tick-domain latency quantiles, all pure functions of the seed.
+// FloodRow is the flood harness's canonical outcome: the plan it ran,
+// then counts and tick-domain latency quantiles, all pure functions of
+// the plan.
 type FloodRow struct {
-	Sessions        int     `json:"sessions"`
-	Commands        int     `json:"commands"`
-	Pipeline        int     `json:"pipeline"`
-	Seed            uint64  `json:"seed"`
+	FloodOptions
 	Issued          int64   `json:"issued"`
 	Executed        int64   `json:"executed"`
 	ShedSessions    int64   `json:"shed_sessions"`
@@ -180,7 +178,8 @@ const nsNoiseFloor = 50
 // growth or any allocs/op growth on an alloc-stable stage is a
 // regression, as is a stage that disappeared. Quantiles and throughput
 // are informational and never gate. Docs from different plans (quick
-// vs full) refuse to compare — the numbers would be meaningless.
+// vs full, or floods of different options) refuse to compare — the
+// numbers would be meaningless.
 func Compare(baseline, current *Doc) ([]Regression, error) {
 	if baseline.Bench != current.Bench {
 		return nil, fmt.Errorf("perf: comparing bench %q against baseline %q", current.Bench, baseline.Bench)
@@ -197,11 +196,14 @@ func Compare(baseline, current *Doc) ([]Regression, error) {
 	// options, any divergence from the baseline means the service plane's
 	// behavior changed — shed policy, breaker thresholds, verb set — and
 	// the baseline must be regenerated deliberately.
-	if b, c := baseline.Flood, current.Flood; b != nil && c != nil &&
-		b.Sessions == c.Sessions && b.Commands == c.Commands &&
-		b.Pipeline == c.Pipeline && b.Seed == c.Seed && *b != *c {
-		regs = append(regs, Regression{"flood",
-			fmt.Sprintf("canonical outcome diverged from baseline: %+v → %+v", *b, *c)})
+	if b, c := baseline.Flood, current.Flood; b != nil && c != nil {
+		if b.FloodOptions != c.FloodOptions {
+			return nil, fmt.Errorf("perf: comparing flood plan %+v against baseline plan %+v", c.FloodOptions, b.FloodOptions)
+		}
+		if *b != *c {
+			regs = append(regs, Regression{"flood",
+				fmt.Sprintf("canonical outcome diverged from baseline: %+v → %+v", *b, *c)})
+		}
 	}
 	for _, base := range baseline.Stages {
 		row, ok := cur[base.Name]

@@ -275,38 +275,33 @@ func e2eStages(quick bool) []Stage {
 	}
 }
 
-// fleetStages benches the parallel campaign engine. The worker pool
-// makes allocation counts scheduling-dependent, so these stages are
-// alloc-unstable: their allocs land in the timing section only.
+// fleetStages benches the campaign engine: a montecarlo sweep on one
+// worker. The worker pool makes allocation counts scheduling-dependent,
+// so the stage is alloc-unstable: its allocs land in the timing
+// section only.
 func fleetStages(quick bool) []Stage {
 	n := pick(quick, 2, 8)
-	mk := func(name string, workers int) Stage {
-		return Stage{
-			Name: name, Group: "fleet", AllocStable: false,
-			Note:  fmt.Sprintf("montecarlo sweep, %d generated server(s), %d worker(s)", n, workers),
-			Iters: 1,
-			Run: func(iters int) (int64, error) {
-				var trials int64
-				for i := 0; i < iters; i++ {
-					reg := obs.NewRegistry()
-					res, err := fleet.Run(fleet.MonteCarlo(n, 1), fleet.Options{
-						Workers: workers,
-						Obs:     reg,
-					})
-					if err != nil {
-						return 0, err
-					}
-					if failed := res.Failed(); len(failed) > 0 {
-						return 0, fmt.Errorf("fleet stage: %d job(s) failed: %v", len(failed), failed)
-					}
-					trials += reg.Counter("fleet_jobs_completed_total").Value()
+	return []Stage{{
+		Name: "fleet_sequential", Group: "fleet", AllocStable: false,
+		Note:  fmt.Sprintf("montecarlo sweep, %d generated server(s), 1 worker(s)", n),
+		Iters: 1,
+		Run: func(iters int) (int64, error) {
+			var trials int64
+			for i := 0; i < iters; i++ {
+				reg := obs.NewRegistry()
+				res, err := fleet.Run(fleet.MonteCarlo(n, 1), fleet.Options{
+					Workers: 1,
+					Obs:     reg,
+				})
+				if err != nil {
+					return 0, err
 				}
-				return trials, nil
-			},
-		}
-	}
-	return []Stage{
-		mk("fleet_sequential", 1),
-		mk("fleet_workers4", 4),
-	}
+				if failed := res.Failed(); len(failed) > 0 {
+					return 0, fmt.Errorf("fleet stage: %d job(s) failed: %v", len(failed), failed)
+				}
+				trials += reg.Counter("fleet_jobs_completed_total").Value()
+			}
+			return trials, nil
+		},
+	}}
 }
