@@ -34,7 +34,7 @@ func cmdBench(args []string) error {
 	}
 	stages, err := perf.Stages(*quick, groups...)
 	if err != nil {
-		return usageError{err}
+		return badFlag(fs, "%v", err)
 	}
 	base, err := readBaseline(*baseline)
 	if err != nil {
@@ -143,10 +143,10 @@ func gateBaseline(path string, base, doc *perf.Doc) error {
 }
 
 // cmdFlood floods the FSP service plane with seeded pipelined operator
-// sessions through the real guard plane and emits BENCH_fsp.json. The
-// canonical outcome (sheds, breaker trips, latency quantiles in
-// logical ticks) is a pure function of the options; wall-clock
-// throughput lands in the timing section.
+// sessions through the real session gate and emits BENCH_fsp.json. The
+// canonical outcome (sheds, errors, latency quantiles in logical ticks)
+// is a pure function of the options; wall-clock throughput lands in
+// the timing section.
 func cmdFlood(args []string) error {
 	fs := flag.NewFlagSet("flood", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "CI-sized plan (baselines are checked in quick)")
@@ -156,7 +156,6 @@ func cmdFlood(args []string) error {
 	seed := fs.Uint64("seed", 1, "interleaver and command-mix seed")
 	garbage := fs.Int("garbage", -1, "protocol-garbage rate in per-mille (-1 = plan default)")
 	maxSessions := fs.Int("max-sessions", -1, "session gate capacity, 0 disables (-1 = plan default)")
-	garbageThreshold := fs.Int("garbage-threshold", -1, "breaker garbage threshold, 0 disables (-1 = plan default)")
 	out := fs.String("out", "", "write the BENCH json artifact to this file")
 	baseline := fs.String("baseline", "", "compare against this BENCH json and exit 3 on regression")
 	if err := parseFlags(fs, args); err != nil {
@@ -181,7 +180,6 @@ func cmdFlood(args []string) error {
 		{"pipeline", *pipeline, 0, &o.Pipeline},
 		{"garbage", *garbage, -1, &o.Garbage},
 		{"max-sessions", *maxSessions, -1, &o.MaxSessions},
-		{"garbage-threshold", *garbageThreshold, -1, &o.GarbageThreshold},
 	} {
 		switch {
 		case f.val < f.sentinel:
@@ -197,9 +195,9 @@ func cmdFlood(args []string) error {
 		return badFlag(fs, "%v", err)
 	}
 	doc := perf.FloodDoc(o, *quick, r)
-	fmt.Printf("flood: %d session(s) × %d cmd(s): issued %d, executed %d, shed %d (%.0f%%), breaker-rejected %d, errors %d\n",
+	fmt.Printf("flood: %d session(s) × %d cmd(s): issued %d, executed %d, shed %d (%.0f%%), errors %d\n",
 		o.Sessions, o.Commands, r.Issued, r.Executed, r.ShedSessions,
-		100*doc.Flood.ShedRate, r.BreakerRejected, r.Errors)
+		100*doc.Flood.ShedRate, r.Errors)
 	fmt.Printf("flood: latency ticks p50=%.1f p95=%.1f p99=%.1f; wall %.3fms (%.0f req/s)\n",
 		r.P50Ticks, r.P95Ticks, r.P99Ticks,
 		float64(r.WallNS)/1e6, doc.Timing.ReqPerSec)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/perf"
@@ -137,10 +138,17 @@ func TestBenchBaselineGate(t *testing.T) {
 	}
 }
 
+// TestBenchUsageErrors: an unknown -set group exits 2 with a
+// diagnostic naming it.
 func TestBenchUsageErrors(t *testing.T) {
 	silenceStdout(t)
-	if got := run([]string{"bench", "-set", "bogus"}); got != 2 {
+	var got int
+	stderr := capture(t, &os.Stderr, func() { got = run([]string{"bench", "-set", "bogus"}) })
+	if got != 2 {
 		t.Fatalf("unknown -set exit = %d, want 2", got)
+	}
+	if !strings.Contains(stderr, "bogus") {
+		t.Fatalf("unknown -set: stderr does not name the group:\n%s", stderr)
 	}
 }
 
@@ -210,7 +218,7 @@ func TestFloodBaselineGate(t *testing.T) {
 	}
 	// A flood of another plan is not comparable: a hard failure, not a
 	// pass that gated nothing or a regression.
-	for _, plan := range [][]string{{"-sessions", "20"}, {"-garbage", "700"}, {"-max-sessions", "0"}, {"-garbage-threshold", "2"}} {
+	for _, plan := range [][]string{{"-sessions", "20"}, {"-garbage", "700"}, {"-max-sessions", "0"}} {
 		if got := run(append([]string{"flood", "-quick", "-baseline", out}, plan...)); got != 1 {
 			t.Fatalf("flood %v against the default plan's baseline: exit = %d, want 1", plan, got)
 		}

@@ -52,6 +52,9 @@ func cmdDC(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	if *workers < 1 {
+		return badFlag(fs, "-workers %d: want at least one worker", *workers)
+	}
 	opts := atm.DCOptions{
 		Racks:           *racks,
 		ChassisPerRack:  *chassis,

@@ -562,6 +562,8 @@ func cmdFleet(args []string) error {
 	switch {
 	case *n < 1:
 		return badFlag(fs, "-n %d: want at least one job", *n)
+	case *workers < 1:
+		return badFlag(fs, "-workers %d: want at least one worker", *workers)
 	case *trials < 0:
 		return badFlag(fs, "-trials %d is negative", *trials)
 	case *rollback < 0:
@@ -787,6 +789,9 @@ func cmdLifetime(args []string) error {
 	if *n < 1 {
 		return badFlag(fs, "-n %d: want at least one server", *n)
 	}
+	if *workers < 1 {
+		return badFlag(fs, "-workers %d: want at least one worker", *workers)
+	}
 	if err := fleet.CheckSeedRange("-seed", *seed, *n); err != nil {
 		return badFlag(fs, "%v", err)
 	}
@@ -968,6 +973,9 @@ func cmdTransient(args []string) error {
 	build := machineFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
+	}
+	if *steps < 1 {
+		return badFlag(fs, "-steps %d: want at least one control interval", *steps)
 	}
 	m, err := build()
 	if err != nil {

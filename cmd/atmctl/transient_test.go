@@ -21,18 +21,18 @@ import (
 // -update regenerates the atmctl golden files under testdata/.
 var update = flag.Bool("update", false, "rewrite golden atmctl files")
 
-// captureStdout runs fn with os.Stdout redirected to a temp file and
-// returns what fn printed.
-func captureStdout(t *testing.T, fn func()) string {
+// capture runs fn with *std (os.Stdout or os.Stderr) redirected to a
+// temp file and returns what fn wrote there.
+func capture(t *testing.T, std **os.File, fn func()) string {
 	t.Helper()
-	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	f, err := os.CreateTemp(t.TempDir(), "std")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stdout := os.Stdout
-	os.Stdout = f
+	saved := *std
+	*std = f
 	fn()
-	os.Stdout = stdout
+	*std = saved
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTransientCSVGolden(t *testing.T) {
 		{"transient", "-steps", "300", "-stress", "-generated", "4", "-chip", "P1", "-csv", csvPath},
 	} {
 		var code int
-		stdout := captureStdout(t, func() { code = run(args) })
+		stdout := capture(t, &os.Stdout, func() { code = run(args) })
 		if code != 0 {
 			t.Fatalf("run(%v) = %d, want 0", args, code)
 		}
@@ -100,10 +100,10 @@ func TestMinSupply(t *testing.T) {
 		t.Errorf("minSupply = %v, want 1.21", lo)
 	}
 	// An empty trace never reaches minSupply: a zero-step transient is
-	// rejected before the CSV is written.
+	// a usage error, rejected before the CSV is written.
 	csvPath := filepath.Join(t.TempDir(), "trace.csv")
-	if code := run([]string{"transient", "-steps", "0", "-csv", csvPath}); code != 1 {
-		t.Errorf("zero-step transient exited %d, want 1", code)
+	if code := run([]string{"transient", "-steps", "0", "-csv", csvPath}); code != 2 {
+		t.Errorf("zero-step transient exited %d, want 2", code)
 	}
 	if _, err := os.Stat(csvPath); !os.IsNotExist(err) {
 		t.Errorf("zero-step transient left a CSV behind: %v", err)

@@ -15,6 +15,9 @@
 //	atmfsp -listen 127.0.0.1:7077 &
 //	printf 'freq P0C3\nquit\n' | nc 127.0.0.1 7077
 //
+// With -max-sessions N a listening server serves at most N sessions at
+// once; each surplus connection gets one "err busy" line and is closed.
+//
 // Exit codes: 0 success, 1 hard failure, 2 usage error.
 package main
 
@@ -49,25 +52,18 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	listen := fs.String("listen", "", "serve the protocol on this TCP address instead of stdio")
 	maxSessions := fs.Int("max-sessions", 0,
 		"bound concurrently served sessions; surplus connections get an in-band 'err busy' (0 = unbounded)")
-	garbage := fs.Int("garbage-threshold", 0,
-		"consecutive protocol-garbage lines before a session's circuit breaker trips open (0 = disabled)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
 	}
-	// 0 turns a guard off; a negative value is a typo, not "off".
-	for _, f := range []struct {
-		name string
-		val  int
-	}{{"max-sessions", *maxSessions}, {"garbage-threshold", *garbage}} {
-		if f.val < 0 {
-			//lint:ignore errdrop the diagnostic on stderr is the usage report itself
-			fmt.Fprintf(stderr, "-%s %d: want 0 (off) or more\n", f.name, f.val)
-			fs.Usage()
-			return 2
-		}
+	// 0 turns the gate off; a negative value is a typo, not "off".
+	if *maxSessions < 0 {
+		//lint:ignore errdrop the diagnostic on stderr is the usage report itself
+		fmt.Fprintf(stderr, "-max-sessions %d: want 0 (off) or more\n", *maxSessions)
+		fs.Usage()
+		return 2
 	}
 	fail := func(err error) int {
 		//lint:ignore errdrop the diagnostic on stderr is the last report a failing run can make
@@ -99,10 +95,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		srv := fsp.NewServer(ctl)
 		srv.Observe(reg)
 		srv.SetClock(wallMicros)
-		srv.Guard(fsp.GuardOptions{
-			MaxSessions:      *maxSessions,
-			GarbageThreshold: *garbage,
-		})
+		srv.Guard(*maxSessions)
 		if err := srv.Serve(l); err != nil {
 			return fail(err)
 		}

@@ -67,18 +67,17 @@ func TestDocumentedSessions(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: an unknown flag (the removed -accept-burst among
-// them), a value that does not parse and a negative guard setting are
-// each exit 2 with a diagnostic naming the flag, before any session
-// runs.
+// TestUsageErrors: an unknown flag (the removed -accept-burst and
+// -garbage-threshold among them), a value that does not parse and a
+// negative session limit are each exit 2 with a diagnostic naming the
+// flag, before any session runs.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-accept-burst", "3"},
+		{"-garbage-threshold", "4"},
 		{"-no-such-flag"},
 		{"-max-sessions", "x"},
 		{"-max-sessions", "-3"},
-		{"-garbage-threshold", "-1"},
-		{"-garbage-threshold", "-1", "-max-sessions", "-3"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, strings.NewReader("ping\n"), &stdout, &stderr); code != 2 {

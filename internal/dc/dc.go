@@ -399,11 +399,12 @@ func Run(o Options) (*Result, error) {
 
 // intakeChips turns the merged fleet results into the scheduler's chip
 // view plus the per-node summaries and retained provision records, in
-// topology order. Failed nodes get a breaker tripped open past the sim
-// horizon. Live nodes' breakers run on clock, the sim's logical tick,
-// with an open window of reAdmitTicks, so a runtime quarantine earns a
-// re-admission probe.
+// topology order. Every node's breaker runs on clock, the sim's logical
+// tick. A failed node's is tripped open past the sim horizon; a live
+// node's has an open window of reAdmitTicks, so a runtime quarantine
+// earns a re-admission probe.
 func intakeChips(o Options, fres *fleet.CampaignResult, clock *int64, reAdmitTicks int64) ([]PlacerChip, []ChipSummary, []*platform.Provision) {
+	now := func() int64 { return *clock }
 	chips := make([]PlacerChip, len(fres.Results))
 	sums := make([]ChipSummary, len(fres.Results))
 	provs := make([]*platform.Provision, len(fres.Results))
@@ -465,14 +466,13 @@ func intakeChips(o Options, fres *fleet.CampaignResult, clock *int64, reAdmitTic
 					// breaker never half-opens into a broken chip.
 					FailureThreshold: 1,
 					OpenTicks:        1 << 40,
+					Now:              now,
 					Obs:              o.Obs,
 				}
 				if !pc.Quarantined {
-					// Runtime quarantines (ops plane only) measure their
-					// open window on the sim tick clock and then probe
-					// for re-admission.
+					// Runtime quarantines (ops plane only) probe for
+					// re-admission after their open window.
 					opts.OpenTicks = reAdmitTicks
-					opts.Now = func() int64 { return *clock }
 				}
 				pc.Breaker = guard.NewBreaker(opts)
 				if pc.Quarantined {

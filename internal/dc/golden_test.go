@@ -75,7 +75,7 @@ func TestGoldenRuns(t *testing.T) {
 // 1×2×4 chips under 8× tenant overload (512 tenants over 2048 ticks),
 // three with the ops-storm profile on ops seeds 1–3, one plain, and one
 // whose intake fault profile quarantines some but not all nodes, so
-// open breakers on the event clock sit beside live chips. Each run
+// breakers held open past the horizon sit beside live chips. Each run
 // must queue at least 100 tenants at once, which the 64-tenant goldens
 // never reach, and each ops-storm run must migrate at least one, so
 // the queue and evacuation paths are exercised. Regenerate

@@ -160,8 +160,7 @@ func (p *Placer) place(cdyn float64, allow []float64) (chipIdx, coreIdx int, pre
 // refused minFail refuses any later tenant at or above it, whatever its
 // breaker says. Such a tenant defers without being scored, but its
 // attempt still asks every breaker in topology order, so rejection
-// counts, half-open transitions and event clocks are those of a full
-// scan. Within a pass only its own placements may change the placer;
+// counts and half-open transitions are those of a full scan. Within a pass only its own placements may change the placer;
 // allowances, chip flags and breaker outcomes stay fixed.
 //
 // Across ticks it carries a whole pass's failures. When a scanned pass
@@ -177,8 +176,8 @@ func (p *Placer) place(cdyn float64, allow []float64) (chipIdx, coreIdx int, pre
 // rounding, so these plain comparisons are exact; a NaN fails them and
 // the pass is scanned. A carried pass asks each chip's breaker for all
 // its tenants at once with AllowN, in topology order. Breakers are
-// independent, so rejection counts, transitions and clocks end as a
-// full scan leaves them. The record stays that of the last scanned
+// independent, so rejection counts and transitions end as a full scan
+// leaves them. The record stays that of the last scanned
 // pass, whose survivors a carried pass leaves unchanged.
 type placePass struct {
 	minFail     float64

@@ -70,7 +70,7 @@ func TestPlaceSkipsQuarantineAndOpenBreaker(t *testing.T) {
 	chips := testChips()
 	chips[1].Quarantined = true
 	chips[0].Breaker = guard.NewBreaker(guard.BreakerOptions{
-		FailureThreshold: 1, OpenTicks: 1 << 40,
+		FailureThreshold: 1, OpenTicks: 1 << 40, Now: func() int64 { return 0 },
 	})
 	chips[0].Breaker.Failure()
 	p := NewPlacer(chips)

@@ -1,12 +1,14 @@
 package dc
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
 	"testing"
 
 	"repro/internal/guard"
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -54,11 +56,13 @@ func placeFullScan(p *Placer, cdyn float64, allow []float64) (chipIdx, coreIdx i
 }
 
 // passState is one random placer state for the skip property, with
-// the tick clock its breakers read, the pass's grants, the queue's
-// cdyn values and the tick of the first pass.
+// the tick clock its breakers read, the registry their series land in,
+// the pass's grants, the queue's cdyn values and the tick of the first
+// pass.
 type passState struct {
 	placer *Placer
 	clock  *int64
+	reg    *obs.Registry
 	allow  []float64
 	queue  []float64
 	start  int64
@@ -68,12 +72,12 @@ type passState struct {
 // Quarantined or Offline, cores quarantined, busy or free, demands
 // from the busy cores' draw, spans from 0 up, grants below, at and
 // above the next tenant's projection, and breakers nil, closed or
-// open on the tick clock or the event clock with windows of 1–6.
-// Equal seeds give equal, independent states.
+// open on the tick clock with windows of 1–6. Equal seeds give equal,
+// independent states.
 func randomPassState(seed uint64) passState {
 	src := rng.New(seed)
 	clock := new(int64)
-	s := passState{clock: clock, start: int64(src.Intn(8))}
+	s := passState{clock: clock, reg: obs.NewRegistry(), start: int64(src.Intn(8))}
 	chips := make([]PlacerChip, 1+src.Intn(16))
 	for i := range chips {
 		ch := &chips[i]
@@ -91,17 +95,15 @@ func randomPassState(seed uint64) passState {
 				Intercept:   4000 + 300*src.Float64(),
 			})
 		}
-		opts := guard.BreakerOptions{FailureThreshold: 1, OpenTicks: int64(1 + src.Intn(6))}
-		if src.Intn(2) == 0 {
-			opts.Now = func() int64 { return *clock }
-		}
+		opts := guard.BreakerOptions{Name: ch.ID, FailureThreshold: 1, OpenTicks: int64(1 + src.Intn(6)),
+			Now: func() int64 { return *clock }, Obs: s.reg}
 		switch src.Intn(5) {
 		case 0: // nil: admits everything
 		case 1:
 			ch.Breaker = guard.NewBreaker(opts)
 		default:
 			ch.Breaker = guard.NewBreaker(opts)
-			ch.Breaker.Failure() // open from tick 0, or event 0
+			ch.Breaker.Failure() // open from tick 0
 		}
 	}
 	s.placer = NewPlacer(chips)
@@ -228,22 +230,21 @@ func changeBetweenTicks(src *rng.Source, got, want *passState) {
 	}
 }
 
-// samePlacers fails t unless the two placers' chips agree: demand bits,
-// free cores, busy cores, flags, spans, and each breaker's state and
-// rejection count.
-func samePlacers(t *testing.T, seed uint64, tick int64, got, want *Placer) {
+// samePlacers fails t unless the two states' chips agree: demand bits,
+// free cores, busy cores, flags and spans, and their breakers'
+// guard_breaker_* series: state, rejections and transitions.
+func samePlacers(t *testing.T, seed uint64, tick int64, got, want *passState) {
 	t.Helper()
-	for i := range got.Chips {
-		g, w := &got.Chips[i], &want.Chips[i]
+	for i := range got.placer.Chips {
+		g, w := &got.placer.Chips[i], &want.placer.Chips[i]
 		if math.Float64bits(g.demand) != math.Float64bits(w.demand) || g.freeCores != w.freeCores ||
 			!slices.Equal(g.busy, w.busy) || g.Quarantined != w.Quarantined || g.Offline != w.Offline ||
 			math.Float64bits(g.SpanW) != math.Float64bits(w.SpanW) {
 			t.Fatalf("seed %d tick %d chip %d: placer state %+v, full scan %+v", seed, tick, i, *g, *w)
 		}
-		if g.Breaker.Rejected() != w.Breaker.Rejected() || g.Breaker.State() != w.Breaker.State() {
-			t.Fatalf("seed %d tick %d chip %d: breaker %v with %d rejected, full scan %v with %d",
-				seed, tick, i, g.Breaker.State(), g.Breaker.Rejected(), w.Breaker.State(), w.Breaker.Rejected())
-		}
+	}
+	if g, w := got.reg.SnapshotJSON(), want.reg.SnapshotJSON(); !bytes.Equal(g, w) {
+		t.Fatalf("seed %d tick %d: breaker series\n%s\nfull scan\n%s", seed, tick, g, w)
 	}
 }
 
@@ -256,8 +257,7 @@ func samePlacers(t *testing.T, seed uint64, tick int64, got, want *Placer) {
 // requires the same attempts, deferral counts, placer state and breaker
 // states and rejections, and after the last tick the same answers to
 // later breaker calls. The states include breakers that alone refuse an
-// otherwise admissible chip and, on the event clock, half-open within a
-// pass. It logs how often a pass was carried whole and how many
+// otherwise admissible chip and breakers that half-open within a pass. It logs how often a pass was carried whole and how many
 // attempts a scanned pass skipped, with a floor on each.
 func TestPlacePassMatchesFullScan(t *testing.T) {
 	passes, carried, carriedAttempts, skipped, breakerAlone := 0, 0, 0, 0, 0
@@ -312,10 +312,10 @@ func TestPlacePassMatchesFullScan(t *testing.T) {
 			if len(gotStill) != len(wantStill) {
 				t.Fatalf("seed %d tick %d: %d deferrals, full scan %d", seed, tick, len(gotStill), len(wantStill))
 			}
-			samePlacers(t, seed, tick, got.placer, want.placer)
+			samePlacers(t, seed, tick, &got, &want)
 			got.queue, want.queue = gotStill, wantStill
 		}
-		// Equal event clocks answer the next calls alike.
+		// Equal clocks answer the next calls alike.
 		for i := range got.placer.Chips {
 			g, w := got.placer.Chips[i].Breaker, want.placer.Chips[i].Breaker
 			for k := 0; k < 6; k++ {

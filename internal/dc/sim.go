@@ -91,7 +91,7 @@ func makeTenants(o Options) []*tenant {
 // profile; an empty one schedules nothing, so every run takes the same
 // path. A cap below its level's idle draw fails before the first tick.
 func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.CampaignResult) (*Result, error) {
-	// Live-node breakers run on the sim's logical tick clock, so
+	// Every node's breaker runs on the sim's logical tick clock, so
 	// quarantine windows are measured in ticks.
 	clock := new(int64)
 	chips, sums, provs := intakeChips(o, fres, clock, int64(ops.ReAdmitTicks))

@@ -27,9 +27,10 @@ import (
 // writes.
 //
 // In-band "err ..." responses are protocol results, not transport
-// faults: they are returned as *CmdError without retrying, except for
-// responses a server marks retryable ("err transient ..." or
-// "err busy ..."), which are retried like a transport fault.
+// faults: each is returned as *CmdError on the first attempt. Resending
+// on the same connection fixes none of them; the session gate's
+// "err busy", for one, is the last line before it closes the
+// connection.
 type Client struct {
 	rw  io.ReadWriter
 	br  *bufio.Reader
@@ -104,23 +105,14 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // hunting for its pong before the attempt is abandoned.
 const resyncWindow = 32
 
-// CmdError is an in-band protocol error: the server executed (or
-// rejected) the command and said "err ...".
+// CmdError is an in-band protocol error: the server executed, rejected
+// or shed the command and said "err ...".
 type CmdError struct {
 	Cmd string
 	Msg string
 }
 
 func (e *CmdError) Error() string { return fmt.Sprintf("fsp: %q: %s", e.Cmd, e.Msg) }
-
-// Transient reports whether the server marked the failure retryable
-// ("err transient ...") rather than rejecting the command.
-func (e *CmdError) Transient() bool { return strings.HasPrefix(e.Msg, "transient") }
-
-// Busy reports whether the server shed the command under overload
-// ("err busy ..." — admission control or an open session breaker).
-// Busy errors are retried like transport faults.
-func (e *CmdError) Busy() bool { return strings.HasPrefix(e.Msg, "busy") }
 
 // ErrExhausted wraps the last failure after the retry budget is spent.
 var ErrExhausted = errors.New("retry budget exhausted")
@@ -233,8 +225,8 @@ func (c *Client) resync() error {
 }
 
 // Exec runs one command with the full resilience envelope and returns
-// the "ok" payload. A non-transient in-band error returns *CmdError
-// immediately; transport faults and transient and busy errors are
+// the "ok" payload. An in-band error returns *CmdError at once.
+// Transport faults (a failed read or write, a garbled reply) are
 // retried, each after a re-sync, until the budget is spent, then
 // reported wrapping ErrExhausted.
 func (c *Client) Exec(cmd string) (string, error) {
@@ -273,16 +265,10 @@ func (c *Client) exec(cmd string) ([]byte, error) {
 			lastErr = fmt.Errorf("fsp: garbled response %q", line)
 			continue
 		}
-		if resp.isErr {
-			cerr := &CmdError{Cmd: cmd, Msg: string(resp.payload)}
-			if cerr.Transient() || cerr.Busy() {
-				lastErr = cerr
-				continue
-			}
-			c.ob.attempts.Observe(float64(attempt + 1))
-			return nil, cerr
-		}
 		c.ob.attempts.Observe(float64(attempt + 1))
+		if resp.isErr {
+			return nil, &CmdError{Cmd: cmd, Msg: string(resp.payload)}
+		}
 		return resp.payload, nil
 	}
 	c.ob.exhausted.Inc()
@@ -326,8 +312,8 @@ type CoreMargin struct {
 
 // Margins reads every core's CPM slack margin in one round trip, in
 // the server's register address order. The read rides the full
-// resilience envelope: transient and busy replies and garbled
-// transport lines are retried with re-sync like any other command.
+// resilience envelope: lost and garbled reply lines are retried with
+// re-sync like any other command.
 //
 // The returned slice is owned by the client and valid until the next
 // call, which reuses it: the sentinel polls every epoch, and a poll

@@ -41,10 +41,9 @@ func startSession(t *testing.T) net.Conn {
 type lineFault int
 
 const (
-	pass      lineFault = iota
-	drop                // the line never arrives
-	garble              // the framing bytes are overwritten with '#'
-	transient           // the line becomes an in-band transient error
+	pass   lineFault = iota
+	drop             // the line never arrives
+	garble           // the framing bytes are overwritten with '#'
 )
 
 // lossyLink sits between a client and its transport and faults the
@@ -79,8 +78,6 @@ func (l *lossyLink) Read(p []byte) (int, error) {
 			for i := 0; i < 2 && line[i] != '\n'; i++ {
 				line[i] = '#'
 			}
-		case transient:
-			line = []byte("err transient telemetry upset\n")
 		}
 		l.pending = line
 	}
@@ -201,20 +198,18 @@ func TestClientNonTransientNoRetry(t *testing.T) {
 	if !errors.As(err, &cerr) {
 		t.Fatalf("got %v, want *CmdError", err)
 	}
-	if cerr.Transient() {
-		t.Errorf("rejection %q classified transient", cerr.Msg)
-	}
 	if c := countsOf(reg); c.retries != 0 {
-		t.Errorf("non-transient error consumed %d retries", c.retries)
+		t.Errorf("in-band error consumed %d retries", c.retries)
 	}
 }
 
-// TestClientRetriesTransient: a reply marked transient is retried until
-// a clean reply lands. Replies 0 and 2 answer the command's first two
-// attempts; reply 1 is the re-sync's pong.
+// TestClientRetriesTransient: a transient transport fault, a reply
+// garbled in transit, is retried until a clean reply lands. Replies 0
+// and 2 answer the command's first two attempts; reply 1 is the
+// re-sync's pong.
 func TestClientRetriesTransient(t *testing.T) {
 	reg := obs.NewRegistry()
-	link := lossyPipe(t, faultsAt(map[int]lineFault{0: transient, 2: transient}))
+	link := lossyPipe(t, faultsAt(map[int]lineFault{0: garble, 2: garble}))
 	cli := NewClient(link, ClientOptions{Retries: 3, Timeout: time.Second, Obs: reg})
 	if _, err := cli.Exec("freq P0C0"); err != nil {
 		t.Fatalf("transient faults not absorbed: %v", err)
@@ -224,28 +219,27 @@ func TestClientRetriesTransient(t *testing.T) {
 	}
 }
 
-// everyAttemptTransient answers every attempt of a command with a
-// transient error and lets each re-sync's pong through: the command's
-// replies and the pongs alternate.
-func everyAttemptTransient(i int) lineFault {
+// everyAttemptGarbled garbles the reply to every attempt of a command
+// and lets each re-sync's pong through: the command's replies and the
+// pongs alternate.
+func everyAttemptGarbled(i int) lineFault {
 	if i%2 == 0 {
-		return transient
+		return garble
 	}
 	return pass
 }
 
-// TestClientExhaustion: a permanently transient fault spends the budget
-// and surfaces ErrExhausted wrapping the cause.
+// TestClientExhaustion: a fault on every attempt spends the budget and
+// surfaces ErrExhausted wrapping the last cause.
 func TestClientExhaustion(t *testing.T) {
-	link := lossyPipe(t, everyAttemptTransient)
+	link := lossyPipe(t, everyAttemptGarbled)
 	cli := NewClient(link, ClientOptions{Retries: 2, Timeout: time.Second})
 	_, err := cli.Exec("freq P0C0")
 	if !errors.Is(err, ErrExhausted) {
 		t.Fatalf("got %v, want ErrExhausted", err)
 	}
-	var cerr *CmdError
-	if !errors.As(err, &cerr) || !cerr.Transient() {
-		t.Errorf("exhaustion does not wrap the transient cause: %v", err)
+	if !strings.Contains(err.Error(), "garbled response") {
+		t.Errorf("exhaustion does not wrap the garbled reply: %v", err)
 	}
 }
 
@@ -255,7 +249,7 @@ func TestClientExhaustion(t *testing.T) {
 // leaves room for a loaded host.
 func TestClientBackoffSimulated(t *testing.T) {
 	start := time.Now()
-	cli := NewClient(lossyLoopback(everyAttemptTransient), ClientOptions{Retries: 3})
+	cli := NewClient(lossyLoopback(everyAttemptGarbled), ClientOptions{Retries: 3})
 	if _, err := cli.Exec("freq P0C0"); err == nil {
 		t.Fatal("want exhaustion")
 	}
@@ -294,14 +288,13 @@ func TestClientResyncAfterGarble(t *testing.T) {
 // deadline.
 func TestClientNegativeRetries(t *testing.T) {
 	reg := obs.NewRegistry()
-	cli := NewClient(lossyLoopback(faultsAt(map[int]lineFault{1: transient})), ClientOptions{Retries: -1, Obs: reg})
+	cli := NewClient(lossyLoopback(faultsAt(map[int]lineFault{1: garble})), ClientOptions{Retries: -1, Obs: reg})
 	if out, err := cli.Exec("ping x"); err != nil || out != "pong x" {
 		t.Fatalf("ping = %q, %v; want the token echoed", out, err)
 	}
 	_, err := cli.Exec("ping y")
-	var cerr *CmdError
-	if !errors.Is(err, ErrExhausted) || !errors.As(err, &cerr) || !cerr.Transient() {
-		t.Fatalf("got %v, want ErrExhausted wrapping the transient reply", err)
+	if !errors.Is(err, ErrExhausted) || !strings.Contains(err.Error(), "garbled response") {
+		t.Fatalf("got %v, want ErrExhausted wrapping the garbled reply", err)
 	}
 	if !strings.Contains(err.Error(), "after 1 attempts") {
 		t.Errorf("error %q does not report the one attempt", err)
@@ -394,14 +387,14 @@ func TestClientExhaustsBudget(t *testing.T) {
 	}
 }
 
-// TestTelemetryFaultRetried: transient telemetry errors reported in-band
-// are absorbed by the client's retry loop. Every third reply is
-// transient, which hits the first attempt of every other command.
+// TestTelemetryFaultRetried: telemetry replies garbled in transit are
+// absorbed by the client's retry loop. Every third reply is garbled,
+// which hits the first attempt of every other command.
 func TestTelemetryFaultRetried(t *testing.T) {
 	reg := obs.NewRegistry()
 	link := lossyPipe(t, func(i int) lineFault {
 		if i%3 == 0 {
-			return transient
+			return garble
 		}
 		return pass
 	})
@@ -412,7 +405,7 @@ func TestTelemetryFaultRetried(t *testing.T) {
 		}
 	}
 	if c := countsOf(reg); c.retries == 0 {
-		t.Error("transient telemetry replies never triggered a retry")
+		t.Error("garbled telemetry replies never triggered a retry")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -15,14 +14,15 @@ import (
 	"repro/internal/obs"
 )
 
-// startGuardedServer is startServer with a guard plane and registry.
-func startGuardedServer(t *testing.T, g GuardOptions) (*Server, string, *obs.Registry) {
+// startGuardedServer is startServer with a session gate of maxSessions
+// and a registry.
+func startGuardedServer(t *testing.T, maxSessions int) (*Server, string, *obs.Registry) {
 	t.Helper()
 	ctl := NewController(chip.NewReference())
 	srv := NewServer(ctl)
 	reg := obs.NewRegistry()
 	srv.Observe(reg)
-	srv.Guard(g)
+	srv.Guard(maxSessions)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -44,25 +44,10 @@ func startGuardedServer(t *testing.T, g GuardOptions) (*Server, string, *obs.Reg
 // every surplus connection get the in-band busy line, with the gate
 // recovering as sessions end.
 func TestSessionGateSheds(t *testing.T) {
-	_, addr, reg := startGuardedServer(t, GuardOptions{MaxSessions: 2})
+	_, addr, reg := startGuardedServer(t, 2)
 
 	// Two sessions pin the gate.
-	var held []net.Conn
-	for i := 0; i < 2; i++ {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		held = append(held, conn)
-		// Prove the session is live (and therefore holds a gate slot)
-		// before flooding.
-		//lint:ignore errdrop a write failure surfaces as the read assertion below failing
-		fmt.Fprintln(conn, "ping hold")
-		line, err := bufio.NewReader(conn).ReadString('\n')
-		if err != nil || strings.TrimSpace(line) != "ok pong hold" {
-			t.Fatalf("held session %d not live: %q, %v", i, line, err)
-		}
-	}
+	held := []net.Conn{holdSession(t, addr), holdSession(t, addr)}
 
 	// The flood: every connection over the limit is shed in-band.
 	for i := 0; i < 5; i++ {
@@ -104,12 +89,10 @@ func TestSessionGateSheds(t *testing.T) {
 	}
 }
 
-// TestFloodNoGoroutineLeak sheds a burst of connections and verifies
-// the goroutine count returns to baseline — overload must not leak
-// session goroutines.
-func TestFloodNoGoroutineLeak(t *testing.T) {
-	_, addr, _ := startGuardedServer(t, GuardOptions{MaxSessions: 1})
-
+// holdSession dials addr and proves the session live, and so holding a
+// gate slot, before returning the connection.
+func holdSession(t *testing.T, addr string) net.Conn {
+	t.Helper()
 	hold, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +102,15 @@ func TestFloodNoGoroutineLeak(t *testing.T) {
 	if line, err := bufio.NewReader(hold).ReadString('\n'); err != nil || strings.TrimSpace(line) != "ok pong hold" {
 		t.Fatalf("hold session not live: %q, %v", line, err)
 	}
+	return hold
+}
+
+// TestFloodNoGoroutineLeak sheds a burst of connections and verifies
+// the goroutine count returns to baseline — overload must not leak
+// session goroutines.
+func TestFloodNoGoroutineLeak(t *testing.T) {
+	_, addr, _ := startGuardedServer(t, 1)
+	hold := holdSession(t, addr)
 	baseline := runtime.NumGoroutine()
 
 	for i := 0; i < 40; i++ {
@@ -147,75 +139,9 @@ func TestFloodNoGoroutineLeak(t *testing.T) {
 	hold.Close()
 }
 
-// TestSessionBreakerTripAndRecover drives one session through garbage
-// → open → half-open → closed, entirely on the deterministic event
-// clock, and checks the health verb reports every stage. The open
-// window is the breaker default of 8 ticks, each shed command one.
-func TestSessionBreakerTripAndRecover(t *testing.T) {
-	run := func() ([]string, string) {
-		_, addr, reg := startGuardedServer(t, GuardOptions{GarbageThreshold: 3})
-		script := []string{
-			"health",      // closed
-			"bogus one",   // garbage 1
-			"bogus two",   // garbage 2
-			"bogus three", // garbage 3 → trips open
-			"cores",       // elapsed 1 < 8: shed
-			"health",      // diagnostics answer while open (no tick)
-		}
-		for elapsed := 2; elapsed < 8; elapsed++ {
-			script = append(script, "cores") // shed
-		}
-		script = append(script,
-			"cores",  // elapsed 8: half-open probe, executes
-			"health", // probe succeeded → closed again
-		)
-		out, err := dialScript(addr, script...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, string(reg.SnapshotJSON())
-	}
-	out, snap := run()
-	if len(out) != 15 { // 14 responses + ok bye
-		t.Fatalf("got %d response lines: %v", len(out), out)
-	}
-	if !strings.Contains(out[0], `"breaker":"closed"`) {
-		t.Errorf("initial health = %q, want closed breaker", out[0])
-	}
-	for i := 1; i <= 3; i++ {
-		if !strings.HasPrefix(out[i], "err unknown command") {
-			t.Errorf("garbage line %d answered %q", i, out[i])
-		}
-	}
-	if !strings.Contains(out[5], `"breaker":"open"`) {
-		t.Errorf("health while open = %q", out[5])
-	}
-	for _, i := range []int{4, 6, 7, 8, 9, 10, 11} {
-		if out[i] != "err busy breaker open" {
-			t.Errorf("shed command %d answered %q, want err busy breaker open", i, out[i])
-		}
-	}
-	if !strings.HasPrefix(out[12], "ok ") {
-		t.Errorf("half-open probe answered %q, want the cores listing", out[12])
-	}
-	if !strings.Contains(out[13], `"breaker":"closed"`) || !strings.Contains(out[13], `"breaker_rejected":7`) {
-		t.Errorf("health after recovery = %q, want a closed breaker that shed 7", out[13])
-	}
-
-	// Determinism: the same script produces byte-identical responses
-	// and metrics on a fresh server.
-	out2, snap2 := run()
-	if strings.Join(out, "\n") != strings.Join(out2, "\n") {
-		t.Fatalf("breaker responses not deterministic:\n%v\nvs\n%v", out, out2)
-	}
-	if snap != snap2 {
-		t.Fatalf("guard metrics not deterministic:\n%s\nvs\n%s", snap, snap2)
-	}
-}
-
 // TestHealthVerbFields checks the server-wide health document.
 func TestHealthVerbFields(t *testing.T) {
-	_, addr, _ := startGuardedServer(t, GuardOptions{MaxSessions: 4, GarbageThreshold: 5})
+	_, addr, _ := startGuardedServer(t, 4)
 	out, err := dialScript(addr, "health")
 	if err != nil {
 		t.Fatal(err)
@@ -225,8 +151,7 @@ func TestHealthVerbFields(t *testing.T) {
 	}
 	doc := strings.TrimPrefix(out[0], "ok ")
 	for _, field := range []string{
-		`"breaker":"closed"`, `"breaker_rejected":0`, `"active_sessions":1`,
-		`"max_sessions":4`, `"session_sheds":0`,
+		`"active_sessions":1`, `"max_sessions":4`, `"session_sheds":0`,
 	} {
 		if !strings.Contains(doc, field) {
 			t.Errorf("health doc missing %s: %s", field, doc)
@@ -239,74 +164,30 @@ func TestHealthVerbFields(t *testing.T) {
 func TestStandaloneSessionHealth(t *testing.T) {
 	sess := NewSession(NewController(chip.NewReference()))
 	out := sess.Exec("health")
-	if out != `ok {"breaker":"closed","breaker_rejected":0,"active_sessions":0,"max_sessions":0,"session_sheds":0}` {
+	if out != `ok {"active_sessions":0,"max_sessions":0,"session_sheds":0}` {
 		t.Fatalf("standalone health = %q", out)
 	}
 }
 
-// scriptedTransport answers each written line with the next canned
-// reply, regardless of content — a server whose responses the test
-// fully controls.
-type scriptedTransport struct {
-	replies []string
-	writes  []string
-}
+// TestClientGetsBusyOverTCP: a default client on a connection the
+// session gate sheds gets the "err busy" line from its first Exec as a
+// *CmdError. Resending on that connection would only write into the
+// socket the server closed after the line.
+func TestClientGetsBusyOverTCP(t *testing.T) {
+	_, addr, _ := startGuardedServer(t, 1)
+	hold := holdSession(t, addr)
+	//lint:ignore errdrop test-side teardown
+	defer hold.Close()
 
-func newScriptedTransport(replies ...string) *scriptedTransport {
-	return &scriptedTransport{replies: replies}
-}
-
-func (s *scriptedTransport) Write(p []byte) (int, error) {
-	s.writes = append(s.writes, string(p))
-	return len(p), nil
-}
-
-func (s *scriptedTransport) Read(p []byte) (int, error) {
-	if len(s.replies) == 0 {
-		return 0, io.EOF
-	}
-	line := s.replies[0] + "\n"
-	s.replies = s.replies[1:]
-	return copy(p, line), nil
-}
-
-// TestClientRetriesBusy proves the client treats the shed reply as
-// retryable and succeeds once the server has headroom again.
-func TestClientRetriesBusy(t *testing.T) {
-	script := newScriptedTransport(
-		"err busy",
-		"ok pong sync-1",
-		"ok pong probe-ok",
-	)
-	reg := obs.NewRegistry()
-	c := NewClient(script, ClientOptions{Retries: 2, Obs: reg})
-	out, err := c.Exec("ping probe-ok")
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		t.Fatalf("Exec = %v", err)
+		t.Fatal(err)
 	}
-	if out != "pong probe-ok" {
-		t.Fatalf("payload = %q", out)
-	}
-	if n := countsOf(reg).retries; n != 1 {
-		t.Fatalf("retries = %d, want 1", n)
-	}
-}
-
-// TestClientBusyExhaustion: a server that never recovers yields
-// ErrExhausted wrapping the busy CmdError.
-func TestClientBusyExhaustion(t *testing.T) {
-	script := newScriptedTransport(
-		"err busy", "ok pong sync-1",
-		"err busy breaker open", "ok pong sync-2",
-		"err busy",
-	)
-	c := NewClient(script, ClientOptions{Retries: 2})
-	_, err := c.Exec("cores")
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatalf("err = %v, want ErrExhausted", err)
-	}
+	//lint:ignore errdrop test-side teardown of a shed connection
+	defer conn.Close()
+	_, err = NewClient(conn, ClientOptions{}).Exec("cores")
 	var cerr *CmdError
-	if !errors.As(err, &cerr) || !cerr.Busy() {
-		t.Fatalf("err = %v, want to wrap a busy CmdError", err)
+	if !errors.As(err, &cerr) || cerr.Msg != "busy" || errors.Is(err, ErrExhausted) {
+		t.Fatalf("shed client got %v, want the in-band busy line as a *CmdError on the first attempt", err)
 	}
 }

@@ -76,7 +76,7 @@ func TestServerAdmitMatchesGuardPlane(t *testing.T) {
 	srv := NewServer(newCtl(t))
 	reg := obs.NewRegistry()
 	srv.Observe(reg)
-	srv.Guard(GuardOptions{MaxSessions: 2})
+	srv.Guard(2)
 
 	r1, ok := srv.Admit()
 	r2, ok2 := srv.Admit()

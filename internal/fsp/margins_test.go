@@ -2,6 +2,7 @@ package fsp
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -107,6 +108,28 @@ func TestClientMarginsLoopback(t *testing.T) {
 			t.Fatalf("%s margin = %v, want %v", ms[i].Core, ms[i].Sigma, want)
 		}
 	}
+}
+
+// scriptedTransport answers each written line with the next canned
+// reply, regardless of content — a server whose responses the test
+// fully controls.
+type scriptedTransport struct {
+	replies []string
+}
+
+func newScriptedTransport(replies ...string) *scriptedTransport {
+	return &scriptedTransport{replies: replies}
+}
+
+func (s *scriptedTransport) Write(p []byte) (int, error) { return len(p), nil }
+
+func (s *scriptedTransport) Read(p []byte) (int, error) {
+	if len(s.replies) == 0 {
+		return 0, io.EOF
+	}
+	line := s.replies[0] + "\n"
+	s.replies = s.replies[1:]
+	return copy(p, line), nil
 }
 
 // TestMarginsRejectsNonFinite: the server only writes [-]d.ddd, and a

@@ -47,12 +47,12 @@ type Server struct {
 	// latency histograms. Set via SetClock before Serve.
 	clock func() int64
 
-	// The guard plane (see guard.go). All handles are nil until Guard
-	// is called, and every use is nil-safe — the disabled default
+	// The session gate (see guard.go). Both handles are nil until
+	// Guard is called, and every use is nil-safe — the disabled default
 	// admits everything at ~zero cost.
-	guardOpt GuardOptions
-	gate     *guard.Gate
-	shedC    *obs.Counter
+	maxSessions int
+	gate        *guard.Gate
+	shedC       *obs.Counter
 
 	wg      sync.WaitGroup
 	stateMu sync.Mutex // guards closing/listener/conns against Serve↔Close races
@@ -140,10 +140,9 @@ func (s *Server) Serve(l net.Listener) error {
 func (s *Server) serveConn(conn net.Conn) {
 	s.connc.Inc()
 	// Admission control: the gate bounds concurrently served sessions.
-	// A shed connection gets one in-band "err busy" line — the client's
-	// retryable busy convention — and is closed by the caller's deferred
-	// Close, so overload never hangs a peer and never leaks a session
-	// goroutine.
+	// A shed connection gets one in-band "err busy" line and is closed
+	// by the caller's deferred Close, so overload never hangs a peer and
+	// never leaks a session goroutine.
 	release, ok := s.Admit()
 	if !ok {
 		s.shed(conn)
@@ -164,8 +163,8 @@ func (s *Server) serveConn(conn net.Conn) {
 // exactly as serveConn does for a network connection, and counts a
 // shed on refusal. On success the returned release must be called when
 // the session ends (serveConn defers it). In-process harnesses (atmctl
-// flood) use Admit + LocalSession to push load through the real guard
-// plane without sockets.
+// flood) use Admit + LocalSession to push load through the real session
+// gate without sockets.
 func (s *Server) Admit() (release func(), ok bool) {
 	if !s.gate.TryAcquire() {
 		s.shedC.Inc()
@@ -175,20 +174,18 @@ func (s *Server) Admit() (release func(), ok bool) {
 }
 
 // LocalSession builds a session wired exactly as serveConn wires one
-// for a network connection: the shared registry, the server clock, a
-// fresh garbage breaker, and the server-wide health view. The caller
-// drives it with Exec. A local session driven concurrently with
-// network traffic must serialize externally (network sessions hold the
-// server mutex per command); single-goroutine harnesses need not.
+// for a network connection: the shared registry, the server clock and
+// the server-wide health view. The caller drives it with Exec. A local
+// session driven concurrently with network traffic must serialize
+// externally (network sessions hold the server mutex per command);
+// single-goroutine harnesses need not.
 func (s *Server) LocalSession() *Session {
 	sess := NewSession(s.ctl)
 	if s.reg != nil {
 		sess.Observe(s.reg)
 	}
 	sess.clock = s.clock
-	brk := s.sessionBreaker()
-	sess.breaker = brk
-	sess.health = func() string { return s.healthLine(brk) }
+	sess.health = s.healthLine
 	return sess
 }
 

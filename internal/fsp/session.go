@@ -2,14 +2,12 @@ package fsp
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 
-	"repro/internal/guard"
 	"repro/internal/obs"
 )
 
@@ -31,22 +29,15 @@ import (
 //	cores                             list core labels
 //	ping <token>                      echo (client liveness / re-sync)
 //	stats                             read-only metrics snapshot (JSON)
-//	health                            read-only guard-plane state (JSON)
+//	health                            read-only session-gate state (JSON)
 //	quit                              end the session
 type Session struct {
 	ctl *Controller
 	ob  sessionObs
 
-	// breaker, when non-nil, is the session's garbage circuit breaker:
-	// repeated protocol garbage (empty lines, unknown verbs) trips it,
-	// and while open every command is answered "err busy breaker open"
-	// — the client's retryable busy convention. The network server
-	// arms it per connection (Server.Guard); the nil default never
-	// trips.
-	breaker *guard.Breaker
 	// health, when non-nil, renders the "health" verb's document. The
 	// network server wires it to the server-wide view; a standalone
-	// session reports only its own breaker.
+	// session reports an unbounded, idle gate.
 	health func() string
 
 	// clock, when non-nil, timestamps each command around dispatch and
@@ -87,18 +78,6 @@ var LatencyBuckets = []float64{
 var sessionVerbs = []string{
 	"getscom", "putscom", "cpm", "mode", "pstate", "gate",
 	"freq", "margins", "chip", "cores", "ping", "stats", "health",
-}
-
-// isKnownVerb reports whether cmd is part of the protocol. The check
-// is independent of the metrics plane (s.ob.verbs exists only when a
-// registry is attached) because the garbage breaker needs it always.
-func isKnownVerb(cmd string) bool {
-	for _, v := range sessionVerbs {
-		if v == cmd {
-			return true
-		}
-	}
-	return false
 }
 
 // Observe resolves per-verb command counters and an in-band error
@@ -228,7 +207,6 @@ func (s *Session) exec(dst []byte, line string) []byte {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		s.ob.errs.Inc()
-		s.breaker.Failure()
 		return append(dst, "err empty command"...)
 	}
 	cmd, args := fields[0], fields[1:]
@@ -252,39 +230,16 @@ func (s *Session) observeLatency(cmd string, began int64) {
 	h.Observe(float64(s.clock() - began))
 }
 
-// execVerb runs one parsed command — counters, breaker policy,
-// dispatch — and appends its response line to dst.
+// execVerb runs one parsed command — counters, then dispatch — and
+// appends its response line to dst.
 func (s *Session) execVerb(dst []byte, cmd string, args []string) []byte {
 	if vc, known := s.ob.verbs[cmd]; known {
 		vc.Inc()
 	} else {
 		s.ob.unknown.Inc()
 	}
-	if cmd == "health" {
-		// Diagnostics bypass the breaker: an operator must be able to
-		// read the guard plane exactly when the session is being shed.
-		if len(args) != 0 {
-			s.ob.errs.Inc()
-			return append(dst, "err usage: health"...)
-		}
-		return append(append(dst, "ok "...), s.healthDoc()...)
-	}
-	if !s.breaker.Allow() {
-		s.ob.errs.Inc()
-		return append(dst, "err busy breaker open"...)
-	}
-	known := isKnownVerb(cmd)
 	n := len(dst)
 	out, err := s.dispatch(append(dst, "ok "...), cmd, args)
-	// The breaker tracks protocol garbage, not command outcomes: an
-	// unknown verb is a peer speaking the wrong protocol and counts as
-	// a failure; a well-formed command that errs (bad core label, SCOM
-	// fault) is healthy protocol and resets the garbage streak.
-	if known {
-		s.breaker.Success()
-	} else {
-		s.breaker.Failure()
-	}
 	if err != nil {
 		s.ob.errs.Inc()
 		return append(append(out[:n], "err "...), err.Error()...)
@@ -301,14 +256,7 @@ func (s *Session) healthDoc() string {
 	if s.health != nil {
 		return s.health()
 	}
-	raw, err := json.Marshal(healthReport{
-		Breaker:         s.breaker.State().String(),
-		BreakerRejected: s.breaker.Rejected(),
-	})
-	if err != nil {
-		return "{}"
-	}
-	return string(raw)
+	return marshalHealth(healthReport{})
 }
 
 // dispatch runs one verb and appends its payload to dst. On an error it
@@ -512,6 +460,13 @@ func (s *Session) dispatch(dst []byte, cmd string, args []string) ([]byte, error
 		// Read-only: one compact JSON line of every registered metric.
 		// With no registry attached the snapshot is legitimately empty.
 		return append(dst, s.ob.reg.SnapshotJSON()...), nil
+
+	case "health":
+		if len(args) != 0 {
+			return dst, fmt.Errorf("usage: health")
+		}
+		// Read-only: the session gate's state as one JSON line.
+		return append(dst, s.healthDoc()...), nil
 
 	default:
 		return dst, fmt.Errorf("unknown command %q", cmd)

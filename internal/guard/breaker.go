@@ -35,8 +35,8 @@ func (s State) String() string {
 	}
 }
 
-// BreakerOptions configures a Breaker. The zero value selects the
-// defaults noted on each field.
+// BreakerOptions configures a Breaker. Now is required; a zero value
+// in any other field selects the default noted on it.
 type BreakerOptions struct {
 	// Name labels the breaker's metric series. Default "default".
 	Name string
@@ -46,12 +46,9 @@ type BreakerOptions struct {
 	// OpenTicks is how long (in logical ticks) the breaker stays open
 	// before admitting probes. Default 8.
 	OpenTicks int64
-	// Now supplies the logical clock. Nil selects the breaker's own
-	// event clock: one tick per Allow call on an open breaker, so the
-	// open window is measured in admission attempts and the schedule
-	// is deterministic with no external clock at all. Now must be a
-	// pure read with no side effects: a breaker that is not open
-	// answers Allow without calling it.
+	// Now supplies the logical clock; NewBreaker panics without it.
+	// Now must be a pure read with no side effects: a breaker that is
+	// not open answers Allow without calling it.
 	Now func() int64
 	// Obs, when non-nil, exports guard_breaker_state (0 closed, 1
 	// open, 2 half-open), guard_breaker_rejected_total and
@@ -73,9 +70,9 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 }
 
 // Breaker is a deterministic circuit breaker (closed → open →
-// half-open) driven by logical time. The nil *Breaker is the disabled
-// guard: Allow always admits, Success/Failure no-op, State reports
-// closed.
+// half-open) driven by a logical clock. The nil *Breaker is the
+// disabled guard: Allow always admits, Success/Failure no-op, Rejected
+// reports 0.
 //
 //atm:nilsafe
 type Breaker struct {
@@ -87,9 +84,8 @@ type Breaker struct {
 	// What this saves is an uncontended lock, a defer and a clock read
 	// per call, which a CPU profile of the dc placement scan once put
 	// at 23 ns; it is not there for lock contention. The scan still
-	// asks every chip's breaker on each attempt it scores, and fsp
-	// sessions on every request. A dc pass carried over unscored asks
-	// each breaker once, through AllowN.
+	// asks every chip's breaker on each attempt it scores. A dc pass
+	// carried over unscored asks each breaker once, through AllowN.
 	// Written by NewBreaker and, under mu, by setState.
 	admitAll atomic.Bool
 
@@ -97,7 +93,6 @@ type Breaker struct {
 	state    State
 	fails    int   // consecutive failures while closed
 	openedAt int64 // logical time the breaker last opened
-	events   int64 // internal event clock (used when opt.Now == nil)
 	rejected int64
 
 	rejectedC *obs.Counter
@@ -107,8 +102,11 @@ type Breaker struct {
 	toClosedC *obs.Counter
 }
 
-// NewBreaker returns a closed breaker.
+// NewBreaker returns a closed breaker. It panics when o.Now is nil.
 func NewBreaker(o BreakerOptions) *Breaker {
+	if o.Now == nil {
+		panic("guard: NewBreaker needs BreakerOptions.Now")
+	}
 	o = o.withDefaults()
 	b := &Breaker{opt: o}
 	if o.Obs != nil {
@@ -143,11 +141,9 @@ func (b *Breaker) setState(s State) {
 }
 
 // Allow reports whether a request may proceed. A breaker that is not
-// open admits without locking. An open one advances the logical clock
-// one tick (on the internal event clock) and performs the open →
-// half-open transition when the open window has elapsed. A shed
-// request must not reach the protected resource; the caller answers
-// its protocol's busy line in-band instead.
+// open admits without locking. An open one reads the clock and
+// performs the open → half-open transition when the open window has
+// elapsed. A shed request must not reach the protected resource.
 //
 //atm:hotpath
 func (b *Breaker) Allow() bool {
@@ -172,11 +168,9 @@ func (b *Breaker) allowLocked() bool {
 }
 
 // AllowN answers n Allow calls in a row and returns how many of them
-// admit. State, rejection count, obs series and event clock end where
-// the n calls would leave them, including the call on which the open
-// window elapses: the calls shed before it and the half-open
-// transition on it. The admitted calls are always the last ones, so
-// the count is the whole answer. n ≤ 0 changes nothing.
+// admit: all n or none, since the clock reads the same for each.
+// State, rejection count and obs series end where the n calls would
+// leave them. n ≤ 0 changes nothing.
 //
 //atm:hotpath
 func (b *Breaker) AllowN(n int) int {
@@ -189,35 +183,22 @@ func (b *Breaker) AllowN(n int) int {
 }
 
 // admitOpen decides n ≥ 1 Allow calls in a row and returns how many
-// admit. Caller holds mu. On the internal event clock the k-th call
-// reads the clock at events+k, so the open window elapses on the first
-// k with events+k−openedAt ≥ OpenTicks; an external clock is read once
-// and holds for all n calls. The calls before the elapsing one are
-// shed. It and the calls after it admit, the later ones on the
-// half-open fast path, which neither reads nor ticks the clock.
+// admit. Caller holds mu. It reads the clock once: inside the open
+// window all n calls are shed; past it the first call half-opens the
+// breaker and the rest admit on the half-open fast path.
 //
 //atm:hotpath
 func (b *Breaker) admitOpen(n int64) int64 {
 	if b.state != StateOpen {
 		return n
 	}
-	elapsesAt := n + 1 // past the batch: the window outlasts it
-	if b.opt.Now != nil {
-		if b.opt.Now()-b.openedAt >= b.opt.OpenTicks {
-			elapsesAt = 1
-		}
-	} else {
-		elapsesAt = min(max(b.opt.OpenTicks-(b.events-b.openedAt), 1), elapsesAt)
-		b.events += min(elapsesAt, n)
-	}
-	shed := elapsesAt - 1
-	b.rejected += shed
-	b.rejectedC.Add(shed)
-	if shed == n {
+	if b.opt.Now()-b.openedAt < b.opt.OpenTicks {
+		b.rejected += n
+		b.rejectedC.Add(n)
 		return 0
 	}
 	b.setState(StateHalfOpen)
-	return n - shed
+	return n
 }
 
 // Success records a successful protected call.
@@ -262,24 +243,8 @@ func (b *Breaker) Failure() {
 // trip opens the breaker at the current logical time. Caller holds mu.
 func (b *Breaker) trip() {
 	b.fails = 0
-	// Do not tick the event clock here: the open window is measured in
-	// admission attempts, and the trip itself is not one.
-	if b.opt.Now != nil {
-		b.openedAt = b.opt.Now()
-	} else {
-		b.openedAt = b.events
-	}
+	b.openedAt = b.opt.Now()
 	b.setState(StateOpen)
-}
-
-// State returns the breaker's position (closed on the nil breaker).
-func (b *Breaker) State() State {
-	if b == nil {
-		return StateClosed
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
 }
 
 // Rejected returns how many requests the breaker has shed (0 on nil).

@@ -3,6 +3,7 @@ package guard
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,16 +11,25 @@ import (
 	"repro/internal/obs"
 )
 
+// stateOf reads b's position under its lock. The package exports no
+// accessor: callers branch on Allow alone, and the position is exported
+// as the guard_breaker_state series.
+func stateOf(b *Breaker) State {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}
+
 func TestBreakerStateMachine(t *testing.T) {
-	reg := obs.NewRegistry()
+	var clock int64
 	b := NewBreaker(BreakerOptions{
 		Name:             "t",
 		FailureThreshold: 3,
 		OpenTicks:        4,
-		Obs:              reg,
+		Now:              func() int64 { return clock },
 	})
 
-	if got := b.State(); got != StateClosed {
+	if got := stateOf(b); got != StateClosed {
 		t.Fatalf("initial state = %v, want closed", got)
 	}
 
@@ -30,22 +40,22 @@ func TestBreakerStateMachine(t *testing.T) {
 	b.Success()
 	b.Failure()
 	b.Failure()
-	if got := b.State(); got != StateClosed {
+	if got := stateOf(b); got != StateClosed {
 		t.Fatalf("state after interleaved failures = %v, want closed", got)
 	}
 
 	// Third consecutive failure trips it open.
 	b.Failure()
-	if got := b.State(); got != StateOpen {
+	if got := stateOf(b); got != StateOpen {
 		t.Fatalf("state after threshold = %v, want open", got)
 	}
 
 	// While open, requests are shed until OpenTicks of logical time
-	// elapse. On the event clock each shed itself is a tick, so an
-	// OpenTicks=4 window sheds exactly 3 requests before the attempt at
-	// elapsed=4 is admitted as the probe.
+	// elapse. With one request per tick, an OpenTicks=4 window sheds the
+	// requests at ticks 1–3 and admits the one at tick 4 as the probe.
 	var shed int
-	for b.State() == StateOpen {
+	for stateOf(b) == StateOpen {
+		clock++
 		if b.Allow() {
 			break
 		}
@@ -57,7 +67,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if shed != 3 {
 		t.Fatalf("shed %d requests while open, want 3 (OpenTicks-1)", shed)
 	}
-	if got := b.State(); got != StateHalfOpen {
+	if got := stateOf(b); got != StateHalfOpen {
 		t.Fatalf("state after open window = %v, want half-open", got)
 	}
 	if got := b.Rejected(); got != 3 {
@@ -66,7 +76,7 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// The first probe success closes the breaker.
 	b.Success()
-	if got := b.State(); got != StateClosed {
+	if got := stateOf(b); got != StateClosed {
 		t.Fatalf("state after a probe success = %v, want closed", got)
 	}
 
@@ -74,14 +84,13 @@ func TestBreakerStateMachine(t *testing.T) {
 	b.Failure()
 	b.Failure()
 	b.Failure()
-	for i := 0; i < 4; i++ {
-		b.Allow()
-	}
-	if got := b.State(); got != StateHalfOpen {
+	clock += 4
+	b.Allow()
+	if got := stateOf(b); got != StateHalfOpen {
 		t.Fatalf("state = %v, want half-open", got)
 	}
 	b.Failure()
-	if got := b.State(); got != StateOpen {
+	if got := stateOf(b); got != StateOpen {
 		t.Fatalf("state after half-open failure = %v, want open", got)
 	}
 }
@@ -91,10 +100,10 @@ func TestBreakerStateMachine(t *testing.T) {
 // and opens on exactly the FailureThreshold-th — not one later.
 func TestBreakerTripsExactlyAtThreshold(t *testing.T) {
 	const threshold = 4
-	b := NewBreaker(BreakerOptions{FailureThreshold: threshold, OpenTicks: 4})
+	b := NewBreaker(BreakerOptions{FailureThreshold: threshold, OpenTicks: 4, Now: func() int64 { return 0 }})
 	for i := 0; i < threshold-1; i++ {
 		b.Failure()
-		if got := b.State(); got != StateClosed {
+		if got := stateOf(b); got != StateClosed {
 			t.Fatalf("state after %d failure(s) = %v, want closed", i+1, got)
 		}
 	}
@@ -104,11 +113,11 @@ func TestBreakerTripsExactlyAtThreshold(t *testing.T) {
 	for i := 0; i < threshold-1; i++ {
 		b.Failure()
 	}
-	if got := b.State(); got != StateClosed {
+	if got := stateOf(b); got != StateClosed {
 		t.Fatalf("state at threshold-1 after reset = %v, want closed", got)
 	}
 	b.Failure()
-	if got := b.State(); got != StateOpen {
+	if got := stateOf(b); got != StateOpen {
 		t.Fatalf("state at exactly %d consecutive failures = %v, want open", threshold, got)
 	}
 }
@@ -118,9 +127,11 @@ func TestBreakerTripsExactlyAtThreshold(t *testing.T) {
 // window, and a successful one closes it with the consecutive-failure
 // count starting again from zero.
 func TestBreakerHalfOpenSuccessThenFailure(t *testing.T) {
-	b := NewBreaker(BreakerOptions{FailureThreshold: 2, OpenTicks: 3})
+	var clock int64
+	b := NewBreaker(BreakerOptions{FailureThreshold: 2, OpenTicks: 3, Now: func() int64 { return clock }})
 	toHalfOpen := func() {
-		for i := 0; b.State() != StateHalfOpen; i++ {
+		for i := 0; stateOf(b) != StateHalfOpen; i++ {
+			clock++
 			b.Allow()
 			if i > 100 {
 				t.Fatal("breaker never reached half-open")
@@ -132,7 +143,7 @@ func TestBreakerHalfOpenSuccessThenFailure(t *testing.T) {
 	b.Failure()
 	toHalfOpen()
 	b.Failure() // the probe fails: re-open immediately
-	if got := b.State(); got != StateOpen {
+	if got := stateOf(b); got != StateOpen {
 		t.Fatalf("state after a failure in half-open = %v, want open", got)
 	}
 	// The re-trip starts a fresh open window measured from now.
@@ -142,21 +153,21 @@ func TestBreakerHalfOpenSuccessThenFailure(t *testing.T) {
 
 	toHalfOpen()
 	b.Success()
-	if got := b.State(); got != StateClosed {
+	if got := stateOf(b); got != StateClosed {
 		t.Fatalf("state after a probe success = %v, want closed", got)
 	}
 	// Closed again, the breaker needs the full threshold to trip.
 	b.Failure()
-	if got := b.State(); got != StateClosed {
+	if got := stateOf(b); got != StateClosed {
 		t.Fatalf("state after one failure past a closing probe = %v, want closed", got)
 	}
 	b.Failure()
-	if got := b.State(); got != StateOpen {
+	if got := stateOf(b); got != StateOpen {
 		t.Fatalf("state after two failures past a closing probe = %v, want open", got)
 	}
 }
 
-// TestBreakerExternalClock drives the open window on an external clock
+// TestBreakerExternalClock drives the open window on the caller's clock
 // and pins the contract on BreakerOptions.Now: Allow reads the clock
 // only on an open breaker, and a trip reads it once to stamp the window.
 func TestBreakerExternalClock(t *testing.T) {
@@ -180,7 +191,7 @@ func TestBreakerExternalClock(t *testing.T) {
 	clock = 100
 	reads = 0
 	b.Failure()
-	if got := b.State(); got != StateOpen {
+	if got := stateOf(b); got != StateOpen {
 		t.Fatalf("state = %v, want open", got)
 	}
 	if reads != 1 {
@@ -190,7 +201,7 @@ func TestBreakerExternalClock(t *testing.T) {
 	allow("inside the open window", false, 1)
 	clock = 110
 	allow("after the open window", true, 1)
-	if got := b.State(); got != StateHalfOpen {
+	if got := stateOf(b); got != StateHalfOpen {
 		t.Fatalf("state = %v, want half-open", got)
 	}
 	allow("half-open", true, 0)
@@ -216,7 +227,7 @@ func TestBreakerHalfOpenRefailRestartsWindow(t *testing.T) {
 		t.Fatal("Allow shed after the first open window elapsed")
 	}
 	b.Failure() // the probe fails: re-open
-	if got := b.State(); got != StateOpen {
+	if got := stateOf(b); got != StateOpen {
 		t.Fatalf("state after half-open failure = %v, want open", got)
 	}
 	// The re-opened window runs from tick 110, not the original trip
@@ -232,7 +243,7 @@ func TestBreakerHalfOpenRefailRestartsWindow(t *testing.T) {
 		t.Fatal("Allow shed after the restarted window elapsed")
 	}
 	b.Success()
-	if got := b.State(); got != StateClosed {
+	if got := stateOf(b); got != StateClosed {
 		t.Fatalf("state after a probe success = %v, want closed", got)
 	}
 }
@@ -244,20 +255,32 @@ func TestBreakerNilSafe(t *testing.T) {
 	}
 	b.Success()
 	b.Failure()
-	if got := b.State(); got != StateClosed {
-		t.Fatalf("nil breaker State() = %v, want closed", got)
+	if !b.Allow() {
+		t.Fatal("nil breaker shed a request after a failure")
 	}
 	if got := b.Rejected(); got != 0 {
 		t.Fatalf("nil breaker Rejected() = %d, want 0", got)
 	}
 }
 
+// TestNewBreakerNeedsNow: a breaker without a clock is a wiring bug,
+// caught at construction with a panic that names the missing field.
+func TestNewBreakerNeedsNow(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "BreakerOptions.Now") {
+			t.Fatalf("NewBreaker without Now: recovered %v, want a panic naming BreakerOptions.Now", r)
+		}
+	}()
+	NewBreaker(BreakerOptions{Name: "no-clock", FailureThreshold: 1})
+}
+
 // TestBreakerAllowNEdges pins AllowN's edge cases: a batch of n = 0 or
-// less, a window that elapses inside the batch or on its last call on
-// the event clock, one that outlasts it, an external clock inside and
-// past the window, and the nil breaker. Each batch must answer as n
-// Allow calls on the lockedBreaker reference and leave the same state,
-// rejection count, obs series and clock, so later calls agree too.
+// less, a closed breaker, a clock at the trip tick or inside the open
+// window, one past it, a window that elapsed on a single call before
+// the batch, a second half-open round, and the nil breaker. Each batch
+// must answer as n Allow calls on the lockedBreaker reference and
+// leave the same state, rejection count and obs series, so later calls
+// agree too.
 func TestBreakerAllowNEdges(t *testing.T) {
 	type step func(b breakerOps, clock *int64)
 	trip := func(b breakerOps, _ *int64) { b.Failure() }
@@ -265,7 +288,6 @@ func TestBreakerAllowNEdges(t *testing.T) {
 	at := func(tick int64) step { return func(_ breakerOps, clock *int64) { *clock = tick } }
 	cases := []struct {
 		name      string
-		external  bool
 		openTicks int64
 		setup     []step
 		n         int
@@ -274,28 +296,22 @@ func TestBreakerAllowNEdges(t *testing.T) {
 		state     State
 		toHalf    int64
 	}{
-		{"zero calls on an open breaker", false, 4, []step{trip}, 0, 0, 0, StateOpen, 0},
-		{"negative n on an open breaker", false, 4, []step{trip}, -3, 0, 0, StateOpen, 0},
-		{"closed breaker", false, 4, nil, 5, 5, 0, StateClosed, 0},
-		{"window elapses inside the batch", false, 4, []step{trip}, 10, 7, 3, StateHalfOpen, 1},
-		{"window elapses on the last call", false, 4, []step{trip}, 4, 1, 3, StateHalfOpen, 1},
-		{"window outlasts the batch", false, 8, []step{trip}, 5, 0, 5, StateOpen, 0},
-		{"window partly spent by single calls", false, 4, []step{trip, allow, allow}, 3, 2, 1, StateHalfOpen, 1},
-		{"window elapsed on a single call", false, 2, []step{trip, allow, allow}, 3, 3, 0, StateHalfOpen, 1},
-		{"external clock inside the window", true, 10, []step{at(100), trip, at(105)}, 6, 0, 6, StateOpen, 0},
-		{"external clock past the window", true, 10, []step{at(100), trip, at(110)}, 6, 6, 0, StateHalfOpen, 1},
-		{"half-open again after a failed probe", false, 3, []step{trip, allow, allow, allow, trip}, 4, 2, 2, StateHalfOpen, 2},
+		{"zero calls on an open breaker", 4, []step{trip}, 0, 0, 0, StateOpen, 0},
+		{"negative n on an open breaker", 4, []step{trip}, -3, 0, 0, StateOpen, 0},
+		{"closed breaker", 4, nil, 5, 5, 0, StateClosed, 0},
+		{"window outlasts the batch", 8, []step{at(100), trip}, 5, 0, 5, StateOpen, 0},
+		{"window elapsed on a single call", 2, []step{trip, at(2), allow}, 3, 3, 0, StateHalfOpen, 1},
+		{"external clock inside the window", 10, []step{at(100), trip, at(105)}, 6, 0, 6, StateOpen, 0},
+		{"external clock past the window", 10, []step{at(100), trip, at(110)}, 6, 6, 0, StateHalfOpen, 1},
+		{"half-open again after a failed probe", 3, []step{trip, at(3), allow, trip, at(6)}, 4, 4, 0, StateHalfOpen, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var clocks [2]int64
 			regs := [2]*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
 			opts := func(k int) BreakerOptions {
-				o := BreakerOptions{Name: "edge", FailureThreshold: 1, OpenTicks: c.openTicks, Obs: regs[k]}
-				if c.external {
-					o.Now = func() int64 { return clocks[k] }
-				}
-				return o
+				return BreakerOptions{Name: "edge", FailureThreshold: 1, OpenTicks: c.openTicks,
+					Now: func() int64 { return clocks[k] }, Obs: regs[k]}
 			}
 			b, ref := NewBreaker(opts(0)), newLockedBreaker(opts(1))
 			for _, s := range c.setup {
@@ -310,16 +326,19 @@ func TestBreakerAllowNEdges(t *testing.T) {
 			if d := b.Rejected() - rejectedBefore; d != c.rejected || b.Rejected() != ref.Rejected() {
 				t.Fatalf("AllowN(%d) shed %d, want %d (reference total %d, breaker %d)", c.n, d, c.rejected, ref.Rejected(), b.Rejected())
 			}
-			if b.State() != c.state || ref.State() != c.state {
-				t.Fatalf("state %v after AllowN(%d), want %v (reference %v)", b.State(), c.n, c.state, ref.State())
+			if stateOf(b) != c.state || ref.state != c.state {
+				t.Fatalf("state %v after AllowN(%d), want %v (reference %v)", stateOf(b), c.n, c.state, ref.state)
 			}
 			if v := regs[0].Counter("guard_breaker_transitions_total", "name", "edge", "to", "half-open").Value(); v != c.toHalf {
 				t.Fatalf("%d half-open transitions, want %d", v, c.toHalf)
 			}
-			// Equal clocks answer the next calls alike.
+			// Equal clocks answer the next calls alike, through the
+			// next open window.
 			b.Failure()
 			ref.Failure()
 			for k := 0; k < 12; k++ {
+				clocks[0]++
+				clocks[1]++
 				if g, w := b.Allow(), ref.Allow(); g != w {
 					t.Fatalf("call %d after AllowN(%d) admits %v, reference %v", k, c.n, g, w)
 				}
@@ -356,30 +375,26 @@ type breakerOps interface {
 	AllowN(n int) int
 	Success()
 	Failure()
-	State() State
 	Rejected() int64
 }
 
 // breakerTrace replays a byte-encoded op sequence against a fresh
 // breaker from mk and returns a deterministic trace of every
-// observable: each Allow answer, the state and rejection count after
-// every op, and the final obs snapshot. op%4 selects Allow (AllowN of
-// op>>3 calls when op&4 is set), Success, Failure or a clock step of
-// op>>5 ticks; with external unset the breaker runs on its own event
-// clock and never reads the stepped one.
-func breakerTrace(ops []byte, external bool, mk func(BreakerOptions) breakerOps) string {
+// observable: each Allow answer, the guard_breaker_state series and
+// the rejection count after every op, and the final obs snapshot. op%4
+// selects Allow (AllowN of op>>3 calls when op&4 is set), Success,
+// Failure or a clock step of op>>5 ticks.
+func breakerTrace(ops []byte, mk func(BreakerOptions) breakerOps) string {
 	reg := obs.NewRegistry()
 	var clock int64
-	o := BreakerOptions{
+	b := mk(BreakerOptions{
 		Name:             "fuzz",
 		FailureThreshold: 3,
 		OpenTicks:        5,
+		Now:              func() int64 { return clock },
 		Obs:              reg,
-	}
-	if external {
-		o.Now = func() int64 { return clock }
-	}
-	b := mk(o)
+	})
+	state := reg.Gauge("guard_breaker_state", "name", "fuzz")
 	out := ""
 	for _, op := range ops {
 		switch op % 4 {
@@ -399,7 +414,7 @@ func breakerTrace(ops []byte, external bool, mk func(BreakerOptions) breakerOps)
 			clock += int64(op >> 5)
 			out += "t"
 		}
-		out += b.State().String()[:1] + fmt.Sprint(b.Rejected())
+		out += State(state.Value()).String()[:1] + fmt.Sprint(b.Rejected())
 	}
 	return out + "|" + string(reg.SnapshotJSON())
 }
@@ -408,11 +423,10 @@ func newBreakerOps(o BreakerOptions) breakerOps { return NewBreaker(o) }
 
 func newLockedBreakerOps(o BreakerOptions) breakerOps { return newLockedBreaker(o) }
 
-// FuzzGuardBreaker checks that any op sequence, on the event clock and
-// on an external clock, (a) replays to a byte-identical trace — the
-// breaker is a pure function of its input history — (b) matches the
-// lockedBreaker reference observable for observable, and (c) never
-// violates the state invariants.
+// FuzzGuardBreaker checks that any op sequence (a) replays to a
+// byte-identical trace — the breaker is a pure function of its input
+// history — (b) matches the lockedBreaker reference observable for
+// observable, and (c) never violates the state invariants.
 func FuzzGuardBreaker(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 2, 2, 0, 0, 0, 0, 0, 1, 1})
@@ -424,22 +438,20 @@ func FuzzGuardBreaker(f *testing.F) {
 		if len(ops) > 1024 {
 			ops = ops[:1024]
 		}
-		for _, external := range []bool{false, true} {
-			t1 := breakerTrace(ops, external, newBreakerOps)
-			t2 := breakerTrace(ops, external, newBreakerOps)
-			if t1 != t2 {
-				t.Fatalf("external=%v: breaker trace not deterministic:\n%s\n%s", external, t1, t2)
-			}
-			if ref := breakerTrace(ops, external, newLockedBreakerOps); t1 != ref {
-				t.Fatalf("external=%v: breaker diverged from the locked reference:\n%s\n%s", external, t1, ref)
-			}
+		t1 := breakerTrace(ops, newBreakerOps)
+		if t2 := breakerTrace(ops, newBreakerOps); t1 != t2 {
+			t.Fatalf("breaker trace not deterministic:\n%s\n%s", t1, t2)
+		}
+		if ref := breakerTrace(ops, newLockedBreakerOps); t1 != ref {
+			t.Fatalf("breaker diverged from the locked reference:\n%s\n%s", t1, ref)
 		}
 
 		// Invariants over a single replay.
-		b := NewBreaker(BreakerOptions{FailureThreshold: 3, OpenTicks: 5})
+		var clock int64
+		b := NewBreaker(BreakerOptions{FailureThreshold: 3, OpenTicks: 5, Now: func() int64 { return clock }})
 		rejectedWhileNotOpen := false
 		for _, op := range ops {
-			before := b.State()
+			before := stateOf(b)
 			switch op % 4 {
 			case 0:
 				if op&4 != 0 {
@@ -453,8 +465,10 @@ func FuzzGuardBreaker(f *testing.F) {
 				b.Success()
 			case 2:
 				b.Failure()
+			case 3:
+				clock += int64(op >> 5)
 			}
-			if s := b.State(); s != StateClosed && s != StateOpen && s != StateHalfOpen {
+			if s := stateOf(b); s != StateClosed && s != StateOpen && s != StateHalfOpen {
 				t.Fatalf("invalid state %v", s)
 			}
 		}
@@ -474,7 +488,6 @@ type lockedBreaker struct {
 	state    State
 	fails    int
 	openedAt int64
-	events   int64
 	rejected int64
 
 	rejectedC *obs.Counter
@@ -498,14 +511,6 @@ func newLockedBreaker(o BreakerOptions) *lockedBreaker {
 	return b
 }
 
-func (b *lockedBreaker) now() int64 {
-	if b.opt.Now != nil {
-		return b.opt.Now()
-	}
-	b.events++
-	return b.events
-}
-
 func (b *lockedBreaker) setState(s State) {
 	if b.state == s {
 		return
@@ -525,7 +530,7 @@ func (b *lockedBreaker) setState(s State) {
 func (b *lockedBreaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	now := b.now()
+	now := b.opt.Now()
 	switch b.state {
 	case StateOpen:
 		if now-b.openedAt >= b.opt.OpenTicks {
@@ -578,18 +583,8 @@ func (b *lockedBreaker) Failure() {
 
 func (b *lockedBreaker) trip() {
 	b.fails = 0
-	if b.opt.Now != nil {
-		b.openedAt = b.opt.Now()
-	} else {
-		b.openedAt = b.events
-	}
+	b.openedAt = b.opt.Now()
 	b.setState(StateOpen)
-}
-
-func (b *lockedBreaker) State() State {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
 }
 
 func (b *lockedBreaker) Rejected() int64 {
@@ -635,11 +630,11 @@ func TestBreakerConcurrentAllow(t *testing.T) {
 			runtime.Gosched()
 		}
 		clock.Add(4)
-		for b.State() == StateOpen {
+		for stateOf(b) == StateOpen {
 			runtime.Gosched()
 		}
 		b.Success()
-		if got := b.State(); got != StateClosed {
+		if got := stateOf(b); got != StateClosed {
 			stop.Store(true)
 			wg.Wait()
 			t.Fatalf("round %d: state after a half-open success = %v, want closed", round, got)

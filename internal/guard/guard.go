@@ -3,10 +3,11 @@
 // cooperative watchdogs, panic isolation, and crash-point injection.
 // Where internal/fault makes the *devices* misbehave deterministically,
 // this package keeps the *software* that drives them — the fleet
-// engine's worker pool, the FSP operator server — inside a bounded
-// failure envelope: a wedged job, a flood of connections, or a
-// panicking worker degrades into an explicit, in-band, retryable error
-// instead of a hang, a leak, or a dead process.
+// engine's worker pool, the FSP operator server's session gate, the dc
+// placer's per-node quarantine — inside a bounded failure envelope: a
+// wedged job, a flood of connections, or a panicking worker degrades
+// into an explicit, in-band error instead of a hang, a leak, or a dead
+// process.
 //
 // Design rules, shared with internal/obs:
 //
@@ -15,10 +16,9 @@
 //     nothing, and allocates nothing — TestDisabledGuardZeroAlloc pins
 //     the disabled hot path at 0 allocs/op — so consumers wire guards
 //     unconditionally and enable them by construction.
-//   - Time is logical, never the wall clock. Breakers are driven by a
-//     caller-supplied monotone clock (Now) or by their own event
-//     counter (one tick per admission decision), so a guarded run
-//     replays bit-for-bit and chaos tests can assert exact
+//   - Time is logical, never the wall clock. Breakers read the
+//     caller's monotone clock (BreakerOptions.Now, required), so a
+//     guarded run replays bit-for-bit and chaos tests can assert exact
 //     trip/recovery points. The package is in atmlint's detflow scope.
 //   - Shedding is explicit and in-band. A guard never blocks and never
 //     silently drops: callers get a boolean (or an error) and answer

@@ -113,7 +113,7 @@ func BenchmarkDisabledGuardHotPath(b *testing.B) {
 }
 
 func BenchmarkEnabledBreakerAllow(b *testing.B) {
-	br := NewBreaker(BreakerOptions{})
+	br := NewBreaker(BreakerOptions{Now: func() int64 { return 0 }})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		br.Allow()
@@ -122,25 +122,14 @@ func BenchmarkEnabledBreakerAllow(b *testing.B) {
 }
 
 // BenchmarkClosedBreakerAllow times Allow alone on a closed breaker,
-// which takes the lock-free path on either clock.
+// which takes the lock-free path.
 func BenchmarkClosedBreakerAllow(b *testing.B) {
-	var clock int64
-	for _, tc := range []struct {
-		name string
-		now  func() int64
-	}{
-		{"external", func() int64 { return clock }},
-		{"event", nil},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			br := NewBreaker(BreakerOptions{Now: tc.now})
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if !br.Allow() {
-					b.Fatal("closed breaker shed")
-				}
-			}
-		})
+	br := NewBreaker(BreakerOptions{Now: func() int64 { return 0 }})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !br.Allow() {
+			b.Fatal("closed breaker shed")
+		}
 	}
 }
 

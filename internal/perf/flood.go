@@ -12,13 +12,13 @@ import (
 )
 
 // The flood harness drives N logical pipelined operator sessions
-// through the REAL fsp.Server internals — session gate, garbage
-// breakers, per-verb latency histograms — with a single-goroutine
-// seeded interleaver on a logical tick clock. Real TCP concurrency
-// cannot give deterministic shed counts or latencies; the interleaver
-// can, so BENCH_fsp.json's canonical section is a pure function of the
-// options, while wall-clock throughput (req/s) is still measured
-// around the loop and quarantined in the timing section.
+// through the REAL fsp.Server internals — session gate, per-verb
+// latency histograms — with a single-goroutine seeded interleaver on a
+// logical tick clock. Real TCP concurrency cannot give deterministic
+// shed counts or latencies; the interleaver can, so BENCH_fsp.json's
+// canonical section is a pure function of the options, while
+// wall-clock throughput (req/s) is still measured around the loop and
+// quarantined in the timing section.
 
 // FloodOptions configures one flood run: its plan, which FloodRow
 // records and Compare matches before it gates a row. The zero value is
@@ -34,30 +34,29 @@ type FloodOptions struct {
 	// Seed drives the interleaver and the command mix.
 	Seed uint64 `json:"seed"`
 	// Garbage is the per-mille rate of protocol-garbage lines mixed
-	// into the command stream (0‰–1000‰) — the breaker's diet.
+	// into the command stream (0‰–1000‰), each answered in-band as an
+	// unknown command.
 	Garbage int `json:"garbage"`
-	// MaxSessions and GarbageThreshold arm the server's guard plane
-	// (fsp.GuardOptions); 0 disables each guard.
-	MaxSessions      int `json:"max_sessions"`
-	GarbageThreshold int `json:"garbage_threshold"`
+	// MaxSessions arms the server's session gate (Server.Guard); 0
+	// disables it.
+	MaxSessions int `json:"max_sessions"`
 }
 
 // DefaultFloodOptions is the baseline plan: enough contention to shed
-// and trip breakers deterministically. quick shrinks it to CI size.
+// sessions deterministically. quick shrinks it to CI size.
 func DefaultFloodOptions(quick bool) FloodOptions {
 	o := FloodOptions{
-		Sessions:         16,
-		Commands:         200,
-		Pipeline:         8,
-		Seed:             1,
-		Garbage:          50,
-		MaxSessions:      12,
-		GarbageThreshold: 4,
+		Sessions:    16,
+		Commands:    200,
+		Pipeline:    8,
+		Seed:        1,
+		Garbage:     50,
+		MaxSessions: 12,
 	}
 	if quick {
 		// Shrink the budget, not the contention: the quick plan must
 		// still shed sessions, or the CI baseline never exercises the
-		// guard plane.
+		// session gate.
 		o.Commands = 50
 	}
 	return o
@@ -73,8 +72,8 @@ func (o FloodOptions) validate() error {
 	if o.Garbage < 0 || o.Garbage > 1000 {
 		return fmt.Errorf("perf: flood garbage rate %d‰ outside [0, 1000]", o.Garbage)
 	}
-	if o.MaxSessions < 0 || o.GarbageThreshold < 0 {
-		return fmt.Errorf("perf: flood needs a non-negative session limit and garbage threshold (got %d, %d)", o.MaxSessions, o.GarbageThreshold)
+	if o.MaxSessions < 0 {
+		return fmt.Errorf("perf: flood needs a non-negative session limit (got %d)", o.MaxSessions)
 	}
 	return nil
 }
@@ -96,15 +95,14 @@ var floodVerbs = []string{
 // FloodResult is one run's outcome: everything except WallNS is a
 // pure function of the options.
 type FloodResult struct {
-	Issued          int64
-	Executed        int64
-	ShedSessions    int64
-	BreakerRejected int64
-	Errors          int64
-	P50Ticks        float64
-	P95Ticks        float64
-	P99Ticks        float64
-	WallNS          int64
+	Issued       int64
+	Executed     int64
+	ShedSessions int64
+	Errors       int64
+	P50Ticks     float64
+	P95Ticks     float64
+	P99Ticks     float64
+	WallNS       int64
 }
 
 // pendingCmd is one issued-but-unexecuted command.
@@ -130,18 +128,12 @@ func Flood(o FloodOptions) (*FloodResult, error) {
 	srv := fsp.NewServer(fsp.NewController(chip.NewReference()))
 	srv.Observe(reg)
 
-	// One logical clock rules everything: the breakers' open windows,
-	// per-verb latency histograms, and the client-side issue→execute
-	// distances all read the same tick counter. Wall time is read only
-	// around the loop, into WallNS.
+	// One logical clock rules everything: per-verb latency histograms
+	// and the client-side issue→execute distances read the same tick
+	// counter. Wall time is read only around the loop, into WallNS.
 	var ticks int64
-	tick := func() int64 { return ticks }
-	srv.SetClock(tick)
-	srv.Guard(fsp.GuardOptions{
-		MaxSessions:      o.MaxSessions,
-		GarbageThreshold: o.GarbageThreshold,
-		Now:              tick,
-	})
+	srv.SetClock(func() int64 { return ticks })
+	srv.Guard(o.MaxSessions)
 	latency := reg.Histogram("flood_latency_ticks", fsp.LatencyBuckets)
 
 	res := &FloodResult{}
@@ -190,9 +182,6 @@ func Flood(o FloodOptions) (*FloodResult, error) {
 			res.Executed++
 			if strings.HasPrefix(resp, "err") {
 				res.Errors++
-				if strings.Contains(resp, "breaker open") {
-					res.BreakerRejected++
-				}
 			}
 		}
 
@@ -236,16 +225,15 @@ func FloodDoc(o FloodOptions, quick bool, r *FloodResult) *Doc {
 		Schema: SchemaVersion,
 		Quick:  quick,
 		Flood: &FloodRow{
-			FloodOptions:    o,
-			Issued:          r.Issued,
-			Executed:        r.Executed,
-			ShedSessions:    r.ShedSessions,
-			BreakerRejected: r.BreakerRejected,
-			Errors:          r.Errors,
-			ShedRate:        shedRate,
-			P50Ticks:        r.P50Ticks,
-			P95Ticks:        r.P95Ticks,
-			P99Ticks:        r.P99Ticks,
+			FloodOptions: o,
+			Issued:       r.Issued,
+			Executed:     r.Executed,
+			ShedSessions: r.ShedSessions,
+			Errors:       r.Errors,
+			ShedRate:     shedRate,
+			P50Ticks:     r.P50Ticks,
+			P95Ticks:     r.P95Ticks,
+			P99Ticks:     r.P99Ticks,
 		},
 		Timing: Timing{
 			CPUs:      runtime.NumCPU(),

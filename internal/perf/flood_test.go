@@ -61,28 +61,19 @@ func TestFloodDrivesGuardPlane(t *testing.T) {
 	}
 }
 
-func TestFloodGarbageTripsBreakers(t *testing.T) {
+// TestFloodGarbageAnsweredInBand: an all-garbage flood gets an in-band
+// error for every command, and every admitted session still runs its
+// whole budget: no guard cuts a session off for speaking garbage.
+func TestFloodGarbageAnsweredInBand(t *testing.T) {
 	o := DefaultFloodOptions(true)
-	o.Garbage = 700 // mostly garbage: breakers must open
+	o.Garbage = 1000
 	r, err := Flood(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Errors == 0 {
-		t.Error("garbage-heavy flood saw no errors")
-	}
-	if r.BreakerRejected == 0 {
-		t.Error("garbage-heavy flood never tripped a breaker")
-	}
-
-	clean := DefaultFloodOptions(true)
-	clean.Garbage = 0
-	rc, err := Flood(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.BreakerRejected != 0 {
-		t.Errorf("clean flood tripped breakers %d times", rc.BreakerRejected)
+	want := int64(o.MaxSessions * o.Commands)
+	if r.Issued != want || r.Executed != want || r.Errors != want {
+		t.Errorf("issued/executed/errors = %d/%d/%d, want %d each", r.Issued, r.Executed, r.Errors, want)
 	}
 }
 
@@ -113,7 +104,6 @@ func TestFloodOptionValidation(t *testing.T) {
 		{Sessions: 1, Commands: 1, Pipeline: 1, Garbage: 1001},
 		{Sessions: 1, Commands: 1, Pipeline: 1, Garbage: -1},
 		{Sessions: 1, Commands: 1, Pipeline: 1, MaxSessions: -1},
-		{Sessions: 1, Commands: 1, Pipeline: 1, GarbageThreshold: -1},
 	}
 	for i, o := range bad {
 		if _, err := Flood(o); err == nil {

@@ -239,14 +239,13 @@ func TestCompareFloodDivergence(t *testing.T) {
 	if regs, err := Compare(mk(400), mk(399)); err != nil || len(regs) != 1 || regs[0].Stage != "flood" {
 		t.Fatalf("diverged flood not flagged: %v %v", regs, err)
 	}
-	// A flood of another plan, the guard plan included, is not
+	// A flood of another plan, the session limit included, is not
 	// comparable: Compare refuses it instead of gating nothing or
 	// reporting the plan change as a regression.
 	for name, change := range map[string]func(*FloodOptions){
-		"sessions":          func(o *FloodOptions) { o.Sessions = 20 },
-		"garbage":           func(o *FloodOptions) { o.Garbage = 700 },
-		"max_sessions":      func(o *FloodOptions) { o.MaxSessions = 0 },
-		"garbage_threshold": func(o *FloodOptions) { o.GarbageThreshold = 2 },
+		"sessions":     func(o *FloodOptions) { o.Sessions = 20 },
+		"garbage":      func(o *FloodOptions) { o.Garbage = 700 },
+		"max_sessions": func(o *FloodOptions) { o.MaxSessions = 0 },
 	} {
 		other := mk(400)
 		change(&other.Flood.FloodOptions)

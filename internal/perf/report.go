@@ -52,12 +52,11 @@ type StageRow struct {
 // the plan.
 type FloodRow struct {
 	FloodOptions
-	Issued          int64   `json:"issued"`
-	Executed        int64   `json:"executed"`
-	ShedSessions    int64   `json:"shed_sessions"`
-	BreakerRejected int64   `json:"breaker_rejected"`
-	Errors          int64   `json:"errors"`
-	ShedRate        float64 `json:"shed_rate"`
+	Issued       int64   `json:"issued"`
+	Executed     int64   `json:"executed"`
+	ShedSessions int64   `json:"shed_sessions"`
+	Errors       int64   `json:"errors"`
+	ShedRate     float64 `json:"shed_rate"`
 	// Latency quantiles in logical ticks (issue→execute distance),
 	// estimated by the obs histogram interpolation.
 	P50Ticks float64 `json:"p50_ticks"`
@@ -194,8 +193,8 @@ func Compare(baseline, current *Doc) ([]Regression, error) {
 	var regs []Regression
 	// The flood row is a pure function of (code, options): with matching
 	// options, any divergence from the baseline means the service plane's
-	// behavior changed — shed policy, breaker thresholds, verb set — and
-	// the baseline must be regenerated deliberately.
+	// behavior changed — shed policy, verb set — and the baseline must be
+	// regenerated deliberately.
 	if b, c := baseline.Flood, current.Flood; b != nil && c != nil {
 		if b.FloodOptions != c.FloodOptions {
 			return nil, fmt.Errorf("perf: comparing flood plan %+v against baseline plan %+v", c.FloodOptions, b.FloodOptions)
