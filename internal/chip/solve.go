@@ -85,23 +85,58 @@ func (m *Machine) Solve() (State, error) {
 	return st, nil
 }
 
-// coreScratch is one core's slot in solveChip: its settle guard, a
-// loop invariant, and its latest frequency and power.
+// coreScratch is one core's slot in the fixed point: its settle
+// guard, a loop invariant, and its latest frequency and power.
 type coreScratch struct {
 	guard units.Picosecond
 	freq  units.MHz
 	power units.Watt
 }
 
-// solveChip runs the fixed point for one chip.
+// solveChip runs the fixed point for one chip and builds its state.
 func (m *Machine) solveChip(c *Chip) (ChipState, error) {
+	cores := make([]coreScratch, len(c.Cores))
+	v, t, total, err := m.fixedPoint(c, cores)
+	if err != nil {
+		return ChipState{}, err
+	}
+	cs := ChipState{
+		Label:    c.Profile.Label,
+		Supply:   v,
+		DCDrop:   c.PDN.VNom - v,
+		Power:    total,
+		TempC:    t,
+		InBudget: c.Thermal.WithinEnvelope(total),
+		Cores:    make([]CoreState, len(c.Cores)),
+	}
+	for i, core := range c.Cores {
+		cs.Cores[i] = CoreState{
+			Label:     core.Profile.Label,
+			Mode:      core.mode,
+			Reduction: core.Reduction(),
+			Gated:     core.gated,
+			Workload:  core.work.Name,
+			Freq:      cores[i].freq,
+			Power:     cores[i].power,
+		}
+	}
+	return cs, nil
+}
+
+// fixedPoint runs one chip's frequency ↔ power ↔ voltage ↔ temperature
+// loop over cores, one scratch slot per core of c, and returns the
+// chip's supply, temperature and total power; each slot ends holding
+// its core's frequency and power. Machine.Solve and ChipSolver share
+// it, so both read the same bits.
+//
+//atm:hotpath
+func (m *Machine) fixedPoint(c *Chip, cores []coreScratch) (v units.Volt, t units.Celsius, total units.Watt, err error) {
 	p := m.profile.Params()
-	v := p.VRef
-	t := c.Thermal.SteadyTemp(60)
+	v = p.VRef
+	t = c.Thermal.SteadyTemp(60)
 
 	// An ATM core's settle guard depends on its CPM configuration, not
 	// on V or T, so it is read once.
-	cores := make([]coreScratch, len(c.Cores))
 	for i, core := range c.Cores {
 		if core.gated {
 			continue
@@ -111,11 +146,10 @@ func (m *Machine) solveChip(c *Chip) (ChipState, error) {
 		case ModeATM:
 			cores[i].guard = core.Monitor.SettleGuardPs()
 		default:
-			return ChipState{}, fmt.Errorf("chip: core %s in unknown mode %v", core.Profile.Label, core.mode)
+			return 0, 0, 0, core.modeErr()
 		}
 	}
 	var (
-		total        units.Watt
 		stepV, stepT float64
 		converged    bool
 	)
@@ -157,29 +191,46 @@ func (m *Machine) solveChip(c *Chip) (ChipState, error) {
 		t = units.Celsius(0.5*float64(t) + 0.5*float64(tNew))
 	}
 	if !converged {
-		return ChipState{}, fmt.Errorf("chip: %s did not converge in %d iterations: last steps %g V and %g °C",
-			c.Profile.Label, solveMaxIter, stepV, stepT)
+		return 0, 0, 0, c.convergeErr(stepV, stepT)
 	}
-
-	cs := ChipState{
-		Label:    c.Profile.Label,
-		Supply:   v,
-		DCDrop:   c.PDN.VNom - v,
-		Power:    total,
-		TempC:    t,
-		InBudget: c.Thermal.WithinEnvelope(total),
-		Cores:    make([]CoreState, len(c.Cores)),
-	}
-	for i, core := range c.Cores {
-		cs.Cores[i] = CoreState{
-			Label:     core.Profile.Label,
-			Mode:      core.mode,
-			Reduction: core.Reduction(),
-			Gated:     core.gated,
-			Workload:  core.work.Name,
-			Freq:      cores[i].freq,
-			Power:     cores[i].power,
-		}
-	}
-	return cs, nil
+	return v, t, total, nil
 }
+
+// modeErr is the fixed point's error for a core in an unknown mode.
+func (core *Core) modeErr() error {
+	return fmt.Errorf("chip: core %s in unknown mode %v", core.Profile.Label, core.mode)
+}
+
+// convergeErr is the fixed point's error for a chip that has not met
+// both tolerances after solveMaxIter iterations.
+func (c *Chip) convergeErr(stepV, stepT float64) error {
+	return fmt.Errorf("chip: %s did not converge in %d iterations: last steps %g V and %g °C",
+		c.Profile.Label, solveMaxIter, stepV, stepT)
+}
+
+// ChipSolver solves one chip's fixed point over per-core scratch it
+// owns, so a caller that re-solves the chip as its cores' settings
+// change allocates nothing per solve. Each Solve re-reads every core's
+// CPM guard, mode, p-state, gating and workload, and its power and
+// frequencies equal the chip's entry of Machine.Solve bit for bit.
+type ChipSolver struct {
+	m     *Machine
+	chip  *Chip
+	cores []coreScratch
+}
+
+// NewChipSolver returns a solver for c, which must be one of m's chips.
+func (m *Machine) NewChipSolver(c *Chip) *ChipSolver {
+	return &ChipSolver{m: m, chip: c, cores: make([]coreScratch, len(c.Cores))}
+}
+
+// Solve finds the chip's steady state under its cores' current
+// settings and returns the chip's total power; Freq reads each core's
+// frequency in it.
+func (s *ChipSolver) Solve() (units.Watt, error) {
+	_, _, total, err := s.m.fixedPoint(s.chip, s.cores)
+	return total, err
+}
+
+// Freq returns the frequency of the chip's i-th core at the last Solve.
+func (s *ChipSolver) Freq(i int) units.MHz { return s.cores[i].freq }

@@ -74,8 +74,9 @@ func TestSolveMatchesReference(t *testing.T) {
 }
 
 // TestSolveUnknownModeError checks that an ungated core in an unknown
-// mode fails the solve with the reference's error, and that a gated
-// one does not.
+// mode fails the solve, and its chip's ChipSolver, with the reference's
+// error, that the other chip still solves alone, and that a gated core
+// in that mode fails nothing.
 func TestSolveUnknownModeError(t *testing.T) {
 	m := NewReference()
 	c := m.Chips[1].Cores[3]
@@ -84,6 +85,12 @@ func TestSolveUnknownModeError(t *testing.T) {
 	_, werr := m.SolveReference()
 	if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
 		t.Fatalf("Solve error %v, reference error %v", gerr, werr)
+	}
+	if _, cerr := m.NewChipSolver(m.Chips[1]).Solve(); cerr == nil || cerr.Error() != werr.Error() {
+		t.Fatalf("ChipSolver error %v, reference error %v", cerr, werr)
+	}
+	if _, err := m.NewChipSolver(m.Chips[0]).Solve(); err != nil {
+		t.Fatalf("the other chip's solve failed: %v", err)
 	}
 	c.SetGated(true)
 	got, gerr := m.Solve()
@@ -104,6 +111,82 @@ func TestSolveAllocs(t *testing.T) {
 	var err error
 	if n := testing.AllocsPerRun(20, func() { _, err = m.Solve() }); n != 5 {
 		t.Fatalf("Solve allocates %v times per call, want 5", n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChipSolverMatchesSolve re-solves each chip of the reference
+// server and of 20 generated ones with one ChipSolver per chip while
+// every core cycles through static, gated and ATM clocking, every
+// workload and its full reduction range: each solve's chip power and
+// core frequencies must equal the chip's entry of Machine.Solve bit for
+// bit, so the solver re-reads every setting, the CPM guard included.
+func TestChipSolverMatchesSolve(t *testing.T) {
+	servers := []*silicon.ServerProfile{silicon.Reference()}
+	for seed := uint64(1); seed <= 20; seed++ {
+		s, err := silicon.Generate(seed, silicon.GenerateOptions{Chips: 1 + int(seed%2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers = append(servers, s)
+	}
+	all := workload.All()
+	for si, s := range servers {
+		m, err := New(s, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		solvers := make([]*ChipSolver, len(m.Chips))
+		for ci, c := range m.Chips {
+			solvers[ci] = m.NewChipSolver(c)
+		}
+		for step := 0; step < 12; step++ {
+			for i, c := range m.AllCores() {
+				c.SetMode(ModeATM)
+				c.SetGated(false)
+				switch (i + step) % 4 {
+				case 0:
+					c.SetMode(ModeStatic)
+				case 1:
+					c.SetGated(true)
+				}
+				c.SetWorkload(all[(i+step)%len(all)])
+				if err := c.Monitor.Program(step % (c.Profile.MaxReduction() + 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := m.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, sv := range solvers {
+				p, err := sv.Solve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				wc := want.Chips[ci]
+				if math.Float64bits(float64(p)) != math.Float64bits(float64(wc.Power)) {
+					t.Fatalf("server %d step %d chip %s: power %v, Solve %v", si, step, wc.Label, p, wc.Power)
+				}
+				for k, cs := range wc.Cores {
+					if f := sv.Freq(k); math.Float64bits(float64(f)) != math.Float64bits(float64(cs.Freq)) {
+						t.Fatalf("server %d step %d core %s: freq %v, Solve %v", si, step, cs.Label, f, cs.Freq)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestChipSolverAllocs pins a chip-scoped solve at zero allocations.
+func TestChipSolverAllocs(t *testing.T) {
+	m := NewReference()
+	sv := m.NewChipSolver(m.Chips[1])
+	var err error
+	if n := testing.AllocsPerRun(20, func() { _, err = sv.Solve() }); n != 0 {
+		t.Fatalf("ChipSolver.Solve allocates %v times per call, want 0", n)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -166,8 +249,9 @@ func TestSolvePopulationConverges(t *testing.T) {
 }
 
 // TestSolveNonConvergenceIsAnError gives one chip a thermal path so
-// resistive that leakage runs away: the solve must fail, naming the
-// chip and its last steps, instead of returning the last iterate.
+// resistive that leakage runs away: the solve, and that chip's
+// ChipSolver, must fail, naming the chip and its last steps, instead of
+// returning the last iterate.
 func TestSolveNonConvergenceIsAnError(t *testing.T) {
 	m := NewReference()
 	m.Chips[1].Thermal.ResistanceCPerW = 100
@@ -180,5 +264,8 @@ func TestSolveNonConvergenceIsAnError(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("Solve error %q does not contain %q", err, want)
 		}
+	}
+	if _, cerr := m.NewChipSolver(m.Chips[1]).Solve(); cerr == nil || cerr.Error() != err.Error() {
+		t.Fatalf("ChipSolver error %v, Solve error %v", cerr, err)
 	}
 }

@@ -25,7 +25,6 @@ func (s *Server) Guard(maxSessions int) {
 			Obs:   s.reg,
 		})
 	}
-	s.shedC = s.reg.Counter("fsp_server_shed_total")
 }
 
 // healthReport is the "health" verb's document. Struct marshaling

@@ -86,8 +86,8 @@ func TestServerAdmitMatchesGuardPlane(t *testing.T) {
 	if _, ok := srv.Admit(); ok {
 		t.Fatal("third admission allowed past MaxSessions=2")
 	}
-	if got := reg.Counter("fsp_server_shed_total").Value(); got != 1 {
-		t.Errorf("shed counter = %d, want 1", got)
+	if got := reg.Counter("guard_gate_shed_total", "name", "fsp_sessions").Value(); got != 1 {
+		t.Errorf("guard_gate_shed_total = %d, want 1", got)
 	}
 	r1()
 	if _, ok := srv.Admit(); !ok {

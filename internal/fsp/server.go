@@ -47,12 +47,11 @@ type Server struct {
 	// latency histograms. Set via SetClock before Serve.
 	clock func() int64
 
-	// The session gate (see guard.go). Both handles are nil until
-	// Guard is called, and every use is nil-safe — the disabled default
-	// admits everything at ~zero cost.
+	// The session gate (see guard.go). It is nil until Guard is
+	// called, and every use is nil-safe — the disabled default admits
+	// everything at ~zero cost.
 	maxSessions int
 	gate        *guard.Gate
-	shedC       *obs.Counter
 
 	wg      sync.WaitGroup
 	stateMu sync.Mutex // guards closing/listener/conns against Serve↔Close races
@@ -160,14 +159,13 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // Admit runs the server's admission control — the session gate —
-// exactly as serveConn does for a network connection, and counts a
-// shed on refusal. On success the returned release must be called when
-// the session ends (serveConn defers it). In-process harnesses (atmctl
-// flood) use Admit + LocalSession to push load through the real session
-// gate without sockets.
+// exactly as serveConn does for a network connection; the gate counts
+// a refusal as a shed. On success the returned release must be called
+// when the session ends (serveConn defers it). In-process harnesses
+// (atmctl flood) use Admit + LocalSession to push load through the real
+// session gate without sockets.
 func (s *Server) Admit() (release func(), ok bool) {
 	if !s.gate.TryAcquire() {
-		s.shedC.Inc()
 		return nil, false
 	}
 	return s.gate.Release, true

@@ -188,3 +188,22 @@ func TestOpString(t *testing.T) {
 		t.Error("unknown opcode has empty name")
 	}
 }
+
+// TestExecutedCountMatchesFreshRun: the retired count NewSuite keeps
+// from each golden run equals a fresh run's, for programs of several
+// lengths and seeds.
+func TestExecutedCountMatchesFreshRun(t *testing.T) {
+	for _, tc := range []struct {
+		seed     uint64
+		count, n int
+	}{{1, 4, 400}, {7, 6, 50}, {42, 3, 1000}} {
+		s := NewSuite(tc.seed, tc.count, tc.n)
+		for i, p := range s.Programs {
+			var m Machine
+			m.Run(p)
+			if got := s.ExecutedCount(i); got != m.Executed {
+				t.Errorf("seed %d program %d: ExecutedCount %d, a fresh run retires %d", tc.seed, i, got, m.Executed)
+			}
+		}
+	}
+}

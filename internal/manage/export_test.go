@@ -77,3 +77,10 @@ func CalibrateFreqPredictorReference(m *chip.Machine, label string) (FreqPredict
 	}
 	return FreqPredictor{Core: label, Fit: fit}, nil
 }
+
+// CalibrateFreqPredictorsSolves runs CalibrateFreqPredictors and returns
+// how many chip states it solved.
+func CalibrateFreqPredictorsSolves(m *chip.Machine, labels []string) (int, error) {
+	_, n, err := calibrateFreqPredictors(m, labels)
+	return n, err
+}

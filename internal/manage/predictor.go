@@ -8,6 +8,7 @@ package manage
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/chip"
 	"repro/internal/stats"
@@ -51,80 +52,187 @@ func (fp FreqPredictor) MHzPerWatt() float64 { return -fp.Fit.Slope }
 //
 // The machine's workload assignment is restored afterwards.
 func CalibrateFreqPredictor(m *chip.Machine, label string) (FreqPredictor, error) {
-	ch, err := m.ChipOf(label)
+	fps, err := CalibrateFreqPredictors(m, []string{label})
 	if err != nil {
 		return FreqPredictor{}, err
 	}
-	// Save and restore sibling state.
-	type saved struct {
-		w      workload.Profile
-		mode   chip.Mode
-		pstate units.MHz
-	}
-	before := map[string]saved{}
-	for _, c := range ch.Cores {
-		before[c.Profile.Label] = saved{c.Workload(), c.Mode(), c.PState()}
-	}
+	return fps[0], nil
+}
+
+// CalibrateFreqPredictors fits the Eq. 1 model of every listed core, in
+// order, each exactly as CalibrateFreqPredictor fits it alone. A rung
+// solves only its core's chip, and a chip state is solved once however
+// often the ladders meet it: one core's 32 rungs hold 22 distinct
+// states, and an 8-core chip's eight ladders 148 instead of 176, since
+// a state with k coremark co-runners recurs for every target among
+// them.
+//
+// The machine's workload assignment is restored afterwards.
+func CalibrateFreqPredictors(m *chip.Machine, labels []string) ([]FreqPredictor, error) {
+	fps, _, err := calibrateFreqPredictors(m, labels)
+	return fps, err
+}
+
+// ladderLoads are the co-runner levels of the calibration ladder: idle,
+// then k stream, k coremark and k daxpy co-runners. A chip state is
+// keyed by each core's index in this list.
+var ladderLoads = []workload.Profile{workload.Idle, workload.Stream, workload.Coremark, workload.Daxpy}
+
+// ladderTarget is the index of the load the target core runs on every
+// rung, so the core is busy whatever its siblings run.
+const ladderTarget = 2
+
+// calibrateFreqPredictors is CalibrateFreqPredictors that also returns
+// how many chip states it solved.
+func calibrateFreqPredictors(m *chip.Machine, labels []string) ([]FreqPredictor, int, error) {
+	out := make([]FreqPredictor, len(labels))
+	var ladders []*ladder
 	defer func() {
-		for _, c := range ch.Cores {
-			s := before[c.Profile.Label]
-			c.SetWorkload(s.w)
-			c.SetMode(s.mode)
-			if err := c.SetPState(s.pstate); err != nil {
-				panic(err) // restoring a previously valid p-state cannot fail
-			}
+		for _, l := range ladders {
+			l.restore()
 		}
 	}()
+	for i, label := range labels {
+		ch, err := m.ChipOf(label)
+		if err != nil {
+			return nil, 0, err
+		}
+		var l *ladder
+		for _, have := range ladders {
+			if have.chip == ch {
+				l = have
+			}
+		}
+		if l == nil {
+			l = newLadder(m, ch, len(labels))
+			ladders = append(ladders, l)
+		}
+		fp, err := l.fit(label)
+		if err != nil {
+			return nil, 0, err
+		}
+		out[i] = fp
+	}
+	solves := 0
+	for _, l := range ladders {
+		solves += len(l.states)
+	}
+	return out, solves, nil
+}
 
-	// Load ladder: idle → k stream → k coremark → k daxpy co-runners.
-	loads := []workload.Profile{workload.Idle, workload.Stream, workload.Coremark, workload.Daxpy}
-	xs := make([]float64, 0, len(loads)*len(ch.Cores))
-	ys := make([]float64, 0, len(loads)*len(ch.Cores))
-	for li, load := range loads {
-		for n := 0; n < len(ch.Cores); n++ {
-			// A rung with no loaded sibling (every step of the idle load,
-			// and step 0 of the others) is the ladder's first chip state:
-			// the target busy, its siblings idle. Solve has no side
-			// effects, so that state is solved once and its sample reused.
-			if len(xs) > 0 && (li == 0 || n == 0) {
-				xs = append(xs, xs[0])
-				ys = append(ys, ys[0])
-				continue
-			}
-			placed := 0
-			for _, c := range ch.Cores {
-				if c.Profile.Label == label {
-					c.SetWorkload(workload.Coremark) // keep the target core busy
-					continue
-				}
-				if placed < n {
-					c.SetWorkload(load)
-					placed++
-				} else {
-					c.SetWorkload(workload.Idle)
-				}
-			}
-			st, err := m.Solve()
-			if err != nil {
-				return FreqPredictor{}, err
-			}
-			cs, err := st.ChipState(ch.Profile.Label)
-			if err != nil {
-				return FreqPredictor{}, err
-			}
-			core, err := st.CoreState(label)
-			if err != nil {
-				return FreqPredictor{}, err
-			}
-			xs = append(xs, float64(cs.Power))
-			ys = append(ys, float64(core.Freq))
+// ladder walks one chip's calibration ladders. Every rung sets every
+// core's workload, so a rung's chip state is the load each core runs,
+// and the state's chip power and core frequencies are solved once and
+// kept in states for every later rung that meets it: states holds one
+// entry per solve.
+type ladder struct {
+	chip   *chip.Chip
+	solver *chip.ChipSolver
+	saved  []workload.Profile
+
+	loads  []byte         // the rung's load index per core
+	states map[string]int // a chip state's loads → its offset in results
+	// keys holds the bytes of every key in states back to back, each key
+	// a substring of keys.String(), so recording a state allocates
+	// nothing once keys has grown to the ladder's size.
+	keys strings.Builder
+	// results holds each solved state's chip power followed by its
+	// cores' frequencies.
+	results []float64
+	xs, ys  []float64 // the walk's samples, one per rung
+}
+
+// newLadder prepares the ladders of up to targets cores of ch, sized so
+// its walks allocate nothing more.
+func newLadder(m *chip.Machine, ch *chip.Chip, targets int) *ladder {
+	n := len(ch.Cores)
+	rungs := len(ladderLoads) * n
+	states := min(targets, n) * (1 + (len(ladderLoads)-1)*(n-1))
+	l := &ladder{
+		chip:    ch,
+		solver:  m.NewChipSolver(ch),
+		saved:   make([]workload.Profile, n),
+		loads:   make([]byte, n),
+		states:  make(map[string]int, states),
+		results: make([]float64, 0, states*(n+1)),
+		xs:      make([]float64, rungs),
+		ys:      make([]float64, rungs),
+	}
+	for i, c := range ch.Cores {
+		l.saved[i] = c.Workload()
+	}
+	l.keys.Grow(states * n)
+	return l
+}
+
+// fit walks label's ladder, idle → k stream → k coremark → k daxpy
+// co-runners for k = 0 … n−1, and fits its samples.
+func (l *ladder) fit(label string) (FreqPredictor, error) {
+	target := -1
+	for i, c := range l.chip.Cores {
+		if c.Profile.Label == label {
+			target = i
 		}
 	}
-	fit, err := stats.FitLinear(xs, ys)
+	n := len(l.loads)
+	for li := range ladderLoads {
+		for k := 0; k < n; k++ {
+			placed := 0
+			for i := range l.loads {
+				switch {
+				case i == target:
+					l.loads[i] = ladderTarget
+				case placed < k:
+					l.loads[i] = byte(li)
+					placed++
+				default:
+					l.loads[i] = 0
+				}
+			}
+			at, ok := l.states[string(l.loads)]
+			if !ok {
+				var err error
+				if at, err = l.solve(); err != nil {
+					return FreqPredictor{}, err
+				}
+			}
+			l.xs[li*n+k] = l.results[at]
+			l.ys[li*n+k] = l.results[at+1+target]
+		}
+	}
+	fit, err := stats.FitLinear(l.xs, l.ys)
 	if err != nil {
 		return FreqPredictor{}, fmt.Errorf("manage: freq predictor for %s: %w", label, err)
 	}
 	return FreqPredictor{Core: label, Fit: fit}, nil
+}
+
+// solve runs the chip under the rung's loads and records the state,
+// returning its offset in results.
+func (l *ladder) solve() (int, error) {
+	for i, c := range l.chip.Cores {
+		c.SetWorkload(ladderLoads[l.loads[i]])
+	}
+	p, err := l.solver.Solve()
+	if err != nil {
+		return 0, err
+	}
+	at := len(l.results)
+	l.results = append(l.results, float64(p))
+	for i := range l.chip.Cores {
+		l.results = append(l.results, float64(l.solver.Freq(i)))
+	}
+	start := l.keys.Len()
+	l.keys.Write(l.loads)
+	l.states[l.keys.String()[start:]] = at
+	return at, nil
+}
+
+// restore puts back the workloads the chip's cores ran before the walk.
+func (l *ladder) restore() {
+	for i, c := range l.chip.Cores {
+		c.SetWorkload(l.saved[i])
+	}
 }
 
 // PerfPredictor is one application's Fig. 12b model: performance
@@ -177,12 +285,17 @@ func CalibratePredictors(m *chip.Machine) (*PredictorSet, error) {
 		Perf: map[string]PerfPredictor{},
 		Base: base,
 	}
-	for _, core := range m.AllCores() {
-		fp, err := CalibrateFreqPredictor(m, core.Profile.Label)
-		if err != nil {
-			return nil, err
-		}
-		ps.Freq[core.Profile.Label] = fp
+	cores := m.AllCores()
+	labels := make([]string, len(cores))
+	for i, core := range cores {
+		labels[i] = core.Profile.Label
+	}
+	fps, err := CalibrateFreqPredictors(m, labels)
+	if err != nil {
+		return nil, err
+	}
+	for _, fp := range fps {
+		ps.Freq[fp.Core] = fp
 	}
 	for _, app := range workload.Realistic() {
 		pp, err := CalibratePerfPredictor(app, base)

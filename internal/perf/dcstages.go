@@ -16,9 +16,11 @@ import (
 // single-goroutine and alloc-stable — the budget loop and placement
 // scan run every sim tick, so their allocs/op must stay at zero. The
 // intake's per-core Eq. 1 calibration on a generated single-chip node
-// pins its allocs/op too: each solve it adds allocates, so a ladder
-// that solves more rungs trips the gate. Fixtures are built outside Run
-// so the setup cost never leaks into the per-op counts.
+// pins its allocs/op too: its ladder allocates once per chip and its
+// chip solves not at all, so an allocation added to a rung or a solve
+// trips the gate (manage's tests pin how many states it solves).
+// Fixtures are built outside Run so the setup cost never leaks into the
+// per-op counts.
 func dcStages(quick bool) ([]Stage, error) {
 	const chips = 2 * 4 * 8
 	idle := make([]float64, chips)

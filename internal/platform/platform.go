@@ -59,8 +59,9 @@ type Server struct {
 
 // Build materializes the spec: silicon, machine, faults.
 func Build(spec Spec) (*Server, error) {
-	profile := silicon.Reference()
-	if spec.SiliconSeed != 0 {
+	var profile *silicon.ServerProfile
+	switch {
+	case spec.SiliconSeed != 0:
 		var err error
 		profile, err = silicon.Generate(spec.SiliconSeed, silicon.GenerateOptions{
 			Chips:        spec.Chips,
@@ -69,8 +70,10 @@ func Build(spec Spec) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-	} else if spec.Chips != 0 || spec.CoresPerChip != 0 {
+	case spec.Chips != 0 || spec.CoresPerChip != 0:
 		return nil, errors.New("platform: chip/core count overrides require a non-zero silicon seed")
+	default:
+		profile = silicon.Reference()
 	}
 	m, err := chip.New(profile, chip.Options{})
 	if err != nil {
@@ -210,9 +213,9 @@ func (p *Provision) View() (NodeView, error) {
 }
 
 // ProvisionServer runs the datacenter intake pass on a built server:
-// stress-test deployment (tuning.Deploy), then per-core Eq. 1
-// frequency-predictor calibration and the idle/loaded power envelope
-// per chip. The result is a pure function of (server spec, options) —
+// stress-test deployment (tuning.Deploy), then per chip the idle/loaded
+// power envelope and the Eq. 1 frequency predictors of its live cores,
+// fitted in one ladder walk (manage.CalibrateFreqPredictors). The result is a pure function of (server spec, options) —
 // exactly what the fleet's dcprovision job kind caches and what the
 // dc scheduler and budget hierarchy consume.
 func ProvisionServer(srv *Server, o ProvisionOptions) (*Provision, error) {
@@ -239,27 +242,33 @@ func ProvisionServer(srv *Server, o ProvisionOptions) (*Provision, error) {
 			return nil, err
 		}
 		cp.IdleW, cp.LoadedW = idleW, loadedW
+		var live []string
 		for _, core := range chp.Cores {
 			cfg, ok := cfgByCore[core.Profile.Label]
 			if !ok {
 				return nil, fmt.Errorf("platform: deployment has no config for core %s", core.Profile.Label)
 			}
-			rec := CoreProvision{
+			cp.Cores = append(cp.Cores, CoreProvision{
 				Core:          cfg.Core,
 				StressLimit:   cfg.StressLimit,
 				Reduction:     cfg.Reduction,
 				IdleFreqMHz:   float64(cfg.IdleFreq),
 				LoadedFreqMHz: float64(cfg.LoadedFreq),
 				Quarantined:   cfg.Quarantined,
-			}
+			})
 			if !cfg.Quarantined {
-				fp, err := manage.CalibrateFreqPredictor(m, cfg.Core)
-				if err != nil {
-					return nil, err
-				}
-				rec.FreqSlope, rec.FreqIntercept = fp.Fit.Slope, fp.Fit.Intercept
+				live = append(live, cfg.Core)
 			}
-			cp.Cores = append(cp.Cores, rec)
+		}
+		fps, err := manage.CalibrateFreqPredictors(m, live)
+		if err != nil {
+			return nil, err
+		}
+		for i := range cp.Cores {
+			if rec := &cp.Cores[i]; !rec.Quarantined {
+				rec.FreqSlope, rec.FreqIntercept = fps[0].Fit.Slope, fps[0].Fit.Intercept
+				fps = fps[1:]
+			}
 		}
 		out.Chips = append(out.Chips, cp)
 	}

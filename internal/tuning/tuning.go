@@ -233,13 +233,13 @@ func StressTestCore(m *chip.Machine, label string, o Options, src *rng.Source) (
 
 // ISAVerify executes the deployment's final path-coverage pass with the
 // executable ISA substrate: a battery of generated self-checking test
-// programs (full opcode coverage, golden signatures) run per core at the
-// deployed configuration. A clean pass means the correctness machinery
-// itself — generation, execution, signature compare — is sound; whether
-// a core's *timing* survives is the stress battery's job, and a core
-// whose trial draws an SDC manifestation must be caught by exactly this
-// signature compare.
-func ISAVerify(m *chip.Machine, programs, length int, seed uint64, src *rng.Source) (clean bool, caught bool, err error) {
+// programs (full opcode coverage, golden signatures), each run three
+// times: its golden run, the self-check and one upset run. A clean pass
+// means the correctness machinery itself — generation, execution,
+// signature compare — is sound; whether a core's *timing* survives is
+// the stress battery's job, and a core whose trial draws an SDC
+// manifestation must be caught by exactly this signature compare.
+func ISAVerify(programs, length int, seed uint64, src *rng.Source) (clean bool, caught bool, err error) {
 	suite := isa.NewSuite(seed, programs, length)
 	if idx := suite.Verify(); idx >= 0 {
 		return false, false, fmt.Errorf("tuning: ISA suite self-check failed at program %d", idx)
@@ -338,7 +338,7 @@ func Deploy(m *chip.Machine, opts Options) (*Deployment, error) {
 	}
 
 	// Final path-coverage pass with the executable ISA substrate.
-	clean, caught, err := ISAVerify(m, 4, 400, o.Seed, root.Split("isa-verify"))
+	clean, caught, err := ISAVerify(4, 400, o.Seed, root.Split("isa-verify"))
 	if err != nil {
 		return nil, err
 	}
