@@ -10,33 +10,19 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // Client is the operator-plane counterpart of Session: it drives the
-// line protocol over any transport and survives the transport being
-// imperfect. Every command gets a per-command I/O timeout (when the
-// transport supports deadlines), a bounded retry budget, and response
-// re-synchronization: after a dropped or garbled response line the
-// client exchanges a ping token and discards stale lines until the
-// echo comes back, so one lost byte cannot skew every subsequent
-// response. A retry re-syncs and resends at once: the client never
-// sleeps, so a retry costs no wall time beyond its own reads and
-// writes.
-//
-// In-band "err ..." responses are protocol results, not transport
-// faults: each is returned as *CmdError on the first attempt. Resending
-// on the same connection fixes none of them; the session gate's
-// "err busy", for one, is the last line before it closes the
-// connection.
+// line protocol over any transport, writing one command line and
+// reading one reply line per command. A failed write or read, or a
+// reply that is not a protocol line, fails that command with an error
+// naming it; the client does not resend. In-band "err ..." replies are
+// protocol results, returned as *CmdError: resending on the same
+// connection fixes none of them, and the session gate's "err busy", for
+// one, is the last line before it closes the connection.
 type Client struct {
-	rw  io.ReadWriter
-	br  *bufio.Reader
-	opt ClientOptions
-	seq int
-	ob  clientObs
+	rw io.ReadWriter
+	br *bufio.Reader
 
 	// wbuf is the outgoing command line, long holds a reply line too
 	// long for br's buffer, and margins is the slice Margins returns;
@@ -46,64 +32,10 @@ type Client struct {
 	margins []CoreMargin
 }
 
-// clientObs is the client's pre-resolved metric handle set. The zero
-// value (all nil) is the disabled plane; every use is a nil-safe no-op.
-type clientObs struct {
-	commands  *obs.Counter
-	retries   *obs.Counter
-	resyncs   *obs.Counter
-	discarded *obs.Counter
-	exhausted *obs.Counter
-	attempts  *obs.Histogram // attempts consumed per command (1 = clean)
-}
-
-func newClientObs(r *obs.Registry) clientObs {
-	if r == nil {
-		return clientObs{}
-	}
-	return clientObs{
-		commands:  r.Counter("fsp_client_commands_total"),
-		retries:   r.Counter("fsp_client_retries_total"),
-		resyncs:   r.Counter("fsp_client_resyncs_total"),
-		discarded: r.Counter("fsp_client_discarded_total"),
-		exhausted: r.Counter("fsp_client_exhausted_total"),
-		// The command "latency" of a simulated link is how many attempts
-		// it took, not wall time — wall time would break determinism.
-		attempts: r.Histogram("fsp_client_attempts_per_command", []float64{1, 2, 3, 4, 8}),
-	}
-}
-
-// ClientOptions tunes the client's resilience envelope.
-type ClientOptions struct {
-	// Retries is the number of additional attempts after the first
-	// failed one. Default 3; negative means none, one attempt per
-	// command.
-	Retries int
-	// Timeout bounds each read and write when the transport supports
-	// deadlines (net.Conn, net.Pipe). Default 2s; negative disables.
-	Timeout time.Duration
-	// Obs, when non-nil, counts what the resilience machinery absorbed
-	// (commands, retries, resyncs, discarded lines, exhausted budgets)
-	// as fsp_client_* metrics, plus a histogram of attempts consumed
-	// per command. Nil disables at ~zero cost.
-	Obs *obs.Registry
-}
-
-func (o ClientOptions) withDefaults() ClientOptions {
-	if o.Retries == 0 {
-		o.Retries = 3
-	} else if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.Timeout == 0 {
-		o.Timeout = 2 * time.Second
-	}
-	return o
-}
-
-// resyncWindow is how many stale lines a re-sync may discard while
-// hunting for its pong before the attempt is abandoned.
-const resyncWindow = 32
+// ClientOptions is empty: the client has no settings. It stays as
+// NewClient's second parameter only because atmbench, the repository's
+// benchmark module, calls NewClient(rw, ClientOptions{}).
+type ClientOptions struct{}
 
 // CmdError is an in-band protocol error: the server executed, rejected
 // or shed the command and said "err ...".
@@ -114,50 +46,16 @@ type CmdError struct {
 
 func (e *CmdError) Error() string { return fmt.Sprintf("fsp: %q: %s", e.Cmd, e.Msg) }
 
-// ErrExhausted wraps the last failure after the retry budget is spent.
-var ErrExhausted = errors.New("retry budget exhausted")
-
 // NewClient wraps a transport. The transport is used from one goroutine
 // at a time.
-func NewClient(rw io.ReadWriter, opts ClientOptions) *Client {
-	o := opts.withDefaults()
-	return &Client{rw: rw, br: bufio.NewReaderSize(rw, 4096), opt: o, ob: newClientObs(o.Obs)}
+func NewClient(rw io.ReadWriter, _ ClientOptions) *Client {
+	return &Client{rw: rw, br: bufio.NewReaderSize(rw, 4096)}
 }
 
-// deadlined is the optional transport surface the per-command timeout
-// uses; net.Conn and net.Pipe both provide it.
-type deadlined interface {
-	SetReadDeadline(t time.Time) error
-	SetWriteDeadline(t time.Time) error
-}
-
-func (c *Client) armRead() {
-	if d, ok := c.rw.(deadlined); ok && c.opt.Timeout > 0 {
-		//lint:ignore errdrop,detflow best-effort deadline arming: a transport that refuses deadlines degrades to blocking reads, which the caller accepted by providing it; wall time bounds how long a read may block, never what it returns, and the in-memory loopback the simulation uses never hits the deadline
-		d.SetReadDeadline(time.Now().Add(c.opt.Timeout))
-	}
-}
-
-func (c *Client) armWrite() {
-	if d, ok := c.rw.(deadlined); ok && c.opt.Timeout > 0 {
-		//lint:ignore errdrop,detflow best-effort deadline arming: a transport that refuses deadlines degrades to blocking writes, which the caller accepted by providing it; wall time bounds how long a write may block, never what it returns, and the in-memory loopback the simulation uses never hits the deadline
-		d.SetWriteDeadline(time.Now().Add(c.opt.Timeout))
-	}
-}
-
-// writeLine sends one command line.
-func (c *Client) writeLine(line string) error {
-	c.armWrite()
-	c.wbuf = append(append(c.wbuf[:0], line...), '\n')
-	_, err := c.rw.Write(c.wbuf)
-	return err
-}
-
-// readLine reads one response line under the per-command deadline,
-// with its line ending trimmed. The line is a view of the client's read
-// buffer, valid until the next read.
+// readLine reads one response line with its line ending trimmed. The
+// line is a view of the client's read buffer, valid until the next
+// read.
 func (c *Client) readLine() ([]byte, error) {
-	c.armRead()
 	line, err := c.br.ReadSlice('\n')
 	if errors.Is(err, bufio.ErrBufferFull) {
 		c.long = append(c.long[:0], line...)
@@ -199,36 +97,9 @@ func parseResponse(line []byte) (response, bool) {
 	}
 }
 
-// resync drains the transport of stale response lines: it sends a ping
-// with a fresh token and discards everything until the matching pong
-// arrives. Called after any attempt whose response was lost or garbled,
-// so the next command starts aligned.
-func (c *Client) resync() error {
-	c.seq++
-	token := fmt.Sprintf("sync-%d", c.seq)
-	c.ob.resyncs.Inc()
-	if err := c.writeLine("ping " + token); err != nil {
-		return err
-	}
-	want := "ok pong " + token
-	for i := 0; i < resyncWindow; i++ {
-		line, err := c.readLine()
-		if err != nil {
-			return err
-		}
-		if string(line) == want {
-			return nil
-		}
-		c.ob.discarded.Inc()
-	}
-	return fmt.Errorf("fsp: resync token %s not echoed within %d lines", token, resyncWindow)
-}
-
-// Exec runs one command with the full resilience envelope and returns
-// the "ok" payload. An in-band error returns *CmdError at once.
-// Transport faults (a failed read or write, a garbled reply) are
-// retried, each after a re-sync, until the budget is spent, then
-// reported wrapping ErrExhausted.
+// Exec runs one command and returns the "ok" payload. An in-band error
+// returns *CmdError; a failed write or read, or a reply that is not a
+// protocol line, returns an error naming the command.
 func (c *Client) Exec(cmd string) (string, error) {
 	payload, err := c.exec(cmd)
 	if err != nil {
@@ -237,44 +108,25 @@ func (c *Client) Exec(cmd string) (string, error) {
 	return string(payload), nil
 }
 
-// exec is Exec's retry loop. The payload it returns is a view of the
-// client's read buffer, valid until the next command.
+// exec sends cmd and reads its reply. The payload it returns is a view
+// of the client's read buffer, valid until the next command.
 func (c *Client) exec(cmd string) ([]byte, error) {
-	c.ob.commands.Inc()
-	var lastErr error
-	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
-		if attempt > 0 {
-			c.ob.retries.Inc()
-			if err := c.resync(); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		if err := c.writeLine(cmd); err != nil {
-			lastErr = err
-			continue
-		}
-		line, err := c.readLine()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp, wellFormed := parseResponse(line)
-		if !wellFormed {
-			c.ob.discarded.Inc()
-			lastErr = fmt.Errorf("fsp: garbled response %q", line)
-			continue
-		}
-		c.ob.attempts.Observe(float64(attempt + 1))
-		if resp.isErr {
-			return nil, &CmdError{Cmd: cmd, Msg: string(resp.payload)}
-		}
-		return resp.payload, nil
+	c.wbuf = append(append(c.wbuf[:0], cmd...), '\n')
+	if _, err := c.rw.Write(c.wbuf); err != nil {
+		return nil, fmt.Errorf("fsp: %q: write: %w", cmd, err)
 	}
-	c.ob.exhausted.Inc()
-	c.ob.attempts.Observe(float64(c.opt.Retries + 1))
-	return nil, fmt.Errorf("fsp: %q failed after %d attempts: %w: %w",
-		cmd, c.opt.Retries+1, ErrExhausted, lastErr)
+	line, err := c.readLine()
+	if err != nil {
+		return nil, fmt.Errorf("fsp: %q: read: %w", cmd, err)
+	}
+	resp, wellFormed := parseResponse(line)
+	if !wellFormed {
+		return nil, fmt.Errorf("fsp: %q: garbled response %q", cmd, line)
+	}
+	if resp.isErr {
+		return nil, &CmdError{Cmd: cmd, Msg: string(resp.payload)}
+	}
+	return resp.payload, nil
 }
 
 // CPM reads a core's current inserted-delay reduction.
@@ -311,9 +163,8 @@ type CoreMargin struct {
 }
 
 // Margins reads every core's CPM slack margin in one round trip, in
-// the server's register address order. The read rides the full
-// resilience envelope: lost and garbled reply lines are retried with
-// re-sync like any other command.
+// the server's register address order. A lost or garbled reply fails
+// the poll like any other command.
 //
 // The returned slice is owned by the client and valid until the next
 // call, which reuses it: the sentinel polls every epoch, and a poll

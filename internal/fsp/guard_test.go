@@ -188,7 +188,7 @@ func TestClientGetsBusyOverTCP(t *testing.T) {
 	defer conn.Close()
 	_, err = NewClient(conn, ClientOptions{}).Exec("cores")
 	var cerr *CmdError
-	if !errors.As(err, &cerr) || cerr.Msg != "busy" || errors.Is(err, ErrExhausted) {
-		t.Fatalf("shed client got %v, want the in-band busy line as a *CmdError on the first attempt", err)
+	if !errors.As(err, &cerr) || cerr.Msg != "busy" {
+		t.Fatalf("shed client got %v, want the in-band busy line as a *CmdError", err)
 	}
 }

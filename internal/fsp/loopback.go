@@ -13,10 +13,9 @@ import (
 // next Read drains. Because execution happens inline on the caller's
 // goroutine, a client driven over a Loopback is fully deterministic —
 // the closed-loop consumers (the lifetime margin sentinel, tests) get
-// operator-plane semantics, retries and all, without any scheduling.
-// A test can wrap a Loopback in a reader that drops or garbles response
-// lines to make the link lossy while the session underneath stays
-// healthy.
+// operator-plane semantics without any scheduling. A test can wrap a
+// Loopback in a reader that drops or garbles response lines to make the
+// link lossy while the session underneath stays healthy.
 type Loopback struct {
 	s *Session
 	// pending accumulates written bytes until a full line arrives.
@@ -62,8 +61,8 @@ func (l *Loopback) Write(p []byte) (int, error) {
 }
 
 // Read drains buffered response lines. With nothing buffered it
-// reports io.EOF; a retrying client treats that as a lost response,
-// re-syncs, and the next Write replenishes the buffer.
+// reports io.EOF, which fails the command a client is reading for; the
+// next Write replenishes the buffer.
 func (l *Loopback) Read(p []byte) (int, error) {
 	if l.read == len(l.out) {
 		return 0, io.EOF

@@ -27,7 +27,7 @@ import (
 //	margins                           every core's CPM slack margin (sigmas)
 //	chip <P0|P1>                      chip telemetry line
 //	cores                             list core labels
-//	ping <token>                      echo (client liveness / re-sync)
+//	ping <token>                      echo (client liveness probe)
 //	stats                             read-only metrics snapshot (JSON)
 //	health                            read-only session-gate state (JSON)
 //	quit                              end the session
@@ -449,8 +449,8 @@ func (s *Session) dispatch(dst []byte, cmd string, args []string) ([]byte, error
 		if len(args) != 1 {
 			return dst, fmt.Errorf("usage: ping <token>")
 		}
-		// Echo for liveness probes and client re-sync: the token lets a
-		// client discard stale response lines after a transport fault.
+		// Echo for liveness probes: the token lets a client tell its
+		// probe's reply from any other line.
 		return append(append(dst, "pong "...), args[0]...), nil
 
 	case "stats":

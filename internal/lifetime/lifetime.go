@@ -148,8 +148,8 @@ var workMix = []workload.Profile{workload.X264, workload.Deepsjeng, workload.MCF
 
 // actuator translates sentinel decisions into FSP-plane operations on
 // the simulated machine. Control actions go through the operator
-// client — the same retrying protocol path a test-floor script uses —
-// so every intervention is observable at the protocol layer.
+// client — the same protocol path a test-floor script uses — so every
+// intervention is observable at the protocol layer.
 type actuator struct {
 	m    *chip.Machine
 	cli  *fsp.Client

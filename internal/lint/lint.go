@@ -205,8 +205,8 @@ var errPackages = []string{"repro/cmd/", "repro/internal/fsp"}
 
 // nonSimPackages are the packages under repro/internal that are not
 // simulation code: the operator protocol, which times live sessions
-// and backs off on the wall clock, this linter, the performance
-// harness, and the blessed RNG.
+// on the wall clock, this linter, the performance harness, and the
+// blessed RNG.
 var nonSimPackages = []string{"fsp", "lint", "perf", "rng"}
 
 // isSimPackage reports whether detflow treats path as simulation code:

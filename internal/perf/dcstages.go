@@ -15,10 +15,11 @@ import (
 // sim tick clock, as a live node's do in dc.Run. Both are
 // single-goroutine and alloc-stable — the budget loop and placement
 // scan run every sim tick, so their allocs/op must stay at zero. The
-// intake's per-core Eq. 1 calibration on a generated single-chip node
-// pins its allocs/op too: its ladder allocates once per chip and its
-// chip solves not at all, so an allocation added to a rung or a solve
-// trips the gate (manage's tests pin how many states it solves).
+// intake's Eq. 1 calibration of a generated single-chip node's eight
+// cores, the call platform.ProvisionServer makes per chip, pins its
+// allocs/op too: its ladder allocates once per chip and its chip solves
+// not at all, so an allocation added to a rung or a solve trips the
+// gate (manage's tests pin how many states it solves).
 // Fixtures are built outside Run so the setup cost never leaks into the
 // per-op counts.
 func dcStages(quick bool) ([]Stage, error) {
@@ -63,7 +64,10 @@ func dcStages(quick bool) ([]Stage, error) {
 	if err != nil {
 		return nil, err
 	}
-	calCore := node.AllCores()[0].Profile.Label
+	var calCores []string
+	for _, c := range node.AllCores() {
+		calCores = append(calCores, c.Profile.Label)
+	}
 
 	return []Stage{
 		{
@@ -112,15 +116,15 @@ func dcStages(quick bool) ([]Stage, error) {
 		},
 		{
 			Name: "manage_calibrate", Group: "dc", AllocStable: true,
-			Note:  "one core's Eq. 1 calibration ladder on a generated single-chip node (manage.CalibrateFreqPredictor)",
-			Iters: pick(quick, 200, 2_000),
+			Note:  "Eq. 1 calibration ladders of a generated single-chip node's 8 cores, as intake runs them (manage.CalibrateFreqPredictors)",
+			Iters: pick(quick, 30, 300),
 			Run: func(iters int) (int64, error) {
 				for i := 0; i < iters; i++ {
-					fp, err := manage.CalibrateFreqPredictor(node, calCore)
+					fps, err := manage.CalibrateFreqPredictors(node, calCores)
 					if err != nil {
 						return 0, err
 					}
-					sinkF = fp.Fit.Slope
+					sinkF = fps[0].Fit.Slope
 				}
 				return int64(iters), nil
 			},

@@ -20,8 +20,6 @@ import (
 	"repro/internal/manage"
 	"repro/internal/silicon"
 	"repro/internal/tuning"
-	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // Spec names a server completely: identical specs build identical
@@ -214,10 +212,12 @@ func (p *Provision) View() (NodeView, error) {
 
 // ProvisionServer runs the datacenter intake pass on a built server:
 // stress-test deployment (tuning.Deploy), then per chip the idle/loaded
-// power envelope and the Eq. 1 frequency predictors of its live cores,
-// fitted in one ladder walk (manage.CalibrateFreqPredictors). The result is a pure function of (server spec, options) —
-// exactly what the fleet's dcprovision job kind caches and what the
-// dc scheduler and budget hierarchy consume.
+// power envelope, read from the two corner states Deploy solved, and
+// the Eq. 1 frequency predictors of its live cores, fitted in one
+// ladder walk (manage.CalibrateFreqPredictors). The result is a pure
+// function of (server spec, options) — exactly what the fleet's
+// dcprovision job kind caches and what the dc scheduler and budget
+// hierarchy consume.
 func ProvisionServer(srv *Server, o ProvisionOptions) (*Provision, error) {
 	m := srv.Machine
 	dep, err := tuning.Deploy(m, tuning.Options{
@@ -236,12 +236,15 @@ func ProvisionServer(srv *Server, o ProvisionOptions) (*Provision, error) {
 
 	out := &Provision{SiliconSeed: srv.Spec.SiliconSeed, SpeedDiffMHz: dep.SpeedDifferentialMHz()}
 	for _, chp := range m.Chips {
-		cp := ChipProvision{Chip: chp.Profile.Label}
-		idleW, loadedW, err := chipEnvelope(m, chp)
+		idle, err := dep.Idle.ChipState(chp.Profile.Label)
 		if err != nil {
 			return nil, err
 		}
-		cp.IdleW, cp.LoadedW = idleW, loadedW
+		loaded, err := dep.Loaded.ChipState(chp.Profile.Label)
+		if err != nil {
+			return nil, err
+		}
+		cp := ChipProvision{Chip: chp.Profile.Label, IdleW: float64(idle.Power), LoadedW: float64(loaded.Power)}
 		var live []string
 		for _, core := range chp.Cores {
 			cfg, ok := cfgByCore[core.Profile.Label]
@@ -273,42 +276,4 @@ func ProvisionServer(srv *Server, o ProvisionOptions) (*Provision, error) {
 		out.Chips = append(out.Chips, cp)
 	}
 	return out, nil
-}
-
-// chipEnvelope measures a chip's idle and all-cores-daxpy steady-state
-// power at the deployed configuration, restoring the previous workload
-// assignment afterwards.
-func chipEnvelope(m *chip.Machine, ch *chip.Chip) (idleW, loadedW float64, err error) {
-	before := make([]workload.Profile, len(ch.Cores))
-	for i, c := range ch.Cores {
-		before[i] = c.Workload()
-	}
-	defer func() {
-		for i, c := range ch.Cores {
-			c.SetWorkload(before[i])
-		}
-	}()
-	measure := func(w workload.Profile) (units.Watt, error) {
-		for _, c := range ch.Cores {
-			c.SetWorkload(w)
-		}
-		st, err := m.Solve()
-		if err != nil {
-			return 0, err
-		}
-		cs, err := st.ChipState(ch.Profile.Label)
-		if err != nil {
-			return 0, err
-		}
-		return cs.Power, nil
-	}
-	idle, err := measure(workload.Idle)
-	if err != nil {
-		return 0, 0, err
-	}
-	loaded, err := measure(workload.Daxpy)
-	if err != nil {
-		return 0, 0, err
-	}
-	return float64(idle), float64(loaded), nil
 }

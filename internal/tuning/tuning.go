@@ -111,6 +111,11 @@ type CoreConfig struct {
 type Deployment struct {
 	Configs []CoreConfig
 	Opts    Options
+	// Idle and Loaded are the machine's steady state at the deployed
+	// configuration with every core idle and with every core running
+	// daxpy: the two corners each core's IdleFreq and LoadedFreq are
+	// read from.
+	Idle, Loaded chip.State
 	// ISAClean and ISADetects record the final ISA verification pass:
 	// the suite's golden signatures reproduced, and injected upsets were
 	// caught by the signature compare.
@@ -345,16 +350,14 @@ func Deploy(m *chip.Machine, opts Options) (*Deployment, error) {
 	dep.ISAClean = clean
 	dep.ISADetects = caught
 
-	// Frequencies at the two corners: all-idle and all-daxpy.
-	idleState, err := m.Solve()
-	if err != nil {
+	// The two corners: all-idle and all-daxpy.
+	if dep.Idle, err = m.Solve(); err != nil {
 		return nil, err
 	}
 	for _, core := range m.AllCores() {
 		core.SetWorkload(workload.Daxpy)
 	}
-	loadedState, err := m.Solve()
-	if err != nil {
+	if dep.Loaded, err = m.Solve(); err != nil {
 		return nil, err
 	}
 	for _, core := range m.AllCores() {
@@ -363,11 +366,11 @@ func Deploy(m *chip.Machine, opts Options) (*Deployment, error) {
 
 	for _, core := range m.AllCores() {
 		label := core.Profile.Label
-		ics, err := idleState.CoreState(label)
+		ics, err := dep.Idle.CoreState(label)
 		if err != nil {
 			return nil, err
 		}
-		lcs, err := loadedState.CoreState(label)
+		lcs, err := dep.Loaded.CoreState(label)
 		if err != nil {
 			return nil, err
 		}
