@@ -153,7 +153,9 @@ func TestMarginsRejectsNonFinite(t *testing.T) {
 	}
 }
 
-func TestLoopbackQuitAndResync(t *testing.T) {
+// TestLoopbackPingThenQuit: over a Loopback, ping echoes its token and
+// quit then answers bye.
+func TestLoopbackPingThenQuit(t *testing.T) {
 	cli, _ := loopbackClient(t, ClientOptions{})
 	if out, err := cli.Exec("ping live-1"); err != nil || out != "pong live-1" {
 		t.Fatalf("ping = %q, %v; want the token echoed", out, err)

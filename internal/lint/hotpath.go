@@ -6,9 +6,9 @@ import (
 )
 
 // HotPath checks functions annotated //atm:hotpath — the per-trial
-// CPM/DPLL/PDN step path and the obs/guard disabled fast paths whose
-// 0 allocs/op benchmark pins ROADMAP item 2 turns into a static gate —
-// for allocation- and dispatch-inducing constructs:
+// CPM/DPLL/PDN step path and the obs/guard disabled fast paths, whose
+// 0 allocs/op the benchmarks measure at run time and this rule holds
+// statically — for allocation- and dispatch-inducing constructs:
 //
 //   - function literals (closures escape to the heap when captured);
 //   - go statements (goroutine spawn) and defer (scheduling cost),

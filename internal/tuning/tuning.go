@@ -9,11 +9,13 @@
 // and temperature), an ISA verification sweep (path coverage), and the
 // voltage virus (synchronized di/dt surges on top of daxpy power) — and
 // searches each core's most aggressive configuration that sustains all
-// of them. Because a stress test by definition exceeds any real
-// workload's requirements, the resulting configuration is safe for
-// production. Vendors may roll the limit back one or two further steps
-// for an additional safety guarantee; the inter-core variation trend
-// survives rollback (Fig. 11).
+// of them. The ISA sweep is the isa-suite stressmark (workload.ISASuite),
+// run like the two viruses as trials on the core under test, whose
+// result checker catches a corrupted run. Because a stress test by
+// definition exceeds any real workload's requirements, the resulting
+// configuration is safe for production. Vendors may roll the limit
+// back one or two further steps for an additional safety guarantee;
+// the inter-core variation trend survives rollback (Fig. 11).
 package tuning
 
 import (
@@ -23,7 +25,6 @@ import (
 	"strconv"
 
 	"repro/internal/chip"
-	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/units"
@@ -110,17 +111,11 @@ type CoreConfig struct {
 // Deployment is a full server's fine-tuned configuration.
 type Deployment struct {
 	Configs []CoreConfig
-	Opts    Options
 	// Idle and Loaded are the machine's steady state at the deployed
 	// configuration with every core idle and with every core running
 	// daxpy: the two corners each core's IdleFreq and LoadedFreq are
 	// read from.
 	Idle, Loaded chip.State
-	// ISAClean and ISADetects record the final ISA verification pass:
-	// the suite's golden signatures reproduced, and injected upsets were
-	// caught by the signature compare.
-	ISAClean   bool
-	ISADetects bool
 }
 
 // Config returns the entry for a core label.
@@ -236,32 +231,6 @@ func StressTestCore(m *chip.Machine, label string, o Options, src *rng.Source) (
 	return limit, nil
 }
 
-// ISAVerify executes the deployment's final path-coverage pass with the
-// executable ISA substrate: a battery of generated self-checking test
-// programs (full opcode coverage, golden signatures), each run three
-// times: its golden run, the self-check and one upset run. A clean pass
-// means the correctness machinery itself — generation, execution,
-// signature compare — is sound; whether a core's *timing* survives is
-// the stress battery's job, and a core whose trial draws an SDC
-// manifestation must be caught by exactly this signature compare.
-func ISAVerify(programs, length int, seed uint64, src *rng.Source) (clean bool, caught bool, err error) {
-	suite := isa.NewSuite(seed, programs, length)
-	if idx := suite.Verify(); idx >= 0 {
-		return false, false, fmt.Errorf("tuning: ISA suite self-check failed at program %d", idx)
-	}
-	// Demonstrate detection: inject one register upset per program at a
-	// live point and require the signatures to catch every one.
-	caught = true
-	for i := range suite.Programs {
-		at := suite.ExecutedCount(i) / 2
-		reg := uint8(1 + src.Intn(isa.NumRegs-1))
-		if !suite.ChecksumCatches(i, at, reg, uint(src.Intn(64))) {
-			caught = false
-		}
-	}
-	return true, caught, nil
-}
-
 // Deploy runs the test-time procedure over every core and programs the
 // machine with the resulting configuration: each core at its stress-test
 // limit minus the requested rollback, in ATM mode.
@@ -275,7 +244,7 @@ func Deploy(m *chip.Machine, opts Options) (*Deployment, error) {
 		return nil, fmt.Errorf("tuning: negative rollback %d", o.Rollback)
 	}
 	root := rng.New(o.Seed)
-	dep := &Deployment{Opts: o}
+	dep := &Deployment{}
 	runs := o.Obs.Counter("atm_tune_runs_total")
 	rets := o.Obs.Counter("atm_tune_transient_retries_total")
 	quars := o.Obs.Counter("atm_tune_quarantines_total")
@@ -342,15 +311,8 @@ func Deploy(m *chip.Machine, opts Options) (*Deployment, error) {
 		core.SetMode(chip.ModeATM)
 	}
 
-	// Final path-coverage pass with the executable ISA substrate.
-	clean, caught, err := ISAVerify(4, 400, o.Seed, root.Split("isa-verify"))
-	if err != nil {
-		return nil, err
-	}
-	dep.ISAClean = clean
-	dep.ISADetects = caught
-
 	// The two corners: all-idle and all-daxpy.
+	var err error
 	if dep.Idle, err = m.Solve(); err != nil {
 		return nil, err
 	}

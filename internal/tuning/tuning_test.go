@@ -209,15 +209,3 @@ func TestConfigLookup(t *testing.T) {
 		t.Error("bogus config returned")
 	}
 }
-
-// TestISAVerificationPass: Deploy runs the executable ISA battery and
-// records both the clean self-check and the upset-detection check.
-func TestISAVerificationPass(t *testing.T) {
-	_, dep := deployed(t)
-	if !dep.ISAClean {
-		t.Error("ISA suite self-check failed during deployment")
-	}
-	if !dep.ISADetects {
-		t.Error("ISA suite failed to catch injected upsets")
-	}
-}
