@@ -117,8 +117,8 @@ type (
 	FleetResult = fleet.CampaignResult
 
 	// PlatformSpec names a simulated server completely: silicon seed
-	// (0 = the paper-calibrated reference), chip/core counts, fault
-	// profile. Identical specs build identical servers.
+	// (0 = the paper-calibrated reference), chip count, fault profile.
+	// Identical specs build identical servers.
 	PlatformSpec = platform.Spec
 	// PlatformServer is one materialized machine with its provenance.
 	PlatformServer = platform.Server

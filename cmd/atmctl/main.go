@@ -42,7 +42,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -424,15 +426,36 @@ func cmdSchedule(args []string) error {
 	}
 	crit, err := atm.WorkloadByName(*critName)
 	if err != nil {
-		return err
+		return badFlag(fs, "-critical: %v", err)
 	}
 	bg, err := atm.WorkloadByName(*bgName)
 	if err != nil {
-		return err
+		return badFlag(fs, "-background: %v", err)
+	}
+	pair := atm.Pair{Critical: crit, Background: bg}
+	if err := pair.Valid(); err != nil {
+		return badFlag(fs, "-critical %s -background %s: %v", *critName, *bgName, err)
 	}
 	scenario, err := manage.ScenarioByName(*scen)
 	if err != nil {
-		return err
+		return badFlag(fs, "-scenario: %v", err)
+	}
+	var gov atm.Governor
+	switch *governor {
+	case "default":
+		gov = atm.GovernorDefault
+	case "conservative":
+		gov = atm.GovernorConservative
+	case "aggressive":
+		gov = atm.GovernorAggressive
+	default:
+		return badFlag(fs, "-governor %q: want default, conservative or aggressive", *governor)
+	}
+	switch {
+	case !(*qos >= 0) || math.IsInf(*qos, 1):
+		return badFlag(fs, "-qos %v: want a finite, non-negative target", *qos)
+	case scenario == manage.ScenarioManagedBalanced && !(*qos > 0):
+		return badFlag(fs, "-qos %v: %s needs a positive target", *qos, scenario)
 	}
 	m, err := build()
 	if err != nil {
@@ -451,18 +474,8 @@ func cmdSchedule(args []string) error {
 	if err != nil {
 		return err
 	}
-	mgr.Obs, mgr.Trace = reg, tr
-	switch *governor {
-	case "default":
-		mgr.Governor = atm.GovernorDefault
-	case "conservative":
-		mgr.Governor = atm.GovernorConservative
-	case "aggressive":
-		mgr.Governor = atm.GovernorAggressive
-	default:
-		return fmt.Errorf("unknown governor %q", *governor)
-	}
-	ev, err := mgr.Evaluate(scenario, atm.Pair{Critical: crit, Background: bg}, *qos)
+	mgr.Obs, mgr.Trace, mgr.Governor = reg, tr, gov
+	ev, err := mgr.Evaluate(scenario, pair, *qos)
 	if err != nil {
 		return err
 	}
@@ -502,7 +515,7 @@ func cmdSweep(args []string) error {
 	}
 	core, err := m.Core(*label)
 	if err != nil {
-		return err
+		return badFlag(fs, "-core: %v", err)
 	}
 	reg, tr := attach(nil)
 	st, err := m.Solve()
@@ -550,8 +563,6 @@ func cmdFleet(args []string) error {
 		"characterize/tune: arm this fault profile on every job (per-job seeds are independent rng splits)")
 	faultSeed := fs.Uint64("fault-seed", 1, "base fault seed the per-job streams split from")
 	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory")
-	trialBudget := fs.Int64("trial-budget", 0,
-		"watchdog: per-job trial budget before the job is failed as stuck (0 = unlimited)")
 	jsonOut := fs.Bool("json", false, "emit the merged campaign result as JSON instead of a table")
 	timing := fs.Bool("timing", false,
 		"report per-job wall time on stderr (provenance only — the merged stdout output is unchanged)")
@@ -593,11 +604,10 @@ func cmdFleet(args []string) error {
 
 	reg, tr := attach(nil)
 	opts := atm.FleetOptions{
-		Workers:     *workers,
-		CacheDir:    *cacheDir,
-		TrialBudget: *trialBudget,
-		Obs:         reg,
-		Trace:       tr,
+		Workers:  *workers,
+		CacheDir: *cacheDir,
+		Obs:      reg,
+		Trace:    tr,
 	}
 	if *timing {
 		// The fleet engine is in detflow scope and never reads the wall
@@ -963,6 +973,13 @@ func renderLifetime(res *atm.FleetResult) error {
 	return nil
 }
 
+// maxTransientSteps bounds transient -steps. Machine.Transient keeps
+// every sample, a 40 B header and a 64 B frequency array for an 8-core
+// chip built by four appends: on the reference server a run holds about
+// 110 B and allocates about 340 B per interval, so 10^6 intervals hold
+// about 110 MB and make 4×10^6 allocations before the table prints.
+const maxTransientSteps = 1_000_000
+
 func cmdTransient(args []string) error {
 	fs := flag.NewFlagSet("transient", flag.ContinueOnError)
 	chipLabel := fs.String("chip", "P0", "chip to step")
@@ -974,12 +991,18 @@ func cmdTransient(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if *steps < 1 {
+	switch {
+	case *steps < 1:
 		return badFlag(fs, "-steps %d: want at least one control interval", *steps)
+	case *steps > maxTransientSteps:
+		return badFlag(fs, "-steps %d: above the %d-interval limit", *steps, maxTransientSteps)
 	}
 	m, err := build()
 	if err != nil {
 		return err
+	}
+	if !slices.ContainsFunc(m.Chips, func(c *chip.Chip) bool { return c.Profile.Label == *chipLabel }) {
+		return badFlag(fs, "-chip: no chip %q", *chipLabel)
 	}
 	if *stress {
 		for _, c := range m.AllCores() {

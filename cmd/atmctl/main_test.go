@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -24,6 +25,7 @@ func TestRunExitCodes(t *testing.T) {
 	stdout := os.Stdout
 	os.Stdout = devnull
 	defer func() { os.Stdout = stdout }()
+	unwritable := filepath.Join(t.TempDir(), "missing", "metrics.json")
 
 	tests := []struct {
 		name string
@@ -35,7 +37,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"bad flag", []string{"status", "-no-such-flag"}, 2},
 		{"help", []string{"tune", "-h"}, 2},
 		{"status ok", []string{"status"}, 0},
-		{"hard failure", []string{"sweep", "-core", "P9C9"}, 1},
+		{"hard failure", []string{"sweep", "-metrics-out", unwritable}, 1},
+		{"sweep unknown core", []string{"sweep", "-core", "P9C9"}, 2},
 		{"quarantined cores are partial", []string{"tune", "-fault-profile", "broken-core"}, 3},
 		{"nan fault probability is hard", []string{"tune", "-fault-profile", "trial-err=NaN"}, 2},
 		{"tune unknown fault profile", []string{"tune", "-fault-profile", "bogus"}, 2},
@@ -43,10 +46,21 @@ func TestRunExitCodes(t *testing.T) {
 		{"characterize unknown fault profile", []string{"characterize", "-fault-profile", "bogus"}, 2},
 		{"characterize removed fault preset", []string{"characterize", "-fault-profile", "noisy-cpm"}, 2},
 		{"characterize nan fault probability", []string{"characterize", "-fault-profile", "trial-err=NaN"}, 2},
-		{"schedule negative qos is hard", []string{"schedule", "-qos", "-1"}, 1},
-		{"schedule nan qos is hard", []string{"schedule", "-qos", "nan"}, 1},
-		{"schedule infinite qos is hard", []string{"schedule", "-qos", "inf"}, 1},
+		{"schedule negative qos is hard", []string{"schedule", "-qos", "-1"}, 2},
+		{"schedule nan qos is hard", []string{"schedule", "-qos", "nan"}, 2},
+		{"schedule infinite qos is hard", []string{"schedule", "-qos", "inf"}, 2},
+		{"schedule zero qos under balanced", []string{"schedule", "-qos", "0"}, 2},
+		{"schedule managed-max negative qos", []string{"schedule", "-scenario", "managed-max", "-qos", "-3"}, 2},
+		{"schedule managed-max nan qos", []string{"schedule", "-scenario", "managed-max", "-qos", "nan"}, 2},
+		{"schedule managed-max zero qos runs", []string{"schedule", "-scenario", "managed-max", "-qos", "0"}, 0},
+		{"schedule unknown critical", []string{"schedule", "-critical", "bogus"}, 2},
+		{"schedule unknown background", []string{"schedule", "-background", "bogus"}, 2},
+		{"schedule memory-intensive pair", []string{"schedule", "-critical", "lu_cb"}, 2},
+		{"schedule unknown scenario", []string{"schedule", "-scenario", "bogus"}, 2},
+		{"schedule unknown governor", []string{"schedule", "-governor", "bogus"}, 2},
 		{"transient zero steps", []string{"transient", "-steps", "0"}, 2},
+		{"transient steps above the bound", []string{"transient", "-steps", fmt.Sprint(maxTransientSteps + 1)}, 2},
+		{"transient unknown chip", []string{"transient", "-chip", "P7"}, 2},
 		{"characterize negative trials", []string{"characterize", "-trials", "-1"}, 2},
 		{"tune negative rollback", []string{"tune", "-rollback", "-2"}, 2},
 		{"fleet no jobs", []string{"fleet", "-n", "0"}, 2},
@@ -56,6 +70,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"fleet zero workers", []string{"fleet", "-n", "1", "-workers", "0"}, 2},
 		{"fleet resume is an unknown flag", []string{"fleet", "-n", "1", "-resume"}, 2},
 		{"fleet panic-retries is an unknown flag", []string{"fleet", "-n", "1", "-panic-retries", "1"}, 2},
+		{"fleet trial-budget is an unknown flag", []string{"fleet", "-n", "1", "-trial-budget", "5"}, 2},
 		{"fleet unknown kind", []string{"fleet", "-kind", "bogus"}, 2},
 		{"fleet montecarlo fault profile", []string{"fleet", "-kind", "montecarlo", "-fault-profile", "test-floor"}, 2},
 		{"fleet tune unknown fault profile", []string{"fleet", "-kind", "tune", "-n", "1", "-fault-profile", "bogus"}, 2},

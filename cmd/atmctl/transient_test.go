@@ -214,7 +214,7 @@ func TestTransientCSVFromRun(t *testing.T) {
 	if mean := sum / 500; math.Abs(mean-float64(res.MeanFreq[0])) > 1 {
 		t.Errorf("P0C0 column mean %v vs transient mean %v", mean, res.MeanFreq[0])
 	}
-	if code := run([]string{"transient", "-chip", "P9"}); code != 1 {
-		t.Errorf("bogus chip exited %d, want 1", code)
+	if code := run([]string{"transient", "-chip", "P9"}); code != 2 {
+		t.Errorf("bogus chip exited %d, want 2 (a usage error)", code)
 	}
 }

@@ -105,7 +105,7 @@ type Job struct {
 	// Rollback is the tune stage's extra safety margin.
 	Rollback int `json:"rollback,omitempty"`
 	// FaultProfile, when non-empty, arms deterministic fault injection
-	// for the job (a fault.ParseProfile spec).
+	// for the job (a fault.ParseProfile spec). Lifetime jobs take none.
 	FaultProfile string `json:"fault_profile,omitempty"`
 	// FaultSeed seeds the fault streams (0 = 1, the injector default).
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
@@ -159,6 +159,11 @@ func (j Job) Validate() error {
 	}
 	if j.Chips != 0 && j.SiliconSeed == 0 {
 		return fmt.Errorf("fleet: job %s: chip-count override requires a non-zero silicon seed", j.ID)
+	}
+	if j.Kind == KindLifetime && j.FaultProfile != "" {
+		// lifetime.Run builds its own machine from the profile, so the
+		// injector buildServer arms would never reach its trials.
+		return fmt.Errorf("fleet: job %s: a %s job takes no fault profile", j.ID, j.Kind)
 	}
 	return nil
 }
@@ -221,8 +226,8 @@ type Result struct {
 	// supplies (0 when no clock is armed or the result came from the
 	// cache). Like Cached it is provenance, not content — excluded from
 	// the merged serialization, which must stay byte-identical across
-	// worker counts and machine speeds. atmctl's fleet timing report and
-	// the bench harness read it out-of-band.
+	// worker counts and machine speeds. Only `atmctl fleet -timing`
+	// reads it, out-of-band, into its stderr timing report.
 	WallNS int64 `json:"-"`
 }
 
@@ -280,10 +285,6 @@ type Options struct {
 	// found there are served without re-execution, so rerunning a
 	// killed campaign on the same directory finishes it.
 	CacheDir string
-	// TrialBudget, when positive, arms a per-job watchdog on the trial
-	// axis: a job that consumes more than this many retry-wrapped
-	// trials is deadlined with a deterministic failure. 0 is unlimited.
-	TrialBudget int64
 	// Obs, when non-nil, collects fleet counters (dispatched,
 	// completed, cached, failed), the worker-occupancy gauge, and the
 	// configured-pool histogram. Nil disables collection.
@@ -294,9 +295,9 @@ type Options struct {
 	Trace *obs.Tracer
 	// Clock, when non-nil, timestamps each job's execution and records
 	// the delta in Result.WallNS. The package itself is in detflow
-	// scope and never reads the wall clock — callers outside that scope
-	// (atmctl, the bench harness) inject one. Timing is provenance: it
-	// never reaches the merged serialization.
+	// scope and never reads the wall clock — `atmctl fleet -timing`,
+	// outside that scope, injects one. Timing is provenance: it never
+	// reaches the merged serialization.
 	Clock func() int64
 }
 
@@ -329,10 +330,7 @@ func Run(c *Campaign, o Options) (*CampaignResult, error) {
 		cachedHits = o.Obs.Counter("fleet_jobs_cached_total")
 		failed     = o.Obs.Counter("fleet_jobs_failed_total")
 		occupancy  = o.Obs.Gauge("fleet_worker_occupancy")
-		guards     = jobGuards{
-			panics:   o.Obs.Counter("fleet_job_panics_total"),
-			deadline: o.Obs.Counter("fleet_watchdog_expired_total"),
-		}
+		panics     = o.Obs.Counter("fleet_job_panics_total")
 	)
 
 	results := make([]Result, len(c.Jobs))
@@ -370,7 +368,7 @@ func Run(c *Campaign, o Options) (*CampaignResult, error) {
 				if o.Clock != nil {
 					began = o.Clock()
 				}
-				payload, err := runGuarded(job, o.TrialBudget, guards)
+				payload, err := runGuarded(job, panics)
 				var wall int64
 				if o.Clock != nil {
 					wall = o.Clock() - began

@@ -32,6 +32,11 @@ func TestCampaignValidate(t *testing.T) {
 		{"bad-kind", &Campaign{Jobs: []Job{{ID: "a", Kind: "mystery"}}}, "unknown kind"},
 		{"dup", &Campaign{Jobs: []Job{{ID: "a", Kind: KindTune}, {ID: "a", Kind: KindTune}}}, "duplicate"},
 		{"mc-no-seed", &Campaign{Jobs: []Job{{ID: "a", Kind: KindMonteCarlo}}}, "non-zero silicon seed"},
+		// A lifetime job builds its own machine, so a fault profile
+		// would change its hash but not its run.
+		{"lifetime-fault", &Campaign{Jobs: []Job{
+			{ID: "lt-0003", Kind: KindLifetime, SiliconSeed: 3, Years: 1, FaultProfile: "broken-core"},
+		}}, "job lt-0003: a lifetime job takes no fault profile"},
 	}
 	for _, tc := range cases {
 		err := tc.c.Validate()

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/charact"
 	"repro/internal/chip"
-	"repro/internal/guard"
 	"repro/internal/lifetime"
 	"repro/internal/platform"
 	"repro/internal/silicon"
@@ -144,11 +143,8 @@ func (r Result) decode(want Kind, into any) error {
 }
 
 // runJob executes one job spec from scratch: its own profile, machine,
-// fault injector and RNG streams, nothing shared with other workers. A
-// positive trialBudget arms a watchdog on the trial axis: the job is
-// deadlined (via the trialDeadline sentinel panic, recovered by
-// runGuarded) once it has consumed that many retry-wrapped trials.
-func runJob(j Job, trialBudget int64) (json.RawMessage, error) {
+// fault injector and RNG streams, nothing shared with other workers.
+func runJob(j Job) (json.RawMessage, error) {
 	if testJobPanic != nil {
 		testJobPanic(j)
 	}
@@ -157,16 +153,6 @@ func runJob(j Job, trialBudget int64) (json.RawMessage, error) {
 		return nil, err
 	}
 	m, profile := srv.Machine, srv.Profile
-	if wd := guard.NewWatchdog(trialBudget); wd != nil {
-		// The observer slot is free here: the inner stages only install
-		// their own taps when run with a non-nil obs registry, and the
-		// fleet always runs them bare (see the package comment above).
-		m.SetTrialObserver(func(string, string, int, chip.TrialResult, error) {
-			if wd.Tick(1) != nil {
-				panic(trialDeadline{budget: trialBudget})
-			}
-		})
-	}
 	var payload any
 	switch j.Kind {
 	case KindMonteCarlo:
@@ -176,9 +162,6 @@ func runJob(j Job, trialBudget int64) (json.RawMessage, error) {
 	case KindCharacterize:
 		payload, err = runCharacterize(j, m)
 	case KindLifetime:
-		// Lifetime clones the profile and builds its own machine, so
-		// the trial watchdog armed on m above does not meter it; the
-		// simulation is bounded by its finite epoch count instead.
 		payload, err = runLifetime(j, profile)
 	case KindDCProvision:
 		payload, err = runDCProvision(j, srv)

@@ -103,60 +103,6 @@ func TestPanickingJobNotCached(t *testing.T) {
 	}
 }
 
-// TestTrialBudgetDeadline arms the per-job watchdog with a budget far
-// below what characterization needs and demands a deterministic,
-// non-retried deadline failure.
-func TestTrialBudgetDeadline(t *testing.T) {
-	camp := CharacterizeSweep(1, 0, 10, "", 0)
-	run := func() (*CampaignResult, string) {
-		reg := obs.NewRegistry()
-		res, err := Run(camp, Options{TrialBudget: 5, Obs: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, string(reg.SnapshotJSON())
-	}
-	res, snap := run()
-	if len(res.Results) != 1 {
-		t.Fatalf("results = %d, want 1", len(res.Results))
-	}
-	want := fmt.Sprintf("job %s: trial budget 5 exhausted", camp.Jobs[0].ID)
-	if got := res.Results[0].Err; got != want {
-		t.Fatalf("Err = %q, want %q", got, want)
-	}
-	if !strings.Contains(snap, "fleet_watchdog_expired_total") {
-		t.Errorf("metrics snapshot missing fleet_watchdog_expired_total:\n%s", snap)
-	}
-	if !strings.Contains(snap, `{"name":"fleet_job_panics_total","labels":"","type":"counter","value":0}`) {
-		t.Errorf("deadline expiry was miscounted as a panic:\n%s", snap)
-	}
-	if !strings.Contains(snap, `{"name":"fleet_watchdog_expired_total","labels":"","type":"counter","value":1}`) {
-		t.Errorf("watchdog expiry not counted exactly once:\n%s", snap)
-	}
-	// Determinism: the expiry fires at the same trial every run.
-	res2, snap2 := run()
-	a, b := mergedJSON(t, res), mergedJSON(t, res2)
-	if a != b || snap != snap2 {
-		t.Fatalf("deadline failure not deterministic:\n%s\nvs\n%s", a, b)
-	}
-}
-
-// TestTrialBudgetGenerous proves an ample budget does not perturb the
-// result: the watchdog observes trials, it never influences them.
-func TestTrialBudgetGenerous(t *testing.T) {
-	camp := MonteCarlo(2, 7)
-	plain := runWith(t, camp, 2, t.TempDir())
-
-	reg := obs.NewRegistry()
-	res, err := Run(camp, Options{Workers: 2, TrialBudget: 1 << 40, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mergedJSON(t, res); got != plain.merged {
-		t.Fatalf("trial budget perturbed results:\n%s\nvs\n%s", got, plain.merged)
-	}
-}
-
 // crashPoints is the kill matrix: both sides of the cache entry write.
 var crashPoints = []string{"fleet/pre-entry", "fleet/post-entry"}
 

@@ -1,20 +1,20 @@
 // Package guard is the process-level resilience toolkit of the
 // reproduction: circuit breakers, bounded-capacity admission gates,
-// cooperative watchdogs, panic isolation, and crash-point injection.
+// panic isolation, and crash-point injection.
 // Where internal/fault makes the *devices* misbehave deterministically,
 // this package keeps the *software* that drives them — the fleet
 // engine's worker pool, the FSP operator server's session gate, the dc
 // placer's per-node quarantine — inside a bounded failure envelope: a
-// wedged job, a flood of connections, or a panicking worker degrades
+// flood of connections, a failing node, or a panicking worker degrades
 // into an explicit, in-band error instead of a hang, a leak, or a dead
 // process.
 //
 // Design rules, shared with internal/obs:
 //
 //   - Disabled is the default and costs ~nothing. Every handle (nil
-//     *Breaker, nil *Gate, nil *Watchdog) admits everything, counts
-//     nothing, and allocates nothing — TestDisabledGuardZeroAlloc pins
-//     the disabled hot path at 0 allocs/op — so consumers wire guards
+//     *Breaker, nil *Gate) admits everything, counts nothing, and
+//     allocates nothing — TestDisabledGuardZeroAlloc pins the disabled
+//     hot path at 0 allocs/op — so consumers wire guards
 //     unconditionally and enable them by construction.
 //   - Time is logical, never the wall clock. Breakers read the
 //     caller's monotone clock (BreakerOptions.Now, required), so a

@@ -24,24 +24,20 @@ import (
 
 // Spec names a server completely: identical specs build identical
 // servers. The zero value is the paper-calibrated fault-free reference
-// machine. Field order and omitempty tags are part of the fleet job
-// hash contract — change them only with a specVersion bump there.
+// machine.
 type Spec struct {
 	// SiliconSeed manufactures the server from the Monte-Carlo process
 	// model; 0 builds the paper-calibrated reference profile.
-	SiliconSeed uint64 `json:"silicon_seed,omitempty"`
+	SiliconSeed uint64
 	// Chips overrides the generated server's processor count (0 = the
 	// generator default of 2). Requires a non-zero SiliconSeed: the
 	// reference profile is pinned to the paper's two chips.
-	Chips int `json:"chips,omitempty"`
-	// CoresPerChip overrides the generated per-chip core count
-	// (0 = the generator default of 8). Requires a non-zero SiliconSeed.
-	CoresPerChip int `json:"cores_per_chip,omitempty"`
+	Chips int
 	// FaultProfile, when non-empty, arms deterministic fault injection
 	// (a fault.ParseProfile spec).
-	FaultProfile string `json:"fault_profile,omitempty"`
+	FaultProfile string
 	// FaultSeed seeds the fault streams (0 = 1, the injector default).
-	FaultSeed uint64 `json:"fault_seed,omitempty"`
+	FaultSeed uint64
 }
 
 // Server is one materialized machine with its provenance.
@@ -61,15 +57,12 @@ func Build(spec Spec) (*Server, error) {
 	switch {
 	case spec.SiliconSeed != 0:
 		var err error
-		profile, err = silicon.Generate(spec.SiliconSeed, silicon.GenerateOptions{
-			Chips:        spec.Chips,
-			CoresPerChip: spec.CoresPerChip,
-		})
+		profile, err = silicon.Generate(spec.SiliconSeed, silicon.GenerateOptions{Chips: spec.Chips})
 		if err != nil {
 			return nil, err
 		}
-	case spec.Chips != 0 || spec.CoresPerChip != 0:
-		return nil, errors.New("platform: chip/core count overrides require a non-zero silicon seed")
+	case spec.Chips != 0:
+		return nil, errors.New("platform: a chip-count override requires a non-zero silicon seed")
 	default:
 		profile = silicon.Reference()
 	}

@@ -60,9 +60,6 @@ func TestBuildOverridesRequireSeed(t *testing.T) {
 	if _, err := Build(Spec{Chips: 1}); err == nil {
 		t.Fatal("chip override on the reference profile did not error")
 	}
-	if _, err := Build(Spec{CoresPerChip: 4}); err == nil {
-		t.Fatal("core override on the reference profile did not error")
-	}
 }
 
 func TestBuildArmsFaults(t *testing.T) {
