@@ -129,80 +129,11 @@ func gateBaseline(path string, base, doc *perf.Doc) error {
 		return err
 	}
 	if len(regs) == 0 {
-		if base.Flood != nil {
-			fmt.Printf("baseline %s: ok (flood row gated)\n", path)
-		} else {
-			fmt.Printf("baseline %s: ok (%d stage(s) gated)\n", path, len(base.Stages))
-		}
+		fmt.Printf("baseline %s: ok (%d stage(s) gated)\n", path, len(base.Stages))
 		return nil
 	}
 	for _, r := range regs {
 		fmt.Fprintln(os.Stderr, "regression:", r)
 	}
 	return partialf("%d regression(s) against %s", len(regs), path)
-}
-
-// cmdFlood floods the FSP service plane with seeded pipelined operator
-// sessions through the real session gate and emits BENCH_fsp.json. The
-// canonical outcome (sheds, errors, latency quantiles in logical ticks)
-// is a pure function of the options; wall-clock throughput lands in
-// the timing section.
-func cmdFlood(args []string) error {
-	fs := flag.NewFlagSet("flood", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "CI-sized plan (baselines are checked in quick)")
-	sessions := fs.Int("sessions", 0, "concurrent operator sessions (0 = plan default)")
-	commands := fs.Int("commands", 0, "commands per admitted session (0 = plan default)")
-	pipeline := fs.Int("pipeline", 0, "issue-ahead window per session (0 = plan default)")
-	seed := fs.Uint64("seed", 1, "interleaver and command-mix seed")
-	garbage := fs.Int("garbage", -1, "protocol-garbage rate in per-mille (-1 = plan default)")
-	maxSessions := fs.Int("max-sessions", -1, "session gate capacity, 0 disables (-1 = plan default)")
-	out := fs.String("out", "", "write the BENCH json artifact to this file")
-	baseline := fs.String("baseline", "", "compare against this BENCH json and exit 3 on regression")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	base, err := readBaseline(*baseline)
-	if err != nil {
-		return err
-	}
-
-	o := perf.DefaultFloodOptions(*quick)
-	o.Seed = *seed
-	// Each flag's sentinel selects the plan default. A value above it
-	// sets the option; a value below it is a typo, not a plan.
-	for _, f := range []struct {
-		name          string
-		val, sentinel int
-		opt           *int
-	}{
-		{"sessions", *sessions, 0, &o.Sessions},
-		{"commands", *commands, 0, &o.Commands},
-		{"pipeline", *pipeline, 0, &o.Pipeline},
-		{"garbage", *garbage, -1, &o.Garbage},
-		{"max-sessions", *maxSessions, -1, &o.MaxSessions},
-	} {
-		switch {
-		case f.val < f.sentinel:
-			return badFlag(fs, "-%s %d: want %d (plan default) or more", f.name, f.val, f.sentinel)
-		case f.val > f.sentinel:
-			*f.opt = f.val
-		}
-	}
-
-	// Flood fails only on options it rejects.
-	r, err := perf.Flood(o)
-	if err != nil {
-		return badFlag(fs, "%v", err)
-	}
-	doc := perf.FloodDoc(o, *quick, r)
-	fmt.Printf("flood: %d session(s) × %d cmd(s): issued %d, executed %d, shed %d (%.0f%%), errors %d\n",
-		o.Sessions, o.Commands, r.Issued, r.Executed, r.ShedSessions,
-		100*doc.Flood.ShedRate, r.Errors)
-	fmt.Printf("flood: latency ticks p50=%.1f p95=%.1f p99=%.1f; wall %.3fms (%.0f req/s)\n",
-		r.P50Ticks, r.P95Ticks, r.P99Ticks,
-		float64(r.WallNS)/1e6, doc.Timing.ReqPerSec)
-	if err := writeDoc(*out, doc); err != nil {
-		return err
-	}
-	return gateBaseline(*baseline, base, doc)
 }

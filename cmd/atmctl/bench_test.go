@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -136,7 +134,50 @@ func TestBenchBaselineGate(t *testing.T) {
 	if got := run([]string{"bench", "-set", "kernel", "-quick", "-baseline", out}); got != 1 {
 		t.Fatalf("quick/full mismatch exit = %d, want 1", got)
 	}
+
+	// A BENCH_fsp.json left by the deleted flood harness holds no stage
+	// rows, so only the family check keeps it from passing as a baseline
+	// that gates nothing: a hard failure naming both families.
+	if err := os.WriteFile(out, []byte(floodBaseline), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got int
+	stderr := capture(t, &os.Stderr, func() {
+		got = run([]string{"bench", "-set", "kernel", "-quick", "-baseline", out})
+	})
+	if want := `comparing bench "core" against baseline "fsp"`; got != 1 || !strings.Contains(stderr, want) {
+		t.Fatalf("flood baseline: exit = %d, stderr %q; want 1 and %q", got, stderr, want)
+	}
 }
+
+// floodBaseline is the last BENCH_fsp.json the flood harness wrote.
+const floodBaseline = `{
+  "bench": "fsp",
+  "schema": "atm-bench/v1",
+  "quick": true,
+  "flood": {
+    "sessions": 16,
+    "commands": 50,
+    "pipeline": 8,
+    "seed": 1,
+    "garbage": 50,
+    "max_sessions": 12,
+    "issued": 600,
+    "executed": 600,
+    "shed_sessions": 4,
+    "errors": 32,
+    "shed_rate": 0.25,
+    "p50_ticks": 71.56549520766774,
+    "p95_ticks": 213.11475409836066,
+    "p99_ticks": 242.62295081967213
+  },
+  "timing": {
+    "cpus": 1,
+    "total_ns": 18705396,
+    "req_per_sec": 32076.30568206094
+  }
+}
+`
 
 // TestBenchUsageErrors: an unknown -set group exits 2 with a
 // diagnostic naming it.
@@ -149,105 +190,5 @@ func TestBenchUsageErrors(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "bogus") {
 		t.Fatalf("unknown -set: stderr does not name the group:\n%s", stderr)
-	}
-}
-
-// TestFloodDeterministicArtifact is satellite (d) at the CLI surface:
-// two identically-seeded flood runs write byte-identical artifacts
-// once the single timing sub-object is stripped.
-func TestFloodDeterministicArtifact(t *testing.T) {
-	silenceStdout(t)
-	dir := t.TempDir()
-	a := filepath.Join(dir, "a.json")
-	b := filepath.Join(dir, "b.json")
-	for _, out := range []string{a, b} {
-		if got := run([]string{"flood", "-quick", "-seed", "7", "-out", out}); got != 0 {
-			t.Fatalf("flood exit = %d, want 0", got)
-		}
-	}
-	canon := func(path string) []byte {
-		t.Helper()
-		doc, err := perf.ReadDoc(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := doc.CanonicalBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-	if ca, cb := canon(a), canon(b); !bytes.Equal(ca, cb) {
-		t.Fatalf("seeded flood artifacts diverged:\n%s\n%s", ca, cb)
-	}
-
-	// The raw files differ only inside "timing": parse both, zero the
-	// timing, and the structures must match (guards against stray
-	// wall-clock fields leaking into new canonical sections).
-	var da, db perf.Doc
-	rawA, err := os.ReadFile(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawB, err := os.ReadFile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(rawA, &da); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(rawB, &db); err != nil {
-		t.Fatal(err)
-	}
-	da.Timing, db.Timing = perf.Timing{}, perf.Timing{}
-	if *da.Flood != *db.Flood {
-		t.Fatalf("canonical flood rows diverged: %+v vs %+v", da.Flood, db.Flood)
-	}
-}
-
-func TestFloodBaselineGate(t *testing.T) {
-	silenceStdout(t)
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH_fsp.json")
-	if got := run([]string{"flood", "-quick", "-out", out}); got != 0 {
-		t.Fatalf("flood exit = %d, want 0", got)
-	}
-	// Identical options reproduce the canonical outcome: gate passes.
-	if got := run([]string{"flood", "-quick", "-baseline", out}); got != 0 {
-		t.Fatalf("self-comparison exit = %d, want 0", got)
-	}
-	// A flood of another plan is not comparable: a hard failure, not a
-	// pass that gated nothing or a regression.
-	for _, plan := range [][]string{{"-sessions", "20"}, {"-garbage", "700"}, {"-max-sessions", "0"}} {
-		if got := run(append([]string{"flood", "-quick", "-baseline", out}, plan...)); got != 1 {
-			t.Fatalf("flood %v against the default plan's baseline: exit = %d, want 1", plan, got)
-		}
-	}
-	// A baseline with a diverged canonical outcome fails the gate.
-	doc, err := perf.ReadDoc(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc.Flood.Executed++
-	raw, err := doc.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := run([]string{"flood", "-quick", "-baseline", out}); got != 3 {
-		t.Fatalf("diverged baseline exit = %d, want 3", got)
-	}
-	// -out naming the baseline still gates against the old rows.
-	if got := run([]string{"flood", "-quick", "-out", out, "-baseline", out}); got != 3 {
-		t.Fatalf("-out naming the baseline: exit = %d, want 3", got)
-	}
-}
-
-func TestFloodUsageErrors(t *testing.T) {
-	silenceStdout(t)
-	if got := run([]string{"flood", "-garbage", "2000"}); got != 2 {
-		t.Fatalf("garbage out of range exit = %d, want 2", got)
 	}
 }

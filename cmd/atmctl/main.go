@@ -15,7 +15,6 @@
 //	atmctl transient [-chip P0] [-steps 2000] [-stress] [-csv trace.csv]
 //	atmctl bench [-set kernel,e2e,fleet,dc,lifetime] [-quick] [-out BENCH_core.json] [-baseline BENCH_core.json]
 //	             [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz] [-trace trace.out]
-//	atmctl flood [-sessions 16] [-commands 200] [-seed 1] [-quick] [-out BENCH_fsp.json] [-baseline BENCH_fsp.json]
 //	atmctl status
 //
 // characterize, tune, schedule, sweep, fleet, dc and lifetime accept
@@ -94,8 +93,6 @@ func run(argv []string) int {
 		err = cmdTransient(args)
 	case "bench":
 		err = cmdBench(args)
-	case "flood":
-		err = cmdFlood(args)
 	case "status":
 		err = cmdStatus(args)
 	default:
@@ -119,7 +116,7 @@ func run(argv []string) int {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: atmctl <characterize|tune|schedule|sweep|fleet|dc|lifetime|transient|bench|flood|status> [flags]
+	fmt.Fprintln(os.Stderr, `usage: atmctl <characterize|tune|schedule|sweep|fleet|dc|lifetime|transient|bench|status> [flags]
 run "atmctl <subcommand> -h" for flags`)
 }
 
@@ -974,10 +971,10 @@ func renderLifetime(res *atm.FleetResult) error {
 }
 
 // maxTransientSteps bounds transient -steps. Machine.Transient keeps
-// every sample, a 40 B header and a 64 B frequency array for an 8-core
-// chip built by four appends: on the reference server a run holds about
-// 110 B and allocates about 340 B per interval, so 10^6 intervals hold
-// about 110 MB and make 4×10^6 allocations before the table prints.
+// every sample: a 40 B header and a 64 B window of one frequency array
+// for an 8-core chip, about 104 B per interval on the reference server,
+// so 10^6 intervals hold about 104 MB before the table prints. Its
+// allocation count does not grow with the run.
 const maxTransientSteps = 1_000_000
 
 func cmdTransient(args []string) error {

@@ -75,6 +75,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
+	// An unknown -id is a typo like a negative -workers: refuse it
+	// before any artifact runs. RunExperiment searches both lists, so an
+	// extension ID needs no -ext.
+	if *id != "" {
+		known := false
+		for _, e := range append(suite.Experiments(), suite.ExtensionExperiments()...) {
+			known = known || e.ID == *id
+		}
+		if !known {
+			//lint:ignore errdrop the diagnostic on stderr is the usage report itself
+			fmt.Fprintf(stderr, "-id %s: unknown artifact (atmfigures -list -ext lists them)\n", *id)
+			fs.Usage()
+			return 2
+		}
+	}
+
 	experiments := suite.Experiments()
 	if *ext {
 		experiments = append(experiments, suite.ExtensionExperiments()...)

@@ -7,8 +7,9 @@ import (
 )
 
 // TestRunExitCodes pins the exit-code contract: 0 success, 1 hard
-// failure, 2 usage. A negative -workers is a usage error naming the
-// flag; 0 still selects the default pool.
+// failure, 2 usage. A negative -workers or an unknown -id is a usage
+// error naming the flag; 0 still selects the default pool, and an
+// extension ID runs without -ext.
 func TestRunExitCodes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -23,7 +24,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"negative workers with list", []string{"-list", "-workers", "-4"}, 2, "-workers -4"},
 		{"unknown flag", []string{"-no-such-flag"}, 2, "no-such-flag"},
 		{"help", []string{"-h"}, 0, ""},
-		{"unknown artifact", []string{"-id", "bogus"}, 1, "bogus"},
+		{"unknown artifact", []string{"-id", "bogus"}, 2, "-id bogus"},
+		{"extension artifact without -ext", []string{"-id", "ext-droop-sync"}, 0, ""},
 	} {
 		var stdout, stderr bytes.Buffer
 		if got := run(tc.args, &stdout, &stderr); got != tc.want {

@@ -3,6 +3,7 @@ package chip
 import (
 	"fmt"
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/rng"
@@ -599,5 +600,24 @@ func TestTransientArgsValidated(t *testing.T) {
 	}
 	if _, err := m.Transient("P0", 10, -1, rng.New(1)); err == nil {
 		t.Error("negative dt accepted")
+	}
+}
+
+// TestTransientAllocsPerRun: a transient run allocates per run, not per
+// control interval, so 10,000 intervals cost the allocations of 100.
+// The collector is paused: a cycle the larger run triggers allocates
+// in the runtime, not in Transient.
+func TestTransientAllocsPerRun(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	m := NewReference()
+	allocs := func(n int) int {
+		return int(testing.AllocsPerRun(5, func() {
+			if _, err := m.Transient("P0", n, 1.0, rng.New(1)); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if a100, a10k := allocs(100), allocs(10_000); a10k != a100 {
+		t.Errorf("Transient allocated %d times at 10,000 steps and %d at 100; want equal", a10k, a100)
 	}
 }

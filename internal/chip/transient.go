@@ -67,8 +67,15 @@ func (m *Machine) Transient(chipLabel string, n int, dtNs float64, src *rng.Sour
 	}
 	baseV := st.Supply
 
-	res := TransientResult{MeanFreq: make([]units.MHz, len(c.Cores))}
-	sums := make([]float64, len(c.Cores))
+	// Every sample's Freqs is a window of one n×cores array, so a run
+	// allocates the same few times however many intervals it steps.
+	k := len(c.Cores)
+	res := TransientResult{
+		Samples:  make([]TransientSample, n),
+		MeanFreq: make([]units.MHz, k),
+	}
+	freqs := make([]units.MHz, n*k)
+	sums := make([]float64, k)
 
 	// Droop event state: an active droop decays over a few intervals.
 	droop := 0.0       // volts, positive = sag
@@ -97,20 +104,19 @@ func (m *Machine) Transient(chipLabel string, n int, dtNs float64, src *rng.Sour
 		droop *= decay
 
 		v := units.Volt(float64(baseV) - droop)
-		sample := TransientSample{TimeNs: float64(step) * dtNs, Supply: v}
+		row := freqs[step*k : (step+1)*k : (step+1)*k]
 		for i, loop := range loops {
 			if c.Cores[i].gated {
-				sample.Freqs = append(sample.Freqs, 0)
-				continue
+				continue // row[i] stays 0
 			}
 			r := loop.Step(v)
 			if r.Units < 0 {
 				res.Violations++
 			}
-			sample.Freqs = append(sample.Freqs, loop.Freq())
+			row[i] = loop.Freq()
 			sums[i] += float64(loop.Freq())
 		}
-		res.Samples = append(res.Samples, sample)
+		res.Samples[step] = TransientSample{TimeNs: float64(step) * dtNs, Supply: v, Freqs: row}
 	}
 	for i := range sums {
 		res.MeanFreq[i] = units.MHz(sums[i] / float64(n))

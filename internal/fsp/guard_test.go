@@ -106,6 +106,32 @@ func holdSession(t *testing.T, addr string) net.Conn {
 	return hold
 }
 
+// TestGarbageSessionAnsweredInBand: an admitted session that sends
+// nothing but garbage gets an in-band error for every line and is never
+// cut off. The gate bounds sessions, not what a session says.
+func TestGarbageSessionAnsweredInBand(t *testing.T) {
+	_, addr, _ := startGuardedServer(t, 1)
+	var lines []string
+	for i := 0; i < 50; i++ {
+		lines = append(lines, fmt.Sprintf("garbage%d", i))
+	}
+	out, err := dialScript(addr, append(lines, "ping last")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(lines)+2 {
+		t.Fatalf("got %d reply line(s) to %d garbage lines, ping and quit: %q", len(out), len(lines), out)
+	}
+	for i, line := range out[:len(lines)] {
+		if !strings.HasPrefix(line, "err unknown command") {
+			t.Errorf("garbage line %d answered %q, want an in-band unknown command", i, line)
+		}
+	}
+	if got := out[len(lines)]; got != "ok pong last" {
+		t.Errorf("ping after the garbage answered %q, want ok pong last", got)
+	}
+}
+
 // TestFloodNoGoroutineLeak sheds a burst of connections and verifies
 // the goroutine count returns to baseline — overload must not leak
 // session goroutines.

@@ -26,13 +26,13 @@ func TestSessionLatencyHistograms(t *testing.T) {
 		sess.Exec(line)
 	}
 
-	if got := reg.Histogram("fsp_session_latency", LatencyBuckets, "verb", "ping").Count(); got != 2 {
+	if got := reg.Histogram("fsp_session_latency", latencyBuckets, "verb", "ping").Count(); got != 2 {
 		t.Errorf("ping latency count = %d, want 2", got)
 	}
-	if got := reg.Histogram("fsp_session_latency", LatencyBuckets, "verb", "freq").Count(); got != 1 {
+	if got := reg.Histogram("fsp_session_latency", latencyBuckets, "verb", "freq").Count(); got != 1 {
 		t.Errorf("freq latency count = %d, want 1", got)
 	}
-	if got := reg.Histogram("fsp_session_latency", LatencyBuckets, "verb", "unknown").Count(); got != 1 {
+	if got := reg.Histogram("fsp_session_latency", latencyBuckets, "verb", "unknown").Count(); got != 1 {
 		t.Errorf("unknown latency count = %d, want 1", got)
 	}
 
@@ -55,7 +55,7 @@ func TestSessionNoClockNoLatency(t *testing.T) {
 	sess := NewSession(ctl)
 	sess.Observe(reg)
 	sess.Exec("ping a")
-	if got := reg.Histogram("fsp_session_latency", LatencyBuckets, "verb", "ping").Count(); got != 0 {
+	if got := reg.Histogram("fsp_session_latency", latencyBuckets, "verb", "ping").Count(); got != 0 {
 		t.Errorf("latency recorded without a clock: count = %d", got)
 	}
 }
@@ -65,9 +65,9 @@ func TestServerForwardsClockToLocalSession(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv.Observe(reg)
 	srv.SetClock(tickClock())
-	sess := srv.LocalSession()
+	sess := srv.localSession()
 	sess.Exec("ping x")
-	if got := reg.Histogram("fsp_session_latency", LatencyBuckets, "verb", "ping").Count(); got != 1 {
+	if got := reg.Histogram("fsp_session_latency", latencyBuckets, "verb", "ping").Count(); got != 1 {
 		t.Errorf("local session did not inherit server clock: count = %d", got)
 	}
 }
@@ -78,19 +78,19 @@ func TestServerAdmitMatchesGuardPlane(t *testing.T) {
 	srv.Observe(reg)
 	srv.Guard(2)
 
-	r1, ok := srv.Admit()
-	r2, ok2 := srv.Admit()
+	r1, ok := srv.admit()
+	r2, ok2 := srv.admit()
 	if !ok || !ok2 {
 		t.Fatal("first two admissions refused")
 	}
-	if _, ok := srv.Admit(); ok {
+	if _, ok := srv.admit(); ok {
 		t.Fatal("third admission allowed past MaxSessions=2")
 	}
 	if got := reg.Counter("guard_gate_shed_total", "name", "fsp_sessions").Value(); got != 1 {
 		t.Errorf("guard_gate_shed_total = %d, want 1", got)
 	}
 	r1()
-	if _, ok := srv.Admit(); !ok {
+	if _, ok := srv.admit(); !ok {
 		t.Fatal("admission refused after release")
 	}
 	r2()

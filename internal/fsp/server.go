@@ -81,9 +81,8 @@ func (s *Server) Observe(r *obs.Registry) {
 }
 
 // SetClock supplies the timestamp source every session times commands
-// with (see Session.SetClock). cmd/atmfsp wires wall microseconds; the
-// flood harness wires its logical tick clock. Call before Serve; nil
-// (the default) disables latency measurement.
+// with (see Session.SetClock). cmd/atmfsp wires wall microseconds. Call
+// before Serve; nil (the default) disables latency measurement.
 func (s *Server) SetClock(fn func() int64) { s.clock = fn }
 
 // Serve accepts connections on l until Close is called or the listener
@@ -142,13 +141,13 @@ func (s *Server) serveConn(conn net.Conn) {
 	// A shed connection gets one in-band "err busy" line and is closed
 	// by the caller's deferred Close, so overload never hangs a peer and
 	// never leaks a session goroutine.
-	release, ok := s.Admit()
+	release, ok := s.admit()
 	if !ok {
 		s.shed(conn)
 		return
 	}
 	defer release()
-	sess := s.LocalSession()
+	sess := s.localSession()
 	locked := &lockedSession{sess: sess, mu: &s.mu}
 	var rw net.Conn = conn
 	if s.IdleTimeout > 0 {
@@ -158,26 +157,21 @@ func (s *Server) serveConn(conn net.Conn) {
 	_ = locked.serve(rw)
 }
 
-// Admit runs the server's admission control — the session gate —
-// exactly as serveConn does for a network connection; the gate counts
-// a refusal as a shed. On success the returned release must be called
-// when the session ends (serveConn defers it). In-process harnesses
-// (atmctl flood) use Admit + LocalSession to push load through the real
-// session gate without sockets.
-func (s *Server) Admit() (release func(), ok bool) {
+// admit runs the server's admission control — the session gate — for
+// one session; the gate counts a refusal as a shed. On success the
+// returned release must be called when the session ends (serveConn
+// defers it).
+func (s *Server) admit() (release func(), ok bool) {
 	if !s.gate.TryAcquire() {
 		return nil, false
 	}
 	return s.gate.Release, true
 }
 
-// LocalSession builds a session wired exactly as serveConn wires one
-// for a network connection: the shared registry, the server clock and
-// the server-wide health view. The caller drives it with Exec. A local
-// session driven concurrently with network traffic must serialize
-// externally (network sessions hold the server mutex per command);
-// single-goroutine harnesses need not.
-func (s *Server) LocalSession() *Session {
+// localSession builds the session serveConn serves over a connection,
+// wired to the shared registry, the server clock and the server-wide
+// health view. serveConn holds the server mutex around each command.
+func (s *Server) localSession() *Session {
 	sess := NewSession(s.ctl)
 	if s.reg != nil {
 		sess.Observe(s.reg)
@@ -188,7 +182,7 @@ func (s *Server) LocalSession() *Session {
 }
 
 // shed refuses a connection in-band (the shed itself is counted by
-// Admit).
+// admit).
 func (s *Server) shed(conn net.Conn) {
 	//lint:ignore errdrop shed notification is best-effort: the refused peer may already be gone, and there is no session to report into
 	fmt.Fprintln(conn, "err busy")

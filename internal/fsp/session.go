@@ -43,8 +43,8 @@ type Session struct {
 	// clock, when non-nil, timestamps each command around dispatch and
 	// records the delta in the per-verb fsp_session_latency histogram.
 	// Units are the caller's: cmd/atmfsp wires wall-clock microseconds,
-	// the deterministic flood harness wires logical ticks. Nil (the
-	// default) skips latency measurement entirely.
+	// the latency tests logical ticks. Nil (the default) skips latency
+	// measurement entirely.
 	clock func() int64
 
 	// reply is Exec's response buffer, reused across commands.
@@ -63,12 +63,12 @@ type sessionObs struct {
 	errs    *obs.Counter
 }
 
-// LatencyBuckets is the fixed bucket layout of the per-verb
+// latencyBuckets is the fixed bucket layout of the per-verb
 // fsp_session_latency histogram. The bounds are unit-agnostic — they
-// cover wall-clock microseconds (1 µs … 100 ms) as well as the flood
-// harness's logical ticks — and they are part of the BENCH_fsp.json
-// schema: changing them invalidates checked-in quantile baselines.
-var LatencyBuckets = []float64{
+// cover wall-clock microseconds (1 µs … 100 ms) as well as logical
+// ticks — and the "stats" verb renders them, so changing them changes
+// its reply.
+var latencyBuckets = []float64{
 	1, 2, 5, 10, 25, 50, 100, 250, 500,
 	1000, 2500, 5000, 10000, 25000, 50000, 100000,
 }
@@ -93,22 +93,22 @@ func (s *Session) Observe(r *obs.Registry) {
 	lat := make(map[string]*obs.Histogram, len(sessionVerbs))
 	for _, v := range sessionVerbs {
 		verbs[v] = r.Counter("fsp_session_commands_total", "verb", v)
-		lat[v] = r.Histogram("fsp_session_latency", LatencyBuckets, "verb", v)
+		lat[v] = r.Histogram("fsp_session_latency", latencyBuckets, "verb", v)
 	}
 	s.ob = sessionObs{
 		reg:     r,
 		verbs:   verbs,
 		lat:     lat,
 		unknown: r.Counter("fsp_session_commands_total", "verb", "unknown"),
-		latUnk:  r.Histogram("fsp_session_latency", LatencyBuckets, "verb", "unknown"),
+		latUnk:  r.Histogram("fsp_session_latency", latencyBuckets, "verb", "unknown"),
 		errs:    r.Counter("fsp_session_errors_total"),
 	}
 }
 
 // SetClock supplies the timestamp source for per-verb latency
 // histograms. Each Exec samples the clock before and after dispatch
-// and observes the delta; units are whatever the clock counts (the
-// network server wires wall microseconds, the flood harness logical
+// and observes the delta; units are whatever the clock counts
+// (cmd/atmfsp wires wall microseconds, the latency tests logical
 // ticks). Nil disables measurement — the default, and the hot path
 // then never calls the clock.
 func (s *Session) SetClock(fn func() int64) { s.clock = fn }

@@ -382,8 +382,8 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // ExportQuantiles is the fixed quantile set every exposition renders
-// for a non-empty histogram: the latency percentiles the performance
-// plane (atmctl bench/flood, BENCH_fsp.json) reports.
+// for a non-empty histogram: the latency percentiles the fsp "stats"
+// verb reports per verb.
 var ExportQuantiles = []float64{0.5, 0.95, 0.99}
 
 // Quantile estimates the q-quantile (0 < q < 1) of the recorded

@@ -124,6 +124,14 @@ func TestKernelStagesRunAndAllocFree(t *testing.T) {
 	}
 }
 
+// canonicalBytes renders d with Timing zeroed: the form two runs of
+// one plan must reproduce byte for byte.
+func canonicalBytes(d *Doc) ([]byte, error) {
+	stripped := *d
+	stripped.Timing = Timing{}
+	return stripped.Marshal()
+}
+
 func TestDocMarshalAndCanonical(t *testing.T) {
 	results := []StageResult{
 		{
@@ -152,14 +160,14 @@ func TestDocMarshalAndCanonical(t *testing.T) {
 	}
 
 	// Canonical form strips timing and nothing else.
-	canon, err := doc.CanonicalBytes()
+	canon, err := canonicalBytes(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc2 := NewDoc(true, results)
 	doc2.Timing.TotalNS = 999999 // a different machine
 	doc2.Timing.Stages["a"] = StageTiming{NSPerOp: 1}
-	canon2, err := doc2.CanonicalBytes()
+	canon2, err := canonicalBytes(doc2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,35 +231,6 @@ func TestCompareGates(t *testing.T) {
 	other.Bench = "fsp"
 	if _, err := Compare(base, other); err == nil {
 		t.Fatal("cross-bench comparison accepted")
-	}
-}
-
-func TestCompareFloodDivergence(t *testing.T) {
-	mk := func(executed int64) *Doc {
-		return &Doc{
-			Bench: "fsp", Schema: SchemaVersion, Quick: true,
-			Flood: &FloodRow{FloodOptions: DefaultFloodOptions(true), Executed: executed},
-		}
-	}
-	if regs, err := Compare(mk(400), mk(400)); err != nil || len(regs) != 0 {
-		t.Fatalf("identical flood flagged: %v %v", regs, err)
-	}
-	if regs, err := Compare(mk(400), mk(399)); err != nil || len(regs) != 1 || regs[0].Stage != "flood" {
-		t.Fatalf("diverged flood not flagged: %v %v", regs, err)
-	}
-	// A flood of another plan, the session limit included, is not
-	// comparable: Compare refuses it instead of gating nothing or
-	// reporting the plan change as a regression.
-	for name, change := range map[string]func(*FloodOptions){
-		"sessions":     func(o *FloodOptions) { o.Sessions = 20 },
-		"garbage":      func(o *FloodOptions) { o.Garbage = 700 },
-		"max_sessions": func(o *FloodOptions) { o.MaxSessions = 0 },
-	} {
-		other := mk(400)
-		change(&other.Flood.FloodOptions)
-		if regs, err := Compare(mk(400), other); err == nil {
-			t.Errorf("%s: flood of another plan compared: %v", name, regs)
-		}
 	}
 }
 

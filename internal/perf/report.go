@@ -19,8 +19,8 @@ const SchemaVersion = "atm-bench/v1"
 // compare documents with Timing stripped, and the CI gate reads the
 // canonical rows for allocs and the timing rows for ns/op.
 type Doc struct {
-	// Bench names the artifact family: "core" for stage docs (NewDoc),
-	// "fsp" for flood docs (FloodDoc).
+	// Bench names the artifact family: "core" for stage docs (NewDoc).
+	// Compare refuses a baseline of another family.
 	Bench string `json:"bench"`
 	// Schema is SchemaVersion.
 	Schema string `json:"schema"`
@@ -29,8 +29,6 @@ type Doc struct {
 	Quick bool `json:"quick"`
 	// Stages are the canonical per-stage rows, in run order.
 	Stages []StageRow `json:"stages,omitempty"`
-	// Flood is the flood harness's canonical outcome (fsp docs only).
-	Flood *FloodRow `json:"flood,omitempty"`
 	// Timing quarantines every machine- and moment-dependent number.
 	Timing Timing `json:"timing"`
 }
@@ -47,23 +45,6 @@ type StageRow struct {
 	Note        string `json:"note,omitempty"`
 }
 
-// FloodRow is the flood harness's canonical outcome: the plan it ran,
-// then counts and tick-domain latency quantiles, all pure functions of
-// the plan.
-type FloodRow struct {
-	FloodOptions
-	Issued       int64   `json:"issued"`
-	Executed     int64   `json:"executed"`
-	ShedSessions int64   `json:"shed_sessions"`
-	Errors       int64   `json:"errors"`
-	ShedRate     float64 `json:"shed_rate"`
-	// Latency quantiles in logical ticks (issue→execute distance),
-	// estimated by the obs histogram interpolation.
-	P50Ticks float64 `json:"p50_ticks"`
-	P95Ticks float64 `json:"p95_ticks"`
-	P99Ticks float64 `json:"p99_ticks"`
-}
-
 // Timing is the one sub-object wall clocks may touch.
 type Timing struct {
 	CPUs    int   `json:"cpus"`
@@ -72,8 +53,6 @@ type Timing struct {
 	// (encoding/json emits map keys sorted, so the file layout is
 	// stable even though the values are not).
 	Stages map[string]StageTiming `json:"stages,omitempty"`
-	// ReqPerSec is the flood's wall-clock throughput (fsp docs only).
-	ReqPerSec float64 `json:"req_per_sec,omitempty"`
 }
 
 // StageTiming is one stage's wall-clock reading.
@@ -126,16 +105,6 @@ func (d *Doc) Marshal() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// CanonicalBytes renders the artifact with Timing zeroed: the form two
-// identically-seeded runs must reproduce byte for byte.
-//
-//lint:ignore deadcode the determinism tests of perf and cmd/atmctl compare artifacts in this form
-func (d *Doc) CanonicalBytes() ([]byte, error) {
-	stripped := *d
-	stripped.Timing = Timing{}
-	return stripped.Marshal()
-}
-
 // ReadDoc loads and schema-checks an artifact file.
 func ReadDoc(path string) (*Doc, error) {
 	raw, err := os.ReadFile(path)
@@ -175,10 +144,10 @@ const nsNoiseFloor = 50
 
 // Compare gates current against baseline: >NSRegressionFactor ns/op
 // growth or any allocs/op growth on an alloc-stable stage is a
-// regression, as is a stage that disappeared. Quantiles and throughput
-// are informational and never gate. Docs from different plans (quick
-// vs full, or floods of different options) refuse to compare — the
-// numbers would be meaningless.
+// regression, as is a stage that disappeared. Throughput is
+// informational and never gates. Docs of another family or another
+// plan (quick vs full) refuse to compare — the numbers would be
+// meaningless.
 func Compare(baseline, current *Doc) ([]Regression, error) {
 	if baseline.Bench != current.Bench {
 		return nil, fmt.Errorf("perf: comparing bench %q against baseline %q", current.Bench, baseline.Bench)
@@ -191,19 +160,6 @@ func Compare(baseline, current *Doc) ([]Regression, error) {
 		cur[row.Name] = row
 	}
 	var regs []Regression
-	// The flood row is a pure function of (code, options): with matching
-	// options, any divergence from the baseline means the service plane's
-	// behavior changed — shed policy, verb set — and the baseline must be
-	// regenerated deliberately.
-	if b, c := baseline.Flood, current.Flood; b != nil && c != nil {
-		if b.FloodOptions != c.FloodOptions {
-			return nil, fmt.Errorf("perf: comparing flood plan %+v against baseline plan %+v", c.FloodOptions, b.FloodOptions)
-		}
-		if *b != *c {
-			regs = append(regs, Regression{"flood",
-				fmt.Sprintf("canonical outcome diverged from baseline: %+v → %+v", *b, *c)})
-		}
-	}
 	for _, base := range baseline.Stages {
 		row, ok := cur[base.Name]
 		if !ok {
