@@ -179,35 +179,41 @@ func Characterize(m *chip.Machine, opts Options) (*Report, error) {
 		return nil, err
 	}
 
-	for ci, core := range m.AllCores() {
-		label := core.Profile.Label
-		src := root.SplitIndex(label, ci)
-		csp := o.Trace.Begin("charact", "core", label)
-		res, err := characterizeCore(m, label, o, in, src)
-		if err != nil {
-			if !errors.Is(err, chip.ErrTransient) {
-				return nil, err
+	ubench := workload.UBench()
+	ci := 0 // the core's index over the whole machine, for its stream
+	for _, c := range m.Chips {
+		cs, csErr := idleState.ChipState(c.Profile.Label)
+		for _, core := range c.Cores {
+			label := core.Profile.Label
+			src := root.SplitIndex(label, ci)
+			ci++
+			csp := o.Trace.Begin("charact", "core", label)
+			res, err := characterizeCore(m, core, ubench, o, in, src)
+			if err != nil {
+				if !errors.Is(err, chip.ErrTransient) {
+					return nil, err
+				}
+				// The harness kept failing on this core through the
+				// retry budget: quarantine it and keep characterizing
+				// the rest of the machine. The report carries the
+				// reason; a deployment must leave this core at static
+				// margin.
+				res = quarantinedResult(label, err)
+				in.quarantines.Inc()
+				o.Trace.Instant("charact", "quarantine", label)
+				if perr := core.Monitor.Program(0); perr != nil {
+					return nil, perr
+				}
 			}
-			// The harness kept failing on this core through the retry
-			// budget: quarantine it and keep characterizing the rest of
-			// the machine. The report carries the reason; a deployment
-			// must leave this core at static margin.
-			res = quarantinedResult(label, err)
-			in.quarantines.Inc()
-			o.Trace.Instant("charact", "quarantine", label)
-			if perr := m.ProgramCPM(label, 0); perr != nil {
-				return nil, perr
+			csp.End()
+			if csErr == nil {
+				f, ferr := core.Profile.SettledFreq(res.Idle.Limit, cs.Supply)
+				if ferr == nil {
+					res.IdleFreq = f
+				}
 			}
+			rep.Cores = append(rep.Cores, res)
 		}
-		csp.End()
-		chipLabel := label[:2]
-		if cs, err := idleState.ChipState(chipLabel); err == nil {
-			f, ferr := core.Profile.SettledFreq(res.Idle.Limit, cs.Supply)
-			if ferr == nil {
-				res.IdleFreq = f
-			}
-		}
-		rep.Cores = append(rep.Cores, res)
 	}
 	m.ResetAll()
 	return rep, nil
@@ -229,18 +235,20 @@ func quarantinedResult(label string, cause error) CoreResult {
 	}
 }
 
-// characterizeCore runs the three methodology stages for one core.
-func characterizeCore(m *chip.Machine, label string, o Options, in instr, src *rng.Source) (CoreResult, error) {
+// characterizeCore runs the three methodology stages for one core;
+// ubench is the micro-benchmark set of stage 2.
+func characterizeCore(m *chip.Machine, core *chip.Core, ubench []workload.Profile, o Options, in instr, src *rng.Source) (CoreResult, error) {
+	label := core.Profile.Label
 	res := CoreResult{
 		Core:            label,
-		PerKernelLimit:  map[string]int{},
-		AppLimit:        map[string]int{},
-		AppRollbackMean: map[string]float64{},
+		PerKernelLimit:  make(map[string]int, len(ubench)),
+		AppLimit:        make(map[string]int, len(o.Apps)),
+		AppRollbackMean: make(map[string]float64, len(o.Apps)),
 	}
 
 	// Stage 1: system idle, upward sweep.
 	sp := in.tr.Begin("charact", "stage:idle", label)
-	idle, err := findLimit(m, label, workload.Idle, o.Trials, o.RunsPerConfig, trialRetries, src.Split("idle"), in.idleTrials, in.tr)
+	idle, err := findLimit(m, core, &workload.Idle, o.Trials, o.RunsPerConfig, trialRetries, src.Split("idle"), in.idleTrials, in.tr)
 	sp.End()
 	if err != nil {
 		return CoreResult{}, err
@@ -251,8 +259,9 @@ func characterizeCore(m *chip.Machine, label string, o Options, in instr, src *r
 	res.UBenchRollback = stats.NewHistogram()
 	res.UBenchLimit = idle.Limit
 	sp = in.tr.Begin("charact", "stage:ubench", label)
-	for _, ub := range workload.UBench() {
-		d, err := findRollback(m, label, ub, idle.Limit, o.Trials, o.RunsPerConfig, trialRetries, src.Split("ubench/"+ub.Name), in.ubenchTrials, in.tr)
+	for i := range ubench {
+		ub := &ubench[i]
+		d, err := findRollback(m, core, ub, idle.Limit, o.Trials, o.RunsPerConfig, trialRetries, src.Split("ubench/"+ub.Name), in.ubenchTrials, in.tr)
 		if err != nil {
 			sp.End()
 			return CoreResult{}, err
@@ -273,8 +282,9 @@ func characterizeCore(m *chip.Machine, label string, o Options, in instr, src *r
 	worst := res.UBenchLimit
 	normal := res.UBenchLimit
 	sp = in.tr.Begin("charact", "stage:app", label)
-	for _, app := range o.Apps {
-		d, err := findRollback(m, label, app, res.UBenchLimit, o.Trials, o.RunsPerConfig, trialRetries, src.Split("app/"+app.Name), in.appTrials, in.tr)
+	for i := range o.Apps {
+		app := &o.Apps[i]
+		d, err := findRollback(m, core, app, res.UBenchLimit, o.Trials, o.RunsPerConfig, trialRetries, src.Split("app/"+app.Name), in.appTrials, in.tr)
 		if err != nil {
 			sp.End()
 			return CoreResult{}, err
@@ -294,15 +304,24 @@ func characterizeCore(m *chip.Machine, label string, o Options, in instr, src *r
 	return res, nil
 }
 
+// Split labels of a search's per-trial, per-configuration and per-run
+// streams, hashed once: src.SplitLabel(runLabel, i) is
+// src.SplitIndex("run", i).
+var (
+	trialLabel = rng.NewLabel("trial")
+	rLabel     = rng.NewLabel("r")
+	runLabel   = rng.NewLabel("run")
+)
+
 // configSafe runs the workload runs times at the core's current
 // configuration; the configuration is safe only when every run passes.
 // A run that fails with a transient harness error is retried up to
 // retries extra attempts (chip.RunCoreTrialRetry); attempt 0 always
 // draws from the same stream as retry-free code, so a fault-free machine
 // yields byte-identical results regardless of the budget.
-func configSafe(m *chip.Machine, core *chip.Core, w workload.Profile, runs, retries int, src *rng.Source) (bool, error) {
+func configSafe(m *chip.Machine, core *chip.Core, w *workload.Profile, runs, retries int, src *rng.Source) (bool, error) {
 	for i := 0; i < runs; i++ {
-		tr, err := m.RunCoreTrialRetry(core, w, src.SplitIndex("run", i), retries)
+		tr, err := m.RunCoreTrialRetry(core, w, src.SplitLabel(runLabel, i), retries)
 		if err != nil {
 			return false, err
 		}
@@ -331,14 +350,11 @@ func checkCounts(trials, runsPerConfig int) error {
 // last safe configuration. Returns the distribution over trials. Each
 // run retries transient harness failures up to retries times; tc counts
 // the trials and tr traces them (both may be nil).
-func findLimit(m *chip.Machine, label string, w workload.Profile, trials, runsPerConfig, retries int, src *rng.Source, tc *obs.Counter, tr *obs.Tracer) (Distribution, error) {
+func findLimit(m *chip.Machine, core *chip.Core, w *workload.Profile, trials, runsPerConfig, retries int, src *rng.Source, tc *obs.Counter, tr *obs.Tracer) (Distribution, error) {
 	if err := checkCounts(trials, runsPerConfig); err != nil {
 		return Distribution{}, err
 	}
-	core, err := m.Core(label)
-	if err != nil {
-		return Distribution{}, err
-	}
+	label := core.Profile.Label
 	maxR := core.Profile.MaxReduction()
 	d := Distribution{Core: label, Workload: w.Name, Hist: stats.NewHistogram()}
 	for t := 0; t < trials; t++ {
@@ -348,13 +364,13 @@ func findLimit(m *chip.Machine, label string, w workload.Profile, trials, runsPe
 			// Argument rendering only runs with the plane enabled.
 			tsp.Arg("workload", w.Name).Arg("trial", strconv.Itoa(t))
 		}
-		tsrc := src.SplitIndex("trial", t)
+		tsrc := src.SplitLabel(trialLabel, t)
 		lim := 0
 		for r := 1; r <= maxR; r++ {
 			if err := core.Monitor.Program(r); err != nil {
 				return Distribution{}, err
 			}
-			ok, err := configSafe(m, core, w, runsPerConfig, retries, tsrc.SplitIndex("r", r))
+			ok, err := configSafe(m, core, w, runsPerConfig, retries, tsrc.SplitLabel(rLabel, r))
 			if err != nil {
 				return Distribution{}, err
 			}
@@ -381,14 +397,11 @@ func findLimit(m *chip.Machine, label string, w workload.Profile, trials, runsPe
 // start at the given configuration and roll the reduction back until the
 // workload runs correctly (Sec. V-B). Returns the distribution of safe
 // configurations over trials. retries, tc and tr are as for findLimit.
-func findRollback(m *chip.Machine, label string, w workload.Profile, start, trials, runsPerConfig, retries int, src *rng.Source, tc *obs.Counter, tr *obs.Tracer) (Distribution, error) {
+func findRollback(m *chip.Machine, core *chip.Core, w *workload.Profile, start, trials, runsPerConfig, retries int, src *rng.Source, tc *obs.Counter, tr *obs.Tracer) (Distribution, error) {
 	if err := checkCounts(trials, runsPerConfig); err != nil {
 		return Distribution{}, err
 	}
-	core, err := m.Core(label)
-	if err != nil {
-		return Distribution{}, err
-	}
+	label := core.Profile.Label
 	d := Distribution{Core: label, Workload: w.Name, Hist: stats.NewHistogram()}
 	for t := 0; t < trials; t++ {
 		tc.Inc()
@@ -396,13 +409,13 @@ func findRollback(m *chip.Machine, label string, w workload.Profile, start, tria
 		if tsp != nil {
 			tsp.Arg("workload", w.Name).Arg("trial", strconv.Itoa(t))
 		}
-		tsrc := src.SplitIndex("trial", t)
+		tsrc := src.SplitLabel(trialLabel, t)
 		r := start
 		for r > 0 {
 			if err := core.Monitor.Program(r); err != nil {
 				return Distribution{}, err
 			}
-			ok, err := configSafe(m, core, w, runsPerConfig, retries, tsrc.SplitIndex("r", r))
+			ok, err := configSafe(m, core, w, runsPerConfig, retries, tsrc.SplitLabel(rLabel, r))
 			if err != nil {
 				return Distribution{}, err
 			}

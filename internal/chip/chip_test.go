@@ -430,7 +430,7 @@ func TestCoreTrialLoopAllocFree(t *testing.T) {
 	runs, fails := 0, 0
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 4; i++ {
-			res, err := m.RunCoreTrialRetry(core, w, src.SplitIndex("run", runs), 2)
+			res, err := m.RunCoreTrialRetry(core, &w, src.SplitIndex("run", runs), 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -448,10 +448,9 @@ func TestCoreTrialLoopAllocFree(t *testing.T) {
 	}
 }
 
-// TestCoreTrialRetryMatchesLabelEntry: the label entry
-// (RunStressmarkRetry) and the handle entry are one trial
-// implementation — same results from the same streams, and the observer
-// sees both alike.
+// TestCoreTrialRetryMatchesLabelEntry: the label entry (RunTrial) and
+// the handle entry are one trial implementation — same results from the
+// same streams — and the observer sees each retry-wrapped trial.
 func TestCoreTrialRetryMatchesLabelEntry(t *testing.T) {
 	m := NewReference()
 	core, err := m.Core("P1C3")
@@ -471,8 +470,8 @@ func TestCoreTrialRetryMatchesLabelEntry(t *testing.T) {
 	})
 	src := rng.New(6)
 	for i := 0; i < 200; i++ {
-		a, errA := m.RunStressmarkRetry("P1C3", virus, src.SplitIndex("t", i), 2)
-		b, errB := m.RunCoreTrialRetry(core, virus.Profile, src.SplitIndex("t", i), 2)
+		a, errA := m.RunTrial("P1C3", virus.Profile, src.SplitIndex("t", i))
+		b, errB := m.RunCoreTrialRetry(core, &virus.Profile, src.SplitIndex("t", i), 2)
 		if errA != nil || errB != nil {
 			t.Fatal(errA, errB)
 		}
@@ -480,10 +479,10 @@ func TestCoreTrialRetryMatchesLabelEntry(t *testing.T) {
 			t.Fatalf("trial %d: label entry %+v, handle entry %+v", i, a, b)
 		}
 	}
-	if seen != 400 {
-		t.Errorf("observer saw %d trials, want 400", seen)
+	if seen != 200 {
+		t.Errorf("observer saw %d trials, want 200", seen)
 	}
-	if _, err := m.RunStressmarkRetry("P9C9", virus, src, 2); err == nil {
+	if _, err := m.RunTrial("P9C9", virus.Profile, src); err == nil {
 		t.Error("unknown core accepted")
 	}
 }

@@ -136,40 +136,28 @@ func (m *Machine) RunStressmark(label string, s workload.Stressmark, src *rng.So
 }
 
 // TrialObserver is notified once per retry-wrapped trial
-// (RunStressmarkRetry, RunCoreTrialRetry) that reached a core, with the
-// number of transient retries consumed and the final outcome. It is the
-// observability plane's tap: observers count and trace, they never
-// perturb the trial or its random streams.
+// (RunCoreTrialRetry) that reached a core, with the number of transient
+// retries consumed and the final outcome. It is the observability
+// plane's tap: observers count and trace, they never perturb the trial
+// or its random streams.
 type TrialObserver func(label, workload string, retries int, res TrialResult, err error)
-
-// RunStressmarkRetry is RunStressmark with a bounded retry budget for
-// transient harness failures.
-func (m *Machine) RunStressmarkRetry(label string, s workload.Stressmark, src *rng.Source, retries int) (TrialResult, error) {
-	if err := s.Validate(); err != nil {
-		return TrialResult{}, err
-	}
-	core, err := m.Core(label)
-	if err != nil {
-		return TrialResult{}, err
-	}
-	return m.RunCoreTrialRetry(core, s.Profile, src, retries)
-}
 
 // RunCoreTrialRetry is RunTrial on a core handle with a bounded retry
 // budget for transient harness failures (ErrTransient); genuine model
 // errors and timing violations are never retried. It is for callers
-// that run many trials on one core: it skips the label lookup and
-// allocates nothing. Attempt 0 draws from src itself — so with no faults armed the
-// stream consumed is identical to a plain single run — and each retry
-// after a transient failure draws from an independent split, keeping
-// the parent stream untouched. The trial observer, when installed, sees
-// the final outcome and how many retries it consumed.
-func (m *Machine) RunCoreTrialRetry(core *Core, w workload.Profile, src *rng.Source, retries int) (TrialResult, error) {
-	res, err := m.runTrial(core, &w, src)
+// that run many trials on one core: it skips the label lookup, takes
+// the workload by pointer and allocates nothing. Attempt 0 draws from
+// src itself — so with no faults armed the stream consumed is identical
+// to a plain single run — and each retry after a transient failure
+// draws from an independent split, keeping the parent stream untouched.
+// The trial observer, when installed, sees the final outcome and how
+// many retries it consumed.
+func (m *Machine) RunCoreTrialRetry(core *Core, w *workload.Profile, src *rng.Source, retries int) (TrialResult, error) {
+	res, err := m.runTrial(core, w, src)
 	used := 0
 	for a := 1; a <= retries && err != nil && errors.Is(err, ErrTransient); a++ {
 		used = a
-		res, err = m.runTrial(core, &w, src.SplitIndex("retry", a))
+		res, err = m.runTrial(core, w, src.SplitIndex("retry", a))
 	}
 	if err != nil && errors.Is(err, ErrTransient) && retries > 0 {
 		err = fmt.Errorf("%w (persisted through %d retries)", err, retries)

@@ -367,8 +367,8 @@ func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 			if !active[i] {
 				continue
 			}
-			w := workMix[i%len(workMix)]
-			cores[i].SetWorkload(w)
+			w := &workMix[i%len(workMix)]
+			cores[i].SetWorkload(*w)
 			tr, err := m.RunCoreTrialRetry(cores[i], w, trialSrc.SplitIndex("trial", e*len(cores)+i), trialRetries)
 			if err != nil {
 				if errors.Is(err, chip.ErrTransient) {

@@ -52,6 +52,32 @@ func (s *Source) SplitIndex(label string, i int) *Source {
 	return &Source{state: childSeed(s.state, label, i, true)}
 }
 
+// Label is a split label hashed once, for a caller that splits many
+// children off one label (a search's per-run and per-trial streams).
+// The zero Label is not NewLabel(""); build labels with NewLabel.
+type Label struct{ h uint64 }
+
+// NewLabel hashes label for SplitLabel.
+func NewLabel(label string) Label { return Label{h: hashString(label)} }
+
+// SplitLabel is SplitIndex with the label hashed ahead of time:
+// s.SplitLabel(NewLabel(l), i) yields the same child stream as
+// s.SplitIndex(l, i). Like SplitIndex it inlines, so a child the caller
+// does not leak stays on the caller's stack.
+func (s *Source) SplitLabel(l Label, i int) *Source {
+	return &Source{state: labelSeed(s.state, l.h, i)}
+}
+
+// labelSeed is childSeed's indexed seed for a label already hashed to h.
+// It is kept out of line so that SplitLabel stays within the inlining
+// budget: inlined, its two mixes would push SplitLabel over it, and
+// every child would escape to the heap.
+//
+//go:noinline
+func labelSeed(state, h uint64, i int) uint64 {
+	return mix(state^0x4E54AD1077089B93, mix(h, uint64(i)+golden))
+}
+
 // childSeed is the seed of the child split off a parent whose state is
 // state: the parent's seed state (not its advancing position) mixed with
 // the label hash, and for SplitIndex with the index too, so the same

@@ -181,3 +181,56 @@ func TestPermIsPermutation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSplitLabelMatchesSplitIndex: a pre-hashed label splits off the
+// same child stream as the string label, over random labels (empty and
+// non-ASCII ones included), random parents and indices at both ends of
+// the int range.
+func TestSplitLabelMatchesSplitIndex(t *testing.T) {
+	gen := New(0x5EED)
+	labels := []string{"", "run", "r", "trial", "ubench/daxpy", "héllo", "日本語", "\x00\xff\x80"}
+	for k := 0; k < 40; k++ {
+		b := make([]byte, gen.Intn(16))
+		for j := range b {
+			b[j] = byte(gen.Uint64()) // any byte, valid UTF-8 or not
+		}
+		labels = append(labels, string(b))
+	}
+	indices := []int{0, 1, -1, 2, 63, -64, math.MaxInt, math.MaxInt - 1, math.MinInt, math.MinInt + 1}
+	for k := 0; k < 20; k++ {
+		indices = append(indices, int(gen.Uint64()))
+	}
+	for p := 0; p < 4; p++ {
+		parent := New(gen.Uint64())
+		parent.Uint64() // a parent part-way through its stream
+		for _, l := range labels {
+			lab := NewLabel(l)
+			for _, i := range indices {
+				a, b := parent.SplitIndex(l, i), parent.SplitLabel(lab, i)
+				for d := 0; d < 8; d++ {
+					if x, y := a.Uint64(), b.Uint64(); x != y {
+						t.Fatalf("label %q index %d draw %d: SplitIndex %#x, SplitLabel %#x", l, i, d, x, y)
+					}
+				}
+			}
+		}
+	}
+	prop := func(seed uint64, l string, i int) bool {
+		a, b := New(seed).SplitIndex(l, i), New(seed).SplitLabel(NewLabel(l), i)
+		return a.Uint64() == b.Uint64() && a.Uint64() == b.Uint64()
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSplitLabelAllocFree: SplitLabel inlines, so a child that does not
+// leave the caller stays on its stack.
+func TestSplitLabelAllocFree(t *testing.T) {
+	src, lab := New(3), NewLabel("run")
+	var sum uint64
+	if n := testing.AllocsPerRun(100, func() { sum += src.SplitLabel(lab, 7).Uint64() }); n != 0 {
+		t.Errorf("SplitLabel allocates %v times per child", n)
+	}
+	_ = sum
+}

@@ -7,6 +7,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -198,54 +199,76 @@ func FitLinear(xs, ys []float64) (LinearFit, error) {
 }
 
 // Histogram is a counting histogram over integer-valued observations,
-// used for the limit distributions of Fig. 7 and Fig. 8.
+// used for the limit distributions of Fig. 7 and Fig. 8. It keeps one
+// (value, count) bin per distinct value in ascending value order: a
+// limit distribution has a handful of values, so a scan of the bins
+// beats hashing, and the extremes are the ends of the slice.
 type Histogram struct {
-	counts map[int]int
-	total  int
+	bins  []bin
+	total int
 }
 
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[int]int)}
-}
+// bin is one distinct value and how many times it was observed.
+type bin struct{ v, n int }
+
+// initialBins is the backing capacity the first Add allocates: most
+// limit distributions cover at most a few adjacent configurations.
+const initialBins = 4
+
+// NewHistogram returns an empty histogram. It allocates no bins until
+// the first Add.
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // Add records one observation of value v.
 func (h *Histogram) Add(v int) {
-	h.counts[v]++
 	h.total++
+	i := len(h.bins)
+	for i > 0 && h.bins[i-1].v > v {
+		i--
+	}
+	if i > 0 && h.bins[i-1].v == v {
+		h.bins[i-1].n++
+		return
+	}
+	if h.bins == nil {
+		h.bins = make([]bin, 0, initialBins)
+	}
+	h.bins = slices.Insert(h.bins, i, bin{v: v, n: 1})
 }
 
 // Count returns the number of observations equal to v.
-func (h *Histogram) Count(v int) int { return h.counts[v] }
+func (h *Histogram) Count(v int) int {
+	for _, b := range h.bins {
+		if b.v == v {
+			return b.n
+		}
+	}
+	return 0
+}
 
 // Support returns the sorted distinct values observed.
 func (h *Histogram) Support() []int {
-	vs := make([]int, 0, len(h.counts))
-	for v := range h.counts {
-		vs = append(vs, v)
+	vs := make([]int, len(h.bins))
+	for i, b := range h.bins {
+		vs[i] = b.v
 	}
-	sort.Ints(vs)
 	return vs
 }
 
 // MinValue returns the smallest observed value; ok is false when empty.
 func (h *Histogram) MinValue() (v int, ok bool) {
-	for x := range h.counts {
-		if !ok || x < v {
-			v, ok = x, true
-		}
+	if len(h.bins) == 0 {
+		return 0, false
 	}
-	return v, ok
+	return h.bins[0].v, true
 }
 
 // MaxValue returns the largest observed value; ok is false when empty.
 func (h *Histogram) MaxValue() (v int, ok bool) {
-	for x := range h.counts {
-		if !ok || x > v {
-			v, ok = x, true
-		}
+	if len(h.bins) == 0 {
+		return 0, false
 	}
-	return v, ok
+	return h.bins[len(h.bins)-1].v, true
 }
 
 // Spread returns max − min of the support (0 when fewer than 2 values).
@@ -265,17 +288,20 @@ func (h *Histogram) Frac(v int) float64 {
 	if h.total == 0 {
 		return 0
 	}
-	return float64(h.counts[v]) / float64(h.total)
+	return float64(h.Count(v)) / float64(h.total)
 }
 
-// WeightedMean returns the mean of the observed integer values.
+// WeightedMean returns the mean of the observed integer values. The sum
+// runs in ascending value order; every product and partial sum of a
+// limit distribution is an exact small integer, so the order does not
+// change the result.
 func (h *Histogram) WeightedMean() float64 {
 	if h.total == 0 {
 		return 0
 	}
 	sum := 0.0
-	for v, c := range h.counts {
-		sum += float64(v) * float64(c)
+	for _, b := range h.bins {
+		sum += float64(b.v) * float64(b.n)
 	}
 	return sum / float64(h.total)
 }

@@ -2,8 +2,11 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -277,6 +280,77 @@ func TestApproxEqual(t *testing.T) {
 	for _, c := range cases {
 		if got := ApproxEqual(c.a, c.b, c.tol); got != c.want {
 			t.Errorf("ApproxEqual(%g, %g, %g) = %v, want %v", c.a, c.b, c.tol, got, c.want)
+		}
+	}
+}
+
+// TestHistogramMatchesMapReference holds the histogram to a plain map
+// of counts over random observations, negative values included, added
+// in random order: the same support (ascending), counts, extremes,
+// spread, fractions and a bit-equal weighted mean.
+func TestHistogramMatchesMapReference(t *testing.T) {
+	r := rng.New(7)
+	for round := 0; round < 200; round++ {
+		span := 1 + r.Intn(12)
+		lo := r.Intn(41) - 20
+		obs := make([]int, r.Intn(60))
+		for i := range obs {
+			obs[i] = lo + r.Intn(span)
+		}
+		h := NewHistogram()
+		ref := map[int]int{}
+		for _, k := range r.Perm(len(obs)) {
+			h.Add(obs[k])
+			ref[obs[k]]++
+		}
+		want := make([]int, 0, len(ref))
+		for v := range ref {
+			want = append(want, v)
+		}
+		sort.Ints(want)
+		got := h.Support()
+		if len(got) != len(want) {
+			t.Fatalf("round %d: Support %v, want %v", round, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: Support %v, want %v", round, got, want)
+			}
+		}
+		for v := lo - 1; v <= lo+span; v++ {
+			if h.Count(v) != ref[v] {
+				t.Fatalf("round %d: Count(%d) = %d, want %d", round, v, h.Count(v), ref[v])
+			}
+			wantFrac := 0.0
+			if len(obs) > 0 {
+				wantFrac = float64(ref[v]) / float64(len(obs))
+			}
+			if math.Float64bits(h.Frac(v)) != math.Float64bits(wantFrac) {
+				t.Fatalf("round %d: Frac(%d) = %v, want %v", round, v, h.Frac(v), wantFrac)
+			}
+		}
+		minV, okMin := h.MinValue()
+		maxV, okMax := h.MaxValue()
+		if okMin != (len(want) > 0) || okMax != okMin {
+			t.Fatalf("round %d: MinValue/MaxValue ok = %v/%v with %d values", round, okMin, okMax, len(want))
+		}
+		wantSpread, wantMean := 0, 0.0
+		if len(want) > 0 {
+			if minV != want[0] || maxV != want[len(want)-1] {
+				t.Fatalf("round %d: extremes %d..%d, want %d..%d", round, minV, maxV, want[0], want[len(want)-1])
+			}
+			wantSpread = want[len(want)-1] - want[0]
+			sum := 0.0
+			for v, c := range ref {
+				sum += float64(v) * float64(c)
+			}
+			wantMean = sum / float64(len(obs))
+		}
+		if h.Spread() != wantSpread {
+			t.Fatalf("round %d: Spread = %d, want %d", round, h.Spread(), wantSpread)
+		}
+		if math.Float64bits(h.WeightedMean()) != math.Float64bits(wantMean) {
+			t.Fatalf("round %d: WeightedMean = %v, want %v", round, h.WeightedMean(), wantMean)
 		}
 	}
 }

@@ -181,8 +181,9 @@ func (d *Deployment) SpeedDifferentialMHz() float64 {
 // StressTestCore finds one core's stress-test limit: the largest
 // reduction at which every stressmark of the battery passes
 // RunsPerConfig consecutive runs on every pass. It consumes o verbatim
-// and rejects a search that would run nothing (no pass, no run or no
-// stressmark), which would pass every reduction unexamined.
+// and rejects, before any trial, a search that would run nothing (no
+// pass, no run or no stressmark), which would pass every reduction
+// unexamined, and a battery with an invalid stressmark.
 func StressTestCore(m *chip.Machine, label string, o Options, src *rng.Source) (int, error) {
 	switch {
 	case o.Passes < 1:
@@ -192,6 +193,11 @@ func StressTestCore(m *chip.Machine, label string, o Options, src *rng.Source) (
 	case len(o.Battery) == 0:
 		return 0, errors.New("tuning: empty Battery: want at least one stressmark")
 	}
+	for _, mark := range o.Battery {
+		if err := mark.Validate(); err != nil {
+			return 0, err
+		}
+	}
 	core, err := m.Core(label)
 	if err != nil {
 		return 0, err
@@ -199,17 +205,18 @@ func StressTestCore(m *chip.Machine, label string, o Options, src *rng.Source) (
 	maxR := core.Profile.MaxReduction()
 	limit := 0
 	for r := 1; r <= maxR; r++ {
-		if err := m.ProgramCPM(label, r); err != nil {
+		if err := core.Monitor.Program(r); err != nil {
 			return 0, err
 		}
 		safe := true
 	passes:
 		for pass := 0; pass < o.Passes; pass++ {
 			psrc := src.SplitIndex("pass", pass)
-			for mi, mark := range o.Battery {
-				msrc := psrc.SplitIndex(mark.Profile.Name, mi)
+			for mi := range o.Battery {
+				w := &o.Battery[mi].Profile
+				msrc := psrc.SplitIndex(w.Name, mi)
 				for run := 0; run < o.RunsPerConfig; run++ {
-					tr, err := m.RunStressmarkRetry(label, mark, msrc.SplitIndex("run", run), o.TrialRetries)
+					tr, err := m.RunCoreTrialRetry(core, w, msrc.SplitIndex("run", run), o.TrialRetries)
 					if err != nil {
 						return 0, err
 					}
@@ -225,7 +232,7 @@ func StressTestCore(m *chip.Machine, label string, o Options, src *rng.Source) (
 		}
 		limit = r
 	}
-	if err := m.ProgramCPM(label, 0); err != nil {
+	if err := core.Monitor.Program(0); err != nil {
 		return 0, err
 	}
 	return limit, nil

@@ -181,6 +181,27 @@ func TestStressTestRejectsEmptySearch(t *testing.T) {
 	}
 }
 
+// TestStressTestRejectsInvalidBattery: a battery holding an invalid
+// stressmark, wherever it sits, fails before any trial runs and leaves
+// the core at its default configuration.
+func TestStressTestRejectsInvalidBattery(t *testing.T) {
+	bad := workload.VoltageVirus()
+	bad.ThreadsPerCore = 9
+	m := chip.NewReference()
+	runs := 0
+	m.SetTrialObserver(func(string, string, int, chip.TrialResult, error) { runs++ })
+	o := Options{Passes: 1, RunsPerConfig: 1, Battery: []workload.Stressmark{workload.PowerVirus(), bad}}
+	if _, err := StressTestCore(m, "P0C0", o, rng.New(1)); err == nil || !strings.Contains(err.Error(), "threads per core") {
+		t.Fatalf("StressTestCore: err = %v, want one naming the threads per core", err)
+	}
+	if runs != 0 {
+		t.Errorf("%d trial(s) ran before the invalid stressmark was rejected", runs)
+	}
+	if core, _ := m.Core("P0C0"); core.Reduction() != 0 {
+		t.Errorf("core left at reduction %d", core.Reduction())
+	}
+}
+
 func TestFastestCoresOrdering(t *testing.T) {
 	_, dep := deployed(t)
 	order := dep.FastestCores()

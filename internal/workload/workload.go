@@ -377,7 +377,8 @@ func MustByName(name string) Profile {
 	return p
 }
 
-// All returns every registered profile sorted by name.
+// All returns every registered profile sorted by name, built afresh
+// from the registry on each call.
 func All() []Profile {
 	out := make([]Profile, 0, len(library))
 	for _, p := range library {
@@ -387,37 +388,36 @@ func All() []Profile {
 	return out
 }
 
-// BySuite returns the profiles of one suite sorted by name.
-func BySuite(s Suite) []Profile {
-	var out []Profile
+// ubench and realistic are the micro-benchmarks and the realistic
+// applications, sorted by name. init builds them once: a package-level
+// var initializer could run before the register calls above fill
+// library, since Go orders those by reference, while init runs after
+// every one of them. The accessors below return fresh copies, so no
+// caller can modify them.
+var ubench, realistic []Profile
+
+func init() {
 	for _, p := range All() {
-		if p.Suite == s {
-			out = append(out, p)
+		switch p.Suite {
+		case SuiteUBench:
+			ubench = append(ubench, p)
+		case SuiteSPEC, SuitePARSEC, SuiteDNN:
+			realistic = append(realistic, p)
 		}
 	}
-	return out
 }
 
-// UBench returns the three micro-benchmarks.
-func UBench() []Profile { return BySuite(SuiteUBench) }
+// UBench returns the three micro-benchmarks, sorted by name.
+func UBench() []Profile { return append([]Profile(nil), ubench...) }
 
 // Realistic returns the SPEC + PARSEC + DNN applications (the Sec. VI
 // profiling set), sorted by name.
-func Realistic() []Profile {
-	var out []Profile
-	for _, p := range All() {
-		switch p.Suite {
-		case SuiteSPEC, SuitePARSEC, SuiteDNN:
-			out = append(out, p)
-		}
-	}
-	return out
-}
+func Realistic() []Profile { return append([]Profile(nil), realistic...) }
 
 // ByRole returns the Table II classification column.
 func ByRole(r Role) []Profile {
 	var out []Profile
-	for _, p := range Realistic() {
+	for _, p := range realistic {
 		if p.Role == r {
 			out = append(out, p)
 		}

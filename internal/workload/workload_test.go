@@ -260,3 +260,67 @@ func TestValidateCatchesBadProfiles(t *testing.T) {
 		}
 	}
 }
+
+// TestAccessorsReturnCopies: every list accessor hands out its own
+// slice, so a caller that modifies one leaves the library, and the next
+// call, as they were.
+func TestAccessorsReturnCopies(t *testing.T) {
+	for _, acc := range []struct {
+		name string
+		get  func() []Profile
+	}{
+		{"All", All},
+		{"UBench", UBench},
+		{"Realistic", Realistic},
+		{"Critical", Critical},
+		{"Background", Background},
+	} {
+		t.Run(acc.name, func(t *testing.T) {
+			want := acc.get()
+			if len(want) == 0 {
+				t.Fatal("empty list")
+			}
+			got := acc.get()
+			got[0].Name, got[0].StressScore = "clobbered", 9
+			got[len(got)-1] = Profile{}
+			_ = append(got[:1], Profile{Name: "appended"})
+			again := acc.get()
+			if len(again) != len(want) {
+				t.Fatalf("length %d after a caller's edits, want %d", len(again), len(want))
+			}
+			for i := range want {
+				if again[i] != want[i] {
+					t.Fatalf("entry %d is %+v after a caller's edits, want %+v", i, again[i], want[i])
+				}
+			}
+			if p, err := ByName(want[0].Name); err != nil || p != want[0] {
+				t.Fatalf("ByName(%q) = %+v, %v after a caller's edits", want[0].Name, p, err)
+			}
+		})
+	}
+}
+
+// TestAccessorsConcurrent calls the accessors from several goroutines,
+// each editing what it got; under -race it checks that no two callers
+// share memory.
+func TestAccessorsConcurrent(t *testing.T) {
+	want := Realistic()
+	done := make(chan bool)
+	for g := 0; g < 4; g++ {
+		go func() {
+			ok := true
+			for k := 0; k < 50; k++ {
+				ub, apps := UBench(), Realistic()
+				ub[0].StressScore++
+				apps[len(apps)-1].Name = "edited"
+				ok = ok && len(apps) == len(want) && apps[0] == want[0] && len(All()) > len(apps)
+			}
+			done <- ok
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		if !<-done {
+			t.Error("a concurrent caller saw another caller's edit")
+		}
+	}
+}
