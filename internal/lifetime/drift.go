@@ -224,13 +224,28 @@ func NewOverlay(m *chip.Machine, p Params, horizonYears float64, src *rng.Source
 func (o *Overlay) AmbientAt(tHours float64) float64 {
 	a := o.p.AmbientMeanC
 	a += o.p.SeasonalAmpC * math.Sin(2*math.Pi*tHours/HoursPerYear)
-	a += o.p.DiurnalAmpC * math.Sin(2*math.Pi*math.Mod(tHours, 24)/24)
+	a += o.p.DiurnalAmpC * math.Sin(2*math.Pi*hourOfDay(tHours)/24)
 	for i := range o.excursions {
 		if tHours >= o.excursions[i].startH && tHours < o.excursions[i].endH {
 			a += o.excursions[i].ampC
 		}
 	}
 	return a
+}
+
+// hourOfDay returns math.Mod(t, 24), the hour of the day at simulated
+// hour t, bit for bit, without Mod's float loop for t in (0, 2^52).
+// There n = ⌊t⌋ is exact, and so is t − n (Sterbenz for t ≥ 1); the
+// sum (n mod 24) + (t − n) has Mod's remainder as its true value, which
+// is a float, so it rounds to exactly that. Every other t (0, −0 with
+// its sign, negatives, 2^52 and past, NaN and the infinities) goes to
+// Mod.
+func hourOfDay(t float64) float64 {
+	if t > 0 && t < 1<<52 {
+		n := int64(t)
+		return float64(n%24) + (t - float64(n))
+	}
+	return math.Mod(t, 24)
 }
 
 // CoreAge returns core i's current fractional true-path slowdown.

@@ -297,8 +297,8 @@ func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 		tH := float64(e+1) * epochHours
 		// The machine does real work 08:00–20:00 every day; nights it
 		// idles. Active cores accumulate HCI stress and take trials.
-		hourOfDay := math.Mod(tH, 24)
-		working := hourOfDay > 8 && hourOfDay <= 20
+		hour := hourOfDay(tH)
+		working := hour > 8 && hour <= 20
 		for i, c := range cores {
 			active[i] = working && !c.Gated() && c.Mode() == chip.ModeATM
 		}

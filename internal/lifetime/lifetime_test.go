@@ -176,6 +176,33 @@ func TestOverlayAmbientDeterminism(t *testing.T) {
 	}
 }
 
+// TestHourOfDayMatchesMod holds hourOfDay to math.Mod(t, 24) bit for
+// bit: the end of every epoch of a 10-year horizon, the edges of the
+// exact path, the inputs it leaves to Mod, and 10^5 random hours, whole
+// and fractional, of every magnitude up to 2^53.
+func TestHourOfDayMatchesMod(t *testing.T) {
+	ts := []float64{
+		0, math.Copysign(0, -1), -6, -24, -25.5, 0.5, 5.75, 24.000001, 1e-300, 5e-324,
+		math.Nextafter(1, 0), math.Nextafter(24, 0), math.Nextafter(24, 48),
+		1<<52 - 1, 1<<52 - 0.5, 1 << 52, 1<<52 + 1, 1 << 53,
+		math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	for e := range int(10 * HoursPerYear / epochHours) {
+		ts = append(ts, float64(e+1)*epochHours)
+	}
+	src := rng.New(24)
+	for range 100_000 {
+		h := math.Ldexp(src.Float64(), src.Intn(54))
+		ts = append(ts, h, math.Round(h))
+	}
+	for _, h := range ts {
+		got, want := hourOfDay(h), math.Mod(h, 24)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("hourOfDay(%v) = %v (%#x), math.Mod %v (%#x)", h, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 // TestOverlayRefreshesAgedProfiles: after every Advance, each aged core
 // gives the same requirements, limits and failure probabilities as a
 // Clone of it that called Refresh — the overlay's in-place rewrites

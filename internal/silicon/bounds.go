@@ -116,17 +116,32 @@ func lnBounds(x float64) (lo, hi float64) {
 // entries i+1 and i; the last bucket, which also holds u = ¼ itself,
 // has lower bound 0.
 //
+// u is uniform, so a jump on either fold would be a coin flip for the
+// branch predictor. Both subtractions are computed up front and their
+// bits selected with integer assignments, which amd64 compiles to
+// conditional moves: 1−u when u > ½, then |½−u| when it is below ¼,
+// that is when u lies in (¼, ¾). Where |½−u| is selected it is the
+// exact ½−v of the second fold (for u in (½, ¾), ½−(1−u) = u−½ exactly),
+// and the bits of non-negative floats order as the floats do, so the
+// folded angle, the bucket and both bounds are those of the two
+// branches. The function stays cheap enough to inline into survives.
+//
 //atm:hotpath
 func cosBounds(u float64) (lo, hi float64) {
+	b, f, h := math.Float64bits(u), math.Float64bits(1-u), math.Float64bits(0.5-u)&^(1<<63)
 	if u > 0.5 {
-		u = 1 - u
+		b = f
 	}
-	if u > 0.25 {
-		u = 0.5 - u
+	if h < quarterTurnBits {
+		b = h
 	}
-	i := min(int(u*(4*cosTableN)), cosTableN-1)
+	i := min(int(math.Float64frombits(b)*(4*cosTableN)), cosTableN-1)
 	return cosTable[i+1], cosTable[i]
 }
+
+// quarterTurnBits is math.Float64bits(0.25), the quarter turn cosBounds
+// compares a folded angle's bits against.
+const quarterTurnBits = 0x3FD0000000000000
 
 // survives is the trial outcome g ≥ req·(1 + |σ·z|) for the Box–Muller
 // deviate z of (u1, u2), decided from bounds on |z| when they clear the

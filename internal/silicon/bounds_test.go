@@ -41,6 +41,66 @@ func TestSurvivesMatchesNormSweep(t *testing.T) {
 	}
 }
 
+// refCosBounds is cosBounds as two branches, before the folds became
+// selects, kept as its reference.
+func refCosBounds(u float64) (lo, hi float64) {
+	if u > 0.5 {
+		u = 1 - u
+	}
+	if u > 0.25 {
+		u = 0.5 - u
+	}
+	i := min(int(u*(4*cosTableN)), cosTableN-1)
+	return cosTable[i+1], cosTable[i]
+}
+
+// TestCosBoundsMatchesBranches holds the select fold to the two-branch
+// fold bit for bit: at every bucket edge i/512, ¼, ½ and ¾ among them,
+// each ±4 ulps; at 0, −0, 2^-53 and 1 − 2^-53; at the u2 of 10^6
+// NormUniforms draws; and at 10^6 random bit patterns in [0, 1), which
+// reach subnormals and the low binades a uniform draw rarely does.
+func TestCosBoundsMatchesBranches(t *testing.T) {
+	bits := math.Float64bits
+	check := func(u float64) {
+		t.Helper()
+		lo, hi := cosBounds(u)
+		wlo, whi := refCosBounds(u)
+		if bits(lo) != bits(wlo) || bits(hi) != bits(whi) {
+			t.Fatalf("u %v (%#x): cosBounds (%v, %v), branches (%v, %v)", u, bits(u), lo, hi, wlo, whi)
+		}
+	}
+	around := func(u float64) {
+		down, up := u, u
+		check(u)
+		for range 4 {
+			down, up = math.Nextafter(down, -1), math.Nextafter(up, 2)
+			if down >= 0 {
+				check(down)
+			}
+			if up < 1 {
+				check(up)
+			}
+		}
+	}
+	// The edges include ¼, ½ and ¾, where the folds switch.
+	for i := range 4 * cosTableN {
+		around(float64(i) / (4 * cosTableN))
+	}
+	for _, u := range []float64{0, math.Copysign(0, -1), 0x1p-53, 1 - 0x1p-53} {
+		check(u)
+	}
+	const draws = 1_000_000
+	src := rng.New(41)
+	for range draws {
+		_, u2 := src.NormUniforms()
+		check(u2)
+	}
+	one := math.Float64bits(1)
+	for range draws {
+		check(math.Float64frombits(src.Uint64() % one))
+	}
+}
+
 // FuzzTrialDecision holds the bounded trial decision to the evaluated
 // expression on arbitrary inputs. h is a guard headroom g/req − 1; it
 // is tried as given and, scaled by σ, around the draw's own threshold

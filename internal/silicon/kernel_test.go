@@ -114,9 +114,14 @@ const kernelDraws = 64
 // to the per-value references: GuardPs, RequiredGuardPs, SurvivesTrial
 // (result and the random source's state after each of kernelDraws
 // draws), FailureProb
-// and MarginSigmas, with the same errors, on the reference server and
-// 50 generated ones, each core also aged in place and refreshed, at
-// every reduction from −1 to PresetTaps+1 and every kernelScores score.
+// and MarginSigmas, with the same errors, at every reduction from −1 to
+// PresetTaps+1 and every kernelScores score. The servers are the
+// reference server, 50 generated ones, the reference server with every
+// third step negated (so the walk is not monotone) and the reference
+// server with every preset cut to one tap; each core is checked as
+// built and again aged in place and refreshed. The walks must include
+// a guard and an application requirement on the same tap, and one of
+// the two on tap 0.
 func TestGuardKernelMatchesReference(t *testing.T) {
 	servers := []*ServerProfile{Reference()}
 	for seed := uint64(1); seed <= 50; seed++ {
@@ -126,10 +131,23 @@ func TestGuardKernelMatchesReference(t *testing.T) {
 		}
 		servers = append(servers, s)
 	}
+	bumpy, shallow := Reference(), Reference()
+	for _, c := range bumpy.AllCores() {
+		for k := 2; k < len(c.StepPs); k += 3 {
+			c.StepPs[k] = -c.StepPs[k]
+		}
+		c.Refresh()
+	}
+	for _, c := range shallow.AllCores() {
+		c.PresetTaps = 1
+		c.Refresh()
+	}
+	servers = append(servers, bumpy, shallow)
+	var cov kernelCover
 	age := rng.New(7)
 	for si, s := range servers {
 		for _, c := range s.AllCores() {
-			checkKernel(t, fmt.Sprintf("server %d %s", si, c.Label), c)
+			checkKernel(t, fmt.Sprintf("server %d %s", si, c.Label), c, &cov)
 			// Age in place the way the lifetime overlay does: slower
 			// CPM steps, a heavier envelope, a wider tail.
 			for k := 1; k < len(c.StepPs); k++ {
@@ -141,12 +159,21 @@ func TestGuardKernelMatchesReference(t *testing.T) {
 			c.UBenchGuardPs *= units.Picosecond(grow)
 			c.SigmaFrac *= 1 + 0.2*age.Float64()
 			c.Refresh()
-			checkKernel(t, fmt.Sprintf("server %d %s aged", si, c.Label), c)
+			checkKernel(t, fmt.Sprintf("server %d %s aged", si, c.Label), c, &cov)
 		}
+	}
+	if cov.sameTap == 0 || cov.tapZero == 0 {
+		t.Fatalf("walks with the guard and an application requirement on one tap: %d; with either on tap 0: %d; want both > 0",
+			cov.sameTap, cov.tapZero)
 	}
 }
 
-func checkKernel(t *testing.T, name string, c *CoreProfile) {
+// kernelCover counts the walks checkKernel checked in which a guard and
+// an application requirement shared a tap, and in which one of the two
+// sat on tap 0: the walks whose two sums are equal, or one is empty.
+type kernelCover struct{ sameTap, tapZero int }
+
+func checkKernel(t *testing.T, name string, c *CoreProfile, cov *kernelCover) {
 	t.Helper()
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	sameErr := func(a, b error) bool {
@@ -169,6 +196,16 @@ func checkKernel(t *testing.T, name string, c *CoreProfile) {
 			t.Fatalf("%s: MarginSigmas(%d) = %v, %v; reference %v, %v", name, r, m, err, wm, werr)
 		}
 		for si, score := range kernelScores {
+			if r >= 0 && r <= c.PresetTaps && score > UBenchScore && score <= 1 {
+				lim := c.ubLimit - refRollbackAt(c, normalizeAppScore(score))
+				gTap, reqTap := c.PresetTaps-r, c.PresetTaps-min(max(lim, 0), c.PresetTaps)
+				if gTap == reqTap {
+					cov.sameTap++
+				}
+				if min(gTap, reqTap) == 0 {
+					cov.tapZero++
+				}
+			}
 			p, err := c.FailureProb(r, score)
 			wp, werr := refFailureProb(c, r, score)
 			if !same(p, wp) || !sameErr(err, werr) {
