@@ -7,6 +7,7 @@ package atm
 
 import (
 	"io"
+	"sort"
 	"sync"
 	"testing"
 
@@ -235,9 +236,14 @@ func BenchmarkFig12aFreqPredictor(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cores := make([]string, 0, len(mgr.Preds.Freq))
+	for core := range mgr.Preds.Freq {
+		cores = append(cores, core)
+	}
+	sort.Strings(cores)
 	var sum float64
-	for _, fp := range mgr.Preds.Freq {
-		sum += fp.MHzPerWatt()
+	for _, core := range cores {
+		sum += mgr.Preds.Freq[core].MHzPerWatt()
 	}
 	benchArtifact(b, "fig12a")
 	b.ReportMetric(sum/float64(len(mgr.Preds.Freq)), "MHz-per-watt")

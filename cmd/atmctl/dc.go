@@ -39,7 +39,6 @@ func cmdDC(args []string) error {
 	rackCap := fs.Float64("rack-cap", 0, "rack PDU cap in watts (0 = derive from the provisioned envelope; below the rack's idle draw is an error)")
 	chassisCap := fs.Float64("chassis-cap", 0, "chassis cap in watts (0 = derive; below a chassis's idle draw is an error)")
 	chipCap := fs.Float64("chip-cap", 0, "chip cap in watts (0 = derive; below a chip's idle draw is an error)")
-	ki := fs.Float64("ki", 0, "per-chip integral gain of the budget controller (0 = 0.5)")
 	faultProfile := fs.String("fault-profile", "",
 		"arm this fault profile on every node (per-node seeds are independent rng splits)")
 	faultSeed := fs.Uint64("fault-seed", 1, "base fault seed the per-node streams split from")
@@ -68,7 +67,6 @@ func cmdDC(args []string) error {
 		RackCapW:        *rackCap,
 		ChassisCapW:     *chassisCap,
 		ChipCapW:        *chipCap,
-		KI:              *ki,
 		FaultProfile:    *faultProfile,
 		FaultSeed:       *faultSeed,
 		OpsFaultProfile: *opsProfile,
@@ -138,10 +136,10 @@ func renderDC(res *atm.DCResult) error {
 			report.F(c.SpeedDiffMHz, 0), status)
 	}
 	t.Note = fmt.Sprintf(
-		"caps rack %.0f W / chassis %.0f W / chip %.0f W (ki %.2f); peaks %.1f / %.1f / %.1f W; "+
+		"caps rack %.0f W / chassis %.0f W / chip %.0f W; peaks %.1f / %.1f / %.1f W; "+
 			"%d violation(s), %d throttle(s), %d resume(s)\n"+
 			"placement: %d placed, %d completed, %d unplaced, %d deferral(s), %d breaker rejection(s)",
-		res.Budget.RackCapW, res.Budget.ChassisCapW, res.Budget.ChipCapW, res.Budget.KI,
+		res.Budget.RackCapW, res.Budget.ChassisCapW, res.Budget.ChipCapW,
 		res.Budget.PeakRackW, res.Budget.PeakChassisW, res.Budget.PeakChipW,
 		res.Budget.Violations, res.Budget.ThrottleEvents, res.Budget.ResumeEvents,
 		res.Placement.Placed, res.Placement.Completed, res.Placement.Unplaced,

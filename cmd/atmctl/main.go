@@ -46,7 +46,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	atm "repro"
 	"repro/internal/chip"
@@ -561,8 +560,6 @@ func cmdFleet(args []string) error {
 	faultSeed := fs.Uint64("fault-seed", 1, "base fault seed the per-job streams split from")
 	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory")
 	jsonOut := fs.Bool("json", false, "emit the merged campaign result as JSON instead of a table")
-	timing := fs.Bool("timing", false,
-		"report per-job wall time on stderr (provenance only — the merged stdout output is unchanged)")
 	attach, flush := obsFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -600,18 +597,12 @@ func cmdFleet(args []string) error {
 	}
 
 	reg, tr := attach(nil)
-	opts := atm.FleetOptions{
+	res, err := atm.RunCampaign(camp, atm.FleetOptions{
 		Workers:  *workers,
 		CacheDir: *cacheDir,
 		Obs:      reg,
 		Trace:    tr,
-	}
-	if *timing {
-		// The fleet engine is in detflow scope and never reads the wall
-		// clock itself; the timing clock is injected from out here.
-		opts.Clock = func() int64 { return time.Now().UnixNano() }
-	}
-	res, err := atm.RunCampaign(camp, opts)
+	})
 	if err != nil {
 		return err
 	}
@@ -623,15 +614,6 @@ func cmdFleet(args []string) error {
 	// hits, and reruns after a kill.
 	fmt.Fprintf(os.Stderr, "fleet: campaign %s: %d job(s), %d cached, %d failed\n",
 		camp.Name, len(res.Results), res.CachedCount(), len(res.Failed()))
-	if *timing {
-		var total int64
-		for _, r := range res.Results {
-			total += r.WallNS
-			fmt.Fprintf(os.Stderr, "fleet: timing: %s %.3fms\n", r.JobID, float64(r.WallNS)/1e6)
-		}
-		fmt.Fprintf(os.Stderr, "fleet: timing: total %.3fms across %d job(s)\n",
-			float64(total)/1e6, len(res.Results))
-	}
 
 	if *jsonOut {
 		if err := res.WriteJSON(os.Stdout); err != nil {

@@ -466,6 +466,8 @@ func (r *Report) TableI() []TableIRow {
 
 // RobustnessRank orders cores by increasing total Fig. 10 rollback —
 // the most robust cores (right-hand columns of Fig. 10) come last.
+// Each core's total sums its applications in name order, so the same
+// report always ranks the same way.
 func (r *Report) RobustnessRank() []string {
 	type agg struct {
 		core string
@@ -476,9 +478,14 @@ func (r *Report) RobustnessRank() []string {
 		if c.Quarantined {
 			continue
 		}
+		apps := make([]string, 0, len(c.AppRollbackMean))
+		for app := range c.AppRollbackMean {
+			apps = append(apps, app)
+		}
+		sort.Strings(apps)
 		s := 0.0
-		for _, v := range c.AppRollbackMean {
-			s += v
+		for _, app := range apps {
+			s += c.AppRollbackMean[app]
 		}
 		all = append(all, agg{c.Core, s})
 	}

@@ -2,36 +2,41 @@ package dc
 
 // The hierarchical power budget: rack PDU → chassis → chip. Each tick
 // the tree water-fills every level's cap over its children's requests
-// (Apportion) and then advances a Chen-style integral controller per
-// chip (Regulate, after arXiv:1709.04859): the integral state `soft`
-// ramps each chip's admission toward its grant at rate ki·(grant −
-// measured), and the effective allowance is min(grant, soft). The min
-// makes cap safety structural — water-filling conserves every level's
-// cap, so each level draws at most its cap plus the idle draw its
-// grants could not cover (Check) — while the integral supplies the
-// soft-start dynamics: a freshly provisioned chip earns budget over a
-// few ticks instead of slamming to its grant.
+// (Apportion) and then steps a per-chip soft-start ramp (Ramp), which
+// closes a fixed half of the gap between grant and telemetry; the
+// effective allowance is min(grant, ramp). The min makes cap safety
+// structural — water-filling conserves every level's cap, so each
+// level draws at most its cap plus the idle draw its grants could not
+// cover (Check) — while the ramp makes a fresh or re-admitted chip earn
+// budget over a few ticks instead of slamming to its grant. It does not
+// regulate: the throttle already holds each chip's draw at or under
+// its allowance (ramp_test.go pins what the ramp does).
 
 // budgetEps is the slack under every cap comparison: water-fill
 // residues are sums of float64 divisions and land within a few ulp of
 // the cap, which must not read as violations.
 const budgetEps = 1e-9
 
+// rampFrac is the fraction of the gap between grant and telemetry the
+// ramp closes per tick: from the idle floor, a chip with a steady
+// grant that draws its whole allowance is within 1/2^k of the gap
+// after k ticks.
+const rampFrac = 0.5
+
 // BudgetTree is the three-level budget hierarchy over a fixed
-// topology. All per-tick state is preallocated; Apportion, Regulate
-// and Check run allocation-free on the sim's hot path.
+// topology. All per-tick state is preallocated; Apportion, Ramp and
+// Check run allocation-free on the sim's hot path.
 type BudgetTree struct {
 	racks, chassisPerRack, chipsPerChassis int
 
 	rackCap    float64
 	chassisCap float64
 	chipCap    float64
-	ki         float64
 
 	// Effective caps per entity. They start at the configured scalars
 	// and diverge only under operational events: a brownout drops a
 	// rack or chassis cap for its window, a thermal excursion forces a
-	// chip cap below its idle floor. Apportion and Regulate read these,
+	// chip cap below its idle floor. Apportion and Ramp read these,
 	// never the base scalars, so degraded-mode water-fill is the same
 	// code path as nominal operation.
 	rackEff    []float64
@@ -43,8 +48,9 @@ type BudgetTree struct {
 	idle []float64
 	// grant is the per-chip water-filled share of this tick's caps.
 	grant []float64
-	// soft is the per-chip integral state, clamped to [idle, chip cap].
-	soft []float64
+	// ramp is the per-chip soft-start state, clamped to the effective
+	// chip cap and then to the idle floor.
+	ramp []float64
 
 	// Scratch for the two water-fill levels.
 	chassisNeed  []float64
@@ -54,13 +60,9 @@ type BudgetTree struct {
 }
 
 // NewBudgetTree builds the hierarchy. idle holds one admission floor
-// per chip in topology order (rack-major, then chassis, then slot);
-// ki ≤ 0 selects the default integral gain of 0.5. The integral state
-// starts at the idle floor, so allowances ramp up from idle.
-func NewBudgetTree(racks, chassisPerRack, chipsPerChassis int, rackCapW, chassisCapW, chipCapW, ki float64, idle []float64) *BudgetTree {
-	if ki <= 0 {
-		ki = 0.5
-	}
+// per chip in topology order (rack-major, then chassis, then slot).
+// The ramp starts at the idle floor, so allowances ramp up from idle.
+func NewBudgetTree(racks, chassisPerRack, chipsPerChassis int, rackCapW, chassisCapW, chipCapW float64, idle []float64) *BudgetTree {
 	n := racks * chassisPerRack * chipsPerChassis
 	t := &BudgetTree{
 		racks:           racks,
@@ -69,20 +71,19 @@ func NewBudgetTree(racks, chassisPerRack, chipsPerChassis int, rackCapW, chassis
 		rackCap:         rackCapW,
 		chassisCap:      chassisCapW,
 		chipCap:         chipCapW,
-		ki:              ki,
 		rackEff:         make([]float64, racks),
 		chassisEff:      make([]float64, racks*chassisPerRack),
 		chipEff:         make([]float64, n),
 		idle:            make([]float64, n),
 		grant:           make([]float64, n),
-		soft:            make([]float64, n),
+		ramp:            make([]float64, n),
 		chassisNeed:     make([]float64, chassisPerRack),
 		chassisGrant:    make([]float64, chassisPerRack),
 		chipNeed:        make([]float64, chipsPerChassis),
 		chipGrant:       make([]float64, chipsPerChassis),
 	}
 	copy(t.idle, idle)
-	copy(t.soft, idle)
+	copy(t.ramp, idle)
 	for i := range t.rackEff {
 		t.rackEff[i] = rackCapW
 	}
@@ -99,14 +100,14 @@ func NewBudgetTree(racks, chassisPerRack, chipsPerChassis int, rackCapW, chassis
 func (t *BudgetTree) Grant(i int) float64 { return t.grant[i] }
 
 // Allowance returns chip i's effective admission this tick: the
-// water-filled grant gated by the integral state. min(grant, soft)
-// keeps the hierarchy safe by construction while soft supplies the
-// controller dynamics.
+// water-filled grant gated by the ramp. min(grant, ramp) keeps the
+// hierarchy safe by construction while the ramp supplies the soft
+// start.
 //
 //atm:hotpath
 func (t *BudgetTree) Allowance(i int) float64 {
 	a := t.grant[i]
-	if s := t.soft[i]; s < a {
+	if s := t.ramp[i]; s < a {
 		a = s
 	}
 	return a
@@ -152,24 +153,24 @@ func (t *BudgetTree) Apportion(request []float64) {
 	}
 }
 
-// Regulate advances the per-chip integral controllers one tick:
-// soft += ki·(grant − measured), clamped to [idle, chip cap]. The
-// idle floor is applied last, matching nominal operation; a chip whose
-// effective cap sits below its idle floor (thermal excursion) is still
-// forced under idle through its grant, because clampRequest caps the
-// request at the effective ceiling before the water-fill runs.
+// Ramp steps every chip's soft-start ramp one tick: ramp +=
+// rampFrac·(grant − telemetry), clamped to the effective chip cap and
+// then to the idle floor. The idle floor wins: a chip whose effective
+// cap sits below its idle floor (thermal excursion) is still forced
+// under idle through its grant, because clampRequest caps the request
+// at the effective ceiling before the water-fill runs.
 //
 //atm:hotpath
-func (t *BudgetTree) Regulate(measured []float64) {
-	for i := range t.soft {
-		s := t.soft[i] + t.ki*(t.grant[i]-measured[i])
+func (t *BudgetTree) Ramp(telemetry []float64) {
+	for i := range t.ramp {
+		s := t.ramp[i] + rampFrac*(t.grant[i]-telemetry[i])
 		if s > t.chipEff[i] {
 			s = t.chipEff[i]
 		}
 		if s < t.idle[i] {
 			s = t.idle[i]
 		}
-		t.soft[i] = s
+		t.ramp[i] = s
 	}
 }
 
@@ -249,26 +250,14 @@ func (t *BudgetTree) ForceChipCap(i int, capW float64) { t.chipEff[i] = capW }
 // ResetChipCap restores chip i's configured ceiling.
 func (t *BudgetTree) ResetChipCap(i int) { t.chipEff[i] = t.chipCap }
 
-// SetIdle rewrites chip i's admission floor: 0 for a dead or
-// quarantined chip (its draw leaves the hierarchy), the provisioned
-// idle watts again on re-admission. The integral state is clamped into
-// the new floor's range so a freed chip stops holding budget.
-func (t *BudgetTree) SetIdle(i int, idleW float64) {
-	t.idle[i] = idleW
-	if t.soft[i] < idleW {
-		t.soft[i] = idleW
-	}
-	if idleW == 0 && t.soft[i] > 0 {
-		t.soft[i] = 0
-	}
-}
-
-// ReAdmit restores chip i's admission floor and restarts its integral
-// state at that floor — the soft-start: a re-admitted chip earns
-// budget back over ticks instead of slamming to its grant.
+// ReAdmit sets chip i's admission floor and restarts its ramp at that
+// floor: 0 for a dead or quarantined chip (its draw leaves the
+// hierarchy and it holds no budget), the provisioned idle watts on
+// re-admission, from which the chip earns budget back over ticks
+// instead of slamming to its grant.
 func (t *BudgetTree) ReAdmit(i int, idleW float64) {
 	t.idle[i] = idleW
-	t.soft[i] = idleW
+	t.ramp[i] = idleW
 }
 
 // waterFill distributes budget over need into out (same length),

@@ -65,7 +65,7 @@ func TestApportionRespectsEveryLevel(t *testing.T) {
 		idle[i] = 20 + float64(i%5)
 		req[i] = 30 + float64(i*7%90) // some above chipCap, some below idle
 	}
-	tree := NewBudgetTree(racks, chassisPerRack, chipsPerChassis, rackCap, chassisCap, chipCap, 0.5, idle)
+	tree := NewBudgetTree(racks, chassisPerRack, chipsPerChassis, rackCap, chassisCap, chipCap, idle)
 	tree.Apportion(req)
 
 	idx := 0
@@ -94,30 +94,30 @@ func TestApportionRespectsEveryLevel(t *testing.T) {
 
 func TestRegulateRampAndClamp(t *testing.T) {
 	idle := []float64{10, 10}
-	tree := NewBudgetTree(1, 1, 2, 100, 100, 50, 0.5, idle)
+	tree := NewBudgetTree(1, 1, 2, 100, 100, 50, idle)
 	tree.Apportion([]float64{40, 40})
 	if g := tree.Grant(0); math.Abs(g-40) > 1e-6 {
 		t.Fatalf("grant = %v, want 40", g)
 	}
-	// The integral state starts at the idle floor: allowance is gated.
+	// The ramp starts at the idle floor: allowance is gated.
 	if a := tree.Allowance(0); math.Abs(a-10) > 1e-6 {
 		t.Fatalf("initial allowance = %v, want idle floor 10", a)
 	}
-	// Idle measurement winds soft toward the grant: 10 + 0.5·(40−10) = 25.
-	tree.Regulate([]float64{10, 10})
+	// Idle telemetry ramps toward the grant: 10 + 0.5·(40−10) = 25.
+	tree.Ramp([]float64{10, 10})
 	if a := tree.Allowance(0); math.Abs(a-25) > 1e-6 {
 		t.Fatalf("allowance after one tick = %v, want 25", a)
 	}
 	// Convergence: allowance reaches the grant and never exceeds it.
 	for i := 0; i < 60; i++ {
-		tree.Regulate([]float64{10, 10})
+		tree.Ramp([]float64{10, 10})
 	}
 	if a := tree.Allowance(0); math.Abs(a-40) > 1e-6 {
 		t.Fatalf("converged allowance = %v, want grant 40", a)
 	}
-	// Over-draw winds soft down, floored at idle.
+	// Over-draw steps the ramp down, floored at idle.
 	for i := 0; i < 200; i++ {
-		tree.Regulate([]float64{500, 500})
+		tree.Ramp([]float64{500, 500})
 	}
 	if a := tree.Allowance(0); math.Abs(a-10) > 1e-6 {
 		t.Fatalf("floored allowance = %v, want idle 10", a)
@@ -132,11 +132,11 @@ func TestRegulateRampAndClamp(t *testing.T) {
 // degraded-mode rebalance the ops plane leans on.
 func TestDegradedChassisCapConvergence(t *testing.T) {
 	idle := []float64{10, 10, 10, 10}
-	tree := NewBudgetTree(1, 2, 2, 400, 100, 60, 0.5, idle)
+	tree := NewBudgetTree(1, 2, 2, 400, 100, 60, idle)
 	req := []float64{50, 50, 50, 50}
 	step := func() {
 		tree.Apportion(req)
-		tree.Regulate(idle) // idle draw: the integral winds up freely
+		tree.Ramp(idle) // idle draw: the ramp climbs freely
 	}
 	for i := 0; i < 20; i++ {
 		step()
@@ -195,10 +195,10 @@ func TestBudgetStepAllocFree(t *testing.T) {
 		req[i] = 80 + float64(i%30)
 		meas[i] = 60
 	}
-	tree := NewBudgetTree(2, 4, 8, 2000, 600, 150, 0.5, idle)
+	tree := NewBudgetTree(2, 4, 8, 2000, 600, 150, idle)
 	allocs := testing.AllocsPerRun(100, func() {
 		tree.Apportion(req)
-		tree.Regulate(meas)
+		tree.Ramp(meas)
 		tree.Check(meas)
 	})
 	if allocs != 0 {
@@ -216,7 +216,7 @@ func TestBudgetCheck(t *testing.T) {
 
 	// Caps 100/60/40: the request water-fills to 25 W per chip, above
 	// every idle floor, so no level has anything to excuse.
-	tree := NewBudgetTree(1, 2, 2, 100, 60, 40, 0.5, idle)
+	tree := NewBudgetTree(1, 2, 2, 100, 60, 40, idle)
 	tree.Apportion(every)
 	for _, tc := range []struct {
 		name     string
@@ -252,7 +252,7 @@ func TestBudgetCheck(t *testing.T) {
 	// Caps 200/30/40, then a thermal excursion forces chip 0 to 5 W,
 	// half its idle floor: its grant is 5 W, chip 1's 25 W, and chassis
 	// 0 excuses exactly 10 − 5 W over its 30 W cap.
-	tree = NewBudgetTree(1, 2, 2, 200, 30, 40, 0.5, idle)
+	tree = NewBudgetTree(1, 2, 2, 200, 30, 40, idle)
 	tree.ForceChipCap(0, 5)
 	tree.Apportion(every)
 	if g0, g1 := tree.Grant(0), tree.Grant(1); g0 != 5 || g1 != 25 {

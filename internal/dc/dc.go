@@ -11,8 +11,8 @@
 //     quarantined behind a tripped circuit breaker; the rack keeps
 //     going.
 //  2. Operation — a single-threaded tick loop runs the hierarchical
-//     power budget (rack PDU → chassis → chip water-fill with a
-//     Chen-style integral controller per chip, see budget.go) and the
+//     power budget (rack PDU → chassis → chip water-fill, with a
+//     fixed-rate soft-start ramp per chip, see budget.go) and the
 //     predictor-driven global scheduler (place.go) over a seeded
 //     tenant arrival stream.
 //
@@ -61,14 +61,12 @@ type Options struct {
 	Rollback int
 	// RackCapW, ChassisCapW, ChipCapW cap each level of the budget
 	// hierarchy. 0 derives the cap from the provisioned envelope (see
-	// autoCaps): tight enough that the controller visibly throttles,
+	// autoCaps): tight enough that the throttle visibly engages,
 	// loose enough that idle draw always fits. Run rejects a cap below
 	// its level's largest idle draw, which no throttle can shed.
 	RackCapW    float64
 	ChassisCapW float64
 	ChipCapW    float64
-	// KI is the per-chip integral gain (0 = 0.5).
-	KI float64
 	// FaultProfile, when non-empty, arms deterministic fault injection
 	// on every node, each with an independent stream split from
 	// FaultSeed by node ID.
@@ -118,18 +116,15 @@ func (o Options) withDefaults() Options {
 	if o.Ticks <= 0 {
 		o.Ticks = 32
 	}
-	if o.KI <= 0 {
-		o.KI = 0.5
-	}
 	return o
 }
 
 // Validate rejects options no campaign can run: a negative topology
-// count, tenant count, horizon or rollback, a cap or ki that is
-// negative or not finite, a Seed or SiliconStart whose per-node range
-// wraps past 2^64−1, and a fault or ops profile spec that does not
-// parse. Zero still selects each default. Run calls it first, so
-// none of these reaches the intake.
+// count, tenant count, horizon or rollback, a cap that is negative or
+// not finite, a Seed or SiliconStart whose per-node range wraps past
+// 2^64−1, and a fault or ops profile spec that does not parse. Zero
+// still selects each default. Run calls it first, so none of these
+// reaches the intake.
 func (o Options) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -139,7 +134,6 @@ func (o Options) Validate() error {
 		{"chips per chassis", float64(o.ChipsPerChassis)}, {"tenants", float64(o.Tenants)},
 		{"ticks", float64(o.Ticks)}, {"rollback", float64(o.Rollback)},
 		{"rack cap", o.RackCapW}, {"chassis cap", o.ChassisCapW}, {"chip cap", o.ChipCapW},
-		{"ki", o.KI},
 	} {
 		if !(f.v >= 0) || math.IsInf(f.v, 1) {
 			return fmt.Errorf("dc: %s %v is not finite and non-negative", f.name, f.v)
@@ -238,7 +232,6 @@ type BudgetSummary struct {
 	RackCapW       float64 `json:"rack_cap_w"`
 	ChassisCapW    float64 `json:"chassis_cap_w"`
 	ChipCapW       float64 `json:"chip_cap_w"`
-	KI             float64 `json:"ki"`
 	PeakRackW      float64 `json:"peak_rack_w"`
 	PeakChassisW   float64 `json:"peak_chassis_w"`
 	PeakChipW      float64 `json:"peak_chip_w"`

@@ -249,9 +249,9 @@ func TestNegativeSpanRejected(t *testing.T) {
 	}
 }
 
-// TestSoftStartDynamics: the Chen integral controller gates fresh
-// placements below their grant until the soft state winds up, so a
-// default campaign shows matched throttle and resume events.
+// TestSoftStartDynamics: the ramp gates fresh placements below their
+// grant until it climbs to the grant, so a default campaign shows
+// matched throttle and resume events.
 func TestSoftStartDynamics(t *testing.T) {
 	res, err := Run(smallOpts())
 	if err != nil {
@@ -364,10 +364,6 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{"nan chip cap", func(o *Options) { o.ChipCapW = math.NaN() }},
 		{"infinite chassis cap", func(o *Options) { o.ChassisCapW = math.Inf(1) }},
 		{"negative infinite chip cap", func(o *Options) { o.ChipCapW = math.Inf(-1) }},
-		{"nan ki", func(o *Options) { o.KI = math.NaN() }},
-		{"infinite ki", func(o *Options) { o.KI = math.Inf(1) }},
-		{"negative infinite ki", func(o *Options) { o.KI = math.Inf(-1) }},
-		{"negative ki", func(o *Options) { o.KI = -3 }},
 		{"unknown fault profile", func(o *Options) { o.FaultProfile = "bogus" }},
 		{"nan fault probability", func(o *Options) { o.FaultProfile = "trial-err=NaN" }},
 		{"unknown ops profile", func(o *Options) { o.OpsFaultProfile = "no-such-preset" }},

@@ -3,7 +3,6 @@ package dc
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -48,9 +47,8 @@ func idleOf(t *testing.T, o Options) idleDraws {
 
 // popGen draws campaign options for the population properties: small
 // topologies, a few silicon seeds, intakes with and without a broken
-// core, ki from 0.05 to 100, every ops preset and random event
-// counts. The idle draws of each intake are measured once and
-// memoized.
+// core, every ops preset and random event counts. The idle draws of
+// each intake are measured once and memoized.
 type popGen struct {
 	t    *testing.T
 	src  *rng.Source
@@ -81,7 +79,6 @@ func (g *popGen) options() (Options, idleDraws) {
 	o.Tenants = chips * (1 + g.src.Intn(8))
 	o.Ticks = 8 + g.src.Intn(40)
 	o.Seed = uint64(1 + g.src.Intn(4))
-	o.KI = 0.05 * math.Pow(2000, g.src.Float64())
 	presets := append([]string{"", "none"}, fault.SpecPresetNames(opsPresets)...)
 	if k := g.src.Intn(len(presets) + 2); k < len(presets) {
 		o.OpsFaultProfile = presets[k]

@@ -7,7 +7,7 @@ package dc
 //	telemetry loss → grace window → quarantine (breaker opens, tenants
 //	evacuated, idle draw freed) → link returns → breaker probe →
 //	re-admit (placement state rebuilt from the immutable intake
-//	provision, integral controller soft-started at the idle floor)
+//	provision, budget ramp restarted at the idle floor)
 //
 // Chip death short-circuits the ladder: evacuation without re-entry.
 // PDU brownouts and thermal excursions bypass it entirely — they act
@@ -180,7 +180,7 @@ func (op *opsPlane) emit(ev OpsEvent) {
 
 // dark reports whether chip i's FSP telemetry is lost this tick while
 // the node still runs (the grace-window phase): the sim holds the last
-// good sample for the integral controller instead.
+// good sample for the budget ramp instead.
 func (op *opsPlane) dark(i, tick int) bool {
 	return op.state[i] == opsUp && tick < op.linkDownUntil[i]
 }
@@ -239,7 +239,7 @@ func (op *opsPlane) beginTick(tick int) {
 			if down && tick-op.linkDownSince[i] >= op.p.GraceTicks {
 				n := op.evacuate(i, tick)
 				op.placer.Reset(i, false)
-				op.tree.SetIdle(i, 0)
+				op.tree.ReAdmit(i, 0) // a zero floor and ramp: the chip holds no budget
 				op.placer.Chips[i].Breaker.Failure()
 				op.quarantinedAt[i] = tick
 				op.state[i] = opsQuarantined
@@ -285,7 +285,7 @@ func (op *opsPlane) readmit(i, tick int) {
 		cores[j] = PlacerCore{Label: c.Label, Quarantined: c.Quarantined, Slope: c.Slope, Intercept: c.Intercept}
 	}
 	op.placer.Rebuild(i, view.IdleW, view.SpanW, cores)
-	// Soft-start: the integral state restarts at the idle floor, so the
+	// Soft start: the ramp restarts at the idle floor, so the
 	// re-admitted chip earns budget back over the next few ticks.
 	op.tree.ReAdmit(i, view.IdleW)
 	op.placer.Chips[i].Breaker.Success()
@@ -308,7 +308,7 @@ func (op *opsPlane) apply(ev OpsSched, tick int) {
 		}
 		n := op.evacuate(i, tick)
 		op.placer.Reset(i, true)
-		op.tree.SetIdle(i, 0)
+		op.tree.ReAdmit(i, 0) // a zero floor and ramp: the chip holds no budget
 		op.placer.Chips[i].Breaker.Failure()
 		op.state[i] = opsDead
 		op.sum.ChipDeaths++

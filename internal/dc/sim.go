@@ -14,14 +14,14 @@ import (
 // the intaken fleet. Per tick:
 //
 //	completions → arrivals → Apportion → placement → throttle/resume
-//	→ measure → Regulate → record
+//	→ measure → Ramp → record
 //
-// Placement admits against Allowance (this tick's grant gated by the
-// previous tick's integral state), so a freshly granted chip ramps up
-// over a few ticks — the Chen controller's soft start. Throttling
+// Placement admits against the water-filled grant; throttling
 // (background tenants first, most recent placement first) enforces
-// demand ≤ allowance per chip; a throttled tenant keeps its core but
-// draws no span power and makes no progress.
+// demand ≤ Allowance per chip, this tick's grant gated by the ramp the
+// previous ticks left, so a freshly granted chip ramps up over a few
+// ticks — the soft start. A throttled tenant keeps its core but draws
+// no span power and makes no progress.
 
 // tenant is one workload's sim state.
 type tenant struct {
@@ -116,7 +116,7 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 			idle[i] = chips[i].IdleW
 		}
 	}
-	tree := NewBudgetTree(o.Racks, o.ChassisPerRack, o.ChipsPerChassis, rackCap, chassisCap, chipCap, o.KI, idle)
+	tree := NewBudgetTree(o.Racks, o.ChassisPerRack, o.ChipsPerChassis, rackCap, chassisCap, chipCap, idle)
 	placer := NewPlacer(chips)
 	tenants := makeTenants(o)
 	// Arrival order, ID order within a tick: each tick's arrivals are
@@ -195,7 +195,6 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 			RackCapW:    rackCap,
 			ChassisCapW: chassisCap,
 			ChipCapW:    chipCap,
-			KI:          o.KI,
 		},
 	}
 
@@ -249,14 +248,13 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 
 		// Placement from the head of the queue. Admission is against
 		// the water-filled grant — what the hierarchy says the chip
-		// may draw — while the throttle below enforces the integral
+		// may draw — while the throttle below enforces the ramped
 		// allowance, so a fresh placement sheds for a tick or two
-		// until the Chen controller winds its soft state up to the
-		// grant (the soft start), then resumes. The pass defers,
-		// unscored, a tenant whose failure an earlier one already
-		// decided, and carries a whole pass's failures into the next
-		// tick while nothing a survivor could use has changed (see
-		// placePass).
+		// until the ramp climbs to the grant (the soft start), then
+		// resumes. The pass defers, unscored, a tenant whose failure
+		// an earlier one already decided, and carries a whole pass's
+		// failures into the next tick while nothing a survivor could
+		// use has changed (see placePass).
 		if pass.carry(placer, grants, len(queue)) {
 			deferrals.Add(int64(len(queue)))
 			res.Placement.Deferrals += len(queue)
@@ -322,17 +320,17 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 			}
 		}
 
-		// Measure and regulate. A node running dark (FSP link down,
-		// inside the grace window) leaves its telemetry at the last good
-		// sample for the integral controller; the check below always
-		// reads the actual draw.
+		// Measure and step the ramp. A node running dark (FSP link
+		// down, inside the grace window) leaves its telemetry at the
+		// last good sample for the ramp; the check below always reads
+		// the actual draw.
 		for i := range measured {
 			measured[i] = placer.Demand(i)
 			if !opsP.dark(i, tick) {
 				telemetry[i] = measured[i]
 			}
 		}
-		tree.Regulate(telemetry)
+		rampStep(tree, telemetry, opsP, tick)
 
 		// Record the tick: level maxima and cap violations.
 		row := TickRow{Tick: tick, Queued: len(queue), Down: opsP.downCount(tick)}
@@ -428,6 +426,11 @@ func simulate(o Options, ops OpsProfile, campaign *fleet.Campaign, fres *fleet.C
 	}
 	return res, nil
 }
+
+// rampStep is the tick loop's ramp step. It is a variable so that a
+// test can read the budget tree around every step; ops and tick tell
+// it which chips run dark.
+var rampStep = func(tree *BudgetTree, telemetry []float64, _ *opsPlane, _ int) { tree.Ramp(telemetry) }
 
 // queueCmp orders the queue: critical tenants ahead of the rest, ID
 // order within a class. IDs are unique, so the order is total.

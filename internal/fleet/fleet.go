@@ -222,13 +222,6 @@ type Result struct {
 	// serialization so rerun and uninterrupted campaigns produce
 	// byte-identical final output.
 	Cached bool `json:"-"`
-	// WallNS is the job's execution wall time in the clock Options.Clock
-	// supplies (0 when no clock is armed or the result came from the
-	// cache). Like Cached it is provenance, not content — excluded from
-	// the merged serialization, which must stay byte-identical across
-	// worker counts and machine speeds. Only `atmctl fleet -timing`
-	// reads it, out-of-band, into its stderr timing report.
-	WallNS int64 `json:"-"`
 }
 
 // CampaignResult is the merged outcome in canonical job order.
@@ -293,12 +286,6 @@ type Options struct {
 	// time axis, emitted in canonical job order after the pool drains
 	// so the trace is byte-identical across worker counts.
 	Trace *obs.Tracer
-	// Clock, when non-nil, timestamps each job's execution and records
-	// the delta in Result.WallNS. The package itself is in detflow
-	// scope and never reads the wall clock — `atmctl fleet -timing`,
-	// outside that scope, injects one. Timing is provenance: it never
-	// reaches the merged serialization.
-	Clock func() int64
 }
 
 // Run executes the campaign and merges the results in job order. A
@@ -364,23 +351,15 @@ func Run(c *Campaign, o Options) (*CampaignResult, error) {
 				job := c.Jobs[i]
 				dispatched.Inc()
 				occupancy.Add(1)
-				var began int64
-				if o.Clock != nil {
-					began = o.Clock()
-				}
 				payload, err := runGuarded(job, panics)
-				var wall int64
-				if o.Clock != nil {
-					wall = o.Clock() - began
-				}
 				occupancy.Add(-1)
 				if err != nil {
 					failed.Inc()
-					results[i] = Result{JobID: job.ID, Kind: job.Kind, Err: err.Error(), WallNS: wall}
+					results[i] = Result{JobID: job.ID, Kind: job.Kind, Err: err.Error()}
 					continue
 				}
 				completed.Inc()
-				results[i] = Result{JobID: job.ID, Kind: job.Kind, Payload: payload, WallNS: wall}
+				results[i] = Result{JobID: job.ID, Kind: job.Kind, Payload: payload}
 				if cache != nil {
 					if err := cache.store(job, payload); err != nil {
 						infraMu.Lock()

@@ -256,42 +256,6 @@ func mergedJSON(t *testing.T, r *CampaignResult) string {
 	return b.String()
 }
 
-// TestClockRecordsWallNSOutOfBand checks that an injected clock times
-// every job into Result.WallNS while the merged serialization stays
-// clock-free: timing is provenance, not content.
-func TestClockRecordsWallNSOutOfBand(t *testing.T) {
-	camp := &Campaign{Name: "timed", Jobs: []Job{
-		{ID: "a", Kind: KindCharacterize, Trials: 1},
-		{ID: "b", Kind: KindTune},
-	}}
-	var tick int64
-	clock := func() int64 { tick += 5; return tick }
-	res, err := Run(camp, Options{Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.Results {
-		if r.WallNS <= 0 {
-			t.Errorf("job %s: WallNS = %d, want > 0", r.JobID, r.WallNS)
-		}
-	}
-
-	var timed, untimed bytes.Buffer
-	if err := res.WriteJSON(&timed); err != nil {
-		t.Fatal(err)
-	}
-	bare, err := Run(camp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bare.WriteJSON(&untimed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(timed.Bytes(), untimed.Bytes()) {
-		t.Fatalf("clock leaked into merged output:\n%s\n%s", timed.String(), untimed.String())
-	}
-}
-
 // TestCheckSeedRange: a sweep's seed range is rejected exactly when its
 // last job's seed would wrap past 2^64−1.
 func TestCheckSeedRange(t *testing.T) {

@@ -16,7 +16,9 @@
 //	             package, and no call chain from a simulation entry
 //	             point to one through any helper in any package.
 //	maporder   — no order-sensitive work (appends later left unsorted,
-//	             output writes, RNG draws) inside range-over-map loops.
+//	             output writes, RNG draws, float or string folds and
+//	             argmin or first-match assignments into outer
+//	             variables) inside range-over-map loops.
 //	hotpath    — no allocation- or dispatch-inducing constructs inside
 //	             functions annotated //atm:hotpath.
 //	nilsafe    — exported methods on //atm:nilsafe handle types must

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -10,12 +11,19 @@ import (
 // work — the classic golden-test breaker: Go randomizes map iteration
 // order, so any output written, slice accumulated (and left unsorted),
 // RNG stream consumed, or channel fed from inside such a loop differs
-// run to run.
+// run to run. Two folds into a variable declared outside the loop are
+// order-sensitive too, and are reported on the loop itself: a compound
+// assignment (+=, -=, *=, /=) to a float or string, whose rounding or
+// concatenation follows the order, and a plain assignment of an
+// expression built from the key, the value or another loop-scoped
+// variable, the argmin, argmax or first-match shape, whose winner on a
+// tie follows the order.
 //
 // The safe collect-then-sort idiom is recognized: appending map keys
 // or values to a slice is fine when the same function later passes
 // that slice to sort.* or slices.Sort*. Order-independent bodies
-// (sums, counters, map-to-map writes, deletes) are never flagged.
+// (integer sums and counters, flags set to constants, map-to-map
+// writes, deletes) are never flagged.
 var MapOrder = &Analyzer{
 	Name:     "maporder",
 	Doc:      "forbid order-sensitive work inside range-over-map loops",
@@ -78,6 +86,7 @@ func inspectSameFunc(root ast.Node, f func(ast.Node) bool) {
 // range-over-map body. funcBody is the innermost enclosing function
 // body, searched for a later sort of any slice the loop appends to.
 func checkMapRangeBody(pass *Pass, funcBody *ast.BlockStmt, rng *ast.RangeStmt) {
+	fold := "" // the first order-sensitive fold into an outer variable
 	// Unlike the range scan, sink detection does descend into nested
 	// function literals: a closure spawned per iteration still runs
 	// once per key, in map order.
@@ -87,6 +96,9 @@ func checkMapRangeBody(pass *Pass, funcBody *ast.BlockStmt, rng *ast.RangeStmt) 
 			pass.Reportf(s.Pos(),
 				"channel send inside range over map: receive order becomes nondeterministic; iterate sorted keys instead")
 		case *ast.AssignStmt:
+			if fold == "" {
+				fold = outerFold(pass, rng, s)
+			}
 			for i, rhs := range s.Rhs {
 				call, ok := rhs.(*ast.CallExpr)
 				if !ok || !isBuiltinAppend(pass, call) || i >= len(s.Lhs) {
@@ -126,6 +138,59 @@ func checkMapRangeBody(pass *Pass, funcBody *ast.BlockStmt, rng *ast.RangeStmt) 
 		}
 		return true
 	})
+	if fold != "" {
+		pass.Reportf(rng.Pos(),
+			"range over map %s: the result depends on iteration order; iterate sorted keys instead", fold)
+	}
+}
+
+// outerFold describes s when it folds an expression that reads a
+// loop-scoped variable (the key, the value or a local of the body)
+// into a variable declared outside rng, in an order-sensitive way:
+// a compound assignment to a float or string, or a plain assignment.
+// It returns "" otherwise. An append to the target is left to the
+// append check.
+func outerFold(pass *Pass, rng *ast.RangeStmt, s *ast.AssignStmt) string {
+	for i, lhs := range s.Lhs {
+		rhs := s.Rhs[0] // one multi-value call feeds every target
+		if len(s.Rhs) == len(s.Lhs) {
+			rhs = s.Rhs[i]
+		}
+		target, ok := lhs.(*ast.Ident)
+		if !ok {
+			continue
+		}
+		obj, ok := pass.Info.ObjectOf(target).(*types.Var)
+		if !ok || insideNode(obj.Pos(), rng) || !readsLoopVar(pass, rng, rhs) {
+			continue
+		}
+		switch s.Tok {
+		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+			if b, ok := obj.Type().Underlying().(*types.Basic); ok && b.Info()&(types.IsFloat|types.IsString) != 0 {
+				return fmt.Sprintf("folds into %s %q with %s", b.Name(), target.Name, s.Tok)
+			}
+		case token.ASSIGN:
+			if call, ok := rhs.(*ast.CallExpr); !ok || !isBuiltinAppend(pass, call) {
+				return fmt.Sprintf("assigns %q from a loop variable", target.Name)
+			}
+		}
+	}
+	return ""
+}
+
+// readsLoopVar reports whether e reads a variable declared inside rng:
+// its key, its value or a local of its body.
+func readsLoopVar(pass *Pass, rng *ast.RangeStmt, e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && !found {
+			if v, ok := pass.Info.Uses[id].(*types.Var); ok && insideNode(v.Pos(), rng) {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // insideNode reports whether pos falls within n's extent.

@@ -72,13 +72,84 @@ func GoodSortSlice(m map[string]float64) []float64 {
 	return vals
 }
 
-// GoodAggregate: order-independent reductions are never flagged.
-func GoodAggregate(m map[string]float64) float64 {
+// BadFloatSum folds values into an outer float: the rounding of each
+// partial sum follows the iteration order.
+func BadFloatSum(m map[string]float64) float64 {
 	sum := 0.0
+	for _, v := range m { // want "folds into float64 \"sum\" with +="
+		sum += v
+	}
+	return sum
+}
+
+// BadConcat builds a string in iteration order.
+func BadConcat(m map[string]int) string {
+	s := ""
+	for k := range m { // want "folds into string \"s\" with +="
+		s += k
+	}
+	return s
+}
+
+// BadArgmin keeps the first minimum it meets: on a tie the winner is
+// whichever key the map yields first.
+func BadArgmin(m map[string]float64) string {
+	best, bestV := "", 0.0
+	for k, v := range m { // want "assigns \"best\" from a loop variable"
+		if best == "" || v < bestV {
+			best, bestV = k, v
+		}
+	}
+	return best
+}
+
+// BadFirstMatch returns the first key over a threshold, through a
+// local derived from the value.
+func BadFirstMatch(m map[string]int, limit int) string {
+	var hit string
+	for k, v := range m { // want "assigns \"hit\" from a loop variable"
+		over := v > limit
+		name := k
+		if over {
+			hit = name
+			break
+		}
+	}
+	return hit
+}
+
+// BadLookup keeps the last key a two-value lookup accepts.
+func BadLookup(m map[string]int, accept func(string) (string, bool)) string {
+	var name string
+	var ok bool
+	for k := range m { // want "assigns \"name\" from a loop variable"
+		name, ok = accept(k)
+		if ok {
+			break
+		}
+	}
+	return name
+}
+
+// GoodAggregate: order-independent reductions are never flagged; an
+// integer sum is exact in any order.
+func GoodAggregate(m map[string]int) int {
+	sum := 0
 	for _, v := range m {
 		sum += v
 	}
 	return sum
+}
+
+// GoodFlag: a flag set to a constant ends the same in any order.
+func GoodFlag(m map[string]int, limit int) bool {
+	found := false
+	for _, v := range m {
+		if v > limit {
+			found = true
+		}
+	}
+	return found
 }
 
 // GoodMapToMap: writes keyed by the same keys commute.
@@ -88,4 +159,11 @@ func GoodMapToMap(m map[string]int) map[string]int {
 		out[k] = v * 2
 	}
 	return out
+}
+
+// GoodMapCopy: an index expression is not an outer variable.
+func GoodMapCopy(m, m2 map[string]int) {
+	for k, v := range m {
+		m2[k] = v
+	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // dcStages benches the datacenter plane's //atm:hotpath kernels: one
-// hierarchical budget step (water-fill apportionment plus the Chen
-// integral update) over the acceptance topology, and one scheduler
+// hierarchical budget step (water-fill apportionment plus the ramp
+// update) over the acceptance topology, and one scheduler
 // placement round over a 64-chip rack whose closed breakers run on a
 // sim tick clock, as a live node's do in dc.Run. Both are
 // single-goroutine and alloc-stable — the budget loop and placement
@@ -32,7 +32,7 @@ func dcStages(quick bool) ([]Stage, error) {
 		req[i] = 80 + float64(i%30)
 		meas[i] = 55 + float64(i%20)
 	}
-	tree := dc.NewBudgetTree(2, 4, 8, 2000, 600, 150, 0.5, idle)
+	tree := dc.NewBudgetTree(2, 4, 8, 2000, 600, 150, idle)
 
 	var clock int64 // the sim tick; placement rounds do not advance it
 	nodes := make([]dc.PlacerChip, 64)
@@ -88,12 +88,12 @@ func dcStages(quick bool) ([]Stage, error) {
 		},
 		{
 			Name: "dc_budget_step", Group: "dc", AllocStable: true,
-			Note:  "rack→chassis→chip water-fill + integral update, 2×4×8 topology (dc.BudgetTree)",
+			Note:  "rack→chassis→chip water-fill + ramp update, 2×4×8 topology (dc.BudgetTree)",
 			Iters: pick(quick, 10_000, 200_000),
 			Run: func(iters int) (int64, error) {
 				for i := 0; i < iters; i++ {
 					tree.Apportion(req)
-					tree.Regulate(meas)
+					tree.Ramp(meas)
 					sinkF = tree.Allowance(i % chips)
 				}
 				return int64(iters), nil

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/chip"
@@ -15,8 +16,8 @@ import (
 
 // burstTrace hand-builds the worst queue shape: n jobs, all arriving at
 // t=0, several times the chip's core count, mixed classes. Service
-// demands are all distinct so completions never tie — a tie's drain
-// order is a valid degree of freedom, not a scheduling property.
+// demands are all distinct, so completions never tie (ties resolve in
+// chip order; TestCompletionTiesResolveInChipOrder pins that).
 func burstTrace(n int) []Job {
 	crit := workload.Critical()[0]
 	bg := workload.Background()[0]
@@ -92,6 +93,41 @@ func TestBurstDeterministic(t *testing.T) {
 	for i := range r1.Completed {
 		if r1.Completed[i] != r2.Completed[i] {
 			t.Fatalf("burst job %d differs across identical runs", r1.Completed[i].ID)
+		}
+	}
+}
+
+// TestCompletionTiesResolveInChipOrder: three background jobs with
+// equal service demands arrive together under the static policy, so
+// every core runs at 4.2 GHz and all three finish at the same instant.
+// The tie resolves in the chip's physical core order, the same in
+// every run, and the completion records follow it.
+func TestCompletionTiesResolveInChipOrder(t *testing.T) {
+	s := sim(t)
+	bg := workload.Background()[0]
+	trace := make([]Job, 3)
+	for i := range trace {
+		trace[i] = Job{ID: i, Class: ClassBackground, Workload: bg, ServiceSec: 2}
+	}
+	var want []string
+	for _, c := range fixM.Chips[0].Cores[:len(trace)] {
+		want = append(want, c.Profile.Label)
+	}
+	for run := 0; run < 20; run++ {
+		res, err := s.Run(trace, Options{Policy: PolicyStatic, HorizonSec: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for k, r := range res.Completed {
+			got = append(got, r.Core)
+			if r.ID != k || r.FinishSec != res.Completed[0].FinishSec {
+				t.Fatalf("run %d: completion %d is job %d at %v s, want job %d at the shared finish %v s",
+					run, k, r.ID, r.FinishSec, k, res.Completed[0].FinishSec)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: tied jobs completed on %v, want chip order %v", run, got, want)
 		}
 	}
 }

@@ -6,65 +6,43 @@ import (
 	"repro/internal/workload"
 )
 
-// pickCore chooses the core for the next job of the given class, or ""
-// when none is free.
-func (s *Simulator) pickCore(running map[string]*active, critical bool, p Policy) string {
-	free := func(label string) bool {
-		_, busy := running[label]
-		return !busy
-	}
+// pickCore chooses the core index for the next job of the given
+// class, or -1 when none is free.
+func (s *Simulator) pickCore(running []*active, critical bool, p Policy) int {
 	switch p {
 	case PolicyManaged:
 		if critical {
 			// Fastest free core (deployment speed order).
-			for _, label := range s.bySpeed {
-				if free(label) {
-					return label
+			for _, i := range s.bySpeed {
+				if running[i] == nil {
+					return i
 				}
 			}
-			return ""
+			return -1
 		}
 		// Background: slowest free core, keeping the fast ones for
 		// critical arrivals.
-		for i := len(s.bySpeed) - 1; i >= 0; i-- {
-			if free(s.bySpeed[i]) {
-				return s.bySpeed[i]
+		for k := len(s.bySpeed) - 1; k >= 0; k-- {
+			if i := s.bySpeed[k]; running[i] == nil {
+				return i
 			}
 		}
-		return ""
+		return -1
 	default:
-		// Variation-blind: lowest free physical index. Iterate the
-		// chip's physical order rather than the speed ranking.
-		for _, c := range s.chipCores() {
-			if free(c) {
-				return c
+		// Variation-blind: lowest free physical index.
+		for i, a := range running {
+			if a == nil {
+				return i
 			}
 		}
-		return ""
+		return -1
 	}
 }
 
-// chipCores returns the managed chip's core labels in physical order.
-func (s *Simulator) chipCores() []string {
-	for _, ch := range s.m.Chips {
-		if ch.Profile.Label == s.chipL {
-			out := make([]string, len(ch.Cores))
-			for i, c := range ch.Cores {
-				out[i] = c.Profile.Label
-			}
-			return out
-		}
-	}
-	return nil
-}
-
-// configureCore applies the policy's clocking to a core that is about to
-// run job.
-func (s *Simulator) configureCore(label string, job Job, p Policy) error {
-	core, err := s.m.Core(label)
-	if err != nil {
-		return err
-	}
+// configureCore applies the policy's clocking to core i, which is
+// about to run job.
+func (s *Simulator) configureCore(i int, job Job, p Policy) error {
+	core := s.cores[i]
 	core.SetWorkload(job.Workload)
 	core.SetGated(false)
 	switch p {
@@ -77,13 +55,18 @@ func (s *Simulator) configureCore(label string, job Job, p Policy) error {
 		core.SetMode(chip.ModeStatic)
 		return dvfs.Apply(core, dvfs.DefaultOndemand(), 1.0)
 	default:
-		cfg, ok := s.dep.Config(label)
-		if !ok {
-			return errNoConfig(label)
-		}
-		core.SetMode(chip.ModeATM)
-		return s.m.ProgramCPM(label, cfg.Reduction)
+		return s.runATM(core)
 	}
+}
+
+// runATM puts a core in ATM mode at its deployed CPM reduction.
+func (s *Simulator) runATM(core *chip.Core) error {
+	cfg, ok := s.dep.Config(core.Profile.Label)
+	if !ok {
+		return errNoConfig(core.Profile.Label)
+	}
+	core.SetMode(chip.ModeATM)
+	return core.Monitor.Program(cfg.Reduction)
 }
 
 // idleCore returns a freed core to the idle workload (its clocking stays
@@ -91,11 +74,7 @@ func (s *Simulator) configureCore(label string, job Job, p Policy) error {
 // Under the ondemand policy the governor walks the idle core down the
 // ladder — scheduler events are far apart relative to governor sampling
 // periods, so the sustained-idle fixpoint (the floor) is applied.
-func (s *Simulator) idleCore(label string, p Policy) error {
-	core, err := s.m.Core(label)
-	if err != nil {
-		return err
-	}
+func (s *Simulator) idleCore(core *chip.Core, p Policy) error {
 	core.SetWorkload(workload.Idle)
 	if p == PolicyOndemand {
 		g := dvfs.DefaultOndemand()
@@ -118,46 +97,39 @@ func (s *Simulator) idleCore(label string, p Policy) error {
 // background job is pinned to the 4.2 GHz static p-state (freeing DC
 // budget for the critical cores); when no critical job is resident,
 // background cores get their full fine-tuned ATM speed back.
-func (s *Simulator) applyThrottling(running map[string]*active, p Policy) error {
+func (s *Simulator) applyThrottling(running []*active, p Policy) error {
 	if p != PolicyManaged {
 		return nil
 	}
 	criticalResident := false
 	for _, a := range running {
-		if a.job.Class == ClassCritical {
+		if a != nil && a.job.Class == ClassCritical {
 			criticalResident = true
 			break
 		}
 	}
-	for label, a := range running {
-		core, err := s.m.Core(label)
-		if err != nil {
-			return err
+	for i, a := range running {
+		if a == nil || a.job.Class != ClassBackground {
+			continue
 		}
-		if a.job.Class == ClassBackground {
-			if criticalResident {
-				// Count only real transitions: reconciliation blindly
-				// reapplies the target mode on every dispatch.
-				if core.Mode() != chip.ModeStatic {
-					s.ob.thrOn.Inc()
-				}
-				core.SetMode(chip.ModeStatic)
-				if err := core.SetPState(chip.PStateMax); err != nil {
-					return err
-				}
-			} else {
-				cfg, ok := s.dep.Config(label)
-				if !ok {
-					return errNoConfig(label)
-				}
-				if core.Mode() != chip.ModeATM {
-					s.ob.thrOff.Inc()
-				}
-				core.SetMode(chip.ModeATM)
-				if err := s.m.ProgramCPM(label, cfg.Reduction); err != nil {
-					return err
-				}
+		core := s.cores[i]
+		if criticalResident {
+			// Count only real transitions: reconciliation blindly
+			// reapplies the target mode on every dispatch.
+			if core.Mode() != chip.ModeStatic {
+				s.ob.thrOn.Inc()
 			}
+			core.SetMode(chip.ModeStatic)
+			if err := core.SetPState(chip.PStateMax); err != nil {
+				return err
+			}
+			continue
+		}
+		if core.Mode() != chip.ModeATM {
+			s.ob.thrOff.Inc()
+		}
+		if err := s.runATM(core); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -18,6 +18,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -259,9 +260,12 @@ type Simulator struct {
 	dep   *tuning.Deployment
 	chipL string
 
-	// fast-to-slow core order (deployment speed ranking, restricted to
-	// the managed chip).
-	bySpeed []string
+	// cores is the managed chip's cores in physical order; a run keeps
+	// each running job at its core's index.
+	cores []*chip.Core
+	// bySpeed indexes cores fast to slow (the deployment's speed
+	// ranking, restricted to the managed chip).
+	bySpeed []int
 
 	// ob is the run's observability handle set, resolved by Run from
 	// Options. The zero value is the disabled plane.
@@ -306,11 +310,14 @@ func NewSimulator(m *chip.Machine, dep *tuning.Deployment, chipLabel string) (*S
 		chipLabel = "P0"
 	}
 	s := &Simulator{m: m, dep: dep, chipL: chipLabel}
+	for _, ch := range m.Chips {
+		if ch.Profile.Label == chipLabel {
+			s.cores = ch.Cores
+		}
+	}
 	for _, label := range dep.FastestCores() {
-		if core, err := m.Core(label); err == nil {
-			if ch, err := m.ChipOf(core.Profile.Label); err == nil && ch.Profile.Label == chipLabel {
-				s.bySpeed = append(s.bySpeed, label)
-			}
+		if i := slices.IndexFunc(s.cores, func(c *chip.Core) bool { return c.Profile.Label == label }); i >= 0 {
+			s.bySpeed = append(s.bySpeed, i)
 		}
 	}
 	if len(s.bySpeed) == 0 {
@@ -324,7 +331,6 @@ type active struct {
 	job       Job
 	remaining float64 // service-seconds at baseline still to do
 	start     float64
-	core      string
 }
 
 // Run executes the trace under the options' policy and returns the
@@ -338,16 +344,12 @@ func (s *Simulator) Run(trace []Job, o Options) (Result, error) {
 	// Normalize the idle machine to the policy's baseline clocking:
 	// the static policies must not leave unused cores in default ATM.
 	if o.Policy == PolicyStatic || o.Policy == PolicyOndemand {
-		for _, label := range s.chipCores() {
-			core, err := s.m.Core(label)
-			if err != nil {
-				return Result{}, err
-			}
+		for _, core := range s.cores {
 			core.SetMode(chip.ModeStatic)
 			if err := core.SetPState(chip.PStateMax); err != nil {
 				return Result{}, err
 			}
-			if err := s.idleCore(label, o.Policy); err != nil {
+			if err := s.idleCore(core, o.Policy); err != nil {
 				return Result{}, err
 			}
 		}
@@ -356,7 +358,8 @@ func (s *Simulator) Run(trace []Job, o Options) (Result, error) {
 	res := Result{Policy: o.Policy}
 	var (
 		queueCrit, queueBG []Job
-		running            = map[string]*active{} // core label → job
+		running            = make([]*active, len(s.cores)) // by core index; nil when free
+		rate               = make([]float64, len(s.cores))
 		now                float64
 		nextJob            int
 		energy             float64
@@ -364,23 +367,23 @@ func (s *Simulator) Run(trace []Job, o Options) (Result, error) {
 	base := float64(s.m.Profile().Params().FStatic)
 
 	// rates recomputes every running job's progress rate from the
-	// solved steady state; returns rate per core and chip power.
-	rates := func() (map[string]float64, float64, error) {
+	// solved steady state into rate (a free core's entry is stale and
+	// never read) and returns the chip's power.
+	rates := func() (float64, error) {
 		st, err := s.m.Solve()
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		cs, err := st.ChipState(s.chipL)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		out := map[string]float64{}
-		for _, c := range cs.Cores {
-			if a, ok := running[c.Label]; ok {
-				out[c.Label] = a.job.Workload.RelPerf(float64(c.Freq), base)
+		for i, a := range running {
+			if a != nil {
+				rate[i] = a.job.Workload.RelPerf(float64(cs.Cores[i].Freq), base)
 			}
 		}
-		return out, float64(cs.Power), nil
+		return float64(cs.Power), nil
 	}
 
 	dispatch := func() error {
@@ -394,13 +397,13 @@ func (s *Simulator) Run(trace []Job, o Options) (Result, error) {
 				job, isCrit = queueBG[0], false
 			}
 			core := s.pickCore(running, isCrit, o.Policy)
-			if core == "" {
+			if core < 0 {
 				if isCrit && len(queueBG) > 0 {
 					// Critical head blocked; try a background job on
 					// the remaining cores before giving up.
 					job, isCrit = queueBG[0], false
 					core = s.pickCore(running, false, o.Policy)
-					if core == "" {
+					if core < 0 {
 						break
 					}
 					queueBG = queueBG[1:]
@@ -412,14 +415,14 @@ func (s *Simulator) Run(trace []Job, o Options) (Result, error) {
 			} else {
 				queueBG = queueBG[1:]
 			}
-			running[core] = &active{job: job, remaining: job.ServiceSec, start: now, core: core}
+			running[core] = &active{job: job, remaining: job.ServiceSec, start: now}
 			if isCrit {
 				s.ob.dispCrit.Inc()
 			} else {
 				s.ob.dispBG.Inc()
 			}
 			if s.ob.tr != nil {
-				s.ob.tr.Instant("sched", "dispatch", core,
+				s.ob.tr.Instant("sched", "dispatch", s.cores[core].Profile.Label,
 					"job", strconv.Itoa(job.ID), "class", job.Class.String())
 			}
 			if err := s.configureCore(core, job, o.Policy); err != nil {
@@ -432,25 +435,25 @@ func (s *Simulator) Run(trace []Job, o Options) (Result, error) {
 	}
 
 	for {
-		rate, power, err := rates()
+		power, err := rates()
 		if err != nil {
 			return Result{}, err
 		}
 
-		// Next event: arrival or earliest completion.
+		// Next event: arrival or earliest completion. A tie goes to the
+		// first core in chip order.
 		nextArrival := -1.0
 		if nextJob < len(trace) {
 			nextArrival = trace[nextJob].ArrivalSec
 		}
-		nextDone, doneCore := -1.0, ""
-		for label, a := range running {
-			r := rate[label]
-			if r <= 0 {
+		nextDone, doneCore := -1.0, -1
+		for i, a := range running {
+			if a == nil || rate[i] <= 0 {
 				continue
 			}
-			t := now + a.remaining/r
+			t := now + a.remaining/rate[i]
 			if nextDone < 0 || t < nextDone {
-				nextDone, doneCore = t, label
+				nextDone, doneCore = t, i
 			}
 		}
 		if nextArrival < 0 && nextDone < 0 {
@@ -470,8 +473,11 @@ func (s *Simulator) Run(trace []Job, o Options) (Result, error) {
 		if dt < 0 {
 			dt = 0
 		}
-		for label, a := range running {
-			a.remaining -= rate[label] * dt
+		for i, a := range running {
+			if a == nil {
+				continue
+			}
+			a.remaining -= rate[i] * dt
 			if a.remaining < 1e-12 {
 				a.remaining = 0
 			}
@@ -493,10 +499,10 @@ func (s *Simulator) Run(trace []Job, o Options) (Result, error) {
 					"job", strconv.Itoa(job.ID))
 			}
 		} else {
-			a := running[doneCore]
-			delete(running, doneCore)
+			a, core := running[doneCore], s.cores[doneCore]
+			running[doneCore] = nil
 			res.Completed = append(res.Completed, JobRecord{
-				Job: a.job, StartSec: a.start, FinishSec: now, Core: doneCore,
+				Job: a.job, StartSec: a.start, FinishSec: now, Core: core.Profile.Label,
 			})
 			if a.job.Class == ClassCritical {
 				s.ob.doneCrit.Inc()
@@ -506,12 +512,12 @@ func (s *Simulator) Run(trace []Job, o Options) (Result, error) {
 			if s.ob.tr != nil {
 				// The job's whole residency as one exact-time span on the
 				// core's track.
-				s.ob.tr.Complete("sched", a.job.Workload.Name, doneCore,
+				s.ob.tr.Complete("sched", a.job.Workload.Name, core.Profile.Label,
 					usOf(a.start), usOf(now)-usOf(a.start),
 					"job", strconv.Itoa(a.job.ID), "class", a.job.Class.String())
 			}
 			// Freed core returns to idle until redispatched.
-			if err := s.idleCore(doneCore, o.Policy); err != nil {
+			if err := s.idleCore(core, o.Policy); err != nil {
 				return Result{}, err
 			}
 		}

@@ -257,8 +257,8 @@ func TestManagedPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	rank := map[string]int{}
-	for i, label := range s.bySpeed {
-		rank[label] = i
+	for k, i := range s.bySpeed {
+		rank[s.cores[i].Profile.Label] = k
 	}
 	var critRank, bgRank, critN, bgN float64
 	for _, r := range res.Completed {

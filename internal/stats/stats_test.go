@@ -341,8 +341,8 @@ func TestHistogramMatchesMapReference(t *testing.T) {
 			}
 			wantSpread = want[len(want)-1] - want[0]
 			sum := 0.0
-			for v, c := range ref {
-				sum += float64(v) * float64(c)
+			for _, v := range want {
+				sum += float64(v) * float64(ref[v])
 			}
 			wantMean = sum / float64(len(obs))
 		}
