@@ -165,7 +165,7 @@ type (
 	JobSimulator = sched.Simulator
 	// Job is one unit of scheduled work.
 	Job = sched.Job
-	// SchedOptions configures a scheduling run and its trace.
+	// SchedOptions configures a scheduling run.
 	SchedOptions = sched.Options
 	// SchedResult aggregates a scheduling run.
 	SchedResult = sched.Result
@@ -270,11 +270,11 @@ func NewJobSimulator(m *Machine, dep *Deployment, chipLabel string) (*JobSimulat
 	return sched.NewSimulator(m, dep, chipLabel)
 }
 
-// GenerateJobTrace draws a reproducible Poisson job trace. Options
-// whose horizon, arrival rates or service means are negative, NaN or
-// infinite are an error.
-func GenerateJobTrace(o SchedOptions, seed uint64) ([]Job, error) {
-	return sched.GenerateTrace(o, rng.New(seed))
+// GenerateJobTrace draws a reproducible Poisson job trace whose
+// arrivals end at horizonSec. A horizon that is not positive and
+// finite, or that expects more than 100,000 jobs, is an error.
+func GenerateJobTrace(horizonSec float64, seed uint64) ([]Job, error) {
+	return sched.GenerateTrace(horizonSec, rng.New(seed))
 }
 
 // ParseFaultProfile builds a fault profile from a spec string: a preset

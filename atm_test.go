@@ -201,15 +201,14 @@ func TestFacadeJobSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := SchedOptions{Policy: SchedManaged, HorizonSec: 30, Seed: 5}
-	trace, err := GenerateJobTrace(opts, opts.Seed)
+	trace, err := GenerateJobTrace(30, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(trace) == 0 {
 		t.Fatal("empty trace")
 	}
-	res, err := sim.Run(trace, opts)
+	res, err := sim.Run(trace, SchedOptions{Policy: SchedManaged})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -523,8 +523,8 @@ func Example_jobstream() {
 		log.Fatal(err)
 	}
 
-	opts := SchedOptions{HorizonSec: 120, Seed: 11}
-	trace, err := GenerateJobTrace(opts, opts.Seed)
+	horizonSec := 120.0
+	trace, err := GenerateJobTrace(horizonSec, 11)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func Example_jobstream() {
 		}
 	}
 	fmt.Printf("trace: %d jobs over %.0f s (%d critical, %d background)\n\n",
-		len(trace), opts.HorizonSec, nCrit, nBG)
+		len(trace), horizonSec, nCrit, nBG)
 
 	t := &report.Table{
 		Title: "Same trace, four policies",
@@ -546,9 +546,7 @@ func Example_jobstream() {
 		Note: "managed ATM: critical jobs on the fastest cores, co-runners throttled while they run",
 	}
 	for _, p := range []SchedPolicy{SchedStatic, SchedOndemand, SchedUnmanaged, SchedManaged} {
-		o := opts
-		o.Policy = p
-		res, err := sim.Run(trace, o)
+		res, err := sim.Run(trace, SchedOptions{Policy: p})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -48,15 +48,9 @@ func (m *Machine) Transient(chipLabel string, n int, dtNs float64, src *rng.Sour
 		return TransientResult{}, fmt.Errorf("chip: transient needs positive n and dt")
 	}
 
-	p := m.profile.Params()
 	loops := make([]*dpll.Loop, len(c.Cores))
 	for i, core := range c.Cores {
-		cfg := dpll.DefaultConfig(p.ThetaUnits, p.FMaxHW)
-		loop, err := dpll.New(core.Monitor, cfg, core.Profile.DefaultFreq())
-		if err != nil {
-			return TransientResult{}, err
-		}
-		loops[i] = loop
+		loops[i] = dpll.New(core.Monitor, core.Profile.DefaultFreq())
 	}
 
 	// Steady DC point from the solver (frequency feedback on power is

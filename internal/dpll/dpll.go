@@ -20,70 +20,37 @@
 package dpll
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/cpm"
 	"repro/internal/units"
 )
 
-// Config are the loop gains. Defaults follow DefaultConfig.
-type Config struct {
-	// ThetaUnits is the margin threshold the loop regulates to. It must
-	// match the silicon Params' ThetaUnits for the analytic settle
-	// point to be exact.
-	ThetaUnits int
-	// UpSlewMHz is the frequency increment applied per control interval
-	// while margin exceeds the threshold.
-	UpSlewMHz float64
-	// DownSlewMHz is the decrement applied while margin is positive but
-	// below the threshold.
-	DownSlewMHz float64
-	// EmergencyFactor scales the decrement on a violation (margin < 0).
-	EmergencyFactor float64
-	// FMin and FMax bound the slew range.
-	FMin, FMax units.MHz
-}
-
-// DefaultConfig returns the loop gains used throughout the repository.
-func DefaultConfig(theta int, fmax units.MHz) Config {
-	return Config{
-		ThetaUnits:      theta,
-		UpSlewMHz:       8,
-		DownSlewMHz:     40,
-		EmergencyFactor: 6,
-		FMin:            1000,
-		FMax:            fmax,
-	}
-}
+// The loop's slew response and floor are fixed hardware (Sec. II); its
+// threshold is the silicon Params' ThetaUnits and its ceiling their
+// FMaxHW, both read from the monitor's core. The gains are typed so that
+// every product and comparison rounds as it would on a float64 variable.
+const (
+	// upSlewMHz is the largest increment per control interval while the
+	// margin exceeds the threshold.
+	upSlewMHz float64 = 8
+	// downSlewMHz is the largest decrement per control interval while
+	// the margin is non-negative but below the threshold.
+	downSlewMHz float64 = 40
+	// emergencyFactor scales downSlewMHz on a violation (margin < 0).
+	emergencyFactor float64 = 6
+	// fMin is the bottom of the slew range.
+	fMin units.MHz = 1000
+)
 
 // Loop is the mutable control-loop state of one core.
 type Loop struct {
-	cfg     Config
 	monitor *cpm.Monitor
 	freq    units.MHz
 }
 
 // New returns a loop regulating the monitor, starting at the given
-// frequency.
-func New(monitor *cpm.Monitor, cfg Config, start units.MHz) (*Loop, error) {
-	if cfg.ThetaUnits < 0 {
-		return nil, fmt.Errorf("dpll: negative threshold %d", cfg.ThetaUnits)
-	}
-	// Each test is written so that NaN fails it.
-	switch {
-	case !(cfg.FMin > 0) || math.IsInf(float64(cfg.FMin), 1):
-		return nil, fmt.Errorf("dpll: FMin %v, want positive and finite", cfg.FMin)
-	case !(cfg.FMax > cfg.FMin) || math.IsInf(float64(cfg.FMax), 1):
-		return nil, fmt.Errorf("dpll: FMax %v, want finite and above FMin %v", cfg.FMax, cfg.FMin)
-	case !(cfg.UpSlewMHz > 0) || math.IsInf(cfg.UpSlewMHz, 1):
-		return nil, fmt.Errorf("dpll: UpSlewMHz %g, want positive and finite", cfg.UpSlewMHz)
-	case !(cfg.DownSlewMHz > 0) || math.IsInf(cfg.DownSlewMHz, 1):
-		return nil, fmt.Errorf("dpll: DownSlewMHz %g, want positive and finite", cfg.DownSlewMHz)
-	case !(cfg.EmergencyFactor >= 1) || math.IsInf(cfg.EmergencyFactor, 1):
-		return nil, fmt.Errorf("dpll: EmergencyFactor %g, want finite and at least 1", cfg.EmergencyFactor)
-	}
-	return &Loop{cfg: cfg, monitor: monitor, freq: start.Clamp(cfg.FMin, cfg.FMax)}, nil
+// frequency clamped to [fMin, FMaxHW].
+func New(monitor *cpm.Monitor, start units.MHz) *Loop {
+	return &Loop{monitor: monitor, freq: start.Clamp(fMin, monitor.Core().Params().FMaxHW)}
 }
 
 // Freq returns the loop's current output frequency.
@@ -110,21 +77,21 @@ func (l *Loop) Step(v units.Volt) cpm.Reading {
 
 	switch {
 	case r.Units < 0:
-		l.freq -= units.MHz(l.cfg.DownSlewMHz * l.cfg.EmergencyFactor)
+		l.freq -= units.MHz(downSlewMHz * emergencyFactor)
 	case needMHz < 0:
 		step := -needMHz
-		if step > l.cfg.DownSlewMHz {
-			step = l.cfg.DownSlewMHz
+		if step > downSlewMHz {
+			step = downSlewMHz
 		}
 		l.freq -= units.MHz(step)
 	default:
 		step := needMHz
-		if step > l.cfg.UpSlewMHz {
-			step = l.cfg.UpSlewMHz
+		if step > upSlewMHz {
+			step = upSlewMHz
 		}
 		l.freq += units.MHz(step)
 	}
-	l.freq = l.freq.Clamp(l.cfg.FMin, l.cfg.FMax)
+	l.freq = l.freq.Clamp(fMin, p.FMaxHW)
 	return r
 }
 
@@ -137,5 +104,5 @@ func (l *Loop) Step(v units.Volt) cpm.Reading {
 //lint:ignore deadcode reference model: the dpll tests compare the stepped loop against it
 func (l *Loop) SettlePoint(v units.Volt) units.MHz {
 	p := l.monitor.Core().Params()
-	return p.SettleFreq(l.monitor.SettleGuardPs(), v).Clamp(l.cfg.FMin, l.cfg.FMax)
+	return p.SettleFreq(l.monitor.SettleGuardPs(), v).Clamp(fMin, p.FMaxHW)
 }

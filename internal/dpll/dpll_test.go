@@ -1,8 +1,8 @@
 package dpll
 
 import (
+	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/cpm"
@@ -20,12 +20,7 @@ func newLoop(t *testing.T, label string, red int, start units.MHz) *Loop {
 	if err := m.Program(red); err != nil {
 		t.Fatal(err)
 	}
-	p := c.Params()
-	l, err := New(m, DefaultConfig(p.ThetaUnits, p.FMaxHW), start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
+	return New(m, start)
 }
 
 // run steps the loop n intervals at a fixed supply voltage and returns
@@ -39,51 +34,6 @@ func run(l *Loop, n int, v units.Volt) (units.MHz, int) {
 		}
 	}
 	return l.Freq(), violations
-}
-
-func TestNewValidation(t *testing.T) {
-	c := silicon.Reference().AllCores()[0]
-	m := cpm.New(c)
-	bad := []Config{
-		{ThetaUnits: -1, UpSlewMHz: 1, DownSlewMHz: 1, EmergencyFactor: 1, FMin: 1, FMax: 2},
-		{ThetaUnits: 2, UpSlewMHz: 0, DownSlewMHz: 1, EmergencyFactor: 1, FMin: 1, FMax: 2},
-		{ThetaUnits: 2, UpSlewMHz: 1, DownSlewMHz: 1, EmergencyFactor: 0.5, FMin: 1, FMax: 2},
-		{ThetaUnits: 2, UpSlewMHz: 1, DownSlewMHz: 1, EmergencyFactor: 1, FMin: 0, FMax: 2},
-		{ThetaUnits: 2, UpSlewMHz: 1, DownSlewMHz: 1, EmergencyFactor: 1, FMin: 5, FMax: 2},
-	}
-	for i, cfg := range bad {
-		if _, err := New(m, cfg, 4000); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-}
-
-// TestNewRejectsNonFinite sets each bound and slew field of the default
-// config, in turn, to NaN, +Inf and −Inf: New must reject each with an
-// error naming the field.
-func TestNewRejectsNonFinite(t *testing.T) {
-	c := silicon.Reference().AllCores()[0]
-	m := cpm.New(c)
-	p := c.Params()
-	fields := []struct {
-		name string
-		set  func(*Config, float64)
-	}{
-		{"FMin", func(cfg *Config, v float64) { cfg.FMin = units.MHz(v) }},
-		{"FMax", func(cfg *Config, v float64) { cfg.FMax = units.MHz(v) }},
-		{"UpSlewMHz", func(cfg *Config, v float64) { cfg.UpSlewMHz = v }},
-		{"DownSlewMHz", func(cfg *Config, v float64) { cfg.DownSlewMHz = v }},
-		{"EmergencyFactor", func(cfg *Config, v float64) { cfg.EmergencyFactor = v }},
-	}
-	for _, f := range fields {
-		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			cfg := DefaultConfig(p.ThetaUnits, p.FMaxHW)
-			f.set(&cfg, v)
-			if _, err := New(m, cfg, 4000); err == nil || !strings.Contains(err.Error(), f.name) {
-				t.Errorf("%s = %v: New error %v, want one naming %s", f.name, v, err, f.name)
-			}
-		}
-	}
 }
 
 // TestConvergesFromBelow: starting slow, the loop creeps up to the
@@ -157,19 +107,71 @@ func TestNoViolationsInSteadyState(t *testing.T) {
 
 func TestFrequencyBounds(t *testing.T) {
 	c := silicon.Reference().FindCore("P0C0")
-	m := cpm.New(c)
-	cfg := DefaultConfig(c.Params().ThetaUnits, 4400)
-	l, err := New(m, cfg, 6000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Freq() != 4400 {
-		t.Errorf("start frequency not clamped: %v", l.Freq())
+	fmax := c.Params().FMaxHW
+	l := New(cpm.New(c), fmax+500)
+	if l.Freq() != fmax {
+		t.Errorf("start frequency %v not clamped to FMaxHW %v", l.Freq(), fmax)
 	}
 	run(l, 300, 1.25)
-	if l.Freq() > 4400 || l.Freq() < cfg.FMin {
+	if l.Freq() > fmax || l.Freq() < 1000 {
 		t.Errorf("loop escaped bounds: %v", l.Freq())
 	}
+}
+
+// TestStepSlewLimits holds every Step, over a sweep of supplies and
+// start frequencies on the reference cores, to the loop's fixed
+// response: up by at most 8 MHz; down by at most 40 MHz while the
+// margin reading is non-negative; down by exactly 240 MHz on a
+// violation unless the 1,000 MHz floor clamps it; and always within
+// [1,000 MHz, FMaxHW]. Each regime, the floor clamp included, must
+// occur in the sweep.
+func TestStepSlewLimits(t *testing.T) {
+	var ups, downs, violations, floored int
+	for _, c := range silicon.Reference().AllCores() {
+		fmax := c.Params().FMaxHW
+		for _, v := range []units.Volt{0.5, 0.9, 1.1, 1.25, 1.3} {
+			for _, start := range []units.MHz{500, 1000, 1100, 2500, 4200, 4600, 5200, fmax, 7000} {
+				l := New(cpm.New(c), start)
+				for i := 0; i < 60; i++ {
+					before := l.Freq()
+					r := l.Step(v)
+					after := l.Freq()
+					var bad string
+					switch {
+					case after < 1000 || after > fmax:
+						bad = fmt.Sprintf("outside [1000 MHz, %v]", fmax)
+					case r.Units < 0:
+						violations++
+						want := before - 240
+						if want < 1000 {
+							want = 1000
+							floored++
+						}
+						if after != want {
+							bad = fmt.Sprintf("violation moved the clock to %v, want %v", after, want)
+						}
+					case after > before+8:
+						bad = "rose by more than 8 MHz"
+					case after < before-40:
+						bad = "fell by more than 40 MHz on a non-negative margin"
+					case after > before:
+						ups++
+					case after < before:
+						downs++
+					}
+					if bad != "" {
+						t.Fatalf("%s at %v from %v, step %d (%v → %v, margin %d units): %s",
+							c.Label, v, start, i, before, after, r.Units, bad)
+					}
+				}
+			}
+		}
+	}
+	if ups == 0 || downs == 0 || violations == 0 || floored == 0 {
+		t.Errorf("sweep missed a regime: %d rises, %d falls, %d violations (%d at the floor)",
+			ups, downs, violations, floored)
+	}
+	t.Logf("%d rises, %d falls, %d violations (%d at the floor)", ups, downs, violations, floored)
 }
 
 // TestSettlePointMatchesSiliconModel: the analytic shortcut used by the

@@ -1,10 +1,6 @@
 package fsp
 
-import (
-	"encoding/json"
-
-	"repro/internal/guard"
-)
+import "encoding/json"
 
 // The server's overload envelope. Real FSP firmware services one
 // operator at a time and simply stops answering when wedged; this
@@ -13,18 +9,50 @@ import (
 // them, and the read-only "health" verb reports the gate so an
 // operator can see shedding happen instead of guessing.
 
+// gateName labels the session gate's metric series.
+const gateName = "fsp_sessions"
+
 // Guard arms the session gate: at most maxSessions sessions are served
 // at once, and a connection over the limit is answered "err busy" and
-// closed. Call before Serve; 0 (the default) leaves sessions unbounded.
+// closed. Call after Observe and before Serve; 0 (the default) leaves
+// sessions unbounded and uncounted. With a registry attached, the gate
+// exports guard_gate_depth (sessions held) and guard_gate_shed_total.
 func (s *Server) Guard(maxSessions int) {
 	s.maxSessions = maxSessions
 	if maxSessions > 0 {
-		s.gate = guard.NewGate(guard.GateOptions{
-			Name:  "fsp_sessions",
-			Limit: maxSessions,
-			Obs:   s.reg,
-		})
+		s.depthG = s.reg.Gauge("guard_gate_depth", "name", gateName)
+		s.shedC = s.reg.Counter("guard_gate_shed_total", "name", gateName)
 	}
+}
+
+// admit claims a session slot for one connection, or counts a shed
+// when maxSessions sessions are already served. An admitted session
+// must call release exactly once when it ends (serveConn defers it).
+func (s *Server) admit() bool {
+	if s.maxSessions <= 0 {
+		return true
+	}
+	s.gateMu.Lock()
+	defer s.gateMu.Unlock()
+	if s.active >= s.maxSessions {
+		s.sheds++
+		s.shedC.Inc()
+		return false
+	}
+	s.active++
+	s.depthG.Set(float64(s.active))
+	return true
+}
+
+// release returns the slot an admitted session held.
+func (s *Server) release() {
+	if s.maxSessions <= 0 {
+		return
+	}
+	s.gateMu.Lock()
+	defer s.gateMu.Unlock()
+	s.active--
+	s.depthG.Set(float64(s.active))
 }
 
 // healthReport is the "health" verb's document. Struct marshaling
@@ -40,11 +68,10 @@ type healthReport struct {
 
 // healthLine renders the server-wide health document.
 func (s *Server) healthLine() string {
-	return marshalHealth(healthReport{
-		ActiveSessions: s.gate.Depth(),
-		MaxSessions:    s.maxSessions,
-		SessionSheds:   s.gate.Sheds(),
-	})
+	s.gateMu.Lock()
+	rep := healthReport{ActiveSessions: s.active, MaxSessions: s.maxSessions, SessionSheds: s.sheds}
+	s.gateMu.Unlock()
+	return marshalHealth(rep)
 }
 
 // marshalHealth renders one health document.

@@ -85,7 +85,10 @@ func TestSessionGateSheds(t *testing.T) {
 
 	// The gate's series counts the five flood sheds, and any recovery
 	// probe it shed, once each.
-	if got, want := reg.Counter("guard_gate_shed_total", "name", "fsp_sessions").Value(), srv.gate.Sheds(); got < 5 || got != want {
+	srv.gateMu.Lock()
+	want := srv.sheds
+	srv.gateMu.Unlock()
+	if got := reg.Counter("guard_gate_shed_total", "name", "fsp_sessions").Value(); got < 5 || got != want {
 		t.Errorf("guard_gate_shed_total = %d, want the gate's %d and at least 5", got, want)
 	}
 }

@@ -78,22 +78,27 @@ func TestServerAdmitMatchesGuardPlane(t *testing.T) {
 	srv.Observe(reg)
 	srv.Guard(2)
 
-	r1, ok := srv.admit()
-	r2, ok2 := srv.admit()
-	if !ok || !ok2 {
+	if !srv.admit() || !srv.admit() {
 		t.Fatal("first two admissions refused")
 	}
-	if _, ok := srv.admit(); ok {
+	if srv.admit() {
 		t.Fatal("third admission allowed past MaxSessions=2")
 	}
 	if got := reg.Counter("guard_gate_shed_total", "name", "fsp_sessions").Value(); got != 1 {
 		t.Errorf("guard_gate_shed_total = %d, want 1", got)
 	}
-	r1()
-	if _, ok := srv.admit(); !ok {
+	srv.release()
+	if !srv.admit() {
 		t.Fatal("admission refused after release")
 	}
-	r2()
+	if got := reg.Gauge("guard_gate_depth", "name", "fsp_sessions").Value(); got != 2 {
+		t.Errorf("guard_gate_depth = %v, want 2", got)
+	}
+	srv.release()
+	srv.release()
+	if got := reg.Gauge("guard_gate_depth", "name", "fsp_sessions").Value(); got != 0 {
+		t.Errorf("guard_gate_depth = %v after every release, want 0", got)
+	}
 }
 
 // TestDisabledLatencyZeroAlloc pins the satellite requirement: with no

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/guard"
 	"repro/internal/obs"
 )
 
@@ -47,11 +46,17 @@ type Server struct {
 	// latency histograms. Set via SetClock before Serve.
 	clock func() int64
 
-	// The session gate (see guard.go). It is nil until Guard is
-	// called, and every use is nil-safe — the disabled default admits
-	// everything at ~zero cost.
+	// The session gate (see guard.go): maxSessions, set by Guard,
+	// bounds the sessions served at once (0 = unbounded). gateMu
+	// guards active, the sessions held, and sheds, the connections
+	// refused; depthG and shedC export them when a registry is
+	// attached.
 	maxSessions int
-	gate        *guard.Gate
+	gateMu      sync.Mutex
+	active      int
+	sheds       int64
+	depthG      *obs.Gauge
+	shedC       *obs.Counter
 
 	wg      sync.WaitGroup
 	stateMu sync.Mutex // guards closing/listener/conns against Serve↔Close races
@@ -141,12 +146,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	// A shed connection gets one in-band "err busy" line and is closed
 	// by the caller's deferred Close, so overload never hangs a peer and
 	// never leaks a session goroutine.
-	release, ok := s.admit()
-	if !ok {
+	if !s.admit() {
 		s.shed(conn)
 		return
 	}
-	defer release()
+	defer s.release()
 	sess := s.localSession()
 	locked := &lockedSession{sess: sess, mu: &s.mu}
 	var rw net.Conn = conn
@@ -155,17 +159,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	//lint:ignore errdrop a serve error is a client that hung up or idled out mid-session — normal connection lifecycle, not a server fault
 	_ = locked.serve(rw)
-}
-
-// admit runs the server's admission control — the session gate — for
-// one session; the gate counts a refusal as a shed. On success the
-// returned release must be called when the session ends (serveConn
-// defers it).
-func (s *Server) admit() (release func(), ok bool) {
-	if !s.gate.TryAcquire() {
-		return nil, false
-	}
-	return s.gate.Release, true
 }
 
 // localSession builds the session serveConn serves over a connection,

@@ -1,33 +1,32 @@
 // Package guard is the process-level resilience toolkit of the
-// reproduction: circuit breakers, bounded-capacity admission gates,
-// panic isolation, and crash-point injection.
+// reproduction: circuit breakers, panic isolation, and crash-point
+// injection.
 // Where internal/fault makes the *devices* misbehave deterministically,
 // this package keeps the *software* that drives them — the fleet
-// engine's worker pool, the FSP operator server's session gate, the dc
-// placer's per-node quarantine — inside a bounded failure envelope: a
-// flood of connections, a failing node, or a panicking worker degrades
-// into an explicit, in-band error instead of a hang, a leak, or a dead
-// process.
+// engine's worker pool, the dc placer's per-node quarantine — inside a
+// bounded failure envelope: a failing node or a panicking worker
+// degrades into an explicit, in-band error instead of a hang, a leak,
+// or a dead process.
 //
 // Design rules, shared with internal/obs:
 //
-//   - Disabled is the default and costs ~nothing. Every handle (nil
-//     *Breaker, nil *Gate) admits everything, counts nothing, and
-//     allocates nothing — TestDisabledGuardZeroAlloc pins the disabled
-//     hot path at 0 allocs/op — so consumers wire guards
-//     unconditionally and enable them by construction.
+//   - Disabled is the default and costs ~nothing. A nil *Breaker
+//     admits everything, counts nothing, and allocates nothing —
+//     TestDisabledGuardZeroAlloc pins the disabled hot path at 0
+//     allocs/op — so consumers wire breakers unconditionally and
+//     enable them by construction.
 //   - Time is logical, never the wall clock. Breakers read the
 //     caller's monotone clock (BreakerOptions.Now, required), so a
 //     guarded run replays bit-for-bit and chaos tests can assert exact
 //     trip/recovery points. The package is in atmlint's detflow scope.
-//   - Shedding is explicit and in-band. A guard never blocks and never
-//     silently drops: callers get a boolean (or an error) and answer
-//     their protocol's "busy" line themselves.
+//   - Refusal is explicit. A guard never blocks and never silently
+//     drops: callers get a boolean (or an error) and decide what a
+//     refusal means themselves.
 //
-// Observability rides the obs plane: every primitive optionally
-// resolves counters/gauges against a Registry at construction, and all
-// primitives also keep plain internal tallies (Sheds, Depth, Rejected)
-// so health endpoints work with collection disabled.
+// Observability rides the obs plane: a breaker optionally resolves
+// counters/gauges against a Registry at construction, and also keeps a
+// plain internal tally (Rejected) so a caller's result can report
+// rejections with collection disabled.
 package guard
 
 import (

@@ -72,17 +72,13 @@ func TestCrashPointKills(t *testing.T) {
 // TestDisabledGuardZeroAlloc pins the contract that the disabled (nil)
 // guard hot path allocates nothing.
 func TestDisabledGuardZeroAlloc(t *testing.T) {
-	var (
-		b *Breaker
-		g *Gate
-	)
+	var b *Breaker
 	allocs := testing.AllocsPerRun(1000, func() {
-		if !b.Allow() || !g.TryAcquire() {
+		if !b.Allow() {
 			panic("nil guard shed")
 		}
 		b.Success()
 		b.Failure()
-		g.Release()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled guard hot path allocates %.1f/op, want 0", allocs)
@@ -90,17 +86,13 @@ func TestDisabledGuardZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkDisabledGuardHotPath(b *testing.B) {
-	var (
-		br *Breaker
-		g  *Gate
-	)
+	var br *Breaker
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if !br.Allow() || !g.TryAcquire() {
+		if !br.Allow() {
 			b.Fatal("nil guard shed")
 		}
 		br.Success()
-		g.Release()
 	}
 }
 

@@ -26,87 +26,64 @@ import (
 // HoursPerYear is the simulated-time conversion used throughout.
 const HoursPerYear = 8760
 
-// Params shapes the drift model. The zero value selects DefaultParams,
-// whose values each field's comment notes.
-type Params struct {
-	// NBTIMean/NBTISigma parameterize the per-core NBTI aging
+// Params has no fields: the drift model's coefficients are the
+// constants below. It stays as NewOverlay's second parameter only
+// because atmbench, the repository's benchmark module, calls
+// NewOverlay(m, Params{}, ...).
+type Params struct{}
+
+// The calibrated drift model: strong enough that an unsupervised
+// fine-tuned machine starts failing well inside three years, gentle
+// enough that the sentinel's ladder keeps a supervised one safe. The
+// constants are typed float64, so each derived value (nbtiMean/3,
+// -3*stepSkewSigma, 1/excursionMeanHours) rounds exactly as it would
+// from a float64 variable.
+const (
+	// nbtiMean/nbtiSigma parameterize the per-core NBTI aging
 	// coefficient: fractional true-path slowdown after one year of
 	// powered-on time, before the t^0.16 time exponent. Drawn once per
-	// core from a truncated normal. Defaults 0.030 / 0.008.
-	NBTIMean  float64
-	NBTISigma float64
-	// HCIMean/HCISigma parameterize the per-core hot-carrier aging
-	// coefficient: fractional slowdown per sqrt(active-year). Defaults
-	// 0.008 / 0.003.
-	HCIMean  float64
-	HCISigma float64
-	// TrackLo/TrackHi bound the per-core CPM tracking ratio τ: the
+	// core from a truncated normal.
+	nbtiMean  float64 = 0.030
+	nbtiSigma float64 = 0.008
+	// hciMean/hciSigma parameterize the per-core hot-carrier aging
+	// coefficient: fractional slowdown per sqrt(active-year).
+	hciMean  float64 = 0.008
+	hciSigma float64 = 0.003
+	// trackLo/trackHi bound the per-core CPM tracking ratio τ: the
 	// fraction of the true path's aging the CPM synthetic path (and its
 	// inserted-delay chain) experiences. τ < 1 is the whole problem —
 	// the monitor ages slower than the paths it guards, so the margin
-	// it reports is increasingly optimistic. Defaults 0.60 / 0.85.
-	TrackLo float64
-	TrackHi float64
-	// StepSkewSigma is the relative spread of per-tap aging jitter on
+	// it reports is increasingly optimistic.
+	trackLo float64 = 0.60
+	trackHi float64 = 0.85
+	// stepSkewSigma is the relative spread of per-tap aging jitter on
 	// the inserted-delay step table: individual taps age slightly
 	// faster or slower than the core's τ, skewing the step graduation
-	// the fine-tuning search characterized. Default 0.05.
-	StepSkewSigma float64
-	// NoiseGrowthPerYear inflates SigmaFrac — the uncovered-droop tail
-	// widens as the silicon ages. Default 0.05.
-	NoiseGrowthPerYear float64
-	// LoadlineGrowthMean/Sigma parameterize per-chip VRM loadline
+	// the fine-tuning search characterized.
+	stepSkewSigma float64 = 0.05
+	// noiseGrowthPerYear inflates SigmaFrac — the uncovered-droop tail
+	// widens as the silicon ages.
+	noiseGrowthPerYear float64 = 0.05
+	// loadlineGrowthMean/Sigma parameterize per-chip VRM loadline
 	// aging (fractional resistance growth per year): solder joint and
-	// capacitor ESR degradation. Defaults 0.03 / 0.01.
-	LoadlineGrowthMean  float64
-	LoadlineGrowthSigma float64
+	// capacitor ESR degradation.
+	loadlineGrowthMean  float64 = 0.03
+	loadlineGrowthSigma float64 = 0.01
 
-	// Ambient temperature model: mean plus a yearly (seasonal) and a
-	// daily (diurnal) sinusoid plus seeded excursions (cooling events,
-	// heat waves). Defaults 25 / 4 / 3 °C.
-	AmbientMeanC float64
-	SeasonalAmpC float64
-	DiurnalAmpC  float64
-	// ExcursionsPerYear is the mean rate of ambient excursions; each
+	// Ambient temperature model (°C): mean plus a yearly (seasonal)
+	// and a daily (diurnal) sinusoid plus seeded excursions (cooling
+	// events, heat waves).
+	ambientMeanC float64 = 25
+	seasonalAmpC float64 = 4
+	diurnalAmpC  float64 = 3
+	// excursionsPerYear is the mean rate of ambient excursions; each
 	// has a truncated-normal amplitude (mean/sigma below, clamped to
-	// [1, 12] °C) and an exponential duration. Defaults 6 / +6 / 2 /
-	// 36 h.
-	ExcursionsPerYear  float64
-	ExcursionAmpMeanC  float64
-	ExcursionAmpSigmaC float64
-	ExcursionMeanHours float64
-}
-
-// DefaultParams returns the calibrated drift model: strong enough that
-// an unsupervised fine-tuned machine starts failing well inside three
-// years, gentle enough that the sentinel's ladder keeps a supervised
-// one safe.
-func DefaultParams() Params {
-	return Params{
-		NBTIMean:  0.030,
-		NBTISigma: 0.008,
-		HCIMean:   0.008,
-		HCISigma:  0.003,
-
-		TrackLo:       0.60,
-		TrackHi:       0.85,
-		StepSkewSigma: 0.05,
-
-		NoiseGrowthPerYear: 0.05,
-
-		LoadlineGrowthMean:  0.03,
-		LoadlineGrowthSigma: 0.01,
-
-		AmbientMeanC: 25,
-		SeasonalAmpC: 4,
-		DiurnalAmpC:  3,
-
-		ExcursionsPerYear:  6,
-		ExcursionAmpMeanC:  6,
-		ExcursionAmpSigmaC: 2,
-		ExcursionMeanHours: 36,
-	}
-}
+	// [1, 12] °C) and an exponential duration (mean in hours).
+	excursionsPerYear  float64 = 6
+	excursionAmpMeanC  float64 = 6
+	excursionAmpSigmaC float64 = 2
+	excursionMeanHours float64 = 36
+)
 
 // coreDrift is one core's frozen aging trajectory: coefficients drawn
 // once at overlay construction, applied as pure functions of time.
@@ -151,7 +128,6 @@ type excursion struct {
 // caller's profile: the overlay rewrites the profile the machine holds
 // and nothing else.
 type Overlay struct {
-	p Params
 	m *chip.Machine
 	// live are the machine's core profiles and pristine a deep copy of
 	// them taken at construction, every aged value's source; both in
@@ -166,16 +142,12 @@ type Overlay struct {
 	lastHours float64
 }
 
-// NewOverlay draws the drift trajectories for the machine's silicon;
-// a zero p selects DefaultParams. horizonYears bounds the pre-drawn
-// ambient excursion schedule. Every draw comes from labelled splits of
-// src, so the overlay is a pure function of (machine profile, params,
-// seed).
-func NewOverlay(m *chip.Machine, p Params, horizonYears float64, src *rng.Source) *Overlay {
-	if p == (Params{}) {
-		p = DefaultParams()
-	}
-	o := &Overlay{p: p, m: m, pristine: m.Profile().Clone().AllCores()}
+// NewOverlay draws the drift trajectories for the machine's silicon.
+// horizonYears bounds the pre-drawn ambient excursion schedule. Every
+// draw comes from labelled splits of src, so the overlay is a pure
+// function of (machine profile, seed).
+func NewOverlay(m *chip.Machine, _ Params, horizonYears float64, src *rng.Source) *Overlay {
+	o := &Overlay{m: m, pristine: m.Profile().Clone().AllCores()}
 
 	coreSrc := src.Split("cores")
 	cores := m.AllCores()
@@ -185,13 +157,13 @@ func NewOverlay(m *chip.Machine, p Params, horizonYears float64, src *rng.Source
 		o.live[i] = core.Profile
 		cs := coreSrc.SplitIndex("core", i)
 		d := coreDrift{
-			nbti:  cs.TruncNorm(p.NBTIMean, p.NBTISigma, p.NBTIMean/3, p.NBTIMean*2),
-			hci:   cs.TruncNorm(p.HCIMean, p.HCISigma, 0, p.HCIMean*3),
-			track: p.TrackLo + cs.Float64()*(p.TrackHi-p.TrackLo),
+			nbti:  cs.TruncNorm(nbtiMean, nbtiSigma, nbtiMean/3, nbtiMean*2),
+			hci:   cs.TruncNorm(hciMean, hciSigma, 0, hciMean*3),
+			track: trackLo + cs.Float64()*(trackHi-trackLo),
 		}
 		d.stepSkew = make([]float64, len(core.Profile.StepPs))
 		for k := range d.stepSkew {
-			d.stepSkew[k] = 1 + cs.TruncNorm(0, p.StepSkewSigma, -3*p.StepSkewSigma, 3*p.StepSkewSigma)
+			d.stepSkew[k] = 1 + cs.TruncNorm(0, stepSkewSigma, -3*stepSkewSigma, 3*stepSkewSigma)
 		}
 		o.cores[i] = d
 	}
@@ -201,7 +173,7 @@ func NewOverlay(m *chip.Machine, p Params, horizonYears float64, src *rng.Source
 	o.baseLoadline = make([]float64, len(m.Chips))
 	for i, ch := range m.Chips {
 		cs := chipSrc.SplitIndex("chip", i)
-		o.chipRate[i] = cs.TruncNorm(p.LoadlineGrowthMean, p.LoadlineGrowthSigma, 0, p.LoadlineGrowthMean*3)
+		o.chipRate[i] = cs.TruncNorm(loadlineGrowthMean, loadlineGrowthSigma, 0, loadlineGrowthMean*3)
 		o.baseLoadline[i] = ch.PDN.LoadlineOhms
 	}
 
@@ -209,12 +181,12 @@ func NewOverlay(m *chip.Machine, p Params, horizonYears float64, src *rng.Source
 	ambSrc := src.Split("ambient")
 	horizonH := horizonYears * HoursPerYear
 	for t := 0.0; ; {
-		t += ambSrc.Exp(p.ExcursionsPerYear / HoursPerYear)
+		t += ambSrc.Exp(excursionsPerYear / HoursPerYear)
 		if t >= horizonH {
 			break
 		}
-		dur := ambSrc.Exp(1 / p.ExcursionMeanHours)
-		amp := ambSrc.TruncNorm(p.ExcursionAmpMeanC, p.ExcursionAmpSigmaC, 1, 12)
+		dur := ambSrc.Exp(1 / excursionMeanHours)
+		amp := ambSrc.TruncNorm(excursionAmpMeanC, excursionAmpSigmaC, 1, 12)
 		o.excursions = append(o.excursions, excursion{startH: t, endH: t + dur, ampC: amp})
 	}
 	return o
@@ -222,9 +194,9 @@ func NewOverlay(m *chip.Machine, p Params, horizonYears float64, src *rng.Source
 
 // AmbientAt returns the inlet temperature at simulated hour t.
 func (o *Overlay) AmbientAt(tHours float64) float64 {
-	a := o.p.AmbientMeanC
-	a += o.p.SeasonalAmpC * math.Sin(2*math.Pi*tHours/HoursPerYear)
-	a += o.p.DiurnalAmpC * math.Sin(2*math.Pi*hourOfDay(tHours)/24)
+	a := ambientMeanC
+	a += seasonalAmpC * math.Sin(2*math.Pi*tHours/HoursPerYear)
+	a += diurnalAmpC * math.Sin(2*math.Pi*hourOfDay(tHours)/24)
 	for i := range o.excursions {
 		if tHours >= o.excursions[i].startH && tHours < o.excursions[i].endH {
 			a += o.excursions[i].ampC
@@ -298,7 +270,7 @@ func (o *Overlay) Advance(dtHours float64, active []bool) {
 			sites[k] = units.Picosecond(float64(baseSites[k]) * (1 + cpmAge))
 		}
 		// The uncovered-droop tail widens with age.
-		p.SigmaFrac = bp.SigmaFrac * (1 + o.p.NoiseGrowthPerYear*tY)
+		p.SigmaFrac = bp.SigmaFrac * (1 + noiseGrowthPerYear*tY)
 		p.Refresh()
 	}
 

@@ -157,11 +157,7 @@ func kernelStages(quick bool) []Stage {
 			Note:  "one DPLL control interval: measure + slew (dpll.Step)",
 			Iters: pick(quick, 10_000, 200_000),
 			Run: func(iters int) (int64, error) {
-				cfg := dpll.DefaultConfig(params.ThetaUnits, params.FMaxHW)
-				loop, err := dpll.New(cpm.New(core.Profile), cfg, core.Profile.DefaultFreq())
-				if err != nil {
-					return 0, err
-				}
+				loop := dpll.New(cpm.New(core.Profile), core.Profile.DefaultFreq())
 				for i := 0; i < iters; i++ {
 					sinkRead = loop.Step(vref)
 				}

@@ -42,8 +42,7 @@ func TestSimultaneousBurstDrains(t *testing.T) {
 	s := sim(t)
 	trace := burstTrace(64)
 	for _, p := range []Policy{PolicyStatic, PolicyOndemand, PolicyUnmanaged, PolicyManaged} {
-		o := Options{Policy: p, HorizonSec: 1, Seed: 11}
-		res, err := s.Run(trace, o)
+		res, err := s.Run(trace, Options{Policy: p})
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -66,8 +65,8 @@ func TestSimultaneousBurstDrains(t *testing.T) {
 			t.Errorf("%s: burst used %d cores of %d — a full queue must saturate the chip",
 				p, len(cores), len(s.bySpeed))
 		}
-		if res.MakespanSec <= o.HorizonSec {
-			t.Errorf("%s: makespan %.2f did not extend past the horizon under 64 queued jobs",
+		if res.MakespanSec <= 1 {
+			t.Errorf("%s: makespan %.2f did not extend past 1 s under 64 queued jobs",
 				p, res.MakespanSec)
 		}
 	}
@@ -78,7 +77,7 @@ func TestSimultaneousBurstDrains(t *testing.T) {
 func TestBurstDeterministic(t *testing.T) {
 	s := sim(t)
 	trace := burstTrace(64)
-	o := Options{Policy: PolicyManaged, HorizonSec: 1, Seed: 11}
+	o := Options{Policy: PolicyManaged}
 	r1, err := s.Run(trace, o)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +113,7 @@ func TestCompletionTiesResolveInChipOrder(t *testing.T) {
 		want = append(want, c.Profile.Label)
 	}
 	for run := 0; run < 20; run++ {
-		res, err := s.Run(trace, Options{Policy: PolicyStatic, HorizonSec: 1})
+		res, err := s.Run(trace, Options{Policy: PolicyStatic})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +155,7 @@ func TestAllCoresQuarantinedPlacement(t *testing.T) {
 		t.Fatalf("NewSimulator over a quarantined deployment: %v", err)
 	}
 	trace := burstTrace(24)
-	res, err := s.Run(trace, Options{Policy: PolicyManaged, HorizonSec: 1, Seed: 5})
+	res, err := s.Run(trace, Options{Policy: PolicyManaged})
 	if err != nil {
 		t.Fatal(err)
 	}

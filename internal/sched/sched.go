@@ -9,15 +9,14 @@
 //
 // The simulator is event-driven and exact with respect to the platform
 // model: whenever the running mix changes (arrival, dispatch,
-// completion), the machine's steady state is re-solved and every running
-// job's progress rate is updated — so the frequency interference the
-// paper manages (total chip power → DC drop → everyone's frequency) is
-// fully dynamic here.
+// completion), the managed chip's steady state is re-solved and every
+// running job's progress rate is updated — so the frequency interference
+// the paper manages (total chip power → DC drop → everyone's frequency)
+// is fully dynamic here.
 package sched
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -121,17 +120,6 @@ func (r JobRecord) Speedup() float64 {
 // Options configures a run.
 type Options struct {
 	Policy Policy
-	// HorizonSec ends the arrival process; the run drains afterwards.
-	// Default 300 s.
-	HorizonSec float64
-	// CritRate and BGRate are Poisson arrival rates (jobs/s).
-	// Defaults 0.08 and 0.5.
-	CritRate, BGRate float64
-	// CritServiceSec and BGServiceSec are mean service demands at the
-	// static baseline (exponential). Defaults 2 s and 10 s.
-	CritServiceSec, BGServiceSec float64
-	// Seed drives arrivals and service draws. Default 1.
-	Seed uint64
 	// Obs, when non-nil, counts dispatches and completions by class and
 	// throttle transitions. Nil (the default) disables collection.
 	Obs *obs.Registry
@@ -141,27 +129,16 @@ type Options struct {
 	Trace *obs.Tracer
 }
 
-func (o Options) withDefaults() Options {
-	if o.HorizonSec == 0 {
-		o.HorizonSec = 300
-	}
-	if o.CritRate == 0 {
-		o.CritRate = 0.08
-	}
-	if o.BGRate == 0 {
-		o.BGRate = 0.5
-	}
-	if o.CritServiceSec == 0 {
-		o.CritServiceSec = 2
-	}
-	if o.BGServiceSec == 0 {
-		o.BGServiceSec = 10
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// The job stream GenerateTrace draws: Poisson arrivals per class
+// (jobs/s) and exponential service demands with these means at the
+// static baseline (s). Typed float64, so each value derived from them
+// rounds in float64 arithmetic, not at exact constant precision.
+const (
+	critRate       float64 = 0.08
+	bgRate         float64 = 0.5
+	critServiceSec float64 = 2
+	bgServiceSec   float64 = 10
+)
 
 // Result is a run's aggregate outcome.
 type Result struct {
@@ -184,46 +161,22 @@ type Result struct {
 }
 
 // maxExpectedJobs bounds the trace GenerateTrace draws, whose expected
-// size is HorizonSec × (CritRate + BGRate) jobs. The default run
-// expects 174; at 1000 jobs/s over 300 s the generator built 299,867
-// jobs and allocated about 200 MB before the simulator ran.
+// size is horizonSec × (critRate + bgRate) jobs: about 70 over the
+// 120 s horizon ext-scheduler runs, and past the bound from 172,414 s.
+// At 1000 jobs/s over 300 s the generator once built 299,867 jobs and
+// allocated about 200 MB before the simulator ran.
 const maxExpectedJobs = 100_000
 
-// Validate rejects an arrival or service setting under which the trace
-// generator would never finish, would panic or would build a trace
-// above maxExpectedJobs: a horizon, arrival rate or mean service time
-// that is negative, NaN or infinite, or an expected job count over the
-// bound once the defaults apply. A NaN rate makes every arrival time
-// NaN and a +Inf rate every gap 0, so with either, or with a NaN or
-// +Inf horizon, arrivals never pass the horizon. Zero still selects
-// each default.
-func (o Options) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"HorizonSec", o.HorizonSec}, {"CritRate", o.CritRate}, {"BGRate", o.BGRate},
-		{"CritServiceSec", o.CritServiceSec}, {"BGServiceSec", o.BGServiceSec},
-	} {
-		if !(f.v >= 0) || math.IsInf(f.v, 1) {
-			return fmt.Errorf("sched: %s %v is not finite and non-negative", f.name, f.v)
-		}
+// GenerateTrace draws a reproducible job trace whose arrivals end at
+// horizonSec. A horizon that is not positive and finite, or that
+// expects more than maxExpectedJobs jobs, is an error, returned before
+// any draw: a NaN or +Inf horizon would never end the arrival loop.
+func GenerateTrace(horizonSec float64, src *rng.Source) ([]Job, error) {
+	// Written so that NaN fails it; +Inf expects +Inf jobs.
+	if !(horizonSec > 0 && horizonSec*(critRate+bgRate) <= maxExpectedJobs) {
+		return nil, fmt.Errorf("sched: horizon %v s, want positive and finite with at most %d expected jobs at %v jobs/s",
+			horizonSec, maxExpectedJobs, critRate+bgRate)
 	}
-	d := o.withDefaults()
-	if n := d.HorizonSec * (d.CritRate + d.BGRate); n > maxExpectedJobs {
-		return fmt.Errorf("sched: HorizonSec %v × (CritRate %v + BGRate %v) expects %.0f jobs, above the %d-job limit",
-			d.HorizonSec, d.CritRate, d.BGRate, n, maxExpectedJobs)
-	}
-	return nil
-}
-
-// GenerateTrace draws a reproducible job trace from the options. It
-// validates them first and draws nothing when they are invalid.
-func GenerateTrace(o Options, src *rng.Source) ([]Job, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	o = o.withDefaults()
 	crit := workload.Critical()
 	bg := workload.Background()
 	var jobs []Job
@@ -232,7 +185,7 @@ func GenerateTrace(o Options, src *rng.Source) ([]Job, error) {
 		t := 0.0
 		for {
 			t += s.Exp(rate)
-			if t >= o.HorizonSec {
+			if t >= horizonSec {
 				return
 			}
 			jobs = append(jobs, Job{
@@ -245,8 +198,8 @@ func GenerateTrace(o Options, src *rng.Source) ([]Job, error) {
 			id++
 		}
 	}
-	gen(ClassCritical, o.CritRate, o.CritServiceSec, crit, src.Split("crit"))
-	gen(ClassBackground, o.BGRate, o.BGServiceSec, bg, src.Split("bg"))
+	gen(ClassCritical, critRate, critServiceSec, crit, src.Split("crit"))
+	gen(ClassBackground, bgRate, bgServiceSec, bg, src.Split("bg"))
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].ArrivalSec < jobs[j].ArrivalSec })
 	for i := range jobs {
 		jobs[i].ID = i
@@ -256,13 +209,15 @@ func GenerateTrace(o Options, src *rng.Source) ([]Job, error) {
 
 // Simulator executes traces on a deployed machine.
 type Simulator struct {
-	m     *chip.Machine
-	dep   *tuning.Deployment
-	chipL string
+	m   *chip.Machine
+	dep *tuning.Deployment
 
 	// cores is the managed chip's cores in physical order; a run keeps
 	// each running job at its core's index.
 	cores []*chip.Core
+	// solver solves the managed chip alone: the other chips' state
+	// never reaches a job's rate.
+	solver *chip.ChipSolver
 	// bySpeed indexes cores fast to slow (the deployment's speed
 	// ranking, restricted to the managed chip).
 	bySpeed []int
@@ -309,10 +264,10 @@ func NewSimulator(m *chip.Machine, dep *tuning.Deployment, chipLabel string) (*S
 	if chipLabel == "" {
 		chipLabel = "P0"
 	}
-	s := &Simulator{m: m, dep: dep, chipL: chipLabel}
+	s := &Simulator{m: m, dep: dep}
 	for _, ch := range m.Chips {
 		if ch.Profile.Label == chipLabel {
-			s.cores = ch.Cores
+			s.cores, s.solver = ch.Cores, m.NewChipSolver(ch)
 		}
 	}
 	for _, label := range dep.FastestCores() {
@@ -336,7 +291,6 @@ type active struct {
 // Run executes the trace under the options' policy and returns the
 // aggregate result. The machine is reset afterwards.
 func (s *Simulator) Run(trace []Job, o Options) (Result, error) {
-	o = o.withDefaults()
 	s.ob = newSchedObs(o.Obs, o.Trace)
 	defer s.m.ResetAll()
 	s.m.ResetAll()
@@ -367,23 +321,19 @@ func (s *Simulator) Run(trace []Job, o Options) (Result, error) {
 	base := float64(s.m.Profile().Params().FStatic)
 
 	// rates recomputes every running job's progress rate from the
-	// solved steady state into rate (a free core's entry is stale and
-	// never read) and returns the chip's power.
+	// chip's solved steady state into rate (a free core's entry is
+	// stale and never read) and returns the chip's power.
 	rates := func() (float64, error) {
-		st, err := s.m.Solve()
-		if err != nil {
-			return 0, err
-		}
-		cs, err := st.ChipState(s.chipL)
+		power, err := s.solver.Solve()
 		if err != nil {
 			return 0, err
 		}
 		for i, a := range running {
 			if a != nil {
-				rate[i] = a.job.Workload.RelPerf(float64(cs.Cores[i].Freq), base)
+				rate[i] = a.job.Workload.RelPerf(float64(s.solver.Freq(i)), base)
 			}
 		}
-		return float64(cs.Power), nil
+		return float64(power), nil
 	}
 
 	dispatch := func() error {
@@ -398,19 +348,11 @@ func (s *Simulator) Run(trace []Job, o Options) (Result, error) {
 			}
 			core := s.pickCore(running, isCrit, o.Policy)
 			if core < 0 {
-				if isCrit && len(queueBG) > 0 {
-					// Critical head blocked; try a background job on
-					// the remaining cores before giving up.
-					job, isCrit = queueBG[0], false
-					core = s.pickCore(running, false, o.Policy)
-					if core < 0 {
-						break
-					}
-					queueBG = queueBG[1:]
-				} else {
-					break
-				}
-			} else if isCrit {
+				// pickCore scans the same cores for either class, so
+				// no queued job of the other class fits either.
+				break
+			}
+			if isCrit {
 				queueCrit = queueCrit[1:]
 			} else {
 				queueBG = queueBG[1:]

@@ -35,28 +35,21 @@ func sim(t *testing.T) *Simulator {
 	return s
 }
 
-// genTrace draws o's trace from its seed, failing the test on an
-// options error.
-func genTrace(t *testing.T, o Options) []Job {
+// shortHorizon bounds the arrivals of the trace most tests run.
+const shortHorizon = 60
+
+// genTrace draws that trace from seed 7, failing the test on an error.
+func genTrace(t *testing.T) []Job {
 	t.Helper()
-	trace, err := GenerateTrace(o, rng.New(o.Seed))
+	trace, err := GenerateTrace(shortHorizon, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return trace
 }
 
-func shortOpts(p Policy) Options {
-	return Options{
-		Policy:     p,
-		HorizonSec: 60,
-		Seed:       7,
-	}
-}
-
 func TestTraceGeneration(t *testing.T) {
-	o := shortOpts(PolicyStatic)
-	trace := genTrace(t, o)
+	trace := genTrace(t)
 	if len(trace) < 10 {
 		t.Fatalf("trace has only %d jobs", len(trace))
 	}
@@ -90,89 +83,38 @@ func TestTraceGeneration(t *testing.T) {
 		t.Fatalf("trace missing a class: crit=%d bg=%d", crit, bg)
 	}
 	// Deterministic for a given seed.
-	again := genTrace(t, o)
+	again := genTrace(t)
 	if len(again) != len(trace) || again[3] != trace[3] {
 		t.Error("trace generation not deterministic")
 	}
 }
 
-// TestGenerateTraceRejectsBadOptions: a negative value would panic in
-// rng.Exp and a NaN or infinite one would never end the arrival loop,
-// so returning an error at all shows the check ran before any draw.
-// The error names the field; zero still selects the default. An
-// expected trace above maxExpectedJobs is rejected too, with the
-// defaults applied, naming the three fields of the product; Validate
-// decides it from the arithmetic, so no oversized trace is drawn.
+// TestGenerateTraceRejectsBadOptions: the horizon is GenerateTrace's
+// one setting. A negative or zero horizon is no stream, a NaN or
+// infinite one would never end the arrival loop, and 172,414 s is the
+// first whole-second horizon expecting more than maxExpectedJobs jobs
+// at the fixed rates. Each is an error naming the horizon with no jobs,
+// so the check ran before any draw; 172,413 s is accepted.
 func TestGenerateTraceRejectsBadOptions(t *testing.T) {
-	fields := []struct {
-		name string
-		set  func(*Options, float64)
-	}{
-		{"HorizonSec", func(o *Options, v float64) { o.HorizonSec = v }},
-		{"CritRate", func(o *Options, v float64) { o.CritRate = v }},
-		{"BGRate", func(o *Options, v float64) { o.BGRate = v }},
-		{"CritServiceSec", func(o *Options, v float64) { o.CritServiceSec = v }},
-		{"BGServiceSec", func(o *Options, v float64) { o.BGServiceSec = v }},
-	}
-	for _, f := range fields {
-		for _, v := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-			o := shortOpts(PolicyStatic)
-			f.set(&o, v)
-			trace, err := GenerateTrace(o, rng.New(o.Seed))
-			if err == nil || trace != nil {
-				t.Errorf("%s = %v: got %d jobs, err %v; want no jobs and an error", f.name, v, len(trace), err)
-				continue
-			}
-			if !strings.Contains(err.Error(), f.name) {
-				t.Errorf("%s = %v: error %q does not name the field", f.name, v, err)
-			}
-		}
-		o := shortOpts(PolicyStatic)
-		f.set(&o, 0)
-		if len(genTrace(t, o)) == 0 {
-			t.Errorf("%s = 0: empty trace, want the default", f.name)
-		}
-	}
-	for _, tc := range []struct {
-		name string
-		o    Options
-		ok   bool
-	}{
-		{"default run, 174 expected", Options{}, true},
-		{"TestOverload's run, 129 expected", Options{HorizonSec: 30, BGRate: 4, CritRate: 0.3}, true},
-		{"exactly at the bound", Options{HorizonSec: 1000, CritRate: 50, BGRate: 50}, true},
-		{"just above the bound", Options{HorizonSec: 1000, CritRate: 50, BGRate: 50.001}, false},
-		{"1000 jobs/s over the default horizon", Options{CritRate: 1000}, false},
-		{"long horizon at the default rates", Options{HorizonSec: 1e6}, false},
-		{"rates whose sum overflows", Options{CritRate: math.MaxFloat64, BGRate: math.MaxFloat64}, false},
-	} {
-		err := tc.o.Validate()
-		if tc.ok {
-			if err != nil {
-				t.Errorf("%s: %v", tc.name, err)
-			}
+	for _, h := range []float64{-1, 0, math.NaN(), math.Inf(1), math.Inf(-1), 172_414} {
+		trace, err := GenerateTrace(h, rng.New(1))
+		if err == nil || trace != nil {
+			t.Errorf("horizon %v: got %d jobs, err %v; want no jobs and an error", h, len(trace), err)
 			continue
 		}
-		if err == nil {
-			t.Errorf("%s: accepted, want an error", tc.name)
-			continue
+		if !strings.Contains(err.Error(), "horizon") {
+			t.Errorf("horizon %v: error %q does not name the horizon", h, err)
 		}
-		for _, field := range []string{"HorizonSec", "CritRate", "BGRate"} {
-			if !strings.Contains(err.Error(), field) {
-				t.Errorf("%s: error %q does not name %s", tc.name, err, field)
-			}
-		}
-		if trace, gerr := GenerateTrace(tc.o, rng.New(1)); gerr == nil || trace != nil {
-			t.Errorf("%s: GenerateTrace returned %d jobs, err %v; want no jobs and an error", tc.name, len(trace), gerr)
-		}
+	}
+	if trace, err := GenerateTrace(172_413, rng.New(1)); err != nil || len(trace) == 0 {
+		t.Errorf("horizon 172413: got %d jobs, err %v; want a trace", len(trace), err)
 	}
 }
 
 func TestAllJobsComplete(t *testing.T) {
 	s := sim(t)
-	o := shortOpts(PolicyManaged)
-	trace := genTrace(t, o)
-	res, err := s.Run(trace, o)
+	trace := genTrace(t)
+	res, err := s.Run(trace, Options{Policy: PolicyManaged})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +132,7 @@ func TestAllJobsComplete(t *testing.T) {
 			t.Errorf("job %d has no core", r.ID)
 		}
 	}
-	if res.MakespanSec <= o.HorizonSec/2 {
+	if res.MakespanSec <= shortHorizon/2 {
 		t.Errorf("makespan %.1f implausibly small", res.MakespanSec)
 	}
 	if res.EnergyJ <= 0 {
@@ -202,9 +144,8 @@ func TestAllJobsComplete(t *testing.T) {
 // 4.2 GHz baseline, so the achieved speedup is exactly 1.
 func TestStaticSpeedupIsOne(t *testing.T) {
 	s := sim(t)
-	o := shortOpts(PolicyStatic)
-	trace := genTrace(t, o)
-	res, err := s.Run(trace, o)
+	trace := genTrace(t)
+	res, err := s.Run(trace, Options{Policy: PolicyStatic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +164,7 @@ func TestPolicyLadder(t *testing.T) {
 	lat := map[Policy]float64{}
 	speed := map[Policy]float64{}
 	for _, p := range []Policy{PolicyStatic, PolicyUnmanaged, PolicyManaged} {
-		o := shortOpts(p)
-		trace := genTrace(t, o)
-		res, err := s.Run(trace, o)
+		res, err := s.Run(genTrace(t), Options{Policy: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,9 +189,7 @@ func TestPolicyLadder(t *testing.T) {
 // land on faster cores (on average) than background jobs.
 func TestManagedPlacement(t *testing.T) {
 	s := sim(t)
-	o := shortOpts(PolicyManaged)
-	trace := genTrace(t, o)
-	res, err := s.Run(trace, o)
+	res, err := s.Run(genTrace(t), Options{Policy: PolicyManaged})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,9 +220,7 @@ func TestManagedPlacement(t *testing.T) {
 // reset state.
 func TestMachineResetAfterRun(t *testing.T) {
 	s := sim(t)
-	o := shortOpts(PolicyManaged)
-	trace := genTrace(t, o)
-	if _, err := s.Run(trace, o); err != nil {
+	if _, err := s.Run(genTrace(t), Options{Policy: PolicyManaged}); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range s.m.AllCores() {
@@ -298,8 +233,8 @@ func TestMachineResetAfterRun(t *testing.T) {
 // TestDeterminism: same trace + options → identical results.
 func TestDeterminism(t *testing.T) {
 	s := sim(t)
-	o := shortOpts(PolicyManaged)
-	trace := genTrace(t, o)
+	trace := genTrace(t)
+	o := Options{Policy: PolicyManaged}
 	r1, err := s.Run(trace, o)
 	if err != nil {
 		t.Fatal(err)
@@ -314,19 +249,27 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestOverload: with arrivals far above capacity, the queue drains after
-// the horizon and everything still completes.
+// the horizon and everything still completes. The load is the fixed
+// stream squeezed tenfold: a 300 s trace with every arrival time
+// divided by 10 brings about 174 jobs in 30 s, 5 background jobs a
+// second against a chip that serves about one.
 func TestOverload(t *testing.T) {
 	s := sim(t)
-	o := Options{Policy: PolicyManaged, HorizonSec: 30, BGRate: 4, CritRate: 0.3, Seed: 3}
-	trace := genTrace(t, o)
-	res, err := s.Run(trace, o)
+	trace, err := GenerateTrace(300, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range trace {
+		trace[i].ArrivalSec /= 10
+	}
+	res, err := s.Run(trace, Options{Policy: PolicyManaged})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Completed) != len(trace) {
 		t.Fatalf("overloaded run lost jobs: %d of %d", len(res.Completed), len(trace))
 	}
-	if res.MakespanSec <= o.HorizonSec {
+	if res.MakespanSec <= 30 {
 		t.Error("overloaded run did not drain past the horizon")
 	}
 }
@@ -350,8 +293,8 @@ func TestSimulatorSchedulesOnItsChip(t *testing.T) {
 	}
 	p1, p0, unnamed := build("P1"), build("P0"), build("")
 	for _, p := range []Policy{PolicyStatic, PolicyUnmanaged, PolicyManaged, PolicyOndemand} {
-		o := shortOpts(p)
-		trace := genTrace(t, o)
+		trace := genTrace(t)
+		o := Options{Policy: p}
 		res, err := p1.Run(trace, o)
 		if err != nil {
 			t.Fatal(err)
@@ -383,14 +326,12 @@ func TestSimulatorSchedulesOnItsChip(t *testing.T) {
 // spending less energy by walking idle cores down the p-state ladder.
 func TestOndemandSavesEnergy(t *testing.T) {
 	s := sim(t)
-	oStatic := shortOpts(PolicyStatic)
-	oOnd := shortOpts(PolicyOndemand)
-	trace := genTrace(t, oStatic)
-	rs, err := s.Run(trace, oStatic)
+	trace := genTrace(t)
+	rs, err := s.Run(trace, Options{Policy: PolicyStatic})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := s.Run(trace, oOnd)
+	ro, err := s.Run(trace, Options{Policy: PolicyOndemand})
 	if err != nil {
 		t.Fatal(err)
 	}
