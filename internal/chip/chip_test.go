@@ -21,15 +21,6 @@ func TestNewReferenceBuilds(t *testing.T) {
 	}
 }
 
-func TestNewRejectsBadOptions(t *testing.T) {
-	srv := silicon.Reference()
-	opts := Options{Power: DefaultPowerModel()}
-	opts.Power.CdynMaxWPerGHz = -1
-	if _, err := New(srv, opts); err == nil {
-		t.Error("bad power model accepted")
-	}
-}
-
 func TestCoreLookup(t *testing.T) {
 	m := NewReference()
 	c, err := m.Core("P1C5")
@@ -260,7 +251,7 @@ func TestSolveStateConsistency(t *testing.T) {
 	}
 	for ci, cs := range st.Chips {
 		// Reported chip power must equal uncore + Σ core powers.
-		sum := m.Power().UncoreW
+		sum := UncoreW
 		for _, c := range cs.Cores {
 			sum += c.Power
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/silicon"
 	"repro/internal/thermal"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -26,8 +27,7 @@ func (m *Machine) SolveReference() (State, error) {
 }
 
 func (m *Machine) solveChipReference(c *Chip) (ChipState, error) {
-	p := m.profile.Params()
-	v := p.VRef
+	v := silicon.VRef
 	t := c.Thermal.SteadyTemp(60)
 
 	var (
@@ -36,14 +36,14 @@ func (m *Machine) solveChipReference(c *Chip) (ChipState, error) {
 		total  units.Watt
 	)
 	for iter := 0; iter < solveMaxIter; iter++ {
-		total = m.power.UncoreW
+		total = UncoreW
 		for i, core := range c.Cores {
 			f, err := m.coreFreqAtReference(core, v)
 			if err != nil {
 				return ChipState{}, err
 			}
 			freqs[i] = f
-			powers[i] = corePowerReference(m.power, core.work, f, v, c.Thermal, t, core.gated)
+			powers[i] = corePowerReference(core.work, f, v, c.Thermal, t, core.gated)
 			total += powers[i]
 		}
 		vNew := c.PDN.SteadyVoltage(total)
@@ -86,20 +86,19 @@ func (m *Machine) coreFreqAtReference(core *Core, v units.Volt) (units.MHz, erro
 	case ModeStatic:
 		return core.pstate, nil
 	case ModeATM:
-		p := m.profile.Params()
-		return p.SettleFreq(core.Monitor.SettleGuardPs(), v), nil
+		return silicon.SettleFreq(core.Monitor.SettleGuardPs(), v), nil
 	default:
 		return 0, fmt.Errorf("chip: core %s in unknown mode %v", core.Profile.Label, core.mode)
 	}
 }
 
-func corePowerReference(pm PowerModel, w workload.Profile, f units.MHz, v units.Volt,
+func corePowerReference(w workload.Profile, f units.MHz, v units.Volt,
 	tp thermal.Params, t units.Celsius, gated bool) units.Watt {
-	vr := float64(v) / float64(pm.VRefForCdyn)
-	leak := float64(pm.CoreLeakW) * tp.LeakageScale(t) * vr * vr * vr
+	vr := float64(v) / float64(VRefForCdyn)
+	leak := float64(CoreLeakW) * tp.LeakageScale(t) * vr * vr * vr
 	if gated {
-		return units.Watt(leak * pm.GatedLeakFrac)
+		return units.Watt(leak * GatedLeakFrac)
 	}
-	dyn := w.CdynRel * float64(pm.CdynMaxWPerGHz) * vr * vr * f.GHz()
+	dyn := w.CdynRel * float64(CdynMaxWPerGHz) * vr * vr * f.GHz()
 	return units.Watt(leak + dyn)
 }

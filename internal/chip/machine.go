@@ -16,6 +16,7 @@ package chip
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cpm"
 	"repro/internal/pdn"
@@ -81,7 +82,6 @@ type Chip struct {
 // Machine is the two-socket server.
 type Machine struct {
 	profile *silicon.ServerProfile
-	power   PowerModel
 	Chips   []*Chip
 
 	// trialFault, when non-nil, is consulted after every trial so a
@@ -105,13 +105,9 @@ func (m *Machine) SetTrialObserver(o TrialObserver) { m.trialObserver = o }
 
 // Options configures machine construction.
 type Options struct {
-	// PDN overrides the power-delivery constants (DefaultParams when
-	// zero-valued).
-	PDN pdn.Params
-	// Thermal overrides the thermal constants.
-	Thermal thermal.Params
-	// Power overrides the power-model constants.
-	Power PowerModel
+	// LoadlineOhms is every chip's DC delivery resistance; 0 selects
+	// pdn.DefaultParams' 0.45 mΩ. The loadline ablation sweeps it.
+	LoadlineOhms float64
 }
 
 // New assembles a Machine over a silicon profile. Every core starts in
@@ -121,31 +117,18 @@ func New(profile *silicon.ServerProfile, opts Options) (*Machine, error) {
 	if err := profile.Validate(); err != nil {
 		return nil, err
 	}
-	pp := opts.PDN
-	if pp == (pdn.Params{}) {
-		pp = pdn.DefaultParams()
+	pp := pdn.DefaultParams()
+	if opts.LoadlineOhms != 0 {
+		pp.LoadlineOhms = opts.LoadlineOhms
 	}
-	tp := opts.Thermal
-	if tp == (thermal.Params{}) {
-		tp = thermal.DefaultParams()
-	}
-	pm := opts.Power
-	if pm == (PowerModel{}) {
-		pm = DefaultPowerModel()
-	}
-	if err := pp.Validate(); err != nil {
-		return nil, err
-	}
-	if err := tp.Validate(); err != nil {
-		return nil, err
-	}
-	if err := pm.Validate(); err != nil {
-		return nil, err
+	// Negated, so NaN is rejected too.
+	if !(pp.LoadlineOhms > 0) || math.IsInf(pp.LoadlineOhms, 1) {
+		return nil, fmt.Errorf("chip: LoadlineOhms %g, want positive and finite", pp.LoadlineOhms)
 	}
 
-	m := &Machine{profile: profile, power: pm}
+	m := &Machine{profile: profile}
 	for _, chp := range profile.Chips {
-		c := &Chip{Profile: chp, Thermal: tp}
+		c := &Chip{Profile: chp, Thermal: thermal.DefaultParams()}
 		for _, cp := range chp.Cores {
 			c.Cores = append(c.Cores, &Core{
 				Profile: cp,
@@ -159,7 +142,7 @@ func New(profile *silicon.ServerProfile, opts Options) (*Machine, error) {
 		// under the idle power draw (the paper's 1.25 V / 4.2 GHz
 		// p-state anchor).
 		idleP := m.idlePowerEstimate(c)
-		c.PDN = pp.CalibrateVRM(profile.Params().VRef, idleP)
+		c.PDN = pp.CalibrateVRM(silicon.VRef, idleP)
 		m.Chips = append(m.Chips, c)
 	}
 	return m, nil
@@ -177,20 +160,16 @@ func NewReference() *Machine {
 // idlePowerEstimate computes the chip's power with every core idle in
 // default ATM at VRef — the VRM calibration anchor.
 func (m *Machine) idlePowerEstimate(c *Chip) units.Watt {
-	p := m.profile.Params()
-	var total units.Watt = m.power.UncoreW
+	total := UncoreW
 	for _, core := range c.Cores {
 		f := core.Profile.DefaultFreq()
-		total += m.power.CorePower(workload.Idle, f, p.VRef, c.Thermal, c.Thermal.SteadyTemp(60), false)
+		total += CorePower(workload.Idle, f, silicon.VRef, c.Thermal, c.Thermal.SteadyTemp(60), false)
 	}
 	return total
 }
 
 // Profile returns the silicon the machine was built over.
 func (m *Machine) Profile() *silicon.ServerProfile { return m.profile }
-
-// Power returns the machine's power-model constants.
-func (m *Machine) Power() PowerModel { return m.power }
 
 // Core returns the core with the given label.
 func (m *Machine) Core(label string) (*Core, error) {

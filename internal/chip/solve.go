@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/silicon"
 	"repro/internal/units"
 )
 
@@ -131,8 +132,7 @@ func (m *Machine) solveChip(c *Chip) (ChipState, error) {
 //
 //atm:hotpath
 func (m *Machine) fixedPoint(c *Chip, cores []coreScratch) (v units.Volt, t units.Celsius, total units.Watt, err error) {
-	p := m.profile.Params()
-	v = p.VRef
+	v = silicon.VRef
 	t = c.Thermal.SteadyTemp(60)
 
 	// An ATM core's settle guard depends on its CPM configuration, not
@@ -157,10 +157,10 @@ func (m *Machine) fixedPoint(c *Chip, cores []coreScratch) (v units.Volt, t unit
 		// Every core on the chip shares the supply and the junction
 		// temperature, so it shares the delay scale and the ungated
 		// leakage too.
-		scale := p.Scale(v)
-		vr := float64(v) / float64(m.power.VRefForCdyn)
-		leak := m.power.coreLeak(c.Thermal, t, vr)
-		total = m.power.UncoreW
+		scale := silicon.Scale(v)
+		vr := float64(v) / float64(VRefForCdyn)
+		leak := coreLeak(c.Thermal, t, vr)
+		total = UncoreW
 		for i, core := range c.Cores {
 			cs := &cores[i]
 			switch {
@@ -176,9 +176,9 @@ func (m *Machine) fixedPoint(c *Chip, cores []coreScratch) (v units.Volt, t unit
 				// always sits above it, and under the undervolting
 				// controller it is the quantity the frequency-target
 				// constraint watches.
-				cs.freq = p.SettleFreqAtScale(cs.guard, scale)
+				cs.freq = silicon.SettleFreqAtScale(cs.guard, scale)
 			}
-			cs.power = m.power.corePowerAt(core.work.CdynRel, cs.freq, vr, leak, core.gated)
+			cs.power = corePowerAt(core.work.CdynRel, cs.freq, vr, leak, core.gated)
 			total += cs.power
 		}
 		vNew := c.PDN.SteadyVoltage(total)

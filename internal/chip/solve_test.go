@@ -269,3 +269,50 @@ func TestSolveNonConvergenceIsAnError(t *testing.T) {
 		t.Fatalf("ChipSolver error %v, Solve error %v", cerr, err)
 	}
 }
+
+// TestWorstCaseCornerSolves pins the platform's thermal resistance
+// inside the region where the steady state exists. On the reference
+// server and 16 generated ones, with every core at its maximum
+// reduction running each Sec. VII-A stressmark in turn, Solve must
+// converge to a finite operating point. Leakage grows exponentially
+// with temperature, so past some resistance the fixed point
+// T = Tamb + R·P(T) has no solution: the power virus solved at
+// 0.55 °C/W and ran away at 0.64 °C/W, about 2× the 0.28 °C/W the
+// platform uses.
+func TestWorstCaseCornerSolves(t *testing.T) {
+	servers := []*silicon.ServerProfile{silicon.Reference()}
+	for seed := uint64(1); seed <= 16; seed++ {
+		s, err := silicon.Generate(seed, silicon.GenerateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers = append(servers, s)
+	}
+	for i, s := range servers {
+		m, err := New(s, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mark := range workload.TestTimeSuite() {
+			for _, c := range m.AllCores() {
+				if err := c.Monitor.Program(c.Profile.MaxReduction()); err != nil {
+					t.Fatal(err)
+				}
+				c.SetWorkload(mark.Profile)
+			}
+			st, err := m.Solve()
+			if err != nil {
+				t.Errorf("server %d, %s at maximum reduction: %v", i, mark.Profile.Name, err)
+				continue
+			}
+			for _, cs := range st.Chips {
+				for _, x := range []float64{float64(cs.Supply), float64(cs.TempC), float64(cs.Power)} {
+					if math.IsNaN(x) || math.IsInf(x, 0) || x <= 0 {
+						t.Errorf("server %d, %s, chip %s: operating point %+v is not finite and positive",
+							i, mark.Profile.Name, cs.Label, cs)
+					}
+				}
+			}
+		}
+	}
+}

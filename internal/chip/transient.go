@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dpll"
+	"repro/internal/pdn"
 	"repro/internal/rng"
 	"repro/internal/units"
 )
@@ -90,9 +91,9 @@ func (m *Machine) Transient(chipLabel string, n int, dtNs float64, src *rng.Sour
 				if core.gated {
 					continue
 				}
-				amps += m.power.DynCurrentAmps(core.work, loops[i].Freq(), baseV) * core.work.StressScore
+				amps += DynCurrentAmps(core.work, loops[i].Freq(), baseV) * core.work.StressScore
 			}
-			peak := float64(c.PDN.FirstDroopPeak(amps))
+			peak := float64(pdn.FirstDroopPeak(amps))
 			droop += peak * (0.5 + 0.5*src.Float64())
 		}
 		droop *= decay

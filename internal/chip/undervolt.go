@@ -3,6 +3,7 @@ package chip
 import (
 	"fmt"
 
+	"repro/internal/silicon"
 	"repro/internal/units"
 )
 
@@ -65,7 +66,7 @@ func (m *Machine) SolveUndervolt(chipLabel string, target units.MHz) (UndervoltR
 	if c == nil {
 		return UndervoltResult{}, fmt.Errorf("chip: no chip %q", chipLabel)
 	}
-	if target <= 0 || target > m.profile.Params().FMaxHW {
+	if target <= 0 || target > silicon.FMaxHW {
 		return UndervoltResult{}, fmt.Errorf("chip: undervolt target %v out of range", target)
 	}
 

@@ -29,7 +29,6 @@ func (s *Suite) idleSupply() (map[string]units.Volt, error) {
 // setpoints, (c) default ATM, and (d) fine-tuned ATM — each with its
 // best-case (idle) and worst-case (maximum DC drop) bounds.
 func (s *Suite) Fig1() (*report.Artifact, error) {
-	p := s.M.Profile().Params()
 	dep, err := s.Deployment()
 	if err != nil {
 		return nil, err
@@ -83,7 +82,7 @@ func (s *Suite) Fig1() (*report.Artifact, error) {
 		Note: "paper shape: 4.2 GHz flat; ~4.5 max static per-core; 4.4–4.6 default ATM; " +
 			"fine-tuned spans ~4.5 loaded to ~5.0 idle",
 	}
-	t.AddRow("chip-wide static margin", report.F(float64(p.FStatic), 0), report.F(float64(p.FStatic), 0))
+	t.AddRow("chip-wide static margin", report.F(float64(silicon.FStatic), 0), report.F(float64(silicon.FStatic), 0))
 	t.AddRow("per-core static <v,f>", report.F(float64(stMin), 0), report.F(float64(stMax), 0))
 	t.AddRow("default ATM", report.F(float64(defLoadMin), 0), report.F(float64(defIdleMax), 0))
 	t.AddRow("fine-tuned ATM", report.F(float64(ftLoadMin), 0), report.F(float64(ftIdleMax), 0))

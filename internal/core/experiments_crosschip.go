@@ -4,6 +4,7 @@ import (
 	"repro/internal/chip"
 	"repro/internal/manage"
 	"repro/internal/report"
+	"repro/internal/silicon"
 )
 
 // ExtCrossChip evaluates the scheduling move the paper's single-chip
@@ -42,7 +43,7 @@ func (s *Suite) ExtCrossChip() (*report.Artifact, error) {
 		// Cross-chip: critical alone on the fastest P0 core, every P1
 		// core running the background at full fine-tuned ATM.
 		s.M.ResetAll()
-		base := float64(s.M.Profile().Params().FStatic)
+		base := float64(silicon.FStatic)
 		critCore := evMax.CriticalCore
 		for _, core := range s.M.AllCores() {
 			label := core.Profile.Label

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/chip"
 	"repro/internal/pdn"
 	"repro/internal/report"
+	"repro/internal/silicon"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -17,9 +19,6 @@ import (
 // the droop faster than the loop's response is what the fine-tuned
 // margin must still absorb.
 func (s *Suite) ExtDroopSync() (*report.Artifact, error) {
-	p := s.M.Profile().Params()
-	pp := s.M.Chips[0].PDN
-	pm := s.M.Power()
 	virus := workload.VoltageVirus()
 
 	// Per-core dynamic current swing of the virus at the stress corner.
@@ -39,7 +38,7 @@ func (s *Suite) ExtDroopSync() (*report.Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	perCoreAmps := pm.DynCurrentAmps(workload.Daxpy, 4500, st)
+	perCoreAmps := chip.DynCurrentAmps(workload.Daxpy, 4500, st)
 
 	t := &report.Table{
 		Title: "First-droop depth vs synchronized cores (voltage-virus current steps)",
@@ -50,11 +49,11 @@ func (s *Suite) ExtDroopSync() (*report.Artifact, error) {
 	}
 	for _, n := range []int{1, 2, 4, 8} {
 		// droop(n synchronized cores) = single-core droop × SyncFactor(n).
-		droop := units.Volt(float64(pp.FirstDroopPeak(perCoreAmps*0.9)) * pdn.SyncFactor(n))
-		uncovered := units.Volt(float64(droop) * pp.UncoveredFraction(1.0))
+		droop := units.Volt(float64(pdn.FirstDroopPeak(perCoreAmps*0.9)) * pdn.SyncFactor(n))
+		uncovered := units.Volt(float64(droop) * pdn.UncoveredFraction(1.0))
 		// Margin cost: delay increase of the true path under the
 		// uncovered sag, at the 4.6 GHz operating point.
-		cost := 217.4 * (p.Scale(p.VRef-uncovered) - 1)
+		cost := 217.4 * (silicon.Scale(silicon.VRef-uncovered) - 1)
 		t.AddRow(fmt.Sprintf("%d", n),
 			report.F(perCoreAmps*0.9*float64(n), 1),
 			report.F(droop.Millivolts(), 1),

@@ -15,7 +15,6 @@ import (
 // other sites hold relative to it. The spatial spread is what lets a
 // single per-core loop guard unit-level variation.
 func (s *Suite) ExtCPMSites() (*report.Artifact, error) {
-	p := s.M.Profile().Params()
 	t := &report.Table{
 		Title:  "CPM site attribution (default configuration, idle supply)",
 		Header: []string{"core", "reporting site", "site skews vs worst (ps)", "margin @4.6 GHz (units)"},
@@ -23,7 +22,7 @@ func (s *Suite) ExtCPMSites() (*report.Artifact, error) {
 	}
 	for _, core := range s.M.Profile().AllCores() {
 		mon := cpm.New(core)
-		r := mon.Measure(units.MHz(4600).CycleTime(), p.VRef)
+		r := mon.Measure(units.MHz(4600).CycleTime(), silicon.VRef)
 		skews := ""
 		for i, sk := range core.SiteSkewPs {
 			if i > 0 {

@@ -39,9 +39,6 @@ func New(core *silicon.CoreProfile) *Monitor {
 	return &Monitor{core: core, taps: core.PresetTaps}
 }
 
-// Core returns the silicon profile the monitor instruments.
-func (m *Monitor) Core() *silicon.CoreProfile { return m.core }
-
 // Reduction returns the current reduction from the preset — the paper's
 // "steps of CPM inserted delay reduction".
 func (m *Monitor) Reduction() int { return m.core.PresetTaps - m.taps }
@@ -66,9 +63,8 @@ func (m *Monitor) Program(reduction int) error {
 //
 //atm:hotpath
 func (m *Monitor) SiteDelay(site int, v units.Volt) units.Picosecond {
-	p := m.core.Params()
 	atRef := m.core.SynthPs + m.core.SiteSkewPs[site] + m.core.InsertedDelayPs(m.taps)
-	return units.Picosecond(float64(atRef) * p.Scale(v))
+	return units.Picosecond(float64(atRef) * silicon.Scale(v))
 }
 
 // Reading is one cycle's margin measurement.
@@ -90,7 +86,6 @@ type Reading struct {
 //
 //atm:hotpath
 func (m *Monitor) Measure(cycle units.Picosecond, v units.Volt) Reading {
-	p := m.core.Params()
 	worst := 0
 	worstDelay := units.Picosecond(-1)
 	for i := range m.core.SiteSkewPs {
@@ -100,7 +95,7 @@ func (m *Monitor) Measure(cycle units.Picosecond, v units.Volt) Reading {
 		}
 	}
 	slack := cycle - worstDelay
-	inv := units.Picosecond(float64(p.InvPs) * p.Scale(v))
+	inv := units.Picosecond(float64(silicon.InvPs) * silicon.Scale(v))
 	u := int(float64(slack) / float64(inv))
 	//lint:ignore floatcmp exact divisibility test: u must step down unless the truncated quotient reconstructs slack bit-for-bit
 	if slack < 0 && float64(slack) != float64(u)*float64(inv) {

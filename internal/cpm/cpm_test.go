@@ -26,8 +26,8 @@ func TestNewStartsAtPreset(t *testing.T) {
 	if m.Reduction() != 0 {
 		t.Errorf("new monitor reduction = %d, want 0", m.Reduction())
 	}
-	if m.Core() != c {
-		t.Error("Core() does not return the profile")
+	if m.core != c {
+		t.Error("monitor does not instrument the profile it was built on")
 	}
 }
 
@@ -49,11 +49,12 @@ func TestProgramAccounting(t *testing.T) {
 }
 
 func TestProgramRejectsOutOfRange(t *testing.T) {
-	m := New(refCore(t, "P0C0"))
+	c := refCore(t, "P0C0")
+	m := New(c)
 	if err := m.Program(-1); err == nil {
 		t.Error("negative reduction accepted")
 	}
-	if err := m.Program(m.Core().MaxReduction() + 1); err == nil {
+	if err := m.Program(c.MaxReduction() + 1); err == nil {
 		t.Error("reduction beyond tap range accepted")
 	}
 	// A failed Program must not disturb the configuration.
@@ -64,27 +65,25 @@ func TestProgramRejectsOutOfRange(t *testing.T) {
 
 func TestMeasureAtSettlePointReadsTheta(t *testing.T) {
 	c := refCore(t, "P0C1")
-	p := c.Params()
 	m := New(c)
 	for _, red := range []int{0, 2, c.MaxReduction()} {
 		if err := m.Program(red); err != nil {
 			t.Fatal(err)
 		}
-		cycle := units.Picosecond(float64(m.SettleGuardPs()) * p.Scale(p.VRef))
-		r := m.Measure(cycle, p.VRef)
-		if r.Units != p.ThetaUnits {
+		cycle := units.Picosecond(float64(m.SettleGuardPs()) * silicon.Scale(silicon.VRef))
+		r := m.Measure(cycle, silicon.VRef)
+		if r.Units != silicon.ThetaUnits {
 			t.Errorf("reduction %d: margin at settle point = %d units, want θ=%d",
-				red, r.Units, p.ThetaUnits)
+				red, r.Units, silicon.ThetaUnits)
 		}
 	}
 }
 
 func TestMeasureMoreSlackAtLowerFrequency(t *testing.T) {
 	c := refCore(t, "P0C2")
-	p := c.Params()
 	m := New(c)
-	slow := m.Measure(units.MHz(4000).CycleTime(), p.VRef)
-	fast := m.Measure(units.MHz(4800).CycleTime(), p.VRef)
+	slow := m.Measure(units.MHz(4000).CycleTime(), silicon.VRef)
+	fast := m.Measure(units.MHz(4800).CycleTime(), silicon.VRef)
 	if slow.Units <= fast.Units {
 		t.Errorf("slack at 4.0 GHz (%d) not above 4.8 GHz (%d)", slow.Units, fast.Units)
 	}
@@ -92,7 +91,6 @@ func TestMeasureMoreSlackAtLowerFrequency(t *testing.T) {
 
 func TestMeasureNegativeOnViolation(t *testing.T) {
 	c := refCore(t, "P0C0")
-	p := c.Params()
 	m := New(c)
 	// A cycle far shorter than the CPM path must read negative.
 	r := m.Measure(units.MHz(5400).CycleTime(), 1.10)
@@ -102,13 +100,12 @@ func TestMeasureNegativeOnViolation(t *testing.T) {
 	if r.Units < MinUnits {
 		t.Errorf("reading %d under MinUnits %d", r.Units, MinUnits)
 	}
-	_ = p
 }
 
 func TestMeasureSaturates(t *testing.T) {
 	c := refCore(t, "P0C0")
 	m := New(c)
-	r := m.Measure(units.MHz(1500).CycleTime(), c.Params().VRef)
+	r := m.Measure(units.MHz(1500).CycleTime(), silicon.VRef)
 	if r.Units != MaxUnits {
 		t.Errorf("huge slack reads %d, want saturation %d", r.Units, MaxUnits)
 	}
@@ -116,17 +113,16 @@ func TestMeasureSaturates(t *testing.T) {
 
 func TestWorstSiteWins(t *testing.T) {
 	c := refCore(t, "P1C4")
-	p := c.Params()
 	m := New(c)
-	r := m.Measure(units.MHz(4600).CycleTime(), p.VRef)
+	r := m.Measure(units.MHz(4600).CycleTime(), silicon.VRef)
 	if c.SiteSkewPs[r.WorstSite] != 0 {
 		t.Errorf("worst site %d has skew %v, want the zero-skew site",
 			r.WorstSite, c.SiteSkewPs[r.WorstSite])
 	}
 	// The reported site must have the maximum delay.
-	worst := m.SiteDelay(r.WorstSite, p.VRef)
+	worst := m.SiteDelay(r.WorstSite, silicon.VRef)
 	for i := range c.SiteSkewPs {
-		if d := m.SiteDelay(i, p.VRef); d > worst+1e-9 {
+		if d := m.SiteDelay(i, silicon.VRef); d > worst+1e-9 {
 			t.Errorf("site %d delay %v exceeds reported worst %v", i, d, worst)
 		}
 	}
@@ -135,8 +131,8 @@ func TestWorstSiteWins(t *testing.T) {
 func TestSiteDelayScalesWithVoltage(t *testing.T) {
 	c := refCore(t, "P0C5")
 	m := New(c)
-	dRef := m.SiteDelay(0, c.Params().VRef)
-	dLow := m.SiteDelay(0, c.Params().VRef-0.05)
+	dRef := m.SiteDelay(0, silicon.VRef)
+	dLow := m.SiteDelay(0, silicon.VRef-0.05)
 	if dLow <= dRef {
 		t.Errorf("site delay did not grow at lower voltage: %v vs %v", dLow, dRef)
 	}
@@ -164,7 +160,6 @@ func TestSettleGuardMatchesSilicon(t *testing.T) {
 // perceive more margin at the same frequency (Sec. III-A).
 func TestReductionIncreasesMeasuredMargin(t *testing.T) {
 	c := refCore(t, "P0C3")
-	p := c.Params()
 	m := New(c)
 	cycle := units.MHz(4600).CycleTime()
 	prev := -1000
@@ -172,7 +167,7 @@ func TestReductionIncreasesMeasuredMargin(t *testing.T) {
 		if err := m.Program(red); err != nil {
 			t.Fatal(err)
 		}
-		r := m.Measure(cycle, p.VRef)
+		r := m.Measure(cycle, silicon.VRef)
 		if r.Units < prev {
 			t.Fatalf("measured margin decreased at reduction %d", red)
 		}

@@ -21,13 +21,14 @@ package dpll
 
 import (
 	"repro/internal/cpm"
+	"repro/internal/silicon"
 	"repro/internal/units"
 )
 
 // The loop's slew response and floor are fixed hardware (Sec. II); its
-// threshold is the silicon Params' ThetaUnits and its ceiling their
-// FMaxHW, both read from the monitor's core. The gains are typed so that
-// every product and comparison rounds as it would on a float64 variable.
+// threshold is silicon.ThetaPs and its ceiling silicon.FMaxHW. The gains
+// are typed so that every product and comparison rounds as it would on a
+// float64 variable.
 const (
 	// upSlewMHz is the largest increment per control interval while the
 	// margin exceeds the threshold.
@@ -50,7 +51,7 @@ type Loop struct {
 // New returns a loop regulating the monitor, starting at the given
 // frequency clamped to [fMin, FMaxHW].
 func New(monitor *cpm.Monitor, start units.MHz) *Loop {
-	return &Loop{monitor: monitor, freq: start.Clamp(fMin, monitor.Core().Params().FMaxHW)}
+	return &Loop{monitor: monitor, freq: start.Clamp(fMin, silicon.FMaxHW)}
 }
 
 // Freq returns the loop's current output frequency.
@@ -69,8 +70,7 @@ func (l *Loop) Freq() units.MHz { return l.freq }
 func (l *Loop) Step(v units.Volt) cpm.Reading {
 	r := l.monitor.Measure(l.freq.CycleTime(), v)
 
-	p := l.monitor.Core().Params()
-	target := float64(p.ThetaPs()) * p.Scale(v) // desired slack, ps
+	target := float64(silicon.ThetaPs) * silicon.Scale(v) // desired slack, ps
 	errPs := float64(r.SlackPs) - target
 	// A slack error of e ps moves the settle frequency by ≈ f²·e·1e−6 MHz.
 	needMHz := float64(l.freq) * float64(l.freq) * errPs * 1e-6
@@ -91,7 +91,7 @@ func (l *Loop) Step(v units.Volt) cpm.Reading {
 		}
 		l.freq += units.MHz(step)
 	}
-	l.freq = l.freq.Clamp(fMin, p.FMaxHW)
+	l.freq = l.freq.Clamp(fMin, silicon.FMaxHW)
 	return r
 }
 
@@ -103,6 +103,5 @@ func (l *Loop) Step(v units.Volt) cpm.Reading {
 //
 //lint:ignore deadcode reference model: the dpll tests compare the stepped loop against it
 func (l *Loop) SettlePoint(v units.Volt) units.MHz {
-	p := l.monitor.Core().Params()
-	return p.SettleFreq(l.monitor.SettleGuardPs(), v).Clamp(fMin, p.FMaxHW)
+	return silicon.SettleFreq(l.monitor.SettleGuardPs(), v).Clamp(fMin, silicon.FMaxHW)
 }

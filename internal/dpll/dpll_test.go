@@ -107,7 +107,7 @@ func TestNoViolationsInSteadyState(t *testing.T) {
 
 func TestFrequencyBounds(t *testing.T) {
 	c := silicon.Reference().FindCore("P0C0")
-	fmax := c.Params().FMaxHW
+	fmax := silicon.FMaxHW
 	l := New(cpm.New(c), fmax+500)
 	if l.Freq() != fmax {
 		t.Errorf("start frequency %v not clamped to FMaxHW %v", l.Freq(), fmax)
@@ -127,8 +127,8 @@ func TestFrequencyBounds(t *testing.T) {
 // occur in the sweep.
 func TestStepSlewLimits(t *testing.T) {
 	var ups, downs, violations, floored int
+	fmax := silicon.FMaxHW
 	for _, c := range silicon.Reference().AllCores() {
-		fmax := c.Params().FMaxHW
 		for _, v := range []units.Volt{0.5, 0.9, 1.1, 1.25, 1.3} {
 			for _, start := range []units.MHz{500, 1000, 1100, 2500, 4200, 4600, 5200, fmax, 7000} {
 				l := New(cpm.New(c), start)

@@ -1,7 +1,6 @@
 package lifetime
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -50,10 +49,6 @@ func (o Options) withDefaults() Options {
 // per active core runs, and the sentinel takes one margin sample per
 // epoch.
 const epochHours = 6
-
-// trialRetries is the transient-retry budget of every trial: the
-// production trials and the stress tests' runs.
-const trialRetries = 2
 
 // EventKind tags a timeline entry.
 const (
@@ -236,7 +231,9 @@ func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 	// share one search configuration. StressTestCore consumes it
 	// verbatim (Deploy normalizes for its own callers), so every field
 	// it needs is set here: it rejects an empty battery or zero passes.
-	tuneOpts := tuning.Options{Passes: 3, RunsPerConfig: 4, Battery: workload.TestTimeSuite(), TrialRetries: trialRetries}
+	// Run arms no trial fault, so no trial can fail transiently and
+	// none is retried.
+	tuneOpts := tuning.Options{Passes: 3, RunsPerConfig: 4, Battery: workload.TestTimeSuite()}
 
 	// Day one: fine-tune every core to its stress limit through the
 	// operator plane, exactly as the paper deploys.
@@ -369,11 +366,8 @@ func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 			}
 			w := &workMix[i%len(workMix)]
 			cores[i].SetWorkload(*w)
-			tr, err := m.RunCoreTrialRetry(cores[i], w, trialSrc.SplitIndex("trial", e*len(cores)+i), trialRetries)
+			tr, err := m.RunCoreTrialRetry(cores[i], w, trialSrc.SplitIndex("trial", e*len(cores)+i), 0)
 			if err != nil {
-				if errors.Is(err, chip.ErrTransient) {
-					continue
-				}
 				return nil, fmt.Errorf("lifetime: epoch %d trial on %s: %w", e, label, err)
 			}
 			res.Trials++

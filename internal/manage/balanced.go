@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/chip"
+	"repro/internal/silicon"
 	"repro/internal/units"
 )
 
@@ -139,7 +140,6 @@ func (mg *Manager) planBalanced(pair Pair, qosTarget float64) (Evaluation, error
 // conservative estimate — the planner must not overshoot the budget).
 func (mg *Manager) estimateChipPower(criticalCore string, pair Pair,
 	bgATM bool, bgPState units.MHz, bgGated bool) units.Watt {
-	p := mg.M.Profile().Params()
 	var ch *chip.Chip
 	for _, c := range mg.M.Chips {
 		if c.Profile.Label == mg.ChipLabel {
@@ -149,26 +149,25 @@ func (mg *Manager) estimateChipPower(criticalCore string, pair Pair,
 	if ch == nil {
 		return 0
 	}
-	pm := mg.M.Power()
 	// Plan leakage at the thermal ceiling: the estimate must hold at the
 	// worst sustained operating point, not a mild one.
 	t := ch.Thermal.TjMaxC
-	total := pm.UncoreW
+	total := chip.UncoreW
 	for _, core := range ch.Cores {
 		label := core.Profile.Label
 		if label == criticalCore {
 			cfg, _ := mg.Dep.Config(label)
-			total += pm.CorePower(pair.Critical, cfg.IdleFreq, p.VRef, ch.Thermal, t, false)
+			total += chip.CorePower(pair.Critical, cfg.IdleFreq, silicon.VRef, ch.Thermal, t, false)
 			continue
 		}
 		switch {
 		case bgGated:
-			total += pm.CorePower(pair.Background, 0, p.VRef, ch.Thermal, t, true)
+			total += chip.CorePower(pair.Background, 0, silicon.VRef, ch.Thermal, t, true)
 		case bgATM:
 			cfg, _ := mg.Dep.Config(label)
-			total += pm.CorePower(pair.Background, cfg.IdleFreq, p.VRef, ch.Thermal, t, false)
+			total += chip.CorePower(pair.Background, cfg.IdleFreq, silicon.VRef, ch.Thermal, t, false)
 		default:
-			total += pm.CorePower(pair.Background, bgPState, p.VRef, ch.Thermal, t, false)
+			total += chip.CorePower(pair.Background, bgPState, silicon.VRef, ch.Thermal, t, false)
 		}
 	}
 	return total

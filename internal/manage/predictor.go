@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/chip"
+	"repro/internal/silicon"
 	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -279,7 +280,7 @@ type PredictorSet struct {
 // CalibratePredictors fits the Eq. 1 model for every core of the
 // machine and the performance model for every realistic workload.
 func CalibratePredictors(m *chip.Machine) (*PredictorSet, error) {
-	base := m.Profile().Params().FStatic
+	base := silicon.FStatic
 	ps := &PredictorSet{
 		Freq: map[string]FreqPredictor{},
 		Perf: map[string]PerfPredictor{},

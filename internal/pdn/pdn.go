@@ -13,13 +13,31 @@
 package pdn
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/units"
 )
 
-// Params describes one processor's power-delivery network.
+// The network's transient response is fixed by the POWER7+ package
+// and die; the constants are typed, so every operation of an expression
+// over them rounds to float64 as it would on a variable.
+const (
+	// ResonantHz is the first-droop resonance of the package/die
+	// network (tens of MHz on server parts).
+	ResonantHz float64 = 90e6
+	// DampingZeta is the damping ratio of the second-order response.
+	DampingZeta float64 = 0.28
+	// PeakImpedanceOhms converts a synchronized current step into the
+	// first-droop peak magnitude.
+	PeakImpedanceOhms float64 = 0.0011
+	// LoopResponseNs is the ATM control loop's round-trip response
+	// time; droop content faster than this is uncovered.
+	LoopResponseNs float64 = 1.2
+)
+
+// Params is one processor's DC delivery path: the two values the
+// program changes at run time. The undervolting controller lowers VNom,
+// and lifetime drift ages the loadline.
 type Params struct {
 	// VNom is the VRM output setpoint.
 	VNom units.Volt
@@ -27,54 +45,14 @@ type Params struct {
 	// the on-chip grid. ≈0.45 mΩ yields the paper's ≈2 MHz/W Eq. 1
 	// slope at the POWER7+ operating point.
 	LoadlineOhms float64
-	// ResonantHz is the first-droop resonance of the package/die
-	// network (tens of MHz on server parts).
-	ResonantHz float64
-	// DampingZeta is the damping ratio of the second-order response.
-	DampingZeta float64
-	// PeakImpedanceOhms converts a synchronized current step into the
-	// first-droop peak magnitude.
-	PeakImpedanceOhms float64
-	// LoopResponseNs is the ATM control loop's round-trip response
-	// time; droop content faster than this is uncovered.
-	LoopResponseNs float64
 }
 
-// DefaultParams returns the network constants used for the POWER7+
-// model.
+// DefaultParams returns the delivery path used for the POWER7+ model.
 func DefaultParams() Params {
 	return Params{
-		VNom:              1.25, // re-pointed by CalibrateVRM
-		LoadlineOhms:      0.00045,
-		ResonantHz:        90e6,
-		DampingZeta:       0.28,
-		PeakImpedanceOhms: 0.0011,
-		LoopResponseNs:    1.2,
+		VNom:         1.25, // re-pointed by CalibrateVRM
+		LoadlineOhms: 0.00045,
 	}
-}
-
-// Validate reports whether the parameter set is usable: every field
-// positive and finite, DampingZeta inside (0, 1). Each test is written
-// so that NaN fails it.
-func (p Params) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"VNom", float64(p.VNom)},
-		{"LoadlineOhms", p.LoadlineOhms},
-		{"ResonantHz", p.ResonantHz},
-		{"PeakImpedanceOhms", p.PeakImpedanceOhms},
-		{"LoopResponseNs", p.LoopResponseNs},
-	} {
-		if !(f.v > 0) || math.IsInf(f.v, 1) {
-			return fmt.Errorf("pdn: %s %g, want positive and finite", f.name, f.v)
-		}
-	}
-	if !(p.DampingZeta > 0 && p.DampingZeta < 1) {
-		return fmt.Errorf("pdn: DampingZeta %g outside (0,1)", p.DampingZeta)
-	}
-	return nil
 }
 
 // SteadyVoltage returns the on-chip supply under total chip power P:
@@ -109,29 +87,29 @@ func (p Params) CalibrateVRM(target units.Volt, refPower units.Watt) Params {
 // AC part only.
 //
 //atm:hotpath
-func (p Params) StepResponse(deltaI float64, t float64) units.Volt {
+func StepResponse(deltaI float64, t float64) units.Volt {
 	if t < 0 {
 		return 0
 	}
-	wn := 2 * math.Pi * p.ResonantHz
-	zeta := p.DampingZeta
+	wn := 2 * math.Pi * ResonantHz
+	zeta := DampingZeta
 	wd := wn * math.Sqrt(1-zeta*zeta)
 	// Peak-normalized underdamped second-order response.
 	envelope := math.Exp(-zeta * wn * t)
 	osc := math.Sin(wd * t)
-	return units.Volt(-deltaI * p.PeakImpedanceOhms * envelope * osc / math.Sqrt(1-zeta*zeta))
+	return units.Volt(-deltaI * PeakImpedanceOhms * envelope * osc / math.Sqrt(1-zeta*zeta))
 }
 
 // FirstDroopPeak returns the magnitude of the worst (first) droop for a
 // synchronized current step of deltaI amperes.
 //
 //atm:hotpath
-func (p Params) FirstDroopPeak(deltaI float64) units.Volt {
+func FirstDroopPeak(deltaI float64) units.Volt {
 	// Peak of the normalized response occurs at wd·t = atan(√(1−ζ²)/ζ).
-	zeta := p.DampingZeta
+	zeta := DampingZeta
 	phi := math.Atan(math.Sqrt(1-zeta*zeta) / zeta)
 	peak := math.Exp(-zeta * phi / math.Sqrt(1-zeta*zeta)) // e^(−ζωn·tpeak)
-	return units.Volt(deltaI * p.PeakImpedanceOhms * peak)
+	return units.Volt(deltaI * PeakImpedanceOhms * peak)
 }
 
 // UncoveredFraction returns the share of a droop of the given duration
@@ -139,12 +117,12 @@ func (p Params) FirstDroopPeak(deltaI float64) units.Volt {
 // response are fully uncovered, much slower ones fully covered.
 //
 //atm:hotpath
-func (p Params) UncoveredFraction(droopNs float64) float64 {
+func UncoveredFraction(droopNs float64) float64 {
 	if droopNs <= 0 {
 		return 1
 	}
 	// Single-pole rolloff around the loop response time.
-	return 1 / (1 + droopNs/p.LoopResponseNs)
+	return 1 / (1 + droopNs/LoopResponseNs)
 }
 
 // SyncFactor quantifies how much worse a droop gets when n cores step

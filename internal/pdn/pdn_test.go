@@ -2,62 +2,11 @@ package pdn
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/units"
 )
-
-func TestDefaultParamsValidate(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
-		t.Fatalf("default params invalid: %v", err)
-	}
-}
-
-func TestValidateCatchesBadness(t *testing.T) {
-	bad := []func(*Params){
-		func(p *Params) { p.VNom = 0 },
-		func(p *Params) { p.LoadlineOhms = 0 },
-		func(p *Params) { p.ResonantHz = -1 },
-		func(p *Params) { p.DampingZeta = 0 },
-		func(p *Params) { p.DampingZeta = 1 },
-		func(p *Params) { p.PeakImpedanceOhms = 0 },
-		func(p *Params) { p.LoopResponseNs = 0 },
-	}
-	for i, mutate := range bad {
-		p := DefaultParams()
-		mutate(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("mutation %d not caught", i)
-		}
-	}
-}
-
-// TestValidateRejectsNonFinite sets each field, in turn, to NaN, +Inf
-// and −Inf: each must be rejected with an error naming the field.
-func TestValidateRejectsNonFinite(t *testing.T) {
-	fields := []struct {
-		name string
-		set  func(*Params, float64)
-	}{
-		{"VNom", func(p *Params, v float64) { p.VNom = units.Volt(v) }},
-		{"LoadlineOhms", func(p *Params, v float64) { p.LoadlineOhms = v }},
-		{"ResonantHz", func(p *Params, v float64) { p.ResonantHz = v }},
-		{"DampingZeta", func(p *Params, v float64) { p.DampingZeta = v }},
-		{"PeakImpedanceOhms", func(p *Params, v float64) { p.PeakImpedanceOhms = v }},
-		{"LoopResponseNs", func(p *Params, v float64) { p.LoopResponseNs = v }},
-	}
-	for _, f := range fields {
-		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			p := DefaultParams()
-			f.set(&p, v)
-			if err := p.Validate(); err == nil || !strings.Contains(err.Error(), f.name) {
-				t.Errorf("%s = %v: Validate() = %v, want an error naming %s", f.name, v, err, f.name)
-			}
-		}
-	}
-}
 
 func TestSteadyVoltageMonotone(t *testing.T) {
 	p := DefaultParams()
@@ -101,34 +50,32 @@ func TestCalibrateVRM(t *testing.T) {
 }
 
 func TestStepResponseShape(t *testing.T) {
-	p := DefaultParams()
-	if got := p.StepResponse(100, -1); got != 0 {
+	if got := StepResponse(100, -1); got != 0 {
 		t.Errorf("response before the step = %v", got)
 	}
-	if got := p.StepResponse(100, 0); got != 0 {
+	if got := StepResponse(100, 0); got != 0 {
 		t.Errorf("response at t=0 = %v, want 0", got)
 	}
 	// The first quarter-period must droop (negative deviation).
-	quarter := 1 / (4 * p.ResonantHz)
-	if got := p.StepResponse(100, quarter); got >= 0 {
+	quarter := 1 / (4 * ResonantHz)
+	if got := StepResponse(100, quarter); got >= 0 {
 		t.Errorf("first droop not negative: %v", got)
 	}
 	// The response decays: the envelope after 5 periods is tiny.
-	late := p.StepResponse(100, 5/p.ResonantHz)
-	if math.Abs(float64(late)) > 0.1*float64(p.FirstDroopPeak(100)) {
+	late := StepResponse(100, 5/ResonantHz)
+	if math.Abs(float64(late)) > 0.1*float64(FirstDroopPeak(100)) {
 		t.Errorf("response did not decay: %v", late)
 	}
 }
 
 func TestFirstDroopPeakMatchesResponse(t *testing.T) {
-	p := DefaultParams()
 	const deltaI = 80.0
-	want := float64(p.FirstDroopPeak(deltaI))
+	want := float64(FirstDroopPeak(deltaI))
 	// Sample the transient densely and find the deepest droop.
 	deepest := 0.0
 	for i := 0; i < 4000; i++ {
-		tm := float64(i) / 4000 * 2 / p.ResonantHz
-		if v := -float64(p.StepResponse(deltaI, tm)); v > deepest {
+		tm := float64(i) / 4000 * 2 / ResonantHz
+		if v := -float64(StepResponse(deltaI, tm)); v > deepest {
 			deepest = v
 		}
 	}
@@ -138,28 +85,26 @@ func TestFirstDroopPeakMatchesResponse(t *testing.T) {
 }
 
 func TestFirstDroopPeakLinearInCurrent(t *testing.T) {
-	p := DefaultParams()
-	a := float64(p.FirstDroopPeak(50))
-	b := float64(p.FirstDroopPeak(100))
+	a := float64(FirstDroopPeak(50))
+	b := float64(FirstDroopPeak(100))
 	if math.Abs(b-2*a) > 1e-12 {
 		t.Errorf("peak not linear in current: %g vs 2×%g", b, a)
 	}
 }
 
 func TestUncoveredFraction(t *testing.T) {
-	p := DefaultParams()
-	if got := p.UncoveredFraction(0); got != 1 {
+	if got := UncoveredFraction(0); got != 1 {
 		t.Errorf("instant droop uncovered fraction = %g, want 1", got)
 	}
-	if got := p.UncoveredFraction(p.LoopResponseNs); math.Abs(got-0.5) > 1e-12 {
+	if got := UncoveredFraction(LoopResponseNs); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("droop at loop response time = %g, want 0.5", got)
 	}
-	if got := p.UncoveredFraction(100 * p.LoopResponseNs); got > 0.02 {
+	if got := UncoveredFraction(100 * LoopResponseNs); got > 0.02 {
 		t.Errorf("slow droop uncovered fraction = %g, want ≈0", got)
 	}
 	prev := 2.0
 	for ns := 0.1; ns < 50; ns *= 1.5 {
-		u := p.UncoveredFraction(ns)
+		u := UncoveredFraction(ns)
 		if u >= prev {
 			t.Fatalf("uncovered fraction not decreasing at %g ns", ns)
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pdn"
 	"repro/internal/rng"
+	"repro/internal/silicon"
 	"repro/internal/tuning"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -83,8 +84,7 @@ func pick(quick bool, quickN, fullN int) int {
 func kernelStages(quick bool) []Stage {
 	m := chip.NewReference()
 	core := m.AllCores()[0]
-	params := m.Profile().Params()
-	vref := params.VRef
+	vref := silicon.VRef
 	cycle := core.Profile.DefaultFreq().CycleTime()
 	pd := pdn.DefaultParams()
 
@@ -181,7 +181,7 @@ func kernelStages(quick bool) []Stage {
 			Iters: pick(quick, 10_000, 200_000),
 			Run: func(iters int) (int64, error) {
 				for i := 0; i < iters; i++ {
-					sinkVolt = pd.StepResponse(10, float64(i%1000)*1e-9)
+					sinkVolt = pdn.StepResponse(10, float64(i%1000)*1e-9)
 				}
 				return int64(iters), nil
 			},
@@ -192,8 +192,8 @@ func kernelStages(quick bool) []Stage {
 			Iters: pick(quick, 10_000, 200_000),
 			Run: func(iters int) (int64, error) {
 				for i := 0; i < iters; i++ {
-					sinkVolt = pd.FirstDroopPeak(10 * pdn.SyncFactor(1+i%16))
-					sinkF = pd.UncoveredFraction(float64(1 + i%200))
+					sinkVolt = pdn.FirstDroopPeak(10 * pdn.SyncFactor(1+i%16))
+					sinkF = pdn.UncoveredFraction(float64(1 + i%200))
 				}
 				return int64(iters), nil
 			},

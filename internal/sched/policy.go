@@ -2,7 +2,6 @@ package sched
 
 import (
 	"repro/internal/chip"
-	"repro/internal/dvfs"
 	"repro/internal/workload"
 )
 
@@ -50,10 +49,10 @@ func (s *Simulator) configureCore(i int, job Job, p Policy) error {
 		core.SetMode(chip.ModeStatic)
 		return core.SetPState(chip.PStateMax)
 	case PolicyOndemand:
-		// A dispatched job is 100% utilization: ondemand jumps to the
-		// top p-state immediately.
+		// A dispatched job is 100% utilization: the stock ondemand
+		// governor (Sec. VII-D) jumps to the top p-state immediately.
 		core.SetMode(chip.ModeStatic)
-		return dvfs.Apply(core, dvfs.DefaultOndemand(), 1.0)
+		return core.SetPState(chip.PStateMax)
 	default:
 		return s.runATM(core)
 	}
@@ -72,22 +71,13 @@ func (s *Simulator) runATM(core *chip.Core) error {
 // idleCore returns a freed core to the idle workload (its clocking stays
 // whatever the policy last set; throttling reconciliation follows).
 // Under the ondemand policy the governor walks the idle core down the
-// ladder — scheduler events are far apart relative to governor sampling
-// periods, so the sustained-idle fixpoint (the floor) is applied.
+// ladder one step per sample — scheduler events are far apart relative
+// to governor sampling periods, so the sustained-idle fixpoint, the
+// floor, is applied.
 func (s *Simulator) idleCore(core *chip.Core, p Policy) error {
 	core.SetWorkload(workload.Idle)
 	if p == PolicyOndemand {
-		g := dvfs.DefaultOndemand()
-		for {
-			before := core.PState()
-			if err := dvfs.Apply(core, g, 0.0); err != nil {
-				return err
-			}
-			//lint:ignore floatcmp p-states are discrete ladder entries copied verbatim, not recomputed; exact identity is the intended "no further step" check
-			if core.PState() == before {
-				break
-			}
-		}
+		return core.SetPState(chip.PStateMin)
 	}
 	return nil
 }

@@ -24,6 +24,7 @@ import (
 	"repro/internal/chip"
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/silicon"
 	"repro/internal/stats"
 	"repro/internal/tuning"
 	"repro/internal/workload"
@@ -318,7 +319,7 @@ func (s *Simulator) Run(trace []Job, o Options) (Result, error) {
 		nextJob            int
 		energy             float64
 	)
-	base := float64(s.m.Profile().Params().FStatic)
+	base := float64(silicon.FStatic)
 
 	// rates recomputes every running job's progress rate from the
 	// chip's solved steady state into rate (a free core's entry is

@@ -324,6 +324,32 @@ func TestSimulatorSchedulesOnItsChip(t *testing.T) {
 // TestOndemandSavesEnergy: the ondemand baseline matches the static
 // policy's performance (speedup 1, same latency behaviour) while
 // spending less energy by walking idle cores down the p-state ladder.
+// TestOndemandClocking pins the two answers the static-ondemand policy
+// takes from the stock ondemand governor (Sec. VII-D): a dispatched core
+// runs static at the top p-state, and a freed core drops to the floor
+// the governor walks a sustained-idle core down to. A redispatch from
+// the floor recovers the top in one step.
+func TestOndemandClocking(t *testing.T) {
+	s := sim(t)
+	defer s.m.ResetAll()
+	core := s.cores[0]
+	job := Job{Class: ClassCritical, Workload: workload.X264}
+	for round := 0; round < 2; round++ {
+		if err := s.configureCore(0, job, PolicyOndemand); err != nil {
+			t.Fatal(err)
+		}
+		if core.Mode() != chip.ModeStatic || core.PState() != chip.PStateMax {
+			t.Fatalf("round %d: dispatched core %s at %v, want static at %v", round, core.Mode(), core.PState(), chip.PStateMax)
+		}
+		if err := s.idleCore(core, PolicyOndemand); err != nil {
+			t.Fatal(err)
+		}
+		if core.PState() != chip.PStateMin || core.Workload().Name != workload.Idle.Name {
+			t.Fatalf("round %d: freed core runs %s at %v, want idle at %v", round, core.Workload().Name, core.PState(), chip.PStateMin)
+		}
+	}
+}
+
 func TestOndemandSavesEnergy(t *testing.T) {
 	s := sim(t)
 	trace := genTrace(t)

@@ -44,14 +44,13 @@ const (
 // as an emergent property.
 func Generate(seed uint64, opts GenerateOptions) (*ServerProfile, error) {
 	o := opts.withDefaults()
-	p := DefaultParams()
 	root := rng.New(seed)
-	server := &ServerProfile{params: p}
+	server := &ServerProfile{}
 
 	// The median silicon sits ~8% below the default-ATM cycle-time
 	// requirement, leaving a few reclaimable steps on a typical core
 	// and up to ~10 on the fast tail (the Table I spread).
-	guardDefault := float64(p.FDefault.CycleTime())
+	guardDefault := float64(FDefault.CycleTime())
 	basePath := guardDefault * 0.92
 
 	for ci := 0; ci < o.Chips; ci++ {
@@ -61,7 +60,7 @@ func Generate(seed uint64, opts GenerateOptions) (*ServerProfile, error) {
 		for k := 0; k < o.CoresPerChip; k++ {
 			src := chipSrc.SplitIndex("core", k)
 			label := fmt.Sprintf("P%dC%d", ci, k)
-			core, err := generateCore(p, label, basePath, chipSpeed, src)
+			core, err := generateCore(label, basePath, chipSpeed, src)
 			if err != nil {
 				return nil, err
 			}
@@ -76,8 +75,8 @@ func Generate(seed uint64, opts GenerateOptions) (*ServerProfile, error) {
 }
 
 // generateCore runs the forward model for one core.
-func generateCore(p Params, label string, basePath, chipSpeed float64, src *rng.Source) (*CoreProfile, error) {
-	c := &CoreProfile{Label: label, params: p}
+func generateCore(label string, basePath, chipSpeed float64, src *rng.Source) (*CoreProfile, error) {
+	c := &CoreProfile{Label: label}
 
 	// Silicon speed: true critical path with chip-level + core-level
 	// lognormal-ish variation. Faster cores (smaller path) have more
@@ -86,8 +85,8 @@ func generateCore(p Params, label string, basePath, chipSpeed float64, src *rng.
 	c.PathPs = units.Picosecond(basePath / speed)
 
 	// Non-linear step table (same tap statistics as the reference).
-	c.StepPs = make([]units.Picosecond, p.MaxTaps+1)
-	for k := 1; k <= p.MaxTaps; k++ {
+	c.StepPs = make([]units.Picosecond, MaxTaps+1)
+	for k := 1; k <= MaxTaps; k++ {
 		u := src.Float64()
 		var w float64
 		switch {
@@ -98,22 +97,22 @@ func generateCore(p Params, label string, basePath, chipSpeed float64, src *rng.
 		default:
 			w = 2.0 + 1.2*src.Float64()
 		}
-		c.StepPs[k] = units.Picosecond(w * float64(p.InvPs))
+		c.StepPs[k] = units.Picosecond(w * float64(InvPs))
 	}
 
 	// Idle requirement = true path under the idle droop tail.
-	c.IdleGuardPs = units.Picosecond(float64(c.PathPs) * (1 + p.IdleDroopFrac))
+	c.IdleGuardPs = units.Picosecond(float64(c.PathPs) * (1 + IdleDroopFrac))
 
 	// Per-trial noise of the required guard (uncovered droop tail),
 	// sized so every inserted-delay step stays resolvable by the limit
 	// searches (≥3.2σ of guard; see the reference calibration).
 	minStep := c.StepPs[1]
-	for k := 2; k <= p.MaxTaps; k++ {
+	for k := 2; k <= MaxTaps; k++ {
 		if c.StepPs[k] < minStep {
 			minStep = c.StepPs[k]
 		}
 	}
-	sigmaMax := float64(minStep) / (3.2 * float64(p.FDefault.CycleTime()))
+	sigmaMax := float64(minStep) / (3.2 * float64(FDefault.CycleTime()))
 	c.SigmaFrac = (0.5 + 0.5*src.Float64()) * sigmaMax
 	if c.SigmaFrac < 5e-4 {
 		c.SigmaFrac = 5e-4
@@ -124,7 +123,7 @@ func generateCore(p Params, label string, basePath, chipSpeed float64, src *rng.
 	// jitter), then make sure enough protection depth exists above the
 	// core's own limit. This is what produces Fig. 4b: fast cores need
 	// large inserted delays to be slowed to the uniform frequency.
-	fTarget := float64(p.FDefault) + src.Norm(0, p.FDefaultJitterMHz)
+	fTarget := float64(FDefault) + src.Norm(0, FDefaultJitterMHz)
 	guard0 := units.MHz(fTarget).CycleTime()
 
 	// Silicon too slow to run the uniform default safely is binned to a
@@ -141,12 +140,12 @@ func generateCore(p Params, label string, basePath, chipSpeed float64, src *rng.
 	// preset spread.
 	share := 0.68 + 0.14*src.Float64()
 	c.SynthPs = units.Picosecond(float64(guard0)*share + src.Norm(0, 1.5))
-	budget := guard0 - c.SynthPs - p.ThetaPs()
+	budget := guard0 - c.SynthPs - ThetaPs
 	if budget <= 0 {
 		return nil, fmt.Errorf("silicon: %s preset budget non-positive", label)
 	}
 	best, bestErr := 1, math.Inf(1)
-	for taps := 1; taps <= p.MaxTaps; taps++ {
+	for taps := 1; taps <= MaxTaps; taps++ {
 		e := math.Abs(float64(c.InsertedDelayPs(taps) - budget))
 		if e < bestErr {
 			best, bestErr = taps, e
@@ -155,7 +154,7 @@ func generateCore(p Params, label string, basePath, chipSpeed float64, src *rng.
 	c.PresetTaps = best
 	// Re-solve the synthetic path so G(0) hits the target exactly with
 	// the quantized preset.
-	c.SynthPs = guard0 - c.InsertedDelayPs(c.PresetTaps) - p.ThetaPs()
+	c.SynthPs = guard0 - c.InsertedDelayPs(c.PresetTaps) - ThetaPs
 	if c.SynthPs <= 0 {
 		return nil, fmt.Errorf("silicon: %s synthetic path non-positive after preset", label)
 	}
@@ -210,8 +209,8 @@ func generateCore(p Params, label string, basePath, chipSpeed float64, src *rng.
 	c.Gamma = 1 + 1.4*src.Float64()
 
 	// Site skews.
-	c.SiteSkewPs = make([]units.Picosecond, p.NumCPMSites)
-	worstSite := src.Intn(p.NumCPMSites)
+	c.SiteSkewPs = make([]units.Picosecond, NumCPMSites)
+	worstSite := src.Intn(NumCPMSites)
 	for i := range c.SiteSkewPs {
 		if i == worstSite {
 			continue

@@ -21,7 +21,7 @@ func refGuardPs(c *CoreProfile, reduction int) (units.Picosecond, error) {
 		return 0, fmt.Errorf("silicon: CPM delay reduction %d exceeds preset %d on %s",
 			reduction, c.PresetTaps, c.Label)
 	}
-	return c.SynthPs + c.InsertedDelayPs(c.PresetTaps-reduction) + c.params.ThetaPs(), nil
+	return c.SynthPs + c.InsertedDelayPs(c.PresetTaps-reduction) + ThetaPs, nil
 }
 
 func refRequiredGuardPs(c *CoreProfile, score float64) units.Picosecond {

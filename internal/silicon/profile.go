@@ -10,7 +10,7 @@ import (
 
 // CPMSiteName names the functional unit each of a core's five CPMs is
 // embedded in (Fig. 3).
-var CPMSiteName = [5]string{"IFU", "ISU", "FXU", "FPU", "LLC"}
+var CPMSiteName = [NumCPMSites]string{"IFU", "ISU", "FXU", "FPU", "LLC"}
 
 // CoreProfile is the manufactured silicon of one core plus its CPM
 // hardware and its empirical failure envelope. All delays are at VRef.
@@ -73,14 +73,10 @@ type CoreProfile struct {
 	// how many configurations the limit distributions of Fig. 7 span.
 	SigmaFrac float64
 
-	params Params
 	// ubLimit caches limitForGuard(UBenchGuardPs), the uBench limit every
 	// application requirement rolls back from; Refresh recomputes it.
 	ubLimit int
 }
-
-// Params returns the chip-level constants the profile was built with.
-func (c *CoreProfile) Params() Params { return c.params }
 
 // Refresh recomputes the values the profile derives from its fields.
 // Construction, Clone and ScaleTrialNoise keep them current; any other
@@ -164,10 +160,9 @@ func (c *CoreProfile) guards(reduction int, score float64) (g, req units.Picosec
 	if gTap <= reqTap {
 		gIns, reqIns = shallow, ins
 	}
-	theta := c.params.ThetaPs()
-	g = c.SynthPs + gIns + theta
+	g = c.SynthPs + gIns + ThetaPs
 	if reqTap >= 0 {
-		req = c.requirementForGuard(c.SynthPs + reqIns + theta)
+		req = c.requirementForGuard(c.SynthPs + reqIns + ThetaPs)
 	}
 	return g, req, nil
 }
@@ -197,13 +192,13 @@ func (c *CoreProfile) SettledFreq(reduction int, v units.Volt) (units.MHz, error
 	if err != nil {
 		return 0, err
 	}
-	return c.params.SettleFreq(g, v), nil
+	return SettleFreq(g, v), nil
 }
 
 // DefaultFreq returns the default-ATM (reduction 0) frequency at VRef —
 // the ~4.6 GHz uniform performance the preset calibration delivers.
 func (c *CoreProfile) DefaultFreq() units.MHz {
-	return c.params.SettleFreq(c.mustGuard(0), c.params.VRef)
+	return SettleFreq(c.mustGuard(0), VRef)
 }
 
 // StaticPerCoreFreq estimates the core's fixed ⟨v,f⟩ static-margin
@@ -211,9 +206,9 @@ func (c *CoreProfile) DefaultFreq() units.MHz {
 // still covers the true path under the full static worst-case voltage
 // guardband.
 func (c *CoreProfile) StaticPerCoreFreq() units.MHz {
-	worstV := c.params.VRef - c.params.StaticNoiseGuard
-	d := units.Picosecond(float64(c.PathPs) * c.params.Scale(worstV))
-	return d.Frequency().Clamp(0, c.params.FMaxHW)
+	worstV := VRef - StaticNoiseGuard
+	d := units.Picosecond(float64(c.PathPs) * Scale(worstV))
+	return d.Frequency().Clamp(0, FMaxHW)
 }
 
 // RollbackAt returns how many inserted-delay steps an application with
@@ -288,7 +283,6 @@ func (c *CoreProfile) limitForGuard(req units.Picosecond) int {
 	// The 1e-9 slack keeps limitForGuard an exact inverse of
 	// requiredGuardForLimit in the presence of float rounding.
 	need := float64(req)*(1+limitHeadroomSigmas*c.SigmaFrac) - 1e-9
-	theta := c.params.ThetaPs()
 	steps := c.StepPs[:c.PresetTaps+1]
 	var inserted units.Picosecond
 	lastShort := -1
@@ -297,7 +291,7 @@ func (c *CoreProfile) limitForGuard(req units.Picosecond) int {
 			inserted += steps[t]
 		}
 		// Negated >=: a NaN guard counts as short.
-		if !(float64(c.SynthPs+inserted+theta) >= need) {
+		if !(float64(c.SynthPs+inserted+ThetaPs) >= need) {
 			lastShort = t
 		}
 	}
@@ -411,9 +405,6 @@ func (c *CoreProfile) Validate() error {
 	if c.Label == "" {
 		return fmt.Errorf("silicon: core profile missing label")
 	}
-	if err := c.params.Validate(); err != nil {
-		return fmt.Errorf("%s: %w", c.Label, err)
-	}
 	if c.PresetTaps < 1 || c.PresetTaps >= len(c.StepPs) {
 		return fmt.Errorf("silicon: %s preset taps %d outside step table (len %d)",
 			c.Label, c.PresetTaps, len(c.StepPs))
@@ -440,9 +431,9 @@ func (c *CoreProfile) Validate() error {
 	if !(c.Gamma > 0 && c.Gamma <= math.MaxFloat64) {
 		return fmt.Errorf("silicon: %s rollback gamma %v not finite and positive", c.Label, c.Gamma)
 	}
-	if len(c.SiteSkewPs) != c.params.NumCPMSites {
+	if len(c.SiteSkewPs) != NumCPMSites {
 		return fmt.Errorf("silicon: %s has %d CPM sites, want %d",
-			c.Label, len(c.SiteSkewPs), c.params.NumCPMSites)
+			c.Label, len(c.SiteSkewPs), NumCPMSites)
 	}
 	worst := units.Picosecond(math.Inf(-1))
 	for _, s := range c.SiteSkewPs {
@@ -471,12 +462,8 @@ type ChipProfile struct {
 // ServerProfile is the full platform: the paper's machine has two
 // eight-core POWER7+ processors.
 type ServerProfile struct {
-	Chips  []*ChipProfile
-	params Params
+	Chips []*ChipProfile
 }
-
-// Params returns the shared electrical constants.
-func (s *ServerProfile) Params() Params { return s.params }
 
 // AllCores returns every core on the server in (chip, core) order.
 func (s *ServerProfile) AllCores() []*CoreProfile {
@@ -501,8 +488,8 @@ func (s *ServerProfile) FindCore(label string) *CoreProfile {
 }
 
 // Clone returns a deep copy of the core profile: mutating the clone's
-// slices or scalars never aliases the original. The unexported params
-// and the cached uBench limit ride along unchanged (they are values).
+// slices or scalars never aliases the original. The cached uBench limit
+// rides along unchanged (it is a value).
 func (c *CoreProfile) Clone() *CoreProfile {
 	nc := *c
 	nc.StepPs = append([]units.Picosecond(nil), c.StepPs...)
@@ -524,7 +511,7 @@ func (ch *ChipProfile) Clone() *ChipProfile {
 // never the reference profile, so the pristine silicon stays available
 // for comparison runs in the same process.
 func (s *ServerProfile) Clone() *ServerProfile {
-	out := &ServerProfile{params: s.params, Chips: make([]*ChipProfile, 0, len(s.Chips))}
+	out := &ServerProfile{Chips: make([]*ChipProfile, 0, len(s.Chips))}
 	for _, ch := range s.Chips {
 		out.Chips = append(out.Chips, ch.Clone())
 	}

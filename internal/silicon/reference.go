@@ -62,12 +62,11 @@ const ReferenceSeed = 0x7077_3742 // "POWER7+ '42"
 // physics model, so running this repository's characterization
 // methodology against the profile rediscovers the paper's tables.
 func Reference() *ServerProfile {
-	p := DefaultParams()
 	src := rng.New(ReferenceSeed)
-	server := &ServerProfile{params: p}
+	server := &ServerProfile{}
 	chips := map[string]*ChipProfile{}
 	for i, row := range referenceLimits {
-		core := calibrateCore(p, row.label, row.idle, row.uBench, row.normal, row.worst,
+		core := calibrateCore(row.label, row.idle, row.uBench, row.normal, row.worst,
 			src.SplitIndex("core", i))
 		chipLabel := row.label[:2]
 		ch := chips[chipLabel]
@@ -100,18 +99,18 @@ func Reference() *ServerProfile {
 //     limit distributions span one-to-two configurations (Fig. 7);
 //  5. the idle/uBench required guards are the inverses of the target
 //     limits; vulnerability and γ pin thread-normal and thread-worst.
-func calibrateCore(p Params, label string, idle, uBench, normal, worst int, src *rng.Source) *CoreProfile {
+func calibrateCore(label string, idle, uBench, normal, worst int, src *rng.Source) *CoreProfile {
 	if !(idle >= uBench && uBench >= normal && normal >= worst && worst >= 0) {
 		panic(fmt.Sprintf("silicon: %s limits not monotone: %d/%d/%d/%d",
 			label, idle, uBench, normal, worst))
 	}
-	c := &CoreProfile{Label: label, params: p}
+	c := &CoreProfile{Label: label}
 
 	// (1) Non-linear step table. Each tap adds between ~0.8 and ~3.2
 	// inverter delays; a few taps are near-degenerate (the paper's
 	// "almost negligible change in frequency" steps).
-	c.StepPs = make([]units.Picosecond, p.MaxTaps+1)
-	for k := 1; k <= p.MaxTaps; k++ {
+	c.StepPs = make([]units.Picosecond, MaxTaps+1)
+	for k := 1; k <= MaxTaps; k++ {
 		u := src.Float64()
 		var unitsWide float64
 		switch {
@@ -122,14 +121,14 @@ func calibrateCore(p Params, label string, idle, uBench, normal, worst int, src 
 		default: // deep tap (the 200 MHz jumps of Fig. 5)
 			unitsWide = 2.0 + 1.2*src.Float64()
 		}
-		c.StepPs[k] = units.Picosecond(unitsWide * float64(p.InvPs))
+		c.StepPs[k] = units.Picosecond(unitsWide * float64(InvPs))
 	}
 
 	// (2) Preset depth: protection slack above the idle limit. The
 	// +5..+7 slack keeps Fig. 4b's 7–20 range and its ≈3× spread.
 	c.PresetTaps = idle + 5 + src.Intn(3)
-	if c.PresetTaps > p.MaxTaps {
-		c.PresetTaps = p.MaxTaps
+	if c.PresetTaps > MaxTaps {
+		c.PresetTaps = MaxTaps
 	}
 
 	// (3) Pin the default idle frequency near FDefault and the
@@ -139,7 +138,7 @@ func calibrateCore(p Params, label string, idle, uBench, normal, worst int, src 
 	// published idle frequency. This is where the paper's big
 	// CPM-encoding differences come from — P1C7 packs ~230 MHz into
 	// each of 2 steps while P0C4 spreads ~50 MHz over each of 10.
-	fDef := float64(p.FDefault) + src.Norm(0, p.FDefaultJitterMHz)
+	fDef := float64(FDefault) + src.Norm(0, FDefaultJitterMHz)
 	guard0 := units.MHz(fDef).CycleTime()
 	if fIdle, ok := referenceIdleFreqMHz[label]; ok && idle > 0 {
 		want := guard0 - units.MHz(fIdle).CycleTime()
@@ -176,7 +175,7 @@ func calibrateCore(p Params, label string, idle, uBench, normal, worst int, src 
 			}
 		}
 	}
-	c.SynthPs = guard0 - c.InsertedDelayPs(c.PresetTaps) - p.ThetaPs()
+	c.SynthPs = guard0 - c.InsertedDelayPs(c.PresetTaps) - ThetaPs
 	if c.SynthPs <= 0 {
 		panic(fmt.Sprintf("silicon: %s synthetic path went non-positive (%v)", label, c.SynthPs))
 	}
@@ -192,7 +191,7 @@ func calibrateCore(p Params, label string, idle, uBench, normal, worst int, src 
 	//     the Fig. 7 distribution covers two configurations; smaller σ
 	//     makes it a single bar. Both shapes appear in Fig. 7, so 60%
 	//     of cores draw the two-configuration σ when granularity allows.
-	gIdle := c.SynthPs + c.InsertedDelayPs(c.PresetTaps-idle) + p.ThetaPs()
+	gIdle := c.SynthPs + c.InsertedDelayPs(c.PresetTaps-idle) + ThetaPs
 	probeGap := c.StepPs[1] // idle == preset ⇒ deepest tap is the probe
 	if idle+1 <= c.PresetTaps {
 		probeGap = c.StepPs[c.PresetTaps-idle]
@@ -225,12 +224,12 @@ func calibrateCore(p Params, label string, idle, uBench, normal, worst int, src 
 
 	// True silicon speed: the idle requirement is the true path
 	// stressed by the idle environment's uncovered droop tail.
-	c.PathPs = units.Picosecond(float64(c.IdleGuardPs) / (1 + p.IdleDroopFrac))
+	c.PathPs = units.Picosecond(float64(c.IdleGuardPs) / (1 + IdleDroopFrac))
 
 	// CPM site skews: the worst site reports; the others sit within a
 	// few ps below it (spatial variation across IFU/ISU/FXU/FPU/LLC).
-	c.SiteSkewPs = make([]units.Picosecond, p.NumCPMSites)
-	worstSite := src.Intn(p.NumCPMSites)
+	c.SiteSkewPs = make([]units.Picosecond, NumCPMSites)
+	worstSite := src.Intn(NumCPMSites)
 	for i := range c.SiteSkewPs {
 		if i == worstSite {
 			continue

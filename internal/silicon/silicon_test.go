@@ -11,32 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-func TestDefaultParamsValidate(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
-		t.Fatalf("default params invalid: %v", err)
-	}
-}
-
-func TestParamsValidateCatchesBadness(t *testing.T) {
-	bad := []func(*Params){
-		func(p *Params) { p.VRef = 0.3 }, // below VTh
-		func(p *Params) { p.InvPs = 0 },
-		func(p *Params) { p.ThetaUnits = 0 },
-		func(p *Params) { p.MaxTaps = 0 },
-		func(p *Params) { p.FDefault = 4000 }, // below FStatic
-		func(p *Params) { p.FMaxHW = 4500 },   // below FDefault
-		func(p *Params) { p.NumCPMSites = 0 },
-		func(p *Params) { p.IdleDroopFrac = -1 },
-	}
-	for i, mutate := range bad {
-		p := DefaultParams()
-		mutate(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("mutation %d not caught by Validate", i)
-		}
-	}
-}
-
 // TestProfileValidateCatchesBadness: each edit to the reference
 // server's P0C3 (first four rows) or to its labels ran and reported
 // nonsense limits before Validate caught it. A NaN sigma fails every
@@ -67,47 +41,45 @@ func TestProfileValidateCatchesBadness(t *testing.T) {
 }
 
 func TestScale(t *testing.T) {
-	p := DefaultParams()
-	if got := p.Scale(p.VRef); math.Abs(got-1) > 1e-12 {
+	if got := Scale(VRef); math.Abs(got-1) > 1e-12 {
 		t.Errorf("Scale(VRef) = %g, want 1", got)
 	}
 	// Lower voltage → slower circuits → larger scale.
-	if p.Scale(1.20) <= 1 {
+	if Scale(1.20) <= 1 {
 		t.Error("Scale below VRef should exceed 1")
 	}
-	if p.Scale(1.30) >= 1 {
+	if Scale(1.30) >= 1 {
 		t.Error("Scale above VRef should be below 1")
 	}
 	// ~20 mV sag ≈ 2.2% delay at the POWER7+ point.
-	got := p.Scale(p.VRef - 0.020)
+	got := Scale(VRef - 0.020)
 	if math.Abs(got-1.0227) > 0.001 {
 		t.Errorf("Scale(VRef−20mV) = %g, want ≈1.0227", got)
 	}
 }
 
 func TestSettleFreqCap(t *testing.T) {
-	p := DefaultParams()
-	if got := p.SettleFreq(1, p.VRef); got != p.FMaxHW {
+	if got := SettleFreq(1, VRef); got != FMaxHW {
 		t.Errorf("tiny guard should clamp to FMaxHW, got %v", got)
 	}
-	if got := p.SettleFreq(0, p.VRef); got != p.FMaxHW {
+	if got := SettleFreq(0, VRef); got != FMaxHW {
 		t.Errorf("zero guard should clamp to FMaxHW, got %v", got)
 	}
 }
 
 // settleFreqReference is SettleFreq's formula with the scale computed
 // inside, as it read before the scale-taking form existed.
-func settleFreqReference(p Params, guard units.Picosecond, v units.Volt) units.MHz {
+func settleFreqReference(guard units.Picosecond, v units.Volt) units.MHz {
 	if guard <= 0 {
-		return p.FMaxHW
+		return FMaxHW
 	}
-	den := float64(v - p.VTh)
+	den := float64(v - VTh)
 	if den <= 1e-6 {
 		den = 1e-6
 	}
-	scale := float64(p.VRef-p.VTh) / den
+	scale := float64(VRef-VTh) / den
 	f := units.Picosecond(float64(guard) * scale).Frequency()
-	return f.Clamp(0, p.FMaxHW)
+	return f.Clamp(0, FMaxHW)
 }
 
 // TestSettleFreqAtScaleMatchesSettleFreq pins the scale-taking settle
@@ -115,21 +87,20 @@ func settleFreqReference(p Params, guard units.Picosecond, v units.Volt) units.M
 // guards at and below zero, tiny and huge guards, voltages at, below
 // and just above the VTh + 1e-6 floor of Scale, and random draws.
 func TestSettleFreqAtScaleMatchesSettleFreq(t *testing.T) {
-	p := DefaultParams()
-	floor := p.VTh + 1e-6
+	floor := VTh + 1e-6
 	guards := []units.Picosecond{-100, -1e-300, units.Picosecond(math.Copysign(0, -1)), 0,
 		1e-300, 1, 50, 187.5, 240, 1e6, units.Picosecond(math.Inf(1))}
 	volts := []units.Volt{floor, units.Volt(math.Nextafter(float64(floor), 0)),
-		units.Volt(math.Nextafter(float64(floor), 2)), p.VTh, p.VTh - 0.1, 0, -1,
-		0.6, 1.0, 1.2, p.VRef, 1.4, units.Volt(math.NaN())}
+		units.Volt(math.Nextafter(float64(floor), 2)), VTh, VTh - 0.1, 0, -1,
+		0.6, 1.0, 1.2, VRef, 1.4, units.Volt(math.NaN())}
 	bits := func(f units.MHz) uint64 { return math.Float64bits(float64(f)) }
 	check := func(g units.Picosecond, v units.Volt) {
 		t.Helper()
-		want := settleFreqReference(p, g, v)
-		if got := p.SettleFreqAtScale(g, p.Scale(v)); bits(got) != bits(want) {
+		want := settleFreqReference(g, v)
+		if got := SettleFreqAtScale(g, Scale(v)); bits(got) != bits(want) {
 			t.Fatalf("SettleFreqAtScale(%v, Scale(%v)) = %v, want %v", g, v, got, want)
 		}
-		if got := p.SettleFreq(g, v); bits(got) != bits(want) {
+		if got := SettleFreq(g, v); bits(got) != bits(want) {
 			t.Fatalf("SettleFreq(%v, %v) = %v, want %v", g, v, got, want)
 		}
 	}
@@ -140,7 +111,7 @@ func TestSettleFreqAtScaleMatchesSettleFreq(t *testing.T) {
 	}
 	src := rng.New(1).Split("settle-at-scale")
 	for i := 0; i < 10000; i++ {
-		check(units.Picosecond(src.Float64()*400-20), units.Volt(float64(p.VTh)+src.Float64()*1.2-0.1))
+		check(units.Picosecond(src.Float64()*400-20), units.Volt(float64(VTh)+src.Float64()*1.2-0.1))
 	}
 }
 
@@ -203,12 +174,53 @@ func TestReferencePresetSpread(t *testing.T) {
 }
 
 func TestReferenceDefaultFrequencyUniform(t *testing.T) {
-	srv := Reference()
-	p := srv.Params()
-	for _, c := range srv.AllCores() {
+	for _, c := range Reference().AllCores() {
 		f := c.DefaultFreq()
-		if math.Abs(float64(f-p.FDefault)) > 3.5*p.FDefaultJitterMHz {
-			t.Errorf("%s default frequency %v too far from %v", c.Label, f, p.FDefault)
+		if math.Abs(float64(f-FDefault)) > 3.5*FDefaultJitterMHz {
+			t.Errorf("%s default frequency %v too far from %v", c.Label, f, FDefault)
+		}
+	}
+}
+
+// TestReferenceFreqBits pins every reference core's static per-core
+// and default-ATM frequency bit for bit. Fig. 1 and every golden print
+// whole MHz, so a change in the low bits — a platform constant folded at
+// a precision other than float64's, say — passes them all; this test
+// does not.
+func TestReferenceFreqBits(t *testing.T) {
+	want := map[string][2]uint64{
+		"P0C0": {0x40b15838a76a0dec, 0x40b2036350df265f},
+		"P0C1": {0x40b14f5f80baffb7, 0x40b1f130c5a7568e},
+		"P0C2": {0x40b07ad9f0614960, 0x40b20fd57be79d5e},
+		"P0C3": {0x40b1dcf8b6d7eb86, 0x40b1d7d942e90422},
+		"P0C4": {0x40b18477423ad607, 0x40b20c89f603b5dd},
+		"P0C5": {0x40b0f68caa25cf23, 0x40b1eec681bf400b},
+		"P0C6": {0x40b1334da13ce14a, 0x40b1faff3eecf396},
+		"P0C7": {0x40b03c99cd2dcc32, 0x40b1fafc67b19ed9},
+		"P1C0": {0x40b0827df5725295, 0x40b1fe0c169779ba},
+		"P1C1": {0x40b13618dc47711f, 0x40b1ecce8534cc82},
+		"P1C2": {0x40b0a74c636d5468, 0x40b2015b8ce0d6c3},
+		"P1C3": {0x40b15e8f0e84394f, 0x40b1eacfbf4db8e9},
+		"P1C4": {0x40b0ed9e7660e361, 0x40b208a249f39c1c},
+		"P1C5": {0x40b0f26ea3da9395, 0x40b20aa8796da07a},
+		"P1C6": {0x40b1a4fc34e1b61e, 0x40b1f18bf8eafa6c},
+		"P1C7": {0x40b1942c51ccb0bf, 0x40b1fb51e1cb4d54},
+	}
+	cores := Reference().AllCores()
+	if len(cores) != len(want) {
+		t.Fatalf("reference has %d cores, want %d", len(cores), len(want))
+	}
+	for _, c := range cores {
+		w, ok := want[c.Label]
+		if !ok {
+			t.Fatalf("no pinned bits for %s", c.Label)
+		}
+		fs, fd := c.StaticPerCoreFreq(), c.DefaultFreq()
+		if got := math.Float64bits(float64(fs)); got != w[0] {
+			t.Errorf("%s StaticPerCoreFreq = %v (%#x), want bits %#x", c.Label, fs, got, w[0])
+		}
+		if got := math.Float64bits(float64(fd)); got != w[1] {
+			t.Errorf("%s DefaultFreq = %v (%#x), want bits %#x", c.Label, fd, got, w[1])
 		}
 	}
 }
@@ -221,7 +233,7 @@ func TestReferenceIdleFrequenciesMatchFig7(t *testing.T) {
 			t.Fatalf("no Fig. 7 frequency for %s", c.Label)
 		}
 		idle, _, _, _, _ := ReferenceTableI(c.Label)
-		f, err := c.SettledFreq(idle, srv.Params().VRef)
+		f, err := c.SettledFreq(idle, VRef)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,18 +244,16 @@ func TestReferenceIdleFrequenciesMatchFig7(t *testing.T) {
 }
 
 func TestStaticPerCoreFreqEnvelope(t *testing.T) {
-	srv := Reference()
-	p := srv.Params()
-	for _, c := range srv.AllCores() {
+	for _, c := range Reference().AllCores() {
 		fs := c.StaticPerCoreFreq()
 		// Fig. 1: per-core static setpoints sit between the 4.2 GHz
 		// chip-wide baseline (minus a whisker) and ~4.8 GHz.
-		if fs < p.FStatic-100 || fs > 4800 {
+		if fs < FStatic-100 || fs > 4800 {
 			t.Errorf("%s static per-core frequency %v outside Fig. 1 envelope", c.Label, fs)
 		}
 		// And always below the core's idle fine-tuned frequency.
 		idle, _, _, _, _ := ReferenceTableI(c.Label)
-		fi, err := c.SettledFreq(idle, p.VRef)
+		fi, err := c.SettledFreq(idle, VRef)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -578,12 +588,6 @@ func TestCloneNeverAliasesReference(t *testing.T) {
 		if c.SiteSkewPs[0] != b.skew0 {
 			t.Fatalf("%s: SiteSkewPs backing array is shared with the clone", c.Label)
 		}
-	}
-
-	// A clone of a clone must be equally independent, and params must
-	// survive the copy so the clone still validates and settles.
-	if clone.Params() != ref.Params() {
-		t.Fatalf("clone dropped the chip-level params")
 	}
 }
 
