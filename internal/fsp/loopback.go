@@ -24,6 +24,9 @@ type Loopback struct {
 	// read bytes. The session appends each reply straight into it.
 	out  []byte
 	read int
+	// line is the last command line Write executed. A line with the
+	// same bytes reuses the string, so a steady poll allocates none.
+	line string
 }
 
 // NewLoopback wraps a session in a synchronous transport.
@@ -43,7 +46,10 @@ func (l *Loopback) Write(p []byte) (int, error) {
 		if nl < 0 {
 			break
 		}
-		line := strings.TrimSpace(string(l.pending[done : done+nl]))
+		if raw := bytes.TrimSpace(l.pending[done : done+nl]); string(raw) != l.line {
+			l.line = string(raw)
+		}
+		line := l.line
 		done += nl + 1
 		switch {
 		case line == "" || strings.HasPrefix(line, "#"):

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/obs"
 )
@@ -49,6 +50,9 @@ type Session struct {
 
 	// reply is Exec's response buffer, reused across commands.
 	reply []byte
+	// fields is exec's split of the current command line, reused across
+	// commands.
+	fields []string
 }
 
 // sessionObs is the session's pre-resolved metric handle set plus the
@@ -204,7 +208,8 @@ func (s *Session) Exec(line string) string {
 // exec runs one command line and appends its response line, without
 // the newline, to dst.
 func (s *Session) exec(dst []byte, line string) []byte {
-	fields := strings.Fields(line)
+	s.fields = appendFields(s.fields[:0], line)
+	fields := s.fields
 	if len(fields) == 0 {
 		s.ob.errs.Inc()
 		return append(dst, "err empty command"...)
@@ -216,6 +221,26 @@ func (s *Session) exec(dst []byte, line string) []byte {
 	began := s.clock()
 	dst = s.execVerb(dst, cmd, args)
 	s.observeLatency(cmd, began)
+	return dst
+}
+
+// appendFields appends the fields of line, split around runs of
+// Unicode white space exactly as strings.Fields splits them, to dst.
+func appendFields(dst []string, line string) []string {
+	start := -1
+	for i, r := range line {
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
 	return dst
 }
 

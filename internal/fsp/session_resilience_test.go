@@ -3,6 +3,7 @@ package fsp
 import (
 	"bufio"
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,7 +100,9 @@ func TestReadCappedLine(t *testing.T) {
 }
 
 // FuzzSessionExec: arbitrary command lines must produce exactly one
-// well-formed single-line response and never panic the session.
+// well-formed single-line response and never panic the session, and
+// the session must split each line into the fields strings.Fields
+// gives.
 func FuzzSessionExec(f *testing.F) {
 	for _, seed := range []string{
 		"", "quit", "cores", "ping tok", "ping",
@@ -107,12 +110,16 @@ func FuzzSessionExec(f *testing.F) {
 		"cpm P0C0", "cpm P0C0 5", "cpm P0C0 -1", "mode P0C0 atm",
 		"pstate P0C0 4000", "gate P0C0 on", "freq P0C0", "chip P0",
 		"# comment", "unknown", "cpm \x00 5", "getscom 0x" + strings.Repeat("f", 200),
+		" \tcpm\u00a0P0C0\u2003 5\x85\xff ", "ping \u0085tok\u3000",
 	} {
 		f.Add(seed)
 	}
 	ctl := NewController(chip.NewReference())
 	sess := NewSession(ctl)
 	f.Fuzz(func(t *testing.T, line string) {
+		if got, want := appendFields(nil, line), strings.Fields(line); !slices.Equal(got, want) {
+			t.Errorf("appendFields(%q) = %q, strings.Fields %q", line, got, want)
+		}
 		out := sess.Exec(line)
 		if out != "ok" && !strings.HasPrefix(out, "ok ") &&
 			out != "err" && !strings.HasPrefix(out, "err ") {

@@ -92,7 +92,8 @@ type coreDrift struct {
 	hci   float64
 	track float64
 	// stepSkew[k] is 1 + tap k's aging jitter: the factor that skews
-	// tap k's aging relative to the core's τ.
+	// tap k's aging relative to the core's τ. It covers the profile's
+	// taps, [0, PresetTaps].
 	stepSkew []float64
 	// activeYears accumulates the core's powered-and-working time, the
 	// HCI stress variable.
@@ -257,17 +258,15 @@ func (o *Overlay) Advance(dtHours float64, active []bool) {
 		// ...while the CPM synthetic path and its inserted-delay chain
 		// track at only τ of it, so the reported margin erodes.
 		p.SynthPs = units.Picosecond(float64(bp.SynthPs) * (1 + cpmAge))
-		// The slices are resliced to one length so the compiler drops
-		// the loops' bounds checks.
+		// The step slices are resliced to one length so the compiler
+		// drops the loop's bounds checks.
 		steps := p.StepPs
 		baseSteps, skew := bp.StepPs[:len(steps)], d.stepSkew[:len(steps)]
 		for k := 1; k < len(steps); k++ {
 			steps[k] = units.Picosecond(float64(baseSteps[k]) * (1 + cpmAge*skew[k]))
 		}
-		sites := p.SiteSkewPs
-		baseSites := bp.SiteSkewPs[:len(sites)]
-		for k := range sites {
-			sites[k] = units.Picosecond(float64(baseSites[k]) * (1 + cpmAge))
+		for k := range p.SiteSkewPs {
+			p.SiteSkewPs[k] = units.Picosecond(float64(bp.SiteSkewPs[k]) * (1 + cpmAge))
 		}
 		// The uncovered-droop tail widens with age.
 		p.SigmaFrac = bp.SigmaFrac * (1 + noiseGrowthPerYear*tY)

@@ -141,6 +141,10 @@ const timelineCap = 128
 // margin register reports.
 var workMix = []workload.Profile{workload.X264, workload.Deepsjeng, workload.MCF, workload.Omnetpp}
 
+// trialLabel splits each production trial's stream, hashed once:
+// src.SplitLabel(trialLabel, i) is src.SplitIndex("trial", i).
+var trialLabel = rng.NewLabel("trial")
+
 // actuator translates sentinel decisions into FSP-plane operations on
 // the simulated machine. Control actions go through the operator
 // client — the same protocol path a test-floor script uses — so every
@@ -366,7 +370,7 @@ func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 			}
 			w := &workMix[i%len(workMix)]
 			cores[i].SetWorkload(*w)
-			tr, err := m.RunCoreTrialRetry(cores[i], w, trialSrc.SplitIndex("trial", e*len(cores)+i), 0)
+			tr, err := m.RunCoreTrialRetry(cores[i], w, trialSrc.SplitLabel(trialLabel, e*len(cores)+i), 0)
 			if err != nil {
 				return nil, fmt.Errorf("lifetime: epoch %d trial on %s: %w", e, label, err)
 			}

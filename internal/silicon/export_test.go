@@ -17,14 +17,19 @@ func (c *CoreProfile) RequiredGuardForLimit(lim int) units.Picosecond {
 // applies to a requirement.
 func (c *CoreProfile) HeadroomFactor() float64 { return 1 + limitHeadroomSigmas*c.SigmaFrac }
 
+// CheckTable is checkTable: an error naming the first value of the
+// profile that differs from its step-table walk.
+func (c *CoreProfile) CheckTable() error { return checkTable(c) }
+
 // LimitForGuardReference is the O(taps²) search limitForGuard replaced,
-// kept as its reference: for each reduction from 0 up, a fresh GuardPs,
-// stopping at the first one that falls short of the requirement.
+// kept as its reference: for each reduction from 0 up, a guard summed
+// afresh from the step table, stopping at the first one that falls
+// short of the requirement.
 func (c *CoreProfile) LimitForGuardReference(req units.Picosecond) int {
 	need := float64(req)*(1+limitHeadroomSigmas*c.SigmaFrac) - 1e-9
 	lim := 0
 	for r := 0; r <= c.PresetTaps; r++ {
-		if float64(c.mustGuard(r)) >= need {
+		if float64(c.SynthPs+walkInsertedDelay(c, c.PresetTaps-r)+ThetaPs) >= need {
 			lim = r
 		} else {
 			break

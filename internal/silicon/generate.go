@@ -84,8 +84,9 @@ func generateCore(label string, basePath, chipSpeed float64, src *rng.Source) (*
 	speed := math.Exp(chipSpeed + src.TruncNorm(0, speedSigma, -3*speedSigma, 3*speedSigma))
 	c.PathPs = units.Picosecond(basePath / speed)
 
-	// Non-linear step table (same tap statistics as the reference).
-	c.StepPs = make([]units.Picosecond, MaxTaps+1)
+	// Non-linear step table (same tap statistics as the reference),
+	// drawn for every tap; the profile keeps the taps up to the preset.
+	var steps [MaxTaps + 1]units.Picosecond
 	for k := 1; k <= MaxTaps; k++ {
 		u := src.Float64()
 		var w float64
@@ -97,7 +98,7 @@ func generateCore(label string, basePath, chipSpeed float64, src *rng.Source) (*
 		default:
 			w = 2.0 + 1.2*src.Float64()
 		}
-		c.StepPs[k] = units.Picosecond(w * float64(InvPs))
+		steps[k] = units.Picosecond(w * float64(InvPs))
 	}
 
 	// Idle requirement = true path under the idle droop tail.
@@ -106,10 +107,10 @@ func generateCore(label string, basePath, chipSpeed float64, src *rng.Source) (*
 	// Per-trial noise of the required guard (uncovered droop tail),
 	// sized so every inserted-delay step stays resolvable by the limit
 	// searches (≥3.2σ of guard; see the reference calibration).
-	minStep := c.StepPs[1]
+	minStep := steps[1]
 	for k := 2; k <= MaxTaps; k++ {
-		if c.StepPs[k] < minStep {
-			minStep = c.StepPs[k]
+		if steps[k] < minStep {
+			minStep = steps[k]
 		}
 	}
 	sigmaMax := float64(minStep) / (3.2 * float64(FDefault.CycleTime()))
@@ -145,13 +146,16 @@ func generateCore(label string, basePath, chipSpeed float64, src *rng.Source) (*
 		return nil, fmt.Errorf("silicon: %s preset budget non-positive", label)
 	}
 	best, bestErr := 1, math.Inf(1)
+	var inserted units.Picosecond // InsertedDelayPs(taps), summed as it sums
 	for taps := 1; taps <= MaxTaps; taps++ {
-		e := math.Abs(float64(c.InsertedDelayPs(taps) - budget))
+		inserted += steps[taps]
+		e := math.Abs(float64(inserted - budget))
 		if e < bestErr {
 			best, bestErr = taps, e
 		}
 	}
 	c.PresetTaps = best
+	c.setSteps(steps[:best+1])
 	// Re-solve the synthetic path so G(0) hits the target exactly with
 	// the quantized preset.
 	c.SynthPs = guard0 - c.InsertedDelayPs(c.PresetTaps) - ThetaPs
@@ -209,7 +213,6 @@ func generateCore(label string, basePath, chipSpeed float64, src *rng.Source) (*
 	c.Gamma = 1 + 1.4*src.Float64()
 
 	// Site skews.
-	c.SiteSkewPs = make([]units.Picosecond, NumCPMSites)
 	worstSite := src.Intn(NumCPMSites)
 	for i := range c.SiteSkewPs {
 		if i == worstSite {

@@ -89,6 +89,7 @@ func TestLimitForGuardMatchesReference(t *testing.T) {
 		for k := 2; k < len(c.StepPs); k += 3 {
 			c.StepPs[k] = -c.StepPs[k]
 		}
+		c.Refresh()
 	}
 	lc.server("non-monotone", bumpy, 200)
 	if lc.ties == 0 {
@@ -114,5 +115,32 @@ func TestLimitForGuardMatchesReferenceWhenAged(t *testing.T) {
 	for e := 1; e <= epochs; e++ {
 		ov.Advance(5*lifetime.HoursPerYear/epochs, active)
 		lc.server(fmt.Sprintf("epoch %d", e), m.Profile(), 20)
+	}
+}
+
+// TestInsertedTableMatchesWalkWhenAged holds every core's
+// inserted-delay table, guards and limits to step-table walks, bit for
+// bit, after each epoch of a 3-year lifetime drift overlay run: each
+// epoch rewrites every step in place, and Refresh must rebuild the
+// table.
+func TestInsertedTableMatchesWalkWhenAged(t *testing.T) {
+	m, err := chip.New(silicon.Reference().Clone(), chip.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const years = 3
+	ov := lifetime.NewOverlay(m, lifetime.Params{}, years, rng.New(5).Split("lifetime/drift"))
+	active := make([]bool, len(m.AllCores()))
+	for i := range active {
+		active[i] = i%3 != 0
+	}
+	const epochHours = 6
+	for e := 1; e <= years*lifetime.HoursPerYear/epochHours; e++ {
+		ov.Advance(epochHours, active)
+		for _, c := range m.Profile().AllCores() {
+			if err := c.CheckTable(); err != nil {
+				t.Fatalf("epoch %d: %v", e, err)
+			}
+		}
 	}
 }

@@ -35,13 +35,15 @@ type CoreProfile struct {
 	// SiteSkewPs is each CPM site's synthetic-path delay relative to
 	// the worst site: values are ≤ 0 and the worst site is 0. The DPLL
 	// consumes the worst (minimum-margin) site each cycle.
-	SiteSkewPs []units.Picosecond
+	SiteSkewPs [NumCPMSites]units.Picosecond
 
 	// StepPs[k] is the extra delay contributed by tap k of the
-	// inserted-delay chain over tap k−1, for k in [1, MaxTaps]. The
-	// manufacturing process makes the graduation non-linear (Sec. IV-C):
-	// entries vary between roughly one and three inverter delays.
-	// StepPs[0] is unused and zero.
+	// inserted-delay chain over tap k−1, for k in [1, PresetTaps]: the
+	// taps a configuration can select, since fine-tuning only reduces
+	// the tap index below the preset. The manufacturing process makes
+	// the graduation non-linear (Sec. IV-C): entries vary between
+	// roughly one and three inverter delays. StepPs[0] is unused and
+	// zero.
 	StepPs []units.Picosecond
 
 	// PresetTaps is the manufacturer's test-time inserted-delay setting
@@ -76,33 +78,70 @@ type CoreProfile struct {
 	// ubLimit caches limitForGuard(UBenchGuardPs), the uBench limit every
 	// application requirement rolls back from; Refresh recomputes it.
 	ubLimit int
+
+	// ins[t] caches InsertedDelayPs(t), StepPs[1..t] summed left to
+	// right, for t in [0, PresetTaps]; Refresh rebuilds it. A built
+	// profile's StepPs and ins share one allocation, with StepPs capped
+	// at its length so that an append to it cannot reach the table.
+	ins []units.Picosecond
 }
 
-// Refresh recomputes the values the profile derives from its fields.
-// Construction, Clone and ScaleTrialNoise keep them current; any other
-// in-place write to a field must be followed by Refresh, or the
-// application requirements go on using the stale uBench limit.
-func (c *CoreProfile) Refresh() { c.ubLimit = c.limitForGuard(c.UBenchGuardPs) }
+// Refresh recomputes the values the profile derives from its fields:
+// the inserted-delay table and the uBench limit, in one pass over the
+// step table. Construction, Clone and ScaleTrialNoise keep them
+// current; any other in-place write to a field must be followed by
+// Refresh, or the guards and the application requirements go on using
+// the stale values.
+func (c *CoreProfile) Refresh() {
+	steps := c.StepPs[:c.PresetTaps+1]
+	if cap(c.ins) < len(steps) {
+		c.ins = make([]units.Picosecond, len(steps))
+	}
+	ins := c.ins[:len(steps)]
+	c.ins = ins
+	need := c.limitNeed(c.UBenchGuardPs)
+	var d units.Picosecond
+	lastShort := -1
+	for t, s := range steps {
+		if t > 0 {
+			d += s
+		}
+		ins[t] = d
+		// Negated >=: a NaN guard counts as short.
+		if !(float64(c.SynthPs+d+ThetaPs) >= need) {
+			lastShort = t
+		}
+	}
+	c.ubLimit = c.limitAfterShort(lastShort)
+}
+
+// setSteps makes steps the profile's step table and builds its
+// inserted-delay table, both in one new allocation, then refreshes the
+// profile.
+func (c *CoreProfile) setSteps(steps []units.Picosecond) {
+	n := len(steps)
+	buf := make([]units.Picosecond, 2*n)
+	copy(buf, steps)
+	c.StepPs, c.ins = buf[:n:n], buf[n:]
+	c.Refresh()
+}
 
 // MaxReduction returns the largest legal inserted-delay reduction: the
 // tap index cannot go below zero.
 func (c *CoreProfile) MaxReduction() int { return c.PresetTaps }
 
 // InsertedDelayPs returns the delay of the inserted-delay stage when
-// configured at tap index taps (at VRef). Tap 0 contributes zero delay.
-// It panics when taps is outside [0, MaxTaps]: configurations are always
-// validated at the chip API boundary, so an out-of-range tap here is a
-// programming error.
+// configured at tap index taps (at VRef): StepPs[1..taps] summed left
+// to right, read from the profile's table. Tap 0 contributes zero
+// delay. It panics when taps is outside [0, PresetTaps]:
+// configurations are always validated at the chip API boundary, so an
+// out-of-range tap here is a programming error.
 func (c *CoreProfile) InsertedDelayPs(taps int) units.Picosecond {
-	if taps < 0 || taps >= len(c.StepPs) {
+	if taps < 0 || taps >= len(c.ins) {
 		panic(fmt.Sprintf("silicon: tap index %d out of range [0,%d] on %s",
-			taps, len(c.StepPs)-1, c.Label))
+			taps, len(c.ins)-1, c.Label))
 	}
-	var d units.Picosecond
-	for k := 1; k <= taps; k++ {
-		d += c.StepPs[k]
-	}
-	return d
+	return c.ins[taps]
 }
 
 // GuardPs returns the guarded CPM path at inserted-delay reduction r:
@@ -116,20 +155,18 @@ func (c *CoreProfile) GuardPs(reduction int) (units.Picosecond, error) {
 	return g, err
 }
 
-// guards returns GuardPs(reduction) and RequiredGuardPs(score) from one
-// walk of the step table. Both are a prefix sum of StepPs plus the
-// synthetic path and the threshold slack: the guard's up to tap
-// PresetTaps−reduction, an application requirement's up to the tap of
-// the configuration its rollback lands on. One pass up to the deeper of
-// the two taps reads both sums, each added in InsertedDelayPs's order,
-// so both values are bit-identical to summing the taps separately.
+// guards returns GuardPs(reduction) and RequiredGuardPs(score). Both
+// are the synthetic path plus an inserted delay plus the threshold
+// slack: the guard's at tap PresetTaps−reduction, an application
+// requirement's at the tap of the configuration its rollback lands on.
+// Each reads its inserted delay from the profile's table, so both are
+// bit-identical to InsertedDelayPs's left-to-right sums.
 //
 //atm:hotpath
 func (c *CoreProfile) guards(reduction int, score float64) (g, req units.Picosecond, err error) {
 	if reduction < 0 || reduction > c.PresetTaps {
 		return 0, 0, c.reductionErr(reduction)
 	}
-	gTap, reqTap := c.PresetTaps-reduction, -1
 	switch {
 	case score <= 0:
 		req = c.IdleGuardPs
@@ -144,27 +181,10 @@ func (c *CoreProfile) guards(reduction int, score float64) (g, req units.Picosec
 		// rollback curve: the guard needed is the guard of the
 		// (uBench limit − rollback) configuration.
 		lim := c.ubLimit - c.RollbackAt(normalizeAppScore(score))
-		reqTap = c.PresetTaps - min(max(lim, 0), c.PresetTaps)
+		reqTap := c.PresetTaps - min(max(lim, 0), c.PresetTaps)
+		req = c.requirementForGuard(c.SynthPs + c.ins[reqTap] + ThetaPs)
 	}
-	steps := c.StepPs[:max(gTap, reqTap)+1]
-	lo := max(min(gTap, reqTap), 0)
-	var ins units.Picosecond
-	for _, s := range steps[1 : lo+1] {
-		ins += s
-	}
-	shallow := ins
-	for _, s := range steps[lo+1:] {
-		ins += s
-	}
-	gIns, reqIns := ins, shallow
-	if gTap <= reqTap {
-		gIns, reqIns = shallow, ins
-	}
-	g = c.SynthPs + gIns + ThetaPs
-	if reqTap >= 0 {
-		req = c.requirementForGuard(c.SynthPs + reqIns + ThetaPs)
-	}
-	return g, req, nil
+	return c.SynthPs + c.ins[c.PresetTaps-reduction] + ThetaPs, req, nil
 }
 
 // reductionErr is GuardPs's error for a reduction outside [0, PresetTaps].
@@ -244,8 +264,7 @@ func (c *CoreProfile) RollbackAt(score float64) int {
 // micro-benchmark envelope; larger scores interpolate through the
 // rollback curve up to the worst profiled workload at 1.
 func (c *CoreProfile) RequiredGuardPs(score float64) units.Picosecond {
-	// Reduction PresetTaps is always legal and puts the guard at tap 0,
-	// so the walk covers only the requirement's taps.
+	// Reduction PresetTaps is always legal.
 	_, req, _ := c.guards(c.PresetTaps, score)
 	return req
 }
@@ -275,26 +294,33 @@ func normalizeAppScore(score float64) float64 {
 // falls short.
 //
 // Reduction r's guard uses tap PresetTaps−r, so the smallest short
-// reduction is the last short tap. One forward pass over the taps
-// finds it, summing StepPs in the order InsertedDelayPs does, so every
-// guard it compares is bit-identical to GuardPs(r). It does not assume
-// the guard grows with the tap index, and it is O(taps).
+// reduction is the last short tap. A backward scan of the
+// inserted-delay table from tap PresetTaps finds it, comparing guards
+// bit-identical to GuardPs(r). It does not assume the guard grows with
+// the tap index.
 func (c *CoreProfile) limitForGuard(req units.Picosecond) int {
-	// The 1e-9 slack keeps limitForGuard an exact inverse of
-	// requiredGuardForLimit in the presence of float rounding.
-	need := float64(req)*(1+limitHeadroomSigmas*c.SigmaFrac) - 1e-9
-	steps := c.StepPs[:c.PresetTaps+1]
-	var inserted units.Picosecond
-	lastShort := -1
-	for t := range steps {
-		if t > 0 {
-			inserted += steps[t]
-		}
+	need := c.limitNeed(req)
+	ins := c.ins[:c.PresetTaps+1]
+	for t := len(ins) - 1; t >= 0; t-- {
 		// Negated >=: a NaN guard counts as short.
-		if !(float64(c.SynthPs+inserted+ThetaPs) >= need) {
-			lastShort = t
+		if !(float64(c.SynthPs+ins[t]+ThetaPs) >= need) {
+			return c.limitAfterShort(t)
 		}
 	}
+	return c.PresetTaps
+}
+
+// limitNeed is the guard limitForGuard compares against for the
+// requirement req: req with the calibration headroom factor applied.
+// The 1e-9 slack keeps limitForGuard an exact inverse of
+// requiredGuardForLimit in the presence of float rounding.
+func (c *CoreProfile) limitNeed(req units.Picosecond) float64 {
+	return float64(req)*(1+limitHeadroomSigmas*c.SigmaFrac) - 1e-9
+}
+
+// limitAfterShort is the limit when lastShort is the last tap whose
+// guard falls short (−1 when none does).
+func (c *CoreProfile) limitAfterShort(lastShort int) int {
 	if lastShort < 0 {
 		return c.PresetTaps
 	}
@@ -431,10 +457,6 @@ func (c *CoreProfile) Validate() error {
 	if !(c.Gamma > 0 && c.Gamma <= math.MaxFloat64) {
 		return fmt.Errorf("silicon: %s rollback gamma %v not finite and positive", c.Label, c.Gamma)
 	}
-	if len(c.SiteSkewPs) != NumCPMSites {
-		return fmt.Errorf("silicon: %s has %d CPM sites, want %d",
-			c.Label, len(c.SiteSkewPs), NumCPMSites)
-	}
 	worst := units.Picosecond(math.Inf(-1))
 	for _, s := range c.SiteSkewPs {
 		if s > 0 {
@@ -488,12 +510,17 @@ func (s *ServerProfile) FindCore(label string) *CoreProfile {
 }
 
 // Clone returns a deep copy of the core profile: mutating the clone's
-// slices or scalars never aliases the original. The cached uBench limit
-// rides along unchanged (it is a value).
+// step table or scalars never aliases the original. The clone's step
+// table and inserted-delay table are copied into one new buffer laid
+// out as setSteps lays them; the cached uBench limit rides along
+// unchanged (it is a value).
 func (c *CoreProfile) Clone() *CoreProfile {
 	nc := *c
-	nc.StepPs = append([]units.Picosecond(nil), c.StepPs...)
-	nc.SiteSkewPs = append([]units.Picosecond(nil), c.SiteSkewPs...)
+	n := len(c.StepPs)
+	buf := make([]units.Picosecond, n+len(c.ins))
+	copy(buf, c.StepPs)
+	copy(buf[n:], c.ins)
+	nc.StepPs, nc.ins = buf[:n:n], buf[n:]
 	return &nc
 }
 

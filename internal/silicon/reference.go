@@ -108,8 +108,9 @@ func calibrateCore(label string, idle, uBench, normal, worst int, src *rng.Sourc
 
 	// (1) Non-linear step table. Each tap adds between ~0.8 and ~3.2
 	// inverter delays; a few taps are near-degenerate (the paper's
-	// "almost negligible change in frequency" steps).
-	c.StepPs = make([]units.Picosecond, MaxTaps+1)
+	// "almost negligible change in frequency" steps). Every tap is
+	// drawn; the profile keeps the taps up to the preset.
+	var steps [MaxTaps + 1]units.Picosecond
 	for k := 1; k <= MaxTaps; k++ {
 		u := src.Float64()
 		var unitsWide float64
@@ -121,7 +122,7 @@ func calibrateCore(label string, idle, uBench, normal, worst int, src *rng.Sourc
 		default: // deep tap (the 200 MHz jumps of Fig. 5)
 			unitsWide = 2.0 + 1.2*src.Float64()
 		}
-		c.StepPs[k] = units.Picosecond(unitsWide * float64(InvPs))
+		steps[k] = units.Picosecond(unitsWide * float64(InvPs))
 	}
 
 	// (2) Preset depth: protection slack above the idle limit. The
@@ -144,12 +145,12 @@ func calibrateCore(label string, idle, uBench, normal, worst int, src *rng.Sourc
 		want := guard0 - units.MHz(fIdle).CycleTime()
 		var have units.Picosecond
 		for k := c.PresetTaps - idle + 1; k <= c.PresetTaps; k++ {
-			have += c.StepPs[k]
+			have += steps[k]
 		}
 		if have > 0 && want > 0 {
 			alpha := float64(want) / float64(have)
 			for k := c.PresetTaps - idle + 1; k <= c.PresetTaps; k++ {
-				c.StepPs[k] = units.Picosecond(float64(c.StepPs[k]) * alpha)
+				steps[k] = units.Picosecond(float64(steps[k]) * alpha)
 			}
 			// Keep every exercised step above a minimum encoding: a
 			// near-degenerate tap would be indistinguishable from the
@@ -158,23 +159,24 @@ func calibrateCore(label string, idle, uBench, normal, worst int, src *rng.Sourc
 			// pinned idle-limit frequency.
 			const minStepPs = 0.9
 			for k := c.PresetTaps - idle + 1; k <= c.PresetTaps; k++ {
-				if float64(c.StepPs[k]) >= minStepPs {
+				if float64(steps[k]) >= minStepPs {
 					continue
 				}
-				deficit := units.Picosecond(minStepPs) - c.StepPs[k]
+				deficit := units.Picosecond(minStepPs) - steps[k]
 				big := c.PresetTaps - idle + 1
 				for j := big + 1; j <= c.PresetTaps; j++ {
-					if c.StepPs[j] > c.StepPs[big] {
+					if steps[j] > steps[big] {
 						big = j
 					}
 				}
-				if c.StepPs[big]-deficit > units.Picosecond(minStepPs) {
-					c.StepPs[big] -= deficit
-					c.StepPs[k] += deficit
+				if steps[big]-deficit > units.Picosecond(minStepPs) {
+					steps[big] -= deficit
+					steps[k] += deficit
 				}
 			}
 		}
 	}
+	c.setSteps(steps[:c.PresetTaps+1])
 	c.SynthPs = guard0 - c.InsertedDelayPs(c.PresetTaps) - ThetaPs
 	if c.SynthPs <= 0 {
 		panic(fmt.Sprintf("silicon: %s synthetic path went non-positive (%v)", label, c.SynthPs))
@@ -228,7 +230,6 @@ func calibrateCore(label string, idle, uBench, normal, worst int, src *rng.Sourc
 
 	// CPM site skews: the worst site reports; the others sit within a
 	// few ps below it (spatial variation across IFU/ISU/FXU/FPU/LLC).
-	c.SiteSkewPs = make([]units.Picosecond, NumCPMSites)
 	worstSite := src.Intn(NumCPMSites)
 	for i := range c.SiteSkewPs {
 		if i == worstSite {

@@ -3,6 +3,7 @@ package silicon
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -545,11 +546,17 @@ func TestCloneNeverAliasesReference(t *testing.T) {
 		preset                    int
 	}
 	before := map[string]snap{}
+	tables := map[*CoreProfile][]units.Picosecond{}
 	for _, c := range ref.AllCores() {
 		before[c.Label] = snap{
 			path: c.PathPs, synth: c.SynthPs, idle: c.IdleGuardPs,
 			ubench: c.UBenchGuardPs, sigma: c.SigmaFrac,
 			step1: c.StepPs[1], skew0: c.SiteSkewPs[0], preset: c.PresetTaps,
+		}
+	}
+	for _, s := range []*ServerProfile{ref, clone} {
+		for _, c := range s.AllCores() {
+			tables[c] = append([]units.Picosecond(nil), c.ins...)
 		}
 	}
 
@@ -566,8 +573,20 @@ func TestCloneNeverAliasesReference(t *testing.T) {
 		for k := range c.StepPs {
 			c.StepPs[k] += 1000
 		}
+		// An append must not write past the steps into the table that
+		// shares their buffer.
+		c.StepPs = append(c.StepPs, 1000, 1000)
 		for k := range c.SiteSkewPs {
 			c.SiteSkewPs[k] -= 1000
+		}
+	}
+
+	// The tables change only on Refresh: neither the reference's nor the
+	// clone's moved.
+	for c, want := range tables {
+		if !slices.Equal(c.ins, want) {
+			t.Fatalf("%s: inserted-delay table changed from %v to %v after the clone's steps were written and appended to",
+				c.Label, want, c.ins)
 		}
 	}
 

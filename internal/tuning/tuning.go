@@ -178,6 +178,13 @@ func (d *Deployment) SpeedDifferentialMHz() float64 {
 	return float64(hi - lo)
 }
 
+// Split labels of a stress test's per-pass and per-run streams, hashed
+// once: src.SplitLabel(runLabel, i) is src.SplitIndex("run", i).
+var (
+	passLabel = rng.NewLabel("pass")
+	runLabel  = rng.NewLabel("run")
+)
+
 // StressTestCore finds one core's stress-test limit: the largest
 // reduction at which every stressmark of the battery passes
 // RunsPerConfig consecutive runs on every pass. It consumes o verbatim
@@ -211,12 +218,12 @@ func StressTestCore(m *chip.Machine, label string, o Options, src *rng.Source) (
 		safe := true
 	passes:
 		for pass := 0; pass < o.Passes; pass++ {
-			psrc := src.SplitIndex("pass", pass)
+			psrc := src.SplitLabel(passLabel, pass)
 			for mi := range o.Battery {
 				w := &o.Battery[mi].Profile
 				msrc := psrc.SplitIndex(w.Name, mi)
 				for run := 0; run < o.RunsPerConfig; run++ {
-					tr, err := m.RunCoreTrialRetry(core, w, msrc.SplitIndex("run", run), o.TrialRetries)
+					tr, err := m.RunCoreTrialRetry(core, w, msrc.SplitLabel(runLabel, run), o.TrialRetries)
 					if err != nil {
 						return 0, err
 					}
