@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/chip"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/workload"
@@ -325,11 +326,11 @@ func Example_stresstest() {
 	failures := 0
 	for _, core := range m.AllCores() {
 		for i := 0; i < 20; i++ {
-			res, err := m.RunStressmark(core.Profile.Label, virus, src.SplitIndex(core.Profile.Label, i))
+			f, err := m.RunStressmark(core.Profile.Label, virus, src.SplitIndex(core.Profile.Label, i))
 			if err != nil {
 				log.Fatal(err)
 			}
-			if !res.OK() {
+			if f != chip.FailureNone {
 				failures++
 			}
 		}

@@ -321,11 +321,11 @@ var (
 // yields byte-identical results regardless of the budget.
 func configSafe(m *chip.Machine, core *chip.Core, w *workload.Profile, runs, retries int, src *rng.Source) (bool, error) {
 	for i := 0; i < runs; i++ {
-		tr, err := m.RunCoreTrialRetry(core, w, src.SplitLabel(runLabel, i), retries)
+		f, err := m.RunCoreTrialRetry(core, w, src.SplitLabel(runLabel, i), retries)
 		if err != nil {
 			return false, err
 		}
-		if !tr.OK() {
+		if f != chip.FailureNone {
 			return false, nil
 		}
 	}

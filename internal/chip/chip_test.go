@@ -286,20 +286,20 @@ func TestResetAll(t *testing.T) {
 
 // runTrials runs n independent trials of w on the labelled core and
 // returns the number that passed, the number that failed, and the first
-// failing result.
-func runTrials(t *testing.T, m *Machine, label string, w workload.Profile, n int, src *rng.Source) (pass, fail int, first TrialResult) {
+// failure's kind.
+func runTrials(t *testing.T, m *Machine, label string, w workload.Profile, n int, src *rng.Source) (pass, fail int, first FailureKind) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		r, err := m.RunTrial(label, w, src.SplitIndex("trial", i))
+		f, err := m.RunTrial(label, w, src.SplitIndex("trial", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.OK() {
+		if f == FailureNone {
 			pass++
 			continue
 		}
 		if fail == 0 {
-			first = r
+			first = f
 		}
 		fail++
 	}
@@ -312,7 +312,7 @@ func TestTrialAtDefaultNeverFails(t *testing.T) {
 	for _, core := range m.AllCores() {
 		pass, fail, first := runTrials(t, m, core.Profile.Label, workload.X264, 50, src.Split(core.Profile.Label))
 		if fail != 0 {
-			t.Errorf("%s failed %d/50 trials at the default config (%v)", core.Profile.Label, fail, first.Failure)
+			t.Errorf("%s failed %d/50 trials at the default config (%v)", core.Profile.Label, fail, first)
 		}
 		if pass != 50 {
 			t.Errorf("%s pass count %d", core.Profile.Label, pass)
@@ -373,10 +373,11 @@ func TestSDCDetectionNeedsChecker(t *testing.T) {
 	sawUndetectedSDC := false
 	sawDetected := false
 	for i := 0; i < 300; i++ {
-		r, err := m.RunTrial("P0C7", noChecker, src.SplitIndex("t", i))
+		f, err := m.RunTrial("P0C7", noChecker, src.SplitIndex("t", i))
 		if err != nil {
 			t.Fatal(err)
 		}
+		r := trialRecord(core, &noChecker, f)
 		switch {
 		case r.Failure == FailureSDC && !r.Detected:
 			sawUndetectedSDC = true
@@ -421,12 +422,12 @@ func TestCoreTrialLoopAllocFree(t *testing.T) {
 	runs, fails := 0, 0
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 4; i++ {
-			res, err := m.RunCoreTrialRetry(core, &w, src.SplitIndex("run", runs), 2)
+			f, err := m.RunCoreTrialRetry(core, &w, src.SplitIndex("run", runs), 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			runs++
-			if !res.OK() {
+			if f != FailureNone {
 				fails++
 			}
 		}
@@ -441,7 +442,8 @@ func TestCoreTrialLoopAllocFree(t *testing.T) {
 
 // TestCoreTrialRetryMatchesLabelEntry: the label entry (RunTrial) and
 // the handle entry are one trial implementation — same results from the
-// same streams — and the observer sees each retry-wrapped trial.
+// same streams — and the observer sees each retry-wrapped trial, with
+// the record of the label entry's outcome.
 func TestCoreTrialRetryMatchesLabelEntry(t *testing.T) {
 	m := NewReference()
 	core, err := m.Core("P1C3")
@@ -453,13 +455,16 @@ func TestCoreTrialRetryMatchesLabelEntry(t *testing.T) {
 	}
 	virus := workload.VoltageVirus()
 	seen := 0
+	var rec TrialResult
 	m.SetTrialObserver(func(label, wl string, retries int, res TrialResult, err error) {
 		if label != "P1C3" || wl != virus.Profile.Name || retries != 0 || err != nil {
 			t.Errorf("observer saw %s/%s retries=%d err=%v", label, wl, retries, err)
 		}
+		rec = res
 		seen++
 	})
 	src := rng.New(6)
+	failed := 0
 	for i := 0; i < 200; i++ {
 		a, errA := m.RunTrial("P1C3", virus.Profile, src.SplitIndex("t", i))
 		b, errB := m.RunCoreTrialRetry(core, &virus.Profile, src.SplitIndex("t", i), 2)
@@ -467,8 +472,19 @@ func TestCoreTrialRetryMatchesLabelEntry(t *testing.T) {
 			t.Fatal(errA, errB)
 		}
 		if a != b {
-			t.Fatalf("trial %d: label entry %+v, handle entry %+v", i, a, b)
+			t.Fatalf("trial %d: label entry %v, handle entry %v", i, a, b)
 		}
+		want := TrialResult{Core: "P1C3", Workload: virus.Profile.Name, Reduction: 5,
+			Failure: a, Detected: true}
+		if rec != want {
+			t.Fatalf("trial %d: observer saw %+v, want %+v", i, rec, want)
+		}
+		if a != FailureNone {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Error("no trial failed at reduction 5; the records compared carry no failure")
 	}
 	if seen != 200 {
 		t.Errorf("observer saw %d trials, want 200", seen)

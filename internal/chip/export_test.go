@@ -1,14 +1,83 @@
 package chip
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
+	"repro/internal/rng"
 	"repro/internal/silicon"
 	"repro/internal/thermal"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
+
+// TrialRecord is the observer's record of a trial of w on core that
+// ended in f, as RunCoreTrialRetry builds it.
+func TrialRecord(core *Core, w *workload.Profile, f FailureKind) TrialResult {
+	return trialRecord(core, w, f)
+}
+
+// runTrialReference is the trial as it ran when every trial returned its
+// whole record: the record is filled in up front, and the failure draw
+// sets its Failure and, for an SDC, its Detected field. Tests hold the
+// kind-returning entry points and the observer's record to it.
+func (m *Machine) runTrialReference(core *Core, w *workload.Profile, src *rng.Source) (TrialResult, error) {
+	res := TrialResult{
+		Core:      core.Profile.Label,
+		Workload:  w.Name,
+		Reduction: core.Reduction(),
+		Detected:  true,
+	}
+	if core.mode == ModeATM {
+		ok, err := core.Profile.SurvivesTrial(res.Reduction, w.StressScore, src)
+		if err != nil {
+			return TrialResult{}, err
+		}
+		if !ok {
+			switch u := src.Float64(); {
+			case u < 0.45:
+				res.Failure = FailureSegfault
+			case u < 0.75:
+				res.Failure = FailureSystemCrash
+			default:
+				res.Failure = FailureSDC
+				res.Detected = w.HasChecker
+			}
+		}
+	}
+	if m.trialFault != nil {
+		if err := m.trialFault(res.Core, res.Workload); err != nil {
+			return res, err
+		}
+	}
+	return res, nil
+}
+
+// RunTrialReference is RunTrial over runTrialReference.
+func (m *Machine) RunTrialReference(label string, w workload.Profile, src *rng.Source) (TrialResult, error) {
+	core, err := m.Core(label)
+	if err != nil {
+		return TrialResult{}, err
+	}
+	return m.runTrialReference(core, &w, src)
+}
+
+// RunCoreTrialRetryReference is RunCoreTrialRetry over
+// runTrialReference. It returns the final record and the retries used
+// instead of handing them to the observer, which it never calls.
+func (m *Machine) RunCoreTrialRetryReference(core *Core, w *workload.Profile, src *rng.Source, retries int) (TrialResult, int, error) {
+	res, err := m.runTrialReference(core, w, src)
+	used := 0
+	for a := 1; a <= retries && err != nil && errors.Is(err, ErrTransient); a++ {
+		used = a
+		res, err = m.runTrialReference(core, w, src.SplitIndex("retry", a))
+	}
+	if err != nil && errors.Is(err, ErrTransient) && retries > 0 {
+		err = fmt.Errorf("%w (persisted through %d retries)", err, retries)
+	}
+	return res, used, err
+}
 
 // SolveReference is the steady-state solver without hoisted loop
 // invariants: every fixed-point iteration resolves each core's

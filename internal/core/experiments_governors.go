@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/chip"
 	"repro/internal/manage"
 	"repro/internal/report"
 	"repro/internal/rng"
@@ -105,18 +106,18 @@ func (s *Suite) ExtGovernors() (*report.Artifact, error) {
 		unprofiled.Name = pair.Critical.Name + "-v2"
 		unprofiled.StressScore = min1(pair.Critical.StressScore + 0.25)
 		for i := 0; i < 200; i++ {
-			r1, err := s.M.RunTrial(fastest, pair.Critical, src.SplitIndex(g.String()+"/p", i))
+			f1, err := s.M.RunTrial(fastest, pair.Critical, src.SplitIndex(g.String()+"/p", i))
 			if err != nil {
 				return nil, err
 			}
-			if !r1.OK() {
+			if f1 != chip.FailureNone {
 				failProf++
 			}
-			r2, err := s.M.RunTrial(fastest, unprofiled, src.SplitIndex(g.String()+"/u", i))
+			f2, err := s.M.RunTrial(fastest, unprofiled, src.SplitIndex(g.String()+"/u", i))
 			if err != nil {
 				return nil, err
 			}
-			if !r2.OK() {
+			if f2 != chip.FailureNone {
 				failUnprof++
 			}
 		}

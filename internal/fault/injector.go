@@ -96,17 +96,17 @@ func (in *Injector) ArmMachine(m *chip.Machine) {
 	}
 	tsrc := in.root.Split("trial")
 	terr := in.profile.TrialErrProb
-	m.SetTrialFault(func(label, workload string, res chip.TrialResult) (chip.TrialResult, error) {
+	m.SetTrialFault(func(label, workload string) error {
 		if brokenSet[label] {
 			in.hits.trialBroken.Inc()
-			return res, fmt.Errorf("fault: core %s harness broken (%s): %w",
+			return fmt.Errorf("fault: core %s harness broken (%s): %w",
 				label, workload, chip.ErrTransient)
 		}
 		if terr > 0 && tsrc.Float64() < terr {
 			in.hits.trialSpurious.Inc()
-			return res, fmt.Errorf("fault: spurious harness failure on %s (%s): %w",
+			return fmt.Errorf("fault: spurious harness failure on %s (%s): %w",
 				label, workload, chip.ErrTransient)
 		}
-		return res, nil
+		return nil
 	})
 }

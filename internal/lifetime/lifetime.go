@@ -370,7 +370,7 @@ func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 			}
 			w := &workMix[i%len(workMix)]
 			cores[i].SetWorkload(*w)
-			tr, err := m.RunCoreTrialRetry(cores[i], w, trialSrc.SplitLabel(trialLabel, e*len(cores)+i), 0)
+			f, err := m.RunCoreTrialRetry(cores[i], w, trialSrc.SplitLabel(trialLabel, e*len(cores)+i), 0)
 			if err != nil {
 				return nil, fmt.Errorf("lifetime: epoch %d trial on %s: %w", e, label, err)
 			}
@@ -378,14 +378,14 @@ func Run(profile *silicon.ServerProfile, o Options) (*Result, error) {
 			if trialCounter != nil {
 				trialCounter.Inc()
 			}
-			if !tr.OK() {
+			if f != chip.FailureNone {
 				res.Failures++
 				failuresByIdx[i]++
 				if failCounter != nil {
 					failCounter.Inc()
 				}
 				record(Event{Epoch: e, Hours: tH, Core: label, Kind: EventFailure,
-					Reduction: cores[i].Reduction(), Detail: tr.Failure.String()})
+					Reduction: cores[i].Reduction(), Detail: f.String()})
 			}
 		}
 

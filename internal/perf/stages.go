@@ -24,7 +24,7 @@ var (
 	sinkVolt  units.Volt
 	sinkF     float64
 	sinkRead  cpm.Reading
-	sinkTrial chip.TrialResult
+	sinkTrial chip.FailureKind
 	sinkState chip.State
 )
 
@@ -115,11 +115,11 @@ func kernelStages(quick bool) []Stage {
 			Run: func(iters int) (int64, error) {
 				src := rng.New(1)
 				for i := 0; i < iters; i++ {
-					res, err := m.RunTrial(label, w, src)
+					f, err := m.RunTrial(label, w, src)
 					if err != nil {
 						return 0, err
 					}
-					sinkTrial = res
+					sinkTrial = f
 				}
 				return int64(iters), nil
 			},

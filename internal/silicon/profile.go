@@ -138,10 +138,19 @@ func (c *CoreProfile) MaxReduction() int { return c.PresetTaps }
 // out-of-range tap here is a programming error.
 func (c *CoreProfile) InsertedDelayPs(taps int) units.Picosecond {
 	if taps < 0 || taps >= len(c.ins) {
-		panic(fmt.Sprintf("silicon: tap index %d out of range [0,%d] on %s",
-			taps, len(c.ins)-1, c.Label))
+		c.tapRangePanic(taps)
 	}
 	return c.ins[taps]
+}
+
+// tapRangePanic is InsertedDelayPs's out-of-range panic. It stays out
+// of line so that InsertedDelayPs, which cpm.SiteDelay calls once per
+// CPM site on every DPLL step, fits the inliner's budget.
+//
+//go:noinline
+func (c *CoreProfile) tapRangePanic(taps int) {
+	panic(fmt.Sprintf("silicon: tap index %d out of range [0,%d] on %s",
+		taps, len(c.ins)-1, c.Label))
 }
 
 // GuardPs returns the guarded CPM path at inserted-delay reduction r:

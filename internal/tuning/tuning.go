@@ -223,11 +223,11 @@ func StressTestCore(m *chip.Machine, label string, o Options, src *rng.Source) (
 				w := &o.Battery[mi].Profile
 				msrc := psrc.SplitIndex(w.Name, mi)
 				for run := 0; run < o.RunsPerConfig; run++ {
-					tr, err := m.RunCoreTrialRetry(core, w, msrc.SplitLabel(runLabel, run), o.TrialRetries)
+					f, err := m.RunCoreTrialRetry(core, w, msrc.SplitLabel(runLabel, run), o.TrialRetries)
 					if err != nil {
 						return 0, err
 					}
-					if !tr.OK() {
+					if f != chip.FailureNone {
 						safe = false
 						break passes
 					}
